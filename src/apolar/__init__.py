@@ -51,12 +51,9 @@ from .dp import (
     DPPoly,
     Operator,
     contract,
-    dp_mul,
     omega,
     omega_inv,
     pair,
-    partial_derivative,
-    tdf,
 )
 from .errors import *  # noqa: F401,F403 -- the exception hierarchy
 from .fields import GF, QQ, FieldSpec, char_guard

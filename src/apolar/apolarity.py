@@ -10,7 +10,7 @@ import math
 
 from .dp import DPPoly, Operator, contract, monomials, monomials_upto
 from .errors import DecompositionInvariantViolated, ZeroPolynomial
-from .linalg import Basis, Window, nullspace, span
+from .linalg import Basis, Window, nullspace, rref, span
 
 
 class HilbertFunction:
@@ -50,7 +50,7 @@ class HilbertFunction:
 
 
 class SymmetricDecomposition:
-    """Vectors Delta_0 .. Delta_{d-2}; Delta_a has entries 0..d-a."""
+    """Vectors Delta_0 .. Delta_{max(d-2, 0)}; Delta_a has entries 0..d-a."""
 
     def __init__(self, deltas):
         self.deltas = [tuple(v) for v in deltas]
@@ -105,12 +105,45 @@ def dim_apolar(f):
     return module_sf(f, 0).dim
 
 
+def _filtration_profiles(f):
+    """prof[k][i] = dim(M_k cap P_{<=i}) - dim(M_k cap P_{<=i-1}) for
+    M_k = m^k -| f, k = 0 .. deg f + 1.
+
+    One ``rref`` per k of the contractions x^e -| f with |e| >= k, columns
+    ordered highest degree first (grlex within a degree); prof[k][i] counts
+    its pivots of degree i.
+    """
+    d = f.degree
+    cols = [c for i in range(d, -1, -1) for c in monomials(f.n, i)]
+    rows = [
+        (sum(e), [f.coeff(tuple(a + b for a, b in zip(c, e))) for c in cols])
+        for e in monomials_upto(f.n, d)
+    ]
+    profiles = []
+    for k in range(d + 2):
+        _, pivots = rref([row for deg, row in rows if deg >= k], f.field, len(cols))
+        prof = [0] * (d + 1)
+        for p in pivots:
+            prof[sum(cols[p])] += 1
+        profiles.append(prof)
+    return profiles
+
+
+def _hilbert_from_profiles(profiles):
+    dims = [sum(prof) for prof in profiles]
+    return HilbertFunction(dims[i] - dims[i + 1] for i in range(len(dims) - 1))
+
+
 def hilbert_function(f):
+    """H(i) = dim(m^i -| f) - dim(m^{i+1} -| f) for i = 0 .. deg f.
+
+    With the columns of P ordered highest degree first, dim(M cap P_{<=i})
+    is the number of pivots of degree <= i of an echelon form of M; at
+    i = deg f that is dim M, the pivot total of ``_filtration_profiles``.
+    """
     if f.is_zero():
         raise ZeroPolynomial("Hilbert function of the zero polynomial")
-    d = f.degree
-    dims = [module_sf(f, i).dim for i in range(d + 2)]
-    return HilbertFunction(dims[i] - dims[i + 1] for i in range(d + 1))
+    return _hilbert_from_profiles(_filtration_profiles(f))
 
 
 def _hs(n, i):
@@ -150,50 +183,29 @@ def is_compressed(f):
     return all(H[i] == min(_hs(f.n, i), _hs(f.n, d - i)) for i in range(d + 1))
 
 
-def _p_upto_basis(win, i):
-    """Basis of P_{<=i} inside the window (empty for i < 0)."""
-    rows = []
-    for col, e in enumerate(win.columns):
-        if sum(e) <= i:
-            row = [win.field.zero()] * win.dim
-            row[col] = win.field.one()
-            rows.append(row)
-    return Basis(win, rows, reduced=True)
-
-
 def symmetric_decomposition(f):
-    """The canonical decomposition H = sum_a Delta_a.
+    """The canonical decomposition H = sum_a Delta_a, a = 0 .. max(d-2, 0).
 
     Delta_a(i) = dim C_a(i) - dim C_{a-1}(i) where C_a(i) is the image in
-    P_i of (m^{d-a-i} -| f) intersected with P_{<=i}, taken modulo
-    P_{<=i-1}.  The type invariants (sum = H, symmetry, non-negativity) are
-    theorems; a violation raises DecompositionInvariantViolated.
+    P_i of (m^{d-a-i} -| f) cap P_{<=i}, taken modulo P_{<=i-1}.  With the
+    columns of P ordered highest degree first, dim(M cap P_{<=i}) is the
+    number of pivots of degree <= i of an echelon form of M, so dim C_a(i)
+    is the pivot count ``prof[d-a-i][i]`` of ``_filtration_profiles``.
+    The type invariants (sum = H, symmetry, non-negativity) are theorems; a
+    violation raises DecompositionInvariantViolated.
     """
     if f.is_zero():
         raise ZeroPolynomial("decomposition of the zero polynomial")
     d = f.degree
     if d < 1:
         raise ZeroPolynomial("decomposition needs degree >= 1")
-    H = hilbert_function(f)
-    win = Window.P_upto(f.n, d, f.field)
-    modules = {k: module_sf(f, k) for k in range(d + 2)}
-    lower = {i: _p_upto_basis(win, i) for i in range(-1, d + 1)}
+    prof = _filtration_profiles(f)
+    H = _hilbert_from_profiles(prof)
 
-    def dim_c(a, i):
-        k = d - a - i
-        if k < 0:
-            return 0
-        if k > d + 1:
-            k = d + 1
-        inter = modules[k].intersect(lower[i])
-        return inter.sum(lower[i - 1]).dim - lower[i - 1].dim
-
-    deltas = []
-    for a in range(d - 1):
-        row = []
-        for i in range(d - a + 1):
-            row.append(dim_c(a, i) - dim_c(a - 1, i))
-        deltas.append(tuple(row))
+    deltas = [
+        tuple(prof[d - a - i][i] - prof[d - a + 1 - i][i] for i in range(d - a + 1))
+        for a in range(max(d - 1, 1))
+    ]
 
     # invariant validation -- these are theorems about the construction
     for i in range(d + 1):

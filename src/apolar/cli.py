@@ -28,13 +28,11 @@ from .classify import (
 )
 from .dp import omega_inv
 from .errors import (
-    ApolarError,
     CharacteristicTooSmall,
-    CrossCheckFailed,
-    DecompositionInvariantViolated,
     GoldenMismatch,
+    GuardError,
+    InternalError,
     PolySyntaxError,
-    ReductionFailed,
 )
 from .fields import GF, QQ
 from .parsing import operator_str, parse_classical_poly, parse_poly, poly_str
@@ -46,31 +44,6 @@ from .tangent import (
     tangent_space,
     unip_tangent_space,
 )
-
-_GUARD_ERRORS = (
-    "CharacteristicTooSmall",
-    "HypothesisFailed",
-    "NotTCompressed",
-    "TdfMismatch",
-    "WrongHilbertFunction",
-    "ZeroPolynomial",
-    "NotInTangent",
-    "DivisionByZero",
-    "ArityMismatch",
-    "FieldMismatch",
-    "AmbientMismatch",
-    "IndexOutOfRange",
-    "NotAUnit",
-    "InvalidAutomorphism",
-    "SingularMatrix",
-)
-_INTERNAL_ERRORS = (
-    CrossCheckFailed,
-    ReductionFailed,
-    GoldenMismatch,
-    DecompositionInvariantViolated,
-)
-
 
 def _parse_field(text):
     if text == "q":
@@ -103,7 +76,8 @@ def _emit(args, report):
 def _report(args, command, inputs, results, warnings=None):
     return {
         "command": command,
-        "field": args.field,
+        # golden and cangrad-filter take no --field; their reports keep "q"
+        "field": getattr(args, "field", "q"),
         "vars": getattr(args, "vars", None),
         "inputs": inputs,
         "results": results,
@@ -301,8 +275,6 @@ def _build_parser():
         p.add_argument("--vars", type=int, default=2, help="number of variables")
         p.add_argument("--mode", choices=["dp", "classical"], default="dp")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--trunc", type=int, default=None,
-                       help="operator truncation override (rarely needed)")
         if poly:
             p.add_argument("poly", help="polynomial, e.g. '3*x1^[2]*x2 + x3'")
 
@@ -330,12 +302,10 @@ def _build_parser():
     p = sub.add_parser("cangrad-filter")
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)
-    p.add_argument("--field", default="q")
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_cangrad_filter)
     p = sub.add_parser("golden")
     p.add_argument("which", choices=["13331", "1222111", "char2"])
-    p.add_argument("--field", default="q")
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_golden)
     return parser
@@ -345,6 +315,8 @@ def cli_dispatch(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "method", None) == "membership" and args.target is None:
+            parser.error("reduce --method membership needs --target")
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
@@ -352,16 +324,14 @@ def cli_dispatch(argv):
     except PolySyntaxError as exc:
         print("syntax error: %s" % exc, file=sys.stderr)
         return 1
-    except _INTERNAL_ERRORS as exc:
+    except GuardError as exc:
+        print("precondition failed: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 2
+    except InternalError as exc:
         print("cross-check failure: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)
         return 3
-    except ApolarError as exc:
-        if type(exc).__name__ in _GUARD_ERRORS:
-            print("precondition failed: %s: %s" % (type(exc).__name__, exc),
-                  file=sys.stderr)
-            return 2
-        raise
     _emit(args, report)
     return 0
 

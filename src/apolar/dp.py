@@ -57,6 +57,8 @@ class _Sparse:
     """Shared plumbing for sparse exponent-dict polynomials."""
 
     def __init__(self, n, field, terms):
+        if n < 1:
+            raise ArityMismatch("need at least one variable, got %d" % n)
         self.n = n
         self.field = field
         self.terms = {e: c for e, c in terms.items() if not field.is_zero(c)}
@@ -315,18 +317,6 @@ def pair(tau, f):
         if cb is not None:
             out = k.add(out, k.mul(ca, cb))
     return out
-
-
-def dp_mul(f, g):
-    return f * g
-
-
-def tdf(f):
-    return f.tdf()
-
-
-def partial_derivative(sigma, i):
-    return sigma.partial_derivative(i)
 
 
 class ClassicalPoly(_Sparse):

@@ -2,10 +2,22 @@
 
 
 class ApolarError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Every error is exactly one of GuardError, InternalError or
+    PolySyntaxError.
+    """
 
 
-class CharacteristicTooSmall(ApolarError):
+class GuardError(ApolarError):
+    """A precondition or input check failed (CLI exit 2)."""
+
+
+class InternalError(ApolarError):
+    """An internal cross-check failed: always a bug (CLI exit 3)."""
+
+
+class CharacteristicTooSmall(GuardError):
     def __init__(self, char, degree):
         self.char = char
         self.degree = degree
@@ -15,54 +27,54 @@ class CharacteristicTooSmall(ApolarError):
         )
 
 
-class DivisionByZero(ApolarError):
+class DivisionByZero(GuardError):
     pass
 
 
-class ArityMismatch(ApolarError):
+class ArityMismatch(GuardError):
     pass
 
 
-class FieldMismatch(ApolarError):
+class FieldMismatch(GuardError):
     pass
 
 
-class IndexOutOfRange(ApolarError):
+class IndexOutOfRange(GuardError):
     pass
 
 
-class AmbientMismatch(ApolarError):
+class AmbientMismatch(GuardError):
     pass
 
 
-class ZeroPolynomial(ApolarError):
+class ZeroPolynomial(GuardError):
     pass
 
 
-class DecompositionInvariantViolated(ApolarError):
+class DecompositionInvariantViolated(InternalError):
     """The computed symmetric decomposition broke a theorem-level invariant.
 
     This always signals an implementation bug, never bad input.
     """
 
 
-class InvalidAutomorphism(ApolarError):
+class InvalidAutomorphism(GuardError):
     pass
 
 
-class NotAUnit(ApolarError):
+class NotAUnit(GuardError):
     pass
 
 
-class SingularMatrix(ApolarError):
+class SingularMatrix(GuardError):
     pass
 
 
-class CrossCheckFailed(ApolarError):
+class CrossCheckFailed(InternalError):
     """Two independent computations of the same object disagree (bug signal)."""
 
 
-class NotInTangent(ApolarError):
+class NotInTangent(GuardError):
     """The leading form is outside the unipotent tangent space of the target."""
 
     def __init__(self, degree, message=None):
@@ -70,29 +82,29 @@ class NotInTangent(ApolarError):
         super().__init__(message or "leading form of degree %d not in tangent space" % degree)
 
 
-class ReductionFailed(ApolarError):
+class ReductionFailed(InternalError):
     """A reduction step did not lower the degree (bug signal)."""
 
 
-class TdfMismatch(ApolarError):
+class TdfMismatch(GuardError):
     pass
 
 
-class NotTCompressed(ApolarError):
+class NotTCompressed(GuardError):
     pass
 
 
-class HypothesisFailed(ApolarError):
+class HypothesisFailed(GuardError):
     def __init__(self, message, degree=None):
         self.degree = degree
         super().__init__(message)
 
 
-class WrongHilbertFunction(ApolarError):
+class WrongHilbertFunction(GuardError):
     pass
 
 
-class GoldenMismatch(ApolarError):
+class GoldenMismatch(InternalError):
     def __init__(self, diffs):
         self.diffs = list(diffs)
         super().__init__("golden data mismatch:\n" + "\n".join(self.diffs))

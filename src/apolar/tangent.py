@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .dp import DPPoly, Operator, contract, monomials, monomials_upto
-from .errors import CrossCheckFailed, ZeroPolynomial
+from .errors import CrossCheckFailed, IndexOutOfRange, ZeroPolynomial
 from .fields import char_guard
 from .linalg import Basis, Window, nullspace, span
 
@@ -152,5 +152,5 @@ def cangrad_pair_filter(n, d):
     P_{<= d-1} for dimension reasons.
     """
     if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
+        raise IndexOutOfRange("need n >= 1 and d >= 1, got n=%d d=%d" % (n, d))
     return not (n * math.comb(n + 1, 2) < math.comb(n + d - 2, d - 1))

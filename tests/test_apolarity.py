@@ -20,7 +20,10 @@ from apolar import (
 )
 from apolar.dp import monomials
 from apolar.errors import ZeroPolynomial
+from apolar.linalg import Basis, Window
 from apolar.parsing import parse_poly
+
+from conftest import random_form, random_poly
 
 
 def P(n, terms, field=QQ):
@@ -155,3 +158,60 @@ def test_apolarity_char2():
     f = P(2, {(1, 2): 1, (0, 3): 1}, GF(2))
     assert hilbert_function(f) == (1, 2, 2, 1)
     assert ann_graded(f, 2).contains(Operator(2, GF(2), {(2, 0): 1}, 2))
+
+
+def test_symdec_degree_one():
+    # at d = 1 the decomposition is Delta_0 = H alone
+    for n in (1, 2, 3):
+        f = P(n, {(1,) + (0,) * (n - 1): 1})
+        assert symmetric_decomposition(f) == [(1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the Hilbert function from the dimensions of the
+# modules m^k -| f, and the symmetric decomposition from explicit subspace
+# intersections C_a(i) = (m^{d-a-i} -| f) cap P_{<=i} modulo P_{<=i-1}.
+
+
+def _reference_hilbert(f):
+    d = f.degree
+    dims = [module_sf(f, i).dim for i in range(d + 2)]
+    return tuple(dims[i] - dims[i + 1] for i in range(d + 1))
+
+
+def _reference_symdec(f):
+    d = f.degree
+    win = Window.P_upto(f.n, d, f.field)
+
+    def p_upto(i):
+        rows = []
+        for col, e in enumerate(win.columns):
+            if sum(e) <= i:
+                row = [win.field.zero()] * win.dim
+                row[col] = win.field.one()
+                rows.append(row)
+        return Basis(win, rows, reduced=True)
+
+    modules = {k: module_sf(f, k) for k in range(d + 2)}
+    lower = {i: p_upto(i) for i in range(-1, d + 1)}
+
+    def dim_c(a, i):
+        k = min(d - a - i, d + 1)
+        if k < 0:
+            return 0
+        inter = modules[k].intersect(lower[i])
+        return inter.sum(lower[i - 1]).dim - lower[i - 1].dim
+
+    return [
+        tuple(dim_c(a, i) - dim_c(a - 1, i) for i in range(d - a + 1))
+        for a in range(max(d - 1, 1))
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)], ids=str)
+def test_profiles_match_intersection_oracle(field, rng):
+    for n in (1, 2, 3):
+        for d in range(1, 6 if n == 3 else 7):
+            for f in (random_form(rng, n, field, d), random_poly(rng, n, field, d)):
+                assert hilbert_function(f) == _reference_hilbert(f), (n, d, f)
+                assert symmetric_decomposition(f) == _reference_symdec(f), (n, d, f)

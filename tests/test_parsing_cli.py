@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from apolar import GF, QQ, DPPoly
+from apolar import GF, QQ, DPPoly, errors
 from apolar.cli import cli_dispatch
-from apolar.errors import PolySyntaxError
+from apolar.errors import GuardError, InternalError, PolySyntaxError
 from apolar.parsing import (
     operator_str,
     parse_classical_poly,
@@ -131,3 +131,35 @@ def test_cli_deterministic_reports(capsys):
     first = capsys.readouterr().out
     assert cli_dispatch(args) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["symdec", "--vars", "2", "--json", "x1"], 0),
+    (["reduce", "--method", "membership", "--vars", "2", "x1^[3]"], 1),
+    (["hilbert", "--vars", "0", "1"], 2),
+    (["cangrad-filter", "0", "5"], 2),
+])
+def test_cli_boundary_inputs_exit_cleanly(capsys, argv, code):
+    assert cli_dispatch(argv) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == 0:
+        assert json.loads(captured.out)["results"]["deltas"] == [[1, 1]]
+
+
+def test_every_error_has_one_exit_class():
+    seen, todo = set(), [errors.ApolarError]
+    while todo:
+        cls = todo.pop()
+        for sub in cls.__subclasses__():
+            if sub not in seen:
+                seen.add(sub)
+                todo.append(sub)
+    roots = (GuardError, InternalError, PolySyntaxError)
+    for cls in seen - {GuardError, InternalError}:
+        assert sum(issubclass(cls, root) for root in roots) == 1, cls
+    # exit 3 is reserved for these bug signals; every other class exits 1 or 2
+    assert {cls for cls in seen if issubclass(cls, InternalError)} == {
+        InternalError, errors.CrossCheckFailed, errors.ReductionFailed,
+        errors.GoldenMismatch, errors.DecompositionInvariantViolated,
+    }
