@@ -9,7 +9,7 @@ annihilator.
 import math
 
 from .dp import DPPoly, Operator, contract, monomials, monomials_upto
-from .errors import DecompositionInvariantViolated, ZeroPolynomial
+from .errors import DecompositionInvariantViolated, IndexOutOfRange, ZeroPolynomial
 from .linalg import Basis, Window, nullspace, rref, span
 
 
@@ -231,6 +231,8 @@ def ann_generators(f, upto):
     Generators in degree i are a complement of S_1 * I_{i-1} inside I_i,
     chosen deterministically from the canonical basis of I_i.
     """
+    if upto < 0:
+        raise IndexOutOfRange("annihilator degree bound must be >= 0, got %d" % upto)
     n, field = f.n, f.field
     pieces = {i: ann_graded(f, i) for i in range(upto + 1)}
     gens = []

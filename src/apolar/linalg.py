@@ -5,13 +5,15 @@ degrees -- together with the global graded-lex column order.  A
 :class:`Basis` is a reduced row echelon matrix over that window, so subspace
 equality is literal row equality.
 
-Over Q the elimination is fraction-free: rows are scaled to primitive integer
-vectors and eliminated by cross-multiplication, which keeps intermediate
-entries small; pivots are normalised to 1 only at the very end.
+Over Q the elimination is fraction-free: ``rref`` scales each input row to a
+primitive integer row (plain ints, gcd 1) and works on those integer rows
+only, eliminating by cross-multiplication and dividing out the row gcd after
+every step, which keeps intermediate entries small.  Fractions appear again
+only in the output, when each pivot is normalised to 1 at the very end.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .dp import DPPoly, Operator, monomials
 from .errors import AmbientMismatch
@@ -22,14 +24,10 @@ from .errors import AmbientMismatch
 
 
 def _to_primitive(row):
-    """Scale a row of Fractions to a primitive integer row (gcd 1)."""
-    denom = 1
-    for x in row:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    """Scale a row of ints and Fractions to a primitive integer row (gcd 1)."""
+    L = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (L // x.denominator) for x in row]
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return ints
@@ -42,7 +40,7 @@ def rref(rows, field, ncols):
     sorted by pivot column.
     """
     if field.is_rationals:
-        work = [_to_primitive([Fraction(x) for x in row]) for row in rows]
+        work = [_to_primitive(row) for row in rows]
     else:
         work = [[x % field.p for x in row] for row in rows]
     work = [row for row in work if any(row)]
@@ -58,31 +56,38 @@ def rref(rows, field, ncols):
         if pivot_row is None:
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        piv = work[rank][col]
+        prow = work[rank]
+        piv = prow[col]
+        # the pivot row is zero left of col: each earlier column is either
+        # an eliminated pivot column or was zero in every row not yet used
+        tail = prow[col:]
+        if not field.is_rationals:
+            piv_inv = pow(piv, -1, field.p)
         for r in range(len(work)):
-            if r == rank or work[r][col] == 0:
+            row = work[r]
+            if r == rank or row[col] == 0:
                 continue
-            c = work[r][col]
+            c = row[col]
             if field.is_rationals:
-                work[r] = [piv * a - c * b for a, b in zip(work[r], work[rank])]
-                g = 0
-                for x in work[r]:
-                    g = gcd(g, x)
-                if g > 1:
-                    work[r] = [x // g for x in work[r]]
+                row = [piv * a for a in row[:col]] + [
+                    piv * a - c * b for a, b in zip(row[col:], tail)
+                ]
+                g = gcd(*row)
+                work[r] = [x // g for x in row] if g > 1 else row
             else:
-                factor = (c * pow(piv, -1, field.p)) % field.p
-                work[r] = [(a - factor * b) % field.p for a, b in zip(work[r], work[rank])]
+                factor = (c * piv_inv) % field.p
+                row[col:] = [(a - factor * b) % field.p for a, b in zip(row[col:], tail)]
         pivots.append(col)
         rank += 1
         if rank == len(work):
             break
 
     out = []
+    zero = field.zero()
     for r in range(rank):
         piv = work[r][pivots[r]]
         if field.is_rationals:
-            out.append([Fraction(x, piv) for x in work[r]])
+            out.append([Fraction(x, piv) if x else zero for x in work[r]])
         else:
             inv = pow(piv, -1, field.p)
             out.append([(x * inv) % field.p for x in work[r]])
@@ -191,11 +196,13 @@ class Window:
             raise AmbientMismatch("expected %s element" % self.space)
         if vec.n != self.n or vec.field != self.field:
             raise AmbientMismatch("arity/field does not match window")
-        degset = set(self.degrees)
-        for e in vec.terms:
-            if sum(e) not in degset:
+        row = [self.field.zero()] * self.dim
+        for e, c in vec.terms.items():
+            i = self.index.get(e)
+            if i is None:
                 raise AmbientMismatch("term of degree %d outside window" % sum(e))
-        return [vec.coeff(e) for e in self.columns]
+            row[i] = c
+        return row
 
     def decode(self, row):
         terms = {e: c for e, c in zip(self.columns, row) if not self.field.is_zero(c)}

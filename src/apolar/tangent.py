@@ -1,59 +1,63 @@
 """Tangent spaces to G- and G+-orbits, their perps, and orbit dimensions.
 
 The tangent space at f is S f + sum_i m (x_i f); the unipotent variant is
-m f + sum_i m^2 (x_i f).  Both are spanned by finitely many explicit
-contractions since everything is truncated at N = deg f.  Perps are computed
-twice -- once as the orthogonal complement of the tangent basis, once from
-the direct degree conditions on sigma and its partial derivatives -- and the
-two results must agree.
+m f + sum_i m^2 (x_i f).  Contraction by a_j is a derivation of the divided
+power ring, so the product rule
+
+    tau -| (x_i f) = x_i (tau -| f) + (d tau / d a_i) -| f
+
+shows that its last term already lies in S f (in m f when tau is in m^2),
+so with k = 1 (full) or k = 2 (unipotent) the space is
+
+    m^{k-1} f + sum_i x_i (m^k f).
+
+Here m^{k-1} f is spanned by m^k f and the contractions of f by the
+degree-(k-1) monomials (f itself, or the a_j -| f).  One ``span`` of m^k f
+gives a basis B, and the tangent space is spanned by those contractions, B
+and the n shifts x_i B: (n + 1) dim(m^k f) + binom(n+k-2, k-1) rows in
+place of the n binom(n+d+1, n) + binom(n+d, n) contractions tau -| (x_i f)
+and sigma -| f of the defining formula.  Everything is truncated at
+N = deg f.  Perps are computed twice -- once as the orthogonal complement of
+the tangent basis, once from the direct degree conditions on sigma and its
+partial derivatives -- and the two results must agree.
 """
 
 import math
 from dataclasses import dataclass
 
+from .apolarity import module_sf
 from .dp import DPPoly, Operator, contract, monomials, monomials_upto
 from .errors import CrossCheckFailed, IndexOutOfRange, ZeroPolynomial
 from .fields import char_guard
-from .linalg import Basis, Window, nullspace, span
+from .linalg import Basis, Window, nullspace
 
 
-def _tangent_generators(f, min_sigma, min_tau):
-    """Contractions sigma -| f and tau -| (x_i f) spanning a tangent space."""
+def _pruned_tangent(f, k):
+    """Canonical basis of m^{k-1} f + sum_i x_i (m^k f) inside P_{<= deg f}."""
+    if f.is_zero():
+        raise ZeroPolynomial("tangent space of the zero polynomial")
     n, field = f.n, f.field
+    mk = module_sf(f, k)
+    win = mk.window
     d = max(f.degree, 0)
-    vecs = []
-    for e in monomials_upto(n, d):
-        if sum(e) < min_sigma:
-            continue
-        g = contract(Operator.monomial(n, field, e, d), f)
-        if not g.is_zero():
-            vecs.append(g)
-    shifted = [DPPoly.variable(n, field, i + 1) * f for i in range(n)]
-    for e in monomials_upto(n, d + 1):
-        if sum(e) < min_tau:
-            continue
-        sigma = Operator.monomial(n, field, e, d + 1)
-        for xf in shifted:
-            g = contract(sigma, xf)
-            if not g.is_zero():
-                vecs.append(g)
-    return vecs
+    rows = [
+        win.encode(contract(Operator.monomial(n, field, e, d), f))
+        for e in monomials(n, k - 1)
+    ]
+    rows += mk.rows
+    xs = [DPPoly.variable(n, field, i) for i in range(1, n + 1)]
+    rows += [win.encode(x * g) for g in mk.vectors() for x in xs]
+    return Basis(win, rows)
 
 
 def tangent_space(f):
     """Canonical basis of S f + sum_i m (x_i f) inside P_{<= deg f}."""
-    if f.is_zero():
-        raise ZeroPolynomial("tangent space of the zero polynomial")
-    win = Window.P_upto(f.n, max(f.degree, 0), f.field)
-    return span(_tangent_generators(f, 0, 1), win)
+    return _pruned_tangent(f, 1)
 
 
 def unip_tangent_space(f):
     """Canonical basis of m f + sum_i m^2 (x_i f) inside P_{<= deg f}."""
-    if f.is_zero():
-        raise ZeroPolynomial("tangent space of the zero polynomial")
-    win = Window.P_upto(f.n, max(f.degree, 0), f.field)
-    return span(_tangent_generators(f, 1, 2), win)
+    return _pruned_tangent(f, 2)
 
 
 def _perp_direct(f, unipotent, max_degree):
@@ -61,35 +65,54 @@ def _perp_direct(f, unipotent, max_degree):
 
     Full:      sigma -| f = 0          and deg(sigma^(i) -| f) <= 0;
     unipotent: deg(sigma -| f) <= 0    and deg(sigma^(i) -| f) <= 1.
+
+    The coefficient of x^[m] in sigma -| f is sum_t sigma_{t-m} f_t over the
+    terms t >= m of f, and in sigma^(i) -| f it is
+    sum_t (t_i - m_i + 1) sigma_{t-m+e_i} f_t, so each equation row is
+    filled from those terms alone.
     """
     n, field = f.n, f.field
     win = Window.S_upto(n, max_degree, field)
     d = max(f.degree, 0)
     min_m = 1 if unipotent else 0
-    min_m_deriv = 2 if unipotent else 1
     eqs = []
     for m in monomials_upto(n, d):
-        row = None
-        if sum(m) >= min_m:
-            row = [
-                f.coeff(tuple(a + b for a, b in zip(e, m))) for e in win.columns
-            ]
-            eqs.append(row)
-        if sum(m) >= min_m_deriv:
+        if sum(m) < min_m:
+            continue
+        below = [
+            (tuple(a - b for a, b in zip(t, m)), c)
+            for t, c in f.terms.items()
+            if all(a >= b for a, b in zip(t, m))
+        ]
+        if not below:
+            continue
+        row = [field.zero()] * win.dim
+        for e, c in below:
+            j = win.index.get(e)
+            if j is not None:
+                row[j] = c
+        eqs.append(row)
+        if sum(m) > min_m:
             for i in range(n):
-                row = []
-                for e in win.columns:
-                    if e[i] == 0:
-                        row.append(field.zero())
-                        continue
-                    shifted = tuple(
-                        a - (1 if j == i else 0) + b
-                        for j, (a, b) in enumerate(zip(e, m))
-                    )
-                    row.append(field.mul(field.from_int(e[i]), f.coeff(shifted)))
+                row = [field.zero()] * win.dim
+                for e, c in below:
+                    j = win.index.get(e[:i] + (e[i] + 1,) + e[i + 1:])
+                    if j is not None:
+                        row[j] = field.mul(field.from_int(e[i] + 1), c)
                 eqs.append(row)
     rows = nullspace(eqs, field, win.dim)
     return Basis(win, rows, reduced=True)
+
+
+def _checked_perp(f, tang, unipotent, max_degree):
+    """Perp of ``tang`` in S_{<= max_degree}, cross-checked by _perp_direct."""
+    via_perp = tang.perp(degrees=range(max_degree + 1))
+    direct = _perp_direct(f, unipotent, max_degree)
+    if via_perp != direct:
+        raise CrossCheckFailed(
+            "tangent-perp mismatch: %d vs %d dims" % (via_perp.dim, direct.dim)
+        )
+    return direct
 
 
 def perp_tangent(f, unipotent=False, max_degree=None):
@@ -100,17 +123,12 @@ def perp_tangent(f, unipotent=False, max_degree=None):
     """
     if f.is_zero():
         raise ZeroPolynomial("perp of the zero polynomial's tangent space")
-    d = max(f.degree, 0)
     if max_degree is None:
-        max_degree = d
+        max_degree = max(f.degree, 0)
+    if max_degree < 0:
+        raise IndexOutOfRange("perp degree bound must be >= 0, got %d" % max_degree)
     tang = unip_tangent_space(f) if unipotent else tangent_space(f)
-    via_perp = tang.perp(degrees=range(max_degree + 1))
-    direct = _perp_direct(f, unipotent, max_degree)
-    if via_perp != direct:
-        raise CrossCheckFailed(
-            "tangent-perp mismatch: %d vs %d dims" % (via_perp.dim, direct.dim)
-        )
-    return direct
+    return _checked_perp(f, tang, unipotent, max_degree)
 
 
 @dataclass
@@ -122,7 +140,7 @@ class TangentReport:
 
 def tangent_report(f, unipotent=False):
     tang = unip_tangent_space(f) if unipotent else tangent_space(f)
-    perp = perp_tangent(f, unipotent)
+    perp = _checked_perp(f, tang, unipotent, max(f.degree, 0))
     return TangentReport(tangent=tang, perp=perp, orbit_dim=tang.dim)
 
 

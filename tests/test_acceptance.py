@@ -248,24 +248,14 @@ def test_criterion_10_pair_filter_exact_list():
         assert got == expect
 
 
-def test_criterion_11_property_suites():
+def test_criterion_11_property_suites(run_once):
     with criterion(11, "nine algebraic-law suites, 1000 cases each"):
-        suites = [
-            test_properties.test_commutator_identity,
-            test_properties.test_pairing_adjointness,
-            test_properties.test_s_module_law,
-            test_properties.test_dual_automorphism_adjunction,
-            test_properties.test_compose_contract,
-            test_properties.test_tdf_invariance_under_unipotent_action,
-            test_properties.test_trace_replay_exactness,
-            test_properties.test_double_perp,
-            test_properties.test_symmetric_decomposition_sum_and_symmetry,
-        ]
+        assert len(test_properties.SUITES) == 9
         assert (
             len(test_properties.FIELDS) * test_properties.CASES_PER_FIELD >= 1000
         )
-        for suite in suites:
-            suite()
+        for suite in test_properties.SUITES:
+            run_once(suite)
 
 
 def test_criterion_12_dense_orbit_evidence():

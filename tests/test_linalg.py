@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
@@ -107,3 +108,110 @@ def test_prime_field_subspaces():
     b = span([f, g], win)
     assert b.dim == 2
     assert b.contains(f + g)
+
+
+# Differential oracle: rref with every Q entry re-wrapped in Fraction, the
+# common denominator and row content accumulated one entry at a time, and the
+# F_p pivot inverted once per eliminated row.
+
+
+def _reference_to_primitive(row):
+    denom = 1
+    for x in row:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in row]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    if g > 1:
+        ints = [x // g for x in ints]
+    return ints
+
+
+def _reference_rref(rows, field, ncols):
+    if field.is_rationals:
+        work = [_reference_to_primitive([Q(x) for x in row]) for row in rows]
+    else:
+        work = [[x % field.p for x in row] for row in rows]
+    work = [row for row in work if any(row)]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        piv = work[rank][col]
+        for r in range(len(work)):
+            if r == rank or work[r][col] == 0:
+                continue
+            c = work[r][col]
+            if field.is_rationals:
+                work[r] = [piv * a - c * b for a, b in zip(work[r], work[rank])]
+                g = 0
+                for x in work[r]:
+                    g = gcd(g, x)
+                if g > 1:
+                    work[r] = [x // g for x in work[r]]
+            else:
+                factor = (c * pow(piv, -1, field.p)) % field.p
+                work[r] = [(a - factor * b) % field.p for a, b in zip(work[r], work[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(work):
+            break
+    out = []
+    for r in range(rank):
+        piv = work[r][pivots[r]]
+        if field.is_rationals:
+            out.append([Q(x, piv) for x in work[r]])
+        else:
+            inv = pow(piv, -1, field.p)
+            out.append([(x * inv) % field.p for x in work[r]])
+    return out, pivots
+
+
+def _random_entry(rng, kind):
+    if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+        return rng.choice([0, 0, 0, rng.randint(-9, 9), rng.randint(-10**12, 10**12)])
+    return Q(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.6 else Q(0)
+
+
+def _random_matrix(rng, kind):
+    """Rows of ``kind`` entries; some rows zero, some combinations of others."""
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+    rows = []
+    for _ in range(nrows):
+        r = rng.random()
+        if r < 0.15:
+            rows.append([Q(0) if kind == "frac" else 0] * ncols)
+        elif r < 0.35 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            k = rng.randint(-3, 3)
+            rows.append([x + k * y for x, y in zip(a, b)])
+        else:
+            rows.append([_random_entry(rng, kind) for _ in range(ncols)])
+    return rows, ncols
+
+
+def _typed(result):
+    rows, pivots = result
+    return [[(type(x), x) for x in row] for row in rows], pivots
+
+
+@pytest.mark.parametrize("kind", ["int", "frac", "mixed"])
+def test_rref_matches_fraction_oracle_over_q(kind, rng):
+    for _ in range(300):
+        rows, ncols = _random_matrix(rng, kind)
+        assert _typed(rref(rows, QQ, ncols)) == _typed(_reference_rref(rows, QQ, ncols))
+    for zeros in ([[0, 0, 0], [0, 0, 0]], [[Q(0)] * 4], []):
+        ncols = len(zeros[0]) if zeros else 3
+        assert rref(zeros, QQ, ncols) == _reference_rref(zeros, QQ, ncols) == ([], [])
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(101)], ids=str)
+def test_rref_matches_oracle_over_prime_fields(field, rng):
+    for _ in range(300):
+        rows, ncols = _random_matrix(rng, "int")
+        assert _typed(rref(rows, field, ncols)) == _typed(_reference_rref(rows, field, ncols))
+    assert rref([[0, field.p], [2 * field.p, 0]], field, 2) == ([], [])

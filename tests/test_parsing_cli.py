@@ -138,6 +138,8 @@ def test_cli_deterministic_reports(capsys):
     (["reduce", "--method", "membership", "--vars", "2", "x1^[3]"], 1),
     (["hilbert", "--vars", "0", "1"], 2),
     (["cangrad-filter", "0", "5"], 2),
+    (["perp", "--max-deg", "-1", "--vars", "2", "x1^[3]"], 2),
+    (["ann", "--max-deg", "-2", "--vars", "2", "x1^[3]"], 2),
 ])
 def test_cli_boundary_inputs_exit_cleanly(capsys, argv, code):
     assert cli_dispatch(argv) == code

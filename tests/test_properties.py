@@ -1,5 +1,10 @@
 """Nine randomized property suites, 1000 cases each (500 per field, over Q
-and F_101), exercising the exact-arithmetic contracts end to end."""
+and F_101), exercising the exact-arithmetic contracts end to end.
+
+Each suite is a ``check_*`` function listed in ``SUITES``.  Its ``test_*``
+wrapper and acceptance criterion 11 both go through the session's
+``run_once`` fixture, so every suite runs once per session and both report
+its outcome."""
 
 import random
 
@@ -44,7 +49,7 @@ def _cases(seed):
             yield rng, field
 
 
-def test_commutator_identity():
+def check_commutator_identity():
     # sigma -| (x_i f) = x_i (sigma -| f) + (d sigma / d a_i) -| f
     for rng, field in _cases(1):
         n = rng.choice([1, 2, 3])
@@ -58,7 +63,7 @@ def test_commutator_identity():
         assert lhs == rhs
 
 
-def test_pairing_adjointness():
+def check_pairing_adjointness():
     # <tau, sigma -| f> = <tau sigma, f>
     for rng, field in _cases(2):
         n = rng.choice([1, 2, 3])
@@ -69,7 +74,7 @@ def test_pairing_adjointness():
         assert pair(tau, contract(sigma, f)) == pair(tau * sigma, f)
 
 
-def test_s_module_law():
+def check_s_module_law():
     # (sigma tau) -| f = sigma -| (tau -| f), and linearity in f
     for rng, field in _cases(3):
         n = rng.choice([1, 2, 3])
@@ -82,7 +87,7 @@ def test_s_module_law():
         assert contract(sigma, f + g) == contract(sigma, f) + contract(sigma, g)
 
 
-def test_dual_automorphism_adjunction():
+def check_dual_automorphism_adjunction():
     # <phi(sigma), f> = <sigma, phi_dual(f)>
     for rng, field in _cases(4):
         n = rng.choice([2, 3])
@@ -93,7 +98,7 @@ def test_dual_automorphism_adjunction():
         assert pair(g.aut(sigma), f) == pair(sigma, apply_automorphism_dual(g.aut, f))
 
 
-def test_compose_contract():
+def check_compose_contract():
     for rng, field in _cases(5):
         n = rng.choice([2, 3])
         d = rng.randint(2, 4)
@@ -105,7 +110,7 @@ def test_compose_contract():
         )
 
 
-def test_tdf_invariance_under_unipotent_action():
+def check_tdf_invariance_under_unipotent_action():
     for rng, field in _cases(6):
         n = rng.choice([2, 3])
         d = rng.randint(2, 5)
@@ -114,7 +119,7 @@ def test_tdf_invariance_under_unipotent_action():
         assert apply_group_element(g, f).tdf() == f.tdf()
 
 
-def test_trace_replay_exactness():
+def check_trace_replay_exactness():
     # reduce a random unipotent translate back to its leading form and
     # replay the accumulated element
     for rng, field in _cases(7):
@@ -128,7 +133,7 @@ def test_trace_replay_exactness():
         assert apply_group_element(trace.accumulated, f) == F
 
 
-def test_double_perp():
+def check_double_perp():
     for rng, field in _cases(8):
         n = rng.choice([2, 3])
         d = rng.randint(1, 4)
@@ -144,7 +149,7 @@ def test_double_perp():
         assert b.dim + b.perp().dim == win.dim
 
 
-def test_symmetric_decomposition_sum_and_symmetry():
+def check_symmetric_decomposition_sum_and_symmetry():
     for rng, field in _cases(9):
         n = rng.choice([1, 2])
         d = rng.randint(2, 5)
@@ -158,3 +163,52 @@ def test_symmetric_decomposition_sum_and_symmetry():
             for i in range(len(delta)):
                 assert delta[i] == delta[d - a - i]
                 assert delta[i] >= 0
+
+
+SUITES = [
+    check_commutator_identity,
+    check_pairing_adjointness,
+    check_s_module_law,
+    check_dual_automorphism_adjunction,
+    check_compose_contract,
+    check_tdf_invariance_under_unipotent_action,
+    check_trace_replay_exactness,
+    check_double_perp,
+    check_symmetric_decomposition_sum_and_symmetry,
+]
+
+
+def test_commutator_identity(run_once):
+    run_once(check_commutator_identity)
+
+
+def test_pairing_adjointness(run_once):
+    run_once(check_pairing_adjointness)
+
+
+def test_s_module_law(run_once):
+    run_once(check_s_module_law)
+
+
+def test_dual_automorphism_adjunction(run_once):
+    run_once(check_dual_automorphism_adjunction)
+
+
+def test_compose_contract(run_once):
+    run_once(check_compose_contract)
+
+
+def test_tdf_invariance_under_unipotent_action(run_once):
+    run_once(check_tdf_invariance_under_unipotent_action)
+
+
+def test_trace_replay_exactness(run_once):
+    run_once(check_trace_replay_exactness)
+
+
+def test_double_perp(run_once):
+    run_once(check_double_perp)
+
+
+def test_symmetric_decomposition_sum_and_symmetry(run_once):
+    run_once(check_symmetric_decomposition_sum_and_symmetry)

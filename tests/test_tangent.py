@@ -9,16 +9,20 @@ from apolar import (
     Operator,
     Window,
     cangrad_pair_filter,
+    contract,
     dense_orbit_test,
     orbit_dimension,
     perp_tangent,
+    span,
     tangent_report,
     tangent_space,
     unip_tangent_space,
 )
+from apolar.dp import monomials_upto
 from apolar.errors import CharacteristicTooSmall, ZeroPolynomial
+from apolar.tangent import TangentReport
 
-from conftest import random_form
+from conftest import random_form, random_poly
 
 
 def P(n, terms, field=QQ):
@@ -151,6 +155,49 @@ def test_tangent_report_invariant():
     win_dim = Window.P_upto(3, 4, QQ).dim
     assert rep.orbit_dim == rep.tangent.dim
     assert rep.tangent.dim + rep.perp.dim == win_dim
+    # one tangent basis feeds both fields; the answers are the separate calls'
+    assert rep == TangentReport(tangent_space(F2), perp_tangent(F2), rep.tangent.dim)
+    urep = tangent_report(F2, unipotent=True)
+    assert urep == TangentReport(
+        unip_tangent_space(F2), perp_tangent(F2, unipotent=True), urep.tangent.dim
+    )
+
+
+# Differential oracle: the tangent spaces spanned by the generators of the
+# defining formula, sigma -| f for sigma in m^k and tau -| (x_i f) for tau in
+# m^{k+1} (k = 0 full, k = 1 unipotent), before the product-rule pruning.
+
+
+def _reference_tangent(f, unipotent):
+    n, field = f.n, f.field
+    d = max(f.degree, 0)
+    min_sigma, min_tau = (1, 2) if unipotent else (0, 1)
+    vecs = []
+    for e in monomials_upto(n, d):
+        if sum(e) < min_sigma:
+            continue
+        g = contract(Operator.monomial(n, field, e, d), f)
+        if not g.is_zero():
+            vecs.append(g)
+    shifted = [DPPoly.variable(n, field, i + 1) * f for i in range(n)]
+    for e in monomials_upto(n, d + 1):
+        if sum(e) < min_tau:
+            continue
+        sigma = Operator.monomial(n, field, e, d + 1)
+        for xf in shifted:
+            g = contract(sigma, xf)
+            if not g.is_zero():
+                vecs.append(g)
+    return span(vecs, Window.P_upto(n, d, field))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)], ids=str)
+def test_pruned_tangent_matches_generator_oracle(field, rng):
+    for n in (1, 2, 3, 4):
+        for d in range(0, 5 if n == 4 else 6):
+            for f in (random_form(rng, n, field, d), random_poly(rng, n, field, d)):
+                assert tangent_space(f) == _reference_tangent(f, False)
+                assert unip_tangent_space(f) == _reference_tangent(f, True)
 
 
 def test_cangrad_filter_values():
