@@ -4,13 +4,28 @@ All ideal-theoretic data is computed degree by degree with linear algebra:
 ``ann_graded`` is the kernel of the catalecticant map S_i -> P, and
 ``ideal_square_graded`` multiplies out a degreewise generating set of the
 annihilator.
+
+The rows of the contractions x^e -| f (``module_sf``, the catalecticant,
+the filtration profiles) are integer rows filled by exponent lookup,
+row_e[c] = (D f)_{c+e}, from D f: f scaled once by a nonzero rational D to
+primitive integer coefficients (D = 1 over F_p).  Scaling every row by D
+changes no row space.
 """
 
 import math
+from operator import add
 
-from .dp import DPPoly, Operator, contract, monomials, monomials_upto
+from .dp import DPPoly, Operator, monomials, monomials_upto
 from .errors import DecompositionInvariantViolated, IndexOutOfRange, ZeroPolynomial
-from .linalg import Basis, Window, nullspace, rref, span
+from .linalg import (
+    Basis,
+    Window,
+    _check_window_size,
+    _echelon,
+    _to_primitive,
+    nullspace,
+    span,
+)
 
 
 class HilbertFunction:
@@ -74,30 +89,65 @@ class SymmetricDecomposition:
 
 
 def ann_graded(f, i):
-    """Ann(f)_i = {sigma in S_i : sigma -| f = 0} as a Basis in S_i."""
+    """Ann(f)_i = {sigma in S_i : sigma -| f = 0} as a Basis in S_i.
+
+    The kernel of the catalecticant rows x^t -| D f restricted to degree i,
+    for every monomial t of degree <= deg f - i (``_contraction_rows``).
+    """
     win = Window.S_graded(f.n, i, f.field)
-    d = f.degree
-    targets = list(monomials_upto(f.n, d - i)) if d - i >= 0 else []
-    eqs = []
-    for t in targets:
-        eqs.append([f.coeff(tuple(a + b for a, b in zip(e, t))) for e in win.columns])
-    rows = nullspace(eqs, f.field, win.dim)
+    targets = monomials_upto(f.n, f.degree - i)
+    rows = nullspace(_contraction_rows(f, targets, (i,)), f.field, win.dim)
     return Basis(win, rows, reduced=True)
 
 
+def _scaled_coeffs(f):
+    """f's coefficients as ints: D f, over Q with D the nonzero rational that
+    makes the coefficients a primitive integer row (D = 1 over F_p).
+
+    Scaling every row by the same nonzero constant D changes no row space,
+    so rows filled from D f span what the same rows of f span.
+    """
+    if not f.field.is_rationals:
+        return f.terms
+    return dict(zip(f.terms, _to_primitive(list(f.terms.values()))))
+
+
+def _contraction_rows(f, exps, degrees):
+    """The integer rows of x^e -| D f for e in ``exps``.
+
+    The columns are the monomials of each degree in ``degrees``, in that
+    order (grlex within a degree), and row_e[c] = (D f)_{c+e}: coefficients
+    are looked up by exponent, with no contraction and no Fraction
+    arithmetic.  Only the degrees where x^e -| f has terms are looked up.
+    """
+    coef = _scaled_coeffs(f)
+    get = coef.get
+    f_degrees = {sum(t) for t in coef}
+    cols = {i: list(monomials(f.n, i)) for i in degrees}
+    zeros = {i: [0] * len(cols[i]) for i in degrees}
+    rows = []
+    for e in exps:
+        s = sum(e)
+        row = []
+        for i in degrees:
+            if i + s in f_degrees:
+                row += [get(tuple(map(add, c, e)), 0) for c in cols[i]]
+            else:
+                row += zeros[i]
+        rows.append(row)
+    return rows
+
+
 def module_sf(f, k):
-    """The subspace m^k -| f of P (k = 0 gives S f, including f)."""
+    """The subspace m^k -| f of P (k = 0 gives S f, including f).
+
+    Spanned by the nonzero rows x^e -| D f with |e| >= k.
+    """
     d = max(f.degree, 0)
     win = Window.P_upto(f.n, d, f.field)
-    vecs = []
-    for e in monomials_upto(f.n, d):
-        if sum(e) < k:
-            continue
-        sigma = Operator.monomial(f.n, f.field, e, d)
-        g = contract(sigma, f)
-        if not g.is_zero():
-            vecs.append(g)
-    return span(vecs, win)
+    exps = [e for e in monomials_upto(f.n, d) if sum(e) >= k]
+    rows = [row for row in _contraction_rows(f, exps, range(d + 1)) if any(row)]
+    return Basis(win, rows)
 
 
 def dim_apolar(f):
@@ -109,22 +159,23 @@ def _filtration_profiles(f):
     """prof[k][i] = dim(M_k cap P_{<=i}) - dim(M_k cap P_{<=i-1}) for
     M_k = m^k -| f, k = 0 .. deg f + 1.
 
-    One ``rref`` per k of the contractions x^e -| f with |e| >= k, columns
+    One echelon form per k of the rows x^e -| D f with |e| >= k, columns
     ordered highest degree first (grlex within a degree); prof[k][i] counts
-    its pivots of degree i.
+    its pivots of degree i.  Only the pivots are read, so the rows are
+    never normalised.
     """
     d = f.degree
-    cols = [c for i in range(d, -1, -1) for c in monomials(f.n, i)]
-    rows = [
-        (sum(e), [f.coeff(tuple(a + b for a, b in zip(c, e))) for c in cols])
-        for e in monomials_upto(f.n, d)
-    ]
+    _check_window_size(f.n, range(d + 1))
+    degrees = range(d, -1, -1)
+    col_degree = [i for i in degrees for _ in monomials(f.n, i)]
+    exps = list(monomials_upto(f.n, d))
+    rows = list(zip(map(sum, exps), _contraction_rows(f, exps, degrees)))
     profiles = []
     for k in range(d + 2):
-        _, pivots = rref([row for deg, row in rows if deg >= k], f.field, len(cols))
+        _, _, pivots = _echelon([row for deg, row in rows if deg >= k], f.field)
         prof = [0] * (d + 1)
         for p in pivots:
-            prof[sum(cols[p])] += 1
+            prof[col_degree[p]] += 1
         profiles.append(prof)
     return profiles
 
@@ -234,6 +285,7 @@ def ann_generators(f, upto):
     if upto < 0:
         raise IndexOutOfRange("annihilator degree bound must be >= 0, got %d" % upto)
     n, field = f.n, f.field
+    _check_window_size(n, range(upto + 1))  # the pieces fill S_{<= upto}
     pieces = {i: ann_graded(f, i) for i in range(upto + 1)}
     gens = []
     for i in range(1, upto + 1):

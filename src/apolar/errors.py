@@ -51,6 +51,10 @@ class ZeroPolynomial(GuardError):
     pass
 
 
+class WindowTooLarge(GuardError):
+    """A window would have more columns than the linear algebra budget."""
+
+
 class DecompositionInvariantViolated(InternalError):
     """The computed symmetric decomposition broke a theorem-level invariant.
 

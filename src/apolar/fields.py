@@ -113,6 +113,9 @@ QQ = FieldSpec(0)
 
 
 def GF(p):
+    """The prime field F_p; p < 2 is rejected (FieldSpec(0) is Q)."""
+    if p < 2:
+        raise ValueError("a prime field needs p >= 2, got %r" % (p,))
     return FieldSpec(p)
 
 

@@ -5,18 +5,31 @@ degrees -- together with the global graded-lex column order.  A
 :class:`Basis` is a reduced row echelon matrix over that window, so subspace
 equality is literal row equality.
 
-Over Q the elimination is fraction-free: ``rref`` scales each input row to a
-primitive integer row (plain ints, gcd 1) and works on those integer rows
-only, eliminating by cross-multiplication and dividing out the row gcd after
-every step, which keeps intermediate entries small.  Fractions appear again
-only in the output, when each pivot is normalised to 1 at the very end.
+``rref`` works on integer rows only.  Over Q each input row is scaled to a
+primitive integer row (plain ints, gcd 1; a row that is already all ints
+skips the denominators) and eliminated by cross-multiplication, the row gcd
+divided out after every step, which keeps intermediate entries small.  Over
+F_p the rows are residues.  Fractions appear again only in the output, when
+each pivot is normalised to 1 at the very end.
+
+Before eliminating, ``rref`` splits the columns into blocks.  Each nonzero
+row covers the columns from its first to its last nonzero entry; rows whose
+intervals overlap share a block, and the blocks are disjoint.  So the row
+space is the direct sum of the blocks' row spaces, its reduced echelon form
+is the direct sum of theirs, and each block is eliminated on its own column
+slice.  A row filled from a homogeneous polynomial lives in one degree, so a
+graded space -- every space built from a form -- splits into one block per
+degree.  The integer echelon step (``_echelon``) is separate from the
+normalisation, for callers that need only the pivots.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import compress, count
+from math import comb, gcd, lcm
+from operator import itemgetter
 
 from .dp import DPPoly, Operator, monomials
-from .errors import AmbientMismatch
+from .errors import AmbientMismatch, ArityMismatch, WindowTooLarge
 
 
 # ---------------------------------------------------------------------------
@@ -24,30 +37,33 @@ from .errors import AmbientMismatch
 
 
 def _to_primitive(row):
-    """Scale a row of ints and Fractions to a primitive integer row (gcd 1)."""
-    L = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (L // x.denominator) for x in row]
+    """Scale a row of ints and Fractions to a primitive integer row (gcd 1).
+
+    An all-int row is taken as it is (no lcm, no ``denominator`` reads) and
+    may come back as the same list; the elimination never mutates it.
+    """
+    if set(map(type, row)) <= {int}:
+        ints = row
+    else:
+        L = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (L // x.denominator) for x in row]
     g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return ints
 
 
-def rref(rows, field, ncols):
-    """Reduced row echelon form.  Returns (rows, pivot_columns).
+def _eliminate(work, field, lo, hi):
+    """Reduce the integer rows ``work`` in place on columns lo .. hi-1.
 
-    Rows come back as lists of field elements with pivots equal to 1,
-    sorted by pivot column.
+    Afterwards work[r] for r < rank has its pivot at pivots[r] and zeros in
+    every other pivot column (the pivot itself is not normalised); the rows
+    are zero outside lo .. hi-1 on entry.  Returns the pivot columns.
     """
-    if field.is_rationals:
-        work = [_to_primitive(row) for row in rows]
-    else:
-        work = [[x % field.p for x in row] for row in rows]
-    work = [row for row in work if any(row)]
-
+    q, p = field.is_rationals, field.p
     pivots = []
     rank = 0
-    for col in range(ncols):
+    for col in range(lo, hi):
         pivot_row = None
         for r in range(rank, len(work)):
             if work[r][col] != 0:
@@ -61,36 +77,99 @@ def rref(rows, field, ncols):
         # the pivot row is zero left of col: each earlier column is either
         # an eliminated pivot column or was zero in every row not yet used
         tail = prow[col:]
-        if not field.is_rationals:
-            piv_inv = pow(piv, -1, field.p)
+        if not q:
+            piv_inv = pow(piv, -1, p)
         for r in range(len(work)):
             row = work[r]
             if r == rank or row[col] == 0:
                 continue
             c = row[col]
-            if field.is_rationals:
+            if q:
                 row = [piv * a for a in row[:col]] + [
                     piv * a - c * b for a, b in zip(row[col:], tail)
                 ]
                 g = gcd(*row)
                 work[r] = [x // g for x in row] if g > 1 else row
             else:
-                factor = (c * piv_inv) % field.p
-                row[col:] = [(a - factor * b) % field.p for a, b in zip(row[col:], tail)]
+                factor = (c * piv_inv) % p
+                row[col:] = [(a - factor * b) % p for a, b in zip(row[col:], tail)]
         pivots.append(col)
         rank += 1
         if rank == len(work):
             break
+    return pivots
 
+
+def _echelon(rows, field):
+    """Integer reduced echelon form, pivots not normalised.
+
+    Returns (rows, offsets, pivots): rows[r] is the slice of the r-th
+    reduced row that starts at column offsets[r], its pivot (an int, not
+    necessarily 1) sits at column pivots[r], and the row is zero outside
+    the slice.  Pivots are increasing.
+
+    Each nonzero input row becomes an integer row (primitive over Q,
+    residues over F_p) and is placed by its first and last nonzero column.
+    Rows whose [first, last] intervals overlap form a column block; the
+    blocks are disjoint, so the row space is their direct sum and so is its
+    reduced echelon form.  Each block is eliminated on its own column slice;
+    a single block is eliminated in place on the full rows.  The rows that
+    come back may be the caller's own lists; neither side mutates them.
+    """
+    if field.is_rationals:
+        work = [_to_primitive(row) for row in rows]
+    else:
+        p = field.p
+        work = [[x % p for x in row] for row in rows]
+    spans = []
+    for row in work:
+        first = next(compress(count(), row), None)
+        if first is not None:
+            last = len(row) - 1 - next(compress(count(), reversed(row)))
+            spans.append((first, last, row))
+    spans.sort(key=itemgetter(0))
+    blocks = []
+    for first, last, row in spans:
+        if blocks and first <= blocks[-1][1]:
+            block = blocks[-1]
+            block[1] = max(block[1], last)
+            block[2].append(row)
+        else:
+            blocks.append([first, last, [row]])
+
+    if len(blocks) == 1:
+        lo, hi, block = blocks[0]
+        pivots = _eliminate(block, field, lo, hi + 1)
+        return block[: len(pivots)], [0] * len(pivots), pivots
+    out, offsets, pivots = [], [], []
+    for lo, hi, block in blocks:
+        block = [row[lo : hi + 1] for row in block]
+        piv = _eliminate(block, field, 0, hi + 1 - lo)
+        out += block[: len(piv)]
+        offsets += [lo] * len(piv)
+        pivots += [lo + c for c in piv]
+    return out, offsets, pivots
+
+
+def rref(rows, field, ncols):
+    """Reduced row echelon form.  Returns (rows, pivot_columns).
+
+    Rows come back as lists of field elements with pivots equal to 1,
+    sorted by pivot column.
+    """
+    work, offsets, pivots = _echelon(rows, field)
     out = []
     zero = field.zero()
-    for r in range(rank):
-        piv = work[r][pivots[r]]
+    for row, lo, pc in zip(work, offsets, pivots):
+        piv = row[pc - lo]
         if field.is_rationals:
-            out.append([Fraction(x, piv) if x else zero for x in work[r]])
+            body = [Fraction(x, piv) if x else zero for x in row]
         else:
             inv = pow(piv, -1, field.p)
-            out.append([(x * inv) % field.p for x in work[r]])
+            body = [(x * inv) % field.p for x in row]
+        if len(body) < ncols:
+            body = [zero] * lo + body + [zero] * (ncols - lo - len(body))
+        out.append(body)
     return out, pivots
 
 
@@ -131,6 +210,31 @@ def solve(rows, rhs, field, ncols):
 # Windows and bases
 
 
+# Column budget for one window (and for the filtration profiles' columns).
+# Elimination grows about cubically with the column count: a perp in two
+# variables up to degree 60 (1891 columns) takes seconds, up to degree 100
+# (5151 columns) more than a minute.  The largest window the test suite and
+# the benchmark build has 126 columns (P_{<=5} in 4 variables).
+MAX_WINDOW_COLUMNS = 2000
+
+
+def _check_window_size(n, degrees):
+    """Raise WindowTooLarge if the monomials of ``degrees`` in n variables,
+    sum of binom(n-1+i, i), number more than MAX_WINDOW_COLUMNS.  Counted
+    from the degrees alone, before any monomial is enumerated."""
+    if n < 1:
+        raise ArityMismatch("need at least one variable, got %d" % n)
+    size = 0
+    for i in degrees:
+        if i >= 0:
+            size += comb(n - 1 + i, i)
+            if size > MAX_WINDOW_COLUMNS:
+                raise WindowTooLarge(
+                    "window in %d variables up to degree %d has more than %d columns"
+                    % (n, max(degrees), MAX_WINDOW_COLUMNS)
+                )
+
+
 class Window:
     """Ambient graded window: space 'P' or 'S', arity n, tuple of degrees."""
 
@@ -140,6 +244,7 @@ class Window:
         self.space = space
         self.n = n
         self.degrees = tuple(sorted(set(degrees)))
+        _check_window_size(n, self.degrees)
         self.field = field
         self.columns = []
         for d in self.degrees:

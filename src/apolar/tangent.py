@@ -17,36 +17,63 @@ gives a basis B, and the tangent space is spanned by those contractions, B
 and the n shifts x_i B: (n + 1) dim(m^k f) + binom(n+k-2, k-1) rows in
 place of the n binom(n+d+1, n) + binom(n+d, n) contractions tau -| (x_i f)
 and sigma -| f of the defining formula.  Everything is truncated at
-N = deg f.  Perps are computed twice -- once as the orthogonal complement of
-the tangent basis, once from the direct degree conditions on sigma and its
+N = deg f.
+
+All these rows are integer rows placed by column index.  The contractions
+are filled from D f (f scaled to primitive integer coefficients), each basis
+row of m^k f is made a primitive integer row once, and
+x_i x^[u] = (u_i + 1) x^[u + e_i] shifts it.  None of this goes through
+``contract`` or the DPPoly product.
+
+Perps are computed twice -- once as the orthogonal complement of the
+tangent basis, once from the direct degree conditions on sigma and its
 partial derivatives -- and the two results must agree.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ge, sub
 
-from .apolarity import module_sf
-from .dp import DPPoly, Operator, contract, monomials, monomials_upto
+from .apolarity import _contraction_rows, _scaled_coeffs, module_sf
+from .dp import monomials, monomials_upto
 from .errors import CrossCheckFailed, IndexOutOfRange, ZeroPolynomial
 from .fields import char_guard
-from .linalg import Basis, Window, nullspace
+from .linalg import Basis, Window, _to_primitive, nullspace
 
 
 def _pruned_tangent(f, k):
-    """Canonical basis of m^{k-1} f + sum_i x_i (m^k f) inside P_{<= deg f}."""
+    """Canonical basis of m^{k-1} f + sum_i x_i (m^k f) inside P_{<= deg f}.
+
+    The rows are integers: the contractions of D f by the degree-(k-1)
+    monomials, each basis row of m^k f as a primitive integer row, and its
+    shifts x_i x^[u] = (u_i + 1) x^[u + e_i], placed by column index.
+    """
     if f.is_zero():
         raise ZeroPolynomial("tangent space of the zero polynomial")
     n, field = f.n, f.field
     mk = module_sf(f, k)
     win = mk.window
     d = max(f.degree, 0)
-    rows = [
-        win.encode(contract(Operator.monomial(n, field, e, d), f))
-        for e in monomials(n, k - 1)
+    rows = _contraction_rows(f, monomials(n, k - 1), range(d + 1))
+    # shifts[i][j] = (column of x^[u + e_i], u_i + 1) for column j = x^[u]
+    # of degree < d; m^k f lies in P_{<= d-1}, so its rows need no more
+    index = win.index
+    low = [u for u in win.columns if sum(u) < d]
+    shifts = [
+        [(index[u[:i] + (u[i] + 1,) + u[i + 1:]], u[i] + 1) for u in low]
+        for i in range(n)
     ]
-    rows += mk.rows
-    xs = [DPPoly.variable(n, field, i) for i in range(1, n + 1)]
-    rows += [win.encode(x * g) for g in mk.vectors() for x in xs]
+    for g in mk.rows:
+        g = _to_primitive(g) if field.is_rationals else g
+        nonzero = [(j, g[j]) for j in compress(count(), g)]
+        rows.append(g)
+        for shift in shifts:
+            row = [0] * win.dim
+            for j, c in nonzero:
+                col, w = shift[j]
+                row[col] = w * c
+            rows.append(row)
     return Basis(win, rows)
 
 
@@ -69,10 +96,13 @@ def _perp_direct(f, unipotent, max_degree):
     The coefficient of x^[m] in sigma -| f is sum_t sigma_{t-m} f_t over the
     terms t >= m of f, and in sigma^(i) -| f it is
     sum_t (t_i - m_i + 1) sigma_{t-m+e_i} f_t, so each equation row is
-    filled from those terms alone.
+    filled from those terms alone, with the integer coefficients of D f
+    (``_scaled_coeffs``) and integer weights.
     """
     n, field = f.n, f.field
     win = Window.S_upto(n, max_degree, field)
+    index = win.index
+    coef = _scaled_coeffs(f)
     d = max(f.degree, 0)
     min_m = 1 if unipotent else 0
     eqs = []
@@ -80,25 +110,25 @@ def _perp_direct(f, unipotent, max_degree):
         if sum(m) < min_m:
             continue
         below = [
-            (tuple(a - b for a, b in zip(t, m)), c)
-            for t, c in f.terms.items()
-            if all(a >= b for a, b in zip(t, m))
+            (tuple(map(sub, t, m)), c)
+            for t, c in coef.items()
+            if all(map(ge, t, m))
         ]
         if not below:
             continue
-        row = [field.zero()] * win.dim
+        row = [0] * win.dim
         for e, c in below:
-            j = win.index.get(e)
+            j = index.get(e)
             if j is not None:
                 row[j] = c
         eqs.append(row)
         if sum(m) > min_m:
             for i in range(n):
-                row = [field.zero()] * win.dim
+                row = [0] * win.dim
                 for e, c in below:
-                    j = win.index.get(e[:i] + (e[i] + 1,) + e[i + 1:])
+                    j = index.get(e[:i] + (e[i] + 1,) + e[i + 1:])
                     if j is not None:
-                        row[j] = field.mul(field.from_int(e[i] + 1), c)
+                        row[j] = (e[i] + 1) * c
                 eqs.append(row)
     rows = nullspace(eqs, field, win.dim)
     return Basis(win, rows, reduced=True)

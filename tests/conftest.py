@@ -62,6 +62,14 @@ def random_form(rng, n, field, d, density=0.8):
             return f
 
 
+def with_fractions(rng, f):
+    """f over Q with each coefficient multiplied by 1, 1/2, -3/4 or 5/3."""
+    from fractions import Fraction
+
+    scales = [Fraction(1), Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+    return DPPoly(f.n, f.field, {e: c * rng.choice(scales) for e, c in f.terms.items()})
+
+
 def random_operator(rng, n, field, trunc, min_order=0, density=0.5):
     terms = {}
     for e in monomials_upto(n, trunc):

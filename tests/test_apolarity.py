@@ -9,6 +9,7 @@ from apolar import (
     Operator,
     ann_generators,
     ann_graded,
+    contract,
     dim_apolar,
     hilbert_function,
     ideal_square_graded,
@@ -16,14 +17,15 @@ from apolar import (
     is_t_compressed,
     max_t_compressed,
     module_sf,
+    span,
     symmetric_decomposition,
 )
-from apolar.dp import monomials
+from apolar.dp import monomials, monomials_upto
 from apolar.errors import ZeroPolynomial
 from apolar.linalg import Basis, Window
 from apolar.parsing import parse_poly
 
-from conftest import random_form, random_poly
+from conftest import random_form, random_poly, with_fractions
 
 
 def P(n, terms, field=QQ):
@@ -212,6 +214,63 @@ def _reference_symdec(f):
 def test_profiles_match_intersection_oracle(field, rng):
     for n in (1, 2, 3):
         for d in range(1, 6 if n == 3 else 7):
-            for f in (random_form(rng, n, field, d), random_poly(rng, n, field, d)):
+            polys = [random_form(rng, n, field, d), random_poly(rng, n, field, d)]
+            if field.is_rationals:  # non-integer coefficients: rows from D f
+                polys += [with_fractions(rng, f) for f in polys]
+            for f in polys:
                 assert hilbert_function(f) == _reference_hilbert(f), (n, d, f)
                 assert symmetric_decomposition(f) == _reference_symdec(f), (n, d, f)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: m^k -| f spanned by explicit contractions sigma -| f
+# (Fraction arithmetic through ``contract`` and ``Window.encode``).
+
+
+def _reference_module_sf(f, k):
+    d = max(f.degree, 0)
+    vecs = []
+    for e in monomials_upto(f.n, d):
+        if sum(e) < k:
+            continue
+        g = contract(Operator.monomial(f.n, f.field, e, d), f)
+        if not g.is_zero():
+            vecs.append(g)
+    return span(vecs, Window.P_upto(f.n, d, f.field))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)], ids=str)
+def test_module_sf_matches_contraction_oracle(field, rng):
+    for n in (1, 2, 3, 4):
+        for d in range(0, 5 if n == 4 else 6):
+            polys = [
+                random_form(rng, n, field, d),
+                random_poly(rng, n, field, d),
+                DPPoly(n, field, {(0,) * n: field.from_int(rng.choice([1, -1]))}),
+            ]
+            if field.is_rationals:
+                polys += [with_fractions(rng, f) for f in polys]
+            for f in polys:
+                for k in range(d + 2):
+                    assert module_sf(f, k) == _reference_module_sf(f, k), (f, k)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_ann_graded_is_the_catalecticant_kernel(field, rng):
+    # dim Ann(f)_i = dim S_i - rank of sigma -> sigma -| f, with the image
+    # spanned by explicit contractions
+    for n in (1, 2, 3):
+        for d in range(1, 5):
+            polys = [random_form(rng, n, field, d), random_poly(rng, n, field, d)]
+            if field.is_rationals:
+                polys += [with_fractions(rng, f) for f in polys]
+            for f in polys:
+                for i in range(d + 2):
+                    ann = ann_graded(f, i)
+                    assert all(contract(s, f).is_zero() for s in ann.vectors()), (f, i)
+                    image = [
+                        contract(Operator.monomial(n, field, e, d), f)
+                        for e in monomials(n, i)
+                    ]
+                    rank = span(image, Window.P_upto(n, d, field)).dim
+                    assert ann.dim == len(image) - rank, (f, i)

@@ -56,3 +56,10 @@ def test_char_guard():
 def test_from_fraction_in_prime_field():
     F = GF(5)
     assert F.from_fraction(Fraction(1, 2)) == 3  # 2 * 3 = 6 = 1
+
+
+def test_gf_rejects_moduli_below_two():
+    # FieldSpec(0) is Q, so GF(0) must not quietly return it
+    for p in (0, 1, -2):
+        with pytest.raises(ValueError):
+            GF(p)

@@ -1,10 +1,23 @@
 from fractions import Fraction as Q
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
-from apolar import GF, QQ, Basis, DPPoly, Operator, Window, nullspace, rref, solve, span
-from apolar.errors import AmbientMismatch
+from apolar import (
+    GF,
+    QQ,
+    Basis,
+    DPPoly,
+    Operator,
+    Window,
+    nullspace,
+    perp_tangent,
+    rref,
+    solve,
+    span,
+)
+from apolar.errors import AmbientMismatch, ArityMismatch, WindowTooLarge
+from apolar.linalg import MAX_WINDOW_COLUMNS, _check_window_size, _echelon
 
 
 def test_rref_rationals():
@@ -215,3 +228,71 @@ def test_rref_matches_oracle_over_prime_fields(field, rng):
         rows, ncols = _random_matrix(rng, "int")
         assert _typed(rref(rows, field, ncols)) == _typed(_reference_rref(rows, field, ncols))
     assert rref([[0, field.p], [2 * field.p, 0]], field, 2) == ([], [])
+
+
+# Differential oracle for the column-block split: rows that live in a few
+# disjoint column intervals, shuffled, with zero rows, single-entry rows and
+# rows that straddle two intervals (which merges their blocks).
+
+
+def _block_entry(rng, field):
+    if not field.is_rationals:
+        return rng.choice([0, rng.randint(1, 3 * field.p), field.p])
+    return rng.choice([0, rng.randint(-9, 9), Q(rng.randint(-9, 9), rng.randint(1, 6))])
+
+
+def _block_matrix(rng, field):
+    intervals, col = [], rng.randint(0, 2)
+    for _ in range(rng.randint(1, 4)):
+        width = rng.randint(1, 4)
+        intervals.append((col, col + width))
+        col += width + rng.randint(0, 2)
+    ncols = col + rng.randint(0, 2)
+    rows = []
+    for lo, hi in intervals:
+        for _ in range(rng.randint(1, 4)):
+            row = [0] * ncols
+            for c in range(lo, hi):
+                row[c] = _block_entry(rng, field)
+            rows.append(row)
+    for _ in range(rng.randint(0, 2)):
+        rows.append([0] * ncols)
+    for _ in range(rng.randint(0, 2)):
+        row = [0] * ncols
+        row[rng.randrange(ncols)] = rng.randint(1, 9)
+        rows.append(row)
+    if len(intervals) > 1 and rng.random() < 0.5:
+        i = rng.randrange(len(intervals) - 1)
+        row = [0] * ncols
+        row[rng.randrange(*intervals[i])] = rng.randint(1, 9)
+        row[rng.randrange(*intervals[i + 1])] = rng.randint(-9, -1)
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_block_split_matches_oracle(field, rng):
+    for _ in range(400):
+        rows, ncols = _block_matrix(rng, field)
+        got = rref(rows, field, ncols)
+        assert _typed(got) == _typed(_reference_rref(rows, field, ncols)), rows
+        assert _echelon(rows, field)[2] == got[1]
+
+
+def test_window_budget_guard_fires_from_the_computed_size():
+    # sum_{i <= d} binom(n-1+i, i) = binom(n+d, d): find the last d inside
+    # the budget and check the guard on the counts alone, allocating nothing
+    for n in (1, 2, 3, 5):
+        d = 0
+        while comb(n + d + 1, d + 1) <= MAX_WINDOW_COLUMNS:
+            d += 1
+        _check_window_size(n, range(d + 1))
+        with pytest.raises(WindowTooLarge):
+            _check_window_size(n, range(d + 2))
+    with pytest.raises(WindowTooLarge):
+        Window.S_upto(2, 10**6, QQ)
+    with pytest.raises(ArityMismatch):
+        Window.P_upto(0, 2, QQ)
+    with pytest.raises(WindowTooLarge):
+        perp_tangent(DPPoly(2, QQ, {(2, 0): Q(1)}), max_degree=10**6)

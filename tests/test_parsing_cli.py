@@ -140,6 +140,10 @@ def test_cli_deterministic_reports(capsys):
     (["cangrad-filter", "0", "5"], 2),
     (["perp", "--max-deg", "-1", "--vars", "2", "x1^[3]"], 2),
     (["ann", "--max-deg", "-2", "--vars", "2", "x1^[3]"], 2),
+    (["hilbert", "--vars", "2", "--field", "fp:0", "x1"], 1),
+    (["perp", "--max-deg", "1000000", "--vars", "2", "x1^[2]"], 2),
+    (["ann", "--max-deg", "1000000", "--vars", "2", "x1^[2]"], 2),
+    (["hilbert", "--vars", "1", "x1^[5000]"], 2),
 ])
 def test_cli_boundary_inputs_exit_cleanly(capsys, argv, code):
     assert cli_dispatch(argv) == code

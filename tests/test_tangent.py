@@ -22,7 +22,7 @@ from apolar.dp import monomials_upto
 from apolar.errors import CharacteristicTooSmall, ZeroPolynomial
 from apolar.tangent import TangentReport
 
-from conftest import random_form, random_poly
+from conftest import random_form, random_poly, with_fractions
 
 
 def P(n, terms, field=QQ):
@@ -195,7 +195,13 @@ def _reference_tangent(f, unipotent):
 def test_pruned_tangent_matches_generator_oracle(field, rng):
     for n in (1, 2, 3, 4):
         for d in range(0, 5 if n == 4 else 6):
-            for f in (random_form(rng, n, field, d), random_poly(rng, n, field, d)):
+            polys = [random_form(rng, n, field, d), random_poly(rng, n, field, d)]
+            if field.is_rationals and n < 4:  # non-integer coefficients: rows from D f
+                polys += [with_fractions(rng, f) for f in polys]
+                for f in polys[2:]:  # raises CrossCheckFailed if the routes differ
+                    perp_tangent(f)
+                    perp_tangent(f, unipotent=True)
+            for f in polys:
                 assert tangent_space(f) == _reference_tangent(f, False)
                 assert unip_tangent_space(f) == _reference_tangent(f, True)
 
