@@ -38,6 +38,7 @@ from .classify import (
     golden_13331,
     golden_1222111,
     golden_char2,
+    golden_facts,
     improved_normal_form,
     lower_degree_step,
     reduce_toward,

@@ -137,9 +137,6 @@ class Derivation:
             if im.order < 1:
                 raise InvalidAutomorphism("derivation must preserve m")
 
-    def in_unipotent_part(self):
-        return all(im.order >= 2 for im in self.images)
-
     def __call__(self, op):
         out = Operator.zero(self.n, self.field, self.trunc)
         for j in range(self.n):

@@ -13,6 +13,7 @@ changes no row space.
 """
 
 import math
+from itertools import compress, count
 from operator import add
 
 from .dp import DPPoly, Operator, monomials, monomials_upto
@@ -136,6 +137,36 @@ def _contraction_rows(f, exps, degrees):
                 row += zeros[i]
         rows.append(row)
     return rows
+
+
+def _shifted_rows(rows, n, degrees, window):
+    """The integer rows of x_1 g, ..., x_n g for each integer row g in ``rows``.
+
+    g is a row over the monomials of ``degrees`` (in order, grlex within a
+    degree, as ``_contraction_rows`` lays them out; entries past those
+    columns must be zero), and x_i x^[u] = (u_i + 1) x^[u + e_i] places
+    each shift in ``window``, which holds every x^[u + e_i].  The column
+    table (column, weight) is built once per call and each row's nonzero
+    entries are listed once.  Returns one list of n rows per g.
+    """
+    index = window.index
+    src = [u for i in degrees for u in monomials(n, i)]
+    table = [
+        [(index[u[:i] + (u[i] + 1,) + u[i + 1:]], u[i] + 1) for u in src]
+        for i in range(n)
+    ]
+    out = []
+    for g in rows:
+        nonzero = [(j, g[j]) for j in compress(count(), g)]
+        shifts = []
+        for shift in table:
+            row = [0] * window.dim
+            for j, c in nonzero:
+                col, w = shift[j]
+                row[col] = w * c
+            shifts.append(row)
+        out.append(shifts)
+    return out
 
 
 def module_sf(f, k):

@@ -5,18 +5,27 @@ The workhorse is ``lower_degree_step``: given f and a target F with
 G = tdf(f - F) of degree e < deg F, it finds g in the unipotent group G+
 with deg(apply(g, f) - F) < e.  Two solvers are tried in order:
 
-* a homogeneous solve of G = sum_i x_i (D_i -| tdf F) + tau -| tdf F with
-  D_i, tau homogeneous of degrees d-e+1 and d-e, assembled naively as
+* a homogeneous solve of G = sum_i x_i (D_i -| tdf F) + tau -| tdf F in P_e
+  with D_i, tau homogeneous of degrees d-e+1 and d-e, assembled naively as
   (a_i -> a_i - D_i, 1 - tau) -- all corrections land strictly below e;
-* an exact mixed-degree solve of the same equation against the full F,
-  assembled as the exponential of the corresponding Lie algebra element,
-  so the identity L F = G turns into apply(g, f) = f - G + (lower).
+* an exact mixed-degree solve of the same equation against the full F in
+  P_{<= d-1}, assembled as the exponential of the corresponding Lie algebra
+  element, so the identity L F = G turns into apply(g, f) = f - G + (lower).
 
-If neither system is solvable the leading term is certifiably outside the
-tangent space and NotInTangent is raised.
+Both read one system (``_solve_tangent_system``) built from integer rows:
+the contraction rows x^e -| D F filled by exponent lookup and their shifts
+x_i x^[u] = (u_i + 1) x^[u + e_i], with no ``contract`` and no DPPoly
+product.  If neither system is solvable the leading term is certifiably
+outside the tangent space and NotInTangent is raised.
+
+The golden examples' expected facts live only in ``data/golden_*.json``;
+``golden_13331``, ``golden_char2`` and ``golden_facts`` compare against them
+in one place and raise GoldenMismatch naming every key that differs.
 """
 
+import json
 import math
+from importlib import resources
 
 from .actions import (
     Automorphism,
@@ -29,6 +38,9 @@ from .actions import (
     identity_group_element,
 )
 from .apolarity import (
+    _contraction_rows,
+    _scaled_coeffs,
+    _shifted_rows,
     dim_apolar,
     hilbert_function,
     ideal_square_graded,
@@ -40,14 +52,17 @@ from .dp import DPPoly, Operator, contract, monomials, monomials_upto
 from .errors import (
     GoldenMismatch,
     HypothesisFailed,
+    IndexOutOfRange,
     NotInTangent,
     NotTCompressed,
     ReductionFailed,
     TdfMismatch,
     WrongHilbertFunction,
+    ZeroPolynomial,
 )
 from .fields import QQ, GF, char_guard
-from .linalg import Basis, Window, solve, span
+from .linalg import Window, solve, span
+from .parsing import parse_poly, poly_str
 from .tangent import perp_tangent, tangent_space, unip_tangent_space
 
 
@@ -84,90 +99,83 @@ class ReductionTrace:
         return "<ReductionTrace %d steps, final=%r>" % (len(self.steps), self.final)
 
 
+def _solve_tangent_system(G, F, win, d_exps, tau_exps):
+    """Solve G = sum_i x_i (D_i -| F) + tau -| F in the window ``win``, with
+    each D_i spanned by the monomials ``d_exps`` and tau by ``tau_exps``.
+
+    The columns are integer rows: the x_i shifts (``_shifted_rows``) of the
+    contractions x^e -| D F one degree below the window, i-major, then the
+    contractions x^e -| D F for tau (``_contraction_rows``), where D is the
+    scalar ``_scaled_coeffs`` applies to F (D = 1 over F_p).  So the right
+    side is D G: [D M | D G] has the same reduced echelon form as [M | G],
+    and ``solve`` sets the free columns to zero, so the solution depends on
+    the column order.  Returns (d_terms, tau_terms), the nonzero
+    coefficients of D_1 .. D_n and tau, or None when inconsistent.
+    """
+    n, field = F.n, F.field
+    d_exps, tau_exps = list(d_exps), list(tau_exps)
+    inner = [k - 1 for k in win.degrees if k >= 1]
+    shifted = _shifted_rows(_contraction_rows(F, d_exps, inner), n, inner, win)
+    cols = [shifts[i] for i in range(n) for shifts in shifted]
+    cols += _contraction_rows(F, tau_exps, win.degrees)
+    coef = _scaled_coeffs(F)
+    t = next(iter(coef))
+    scale = field.div(coef[t], F.terms[t])
+    rhs = [field.mul(scale, c) for c in win.encode(G)]
+    sol = solve(list(zip(*cols)), rhs, field, len(cols))
+    if sol is None:
+        return None
+    d_terms = [{} for _ in range(n)]
+    tau_terms = {}
+    labels = [(i, e) for i in range(n) for e in d_exps] + [(-1, e) for e in tau_exps]
+    for (i, exps), c in zip(labels, sol):
+        if not field.is_zero(c):
+            (tau_terms if i < 0 else d_terms[i])[exps] = c
+    return d_terms, tau_terms
+
+
 def _solve_homogeneous_step(G, F):
     """Solve G = sum_i x_i (D_i -| T) + tau -| T with T = tdf(F), homogeneous
-    D_i of degree d-e+1 and tau of degree d-e.  Returns a GroupElement built
-    as (a_i -> a_i - D_i, 1 - tau), or None when the system is inconsistent.
+    D_i of degree d-e+1 and tau of degree d-e, in P_e.  Returns a
+    GroupElement built as (a_i -> a_i - D_i, 1 - tau), or None when the
+    system is inconsistent.
     """
     n, field = F.n, F.field
     T = F.tdf()
     d, e = T.degree, G.degree
-    trunc = d
     win = Window.P_graded(n, e, field)
-    cols = []
-    labels = []  # (i, exps) with i = -1 for the tau block
-    for i in range(n):
-        xi = DPPoly.variable(n, field, i + 1)
-        for exps in monomials(n, d - e + 1):
-            v = xi * contract(Operator.monomial(n, field, exps, trunc), T)
-            cols.append(win.encode(v))
-            labels.append((i, exps))
-    for exps in monomials(n, d - e):
-        v = contract(Operator.monomial(n, field, exps, trunc), T)
-        cols.append(win.encode(v))
-        labels.append((-1, exps))
-    rows = [[c[r] for c in cols] for r in range(win.dim)]
-    sol = solve(rows, win.encode(G), field, len(cols))
+    sol = _solve_tangent_system(G, T, win, monomials(n, d - e + 1), monomials(n, d - e))
     if sol is None:
         return None
-    d_terms = [{} for _ in range(n)]
-    tau_terms = {}
-    for (i, exps), c in zip(labels, sol):
-        if field.is_zero(c):
-            continue
-        if i < 0:
-            tau_terms[exps] = c
-        else:
-            d_terms[i][exps] = c
+    d_terms, tau_terms = sol
     images = [
-        Operator.variable(n, field, i + 1, trunc)
-        - Operator(n, field, d_terms[i], trunc)
+        Operator.variable(n, field, i + 1, d) - Operator(n, field, d_terms[i], d)
         for i in range(n)
     ]
-    unit = Operator.one(n, field, trunc) - Operator(n, field, tau_terms, trunc)
+    unit = Operator.one(n, field, d) - Operator(n, field, tau_terms, d)
     return GroupElement(Automorphism(images), unit)
 
 
 def _solve_general_step(G, F):
-    """Solve sum_i x_i (D_i -| F) + tau -| F = G exactly, with D_i in m^2 and
-    tau in m of arbitrary degrees, and assemble exp of the Lie element
-    (-D, -tau).  Returns None when the system is inconsistent.
+    """Solve sum_i x_i (D_i -| F) + tau -| F = G exactly in P_{<= d-1}, with
+    D_i in m^2 and tau in m of arbitrary degrees, and assemble exp of the
+    Lie element (-D, -tau).  Returns None when the system is inconsistent.
     """
     n, field = F.n, F.field
     d = F.degree
-    trunc = d
     win = Window.P_upto(n, d - 1, field)
-    cols = []
-    labels = []
-    for i in range(n):
-        xi = DPPoly.variable(n, field, i + 1)
-        for exps in monomials_upto(n, d):
-            if sum(exps) < 2:
-                continue
-            v = xi * contract(Operator.monomial(n, field, exps, trunc), F)
-            cols.append(win.encode(v))
-            labels.append((i, exps))
-    for exps in monomials_upto(n, d):
-        if sum(exps) < 1:
-            continue
-        v = contract(Operator.monomial(n, field, exps, trunc), F)
-        cols.append(win.encode(v))
-        labels.append((-1, exps))
-    rows = [[c[r] for c in cols] for r in range(win.dim)]
-    sol = solve(rows, win.encode(G), field, len(cols))
+    exps = list(monomials_upto(n, d))
+    sol = _solve_tangent_system(
+        G, F, win, [e for e in exps if sum(e) >= 2], [e for e in exps if sum(e) >= 1]
+    )
     if sol is None:
         return None
-    d_terms = [{} for _ in range(n)]
-    tau_terms = {}
-    for (i, exps), c in zip(labels, sol):
-        if field.is_zero(c):
-            continue
-        if i < 0:
-            tau_terms[exps] = field.neg(c)
-        else:
-            d_terms[i][exps] = field.neg(c)
-    D = Derivation([Operator(n, field, d_terms[i], trunc) for i in range(n)])
-    tau = Operator(n, field, tau_terms, trunc)
+    d_terms, tau_terms = sol
+    D = Derivation([
+        Operator(n, field, {e: field.neg(c) for e, c in d_terms[i].items()}, d)
+        for i in range(n)
+    ])
+    tau = Operator(n, field, {e: field.neg(c) for e, c in tau_terms.items()}, d)
     return exp_group_element(D, tau)
 
 
@@ -294,6 +302,10 @@ def square_ideal_reduce(f, t):
     """Reduce f to F + g with F = tdf(f) and deg g < t, assuming
     dim Apolar(f) = dim Apolar(F) and that the unipotent tangent perp of F
     equals (Ann F)^2 in every degree t <= i <= d-1."""
+    if t < 0:
+        raise IndexOutOfRange("square-ideal reduction needs t >= 0, got t = %d" % t)
+    if f.is_zero():
+        raise ZeroPolynomial("square-ideal reduction of the zero polynomial")
     n, field = f.n, f.field
     F = f.tdf()
     d = f.degree
@@ -403,8 +415,9 @@ def golden_13331():
 
     Returns a report with the three leading forms, their unipotent tangent
     perps in degree <= 3, the eleven normal forms with their tangent space
-    dimensions, and the stabilizer matrix at (a, b) = (1, 2).  Raises
-    GoldenMismatch when anything differs from the expected table.
+    dimensions, the stabilizer matrix at (a, b) = (1, 2), and under
+    "facts" the dimensions, perps and matrix as checked against
+    data/golden_13331.json.  Raises GoldenMismatch when they differ.
     """
     field = QQ
     report = {"leading_forms": {}, "perp_unip": {}, "normal_forms": [],
@@ -422,24 +435,11 @@ def golden_13331():
     mat = stabilizer_matrix_13331(1, 2)
     report["stabilizer_matrix_12"] = [[str(c) for c in row] for row in mat]
 
-    expected_dims = [29, 28, 28, 27, 27, 26, 27, 26, 26, 25, 24]
-    expected_mat = [["64", "0", "0"], ["-192", "32", "0"], ["216", "-72", "16"]]
-    expected_perp = {
-        "F1": ["a1*a2*a3"],
-        "F2": ["a2^[3]", "a2^[2]*a3"],
-        "F3": ["a1*a2^[2] - 2*a2*a3^[2]", "a2^[3]", "a2^[2]*a3"],
-    }
-    diffs = []
-    got_dims = [nf["dim"] for nf in report["normal_forms"]]
-    if got_dims != expected_dims:
-        diffs.append("dims %s != %s" % (got_dims, expected_dims))
-    if report["stabilizer_matrix_12"] != expected_mat:
-        diffs.append("matrix %s != %s" % (report["stabilizer_matrix_12"], expected_mat))
-    for k, v in expected_perp.items():
-        if sorted(report["perp_unip"][k]) != sorted(v):
-            diffs.append("perp %s: %s != %s" % (k, report["perp_unip"][k], v))
-    if diffs:
-        raise GoldenMismatch(diffs)
+    report["facts"] = _check_golden("13331", {
+        "dims": [nf["dim"] for nf in report["normal_forms"]],
+        "perp_unip": report["perp_unip"],
+        "stabilizer_matrix_12": report["stabilizer_matrix_12"],
+    })
     return report
 
 
@@ -556,7 +556,8 @@ def golden_char2():
 
     H = (1,2,2,1) and a1^2 -| f = 0, yet a1^2 is orthogonal to the whole
     tangent space, so the tangent space is a proper subspace of P_{<=3} --
-    the characteristic-0 dimension count fails.
+    the characteristic-0 dimension count fails.  The report's "facts" are
+    checked against data/golden_char2.json (GoldenMismatch when they differ).
     """
     field = GF(2)
     f = _p(2, field, {(1, 2): 1, (0, 3): 1})
@@ -571,15 +572,54 @@ def golden_char2():
         "tangent_dim": tangent_space(f).dim,
         "ambient_dim": Window.P_upto(2, 3, field).dim,
     }
-    diffs = []
-    if H != (1, 2, 2, 1):
-        diffs.append("H = %s != (1, 2, 2, 1)" % (H.values,))
-    if not report["sigma_kills_f"]:
-        diffs.append("a1^2 -| f != 0")
-    if not report["sigma_in_perp"]:
-        diffs.append("a1^2 not in the tangent perp")
-    if not report["tangent_dim"] < report["ambient_dim"]:
-        diffs.append("tangent space is not proper")
+    report["facts"] = _check_golden("char2", {
+        "f": report["f"],
+        "hilbert": list(H),
+        "sigma_kills_f": report["sigma_kills_f"],
+        "sigma_in_perp": report["sigma_in_perp"],
+        "tangent_dim": report["tangent_dim"],
+        "ambient_dim": report["ambient_dim"],
+    })
+    return report
+
+
+def _load_golden(which):
+    """The expected facts of golden example ``which``: data/golden_<which>.json."""
+    path = resources.files("apolar.data").joinpath("golden_%s.json" % which)
+    return json.loads(path.read_text())
+
+
+def _check_golden(which, facts):
+    """Return ``facts`` if they equal the shipped expected data of golden
+    example ``which``; otherwise raise GoldenMismatch naming every key that
+    differs."""
+    expected = _load_golden(which)
+    diffs = [
+        "%s: %r != expected %r" % (key, facts.get(key), expected.get(key))
+        for key in {**facts, **expected}
+        if facts.get(key) != expected.get(key)
+    ]
     if diffs:
         raise GoldenMismatch(diffs)
-    return report
+    return facts
+
+
+def golden_facts(which):
+    """The facts of golden example ``which`` ("13331", "1222111" or "char2")
+    in the layout of its data file, checked against that file.
+
+    The (1,2,2,2,1,1,1) example runs ``golden_1222111`` on the file's input.
+    Raises GoldenMismatch naming every key that differs.
+    """
+    if which == "13331":
+        return golden_13331()["facts"]
+    if which == "char2":
+        return golden_char2()["facts"]
+    text = _load_golden("1222111")["input"]
+    report = golden_1222111(parse_poly(text, 2, QQ))
+    return _check_golden("1222111", {
+        "input": text,
+        "lambda": str(report["lambda"]),
+        "normal_form": poly_str(report["normal_form"]),
+        "deltas": [list(v) for v in report["deltas"]],
+    })

@@ -7,11 +7,9 @@ failure, 3 internal cross-check failure.
 import argparse
 import json
 import sys
-from importlib import resources
 
 from .apolarity import (
     ann_generators,
-    ann_graded,
     dim_apolar,
     hilbert_function,
     is_compressed,
@@ -19,9 +17,7 @@ from .apolarity import (
     symmetric_decomposition,
 )
 from .classify import (
-    golden_13331,
-    golden_1222111,
-    golden_char2,
+    golden_facts,
     square_ideal_reduce,
     t_compressed_normal_form,
     unip_orbit_membership,
@@ -29,7 +25,6 @@ from .classify import (
 from .dp import omega_inv
 from .errors import (
     CharacteristicTooSmall,
-    GoldenMismatch,
     GuardError,
     InternalError,
     PolySyntaxError,
@@ -213,52 +208,8 @@ def _cmd_cangrad_filter(args):
     )
 
 
-def _load_expected(name):
-    return json.loads(
-        resources.files("apolar.data").joinpath(name).read_text()
-    )
-
-
 def _cmd_golden(args):
-    if args.which == "13331":
-        report = golden_13331()
-        expected = _load_expected("golden_13331.json")
-        got = {
-            "dims": [nf["dim"] for nf in report["normal_forms"]],
-            "perp_unip": report["perp_unip"],
-            "stabilizer_matrix_12": report["stabilizer_matrix_12"],
-        }
-        if got != expected:
-            raise GoldenMismatch(["report differs from shipped expected file"])
-        results = got
-    elif args.which == "1222111":
-        expected = _load_expected("golden_1222111.json")
-        f = parse_poly(expected["input"], 2, QQ)
-        report = golden_1222111(f)
-        got = {
-            "input": expected["input"],
-            "lambda": str(report["lambda"]),
-            "normal_form": poly_str(report["normal_form"]),
-            "deltas": [list(v) for v in report["deltas"]],
-        }
-        if got != expected:
-            raise GoldenMismatch(["report differs from shipped expected file"])
-        results = got
-    else:
-        report = golden_char2()
-        expected = _load_expected("golden_char2.json")
-        got = {
-            "f": report["f"],
-            "hilbert": list(report["hilbert"]),
-            "sigma_kills_f": report["sigma_kills_f"],
-            "sigma_in_perp": report["sigma_in_perp"],
-            "tangent_dim": report["tangent_dim"],
-            "ambient_dim": report["ambient_dim"],
-        }
-        if got != expected:
-            raise GoldenMismatch(["report differs from shipped expected file"])
-        results = got
-    return _report(args, "golden %s" % args.which, [], results)
+    return _report(args, "golden %s" % args.which, [], golden_facts(args.which))
 
 
 def _build_parser():

@@ -19,8 +19,6 @@ deg(0) is the sentinel -1, so tests like ``deg(...) <= 0`` admit the zero
 polynomial.
 """
 
-import itertools
-
 from .errors import ArityMismatch, FieldMismatch, IndexOutOfRange
 from .fields import char_guard
 
@@ -364,9 +362,3 @@ def omega_inv(g):
         out[e] = k.mul(c, fac)
     return DPPoly(g.n, k, out)
 
-
-def dim_degree(n, d):
-    """Number of degree-d monomials in n variables, binom(d+n-1, d)."""
-    import math as _math
-
-    return _math.comb(d + n - 1, d)

@@ -32,12 +32,11 @@ partial derivatives -- and the two results must agree.
 
 import math
 from dataclasses import dataclass
-from itertools import compress, count
 from operator import ge, sub
 
-from .apolarity import _contraction_rows, _scaled_coeffs, module_sf
+from .apolarity import _contraction_rows, _scaled_coeffs, _shifted_rows, module_sf
 from .dp import monomials, monomials_upto
-from .errors import CrossCheckFailed, IndexOutOfRange, ZeroPolynomial
+from .errors import CrossCheckFailed, IndexOutOfRange, TdfMismatch, ZeroPolynomial
 from .fields import char_guard
 from .linalg import Basis, Window, _to_primitive, nullspace
 
@@ -56,24 +55,11 @@ def _pruned_tangent(f, k):
     win = mk.window
     d = max(f.degree, 0)
     rows = _contraction_rows(f, monomials(n, k - 1), range(d + 1))
-    # shifts[i][j] = (column of x^[u + e_i], u_i + 1) for column j = x^[u]
-    # of degree < d; m^k f lies in P_{<= d-1}, so its rows need no more
-    index = win.index
-    low = [u for u in win.columns if sum(u) < d]
-    shifts = [
-        [(index[u[:i] + (u[i] + 1,) + u[i + 1:]], u[i] + 1) for u in low]
-        for i in range(n)
-    ]
-    for g in mk.rows:
-        g = _to_primitive(g) if field.is_rationals else g
-        nonzero = [(j, g[j]) for j in compress(count(), g)]
+    # m^k f lies in P_{<= d-1}, so its rows are shifted from degrees < d
+    gs = [_to_primitive(g) for g in mk.rows] if field.is_rationals else mk.rows
+    for g, shifts in zip(gs, _shifted_rows(gs, n, range(d), win)):
         rows.append(g)
-        for shift in shifts:
-            row = [0] * win.dim
-            for j, c in nonzero:
-                col, w = shift[j]
-                row[col] = w * c
-            rows.append(row)
+        rows += shifts
     return Basis(win, rows)
 
 
@@ -184,9 +170,11 @@ def orbit_dimension(f):
 
 def dense_orbit_test(F):
     """True iff P_{<= d-1} is contained in the tangent space of F."""
+    if F.is_zero():
+        raise ZeroPolynomial("dense orbit test of the zero polynomial")
+    if F.tdf() != F:
+        raise TdfMismatch("dense orbit test needs a homogeneous form")
     d = F.degree
-    if F.is_zero() or F.tdf() != F:
-        raise ZeroPolynomial("dense orbit test needs a nonzero homogeneous form")
     if d == 0:
         return True
     return perp_tangent(F, unipotent=False, max_degree=d - 1).dim == 0

@@ -1,10 +1,20 @@
+import json
 from fractions import Fraction as Q
+from importlib import resources
 
 import pytest
 
 from apolar import (
+    GF,
     QQ,
+    Automorphism,
+    Derivation,
     DPPoly,
+    GroupElement,
+    Operator,
+    Window,
+    contract,
+    exp_group_element,
     apply_group_element,
     golden_13331,
     golden_1222111,
@@ -17,18 +27,26 @@ from apolar import (
     stabilizer_matrix_13331,
     t_compressed_normal_form,
     unip_orbit_membership,
+    unip_tangent_space,
 )
+from apolar.classify import _solve_general_step, _solve_homogeneous_step
+from apolar.cli import cli_dispatch
+from apolar.dp import monomials, monomials_upto
+from apolar.linalg import solve
 from apolar.errors import (
+    GoldenMismatch,
     HypothesisFailed,
+    IndexOutOfRange,
     NotInTangent,
     NotTCompressed,
     ReductionFailed,
     TdfMismatch,
     WrongHilbertFunction,
+    ZeroPolynomial,
 )
 from apolar.parsing import parse_poly
 
-from conftest import random_poly, random_unipotent
+from conftest import random_form, random_poly, random_unipotent, with_fractions
 
 
 def P(n, terms, field=QQ):
@@ -157,6 +175,14 @@ def test_square_ideal_reduce_rank_n():
     assert trace.final.tdf() == F
 
 
+def test_square_ideal_reduce_names_a_negative_t():
+    with pytest.raises(IndexOutOfRange, match="t >= 0, got t = -1"):
+        square_ideal_reduce(P(2, {(3, 0): 1, (1, 0): 1}), -1)
+    # the zero polynomial reached char_guard with degree -1 (a ValueError)
+    with pytest.raises(ZeroPolynomial):
+        square_ideal_reduce(P(1, {}), 0)
+
+
 def test_square_ideal_reduce_border_rank_two_fails():
     with pytest.raises(HypothesisFailed):
         square_ideal_reduce(P(2, {(4, 1): 1, (2, 0): 1}), 0)
@@ -167,6 +193,28 @@ def test_golden_13331():
     assert [nf["dim"] for nf in report["normal_forms"]] == [
         29, 28, 28, 27, 27, 26, 27, 26, 26, 25, 24,
     ]
+
+
+def test_golden_expectations_live_only_in_the_data_files(tmp_path, monkeypatch, capsys):
+    data = resources.files("apolar.data")
+    for which in ("13331", "1222111", "char2"):
+        name = "golden_%s.json" % which
+        (tmp_path / name).write_text(data.joinpath(name).read_text())
+    expected = json.loads((tmp_path / "golden_13331.json").read_text())
+    expected["dims"][0] += 1
+    (tmp_path / "golden_13331.json").write_text(json.dumps(expected))
+    monkeypatch.setattr(resources, "files", lambda package: tmp_path)
+    with pytest.raises(GoldenMismatch) as exc:
+        golden_13331()
+    assert exc.value.diffs == ["dims: %r != expected %r" % (
+        [29, 28, 28, 27, 27, 26, 27, 26, 26, 25, 24],
+        [30, 28, 28, 27, 27, 26, 27, 26, 26, 25, 24],
+    )]
+    assert cli_dispatch(["golden", "13331"]) == 3
+    assert "GoldenMismatch" in capsys.readouterr().err
+    # the untouched examples still pass against their copies
+    assert cli_dispatch(["golden", "char2"]) == 0
+    assert golden_char2()["facts"]["tangent_dim"] == 7
 
 
 def test_stabilizer_matrix_symbolic_form():
@@ -230,3 +278,133 @@ def test_trace_dimension_invariant(rng):
     trace = reduce_toward(f, F)
     dims = {dim_apolar(f)} | {dim_apolar(r) for _, r in trace.steps}
     assert dims == {dim_apolar(F)}
+
+
+# ---------------------------------------------------------------------------
+# The step solvers against a column-by-column construction of the same
+# systems: every column x_i (a^e -| F) and a^e -| F is computed with
+# ``contract`` and the DPPoly product and encoded into the window one at a
+# time, over the field's own scalars (no integer rows, no scaling by D).
+
+
+def _reference_homogeneous_step(G, F):
+    n, field = F.n, F.field
+    T = F.tdf()
+    d, e = T.degree, G.degree
+    trunc = d
+    win = Window.P_graded(n, e, field)
+    cols = []
+    labels = []  # (i, exps) with i = -1 for the tau block
+    for i in range(n):
+        xi = DPPoly.variable(n, field, i + 1)
+        for exps in monomials(n, d - e + 1):
+            v = xi * contract(Operator.monomial(n, field, exps, trunc), T)
+            cols.append(win.encode(v))
+            labels.append((i, exps))
+    for exps in monomials(n, d - e):
+        v = contract(Operator.monomial(n, field, exps, trunc), T)
+        cols.append(win.encode(v))
+        labels.append((-1, exps))
+    rows = [[c[r] for c in cols] for r in range(win.dim)]
+    sol = solve(rows, win.encode(G), field, len(cols))
+    if sol is None:
+        return None
+    d_terms = [{} for _ in range(n)]
+    tau_terms = {}
+    for (i, exps), c in zip(labels, sol):
+        if field.is_zero(c):
+            continue
+        if i < 0:
+            tau_terms[exps] = c
+        else:
+            d_terms[i][exps] = c
+    images = [
+        Operator.variable(n, field, i + 1, trunc)
+        - Operator(n, field, d_terms[i], trunc)
+        for i in range(n)
+    ]
+    unit = Operator.one(n, field, trunc) - Operator(n, field, tau_terms, trunc)
+    return GroupElement(Automorphism(images), unit)
+
+
+def _reference_general_step(G, F):
+    n, field = F.n, F.field
+    d = F.degree
+    trunc = d
+    win = Window.P_upto(n, d - 1, field)
+    cols = []
+    labels = []
+    for i in range(n):
+        xi = DPPoly.variable(n, field, i + 1)
+        for exps in monomials_upto(n, d):
+            if sum(exps) < 2:
+                continue
+            v = xi * contract(Operator.monomial(n, field, exps, trunc), F)
+            cols.append(win.encode(v))
+            labels.append((i, exps))
+    for exps in monomials_upto(n, d):
+        if sum(exps) < 1:
+            continue
+        v = contract(Operator.monomial(n, field, exps, trunc), F)
+        cols.append(win.encode(v))
+        labels.append((-1, exps))
+    rows = [[c[r] for c in cols] for r in range(win.dim)]
+    sol = solve(rows, win.encode(G), field, len(cols))
+    if sol is None:
+        return None
+    d_terms = [{} for _ in range(n)]
+    tau_terms = {}
+    for (i, exps), c in zip(labels, sol):
+        if field.is_zero(c):
+            continue
+        if i < 0:
+            tau_terms[exps] = field.neg(c)
+        else:
+            d_terms[i][exps] = field.neg(c)
+    D = Derivation([Operator(n, field, d_terms[i], trunc) for i in range(n)])
+    tau = Operator(n, field, tau_terms, trunc)
+    return exp_group_element(D, tau)
+
+
+def _parts(g):
+    if g is None:
+        return None
+    return [im.terms for im in g.aut.images], g.unit.terms, g.trunc
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
+def test_step_solvers_match_reference_oracle(field, rng):
+    solved = {True: 0, False: 0}
+    for n in (1, 2, 3):
+        for d in (3, 4, 5):
+            # a dense F (its tangent space is usually all of P_{<= d-1}) and
+            # a sparse form (usually not), over Q also with fractional
+            # coefficients, so that D != 1 scales the right side
+            targets = [
+                random_poly(rng, n, field, d, density=0.6),
+                random_form(rng, n, field, d, density=0.1),
+            ]
+            if field.is_rationals:
+                targets += [with_fractions(rng, F) for F in targets]
+            for F in targets:
+                basis = unip_tangent_space(F).vectors()
+                v = DPPoly.zero(n, field)
+                for b in basis:
+                    v = v + b.scale(field.from_int(rng.randint(-3, 3)))
+                Gs = [random_form(rng, n, field, rng.randrange(d - 2, d))]
+                if not v.is_zero():
+                    Gs.append(v.tdf())
+                for G in Gs:
+                    for new, ref in [
+                        (_solve_homogeneous_step, _reference_homogeneous_step),
+                        (_solve_general_step, _reference_general_step),
+                    ]:
+                        got = new(G, F)
+                        assert _parts(got) == _parts(ref(G, F)), (new.__name__, F, G)
+                        solved[got is not None] += 1
+                if not v.is_zero() and v.tdf() != v:
+                    got = _solve_general_step(v, F)
+                    assert got is not None
+                    assert _parts(got) == _parts(_reference_general_step(v, F))
+    # both consistent and inconsistent systems were exercised
+    assert solved[True] and solved[False]

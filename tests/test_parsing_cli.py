@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apolar import GF, QQ, DPPoly, errors
 from apolar.cli import cli_dispatch
@@ -133,6 +137,17 @@ def test_cli_deterministic_reports(capsys):
     assert capsys.readouterr().out == first
 
 
+# the guard and cause each of these inputs must name on stderr
+BOUNDARY_STDERR = {
+    ("dense-test", "x1^[3]+x1"):
+        "TdfMismatch: dense orbit test needs a homogeneous form",
+    ("reduce", "--method", "square", "--t", "-1", "x1^[3]+x1"):
+        "IndexOutOfRange: square-ideal reduction needs t >= 0, got t = -1",
+    ("reduce", "--method", "square", "--t", "0", "--vars", "1", "0"):
+        "ZeroPolynomial: square-ideal reduction of the zero polynomial",
+}
+
+
 @pytest.mark.parametrize("argv, code", [
     (["symdec", "--vars", "2", "--json", "x1"], 0),
     (["reduce", "--method", "membership", "--vars", "2", "x1^[3]"], 1),
@@ -144,11 +159,16 @@ def test_cli_deterministic_reports(capsys):
     (["perp", "--max-deg", "1000000", "--vars", "2", "x1^[2]"], 2),
     (["ann", "--max-deg", "1000000", "--vars", "2", "x1^[2]"], 2),
     (["hilbert", "--vars", "1", "x1^[5000]"], 2),
+    (["dense-test", "x1^[3]+x1"], 2),
+    (["reduce", "--method", "square", "--t", "-1", "x1^[3]+x1"], 2),
+    (["reduce", "--method", "square", "--t", "0", "--vars", "1", "0"], 2),
 ])
 def test_cli_boundary_inputs_exit_cleanly(capsys, argv, code):
     assert cli_dispatch(argv) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
+    if tuple(argv) in BOUNDARY_STDERR:
+        assert BOUNDARY_STDERR[tuple(argv)] in captured.err
     if code == 0:
         assert json.loads(captured.out)["results"]["deltas"] == [[1, 1]]
 
@@ -169,3 +189,57 @@ def test_every_error_has_one_exit_class():
         InternalError, errors.CrossCheckFailed, errors.ReductionFailed,
         errors.GoldenMismatch, errors.DecompositionInvariantViolated,
     }
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzzing: every polynomial command on valid and broken text
+
+
+SYNTAX = "x123a^[]*+-/ 0"
+FUZZ_COMMANDS = [
+    ["hilbert"], ["ann"], ["ann", "--max-deg", "2"], ["tangent"],
+    ["tangent", "--unip"], ["perp"], ["perp", "--unip", "--max-deg", "2"],
+    ["orbit-dim"], ["symdec"], ["compressed"], ["dense-test"],
+    ["reduce", "--method", "tcompressed"], ["reduce", "--method", "square"],
+    ["reduce", "--method", "membership"],
+]
+
+
+@st.composite
+def _poly_text(draw, n):
+    exps = st.tuples(*[st.integers(0, 4)] * n).filter(lambda e: sum(e) <= 4)
+    terms = draw(st.dictionaries(exps, st.integers(-3, 3), max_size=5))
+    text = poly_str(DPPoly(n, QQ, {e: QQ.from_int(c) for e, c in terms.items()}))
+    for _ in range(draw(st.integers(0, 3))):  # broken text: edit the syntax
+        pos = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:pos] + draw(st.sampled_from(SYNTAX)) + text[pos:]
+        else:
+            text = text[:pos] + text[pos + 1:]
+    return text
+
+
+@st.composite
+def _cli_argv(draw):
+    n = draw(st.integers(1, 3))
+    command = draw(st.sampled_from(FUZZ_COMMANDS))
+    argv = command + [
+        "--vars", str(n),
+        "--field", draw(st.sampled_from(["q", "fp:2", "fp:3", "fp:101"])),
+        "--mode", draw(st.sampled_from(["dp", "classical"])),
+    ]
+    if "square" in command:
+        argv += ["--t", str(draw(st.integers(-1, 4)))]
+    if "membership" in command:
+        argv += ["--target", draw(_poly_text(n))]
+    return argv + [draw(_poly_text(n))]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_cli_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_dispatch(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -19,7 +19,7 @@ from apolar import (
     unip_tangent_space,
 )
 from apolar.dp import monomials_upto
-from apolar.errors import CharacteristicTooSmall, ZeroPolynomial
+from apolar.errors import CharacteristicTooSmall, TdfMismatch, ZeroPolynomial
 from apolar.tangent import TangentReport
 
 from conftest import random_form, random_poly, with_fractions
@@ -146,8 +146,10 @@ def test_dense_orbit_binary_quintic_true(rng):
 
 
 def test_dense_orbit_rejects_inhomogeneous():
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(TdfMismatch, match="homogeneous form"):
         dense_orbit_test(P(2, {(3, 0): 1, (1, 0): 1}))
+    with pytest.raises(ZeroPolynomial):
+        dense_orbit_test(P(2, {}))
 
 
 def test_tangent_report_invariant():
