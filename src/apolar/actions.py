@@ -7,9 +7,21 @@ Conventions fixed here (and tested):
   concretely ``compose((phi,u), (psi,v)) = (phi o psi, v * psi^{-1}(u))``;
 * ``exp_group_element(D, tau)`` realises the exponential of the Lie algebra
   element f |-> D_dual(f) + tau -| f as an honest group element.
+
+How the two costly maps are computed:
+
+* ``apply_automorphism_dual`` uses the adjunction <sigma, phi_dual f> =
+  <phi(sigma), f>: the coefficient of x^[b] in phi_dual(f) is
+  <phi(a)^b, f>, one ``pair`` per monomial b with |b| <= deg f, read off a
+  power table of the images truncated at deg f.
+* ``Automorphism.inverse`` writes phi(a) = L a + N(a) with N of order >= 2
+  and solves psi = L^{-1} (a - N(psi)) one degree at a time: the degree-r
+  part of N(psi) only involves the parts of psi below degree r, so round
+  r = 2..trunc substitutes N into psi truncated at r and maps the
+  degree-r part back through L^{-1} as a linear combination.
 """
 
-from .dp import DPPoly, Operator, contract, monomials
+from .dp import DPPoly, Operator, _check_pair, contract, monomials, pair
 from .errors import (
     ArityMismatch,
     FieldMismatch,
@@ -18,14 +30,21 @@ from .errors import (
     SingularMatrix,
 )
 from .fields import char_guard
-from .linalg import rref, solve
+from .linalg import rref
 
 
 def subst(op, images):
-    """Substitute a_i -> images[i] into the operator ``op``."""
+    """Substitute a_i -> images[i] into the operator ``op``, truncated at the
+    images' common truncation."""
     n, field = op.n, op.field
+    if len(images) != n:
+        raise ArityMismatch("need %d images, got %d" % (n, len(images)))
     trunc = images[0].trunc
-    pow_cache = [{0: Operator.one(n, field, trunc)} for _ in range(n)]
+    for im in images:
+        _check_pair(op, im)
+        if im.trunc != trunc:
+            raise FieldMismatch("truncation %d vs %d" % (trunc, im.trunc))
+    pow_cache = [{1: im} for im in images]
 
     def power(i, k):
         cache = pow_cache[i]
@@ -33,14 +52,20 @@ def subst(op, images):
             cache[k] = power(i, k - 1) * images[i]
         return cache[k]
 
-    result = Operator.zero(n, field, trunc)
+    out = {}
     for e, c in op.terms.items():
-        term = Operator.one(n, field, trunc).scale(c)
+        if not any(e):
+            out[e] = field.add(out.get(e, field.zero()), c)
+            continue
+        term = None
         for i, a in enumerate(e):
             if a:
-                term = term * power(i, a)
-        result = result + term
-    return result
+                term = power(i, a) if term is None else term * power(i, a)
+                if term.is_zero():
+                    break
+        for m, v in term.terms.items():
+            out[m] = field.add(out.get(m, field.zero()), field.mul(c, v))
+    return Operator(n, field, out, trunc)
 
 
 class Automorphism:
@@ -87,35 +112,41 @@ class Automorphism:
         return subst(op, self.images)
 
     def inverse(self):
-        """psi with phi(psi(a_i)) = a_i, by degreewise correction."""
+        """psi with phi(psi(a_i)) = a_i, one degree per round.
+
+        With phi(a) = L a + N(a), ord N >= 2, psi = L^-1 (a - N(psi)); the
+        degree-r part of N(psi) needs psi only below degree r.
+        """
         n, field, trunc = self.n, self.field, self.trunc
         lin = self.linear_matrix()
-        unit = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
-        linv_cols = []
-        for i in range(n):
-            col = solve(lin, [unit[j][i] for j in range(n)], field, n)
-            if col is None:
-                raise InvalidAutomorphism("linear part not invertible")
-            linv_cols.append(col)
-        # linv[j][i]: coefficient of a_j in (L^-1 a)_i
-        linv_images = []
-        for i in range(n):
-            terms = {}
-            for j, e in enumerate(monomials(n, 1)):
-                c = linv_cols[i][j]
-                if not field.is_zero(c):
-                    terms[e] = c
-            linv_images.append(Operator(n, field, terms, trunc))
-        psi = list(linv_images)
-        for _ in range(trunc + 1):
-            errs = [
-                subst(psi[i], self.images) - Operator.variable(n, field, i + 1, trunc)
-                for i in range(n)
+        # lin^-1 from one elimination of [lin | 1]; lin is invertible (checked
+        # at construction), so the right half of the reduced rows is lin^-1
+        aug = [row + [field.one() if i == j else field.zero() for j in range(n)]
+               for i, row in enumerate(lin)]
+        red, _ = rref(aug, field, 2 * n)
+        # (L^-1 v)_j = sum_i linv[j][i] v_i, with L = lin transposed
+        linv = [[red[i][n + j] for i in range(n)] for j in range(n)]
+        units = list(monomials(n, 1))
+        psi = [
+            {units[i]: c for i, c in enumerate(linv[j]) if not field.is_zero(c)}
+            for j in range(n)
+        ]
+        nonlinear = [im.part_from(2) for im in self.images]
+        for r in range(2, trunc + 1):
+            known = [Operator(n, field, terms, r) for terms in psi]
+            parts = [
+                subst(Operator(n, field, nl.terms, r), known).homogeneous_part(r)
+                for nl in nonlinear
             ]
-            if all(e.is_zero() for e in errs):
-                break
-            psi = [psi[i] - subst(errs[i], linv_images) for i in range(n)]
-        return Automorphism(psi)
+            for j in range(n):
+                terms = psi[j]
+                for i, part in enumerate(parts):
+                    c = linv[j][i]
+                    if field.is_zero(c):
+                        continue
+                    for e, v in part.terms.items():
+                        terms[e] = field.sub(terms.get(e, field.zero()), field.mul(c, v))
+        return Automorphism([Operator(n, field, terms, trunc) for terms in psi])
 
     def __repr__(self):
         return "<Automorphism %s>" % (self.images,)
@@ -145,26 +176,23 @@ class Derivation:
 
 
 def apply_automorphism_dual(phi, f):
-    """phi_dual(f) = sum_a x^[a] (D^a -| f) with D_i = phi(a_i) - a_i."""
-    if phi.trunc < max(f.degree, 0):
+    """phi_dual(f) = sum_b <phi(a)^b, f> x^[b], the adjoint of phi."""
+    _check_pair(phi, f)
+    d = max(f.degree, 0)
+    if phi.trunc < d:
         raise ArityMismatch("truncation %d below deg f = %d" % (phi.trunc, f.degree))
     n, field = f.n, f.field
-    diffs = [
-        phi.images[i] - Operator.variable(n, field, i + 1, phi.trunc) for i in range(n)
-    ]
-    d = f.degree
-    result = DPPoly.zero(n, field)
-    cache = {(0,) * n: Operator.one(n, field, phi.trunc)}
-    for deg in range(max(d, 0) + 1):
-        for a in monomials(n, deg):
-            if a not in cache:
-                i = next(k for k, ak in enumerate(a) if ak)
-                prev = a[:i] + (a[i] - 1,) + a[i + 1 :]
-                cache[a] = cache[prev] * diffs[i]
-            g = contract(cache[a], f)
-            if not g.is_zero():
-                result = result + DPPoly.monomial(n, field, a) * g
-    return result
+    images = [Operator(n, field, im.terms, d) for im in phi.images]
+    powers = {(0,) * n: Operator.one(n, field, d)}
+    out = {}
+    for deg in range(d + 1):
+        for b in monomials(n, deg):
+            if b not in powers:
+                i = next(k for k, bk in enumerate(b) if bk)
+                prev = b[:i] + (b[i] - 1,) + b[i + 1 :]
+                powers[b] = powers[prev] * images[i]
+            out[b] = pair(powers[b], f)
+    return DPPoly(n, field, out)
 
 
 def apply_derivation_dual(D, f):
@@ -228,6 +256,8 @@ def apply_group_element(g, f):
 
 def compose(g, h):
     """apply(compose(g, h), f) == apply(h, apply(g, f))."""
+    if g.trunc != h.trunc:
+        raise FieldMismatch("truncation %d vs %d" % (g.trunc, h.trunc))
     chi = Automorphism([subst(im, g.aut.images) for im in h.aut.images])
     psi_inv = h.aut.inverse()
     unit = h.unit * subst(g.unit, psi_inv.images)

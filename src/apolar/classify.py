@@ -185,6 +185,8 @@ def lower_degree_step(f, F):
     Requires G = tdf(f - F) nonzero of degree e < deg F; returns (g, f')
     with f' = apply(g, f) and deg(f' - F) < e.
     """
+    if F.is_zero():
+        raise ZeroPolynomial("reduction toward the zero polynomial")
     diff = f - F
     G = diff.tdf()
     if G.is_zero():
@@ -207,6 +209,8 @@ def lower_degree_step(f, F):
 def reduce_toward(f, F, stop_degree=None):
     """Greedy reduction of f towards F; stops when f == F, or when the
     difference has degree below ``stop_degree`` if one is given."""
+    if F.is_zero():
+        raise ZeroPolynomial("reduction toward the zero polynomial")
     d = max(f.degree, F.degree, 1)
     acc = identity_group_element(f.n, f.field, d)
     steps = []

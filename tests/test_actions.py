@@ -30,9 +30,22 @@ from apolar.actions import (
     identity_automorphism,
     lie_apply,
 )
-from apolar.errors import InvalidAutomorphism, NotAUnit, SingularMatrix
+from apolar.dp import monomials, monomials_upto
+from apolar.errors import (
+    ArityMismatch,
+    FieldMismatch,
+    InvalidAutomorphism,
+    NotAUnit,
+    SingularMatrix,
+)
+from apolar.linalg import solve
 
-from conftest import random_group_element, random_poly, random_unipotent
+from conftest import (
+    random_group_element,
+    random_operator,
+    random_poly,
+    random_unipotent,
+)
 
 
 def V(n, i, trunc):
@@ -188,3 +201,160 @@ def test_dual_adjunction_spot(rng):
     f = random_poly(rng, 2, QQ, 4)
     sigma = Operator(2, QQ, {(2, 1): Q(3), (1, 0): Q(-1)}, 4)
     assert pair(phi(sigma), f) == pair(sigma, apply_automorphism_dual(phi, f))
+
+
+def test_compose_rejects_mixed_truncations():
+    one = Operator.one(1, QQ, 4)
+    g = GroupElement(Automorphism([V(1, 1, 4)]), one + V(1, 1, 4).power(4))
+    h = identity_group_element(1, QQ, 3)
+    with pytest.raises(FieldMismatch, match="truncation 4 vs 3"):
+        compose(g, h)
+
+
+def test_subst_checks_its_images():
+    op = V(2, 1, 3) * V(2, 2, 3)
+    with pytest.raises(ArityMismatch):
+        subst(op, [V(2, 1, 3)])
+    with pytest.raises(ArityMismatch):
+        subst(op, [])
+    with pytest.raises(ArityMismatch):
+        subst(op, [Operator.variable(3, QQ, i, 3) for i in (1, 2)])
+    with pytest.raises(FieldMismatch):
+        subst(op, [Operator.variable(2, GF(7), i, 3) for i in (1, 2)])
+    with pytest.raises(FieldMismatch):
+        subst(op, [V(2, 1, 3), V(2, 2, 4)])
+    with pytest.raises(ArityMismatch):
+        apply_automorphism_dual(identity_automorphism(3, QQ, 3), DPPoly(2, QQ, {(1, 1): Q(1)}))
+
+
+# ---------------------------------------------------------------------------
+# Differential oracles: the previous fixed-point inverse, D^a form of the dual
+# action and Operator-per-term substitution, against the library's versions.
+
+
+def _reference_subst(op, images):
+    """Substitution as one Operator product per term, seeded with 1."""
+    n, field = op.n, op.field
+    trunc = images[0].trunc
+    pow_cache = [{0: Operator.one(n, field, trunc)} for _ in range(n)]
+
+    def power(i, k):
+        cache = pow_cache[i]
+        if k not in cache:
+            cache[k] = power(i, k - 1) * images[i]
+        return cache[k]
+
+    result = Operator.zero(n, field, trunc)
+    for e, c in op.terms.items():
+        term = Operator.one(n, field, trunc).scale(c)
+        for i, a in enumerate(e):
+            if a:
+                term = term * power(i, a)
+        result = result + term
+    return result
+
+
+def _reference_inverse(phi):
+    """psi = L^-1 a corrected by psi -= L^-1(psi(phi) - a) until exact."""
+    n, field, trunc = phi.n, phi.field, phi.trunc
+    lin = phi.linear_matrix()
+    linv_images = []
+    for i in range(n):
+        col = solve(lin, [field.one() if j == i else field.zero() for j in range(n)], field, n)
+        terms = {e: c for e, c in zip(monomials(n, 1), col) if not field.is_zero(c)}
+        linv_images.append(Operator(n, field, terms, trunc))
+    psi = list(linv_images)
+    for _ in range(trunc + 1):
+        errs = [
+            _reference_subst(psi[i], phi.images) - Operator.variable(n, field, i + 1, trunc)
+            for i in range(n)
+        ]
+        if all(e.is_zero() for e in errs):
+            break
+        psi = [psi[i] - _reference_subst(errs[i], linv_images) for i in range(n)]
+    return Automorphism(psi)
+
+
+def _reference_apply_dual(phi, f):
+    """phi_dual(f) = sum_a x^[a] (D^a -| f) with D_i = phi(a_i) - a_i."""
+    n, field = f.n, f.field
+    diffs = [phi.images[i] - Operator.variable(n, field, i + 1, phi.trunc) for i in range(n)]
+    result = DPPoly.zero(n, field)
+    cache = {(0,) * n: Operator.one(n, field, phi.trunc)}
+    for deg in range(max(f.degree, 0) + 1):
+        for a in monomials(n, deg):
+            if a not in cache:
+                i = next(k for k, ak in enumerate(a) if ak)
+                cache[a] = cache[a[:i] + (a[i] - 1,) + a[i + 1 :]] * diffs[i]
+            g = contract(cache[a], f)
+            if not g.is_zero():
+                result = result + DPPoly.monomial(n, field, a) * g
+    return result
+
+
+def _sparse_terms(rng, n, field, degrees, count):
+    """Up to ``count`` random monomials of the given degrees, coefficients
+    in -3..3."""
+    exps = [e for e in monomials_upto(n, max(degrees, default=0)) if sum(e) in degrees]
+    return {
+        e: field.from_int(rng.randint(-3, 3))
+        for e in rng.sample(exps, min(count, len(exps)))
+    }
+
+
+def _oracle_automorphism(rng, n, field, trunc, shape):
+    """An automorphism of one of the shapes the library builds or meets:
+
+    * "linear": a random invertible, generally non-unipotent linear part
+      plus sparse terms of every degree 2..trunc;
+    * "step": a_i -> a_i - D_i with D_i homogeneous of one degree >= 2, as
+      the homogeneous reduction step builds it;
+    * "exp": exp(D) for a derivation D with every D(a_i) in m^2, as the
+      general reduction step builds it.
+    """
+    high = range(2, trunc + 1)
+    if shape == "linear":
+        while True:
+            images = []
+            for i in range(n):
+                terms = _sparse_terms(rng, n, field, high, 3)
+                for e in monomials(n, 1):
+                    terms[e] = field.from_int(rng.randint(-3, 3))
+                images.append(Operator(n, field, terms, trunc))
+            try:
+                return Automorphism(images)
+            except InvalidAutomorphism:
+                continue
+    if shape == "step":
+        k = rng.randint(2, max(trunc, 2))
+        return Automorphism([
+            Operator.variable(n, field, i + 1, trunc)
+            - Operator(n, field, _sparse_terms(rng, n, field, [k], 3), trunc)
+            for i in range(n)
+        ])
+    D = Derivation([
+        Operator(n, field, _sparse_terms(rng, n, field, range(2, 4), 2), trunc)
+        for _ in range(n)
+    ])
+    return exp_automorphism(D)
+
+
+@pytest.mark.parametrize("shape", ["linear", "step", "exp"])
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=repr)
+def test_group_layer_matches_reference_oracles(rng, field, shape):
+    for n in (1, 2, 3):
+        for trunc in range(1, 7):
+            phi = _oracle_automorphism(rng, n, field, trunc, shape)
+            psi = phi.inverse()
+            assert psi.images == _reference_inverse(phi).images
+            for sigma in (
+                random_operator(rng, n, field, trunc, density=0.4),
+                random_operator(rng, n, field, trunc + 1, min_order=1, density=0.3),
+            ):
+                for images in (phi.images, psi.images):
+                    out = subst(sigma, images)
+                    assert out == _reference_subst(sigma, images)
+                    assert out.trunc == trunc
+            f = random_poly(rng, n, field, trunc, force_top=False)
+            assert apply_automorphism_dual(phi, f) == _reference_apply_dual(phi, f)
+            assert apply_automorphism_dual(psi, f) == _reference_apply_dual(psi, f)

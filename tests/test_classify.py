@@ -75,6 +75,16 @@ def test_lower_degree_step_rejects_equal_input():
         lower_degree_step(F, F)
 
 
+def test_zero_target_is_an_input_error():
+    f = parse_poly("x1^[3]+x2", 2, QQ)
+    zero = DPPoly.zero(2, QQ)
+    for call in (reduce_toward, lower_degree_step):
+        with pytest.raises(ZeroPolynomial):
+            call(f, zero)
+        with pytest.raises(ZeroPolynomial):
+            call(zero, zero)
+
+
 def test_reduce_toward_trace_replay(rng):
     F = P(2, {(4, 0): 1, (0, 4): 1})
     g = random_unipotent(rng, 2, QQ, 4)
