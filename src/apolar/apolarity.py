@@ -169,16 +169,18 @@ def _shifted_rows(rows, n, degrees, window):
     return out
 
 
-def module_sf(f, k):
-    """The subspace m^k -| f of P (k = 0 gives S f, including f).
-
-    Spanned by the nonzero rows x^e -| D f with |e| >= k.
-    """
+def _module_echelon(f, k):
+    """P_{<= deg f} and the echelon rows of the x^e -| D f with |e| >= k."""
     d = max(f.degree, 0)
     win = Window.P_upto(f.n, d, f.field)
     exps = [e for e in monomials_upto(f.n, d) if sum(e) >= k]
-    rows = [row for row in _contraction_rows(f, exps, range(d + 1)) if any(row)]
-    return Basis(win, rows)
+    rows, _ = _echelon(_contraction_rows(f, exps, range(d + 1)), f.field)
+    return win, rows
+
+
+def module_sf(f, k):
+    """The subspace m^k -| f of P (k = 0 gives S f, including f)."""
+    return Basis(*_module_echelon(f, k))
 
 
 def dim_apolar(f):
@@ -203,7 +205,7 @@ def _filtration_profiles(f):
     rows = list(zip(map(sum, exps), _contraction_rows(f, exps, degrees)))
     profiles = []
     for k in range(d + 2):
-        _, _, pivots = _echelon([row for deg, row in rows if deg >= k], f.field)
+        _, pivots = _echelon([row for deg, row in rows if deg >= k], f.field)
         prof = [0] * (d + 1)
         for p in pivots:
             prof[col_degree[p]] += 1

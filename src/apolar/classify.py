@@ -193,7 +193,7 @@ def lower_degree_step(f, F):
         raise ReductionFailed("f already equals the target")
     e, d = G.degree, F.degree
     if e >= d:
-        raise ReductionFailed("difference degree %d not below deg F = %d" % (e, d))
+        raise TdfMismatch("difference degree %d not below deg F = %d" % (e, d))
     char_guard(f.field, d)
     g = _solve_homogeneous_step(G, F)
     if g is None:

@@ -19,8 +19,10 @@ space is the direct sum of the blocks' row spaces, its reduced echelon form
 is the direct sum of theirs, and each block is eliminated on its own column
 slice.  A row filled from a homogeneous polynomial lives in one degree, so a
 graded space -- every space built from a form -- splits into one block per
-degree.  The integer echelon step (``_echelon``) is separate from the
-normalisation, for callers that need only the pivots.
+degree.  That integer echelon form (``_echelon``) is what callers read:
+``rref`` normalises it, and ``nullspace`` reads the kernel off the echelon
+form of the column-reversed rows, where the kernel vectors come out already
+in reduced echelon form (see there), so nothing is eliminated twice.
 """
 
 from fractions import Fraction
@@ -53,17 +55,17 @@ def _to_primitive(row):
     return ints
 
 
-def _eliminate(work, field, lo, hi):
-    """Reduce the integer rows ``work`` in place on columns lo .. hi-1.
+def _eliminate(work, field):
+    """Reduce the integer rows ``work`` (at least one) in place.
 
     Afterwards work[r] for r < rank has its pivot at pivots[r] and zeros in
-    every other pivot column (the pivot itself is not normalised); the rows
-    are zero outside lo .. hi-1 on entry.  Returns the pivot columns.
+    every other pivot column (the pivot itself is not normalised).  Returns
+    the pivot columns.
     """
     q, p = field.is_rationals, field.p
     pivots = []
     rank = 0
-    for col in range(lo, hi):
+    for col in range(len(work[0])):
         pivot_row = None
         for r in range(rank, len(work)):
             if work[r][col] != 0:
@@ -103,18 +105,17 @@ def _eliminate(work, field, lo, hi):
 def _echelon(rows, field):
     """Integer reduced echelon form, pivots not normalised.
 
-    Returns (rows, offsets, pivots): rows[r] is the slice of the r-th
-    reduced row that starts at column offsets[r], its pivot (an int, not
-    necessarily 1) sits at column pivots[r], and the row is zero outside
-    the slice.  Pivots are increasing.
+    Returns (rows, pivots): rows[r] is the r-th reduced row, as wide as the
+    input rows, with its pivot (an int, not necessarily 1) at column
+    pivots[r] and zeros at every other pivot column.  Pivots are increasing.
 
     Each nonzero input row becomes an integer row (primitive over Q,
     residues over F_p) and is placed by its first and last nonzero column.
     Rows whose [first, last] intervals overlap form a column block; the
     blocks are disjoint, so the row space is their direct sum and so is its
-    reduced echelon form.  Each block is eliminated on its own column slice;
-    a single block is eliminated in place on the full rows.  The rows that
-    come back may be the caller's own lists; neither side mutates them.
+    reduced echelon form.  Each block is eliminated on its own column slice
+    and its rows padded back to full width, so the caller's lists are never
+    mutated or returned.
     """
     if field.is_rationals:
         work = [_to_primitive(row) for row in rows]
@@ -137,56 +138,57 @@ def _echelon(rows, field):
         else:
             blocks.append([first, last, [row]])
 
-    if len(blocks) == 1:
-        lo, hi, block = blocks[0]
-        pivots = _eliminate(block, field, lo, hi + 1)
-        return block[: len(pivots)], [0] * len(pivots), pivots
-    out, offsets, pivots = [], [], []
+    out, pivots = [], []
     for lo, hi, block in blocks:
+        pad = [0] * (len(block[0]) - hi - 1)
         block = [row[lo : hi + 1] for row in block]
-        piv = _eliminate(block, field, 0, hi + 1 - lo)
-        out += block[: len(piv)]
-        offsets += [lo] * len(piv)
+        piv = _eliminate(block, field)
+        out += [[0] * lo + row + pad for row in block[: len(piv)]]
         pivots += [lo + c for c in piv]
-    return out, offsets, pivots
+    return out, pivots
 
 
 def rref(rows, field, ncols):
     """Reduced row echelon form.  Returns (rows, pivot_columns).
 
-    Rows come back as lists of field elements with pivots equal to 1,
-    sorted by pivot column.
+    Every row has ``ncols`` entries.  Rows come back as lists of field
+    elements with pivots equal to 1, sorted by pivot column.
     """
-    work, offsets, pivots = _echelon(rows, field)
+    work, pivots = _echelon(rows, field)
+    zero, p = field.zero(), field.p
     out = []
-    zero = field.zero()
-    for row, lo, pc in zip(work, offsets, pivots):
-        piv = row[pc - lo]
-        if field.is_rationals:
-            body = [Fraction(x, piv) if x else zero for x in row]
+    for row, pc in zip(work, pivots):
+        if p:
+            inv = pow(row[pc], -1, p)
+            out.append([(x * inv) % p for x in row])
         else:
-            inv = pow(piv, -1, field.p)
-            body = [(x * inv) % field.p for x in row]
-        if len(body) < ncols:
-            body = [zero] * lo + body + [zero] * (ncols - lo - len(body))
-        out.append(body)
+            out.append([Fraction(x, row[pc]) if x else zero for x in row])
     return out, pivots
 
 
 def nullspace(rows, field, ncols):
-    """Basis (as RREF) of {x : M x = 0}, M given by ``rows``."""
-    red, pivots = rref(rows, field, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [field.zero()] * ncols
-        vec[fc] = field.one()
-        for r, pc in enumerate(pivots):
-            vec[pc] = field.neg(red[r][fc])
-        basis.append(vec)
-    out, _ = rref(basis, field, ncols)
-    return out
+    """Basis (as RREF) of {x : M x = 0}, M given by ``rows``.
+
+    Read off one ``_echelon`` of the column-reversed rows.  In the original
+    order each of its rows ends at its pivot column pc and is 0 at the other
+    pivot columns, so the kernel vector of a free column c (1 at c, x_pc =
+    -row[c] / row[pc]) is 0 left of c and at every other free column: sorted
+    by c, the vectors are the kernel's (unique) reduced echelon form.
+    """
+    red, pivots = _echelon([row[::-1] for row in rows], field)
+    last = ncols - 1  # column c of a reversed row sits at last - c
+    pivot_set = {last - pc for pc in pivots}
+    zero, one, p = field.zero(), field.one(), field.p
+    kernel = {c: [zero] * c + [one] + [zero] * (last - c)
+              for c in range(ncols) if c not in pivot_set}
+    for row, pc in zip(red, pivots):
+        den = -row[pc]
+        inv = pow(den, -1, p) if p else None
+        for j in compress(count(), row):
+            if j != pc:
+                x = row[j]
+                kernel[last - j][last - pc] = x * inv % p if p else Fraction(x, den)
+    return list(kernel.values())
 
 
 def solve(rows, rhs, field, ncols):
@@ -382,13 +384,9 @@ class Basis:
         target = win.dual() if degrees is None else Window(
             "S" if win.space == "P" else "P", win.n, degrees, win.field
         )
-        eqs = []
-        for r in self.rows:
-            eq = []
-            for e in target.columns:
-                idx = win.index.get(e)
-                eq.append(r[idx] if idx is not None else win.field.zero())
-            eqs.append(eq)
+        zero = win.field.zero()
+        cols = [win.index.get(e) for e in target.columns]
+        eqs = [[zero if i is None else r[i] for i in cols] for r in self.rows]
         rows = nullspace(eqs, win.field, target.dim)
         return Basis(target, rows, reduced=True)
 

@@ -12,7 +12,7 @@ so with k = 1 (full) or k = 2 (unipotent) the space is
     m^{k-1} f + sum_i x_i (m^k f).
 
 Here m^{k-1} f is spanned by m^k f and the contractions of f by the
-degree-(k-1) monomials (f itself, or the a_j -| f).  One ``span`` of m^k f
+degree-(k-1) monomials (f itself, or the a_j -| f).  One echelon form of m^k f
 gives a basis B, and the tangent space is spanned by those contractions, B
 and the n shifts x_i B: (n + 1) dim(m^k f) + binom(n+k-2, k-1) rows in
 place of the n binom(n+d+1, n) + binom(n+d, n) contractions tau -| (x_i f)
@@ -20,10 +20,10 @@ and sigma -| f of the defining formula.  Everything is truncated at
 N = deg f.
 
 All these rows are integer rows placed by column index.  The contractions
-are filled from D f (f scaled to primitive integer coefficients), each basis
-row of m^k f is made a primitive integer row once, and
-x_i x^[u] = (u_i + 1) x^[u + e_i] shifts it.  None of this goes through
-``contract`` or the DPPoly product.
+are filled from D f (f scaled to primitive integer coefficients), B is the
+integer echelon form of m^k f (``_echelon``'s rows, never made Fractions),
+and x_i x^[u] = (u_i + 1) x^[u + e_i] shifts its rows.  None of this goes
+through ``contract`` or the DPPoly product.
 
 Perps are computed twice -- once as the orthogonal complement of the
 tangent basis, once from the direct degree conditions on sigma and its
@@ -34,30 +34,27 @@ import math
 from dataclasses import dataclass
 from operator import ge, sub
 
-from .apolarity import _contraction_rows, _scaled_coeffs, _shifted_rows, module_sf
+from .apolarity import _contraction_rows, _module_echelon, _scaled_coeffs, _shifted_rows
 from .dp import monomials, monomials_upto
 from .errors import CrossCheckFailed, IndexOutOfRange, TdfMismatch, ZeroPolynomial
 from .fields import char_guard
-from .linalg import Basis, Window, _to_primitive, nullspace
+from .linalg import Basis, Window, nullspace
 
 
 def _pruned_tangent(f, k):
     """Canonical basis of m^{k-1} f + sum_i x_i (m^k f) inside P_{<= deg f}.
 
     The rows are integers: the contractions of D f by the degree-(k-1)
-    monomials, each basis row of m^k f as a primitive integer row, and its
-    shifts x_i x^[u] = (u_i + 1) x^[u + e_i], placed by column index.
+    monomials, the integer echelon rows of m^k f, and their shifts
+    x_i x^[u] = (u_i + 1) x^[u + e_i], placed by column index.
     """
     if f.is_zero():
         raise ZeroPolynomial("tangent space of the zero polynomial")
-    n, field = f.n, f.field
-    mk = module_sf(f, k)
-    win = mk.window
+    win, gs = _module_echelon(f, k)
     d = max(f.degree, 0)
-    rows = _contraction_rows(f, monomials(n, k - 1), range(d + 1))
+    rows = _contraction_rows(f, monomials(f.n, k - 1), range(d + 1))
     # m^k f lies in P_{<= d-1}, so its rows are shifted from degrees < d
-    gs = [_to_primitive(g) for g in mk.rows] if field.is_rationals else mk.rows
-    for g, shifts in zip(gs, _shifted_rows(gs, n, range(d), win)):
+    for g, shifts in zip(gs, _shifted_rows(gs, f.n, range(d), win)):
         rows.append(g)
         rows += shifts
     return Basis(win, rows)

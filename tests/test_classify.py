@@ -75,6 +75,15 @@ def test_lower_degree_step_rejects_equal_input():
         lower_degree_step(F, F)
 
 
+def test_lower_target_degree_is_an_input_error():
+    # f - F has degree 4 >= deg F = 3: the leading forms differ, so this is a
+    # guard (exit 2), not an internal failure
+    f, F = parse_poly("x1^[4]", 1, QQ), parse_poly("x1^[3]", 1, QQ)
+    for call in (lower_degree_step, reduce_toward):
+        with pytest.raises(TdfMismatch, match="difference degree 4 not below deg F = 3"):
+            call(f, F)
+
+
 def test_zero_target_is_an_input_error():
     f = parse_poly("x1^[3]+x2", 2, QQ)
     zero = DPPoly.zero(2, QQ)

@@ -277,7 +277,9 @@ def test_block_split_matches_oracle(field, rng):
         rows, ncols = _block_matrix(rng, field)
         got = rref(rows, field, ncols)
         assert _typed(got) == _typed(_reference_rref(rows, field, ncols)), rows
-        assert _echelon(rows, field)[2] == got[1]
+        echelon, pivots = _echelon(rows, field)
+        assert pivots == got[1]
+        assert all(len(row) == ncols for row in echelon)
 
 
 def test_window_budget_guard_fires_from_the_computed_size():
@@ -296,3 +298,45 @@ def test_window_budget_guard_fires_from_the_computed_size():
         Window.P_upto(0, 2, QQ)
     with pytest.raises(WindowTooLarge):
         perp_tangent(DPPoly(2, QQ, {(2, 0): Q(1)}), max_degree=10**6)
+
+
+# Differential oracle for nullspace: one kernel vector per free column built
+# from the normalised reference rref, then put in reduced echelon form by a
+# second reference rref.
+
+
+def _reference_nullspace(rows, field, ncols):
+    red, pivots = _reference_rref(rows, field, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [field.zero()] * ncols
+        vec[fc] = field.one()
+        for r, pc in enumerate(pivots):
+            vec[pc] = field.neg(red[r][fc])
+        basis.append(vec)
+    return _reference_rref(basis, field, ncols)[0]
+
+
+def _kernel_cases(rng, field):
+    kinds = ["int", "frac", "mixed"] if field.is_rationals else ["int"]
+    for _ in range(150):
+        yield _random_matrix(rng, rng.choice(kinds))
+        yield _block_matrix(rng, field)
+    for _ in range(30):  # duplicated rows and a zero row
+        rows, ncols = _random_matrix(rng, rng.choice(kinds))
+        yield rows + [list(r) for r in rows] + [[0] * ncols], ncols
+    for n in range(1, 5):  # full rank: identity and a unit upper triangle
+        yield [[int(i == j) for j in range(n)] for i in range(n)], n
+        yield [[rng.randint(1, 9) if j > i else int(i == j) for j in range(n)]
+               for i in range(n)], n
+    yield from (([], 0), ([[]], 0), ([], 3), ([[0], [0]], 1), ([[5]], 1), ([[-3]], 1))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_nullspace_matches_two_rref_oracle(field, rng):
+    for rows, ncols in _kernel_cases(rng, field):
+        got = nullspace(rows, field, ncols)
+        want = _reference_nullspace(rows, field, ncols)
+        assert _typed((got, None)) == _typed((want, None)), (rows, ncols)

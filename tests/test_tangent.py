@@ -19,8 +19,14 @@ from apolar import (
     unip_tangent_space,
 )
 from apolar.dp import monomials_upto
-from apolar.errors import CharacteristicTooSmall, TdfMismatch, ZeroPolynomial
-from apolar.tangent import TangentReport
+from apolar.errors import (
+    CharacteristicTooSmall,
+    CrossCheckFailed,
+    TdfMismatch,
+    ZeroPolynomial,
+)
+from apolar.linalg import Basis
+from apolar.tangent import TangentReport, _checked_perp
 
 from conftest import random_form, random_poly, with_fractions
 
@@ -206,6 +212,27 @@ def test_pruned_tangent_matches_generator_oracle(field, rng):
             for f in polys:
                 assert tangent_space(f) == _reference_tangent(f, False)
                 assert unip_tangent_space(f) == _reference_tangent(f, True)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+@pytest.mark.parametrize("unipotent", [False, True])
+def test_cross_check_rejects_a_wrong_tangent_basis(field, unipotent):
+    # A tangent basis with one row dropped, or with one row changed at a
+    # non-pivot column right of its pivot (still RREF, so a different space
+    # of the same dimension), has a different perp than _perp_direct's.
+    for F in (F2, F3):
+        f = P(3, {e: int(c) for e, c in F.terms.items()}, field)
+        tang = unip_tangent_space(f) if unipotent else tangent_space(f)
+        d = f.degree
+        _checked_perp(f, tang, unipotent, d)  # the true basis passes
+        rows = tang.rows
+        pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
+        free = next(c for c in range(pivots[0] + 1, tang.window.dim) if c not in pivots)
+        perturbed = [list(r) for r in rows]
+        perturbed[0][free] = field.add(perturbed[0][free], field.one())
+        for wrong in (rows[1:], perturbed):
+            with pytest.raises(CrossCheckFailed):
+                _checked_perp(f, Basis(tang.window, wrong), unipotent, d)
 
 
 def test_cangrad_filter_values():
