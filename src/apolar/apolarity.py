@@ -1,9 +1,11 @@
 """Annihilators, Hilbert functions, compressedness, symmetric decomposition.
 
 All ideal-theoretic data is computed degree by degree with linear algebra:
-``ann_graded`` is the kernel of the catalecticant map S_i -> P, and
-``ideal_square_graded`` multiplies out a degreewise generating set of the
-annihilator.
+``ann_graded`` is the kernel of the catalecticant map S_i -> P.  The degree-i
+generators are the rows of I_i = Ann(f)_i at pivot columns (columns outside the
+span of those before them) of one echelon form of the columns a_t sigma, sigma
+in I_{i-1}, then I_i's rows.  ``ideal_square_graded`` spans (I^2)_i by the
+integer rows g tau, g a generator and tau in I, filled by index: a^u a^v = a^{u+v}.
 
 The rows of the contractions x^e -| f (``module_sf``, the catalecticant,
 the filtration profiles) are integer rows filled by exponent lookup,
@@ -16,7 +18,7 @@ import math
 from itertools import compress, count
 from operator import add
 
-from .dp import DPPoly, Operator, monomials, monomials_upto
+from .dp import DPPoly, monomials, monomials_upto
 from .errors import DecompositionInvariantViolated, IndexOutOfRange, ZeroPolynomial
 from .linalg import (
     Basis,
@@ -25,7 +27,6 @@ from .linalg import (
     _echelon,
     _to_primitive,
     nullspace,
-    span,
 )
 
 
@@ -309,6 +310,23 @@ def symmetric_decomposition(f):
     return SymmetricDecomposition(deltas)
 
 
+def _products(n, left, a, right, b, win):
+    """The integer rows of g h in ``win`` = S_{a+b} for g in ``left`` (rows
+    over S_a) and h in ``right`` (over S_b), each scaled to an integer row."""
+    table = [[win.index[tuple(map(add, u, v))] for v in monomials(n, b)]
+             for u in monomials(n, a)]
+    right = [_to_primitive(h) for h in right]
+    out = []
+    for g in map(_to_primitive, left):
+        for h in right:
+            row = [0] * win.dim
+            for j in compress(count(), g):
+                for k in compress(count(), h):
+                    row[table[j][k]] += g[j] * h[k]
+            out.append(row)
+    return out
+
+
 def ann_generators(f, upto):
     """Degreewise minimal generators of Ann(f) up to degree ``upto``.
 
@@ -317,39 +335,25 @@ def ann_generators(f, upto):
     """
     if upto < 0:
         raise IndexOutOfRange("annihilator degree bound must be >= 0, got %d" % upto)
-    n, field = f.n, f.field
-    _check_window_size(n, range(upto + 1))  # the pieces fill S_{<= upto}
+    if f.is_zero():
+        raise ZeroPolynomial("annihilator of the zero polynomial")
+    _check_window_size(f.n, range(upto + 1))  # the pieces fill S_{<= upto}
     pieces = {i: ann_graded(f, i) for i in range(upto + 1)}
+    units = [[int(j == t) for j in range(f.n)] for t in range(f.n)]
     gens = []
     for i in range(1, upto + 1):
-        win = Window.S_graded(n, i, field)
-        prods = []
-        for sigma in pieces[i - 1].vectors():
-            sigma = Operator(n, field, sigma.terms, i)
-            for t in range(1, n + 1):
-                prods.append(Operator.variable(n, field, t, i) * sigma)
-        reducible = span([p for p in prods if not p.is_zero()], win)
-        current = reducible
-        for v in pieces[i].vectors():
-            if not current.contains(v):
-                gens.append(v)
-                current = current.sum(span([v], win))
+        I = pieces[i]
+        cols = _products(f.n, pieces[i - 1].rows, i - 1, units, 1, I.window)
+        _, pivots = _echelon([list(r) for r in zip(*cols, *I.rows)], f.field)
+        gens += [I.window.decode(I.rows[c - len(cols)]) for c in pivots if c >= len(cols)]
     return gens, pieces
 
 
 def ideal_square_graded(f, i):
     """(I^2)_i for I = Ann(f), via a degreewise generating set."""
-    n, field = f.n, f.field
     gens, pieces = ann_generators(f, i)
-    win = Window.S_graded(n, i, field)
-    prods = []
-    for g in gens:
-        dg = g.degree
-        if dg >= i:
-            continue
-        g_i = Operator(n, field, g.terms, i)
-        for tau in pieces[i - dg].vectors():
-            p = g_i * Operator(n, field, tau.terms, i)
-            if not p.is_zero():
-                prods.append(p)
-    return span(prods, win)
+    rows = []
+    for e in range(1, i):
+        left = [pieces[e].window.encode(g) for g in gens if g.degree == e]
+        rows += _products(f.n, left, e, pieces[i - e].rows, i - e, pieces[i].window)
+    return Basis(pieces[i].window, rows)

@@ -26,9 +26,10 @@ ZERO_DEG = -1  # degree of the zero polynomial: any value < 0 works
 
 
 def monomials(n, d):
-    """Exponent tuples of total degree d in n variables, lex-descending."""
+    """Exponent tuples of total degree d (none if d < 0) in n variables, lex-descending."""
     if n == 1:
-        yield (d,)
+        if d >= 0:
+            yield (d,)
         return
     for first in range(d, -1, -1):
         for rest in monomials(n - 1, d - first):

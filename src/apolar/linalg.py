@@ -353,20 +353,14 @@ class Basis:
             raise AmbientMismatch("windows differ: %r vs %r" % (self.window, other.window))
 
     def contains_vector(self, vec):
-        row = self.window.encode(vec) if not isinstance(vec, list) else list(vec)
-        field = self.window.field
-        pivots = {next(i for i, x in enumerate(r) if not field.is_zero(x)): r for r in self.rows}
-        for col, prow in sorted(pivots.items()):
-            c = row[col]
-            if field.is_zero(c):
-                continue
-            row = [field.sub(a, field.mul(c, b)) for a, b in zip(row, prow)]
-        return all(field.is_zero(x) for x in row)
+        row = self.window.encode(vec) if not isinstance(vec, list) else vec
+        if len(row) != self.window.dim:
+            raise AmbientMismatch("row of %d entries, window of %d" % (len(row), self.window.dim))
+        return len(_echelon(self.rows + [row], self.window.field)[1]) == self.dim
 
     def contains(self, other):
         if isinstance(other, Basis):
-            self._require_same_window(other)
-            return all(self.contains_vector(list(r)) for r in other.rows)
+            return self.sum(other).dim == self.dim
         return self.contains_vector(other)
 
     def sum(self, other):

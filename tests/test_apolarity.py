@@ -26,6 +26,7 @@ from apolar.linalg import Basis, Window
 from apolar.parsing import parse_poly
 
 from conftest import random_form, random_poly, with_fractions
+from test_linalg import _reference_contains
 
 
 def P(n, terms, field=QQ):
@@ -101,6 +102,17 @@ def test_ideal_square_border_rank_two():
     F = P(2, {(4, 1): 1})
     assert ideal_square_graded(F, 3).dim == 0
     assert ideal_square_graded(F, 4).dim == 1  # b^4
+
+
+def test_annihilator_of_zero_rejected():
+    # Ann(0) = S is generated by 1, which no degree >= 1 scan finds
+    for n in (1, 2, 3):
+        for field in (QQ, GF(2)):
+            zero = DPPoly.zero(n, field)
+            with pytest.raises(ZeroPolynomial):
+                ann_generators(zero, 2)
+            with pytest.raises(ZeroPolynomial):
+                ideal_square_graded(zero, 2)
 
 
 def test_module_sf():
@@ -274,3 +286,73 @@ def test_ann_graded_is_the_catalecticant_kernel(field, rng):
                     ]
                     rank = span(image, Window.P_upto(n, d, field)).dim
                     assert ann.dim == len(image) - rank, (f, i)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: generators by a greedy scan of I_i against explicit
+# Operator products a_t sigma (membership by ``_reference_contains``), and
+# (I^2)_i spanned by Operator products g tau.
+
+
+def _reference_ann_generators(f, upto):
+    n, field = f.n, f.field
+    pieces = {i: ann_graded(f, i) for i in range(upto + 1)}
+    gens = []
+    for i in range(1, upto + 1):
+        win = Window.S_graded(n, i, field)
+        prods = []
+        for sigma in pieces[i - 1].vectors():
+            sigma = Operator(n, field, sigma.terms, i)
+            for t in range(1, n + 1):
+                prods.append(Operator.variable(n, field, t, i) * sigma)
+        current = span([p for p in prods if not p.is_zero()], win)
+        for v in pieces[i].vectors():
+            if not _reference_contains(current, win.encode(v)):
+                gens.append(v)
+                current = current.sum(span([v], win))
+    return gens, pieces
+
+
+def _reference_ideal_square(f, i):
+    n, field = f.n, f.field
+    gens, pieces = _reference_ann_generators(f, i)
+    prods = []
+    for g in gens:
+        dg = g.degree
+        if dg >= i:
+            continue
+        g_i = Operator(n, field, g.terms, i)
+        for tau in pieces[i - dg].vectors():
+            p = g_i * Operator(n, field, tau.terms, i)
+            if not p.is_zero():
+                prods.append(p)
+    return span(prods, Window.S_graded(n, i, field))
+
+
+def _typed_operators(ops):
+    return [(g.trunc, sorted((e, type(c), c) for e, c in g.terms.items())) for g in ops]
+
+
+def _typed_rows(basis):
+    return [[(type(x), x) for x in row] for row in basis.rows]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)], ids=str)
+def test_ann_generators_and_square_match_product_oracle(field, rng):
+    for n in (1, 2, 3):
+        for d in range(0, 6):
+            polys = [random_form(rng, n, field, d), random_poly(rng, n, field, d)]
+            if field.is_rationals:
+                polys += [with_fractions(rng, f) for f in polys]
+            for f in polys:
+                gens, pieces = ann_generators(f, d + 1)
+                want, _ = _reference_ann_generators(f, d + 1)
+                assert _typed_operators(gens) == _typed_operators(want), (f, d)
+                for k in range(1, d + 1):  # truncated below the socle degree
+                    got, _ = ann_generators(f, k)
+                    assert _typed_operators(got) == _typed_operators(
+                        [g for g in want if g.degree <= k]), (f, k)
+                for i in range(d + 2):
+                    got, want = ideal_square_graded(f, i), _reference_ideal_square(f, i)
+                    assert got.window == want.window, (f, i)
+                    assert _typed_rows(got) == _typed_rows(want), (f, i)

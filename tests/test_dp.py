@@ -2,7 +2,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from apolar import GF, QQ, ClassicalPoly, DPPoly, Operator, contract, omega, omega_inv, pair
+from apolar import (
+    GF, QQ, ClassicalPoly, DPPoly, Operator, Window, ann_graded, contract, omega, omega_inv, pair,
+)
 from apolar.dp import ZERO_DEG, grlex_key, monomials, monomials_upto
 from apolar.errors import ArityMismatch, CharacteristicTooSmall, FieldMismatch, IndexOutOfRange
 
@@ -20,6 +22,16 @@ def test_monomial_order():
     assert ms == [(2, 0), (1, 1), (0, 2)]  # lex-descending within a degree
     keys = [grlex_key(e) for e in monomials_upto(2, 3)]
     assert keys == sorted(keys)
+
+
+def test_no_monomials_of_negative_degree():
+    for n in (1, 2, 3):
+        for d in (-1, -2):
+            assert list(monomials(n, d)) == []
+            assert Window("P", n, (d,), QQ).columns == []
+        f = P(n, {(2,) + (0,) * (n - 1): 1})
+        assert ann_graded(f, -1).dim == 0
+        assert ann_graded(f, -1).window.columns == []
 
 
 def test_dp_product_binomials():

@@ -340,3 +340,55 @@ def test_nullspace_matches_two_rref_oracle(field, rng):
         got = nullspace(rows, field, ncols)
         want = _reference_nullspace(rows, field, ncols)
         assert _typed((got, None)) == _typed((want, None)), (rows, ncols)
+
+
+# Differential oracle for membership: the reduction of a row against the
+# basis's pivot rows, one field operation at a time.
+
+
+def _reference_contains(basis, row):
+    field = basis.window.field
+    pivots = {next(i for i, x in enumerate(r) if not field.is_zero(x)): r for r in basis.rows}
+    for col, prow in sorted(pivots.items()):
+        c = row[col]
+        if field.is_zero(c):
+            continue
+        row = [field.sub(a, field.mul(c, b)) for a, b in zip(row, prow)]
+    return all(field.is_zero(x) for x in row)
+
+
+def _random_row(rng, field, ncols):
+    return [field.from_int(rng.choice([0, 0, rng.randint(-5, 5)])) for _ in range(ncols)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
+def test_contains_matches_reduction_oracle(field, rng):
+    for _ in range(150):
+        win = Window.P_upto(rng.randint(1, 3), rng.randint(0, 3), field)
+        rows = [_random_row(rng, field, win.dim) for _ in range(rng.randint(0, win.dim))]
+        if field.is_rationals:
+            rows = [[x * rng.choice([1, Q(1, 2), Q(-5, 3)]) for x in r] for r in rows]
+        basis = Basis(win, rows)
+        members = []
+        for _ in range(3 if rows else 0):  # k r + s for rows r, s of the basis
+            k, r, s = field.from_int(rng.randint(-3, 3)), rng.choice(rows), rng.choice(rows)
+            members.append([field.add(field.mul(k, a), b) for a, b in zip(r, s)])
+        others = [_random_row(rng, field, win.dim) for _ in range(3)]
+        for row in members + others + [[field.zero()] * win.dim]:
+            assert basis.contains(row) == _reference_contains(basis, row), (rows, row)
+            assert basis.contains(win.decode(row)) == _reference_contains(basis, row)
+        assert all(basis.contains(row) for row in members)
+        for sub in (Basis(win, rows[: len(rows) // 2]), Basis(win, others), Basis(win, [])):
+            for big, small in ((basis, sub), (sub, basis)):
+                want = all(_reference_contains(big, list(r)) for r in small.rows)
+                assert big.contains(small) == want, (rows, others)
+
+
+def test_contains_vector_rejects_rows_of_the_wrong_width():
+    basis = Basis(Window.P_graded(2, 2, QQ), [[1, 0, 0]])
+    assert basis.contains([2, 0, 0]) and not basis.contains([0, 1, 0])
+    for row in ([1], [1, 0, 0, 5], []):
+        with pytest.raises(AmbientMismatch):
+            basis.contains_vector(row)
+        with pytest.raises(AmbientMismatch):
+            basis.contains(row)

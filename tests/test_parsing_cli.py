@@ -145,6 +145,7 @@ BOUNDARY_STDERR = {
         "IndexOutOfRange: square-ideal reduction needs t >= 0, got t = -1",
     ("reduce", "--method", "square", "--t", "0", "--vars", "1", "0"):
         "ZeroPolynomial: square-ideal reduction of the zero polynomial",
+    ("ann", "--vars", "2", "0"): "ZeroPolynomial: annihilator of the zero polynomial",
 }
 
 
@@ -162,6 +163,7 @@ BOUNDARY_STDERR = {
     (["dense-test", "x1^[3]+x1"], 2),
     (["reduce", "--method", "square", "--t", "-1", "x1^[3]+x1"], 2),
     (["reduce", "--method", "square", "--t", "0", "--vars", "1", "0"], 2),
+    (["ann", "--vars", "2", "0"], 2),
 ])
 def test_cli_boundary_inputs_exit_cleanly(capsys, argv, code):
     assert cli_dispatch(argv) == code
