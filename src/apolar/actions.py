@@ -65,7 +65,7 @@ def subst(op, images):
                     break
         for m, v in term.terms.items():
             out[m] = field.add(out.get(m, field.zero()), field.mul(c, v))
-    return Operator(n, field, out, trunc)
+    return images[0]._make(out)  # keys of the images' products, trunc as theirs
 
 
 class Automorphism:

@@ -20,14 +20,7 @@ from operator import add
 
 from .dp import DPPoly, monomials, monomials_upto
 from .errors import DecompositionInvariantViolated, IndexOutOfRange, ZeroPolynomial
-from .linalg import (
-    Basis,
-    Window,
-    _check_window_size,
-    _echelon,
-    _to_primitive,
-    nullspace,
-)
+from .linalg import Basis, Window, _check_window_size, _decode, _echelon, _to_primitive
 
 
 class HilbertFunction:
@@ -98,8 +91,7 @@ def ann_graded(f, i):
     """
     win = Window.S_graded(f.n, i, f.field)
     targets = monomials_upto(f.n, f.degree - i)
-    rows = nullspace(_contraction_rows(f, targets, (i,)), f.field, win.dim)
-    return Basis(win, rows, reduced=True)
+    return Basis._of_kernel(win, _contraction_rows(f, targets, (i,)))
 
 
 def _scaled_coeffs(f):
@@ -170,18 +162,12 @@ def _shifted_rows(rows, n, degrees, window):
     return out
 
 
-def _module_echelon(f, k):
-    """P_{<= deg f} and the echelon rows of the x^e -| D f with |e| >= k."""
-    d = max(f.degree, 0)
-    win = Window.P_upto(f.n, d, f.field)
-    exps = [e for e in monomials_upto(f.n, d) if sum(e) >= k]
-    rows, _ = _echelon(_contraction_rows(f, exps, range(d + 1)), f.field)
-    return win, rows
-
-
 def module_sf(f, k):
-    """The subspace m^k -| f of P (k = 0 gives S f, including f)."""
-    return Basis(*_module_echelon(f, k))
+    """The subspace m^k -| f of P (k = 0 gives S f, including f): the span
+    of the rows x^e -| D f with |e| >= k in P_{<= deg f}."""
+    d = max(f.degree, 0)
+    exps = [e for e in monomials_upto(f.n, d) if sum(e) >= k]
+    return Basis(Window.P_upto(f.n, d, f.field), _contraction_rows(f, exps, range(d + 1)))
 
 
 def dim_apolar(f):
@@ -311,13 +297,12 @@ def symmetric_decomposition(f):
 
 
 def _products(n, left, a, right, b, win):
-    """The integer rows of g h in ``win`` = S_{a+b} for g in ``left`` (rows
-    over S_a) and h in ``right`` (over S_b), each scaled to an integer row."""
+    """The integer rows of g h in ``win`` = S_{a+b} for g in ``left`` (integer
+    rows over S_a) and h in ``right`` (integer rows over S_b)."""
     table = [[win.index[tuple(map(add, u, v))] for v in monomials(n, b)]
              for u in monomials(n, a)]
-    right = [_to_primitive(h) for h in right]
     out = []
-    for g in map(_to_primitive, left):
+    for g in left:
         for h in right:
             row = [0] * win.dim
             for j in compress(count(), g):
@@ -327,12 +312,9 @@ def _products(n, left, a, right, b, win):
     return out
 
 
-def ann_generators(f, upto):
-    """Degreewise minimal generators of Ann(f) up to degree ``upto``.
-
-    Generators in degree i are a complement of S_1 * I_{i-1} inside I_i,
-    chosen deterministically from the canonical basis of I_i.
-    """
+def _generator_rows(f, upto):
+    """(gens, pieces): pieces[i] = Ann(f)_i for 0 <= i <= upto, and gens[i] for
+    1 <= i <= upto the degree-i generators, as canonical integer rows of I_i."""
     if upto < 0:
         raise IndexOutOfRange("annihilator degree bound must be >= 0, got %d" % upto)
     if f.is_zero():
@@ -340,20 +322,29 @@ def ann_generators(f, upto):
     _check_window_size(f.n, range(upto + 1))  # the pieces fill S_{<= upto}
     pieces = {i: ann_graded(f, i) for i in range(upto + 1)}
     units = [[int(j == t) for j in range(f.n)] for t in range(f.n)]
-    gens = []
+    gens = {}
     for i in range(1, upto + 1):
         I = pieces[i]
-        cols = _products(f.n, pieces[i - 1].rows, i - 1, units, 1, I.window)
-        _, pivots = _echelon([list(r) for r in zip(*cols, *I.rows)], f.field)
-        gens += [I.window.decode(I.rows[c - len(cols)]) for c in pivots if c >= len(cols)]
+        cols = _products(f.n, pieces[i - 1]._rows, i - 1, units, 1, I.window)
+        _, pivots = _echelon([list(r) for r in zip(*cols, *I._rows)], f.field)
+        gens[i] = [I._rows[c - len(cols)] for c in pivots if c >= len(cols)]
     return gens, pieces
+
+
+def ann_generators(f, upto):
+    """Degreewise minimal generators of Ann(f) up to degree ``upto``.
+
+    Generators in degree i are a complement of S_1 * I_{i-1} inside I_i,
+    chosen deterministically from the canonical basis of I_i.
+    """
+    gens, pieces = _generator_rows(f, upto)
+    return [pieces[i].window.decode(g) for i in gens for g in _decode(gens[i], f.field)], pieces
 
 
 def ideal_square_graded(f, i):
     """(I^2)_i for I = Ann(f), via a degreewise generating set."""
-    gens, pieces = ann_generators(f, i)
+    gens, pieces = _generator_rows(f, i)
     rows = []
     for e in range(1, i):
-        left = [pieces[e].window.encode(g) for g in gens if g.degree == e]
-        rows += _products(f.n, left, e, pieces[i - e].rows, i - e, pieces[i].window)
+        rows += _products(f.n, gens[e], e, pieces[i - e]._rows, i - e, pieces[i].window)
     return Basis(pieces[i].window, rows)

@@ -316,12 +316,12 @@ def square_ideal_reduce(f, t):
     char_guard(field, d)
     if dim_apolar(f) != dim_apolar(F):
         raise HypothesisFailed("dim Apolar(f) differs from dim Apolar(tdf f)")
-    perp = perp_tangent(F, unipotent=True, max_degree=d - 1)
+    perp = perp_tangent(F, unipotent=True, max_degree=d - 1).vectors()
     for i in range(t, d):
         win_i = Window.S_graded(n, i, field)
         vecs_i = [
             v
-            for v in perp.vectors()
+            for v in perp
             if not v.is_zero() and all(sum(e) == i for e in v.terms)
         ]
         if span(vecs_i, win_i) != ideal_square_graded(F, i):

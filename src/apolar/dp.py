@@ -19,6 +19,8 @@ deg(0) is the sentinel -1, so tests like ``deg(...) <= 0`` admit the zero
 polynomial.
 """
 
+from itertools import chain
+
 from .errors import ArityMismatch, FieldMismatch, IndexOutOfRange
 from .fields import char_guard
 
@@ -58,9 +60,24 @@ class _Sparse:
     def __init__(self, n, field, terms):
         if n < 1:
             raise ArityMismatch("need at least one variable, got %d" % n)
+        # every exponent key holds n ints >= 0
+        if {*map(len, terms)} - {n}:
+            raise ArityMismatch("exponent keys %r for %d variables" % (list(terms), n))
+        exps = [*chain.from_iterable(terms)]
+        if {*map(type, exps)} - {int} or min(exps, default=0) < 0:
+            raise IndexOutOfRange("exponent keys %r need ints >= 0" % (list(terms),))
         self.n = n
         self.field = field
         self.terms = {e: c for e, c in terms.items() if not field.is_zero(c)}
+
+    def _make(self, terms):
+        """A polynomial like self (kind, arity, field, truncation) with
+        ``terms``.  Their keys come from self's checked keys and stay within
+        its truncation, so they are not checked again."""
+        new = object.__new__(type(self))
+        new.n, new.field = self.n, self.field
+        new.terms = {e: c for e, c in terms.items() if not self.field.is_zero(c)}
+        return new
 
     def is_zero(self):
         return not self.terms
@@ -138,9 +155,6 @@ class _Sparse:
 class DPPoly(_Sparse):
     """A divided power polynomial, element of P = k_dp[x_1..x_n]."""
 
-    def _make(self, terms):
-        return DPPoly(self.n, self.field, terms)
-
     @classmethod
     def zero(cls, n, field):
         return cls(n, field, {})
@@ -148,8 +162,6 @@ class DPPoly(_Sparse):
     @classmethod
     def monomial(cls, n, field, exps, coeff=None):
         exps = tuple(exps)
-        if len(exps) != n:
-            raise ArityMismatch("exponent vector %r has wrong length" % (exps,))
         return cls(n, field, {exps: field.one() if coeff is None else coeff})
 
     @classmethod
@@ -190,12 +202,14 @@ class Operator(_Sparse):
     """An element of S = k[[a_1..a_n]] truncated at total degree ``trunc``."""
 
     def __init__(self, n, field, terms, trunc):
-        terms = {e: c for e, c in terms.items() if sum(e) <= trunc}
-        super().__init__(n, field, terms)
+        super().__init__(n, field, terms)  # checks every key, also those above trunc
+        self.terms = {e: c for e, c in self.terms.items() if sum(e) <= trunc}
         self.trunc = trunc
 
     def _make(self, terms):
-        return Operator(self.n, self.field, terms, self.trunc)
+        new = super()._make(terms)
+        new.trunc = self.trunc
+        return new
 
     @classmethod
     def zero(cls, n, field, trunc):
@@ -208,8 +222,6 @@ class Operator(_Sparse):
     @classmethod
     def monomial(cls, n, field, exps, trunc, coeff=None):
         exps = tuple(exps)
-        if len(exps) != n:
-            raise ArityMismatch("exponent vector %r has wrong length" % (exps,))
         return cls(n, field, {exps: field.one() if coeff is None else coeff}, trunc)
 
     @classmethod
@@ -320,9 +332,6 @@ def pair(tau, f):
 
 class ClassicalPoly(_Sparse):
     """A polynomial with classical coefficients (monomial basis x^a)."""
-
-    def _make(self, terms):
-        return ClassicalPoly(self.n, self.field, terms)
 
     def __mul__(self, other):
         _check_pair(self, other)

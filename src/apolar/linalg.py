@@ -2,27 +2,31 @@
 
 A :class:`Window` fixes an ambient space -- P or S, arity, and a set of
 degrees -- together with the global graded-lex column order.  A
-:class:`Basis` is a reduced row echelon matrix over that window, so subspace
-equality is literal row equality.
+:class:`Basis` is a subspace of a window, kept as its canonical integer
+reduced echelon form, so subspace equality is literal row equality.
 
-``rref`` works on integer rows only.  Over Q each input row is scaled to a
+Everything works on integer rows.  Over Q each input row is scaled to a
 primitive integer row (plain ints, gcd 1; a row that is already all ints
 skips the denominators) and eliminated by cross-multiplication, the row gcd
 divided out after every step, which keeps intermediate entries small.  Over
-F_p the rows are residues.  Fractions appear again only in the output, when
-each pivot is normalised to 1 at the very end.
+F_p the rows are residues.  The reduced echelon form ``_echelon`` computes
+is canonical: over Q each row is the reduced row scaled to a primitive row
+with a positive pivot, over F_p the reduced row itself (pivot 1).  That form
+is what a ``Basis`` stores and what its ``perp``, ``sum``, ``contains`` and
+``==`` read.  Fractions (over Q) appear only at the boundary, in ``rref``,
+``nullspace``, ``Basis.rows`` and ``Basis.vectors()``, which all divide each
+row by its pivot (``_decode``).
 
-Before eliminating, ``rref`` splits the columns into blocks.  Each nonzero
-row covers the columns from its first to its last nonzero entry; rows whose
-intervals overlap share a block, and the blocks are disjoint.  So the row
-space is the direct sum of the blocks' row spaces, its reduced echelon form
-is the direct sum of theirs, and each block is eliminated on its own column
-slice.  A row filled from a homogeneous polynomial lives in one degree, so a
-graded space -- every space built from a form -- splits into one block per
-degree.  That integer echelon form (``_echelon``) is what callers read:
-``rref`` normalises it, and ``nullspace`` reads the kernel off the echelon
-form of the column-reversed rows, where the kernel vectors come out already
-in reduced echelon form (see there), so nothing is eliminated twice.
+Before eliminating, ``_echelon`` splits the columns into blocks.  Each
+nonzero row covers the columns from its first to its last nonzero entry;
+rows whose intervals overlap share a block, and the blocks are disjoint.  So
+the row space is the direct sum of the blocks' row spaces, its reduced
+echelon form is the direct sum of theirs, and each block is eliminated on
+its own column slice.  A row filled from a homogeneous polynomial lives in
+one degree, so a graded space -- every space built from a form -- splits
+into one block per degree.  A kernel is read off the echelon form of the
+column-reversed rows (``_kernel``), where the kernel vectors come out
+already in canonical form (see there), so nothing is eliminated twice.
 """
 
 from fractions import Fraction
@@ -59,8 +63,10 @@ def _eliminate(work, field):
     """Reduce the integer rows ``work`` (at least one) in place.
 
     Afterwards work[r] for r < rank has its pivot at pivots[r] and zeros in
-    every other pivot column (the pivot itself is not normalised).  Returns
-    the pivot columns.
+    every other pivot column.  A pivot row is made positive (over Q) or
+    divided by its pivot (over F_p) when it is picked, and later steps scale
+    it only by positive pivots, so over Q the primitive rows keep a positive
+    pivot and over F_p every pivot is 1.  Returns the pivot columns.
     """
     q, p = field.is_rationals, field.p
     pivots = []
@@ -78,9 +84,13 @@ def _eliminate(work, field):
         piv = prow[col]
         # the pivot row is zero left of col: each earlier column is either
         # an eliminated pivot column or was zero in every row not yet used
+        if q and piv < 0:
+            prow[col:] = [-a for a in prow[col:]]
+            piv = -piv
+        elif not q and piv != 1:
+            inv = pow(piv, -1, p)
+            prow[col:] = [a * inv % p for a in prow[col:]]
         tail = prow[col:]
-        if not q:
-            piv_inv = pow(piv, -1, p)
         for r in range(len(work)):
             row = work[r]
             if r == rank or row[col] == 0:
@@ -93,8 +103,7 @@ def _eliminate(work, field):
                 g = gcd(*row)
                 work[r] = [x // g for x in row] if g > 1 else row
             else:
-                factor = (c * piv_inv) % p
-                row[col:] = [(a - factor * b) % p for a, b in zip(row[col:], tail)]
+                row[col:] = [(a - c * b) % p for a, b in zip(row[col:], tail)]
         pivots.append(col)
         rank += 1
         if rank == len(work):
@@ -103,11 +112,13 @@ def _eliminate(work, field):
 
 
 def _echelon(rows, field):
-    """Integer reduced echelon form, pivots not normalised.
+    """Canonical integer reduced echelon form.
 
     Returns (rows, pivots): rows[r] is the r-th reduced row, as wide as the
-    input rows, with its pivot (an int, not necessarily 1) at column
-    pivots[r] and zeros at every other pivot column.  Pivots are increasing.
+    input rows, with its pivot at column pivots[r] and zeros at every other
+    pivot column.  Pivots are increasing.  Over Q each row is primitive with
+    a positive pivot, over F_p its pivot is 1, so the form depends only on
+    the row space.
 
     Each nonzero input row becomes an integer row (primitive over Q,
     residues over F_p) and is placed by its first and last nonzero column.
@@ -148,6 +159,47 @@ def _echelon(rows, field):
     return out, pivots
 
 
+def _decode(rows, field):
+    """Field-element rows of canonical integer rows, pivots 1.
+
+    Over Q each row is divided by its pivot, its first nonzero entry, as
+    Fractions; over F_p the residues are copied.
+    """
+    if field.p:
+        return [list(row) for row in rows]
+    zero = field.zero()
+    pivots = [next(filter(None, row)) for row in rows]
+    return [[Fraction(x, piv) if x else zero for x in row] for row, piv in zip(rows, pivots)]
+
+
+def _kernel(rows, field, ncols):
+    """Canonical integer rows of {x : M x = 0}, M given by ``rows``.
+
+    Read off one ``_echelon`` of the column-reversed rows.  In the original
+    order each of its rows ends at its pivot column pc and is 0 at the other
+    pivot columns, so the kernel vector of a free column c (1 at c, x_pc =
+    -row[c] / row[pc]) is 0 left of c and at every other free column: sorted
+    by c, the vectors are the kernel's reduced echelon form.  Each is scaled
+    by the lcm of its denominators, which leaves a primitive row with a
+    positive pivot (over F_p every row[pc] is 1, so nothing is scaled).
+    """
+    red, pivots = _echelon([row[::-1] for row in rows], field)
+    last = ncols - 1  # column c of a reversed row sits at last - c
+    pivot_set = {last - pc for pc in pivots}
+    p, kernel = field.p, []
+    for c in range(ncols):
+        if c in pivot_set:
+            continue
+        entries = [(last - pc, row[last - c], row[pc]) for row, pc in zip(red, pivots) if row[last - c]]
+        L = lcm(*(den // gcd(x, den) for _, x, den in entries))
+        vec = [0] * ncols
+        vec[c] = L
+        for j, x, den in entries:
+            vec[j] = p - x if p else -x * L // den
+        kernel.append(vec)
+    return kernel
+
+
 def rref(rows, field, ncols):
     """Reduced row echelon form.  Returns (rows, pivot_columns).
 
@@ -155,40 +207,12 @@ def rref(rows, field, ncols):
     elements with pivots equal to 1, sorted by pivot column.
     """
     work, pivots = _echelon(rows, field)
-    zero, p = field.zero(), field.p
-    out = []
-    for row, pc in zip(work, pivots):
-        if p:
-            inv = pow(row[pc], -1, p)
-            out.append([(x * inv) % p for x in row])
-        else:
-            out.append([Fraction(x, row[pc]) if x else zero for x in row])
-    return out, pivots
+    return _decode(work, field), pivots
 
 
 def nullspace(rows, field, ncols):
-    """Basis (as RREF) of {x : M x = 0}, M given by ``rows``.
-
-    Read off one ``_echelon`` of the column-reversed rows.  In the original
-    order each of its rows ends at its pivot column pc and is 0 at the other
-    pivot columns, so the kernel vector of a free column c (1 at c, x_pc =
-    -row[c] / row[pc]) is 0 left of c and at every other free column: sorted
-    by c, the vectors are the kernel's (unique) reduced echelon form.
-    """
-    red, pivots = _echelon([row[::-1] for row in rows], field)
-    last = ncols - 1  # column c of a reversed row sits at last - c
-    pivot_set = {last - pc for pc in pivots}
-    zero, one, p = field.zero(), field.one(), field.p
-    kernel = {c: [zero] * c + [one] + [zero] * (last - c)
-              for c in range(ncols) if c not in pivot_set}
-    for row, pc in zip(red, pivots):
-        den = -row[pc]
-        inv = pow(den, -1, p) if p else None
-        for j in compress(count(), row):
-            if j != pc:
-                x = row[j]
-                kernel[last - j][last - pc] = x * inv % p if p else Fraction(x, den)
-    return list(kernel.values())
+    """Basis (as RREF) of {x : M x = 0}, M given by ``rows``; see ``_kernel``."""
+    return _decode(_kernel(rows, field, ncols), field)
 
 
 def solve(rows, rhs, field, ncols):
@@ -319,31 +343,42 @@ class Window:
 
 
 class Basis:
-    """Canonical (RREF) basis of a subspace of a window."""
+    """Canonical basis of a subspace of a window.
 
-    def __init__(self, window, rows, reduced=False):
+    Kept as the canonical integer reduced echelon form of ``_echelon``
+    (primitive rows with a positive pivot over Q, pivot 1 over F_p), which
+    every operation reads; ``rows`` and ``vectors()`` build field elements.
+    """
+
+    def __init__(self, window, rows):
         self.window = window
-        if reduced:
-            self.rows = [list(r) for r in rows]
-        else:
-            self.rows, _ = rref(rows, window.field, window.dim)
+        self._rows, _ = _echelon(rows, window.field)
+
+    @classmethod
+    def _of_kernel(cls, window, eqs):
+        """{x in window : E x = 0} for the equation rows ``eqs``: the rows of
+        ``_kernel`` are canonical already, so they are not eliminated again."""
+        basis = cls.__new__(cls)
+        basis.window, basis._rows = window, _kernel(eqs, window.field, window.dim)
+        return basis
+
+    @property
+    def rows(self):
+        """The reduced row echelon rows, as field elements (pivots 1)."""
+        return _decode(self._rows, self.window.field)
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._rows)
 
     def vectors(self):
         return [self.window.decode(r) for r in self.rows]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Basis)
-            and self.window == other.window
-            and self.rows == other.rows
-        )
+        return isinstance(other, Basis) and (self.window, self._rows) == (other.window, other._rows)
 
     def __hash__(self):
-        return hash((self.window, tuple(tuple(r) for r in self.rows)))
+        return hash((self.window, tuple(map(tuple, self._rows))))
 
     def __repr__(self):
         return "<Basis dim=%d of %r>" % (self.dim, self.window)
@@ -356,7 +391,7 @@ class Basis:
         row = self.window.encode(vec) if not isinstance(vec, list) else vec
         if len(row) != self.window.dim:
             raise AmbientMismatch("row of %d entries, window of %d" % (len(row), self.window.dim))
-        return len(_echelon(self.rows + [row], self.window.field)[1]) == self.dim
+        return len(_echelon(self._rows + [row], self.window.field)[1]) == self.dim
 
     def contains(self, other):
         if isinstance(other, Basis):
@@ -365,7 +400,7 @@ class Basis:
 
     def sum(self, other):
         self._require_same_window(other)
-        return Basis(self.window, self.rows + other.rows)
+        return Basis(self.window, self._rows + other._rows)
 
     def intersect(self, other):
         self._require_same_window(other)
@@ -378,11 +413,9 @@ class Basis:
         target = win.dual() if degrees is None else Window(
             "S" if win.space == "P" else "P", win.n, degrees, win.field
         )
-        zero = win.field.zero()
         cols = [win.index.get(e) for e in target.columns]
-        eqs = [[zero if i is None else r[i] for i in cols] for r in self.rows]
-        rows = nullspace(eqs, win.field, target.dim)
-        return Basis(target, rows, reduced=True)
+        eqs = [[0 if i is None else r[i] for i in cols] for r in self._rows]
+        return Basis._of_kernel(target, eqs)
 
 
 def span(vectors, window):

@@ -21,7 +21,7 @@ N = deg f.
 
 All these rows are integer rows placed by column index.  The contractions
 are filled from D f (f scaled to primitive integer coefficients), B is the
-integer echelon form of m^k f (``_echelon``'s rows, never made Fractions),
+integer echelon form of m^k f (the rows its ``Basis`` keeps),
 and x_i x^[u] = (u_i + 1) x^[u + e_i] shifts its rows.  None of this goes
 through ``contract`` or the DPPoly product.
 
@@ -34,11 +34,11 @@ import math
 from dataclasses import dataclass
 from operator import ge, sub
 
-from .apolarity import _contraction_rows, _module_echelon, _scaled_coeffs, _shifted_rows
+from .apolarity import _contraction_rows, _scaled_coeffs, _shifted_rows, module_sf
 from .dp import monomials, monomials_upto
 from .errors import CrossCheckFailed, IndexOutOfRange, TdfMismatch, ZeroPolynomial
 from .fields import char_guard
-from .linalg import Basis, Window, nullspace
+from .linalg import Basis, Window
 
 
 def _pruned_tangent(f, k):
@@ -50,7 +50,8 @@ def _pruned_tangent(f, k):
     """
     if f.is_zero():
         raise ZeroPolynomial("tangent space of the zero polynomial")
-    win, gs = _module_echelon(f, k)
+    mk = module_sf(f, k)
+    win, gs = mk.window, mk._rows
     d = max(f.degree, 0)
     rows = _contraction_rows(f, monomials(f.n, k - 1), range(d + 1))
     # m^k f lies in P_{<= d-1}, so its rows are shifted from degrees < d
@@ -113,8 +114,7 @@ def _perp_direct(f, unipotent, max_degree):
                     if j is not None:
                         row[j] = (e[i] + 1) * c
                 eqs.append(row)
-    rows = nullspace(eqs, field, win.dim)
-    return Basis(win, rows, reduced=True)
+    return Basis._of_kernel(win, eqs)
 
 
 def _checked_perp(f, tang, unipotent, max_degree):

@@ -204,7 +204,7 @@ def _reference_symdec(f):
                 row = [win.field.zero()] * win.dim
                 row[col] = win.field.one()
                 rows.append(row)
-        return Basis(win, rows, reduced=True)
+        return Basis(win, rows)
 
     modules = {k: module_sf(f, k) for k in range(d + 2)}
     lower = {i: p_upto(i) for i in range(-1, d + 1)}

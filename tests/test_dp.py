@@ -131,6 +131,29 @@ def test_mismatch_errors():
         DPPoly.variable(2, QQ, 3)
 
 
+def test_exponent_keys_of_the_wrong_length_are_rejected():
+    # DPPoly(2, QQ, {(1, 2, 3): 1}) used to be accepted, with degree 6
+    for key in ((1, 2, 3), (1,), ()):
+        with pytest.raises(ArityMismatch):
+            DPPoly(2, QQ, {key: Q(1)})
+        with pytest.raises(ArityMismatch):
+            Operator(2, QQ, {key: Q(1)}, 2)
+    with pytest.raises(ArityMismatch):
+        DPPoly(2, QQ, {(1, 0): Q(1), (1,): Q(0)})  # a zero term is checked too
+
+
+def test_negative_or_non_int_exponents_are_rejected():
+    # DPPoly(2, QQ, {(-1, 2): 1}) used to be accepted, with degree 1
+    for key in ((-1, 2), (1.0, 2), (True, 0), ("1", 0)):
+        with pytest.raises(IndexOutOfRange):
+            DPPoly(2, QQ, {(0, 1): Q(1), key: Q(1)})
+        with pytest.raises(IndexOutOfRange):
+            Operator(2, GF(7), {key: 1}, 2)
+    with pytest.raises(IndexOutOfRange):
+        Operator(2, QQ, {(5, -1): Q(1)}, 2)  # checked before truncation drops it
+    assert DPPoly(2, QQ, {(0, 3): Q(2)}).degree == 3
+
+
 def test_homogeneous_parts():
     f = P(2, {(3, 1): 1, (2, 0): 7, (1, 0): 2})
     assert f.homogeneous_part(2) == P(2, {(2, 0): 7})

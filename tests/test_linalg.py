@@ -17,7 +17,8 @@ from apolar import (
     span,
 )
 from apolar.errors import AmbientMismatch, ArityMismatch, WindowTooLarge
-from apolar.linalg import MAX_WINDOW_COLUMNS, _check_window_size, _echelon
+from apolar.linalg import MAX_WINDOW_COLUMNS, _check_window_size, _decode, _echelon, _kernel
+from conftest import random_poly, with_fractions
 
 
 def test_rref_rationals():
@@ -382,6 +383,69 @@ def test_contains_matches_reduction_oracle(field, rng):
             for big, small in ((basis, sub), (sub, basis)):
                 want = all(_reference_contains(big, list(r)) for r in small.rows)
                 assert big.contains(small) == want, (rows, others)
+
+
+# The integer form a Basis keeps: checked on the kernel cases' matrices and,
+# over Q, on rows of random polynomials with Fraction coefficients.
+
+
+def _assert_canonical_integer_rows(rows, field):
+    for row in rows:
+        assert all(type(x) is int for x in row), row
+        pivot = next(x for x in row if x)
+        if field.is_rationals:
+            assert pivot > 0 and gcd(*row) == 1, row
+        else:
+            assert pivot == 1 and all(0 <= x < field.p for x in row), row
+
+
+def _integer_form_cases(rng, field):
+    for rows, ncols in _kernel_cases(rng, field):
+        yield Window.P_graded(2, ncols - 1, field), rows  # ncols columns
+    if field.is_rationals:
+        for _ in range(40):
+            win = Window.P_upto(2, rng.randint(0, 3), field)
+            degree = max(win.degrees)
+            polys = [random_poly(rng, 2, field, degree) for _ in range(rng.randint(1, 4))]
+            polys += [with_fractions(rng, f) for f in polys]
+            yield win, [win.encode(f) for f in polys]
+
+
+def _same_space_rows(rng, field, rows):
+    """Nonzero multiples of ``rows`` plus sums of them, shuffled."""
+    scales = [Q(1), Q(-1), Q(2), Q(-3, 4), Q(5, 3)] if field.is_rationals else range(1, field.p)
+    out = []
+    for row in rows:
+        k = rng.choice(scales)
+        out.append([field.mul(k, x) for x in row])
+    out += [[field.add(a, b) for a, b in zip(rng.choice(rows), rng.choice(rows))] for _ in rows]
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_basis_keeps_the_canonical_integer_form(field, rng):
+    for win, rows in _integer_form_cases(rng, field):
+        basis = Basis(win, rows)
+        _assert_canonical_integer_rows(basis._rows, field)
+        assert _typed((basis.rows, None)) == _typed((_reference_rref(rows, field, win.dim)[0], None))
+        kernel = _kernel(rows, field, win.dim)
+        _assert_canonical_integer_rows(kernel, field)
+        want = _reference_nullspace(rows, field, win.dim)
+        assert _typed((_decode(kernel, field), None)) == _typed((want, None)), rows
+        assert basis.perp().dim == win.dim - basis.dim
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_bases_are_equal_exactly_when_each_contains_the_other(field, rng):
+    for win, rows in _integer_form_cases(rng, field):
+        basis = Basis(win, rows)
+        others = [Basis(win, _same_space_rows(rng, field, rows)), Basis(win, rows[1:]),
+                  Basis(win, rows + [_random_row(rng, field, win.dim)]), Basis(win, [])]
+        assert others[0] == basis and hash(others[0]) == hash(basis)
+        for other in others:
+            assert (basis == other) == (basis.contains(other) and other.contains(basis))
+            assert (basis == other) == (basis.rows == other.rows)
 
 
 def test_contains_vector_rejects_rows_of_the_wrong_width():
