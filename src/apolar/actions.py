@@ -12,16 +12,29 @@ How the two costly maps are computed:
 
 * ``apply_automorphism_dual`` uses the adjunction <sigma, phi_dual f> =
   <phi(sigma), f>: the coefficient of x^[b] in phi_dual(f) is
-  <phi(a)^b, f>, one ``pair`` per monomial b with |b| <= deg f, read off a
-  power table of the images truncated at deg f.
+  <phi(a)^b, f>, one pairing per monomial b with |b| <= deg f, read off a
+  power table of the images' products truncated at deg f.
 * ``Automorphism.inverse`` writes phi(a) = L a + N(a) with N of order >= 2
   and solves psi = L^{-1} (a - N(psi)) one degree at a time: the degree-r
   part of N(psi) only involves the parts of psi below degree r, so round
   r = 2..trunc substitutes N into psi truncated at r and maps the
   degree-r part back through L^{-1} as a linear combination.
+
+``subst`` and ``apply_automorphism_dual`` work on the integer form of
+``dp``: (D, {exp: int}) with one common denominator D.  ``subst`` keeps its
+power cache and each term's partial products in that form and sums the
+scaled terms over the lcm of their denominators; the dual action keeps its
+power table phi(a)^b in that form and pairs each entry with f's numerators.
+Each builds field elements only for the result it returns: over Q one
+``Fraction`` per output coefficient.  Images and units that are only
+re-truncated go through ``Operator._at``, which does not check their
+exponent keys again.
 """
 
-from .dp import DPPoly, Operator, _check_pair, contract, monomials, pair
+from fractions import Fraction
+from math import lcm
+
+from .dp import DPPoly, Operator, _check_pair, _ints_mul, _from_ints, _to_ints, contract, monomials
 from .errors import (
     ArityMismatch,
     FieldMismatch,
@@ -44,28 +57,34 @@ def subst(op, images):
         _check_pair(op, im)
         if im.trunc != trunc:
             raise FieldMismatch("truncation %d vs %d" % (trunc, im.trunc))
-    pow_cache = [{1: im} for im in images]
+    ints = [_to_ints(im.terms, field) for im in images]
+    pow_cache = [{1: x} for x in ints]
 
     def power(i, k):
         cache = pow_cache[i]
         if k not in cache:
-            cache[k] = power(i, k - 1) * images[i]
+            cache[k] = _ints_mul(power(i, k - 1), ints[i], trunc)
         return cache[k]
 
-    out = {}
-    for e, c in op.terms.items():
-        if not any(e):
-            out[e] = field.add(out.get(e, field.zero()), c)
-            continue
+    D, coeffs = _to_ints(op.terms, field)
+    scaled = []  # (denominator, numerator of op's coefficient, image of the monomial)
+    for e, c in coeffs.items():
         term = None
         for i, a in enumerate(e):
             if a:
-                term = power(i, a) if term is None else term * power(i, a)
-                if term.is_zero():
+                term = power(i, a) if term is None else _ints_mul(term, power(i, a), trunc)
+                if not term[1]:
                     break
-        for m, v in term.terms.items():
-            out[m] = field.add(out.get(m, field.zero()), field.mul(c, v))
-    return images[0]._make(out)  # keys of the images' products, trunc as theirs
+        den, prod = (1, {e: 1}) if term is None else term  # the monomial 1 maps to 1
+        scaled.append((den, c, prod))
+    L = lcm(*(t[0] for t in scaled))
+    out = {}
+    for den, c, prod in scaled:
+        s = c * (L // den)
+        for m, v in prod.items():
+            out[m] = out.get(m, 0) + s * v
+    # keys of the images' products, trunc as theirs
+    return images[0]._make(_from_ints((L * D, out), field))
 
 
 class Automorphism:
@@ -77,9 +96,7 @@ class Automorphism:
         self.n = images[0].n
         self.field = images[0].field
         self.trunc = images[0].trunc if trunc is None else trunc
-        self.images = [
-            Operator(im.n, im.field, im.terms, self.trunc) for im in images
-        ]
+        self.images = [im._at(self.trunc) for im in images]
         if len(self.images) != self.n:
             raise ArityMismatch("need %d images" % self.n)
         for im in self.images:
@@ -133,11 +150,10 @@ class Automorphism:
         ]
         nonlinear = [im.part_from(2) for im in self.images]
         for r in range(2, trunc + 1):
-            known = [Operator(n, field, terms, r) for terms in psi]
-            parts = [
-                subst(Operator(n, field, nl.terms, r), known).homogeneous_part(r)
-                for nl in nonlinear
-            ]
+            # psi holds degrees below r only, so no truncation is needed
+            template = Operator.zero(n, field, r)
+            known = [template._make(terms) for terms in psi]
+            parts = [subst(nl._at(r), known).homogeneous_part(r) for nl in nonlinear]
             for j in range(n):
                 terms = psi[j]
                 for i, part in enumerate(parts):
@@ -146,7 +162,7 @@ class Automorphism:
                         continue
                     for e, v in part.terms.items():
                         terms[e] = field.sub(terms.get(e, field.zero()), field.mul(c, v))
-        return Automorphism([Operator(n, field, terms, trunc) for terms in psi])
+        return Automorphism([self.images[0]._make(terms) for terms in psi])
 
     def __repr__(self):
         return "<Automorphism %s>" % (self.images,)
@@ -182,17 +198,26 @@ def apply_automorphism_dual(phi, f):
     if phi.trunc < d:
         raise ArityMismatch("truncation %d below deg f = %d" % (phi.trunc, f.degree))
     n, field = f.n, f.field
-    images = [Operator(n, field, im.terms, d) for im in phi.images]
-    powers = {(0,) * n: Operator.one(n, field, d)}
+    D, coeffs = _to_ints(f.terms, field)
+    get = coeffs.get
+    # the products stop at degree d, so the images need no truncation
+    images = [_to_ints(im.terms, field) for im in phi.images]
+    p = field.p
+    powers = {(0,) * n: (1, {(0,) * n: 1})}
     out = {}
     for deg in range(d + 1):
         for b in monomials(n, deg):
             if b not in powers:
                 i = next(k for k, bk in enumerate(b) if bk)
                 prev = b[:i] + (b[i] - 1,) + b[i + 1 :]
-                powers[b] = powers[prev] * images[i]
-            out[b] = pair(powers[b], f)
-    return DPPoly(n, field, out)
+                powers[b] = _ints_mul(powers[prev], images[i], d)
+            den, prod = powers[b]
+            v = sum(c * get(a, 0) for a, c in prod.items())  # den * D * <phi(a)^b, f>
+            if p:
+                out[b] = v % p
+            elif v:
+                out[b] = Fraction(v, den * D)
+    return f._make(out)  # keys from monomials(n, <= deg f)
 
 
 def apply_derivation_dual(D, f):
@@ -219,7 +244,7 @@ class GroupElement:
         if not unit.is_unit():
             raise NotAUnit("unit part has zero constant term")
         self.aut = aut
-        self.unit = Operator(unit.n, unit.field, unit.terms, aut.trunc)
+        self.unit = unit._at(aut.trunc)
 
     @property
     def n(self):

@@ -341,10 +341,16 @@ def ann_generators(f, upto):
     return [pieces[i].window.decode(g) for i in gens for g in _decode(gens[i], f.field)], pieces
 
 
+def _square(n, gens, pieces, i):
+    """(I^2)_i from ``_generator_rows`` data reaching degree i: spanned by
+    g tau, g a degree-e generator and tau in I_{i-e}, 1 <= e < i."""
+    rows = []
+    for e in range(1, i):
+        rows += _products(n, gens[e], e, pieces[i - e]._rows, i - e, pieces[i].window)
+    return Basis(pieces[i].window, rows)
+
+
 def ideal_square_graded(f, i):
     """(I^2)_i for I = Ann(f), via a degreewise generating set."""
     gens, pieces = _generator_rows(f, i)
-    rows = []
-    for e in range(1, i):
-        rows += _products(f.n, gens[e], e, pieces[i - e]._rows, i - e, pieces[i].window)
-    return Basis(pieces[i].window, rows)
+    return _square(f.n, gens, pieces, i)

@@ -39,11 +39,12 @@ from .actions import (
 )
 from .apolarity import (
     _contraction_rows,
+    _generator_rows,
     _scaled_coeffs,
     _shifted_rows,
+    _square,
     dim_apolar,
     hilbert_function,
-    ideal_square_graded,
     max_t_compressed,
     module_sf,
     symmetric_decomposition,
@@ -317,6 +318,8 @@ def square_ideal_reduce(f, t):
     if dim_apolar(f) != dim_apolar(F):
         raise HypothesisFailed("dim Apolar(f) differs from dim Apolar(tdf f)")
     perp = perp_tangent(F, unipotent=True, max_degree=d - 1).vectors()
+    # Ann(F) and its generators up to degree d - 1, built once for every square
+    gens, pieces = _generator_rows(F, d - 1) if t < d else ({}, {})
     for i in range(t, d):
         win_i = Window.S_graded(n, i, field)
         vecs_i = [
@@ -324,7 +327,7 @@ def square_ideal_reduce(f, t):
             for v in perp
             if not v.is_zero() and all(sum(e) == i for e in v.terms)
         ]
-        if span(vecs_i, win_i) != ideal_square_graded(F, i):
+        if span(vecs_i, win_i) != _square(n, gens, pieces, i):
             raise HypothesisFailed("perp differs from (Ann F)^2 in degree %d" % i, i)
     return reduce_toward(f, F, stop_degree=t)
 

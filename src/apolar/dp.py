@@ -15,11 +15,23 @@ Key operations:
 * ``omega`` / ``omega_inv``: the characteristic-zero dictionary
   x^[a] <-> x^a / a!, guarded against small characteristic.
 
+Operator products run on integers.  ``_to_ints`` writes a term dict as
+(D, {exp: int}) over one common denominator D (the lcm of the denominators
+over Q; D = 1 and the residues over F_p), ``_ints_mul`` multiplies two such
+pairs under a truncation without reducing mod p, and ``_from_ints`` builds
+the field elements -- ``Fraction(v, D)`` over Q, ``v % p`` over F_p -- once,
+for the result handed back.  ``Operator.__mul__`` is these three steps;
+``actions.subst`` and ``actions.apply_automorphism_dual`` chain products in
+the integer form and decode only their own results.
+
 deg(0) is the sentinel -1, so tests like ``deg(...) <= 0`` admit the zero
 polynomial.
 """
 
+from fractions import Fraction
 from itertools import chain
+from math import lcm
+from operator import add
 
 from .errors import ArityMismatch, FieldMismatch, IndexOutOfRange
 from .fields import char_guard
@@ -52,6 +64,46 @@ def _check_pair(a, b):
         raise ArityMismatch("arity %d vs %d" % (a.n, b.n))
     if a.field != b.field:
         raise FieldMismatch("%r vs %r" % (a.field, b.field))
+
+
+def _to_ints(terms, field):
+    """(D, {exp: int}) with terms[e] = ints[e] / D.  Over Q, D is the lcm of
+    the denominators; over F_p, D = 1 and the residues are kept."""
+    if field.p:
+        return 1, terms
+    D = lcm(*(c.denominator for c in terms.values()))
+    return D, {e: c.numerator * (D // c.denominator) for e, c in terms.items()}
+
+
+def _ints_mul(x, y, trunc):
+    """The product of two ``_to_ints`` pairs, truncated at total degree trunc.
+
+    y's terms are sorted by degree once, so the inner loop stops at the
+    first term of degree above trunc - deg(a): no pair above the truncation
+    is visited.  The integers are not reduced mod p.
+    """
+    (dx, xs), (dy, ys) = x, y
+    right = sorted((sum(b), b, c) for b, c in ys.items())
+    out = {}
+    get = out.get
+    for a, ca in xs.items():
+        room = trunc - sum(a)
+        for db, b, cb in right:
+            if db > room:
+                break
+            e = tuple(map(add, a, b))
+            out[e] = get(e, 0) + ca * cb
+    return dx * dy, out
+
+
+def _from_ints(x, field):
+    """The nonzero field coefficients of a ``_to_ints`` pair: ints[e] / D as
+    a Fraction over Q, ints[e] mod p over F_p."""
+    D, ints = x
+    if field.p:
+        p = field.p
+        return {e: v % p for e, v in ints.items() if v % p}
+    return {e: Fraction(v, D) for e, v in ints.items() if v}
 
 
 class _Sparse:
@@ -246,18 +298,22 @@ class Operator(_Sparse):
             raise FieldMismatch("truncation %d vs %d" % (self.trunc, other.trunc))
         return super().__add__(other)
 
+    def _at(self, trunc):
+        """self truncated at ``trunc``; its keys were checked, so they are not
+        checked again."""
+        if trunc == self.trunc:
+            return self  # operators are never mutated
+        new = self._make({e: c for e, c in self.terms.items() if sum(e) <= trunc})
+        new.trunc = trunc
+        return new
+
     def __mul__(self, other):
         _check_pair(self, other)
+        if self.trunc != other.trunc:
+            raise FieldMismatch("truncation %d vs %d" % (self.trunc, other.trunc))
         f = self.field
-        out = {}
-        for a, ca in self.terms.items():
-            da = sum(a)
-            for b, cb in other.terms.items():
-                if da + sum(b) > self.trunc:
-                    continue
-                e = tuple(ai + bi for ai, bi in zip(a, b))
-                out[e] = f.add(out.get(e, f.zero()), f.mul(ca, cb))
-        return self._make(out)
+        prod = _ints_mul(_to_ints(self.terms, f), _to_ints(other.terms, f), self.trunc)
+        return self._make(_from_ints(prod, f))
 
     def power(self, k):
         result = Operator.one(self.n, self.field, self.trunc)

@@ -63,11 +63,15 @@ def random_form(rng, n, field, d, density=0.8):
 
 
 def with_fractions(rng, f):
-    """f over Q with each coefficient multiplied by 1, 1/2, -3/4 or 5/3."""
+    """f (a DPPoly or an Operator) over Q with each coefficient multiplied by
+    1, 1/2, -3/4 or 5/3."""
     from fractions import Fraction
 
     scales = [Fraction(1), Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
-    return DPPoly(f.n, f.field, {e: c * rng.choice(scales) for e, c in f.terms.items()})
+    terms = {e: c * rng.choice(scales) for e, c in f.terms.items()}
+    if isinstance(f, Operator):
+        return Operator(f.n, f.field, terms, f.trunc)
+    return DPPoly(f.n, f.field, terms)
 
 
 def random_operator(rng, n, field, trunc, min_order=0, density=0.5):

@@ -45,7 +45,9 @@ from conftest import (
     random_operator,
     random_poly,
     random_unipotent,
+    with_fractions,
 )
+from test_dp import _reference_opmul
 
 
 def V(n, i, trunc):
@@ -230,6 +232,8 @@ def test_subst_checks_its_images():
 # ---------------------------------------------------------------------------
 # Differential oracles: the previous fixed-point inverse, D^a form of the dual
 # action and Operator-per-term substitution, against the library's versions.
+# Their products are the field-coefficient double loop ``_reference_opmul``,
+# so they share no code with the library's integer product.
 
 
 def _reference_subst(op, images):
@@ -241,7 +245,7 @@ def _reference_subst(op, images):
     def power(i, k):
         cache = pow_cache[i]
         if k not in cache:
-            cache[k] = power(i, k - 1) * images[i]
+            cache[k] = _reference_opmul(power(i, k - 1), images[i])
         return cache[k]
 
     result = Operator.zero(n, field, trunc)
@@ -249,7 +253,7 @@ def _reference_subst(op, images):
         term = Operator.one(n, field, trunc).scale(c)
         for i, a in enumerate(e):
             if a:
-                term = term * power(i, a)
+                term = _reference_opmul(term, power(i, a))
         result = result + term
     return result
 
@@ -285,21 +289,25 @@ def _reference_apply_dual(phi, f):
         for a in monomials(n, deg):
             if a not in cache:
                 i = next(k for k, ak in enumerate(a) if ak)
-                cache[a] = cache[a[:i] + (a[i] - 1,) + a[i + 1 :]] * diffs[i]
+                cache[a] = _reference_opmul(cache[a[:i] + (a[i] - 1,) + a[i + 1 :]], diffs[i])
             g = contract(cache[a], f)
             if not g.is_zero():
                 result = result + DPPoly.monomial(n, field, a) * g
     return result
 
 
-def _sparse_terms(rng, n, field, degrees, count):
-    """Up to ``count`` random monomials of the given degrees, coefficients
-    in -3..3."""
+def _scalar(rng, field, fractions=False):
+    """A random integer in -3..3, divided by 1, 2, 3 or 4 if ``fractions``."""
+    if fractions:
+        return field.from_fraction(Q(rng.randint(-3, 3), rng.choice((1, 2, 3, 4))))
+    return field.from_int(rng.randint(-3, 3))
+
+
+def _sparse_terms(rng, n, field, degrees, count, fractions=False):
+    """Up to ``count`` random monomials of the given degrees with ``_scalar``
+    coefficients."""
     exps = [e for e in monomials_upto(n, max(degrees, default=0)) if sum(e) in degrees]
-    return {
-        e: field.from_int(rng.randint(-3, 3))
-        for e in rng.sample(exps, min(count, len(exps)))
-    }
+    return {e: _scalar(rng, field, fractions) for e in rng.sample(exps, min(count, len(exps)))}
 
 
 def _oracle_automorphism(rng, n, field, trunc, shape):
@@ -307,19 +315,22 @@ def _oracle_automorphism(rng, n, field, trunc, shape):
 
     * "linear": a random invertible, generally non-unipotent linear part
       plus sparse terms of every degree 2..trunc;
+    * "fractions": the same with coefficients a / b, b in 1..4, so that
+      over Q the images have denominators;
     * "step": a_i -> a_i - D_i with D_i homogeneous of one degree >= 2, as
       the homogeneous reduction step builds it;
     * "exp": exp(D) for a derivation D with every D(a_i) in m^2, as the
       general reduction step builds it.
     """
     high = range(2, trunc + 1)
-    if shape == "linear":
+    if shape in ("linear", "fractions"):
+        fractions = shape == "fractions"
         while True:
             images = []
             for i in range(n):
-                terms = _sparse_terms(rng, n, field, high, 3)
+                terms = _sparse_terms(rng, n, field, high, 3, fractions)
                 for e in monomials(n, 1):
-                    terms[e] = field.from_int(rng.randint(-3, 3))
+                    terms[e] = _scalar(rng, field, fractions)
                 images.append(Operator(n, field, terms, trunc))
             try:
                 return Automorphism(images)
@@ -339,7 +350,7 @@ def _oracle_automorphism(rng, n, field, trunc, shape):
     return exp_automorphism(D)
 
 
-@pytest.mark.parametrize("shape", ["linear", "step", "exp"])
+@pytest.mark.parametrize("shape", ["linear", "fractions", "step", "exp"])
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=repr)
 def test_group_layer_matches_reference_oracles(rng, field, shape):
     for n in (1, 2, 3):
@@ -347,14 +358,18 @@ def test_group_layer_matches_reference_oracles(rng, field, shape):
             phi = _oracle_automorphism(rng, n, field, trunc, shape)
             psi = phi.inverse()
             assert psi.images == _reference_inverse(phi).images
-            for sigma in (
+            sigmas = [
                 random_operator(rng, n, field, trunc, density=0.4),
                 random_operator(rng, n, field, trunc + 1, min_order=1, density=0.3),
-            ):
+            ]
+            f = random_poly(rng, n, field, trunc, force_top=False)
+            if shape == "fractions" and field.is_rationals:
+                sigmas = [with_fractions(rng, sigma) for sigma in sigmas]
+                f = with_fractions(rng, f)
+            for sigma in sigmas:
                 for images in (phi.images, psi.images):
                     out = subst(sigma, images)
                     assert out == _reference_subst(sigma, images)
                     assert out.trunc == trunc
-            f = random_poly(rng, n, field, trunc, force_top=False)
             assert apply_automorphism_dual(phi, f) == _reference_apply_dual(phi, f)
             assert apply_automorphism_dual(psi, f) == _reference_apply_dual(psi, f)

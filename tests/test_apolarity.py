@@ -20,6 +20,7 @@ from apolar import (
     span,
     symmetric_decomposition,
 )
+from apolar.apolarity import _generator_rows, _square
 from apolar.dp import monomials, monomials_upto
 from apolar.errors import ZeroPolynomial
 from apolar.linalg import Basis, Window
@@ -356,3 +357,15 @@ def test_ann_generators_and_square_match_product_oracle(field, rng):
                     got, want = ideal_square_graded(f, i), _reference_ideal_square(f, i)
                     assert got.window == want.window, (f, i)
                     assert _typed_rows(got) == _typed_rows(want), (f, i)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_squares_from_one_generator_pass_match_each_degree(field, rng):
+    # square_ideal_reduce builds Ann(F) once and reads every degree's square off it
+    for n in (1, 2, 3):
+        for d in range(1, 6):
+            f = random_form(rng, n, field, d)
+            gens, pieces = _generator_rows(f, d + 1)
+            for i in range(d + 2):
+                got, want = _square(n, gens, pieces, i), ideal_square_graded(f, i)
+                assert got == want and _typed_rows(got) == _typed_rows(want), (f, i)

@@ -194,6 +194,18 @@ def test_square_ideal_reduce_rank_n():
     assert trace.final.tdf() == F
 
 
+def test_square_ideal_reduce_builds_the_annihilator_once(monkeypatch):
+    # each degree i = t..d-1 rebuilt Ann(F)_0..i: 28 pieces here, 7 suffice
+    import apolar.apolarity as apolarity
+
+    calls = []
+    ann_graded = apolarity.ann_graded
+    monkeypatch.setattr(apolarity, "ann_graded", lambda f, i: calls.append(i) or ann_graded(f, i))
+    f = P(2, {(7, 0): 1, (0, 7): 1, (3, 0): 1, (2, 1): 1, (1, 0): 2})
+    assert square_ideal_reduce(f, 0).final == f.tdf()
+    assert sorted(calls) == list(range(7))
+
+
 def test_square_ideal_reduce_names_a_negative_t():
     with pytest.raises(IndexOutOfRange, match="t >= 0, got t = -1"):
         square_ideal_reduce(P(2, {(3, 0): 1, (1, 0): 1}), -1)

@@ -8,6 +8,8 @@ from apolar import (
 from apolar.dp import ZERO_DEG, grlex_key, monomials, monomials_upto
 from apolar.errors import ArityMismatch, CharacteristicTooSmall, FieldMismatch, IndexOutOfRange
 
+from conftest import random_operator, with_fractions
+
 
 def P(n, terms, field=QQ):
     return DPPoly(n, field, {e: field.from_int(c) for e, c in terms.items()})
@@ -159,3 +161,65 @@ def test_homogeneous_parts():
     assert f.homogeneous_part(2) == P(2, {(2, 0): 7})
     assert f.part_upto(2) == P(2, {(2, 0): 7, (1, 0): 2})
     assert f.part_from(2) == P(2, {(3, 1): 1, (2, 0): 7})
+
+
+def test_operator_product_rejects_mixed_truncations():
+    # a1 at trunc 4 times a1 at trunc 2 gave a1^2 at trunc 4, claiming that
+    # its unknown coefficients of degree 3 and 4 were zero
+    a4, a2 = Operator.variable(1, QQ, 1, 4), Operator.variable(1, QQ, 1, 2)
+    with pytest.raises(FieldMismatch, match="truncation 4 vs 2"):
+        a4 * a2
+    with pytest.raises(FieldMismatch, match="truncation 2 vs 4"):
+        a2 * a4
+    assert (a4 * a4).terms == {(2,): Q(1)}
+
+
+def _reference_opmul(x, y):
+    """x * y as the double loop over field coefficients, truncated at x.trunc."""
+    f = x.field
+    out = {}
+    for a, ca in x.terms.items():
+        da = sum(a)
+        for b, cb in y.terms.items():
+            if da + sum(b) > x.trunc:
+                continue
+            e = tuple(ai + bi for ai, bi in zip(a, b))
+            out[e] = f.add(out.get(e, f.zero()), f.mul(ca, cb))
+    return Operator(x.n, f, out, x.trunc)
+
+
+def _product_operands(rng, n, field, trunc):
+    """Zero, one, a unit, a dense and a sparse operator, and two of order
+    above trunc / 2 (their product is 0); over Q also copies with
+    denominators."""
+    unit = dict(random_operator(rng, n, field, trunc).terms)
+    unit[(0,) * n] = field.from_int(rng.choice((1, -1)))
+    ops = [
+        Operator.zero(n, field, trunc),
+        Operator.one(n, field, trunc),
+        Operator(n, field, unit, trunc),
+        random_operator(rng, n, field, trunc, density=0.8),
+        random_operator(rng, n, field, trunc, min_order=1, density=0.3),
+        random_operator(rng, n, field, trunc, min_order=trunc // 2 + 1),
+        random_operator(rng, n, field, trunc, min_order=trunc // 2 + 1, density=0.9),
+    ]
+    if field.is_rationals:
+        ops += [with_fractions(rng, op) for op in ops[2:]]
+    return ops
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(101)], ids=repr)
+def test_operator_product_matches_fraction_oracle(rng, field):
+    for n in (1, 2, 3):
+        for trunc in range(0, 7):
+            ops = _product_operands(rng, n, field, trunc)
+            for x in ops:
+                for y in ops:
+                    got, want = x * y, _reference_opmul(x, y)
+                    assert got.trunc == trunc
+                    assert got.terms == want.terms, (x, y)
+                    for c in got.terms.values():
+                        if field.is_rationals:
+                            assert type(c) is Q
+                        else:
+                            assert type(c) is int and 0 < c < field.p
