@@ -20,21 +20,21 @@ How the two costly maps are computed:
   r = 2..trunc substitutes N into psi truncated at r and maps the
   degree-r part back through L^{-1} as a linear combination.
 
-``subst`` and ``apply_automorphism_dual`` work on the integer form of
-``dp``: (D, {exp: int}) with one common denominator D.  ``subst`` keeps its
-power cache and each term's partial products in that form and sums the
-scaled terms over the lcm of their denominators; the dual action keeps its
-power table phi(a)^b in that form and pairs each entry with f's numerators.
-Each builds field elements only for the result it returns: over Q one
-``Fraction`` per output coefficient.  Images and units that are only
+Both maps and ``subst`` run on the stored integer form of ``dp``:
+numerators over one common denominator, (``_den``, ``_num``).  ``subst``
+keeps its power cache and each term's partial products as such pairs and
+sums the scaled terms over the lcm of their denominators; the dual action
+keeps its power table phi(a)^b as pairs and pairs each entry with f's
+numerators; the inverse writes L^-1 as an integer matrix over one
+denominator and adds each round's degree-r part as one pair.  Each result
+is reduced once, by ``_make``.  Images and units that are only
 re-truncated go through ``Operator._at``, which does not check their
 exponent keys again.
 """
 
-from fractions import Fraction
 from math import lcm
 
-from .dp import DPPoly, Operator, _check_pair, _ints_mul, _from_ints, _to_ints, contract, monomials
+from .dp import DPPoly, Operator, _check_pair, _ints_mul, contract, monomials
 from .errors import (
     ArityMismatch,
     FieldMismatch,
@@ -43,13 +43,13 @@ from .errors import (
     SingularMatrix,
 )
 from .fields import char_guard
-from .linalg import rref
+from .linalg import _echelon, rref
 
 
 def subst(op, images):
     """Substitute a_i -> images[i] into the operator ``op``, truncated at the
     images' common truncation."""
-    n, field = op.n, op.field
+    n = op.n
     if len(images) != n:
         raise ArityMismatch("need %d images, got %d" % (n, len(images)))
     trunc = images[0].trunc
@@ -57,7 +57,7 @@ def subst(op, images):
         _check_pair(op, im)
         if im.trunc != trunc:
             raise FieldMismatch("truncation %d vs %d" % (trunc, im.trunc))
-    ints = [_to_ints(im.terms, field) for im in images]
+    ints = [(im._den, im._num) for im in images]
     pow_cache = [{1: x} for x in ints]
 
     def power(i, k):
@@ -66,9 +66,8 @@ def subst(op, images):
             cache[k] = _ints_mul(power(i, k - 1), ints[i], trunc)
         return cache[k]
 
-    D, coeffs = _to_ints(op.terms, field)
     scaled = []  # (denominator, numerator of op's coefficient, image of the monomial)
-    for e, c in coeffs.items():
+    for e, c in op._num.items():
         term = None
         for i, a in enumerate(e):
             if a:
@@ -84,7 +83,7 @@ def subst(op, images):
         for m, v in prod.items():
             out[m] = out.get(m, 0) + s * v
     # keys of the images' products, trunc as theirs
-    return images[0]._make(_from_ints((L * D, out), field))
+    return images[0]._make(L * op._den, out)
 
 
 class Automorphism:
@@ -135,34 +134,30 @@ class Automorphism:
         degree-r part of N(psi) needs psi only below degree r.
         """
         n, field, trunc = self.n, self.field, self.trunc
-        lin = self.linear_matrix()
-        # lin^-1 from one elimination of [lin | 1]; lin is invertible (checked
-        # at construction), so the right half of the reduced rows is lin^-1
-        aug = [row + [field.one() if i == j else field.zero() for j in range(n)]
-               for i, row in enumerate(lin)]
-        red, _ = rref(aug, field, 2 * n)
-        # (L^-1 v)_j = sum_i linv[j][i] v_i, with L = lin transposed
-        linv = [[red[i][n + j] for i in range(n)] for j in range(n)]
-        units = list(monomials(n, 1))
-        psi = [
-            {units[i]: c for i, c in enumerate(linv[j]) if not field.is_zero(c)}
-            for j in range(n)
-        ]
+        # one integer echelon form of [lin | 1]; lin is invertible (checked at
+        # construction), so row i has its pivot at column i and its right
+        # half divided by that pivot is row i of lin^-1
+        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.linear_matrix())]
+        red, _ = _echelon(aug, field)
+        # L^-1 = M / delta with integer M, L = lin transposed
+        delta = lcm(*(red[i][i] for i in range(n)))
+        M = [[red[i][n + j] * (delta // red[i][i]) for i in range(n)] for j in range(n)]
+        zero = Operator.zero(n, field, trunc)
+        psi = [zero._make(delta, dict(zip(monomials(n, 1), row))) for row in M]
         nonlinear = [im.part_from(2) for im in self.images]
         for r in range(2, trunc + 1):
             # psi holds degrees below r only, so no truncation is needed
-            template = Operator.zero(n, field, r)
-            known = [template._make(terms) for terms in psi]
+            known = [ps._at(r) for ps in psi]
             parts = [subst(nl._at(r), known).homogeneous_part(r) for nl in nonlinear]
+            L = lcm(*(part._den for part in parts))
             for j in range(n):
-                terms = psi[j]
-                for i, part in enumerate(parts):
-                    c = linv[j][i]
-                    if field.is_zero(c):
-                        continue
-                    for e, v in part.terms.items():
-                        terms[e] = field.sub(terms.get(e, field.zero()), field.mul(c, v))
-        return Automorphism([self.images[0]._make(terms) for terms in psi])
+                out = {}
+                for c, part in zip(M[j], parts):
+                    s = c * (L // part._den)
+                    for e, v in part._num.items():
+                        out[e] = out.get(e, 0) - s * v
+                psi[j] = psi[j] + zero._make(delta * L, out)
+        return Automorphism(psi)
 
     def __repr__(self):
         return "<Automorphism %s>" % (self.images,)
@@ -197,14 +192,12 @@ def apply_automorphism_dual(phi, f):
     d = max(f.degree, 0)
     if phi.trunc < d:
         raise ArityMismatch("truncation %d below deg f = %d" % (phi.trunc, f.degree))
-    n, field = f.n, f.field
-    D, coeffs = _to_ints(f.terms, field)
-    get = coeffs.get
+    n = f.n
+    get = f._num.get
     # the products stop at degree d, so the images need no truncation
-    images = [_to_ints(im.terms, field) for im in phi.images]
-    p = field.p
+    images = [(im._den, im._num) for im in phi.images]
     powers = {(0,) * n: (1, {(0,) * n: 1})}
-    out = {}
+    vals = {}
     for deg in range(d + 1):
         for b in monomials(n, deg):
             if b not in powers:
@@ -212,12 +205,11 @@ def apply_automorphism_dual(phi, f):
                 prev = b[:i] + (b[i] - 1,) + b[i + 1 :]
                 powers[b] = _ints_mul(powers[prev], images[i], d)
             den, prod = powers[b]
-            v = sum(c * get(a, 0) for a, c in prod.items())  # den * D * <phi(a)^b, f>
-            if p:
-                out[b] = v % p
-            elif v:
-                out[b] = Fraction(v, den * D)
-    return f._make(out)  # keys from monomials(n, <= deg f)
+            # den * f._den * <phi(a)^b, f>
+            vals[b] = den, sum(c * get(a, 0) for a, c in prod.items())
+    L = lcm(*(den for den, _ in vals.values()))
+    # keys from monomials(n, <= deg f)
+    return f._make(L * f._den, {b: v * (L // den) for b, (den, v) in vals.items()})
 
 
 def apply_derivation_dual(D, f):
@@ -262,7 +254,7 @@ class GroupElement:
         one = (0,) * self.n
         return (
             self.aut.is_unipotent()
-            and self.unit.terms.get(one) == self.field.one()
+            and self.unit.coeff(one) == self.field.one()
         )
 
     def __repr__(self):

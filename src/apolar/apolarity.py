@@ -9,9 +9,8 @@ integer rows g tau, g a generator and tau in I, filled by index: a^u a^v = a^{u+
 
 The rows of the contractions x^e -| f (``module_sf``, the catalecticant,
 the filtration profiles) are integer rows filled by exponent lookup,
-row_e[c] = (D f)_{c+e}, from D f: f scaled once by a nonzero rational D to
-primitive integer coefficients (D = 1 over F_p).  Scaling every row by D
-changes no row space.
+row_e[c] = f._num[c + e], from f's stored numerators: they are D f for
+D = f._den (D = 1 over F_p).  Scaling every row by D changes no row space.
 """
 
 import math
@@ -20,7 +19,7 @@ from operator import add
 
 from .dp import DPPoly, monomials, monomials_upto
 from .errors import DecompositionInvariantViolated, IndexOutOfRange, ZeroPolynomial
-from .linalg import Basis, Window, _check_window_size, _decode, _echelon, _to_primitive
+from .linalg import Basis, Window, _check_window_size, _decode, _echelon
 
 
 class HilbertFunction:
@@ -94,29 +93,16 @@ def ann_graded(f, i):
     return Basis._of_kernel(win, _contraction_rows(f, targets, (i,)))
 
 
-def _scaled_coeffs(f):
-    """f's coefficients as ints: D f, over Q with D the nonzero rational that
-    makes the coefficients a primitive integer row (D = 1 over F_p).
-
-    Scaling every row by the same nonzero constant D changes no row space,
-    so rows filled from D f span what the same rows of f span.
-    """
-    if not f.field.is_rationals:
-        return f.terms
-    return dict(zip(f.terms, _to_primitive(list(f.terms.values()))))
-
-
 def _contraction_rows(f, exps, degrees):
-    """The integer rows of x^e -| D f for e in ``exps``.
+    """The integer rows of x^e -| D f for e in ``exps``, D = f._den.
 
     The columns are the monomials of each degree in ``degrees``, in that
-    order (grlex within a degree), and row_e[c] = (D f)_{c+e}: coefficients
+    order (grlex within a degree), and row_e[c] = f._num[c + e]: numerators
     are looked up by exponent, with no contraction and no Fraction
     arithmetic.  Only the degrees where x^e -| f has terms are looked up.
     """
-    coef = _scaled_coeffs(f)
-    get = coef.get
-    f_degrees = {sum(t) for t in coef}
+    get = f._num.get
+    f_degrees = {sum(t) for t in f._num}
     cols = {i: list(monomials(f.n, i)) for i in degrees}
     zeros = {i: [0] * len(cols[i]) for i in degrees}
     rows = []

@@ -13,10 +13,11 @@ with deg(apply(g, f) - F) < e.  Two solvers are tried in order:
   element, so the identity L F = G turns into apply(g, f) = f - G + (lower).
 
 Both read one system (``_solve_tangent_system``) built from integer rows:
-the contraction rows x^e -| D F filled by exponent lookup and their shifts
-x_i x^[u] = (u_i + 1) x^[u + e_i], with no ``contract`` and no DPPoly
-product.  If neither system is solvable the leading term is certifiably
-outside the tangent space and NotInTangent is raised.
+the contraction rows x^e -| D F filled by exponent lookup from F's stored
+numerators (D = F._den) and their shifts x_i x^[u] = (u_i + 1) x^[u + e_i],
+with no ``contract`` and no DPPoly product.  If neither system is solvable
+the leading term is certifiably outside the tangent space and NotInTangent
+is raised.
 
 The golden examples' expected facts live only in ``data/golden_*.json``;
 ``golden_13331``, ``golden_char2`` and ``golden_facts`` compare against them
@@ -40,7 +41,6 @@ from .actions import (
 from .apolarity import (
     _contraction_rows,
     _generator_rows,
-    _scaled_coeffs,
     _shifted_rows,
     _square,
     dim_apolar,
@@ -62,7 +62,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .fields import QQ, GF, char_guard
-from .linalg import Window, solve, span
+from .linalg import Basis, Window, solve
 from .parsing import parse_poly, poly_str
 from .tangent import perp_tangent, tangent_space, unip_tangent_space
 
@@ -106,9 +106,9 @@ def _solve_tangent_system(G, F, win, d_exps, tau_exps):
 
     The columns are integer rows: the x_i shifts (``_shifted_rows``) of the
     contractions x^e -| D F one degree below the window, i-major, then the
-    contractions x^e -| D F for tau (``_contraction_rows``), where D is the
-    scalar ``_scaled_coeffs`` applies to F (D = 1 over F_p).  So the right
-    side is D G: [D M | D G] has the same reduced echelon form as [M | G],
+    contractions x^e -| D F for tau (``_contraction_rows``), filled from F's
+    stored numerators, so D = F._den (D = 1 over F_p).  So the right side
+    is D G: [D M | D G] has the same reduced echelon form as [M | G],
     and ``solve`` sets the free columns to zero, so the solution depends on
     the column order.  Returns (d_terms, tau_terms), the nonzero
     coefficients of D_1 .. D_n and tau, or None when inconsistent.
@@ -119,10 +119,7 @@ def _solve_tangent_system(G, F, win, d_exps, tau_exps):
     shifted = _shifted_rows(_contraction_rows(F, d_exps, inner), n, inner, win)
     cols = [shifts[i] for i in range(n) for shifts in shifted]
     cols += _contraction_rows(F, tau_exps, win.degrees)
-    coef = _scaled_coeffs(F)
-    t = next(iter(coef))
-    scale = field.div(coef[t], F.terms[t])
-    rhs = [field.mul(scale, c) for c in win.encode(G)]
+    rhs = [F._den * c for c in win.encode(G)]
     sol = solve(list(zip(*cols)), rhs, field, len(cols))
     if sol is None:
         return None
@@ -317,17 +314,16 @@ def square_ideal_reduce(f, t):
     char_guard(field, d)
     if dim_apolar(f) != dim_apolar(F):
         raise HypothesisFailed("dim Apolar(f) differs from dim Apolar(tdf f)")
-    perp = perp_tangent(F, unipotent=True, max_degree=d - 1).vectors()
+    perp = perp_tangent(F, unipotent=True, max_degree=d - 1)
     # Ann(F) and its generators up to degree d - 1, built once for every square
     gens, pieces = _generator_rows(F, d - 1) if t < d else ({}, {})
     for i in range(t, d):
+        # F is homogeneous, so the perp is graded: its degree-i piece is its
+        # rows restricted to the degree-i columns
         win_i = Window.S_graded(n, i, field)
-        vecs_i = [
-            v
-            for v in perp
-            if not v.is_zero() and all(sum(e) == i for e in v.terms)
-        ]
-        if span(vecs_i, win_i) != _square(n, gens, pieces, i):
+        lo = perp.window.index[win_i.columns[0]]
+        perp_i = Basis(win_i, [row[lo : lo + win_i.dim] for row in perp._rows])
+        if perp_i != _square(n, gens, pieces, i):
             raise HypothesisFailed("perp differs from (Ann F)^2 in degree %d" % i, i)
     return reduce_toward(f, F, stop_degree=t)
 

@@ -1,28 +1,36 @@
 """The divided power ring P and the truncated power series ring S.
 
 Elements of P (:class:`DPPoly`) are written on the basis x^[a]; elements of S
-(:class:`Operator`) on the monomials a^b.  Both are sparse dicts keyed by
+(:class:`Operator`) on the monomials a^b.  Both are sparse and keyed by
 exponent tuples.  The canonical monomial order used everywhere is graded
 lexicographic: lower total degree first, ties broken by descending
 lexicographic comparison of exponent vectors.
 
+Coefficients are stored in one canonical integer form: ``_num`` maps each
+exponent e to a nonzero int and ``_den`` is one common denominator, so the
+coefficient of the monomial e is _num[e] / _den.  Over Q, _den > 0 and
+gcd(_den, *_num.values()) = 1; over F_p, _den = 1 and every numerator is a
+residue in [1, p).  ``_make`` is the one place that brings a pair to this
+form, so ``==`` and ``hash`` compare pairs.  Sums, scalings, products,
+contractions and derivatives run on the numerators and reduce their result
+once.  Field elements are built only at the boundary: the constructor
+encodes them, and ``terms``, ``coeff`` and ``pair`` decode (``Fraction``
+over Q, int over F_p).
+
 Key operations:
 
 * ``f * g`` on DPPoly: x^[a] * x^[b] = binom(a+b, a) x^[a+b] componentwise,
-  binomials taken over Z then reduced (correct in small characteristic);
+  binomials taken over Z and the product reduced once (so it is correct in
+  small characteristic);
 * ``contract(sigma, f)``: a^a -| x^[b] = x^[b-a] when b >= a, else 0;
 * ``pair(tau, f)``: constant coefficient of tau -| f;
 * ``omega`` / ``omega_inv``: the characteristic-zero dictionary
   x^[a] <-> x^a / a!, guarded against small characteristic.
 
-Operator products run on integers.  ``_to_ints`` writes a term dict as
-(D, {exp: int}) over one common denominator D (the lcm of the denominators
-over Q; D = 1 and the residues over F_p), ``_ints_mul`` multiplies two such
-pairs under a truncation without reducing mod p, and ``_from_ints`` builds
-the field elements -- ``Fraction(v, D)`` over Q, ``v % p`` over F_p -- once,
-for the result handed back.  ``Operator.__mul__`` is these three steps;
-``actions.subst`` and ``actions.apply_automorphism_dual`` chain products in
-the integer form and decode only their own results.
+``_ints_mul`` is the one operator product kernel: it multiplies two
+(den, num) pairs under a truncation without reducing mod p.
+``Operator.__mul__`` applies it to the stored pairs; ``actions.subst`` and
+``actions.apply_automorphism_dual`` chain it and reduce only their results.
 
 deg(0) is the sentinel -1, so tests like ``deg(...) <= 0`` admit the zero
 polynomial.
@@ -30,8 +38,8 @@ polynomial.
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
-from operator import add
+from math import comb, factorial, gcd, lcm, prod
+from operator import add, ge, sub
 
 from .errors import ArityMismatch, FieldMismatch, IndexOutOfRange
 from .fields import char_guard
@@ -66,17 +74,8 @@ def _check_pair(a, b):
         raise FieldMismatch("%r vs %r" % (a.field, b.field))
 
 
-def _to_ints(terms, field):
-    """(D, {exp: int}) with terms[e] = ints[e] / D.  Over Q, D is the lcm of
-    the denominators; over F_p, D = 1 and the residues are kept."""
-    if field.p:
-        return 1, terms
-    D = lcm(*(c.denominator for c in terms.values()))
-    return D, {e: c.numerator * (D // c.denominator) for e, c in terms.items()}
-
-
 def _ints_mul(x, y, trunc):
-    """The product of two ``_to_ints`` pairs, truncated at total degree trunc.
+    """The product of two (den, num) pairs, truncated at total degree trunc.
 
     y's terms are sorted by degree once, so the inner loop stops at the
     first term of degree above trunc - deg(a): no pair above the truncation
@@ -96,18 +95,9 @@ def _ints_mul(x, y, trunc):
     return dx * dy, out
 
 
-def _from_ints(x, field):
-    """The nonzero field coefficients of a ``_to_ints`` pair: ints[e] / D as
-    a Fraction over Q, ints[e] mod p over F_p."""
-    D, ints = x
-    if field.p:
-        p = field.p
-        return {e: v % p for e, v in ints.items() if v % p}
-    return {e: Fraction(v, D) for e, v in ints.items() if v}
-
-
 class _Sparse:
-    """Shared plumbing for sparse exponent-dict polynomials."""
+    """Shared plumbing for sparse exponent-dict polynomials, stored as the
+    canonical integer pair (``_den``, ``_num``) of the module docstring."""
 
     def __init__(self, n, field, terms):
         if n < 1:
@@ -118,68 +108,99 @@ class _Sparse:
         exps = [*chain.from_iterable(terms)]
         if {*map(type, exps)} - {int} or min(exps, default=0) < 0:
             raise IndexOutOfRange("exponent keys %r need ints >= 0" % (list(terms),))
+        # field elements: ints over F_p, ints and Fractions over Q
+        values = terms.values()
+        if {*map(type, values)} - ({int} if field.p else {int, Fraction}):
+            raise FieldMismatch("coefficients %r are not elements of %r" % (list(values), field))
         self.n = n
         self.field = field
-        self.terms = {e: c for e, c in terms.items() if not field.is_zero(c)}
+        D = lcm(*(c.denominator for c in values))
+        new = self._make(D, {e: c.numerator * (D // c.denominator) for e, c in terms.items()})
+        self._den, self._num = new._den, new._num
 
-    def _make(self, terms):
-        """A polynomial like self (kind, arity, field, truncation) with
-        ``terms``.  Their keys come from self's checked keys and stay within
-        its truncation, so they are not checked again."""
+    def _make(self, den, num):
+        """A polynomial like self (kind, arity, field, truncation) with the
+        coefficients num[e] / den, in canonical form: zeros dropped, over Q
+        divided by gcd(den, *num), over F_p reduced mod p (den is 1 there).
+        The keys come from checked keys, so they are not checked again."""
         new = object.__new__(type(self))
-        new.n, new.field = self.n, self.field
-        new.terms = {e: c for e, c in terms.items() if not self.field.is_zero(c)}
+        vars(new).update(vars(self))
+        p = self.field.p
+        if p:
+            new._den, new._num = 1, {e: r for e, v in num.items() if (r := v % p)}
+            return new
+        num = {e: v for e, v in num.items() if v}
+        g = gcd(den, *num.values())
+        if g > 1:
+            den, num = den // g, {e: v // g for e, v in num.items()}
+        new._den, new._num = den, num
         return new
 
+    @property
+    def terms(self):
+        """A new dict {exp: coefficient}: ``Fraction`` over Q, int in [1, p)
+        over F_p."""
+        if self.field.p:
+            return dict(self._num)
+        D = self._den
+        return {e: Fraction(v, D) for e, v in self._num.items()}
+
     def is_zero(self):
-        return not self.terms
+        return not self._num
 
     @property
     def degree(self):
-        if not self.terms:
-            return ZERO_DEG
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self._num), default=ZERO_DEG)
 
     def coeff(self, exps):
-        return self.terms.get(tuple(exps), self.field.zero())
+        v = self._num.get(tuple(exps), 0)
+        return v if self.field.p else Fraction(v, self._den)
+
+    def _part(self, keep):
+        """The terms whose total degree d has keep(d)."""
+        return self._make(self._den, {e: v for e, v in self._num.items() if keep(sum(e))})
 
     def homogeneous_part(self, d):
-        return self._make({e: c for e, c in self.terms.items() if sum(e) == d})
+        return self._part(lambda k: k == d)
 
     def part_upto(self, d):
-        return self._make({e: c for e, c in self.terms.items() if sum(e) <= d})
+        return self._part(lambda k: k <= d)
 
     def part_from(self, d):
-        return self._make({e: c for e, c in self.terms.items() if sum(e) >= d})
+        return self._part(lambda k: k >= d)
 
     def scale(self, c):
-        f = self.field
-        return self._make({e: f.mul(c, v) for e, v in self.terms.items()})
+        num = c.numerator
+        return self._make(self._den * c.denominator, {e: v * num for e, v in self._num.items()})
 
     def __add__(self, other):
         _check_pair(self, other)
-        f = self.field
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = f.add(out.get(e, f.zero()), c)
-        return self._make(out)
+        dx, dy = self._den, other._den
+        L = lcm(dx, dy)
+        out = {e: v * (L // dx) for e, v in self._num.items()}
+        s = L // dy
+        for e, v in other._num.items():
+            out[e] = out.get(e, 0) + v * s
+        return self._make(L, out)
 
     def __sub__(self, other):
-        return self + other.scale(self.field.from_int(-1))
+        return self + -other
 
     def __neg__(self):
-        return self.scale(self.field.from_int(-1))
+        return self._make(self._den, {e: -v for e, v in self._num.items()})
 
     def __eq__(self, other):
         return (
             type(self) is type(other)
             and self.n == other.n
             and self.field == other.field
-            and self.terms == other.terms
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self):
-        return hash((type(self).__name__, self.n, self.field, frozenset(self.terms.items())))
+        key = self._den, frozenset(self._num.items())
+        return hash((type(self).__name__, self.n, self.field, key))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
@@ -224,21 +245,13 @@ class DPPoly(_Sparse):
 
     def __mul__(self, other):
         _check_pair(self, other)
-        f = self.field
         out = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                c = f.mul(ca, cb)
-                for ai, bi in zip(a, b):
-                    c = f.mul(c, f.binom(ai + bi, ai))
-                    if f.is_zero(c):
-                        break
-                if f.is_zero(c):
-                    continue
-                e = tuple(ai + bi for ai, bi in zip(a, b))
-                prev = out.get(e, f.zero())
-                out[e] = f.add(prev, c)
-        return self._make(out)
+        get = out.get
+        for a, ca in self._num.items():
+            for b, cb in other._num.items():
+                e = tuple(map(add, a, b))
+                out[e] = get(e, 0) + ca * cb * prod(map(comb, e, a))
+        return self._make(self._den * other._den, out)
 
     def tdf(self):
         """Top degree form; tdf(0) = 0."""
@@ -255,13 +268,9 @@ class Operator(_Sparse):
 
     def __init__(self, n, field, terms, trunc):
         super().__init__(n, field, terms)  # checks every key, also those above trunc
-        self.terms = {e: c for e, c in self.terms.items() if sum(e) <= trunc}
         self.trunc = trunc
-
-    def _make(self, terms):
-        new = super()._make(terms)
-        new.trunc = self.trunc
-        return new
+        cut = self._part(lambda k: k <= trunc)
+        self._den, self._num = cut._den, cut._num
 
     @classmethod
     def zero(cls, n, field, trunc):
@@ -285,12 +294,10 @@ class Operator(_Sparse):
     @property
     def order(self):
         """min total degree of a term; the zero operator has order trunc+1."""
-        if not self.terms:
-            return self.trunc + 1
-        return min(sum(e) for e in self.terms)
+        return min(map(sum, self._num), default=self.trunc + 1)
 
     def is_unit(self):
-        return not self.field.is_zero(self.terms.get((0,) * self.n, self.field.zero()))
+        return (0,) * self.n in self._num
 
     def __add__(self, other):
         _check_pair(self, other)
@@ -303,7 +310,7 @@ class Operator(_Sparse):
         checked again."""
         if trunc == self.trunc:
             return self  # operators are never mutated
-        new = self._make({e: c for e, c in self.terms.items() if sum(e) <= trunc})
+        new = self._part(lambda k: k <= trunc)
         new.trunc = trunc
         return new
 
@@ -311,9 +318,7 @@ class Operator(_Sparse):
         _check_pair(self, other)
         if self.trunc != other.trunc:
             raise FieldMismatch("truncation %d vs %d" % (self.trunc, other.trunc))
-        f = self.field
-        prod = _ints_mul(_to_ints(self.terms, f), _to_ints(other.terms, f), self.trunc)
-        return self._make(_from_ints(prod, f))
+        return self._make(*_ints_mul((self._den, self._num), (other._den, other._num), self.trunc))
 
     def power(self, k):
         result = Operator.one(self.n, self.field, self.trunc)
@@ -325,24 +330,17 @@ class Operator(_Sparse):
         """Formal d/da_i, integer coefficients reduced into the field."""
         if not 1 <= i <= self.n:
             raise IndexOutOfRange("variable index %d" % i)
-        f = self.field
-        out = {}
-        for e, c in self.terms.items():
-            a = e[i - 1]
-            if a == 0:
-                continue
-            new = e[: i - 1] + (a - 1,) + e[i:]
-            coeff = f.mul(c, f.from_int(a))
-            if not f.is_zero(coeff):
-                out[new] = f.add(out.get(new, f.zero()), coeff)
-        return self._make(out)
+        return self._make(self._den, {
+            e[: i - 1] + (e[i - 1] - 1,) + e[i:]: v * e[i - 1]
+            for e, v in self._num.items() if e[i - 1]
+        })
 
     def inverse(self):
         """Multiplicative inverse of a unit, via the geometric series."""
         from .errors import NotAUnit
 
         f = self.field
-        c0 = self.terms.get((0,) * self.n, f.zero())
+        c0 = self.coeff((0,) * self.n)
         if f.is_zero(c0):
             raise NotAUnit("operator has zero constant term")
         c0inv = f.inv(c0)
@@ -364,26 +362,23 @@ class Operator(_Sparse):
 def contract(sigma, f):
     """sigma -| f for sigma in S and f in P."""
     _check_pair(sigma, f)
-    k = f.field
     out = {}
-    for a, ca in sigma.terms.items():
-        for b, cb in f.terms.items():
-            if all(bi >= ai for ai, bi in zip(a, b)):
-                e = tuple(bi - ai for ai, bi in zip(a, b))
-                out[e] = k.add(out.get(e, k.zero()), k.mul(ca, cb))
-    return DPPoly(f.n, k, out)
+    get = out.get
+    for a, ca in sigma._num.items():
+        for b, cb in f._num.items():
+            if all(map(ge, b, a)):
+                e = tuple(map(sub, b, a))
+                out[e] = get(e, 0) + ca * cb
+    return f._make(sigma._den * f._den, out)
 
 
 def pair(tau, f):
     """<tau, f>: the constant coefficient of tau -| f."""
     _check_pair(tau, f)
-    k = f.field
-    out = k.zero()
-    for a, ca in tau.terms.items():
-        cb = f.terms.get(a)
-        if cb is not None:
-            out = k.add(out, k.mul(ca, cb))
-    return out
+    get = f._num.get
+    v = sum(c * get(a, 0) for a, c in tau._num.items())
+    p = f.field.p
+    return v % p if p else Fraction(v, tau._den * f._den)
 
 
 class ClassicalPoly(_Sparse):
@@ -391,13 +386,12 @@ class ClassicalPoly(_Sparse):
 
     def __mul__(self, other):
         _check_pair(self, other)
-        f = self.field
         out = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                e = tuple(ai + bi for ai, bi in zip(a, b))
-                out[e] = f.add(out.get(e, f.zero()), f.mul(ca, cb))
-        return self._make(out)
+        for a, ca in self._num.items():
+            for b, cb in other._num.items():
+                e = tuple(map(add, a, b))
+                out[e] = out.get(e, 0) + ca * cb
+        return self._make(self._den * other._den, out)
 
     def __repr__(self):
         return "<ClassicalPoly %s>" % self._term_str("x")
@@ -407,24 +401,13 @@ def omega(f):
     """The ring isomorphism x^[a] -> x^a / a!; needs char 0 or > deg f."""
     k = f.field
     char_guard(k, max(f.degree, 0))
-    out = {}
-    for e, c in f.terms.items():
-        denom = k.one()
-        for a in e:
-            denom = k.mul(denom, k.factorial(a))
-        out[e] = k.div(c, denom)
-    return ClassicalPoly(f.n, k, out)
+    return ClassicalPoly(f.n, k, {
+        e: k.div(c, k.from_int(prod(map(factorial, e)))) for e, c in f.terms.items()
+    })
 
 
 def omega_inv(g):
     """Inverse of omega: x^a -> a! x^[a]; needs char 0 or > deg g."""
-    k = g.field
-    char_guard(k, max(g.degree, 0))
-    out = {}
-    for e, c in g.terms.items():
-        fac = k.one()
-        for a in e:
-            fac = k.mul(fac, k.factorial(a))
-        out[e] = k.mul(c, fac)
-    return DPPoly(g.n, k, out)
-
+    char_guard(g.field, max(g.degree, 0))
+    num = {e: v * prod(map(factorial, e)) for e, v in g._num.items()}
+    return DPPoly.zero(g.n, g.field)._make(g._den, num)

@@ -20,9 +20,9 @@ and sigma -| f of the defining formula.  Everything is truncated at
 N = deg f.
 
 All these rows are integer rows placed by column index.  The contractions
-are filled from D f (f scaled to primitive integer coefficients), B is the
-integer echelon form of m^k f (the rows its ``Basis`` keeps),
-and x_i x^[u] = (u_i + 1) x^[u + e_i] shifts its rows.  None of this goes
+are filled from D f, f's stored numerators (D = f._den), B is the integer
+echelon form of m^k f (the rows its ``Basis`` keeps), and
+x_i x^[u] = (u_i + 1) x^[u + e_i] shifts its rows.  None of this goes
 through ``contract`` or the DPPoly product.
 
 Perps are computed twice -- once as the orthogonal complement of the
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from operator import ge, sub
 
-from .apolarity import _contraction_rows, _scaled_coeffs, _shifted_rows, module_sf
+from .apolarity import _contraction_rows, _shifted_rows, module_sf
 from .dp import monomials, monomials_upto
 from .errors import CrossCheckFailed, IndexOutOfRange, TdfMismatch, ZeroPolynomial
 from .fields import char_guard
@@ -80,13 +80,12 @@ def _perp_direct(f, unipotent, max_degree):
     The coefficient of x^[m] in sigma -| f is sum_t sigma_{t-m} f_t over the
     terms t >= m of f, and in sigma^(i) -| f it is
     sum_t (t_i - m_i + 1) sigma_{t-m+e_i} f_t, so each equation row is
-    filled from those terms alone, with the integer coefficients of D f
-    (``_scaled_coeffs``) and integer weights.
+    filled from those terms alone, with f's stored numerators (the
+    coefficients of D f, D = f._den) and integer weights.
     """
     n, field = f.n, f.field
     win = Window.S_upto(n, max_degree, field)
     index = win.index
-    coef = _scaled_coeffs(f)
     d = max(f.degree, 0)
     min_m = 1 if unipotent else 0
     eqs = []
@@ -95,7 +94,7 @@ def _perp_direct(f, unipotent, max_degree):
             continue
         below = [
             (tuple(map(sub, t, m)), c)
-            for t, c in coef.items()
+            for t, c in f._num.items()
             if all(map(ge, t, m))
         ]
         if not below:

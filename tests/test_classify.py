@@ -20,8 +20,10 @@ from apolar import (
     golden_1222111,
     golden_char2,
     hilbert_function,
+    ideal_square_graded,
     improved_normal_form,
     lower_degree_step,
+    perp_tangent,
     reduce_toward,
     square_ideal_reduce,
     stabilizer_matrix_13331,
@@ -29,10 +31,10 @@ from apolar import (
     unip_orbit_membership,
     unip_tangent_space,
 )
-from apolar.classify import _solve_general_step, _solve_homogeneous_step
+from apolar.classify import _F1, _F2, _F3, _p, _solve_general_step, _solve_homogeneous_step
 from apolar.cli import cli_dispatch
 from apolar.dp import monomials, monomials_upto
-from apolar.linalg import solve
+from apolar.linalg import solve, span
 from apolar.errors import (
     GoldenMismatch,
     HypothesisFailed,
@@ -217,6 +219,42 @@ def test_square_ideal_reduce_names_a_negative_t():
 def test_square_ideal_reduce_border_rank_two_fails():
     with pytest.raises(HypothesisFailed):
         square_ideal_reduce(P(2, {(4, 1): 1, (2, 0): 1}), 0)
+
+
+def _reference_square_failure(F, t):
+    """The first degree i in t..d-1 where the unipotent tangent perp of the
+    form F differs from (Ann F)^2, or None.  The perp's homogeneous vectors
+    of each degree are decoded and re-spanned through ``Window.encode``."""
+    d = F.degree
+    perp = perp_tangent(F, unipotent=True, max_degree=d - 1).vectors()
+    for i in range(t, d):
+        vecs_i = [v for v in perp if not v.is_zero() and all(sum(e) == i for e in v.terms)]
+        if span(vecs_i, Window.S_graded(F.n, i, F.field)) != ideal_square_graded(F, i):
+            return i
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_square_ideal_reduce_matches_the_homogeneous_vector_route(field):
+    # the leading forms of the golden examples (13331's F1, F2, F3 and
+    # 1222111's x^[6]) and two binary forms, one of border rank two
+    forms = [_p(3, field, terms) for terms in (_F1, _F2, _F3)] + [
+        P(2, terms, field) for terms in ({(6, 0): 1}, {(4, 1): 1}, {(5, 0): 1, (0, 5): 1})
+    ]
+    outcomes = set()
+    for F in forms:
+        if field.p and field.p <= F.degree:
+            continue
+        for t in range(F.degree + 1):
+            want = _reference_square_failure(F, t)
+            outcomes.add(want)
+            if want is None:
+                assert square_ideal_reduce(F, t).final == F
+            else:
+                with pytest.raises(HypothesisFailed) as exc:
+                    square_ideal_reduce(F, t)
+                assert exc.value.degree == want, (F, t)
+    assert None in outcomes and len(outcomes) > 2  # both answers, several degrees
 
 
 def test_golden_13331():

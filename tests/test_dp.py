@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
@@ -8,7 +9,7 @@ from apolar import (
 from apolar.dp import ZERO_DEG, grlex_key, monomials, monomials_upto
 from apolar.errors import ArityMismatch, CharacteristicTooSmall, FieldMismatch, IndexOutOfRange
 
-from conftest import random_operator, with_fractions
+from conftest import random_form, random_operator, random_poly, with_fractions
 
 
 def P(n, terms, field=QQ):
@@ -208,8 +209,104 @@ def _product_operands(rng, n, field, trunc):
     return ops
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(101)], ids=repr)
+def _field_terms(field, pairs):
+    """The nonzero field coefficients summed from (exponent, coefficient) pairs."""
+    out = {}
+    for e, c in pairs:
+        out[e] = field.add(out.get(e, field.zero()), c)
+    return {e: c for e, c in out.items() if not field.is_zero(c)}
+
+
+def _reference_scale(x, c):
+    f = x.field
+    return _field_terms(f, [(e, f.mul(c, v)) for e, v in x.terms.items()])
+
+
+def _reference_add(x, y):
+    return _field_terms(x.field, [*x.terms.items(), *y.terms.items()])
+
+
+def _reference_dpmul(x, y):
+    """x * y over field coefficients, one binomial factor per coordinate."""
+    f = x.field
+    pairs = []
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            c = f.mul(ca, cb)
+            for ai, bi in zip(a, b):
+                c = f.mul(c, f.binom(ai + bi, ai))
+            pairs.append((tuple(ai + bi for ai, bi in zip(a, b)), c))
+    return _field_terms(f, pairs)
+
+
+def _reference_contract(sigma, g):
+    f = g.field
+    return _field_terms(f, [
+        (tuple(bi - ai for ai, bi in zip(a, b)), f.mul(ca, cb))
+        for a, ca in sigma.terms.items()
+        for b, cb in g.terms.items()
+        if all(bi >= ai for ai, bi in zip(a, b))
+    ])
+
+
+def _reference_pair(tau, g):
+    f, gt = g.field, g.terms
+    out = f.zero()
+    for a, c in tau.terms.items():
+        if a in gt:
+            out = f.add(out, f.mul(c, gt[a]))
+    return out
+
+
+def _reference_derivative(x, i):
+    f = x.field
+    return _field_terms(f, [
+        (e[: i - 1] + (e[i - 1] - 1,) + e[i:], f.mul(c, f.from_int(e[i - 1])))
+        for e, c in x.terms.items()
+        if e[i - 1]
+    ])
+
+
+def _assert_matches(got, want):
+    """got's terms are the oracle's dict, with the field's types, and its
+    stored pair (_den, _num) is canonical."""
+    field = got.field
+    assert got.terms == want, (got, want)
+    den, num = got._den, got._num
+    assert set(num) == set(want) and all(type(v) is int and v for v in num.values())
+    if field.is_rationals:
+        assert all(type(c) is Q for c in got.terms.values())
+        assert type(den) is int and den > 0 and gcd(den, *num.values()) == 1
+    else:
+        assert den == 1 and all(type(c) is int and 0 < c < field.p for c in got.terms.values())
+    # the constructor builds the same pair from the oracle's coefficients
+    if isinstance(got, Operator):
+        twin = Operator(got.n, field, want, got.trunc)
+    else:
+        twin = type(got)(got.n, field, want)
+    assert got == twin and hash(got) == hash(twin)
+
+
+def _poly_operands(rng, n, field, d):
+    """Zero, a constant, a dense and a sparse polynomial of degree d and a
+    form of degree d; over Q also copies with denominators."""
+    polys = [
+        DPPoly.zero(n, field),
+        DPPoly.monomial(n, field, (0,) * n, field.from_int(rng.choice((2, -3)))),
+        random_poly(rng, n, field, d, density=0.8),
+        random_poly(rng, n, field, d, density=0.3),
+        random_form(rng, n, field, d),
+    ]
+    if field.is_rationals:
+        polys += [with_fractions(rng, f) for f in polys[1:]]
+    return polys
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)], ids=repr)
 def test_operator_product_matches_fraction_oracle(rng, field):
+    """The operator product, and with it the rest of the sparse layer (sums,
+    scalings, part filters, DPPoly products, contraction, pairing and
+    derivatives), against Fraction-dict oracles on field coefficients."""
     for n in (1, 2, 3):
         for trunc in range(0, 7):
             ops = _product_operands(rng, n, field, trunc)
@@ -217,9 +314,79 @@ def test_operator_product_matches_fraction_oracle(rng, field):
                 for y in ops:
                     got, want = x * y, _reference_opmul(x, y)
                     assert got.trunc == trunc
-                    assert got.terms == want.terms, (x, y)
-                    for c in got.terms.values():
-                        if field.is_rationals:
-                            assert type(c) is Q
-                        else:
-                            assert type(c) is int and 0 < c < field.p
+                    _assert_matches(got, want.terms)
+    scalars = [field.from_int(c) for c in (0, 1, -1, 3)] + [field.from_fraction(Q(-5, 11))]
+    for n in (1, 2, 3):
+        for d in range(0, 5):
+            polys = _poly_operands(rng, n, field, d)
+            ops = _product_operands(rng, n, field, d)
+            for x in polys + ops:
+                _assert_matches(-x, _reference_scale(x, field.from_int(-1)))
+                for c in scalars:
+                    _assert_matches(x.scale(c), _reference_scale(x, c))
+                for k in range(-1, d + 2):
+                    terms = x.terms.items()
+                    _assert_matches(x.homogeneous_part(k), {e: c for e, c in terms if sum(e) == k})
+                    _assert_matches(x.part_upto(k), {e: c for e, c in terms if sum(e) <= k})
+                    _assert_matches(x.part_from(k), {e: c for e, c in terms if sum(e) >= k})
+            for x in ops:
+                for i in range(1, n + 1):
+                    _assert_matches(x.partial_derivative(i), _reference_derivative(x, i))
+                for t in range(0, d + 2):
+                    cut = x._at(t)
+                    assert cut.trunc == t
+                    _assert_matches(cut, {e: c for e, c in x.terms.items() if sum(e) <= t})
+                for y in ops:
+                    _assert_matches(x + y, _reference_add(x, y))
+                    minus_y = _reference_scale(y, field.from_int(-1))
+                    _assert_matches(x - y, _field_terms(field, [*x.terms.items(), *minus_y.items()]))
+            for x in polys:
+                for y in polys:
+                    _assert_matches(x + y, _reference_add(x, y))
+                    _assert_matches(x * y, _reference_dpmul(x, y))
+                for sigma in ops:
+                    _assert_matches(contract(sigma, x), _reference_contract(sigma, x))
+                    got, want = pair(sigma, x), _reference_pair(sigma, x)
+                    assert got == want and type(got) is type(field.zero())
+            # == and hash agree with equality of the decoded terms
+            for group in (polys, ops):
+                for x in group:
+                    for y in group:
+                        assert (x == y) == (x.terms == y.terms)
+                        assert x != y or hash(x) == hash(y)
+    if field.is_rationals:
+        # filtering changes the gcd: (x/2 + y^[2]/3) is (3x + 2y^[2]) / 6 and
+        # its degree-1 part 3x / 6 must come back as x / 2
+        f = DPPoly(2, QQ, {(1, 0): Q(1, 2), (0, 2): Q(1, 3)})
+        assert f.homogeneous_part(1) == DPPoly(2, QQ, {(1, 0): Q(1, 2)})
+        assert hash(f.homogeneous_part(1)) == hash(DPPoly(2, QQ, {(1, 0): Q(1, 2)}))
+        assert (f.homogeneous_part(1)._den, f.homogeneous_part(1)._num) == (2, {(1, 0): 1})
+
+
+def test_fp_coefficients_are_reduced_on_construction():
+    # DPPoly(1, GF(7), {(1,): 7}) used to keep 7: nonzero, degree 1, printed 7*x1
+    f = DPPoly(1, GF(7), {(1,): 7})
+    assert f.is_zero() and f.degree == ZERO_DEG
+    assert repr(f) == "<DPPoly 0>"
+
+
+def test_fp_operator_coefficients_are_residues():
+    # Operator(1, GF(7), {(0,): 8}, 2) used to keep 8, so it differed from 1
+    u = Operator(1, GF(7), {(0,): 8, (1,): -1}, 2)
+    assert u.part_upto(0) == Operator.one(1, GF(7), 2)
+    assert Operator(1, GF(7), {(0,): 8}, 2) == Operator.one(1, GF(7), 2)
+    assert u.terms == {(0,): 1, (1,): 6}
+
+
+def test_coefficients_that_are_not_field_elements_are_rejected():
+    # a Fraction over F_p computed as a Fraction (f + f gave Fraction(1, 1)),
+    # a float over Q computed in floats
+    for field, c in ((GF(7), Q(1, 2)), (GF(7), 0.5), (QQ, 0.5), (QQ, "1"), (GF(7), None)):
+        with pytest.raises(FieldMismatch):
+            DPPoly(1, field, {(1,): c})
+        with pytest.raises(FieldMismatch):
+            Operator(1, field, {(0,): field.one(), (5,): c}, 2)  # checked before truncation
+        with pytest.raises(FieldMismatch):
+            ClassicalPoly(1, field, {(0,): c})
+    assert DPPoly(1, QQ, {(1,): 2, (0,): Q(1, 2)}).terms == {(1,): Q(2), (0,): Q(1, 2)}
+    assert DPPoly(1, GF(7), {(1,): -1}).terms == {(1,): 6}
