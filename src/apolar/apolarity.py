@@ -3,9 +3,15 @@
 All ideal-theoretic data is computed degree by degree with linear algebra:
 ``ann_graded`` is the kernel of the catalecticant map S_i -> P.  The degree-i
 generators are the rows of I_i = Ann(f)_i at pivot columns (columns outside the
-span of those before them) of one echelon form of the columns a_t sigma, sigma
-in I_{i-1}, then I_i's rows.  ``ideal_square_graded`` spans (I^2)_i by the
-integer rows g tau, g a generator and tau in I, filled by index: a^u a^v = a^{u+v}.
+span of those before them) of the columns a_t sigma, sigma in I_{i-1}, then
+I_i's rows, read off one forward ``_pivot_stream`` sweep.  ``ideal_square_graded``
+spans (I^2)_i by the integer rows g tau, g a generator and tau in I, filled by
+index: a^u a^v = a^{u+v}.
+
+The Hilbert function and the symmetric decomposition need only pivot counts
+of the modules m^k -| f, so ``_filtration_profiles`` reads all of them off
+one ``_pivot_stream`` sweep, k from deg f down to 0, and builds no echelon
+form.
 
 The rows of the contractions x^e -| f (``module_sf``, the catalecticant,
 the filtration profiles) are integer rows filled by exponent lookup,
@@ -19,7 +25,7 @@ from operator import add
 
 from .dp import DPPoly, monomials, monomials_upto
 from .errors import DecompositionInvariantViolated, IndexOutOfRange, ZeroPolynomial
-from .linalg import Basis, Window, _check_window_size, _decode, _echelon
+from .linalg import Basis, Window, _check_window_size, _decode, _pivot_stream
 
 
 class HilbertFunction:
@@ -165,25 +171,28 @@ def _filtration_profiles(f):
     """prof[k][i] = dim(M_k cap P_{<=i}) - dim(M_k cap P_{<=i-1}) for
     M_k = m^k -| f, k = 0 .. deg f + 1.
 
-    One echelon form per k of the rows x^e -| D f with |e| >= k, columns
-    ordered highest degree first (grlex within a degree); prof[k][i] counts
-    its pivots of degree i.  Only the pivots are read, so the rows are
-    never normalised.
+    The rows x^e -| D f, columns ordered highest degree first (grlex within
+    a degree), go through one ``_pivot_stream`` in batches by |e| = d, d-1,
+    .., 0.  The rows streamed up to the batch |e| = k span M_k, so the
+    pivots found so far are those of an echelon form of M_k, and prof[k][i]
+    counts the ones of degree i; prof[d+1] (M_{d+1} = 0) is all zeros.  One
+    forward sweep serves every k, with no back-substitution.
     """
     d = f.degree
     _check_window_size(f.n, range(d + 1))
     degrees = range(d, -1, -1)
     col_degree = [i for i in degrees for _ in monomials(f.n, i)]
     exps = list(monomials_upto(f.n, d))
-    rows = list(zip(map(sum, exps), _contraction_rows(f, exps, degrees)))
-    profiles = []
-    for k in range(d + 2):
-        _, pivots = _echelon([row for deg, row in rows if deg >= k], f.field)
-        prof = [0] * (d + 1)
+    rows = _contraction_rows(f, exps, degrees)
+    batches = [[row for e, row in zip(exps, rows) if sum(e) == k] for k in degrees]
+    prof = [0] * (d + 1)
+    profiles = [prof]
+    for pivots in _pivot_stream(batches, f.field):
+        prof = list(prof)
         for p in pivots:
             prof[col_degree[p]] += 1
         profiles.append(prof)
-    return profiles
+    return profiles[::-1]
 
 
 def _hilbert_from_profiles(profiles):
@@ -196,7 +205,8 @@ def hilbert_function(f):
 
     With the columns of P ordered highest degree first, dim(M cap P_{<=i})
     is the number of pivots of degree <= i of an echelon form of M; at
-    i = deg f that is dim M, the pivot total of ``_filtration_profiles``.
+    i = deg f that is dim M, the pivot total of ``_filtration_profiles``,
+    whose one forward sweep gives every m^k -| f at once.
     """
     if f.is_zero():
         raise ZeroPolynomial("Hilbert function of the zero polynomial")
@@ -247,7 +257,8 @@ def symmetric_decomposition(f):
     P_i of (m^{d-a-i} -| f) cap P_{<=i}, taken modulo P_{<=i-1}.  With the
     columns of P ordered highest degree first, dim(M cap P_{<=i}) is the
     number of pivots of degree <= i of an echelon form of M, so dim C_a(i)
-    is the pivot count ``prof[d-a-i][i]`` of ``_filtration_profiles``.
+    is the pivot count ``prof[d-a-i][i]`` of ``_filtration_profiles`` (one
+    forward sweep for every k, shared with H).
     The type invariants (sum = H, symmetry, non-negativity) are theorems; a
     violation raises DecompositionInvariantViolated.
     """
@@ -312,7 +323,8 @@ def _generator_rows(f, upto):
     for i in range(1, upto + 1):
         I = pieces[i]
         cols = _products(f.n, pieces[i - 1]._rows, i - 1, units, 1, I.window)
-        _, pivots = _echelon([list(r) for r in zip(*cols, *I._rows)], f.field)
+        # the stream yields pivots as it finds them; generators go by column
+        pivots = sorted(next(_pivot_stream([zip(*cols, *I._rows)], f.field)))
         gens[i] = [I._rows[c - len(cols)] for c in pivots if c >= len(cols)]
     return gens, pieces
 

@@ -12,10 +12,16 @@ divided out after every step, which keeps intermediate entries small.  Over
 F_p the rows are residues.  The reduced echelon form ``_echelon`` computes
 is canonical: over Q each row is the reduced row scaled to a primitive row
 with a positive pivot, over F_p the reduced row itself (pivot 1).  That form
-is what a ``Basis`` stores and what its ``perp``, ``sum``, ``contains`` and
-``==`` read.  Fractions (over Q) appear only at the boundary, in ``rref``,
-``nullspace``, ``Basis.rows`` and ``Basis.vectors()``, which all divide each
-row by its pivot (``_decode``).
+is what a ``Basis`` stores and what its ``perp``, ``sum`` and ``==`` read.
+Fractions (over Q) appear only at the boundary, in ``rref``, ``nullspace``,
+``Basis.rows`` and ``Basis.vectors()``, which all divide each row by its
+pivot (``_decode``), and in ``solve``, which divides one entry per pivot row.
+
+An answer that needs only pivot columns or a rank -- membership here, the
+filtration profiles and annihilator generators in ``apolarity`` -- comes
+from ``_pivot_stream``, one forward elimination sweep over batches of rows
+with no back-substitution: a row belongs to a span iff adding it adds no
+pivot.  Canonical rows only ever come from ``_echelon``.
 
 Before eliminating, ``_echelon`` splits the columns into blocks.  Each
 nonzero row covers the columns from its first to its last nonzero entry;
@@ -30,7 +36,7 @@ already in canonical form (see there), so nothing is eliminated twice.
 """
 
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress, count, islice
 from math import comb, gcd, lcm
 from operator import itemgetter
 
@@ -109,6 +115,61 @@ def _eliminate(work, field):
         if rank == len(work):
             break
     return pivots
+
+
+def _pivot_stream(batches, field):
+    """Forward elimination of batches of rows, reading pivot columns only.
+
+    For each batch (rows of ints and Fractions over Q, of ints over F_p, all
+    as wide) yields the pivot columns it adds to the span of the rows
+    before it, in the order they are found.  The pivot columns of an
+    echelon form depend only on the row space, so after each batch the
+    yielded columns so far are, sorted, the pivots ``_echelon`` finds for
+    all the rows so far.
+
+    The stored rows are kept by leading column, each as its entries from
+    that column on: primitive over Q, pivot 1 over F_p.  An incoming row
+    (made primitive, or reduced to residues) is reduced against the stored
+    row at its leading column until it vanishes or leads at a column with
+    no stored row, where it is stored.  Over Q a step cross-multiplies and
+    divides out the row gcd; nothing is back-substituted.
+    """
+    q, p = field.is_rationals, field.p
+    stored = {}
+    for batch in batches:
+        found = []
+        for row in batch:
+            row = _to_primitive(row) if q else [x % p for x in row]
+            lead = next(compress(count(), row), None)
+            if lead is None:
+                continue
+            tail = row[lead:]
+            while lead in stored:
+                prow = stored[lead]
+                c = tail[0]
+                # the entries at lead cancel, so only the columns after it are formed
+                pairs = zip(islice(tail, 1, None), islice(prow, 1, None))
+                if q:
+                    piv = prow[0]
+                    tail = [piv * a - c * b for a, b in pairs]
+                else:
+                    tail = [(a - c * b) % p for a, b in pairs]
+                shift = next(compress(count(), tail), None)
+                if shift is None:
+                    break
+                lead += shift + 1
+                tail = tail[shift:]
+                if q:
+                    g = gcd(*tail)
+                    if g > 1:
+                        tail = [x // g for x in tail]
+            else:
+                if not q and tail[0] != 1:
+                    inv = pow(tail[0], -1, p)
+                    tail = [a * inv % p for a in tail]
+                stored[lead] = tail
+                found.append(lead)
+        yield found
 
 
 def _echelon(rows, field):
@@ -200,35 +261,50 @@ def _kernel(rows, field, ncols):
     return kernel
 
 
+def _check_width(rows, ncols):
+    for row in rows:
+        if len(row) != ncols:
+            raise AmbientMismatch("row of %d entries, expected %d" % (len(row), ncols))
+
+
 def rref(rows, field, ncols):
     """Reduced row echelon form.  Returns (rows, pivot_columns).
 
-    Every row has ``ncols`` entries.  Rows come back as lists of field
-    elements with pivots equal to 1, sorted by pivot column.
+    Every row has ``ncols`` entries (else AmbientMismatch).  Rows come back
+    as lists of field elements with pivots equal to 1, sorted by pivot
+    column.
     """
+    _check_width(rows, ncols)
     work, pivots = _echelon(rows, field)
     return _decode(work, field), pivots
 
 
 def nullspace(rows, field, ncols):
-    """Basis (as RREF) of {x : M x = 0}, M given by ``rows``; see ``_kernel``."""
+    """Basis (as RREF) of {x : M x = 0}, M given by ``rows`` of ``ncols``
+    entries each (else AmbientMismatch); see ``_kernel``."""
+    _check_width(rows, ncols)
     return _decode(_kernel(rows, field, ncols), field)
 
 
 def solve(rows, rhs, field, ncols):
     """Particular solution of M x = rhs with free variables set to zero.
 
-    Returns a list of field elements or None when inconsistent.  The
-    solution is the reduced-echelon particular solution, so it is
-    deterministic.
+    M is given by ``rows`` of ``ncols`` entries each, and ``rhs`` has one
+    entry per row (else AmbientMismatch).  Returns a list of field elements
+    or None when inconsistent.  The solution is the reduced-echelon
+    particular solution, so it is deterministic: x[pc] is read off the
+    canonical integer row with pivot column pc as row[ncols] / row[pc] (over
+    F_p the pivot is 1), and only those entries are decoded.
     """
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug, field, ncols + 1)
+    _check_width(rows, ncols)
+    if len(rhs) != len(rows):
+        raise AmbientMismatch("%d right-hand sides for %d rows" % (len(rhs), len(rows)))
+    red, pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)], field)
     if ncols in pivots:
         return None
     x = [field.zero()] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+    for row, pc in zip(red, pivots):
+        x[pc] = Fraction(row[ncols], row[pc]) if field.is_rationals else row[ncols]
     return x
 
 
@@ -387,15 +463,21 @@ class Basis:
         if self.window != other.window:
             raise AmbientMismatch("windows differ: %r vs %r" % (self.window, other.window))
 
+    def _adds_no_pivot(self, rows):
+        """Whether ``rows`` lie in the span: streamed after the basis rows,
+        they add no pivot."""
+        return not list(_pivot_stream((self._rows, rows), self.window.field))[1]
+
     def contains_vector(self, vec):
         row = self.window.encode(vec) if not isinstance(vec, list) else vec
         if len(row) != self.window.dim:
             raise AmbientMismatch("row of %d entries, window of %d" % (len(row), self.window.dim))
-        return len(_echelon(self._rows + [row], self.window.field)[1]) == self.dim
+        return self._adds_no_pivot([row])
 
     def contains(self, other):
         if isinstance(other, Basis):
-            return self.sum(other).dim == self.dim
+            self._require_same_window(other)
+            return self._adds_no_pivot(other._rows)
         return self.contains_vector(other)
 
     def sum(self, other):

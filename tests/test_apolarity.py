@@ -20,10 +20,11 @@ from apolar import (
     span,
     symmetric_decomposition,
 )
-from apolar.apolarity import _generator_rows, _square
+from apolar import apolarity, linalg
+from apolar.apolarity import _contraction_rows, _filtration_profiles, _generator_rows, _square
 from apolar.dp import monomials, monomials_upto
 from apolar.errors import ZeroPolynomial
-from apolar.linalg import Basis, Window
+from apolar.linalg import Basis, Window, _echelon
 from apolar.parsing import parse_poly
 
 from conftest import random_form, random_poly, with_fractions
@@ -233,6 +234,70 @@ def test_profiles_match_intersection_oracle(field, rng):
             for f in polys:
                 assert hilbert_function(f) == _reference_hilbert(f), (n, d, f)
                 assert symmetric_decomposition(f) == _reference_symdec(f), (n, d, f)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the filtration profiles from one ``_echelon`` per k
+# of the rows x^e -| D f with |e| >= k (nested row sets, each eliminated
+# from scratch), against the one forward sweep.
+
+
+def _reference_profiles(f):
+    d = f.degree
+    degrees = range(d, -1, -1)
+    col_degree = [i for i in degrees for _ in monomials(f.n, i)]
+    exps = list(monomials_upto(f.n, d))
+    rows = list(zip(map(sum, exps), _contraction_rows(f, exps, degrees)))
+    profiles = []
+    for k in range(d + 2):
+        _, pivots = _echelon([row for deg, row in rows if deg >= k], f.field)
+        prof = [0] * (d + 1)
+        for p in pivots:
+            prof[col_degree[p]] += 1
+        profiles.append(prof)
+    return profiles
+
+
+def _profile_polys(rng, n, field, d):
+    """A form, a polynomial, a constant, and x_1^[d] plus terms of degree
+    at most 1; over Q also each with Fraction coefficients."""
+    low = random_poly(rng, n, field, min(d, 1), force_top=False)
+    polys = [
+        random_form(rng, n, field, d),
+        random_poly(rng, n, field, d),
+        DPPoly(n, field, {(0,) * n: field.from_int(rng.choice([1, -1, 2]))}),
+        DPPoly.monomial(n, field, (d,) + (0,) * (n - 1)) + low,
+    ]
+    if field.is_rationals:
+        polys += [with_fractions(rng, f) for f in polys]
+    return [f for f in polys if not f.is_zero()]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)], ids=str)
+def test_profiles_match_nested_echelon_oracle(field, rng):
+    for n in (1, 2, 3, 4):
+        for d in range(0, 5 if n == 4 else 7):
+            for f in _profile_polys(rng, n, field, d):
+                assert _filtration_profiles(f) == _reference_profiles(f), (n, d, f)
+
+
+def test_hilbert_function_builds_no_echelon_form(monkeypatch):
+    # the profiles come from one forward sweep: no reduced echelon form
+    calls = []
+
+    def counting(rows, field):
+        calls.append(len(rows))
+        return _echelon(rows, field)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    monkeypatch.setattr(apolarity, "_echelon", counting, raising=False)
+    f = parse_poly("x1^[4]*x2 + x2^[3]*x3 + x3^[2] + x1", 3, QQ)
+    assert hilbert_function(f) == _reference_hilbert(f)
+    assert calls  # the counter sees the reference's eliminations
+    calls.clear()
+    hilbert_function(f)
+    symmetric_decomposition(f)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,14 @@ from apolar import (
     span,
 )
 from apolar.errors import AmbientMismatch, ArityMismatch, WindowTooLarge
-from apolar.linalg import MAX_WINDOW_COLUMNS, _check_window_size, _decode, _echelon, _kernel
+from apolar.linalg import (
+    MAX_WINDOW_COLUMNS,
+    _check_window_size,
+    _decode,
+    _echelon,
+    _kernel,
+    _pivot_stream,
+)
 from conftest import random_poly, with_fractions
 
 
@@ -343,6 +350,112 @@ def test_nullspace_matches_two_rref_oracle(field, rng):
         assert _typed((got, None)) == _typed((want, None)), (rows, ncols)
 
 
+# Differential oracle for solve: the decode route, which turns the whole
+# reduced augmented matrix into field elements and reads the last column.
+
+
+def _reference_solve(rows, rhs, field, ncols):
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    red, pivots = rref(aug, field, ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [field.zero()] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
+
+
+def _solve_cases(rng, field):
+    """(rows, rhs, ncols): each matrix with the image of a random x (a
+    consistent system) and with a random right side (often inconsistent)."""
+    kinds = ["int", "frac", "mixed"] if field.is_rationals else ["int"]
+    for _ in range(200):
+        rows, ncols = _random_matrix(rng, rng.choice(kinds))
+        x = [_random_entry(rng, rng.choice(kinds)) for _ in range(ncols)]
+        image = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        if not field.is_rationals:
+            image = [b % field.p for b in image]
+        yield rows, image, ncols
+        yield rows, [_random_entry(rng, rng.choice(kinds)) for _ in rows], ncols
+    yield from (([], [], 0), ([], [], 3), ([[]], [0], 0), ([[]], [5], 0), ([[0, 0]], [0], 2))
+    yield [[1, 2], [2, 4]], [3, 6], 2  # rank-deficient, consistent
+    yield [[1, 2], [2, 4]], [3, 7], 2  # rank-deficient, inconsistent
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_solve_matches_decode_route(field, rng):
+    outcomes = set()
+    for rows, rhs, ncols in _solve_cases(rng, field):
+        got, want = solve(rows, rhs, field, ncols), _reference_solve(rows, rhs, field, ncols)
+        if want is None:
+            assert got is None, (rows, rhs)
+            outcomes.add("inconsistent")
+            continue
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in want], (rows, rhs)
+        for row, b in zip(rows, rhs):  # M x = rhs
+            residual = sum(a * v for a, v in zip(row, got)) - b
+            assert (residual % field.p if field.p else residual) == 0, (rows, rhs)
+        outcomes.add("consistent")
+    assert outcomes == {"consistent", "inconsistent"}
+
+
+def test_public_routines_reject_wrong_shapes():
+    # every row has ncols entries and rhs one entry per row, or AmbientMismatch
+    bad = [
+        lambda: solve([[1, 0], [0, 1]], [1], QQ, 2),
+        lambda: solve([[1]], [1, 2], QQ, 1),
+        lambda: solve([[1, 2]], [1], QQ, 3),
+        lambda: rref([[1, 2], [3, 4]], QQ, 3),
+        lambda: rref([[1, 2], [3]], QQ, 2),
+        lambda: nullspace([[1, 2]], QQ, 3),
+        lambda: nullspace([[1, 2], [1]], GF(7), 2),
+    ]
+    for call in bad:
+        with pytest.raises(AmbientMismatch):
+            call()
+    assert solve([[1, 0], [0, 1]], [1, 2], QQ, 2) == [1, 2]
+    assert rref([], QQ, 3) == ([], []) and nullspace([], QQ, 2) == [[1, 0], [0, 1]]
+
+
+# Differential oracle for the forward sweep: after each batch the pivots it
+# has yielded so far are, sorted, the pivots of ``_echelon`` of every row so
+# far.  The rows include zero rows, repeated rows, rows equal up to sign and
+# empty batches.
+
+
+def _stream_cases(rng, field):
+    for rows, ncols in _kernel_cases(rng, field):
+        yield rows, ncols
+        if rows:
+            twins = rows + [[-x for x in r] for r in rows] + [list(r) for r in rows]
+            rng.shuffle(twins)
+            yield twins, ncols
+
+
+def _cut(rng, rows):
+    """``rows`` in consecutive batches, some of them empty."""
+    batches, i = [], 0
+    while i < len(rows) or rng.random() < 0.3:
+        k = rng.randint(0, 3)
+        batches.append(rows[i : i + k])
+        i += k
+    return batches
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
+def test_pivot_stream_matches_echelon_on_every_prefix(field, rng):
+    for rows, ncols in _stream_cases(rng, field):
+        batches = _cut(rng, rows)
+        found, prefix = [], []
+        yielded = list(_pivot_stream(batches, field))
+        assert len(yielded) == len(batches)
+        for batch, new in zip(batches, yielded):
+            found += new
+            prefix += batch
+            assert sorted(found) == _echelon(prefix, field)[1], (batches, ncols)
+        assert len(set(found)) == len(found)
+
+
 # Differential oracle for membership: the reduction of a row against the
 # basis's pivot rows, one field operation at a time.
 
@@ -374,15 +487,21 @@ def test_contains_matches_reduction_oracle(field, rng):
         for _ in range(3 if rows else 0):  # k r + s for rows r, s of the basis
             k, r, s = field.from_int(rng.randint(-3, 3)), rng.choice(rows), rng.choice(rows)
             members.append([field.add(field.mul(k, a), b) for a, b in zip(r, s)])
+        members += [[field.neg(x) for x in r] for r in basis.rows]  # equal up to sign
         others = [_random_row(rng, field, win.dim) for _ in range(3)]
         for row in members + others + [[field.zero()] * win.dim]:
             assert basis.contains(row) == _reference_contains(basis, row), (rows, row)
             assert basis.contains(win.decode(row)) == _reference_contains(basis, row)
         assert all(basis.contains(row) for row in members)
-        for sub in (Basis(win, rows[: len(rows) // 2]), Basis(win, others), Basis(win, [])):
+        subs = (Basis(win, rows[: len(rows) // 2]), Basis(win, others), Basis(win, []),
+                Basis(win, members), Basis(win, rows + others))
+        for sub in subs:
             for big, small in ((basis, sub), (sub, basis)):
                 want = all(_reference_contains(big, list(r)) for r in small.rows)
                 assert big.contains(small) == want, (rows, others)
+        other_win = Window.P_graded(win.n, max(win.degrees) + 1, field)
+        with pytest.raises(AmbientMismatch):
+            basis.contains(Basis(other_win, []))
 
 
 # The integer form a Basis keeps: checked on the kernel cases' matrices and,
