@@ -8,19 +8,29 @@ Conventions fixed here (and tested):
 * ``exp_group_element(D, tau)`` realises the exponential of the Lie algebra
   element f |-> D_dual(f) + tau -| f as an honest group element.
 
-How the two costly maps are computed:
+How the costly maps are computed:
 
 * ``apply_automorphism_dual`` uses the adjunction <sigma, phi_dual f> =
   <phi(sigma), f>: the coefficient of x^[b] in phi_dual(f) is
   <phi(a)^b, f>, one pairing per monomial b with |b| <= deg f, read off a
   power table of the images' products truncated at deg f.
-* ``Automorphism.inverse`` writes phi(a) = L a + N(a) with N of order >= 2
+* ``compose`` needs psi^{-1}(u) only, the unique x with psi(x) = u, and
+  solves for it one degree at a time (``Automorphism._preimage``): the
+  residual u - psi(x_{<r}) has order >= r, x_r is L^{-1} applied to its
+  degree-r part, and round r substitutes only the new piece x_r into psi.
+  L, the linear part of psi, is the identity for every unipotent
+  reduction step, and then L^{-1} is skipped.  No inverse is built.
+* ``Automorphism.inverse`` serves only ``group_inverse`` and callers
+  outside the library.  It writes phi(a) = L a + N(a) with N of order >= 2
   and solves psi = L^{-1} (a - N(psi)) one degree at a time: the degree-r
   part of N(psi) only involves the parts of psi below degree r, so round
   r = 2..trunc substitutes N into psi truncated at r and maps the
   degree-r part back through L^{-1} as a linear combination.
+* Both read L^{-1} from ``Automorphism._linear_inverse``: an integer
+  matrix over one denominator, read off one integer echelon form of
+  [L | 1].
 
-Both maps and ``subst`` run on the stored integer form of ``dp``:
+These maps and ``subst`` run on the stored integer form of ``dp``:
 numerators over one common denominator, (``_den``, ``_num``).  ``subst``
 keeps its power cache and each term's partial products as such pairs and
 sums the scaled terms over the lcm of their denominators; the dual action
@@ -117,15 +127,30 @@ class Automorphism:
         ]
 
     def is_unipotent(self):
-        """Every phi(a_i) - a_i lies in m^2."""
-        for i, im in enumerate(self.images):
-            d = im - Operator.variable(self.n, self.field, i + 1, self.trunc)
-            if d.order < 2:
-                return False
-        return True
+        """Every phi(a_i) - a_i lies in m^2: the linear part is the identity."""
+        # in canonical form the coefficient 1 is the numerator _den
+        return all(
+            {e: v for e, v in im._num.items() if sum(e) == 1} == {a: im._den}
+            for a, im in zip(monomials(self.n, 1), self.images)
+        )
 
     def __call__(self, op):
         return subst(op, self.images)
+
+    def _linear_inverse(self):
+        """(delta, M, images): L^-1 = M / delta with integer M, and images[j]
+        = sum_i M[j][i] / delta a_i is the linear part of phi^-1(a_j)."""
+        n, field = self.n, self.field
+        # one integer echelon form of [lin | 1]; lin is invertible (checked at
+        # construction), so row i has its pivot at column i and its right
+        # half divided by that pivot is row i of lin^-1
+        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.linear_matrix())]
+        red, _ = _echelon(aug, field)
+        # L = lin transposed
+        delta = lcm(*(red[i][i] for i in range(n)))
+        M = [[red[i][n + j] * (delta // red[i][i]) for i in range(n)] for j in range(n)]
+        zero = Operator.zero(n, field, self.trunc)
+        return delta, M, [zero._make(delta, dict(zip(monomials(n, 1), row))) for row in M]
 
     def inverse(self):
         """psi with phi(psi(a_i)) = a_i, one degree per round.
@@ -134,16 +159,8 @@ class Automorphism:
         degree-r part of N(psi) needs psi only below degree r.
         """
         n, field, trunc = self.n, self.field, self.trunc
-        # one integer echelon form of [lin | 1]; lin is invertible (checked at
-        # construction), so row i has its pivot at column i and its right
-        # half divided by that pivot is row i of lin^-1
-        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.linear_matrix())]
-        red, _ = _echelon(aug, field)
-        # L^-1 = M / delta with integer M, L = lin transposed
-        delta = lcm(*(red[i][i] for i in range(n)))
-        M = [[red[i][n + j] * (delta // red[i][i]) for i in range(n)] for j in range(n)]
+        delta, M, psi = self._linear_inverse()
         zero = Operator.zero(n, field, trunc)
-        psi = [zero._make(delta, dict(zip(monomials(n, 1), row))) for row in M]
         nonlinear = [im.part_from(2) for im in self.images]
         for r in range(2, trunc + 1):
             # psi holds degrees below r only, so no truncation is needed
@@ -158,6 +175,28 @@ class Automorphism:
                         out[e] = out.get(e, 0) - s * v
                 psi[j] = psi[j] + zero._make(delta * L, out)
         return Automorphism(psi)
+
+    def _preimage(self, u):
+        """The operator x with phi(x) = u, one degree per round.
+
+        The degree-r part of phi(x) is L x_r plus terms from x below degree
+        r.  So with rest = u - phi(x_{<r}) of order >= r, x_r is L^-1 of the
+        degree-r part of rest, and each round substitutes only the new piece
+        x_r into phi.  For unipotent phi, L^-1 is the identity.
+        """
+        linv = None if self.is_unipotent() else self._linear_inverse()[2]
+        x = Operator.zero(self.n, self.field, self.trunc)
+        rest = u
+        for r in range(self.trunc + 1):
+            if rest.order > r:  # no degree-r part (the zero rest has order trunc + 1)
+                continue
+            part = rest.homogeneous_part(r)
+            if linv is not None:
+                part = subst(part, linv)
+            x = x + part
+            if r < self.trunc:
+                rest = rest - subst(part, self.images)  # its degree-r part cancels
+        return x
 
     def __repr__(self):
         return "<Automorphism %s>" % (self.images,)
@@ -276,8 +315,7 @@ def compose(g, h):
     if g.trunc != h.trunc:
         raise FieldMismatch("truncation %d vs %d" % (g.trunc, h.trunc))
     chi = Automorphism([subst(im, g.aut.images) for im in h.aut.images])
-    psi_inv = h.aut.inverse()
-    unit = h.unit * subst(g.unit, psi_inv.images)
+    unit = h.unit * h.aut._preimage(g.unit)
     return GroupElement(chi, unit)
 
 

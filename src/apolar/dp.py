@@ -37,6 +37,7 @@ polynomial.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, ge, sub
@@ -47,15 +48,15 @@ from .fields import char_guard
 ZERO_DEG = -1  # degree of the zero polynomial: any value < 0 works
 
 
+@lru_cache(maxsize=1024)
 def monomials(n, d):
-    """Exponent tuples of total degree d (none if d < 0) in n variables, lex-descending."""
+    """Exponent tuples of total degree d (none if d < 0) in n variables,
+    lex-descending, as one tuple per (n, d) shared by every caller."""
     if n == 1:
-        if d >= 0:
-            yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in monomials(n - 1, d - first):
-            yield (first,) + rest
+        return ((d,),) if d >= 0 else ()
+    return tuple(
+        (first,) + rest for first in range(d, -1, -1) for rest in monomials(n - 1, d - first)
+    )
 
 
 def monomials_upto(n, dmax):

@@ -19,6 +19,7 @@ from apolar import (
     group_inverse,
     identity_group_element,
     pair,
+    reduce_toward,
     subst,
 )
 from apolar.actions import (
@@ -39,6 +40,7 @@ from apolar.errors import (
     SingularMatrix,
 )
 from apolar.linalg import solve
+from apolar.parsing import parse_poly
 
 from conftest import (
     random_group_element,
@@ -373,3 +375,76 @@ def test_group_layer_matches_reference_oracles(rng, field, shape):
                     assert out.trunc == trunc
             assert apply_automorphism_dual(phi, f) == _reference_apply_dual(phi, f)
             assert apply_automorphism_dual(psi, f) == _reference_apply_dual(psi, f)
+
+
+# ---------------------------------------------------------------------------
+# compose solves phi(x) = u for x = phi^-1(u) instead of inverting phi: the
+# substitution into the full inverse and the previous compose are its oracles.
+
+
+def _reference_compose(g, h):
+    """(phi o psi, v * psi^-1(u)) with psi^-1 from ``Automorphism.inverse``."""
+    chi = Automorphism([subst(im, g.aut.images) for im in h.aut.images])
+    return GroupElement(chi, h.unit * subst(g.unit, h.aut.inverse().images))
+
+
+def _preimage_operators(rng, n, field, trunc):
+    """A unit, a unit with a constant other than 1, a non-unit and zero."""
+    unit = random_operator(rng, n, field, trunc, min_order=1) + Operator.one(n, field, trunc)
+    return [unit, unit.scale(field.from_int(3)), random_operator(rng, n, field, trunc, min_order=1),
+            Operator.zero(n, field, trunc)]
+
+
+@pytest.mark.parametrize("shape", ["linear", "fractions", "step", "exp"])
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=repr)
+def test_preimage_matches_substitution_into_the_inverse(rng, field, shape):
+    # "step" and "exp" have the identity linear part, as every unipotent
+    # reduction step; "linear" and "fractions" mostly others
+    identity = []
+    for n in (1, 2, 3):
+        for trunc in range(1, 7):
+            phi = _oracle_automorphism(rng, n, field, trunc, shape)
+            identity.append(phi.linear_matrix() == identity_automorphism(n, field, 1).linear_matrix())
+            assert phi.is_unipotent() == identity[-1]
+            inv_images = phi.inverse().images
+            for u in _preimage_operators(rng, n, field, trunc):
+                if shape == "fractions" and field.is_rationals:
+                    u = with_fractions(rng, u)
+                x = phi._preimage(u)
+                assert x == subst(u, inv_images), (n, trunc, u)
+                assert x.trunc == trunc
+                assert subst(x, phi.images) == u
+    assert all(identity) if shape in ("step", "exp") else identity.count(False) > 10
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=repr)
+def test_compose_matches_reference_compose(rng, field):
+    for n in (1, 2, 3):
+        for trunc in range(1, 7):
+            for make_g, make_h in [
+                (random_group_element, random_group_element),
+                (random_unipotent, random_unipotent),
+                (random_group_element, random_unipotent),
+            ]:
+                g, h = make_g(rng, n, field, trunc), make_h(rng, n, field, trunc)
+                got, want = compose(g, h), _reference_compose(g, h)
+                assert got.aut.images == want.aut.images
+                assert got.unit == want.unit
+                assert (got.n, got.field, got.trunc) == (want.n, want.field, want.trunc)
+
+
+def test_reduction_inverts_no_automorphism(monkeypatch):
+    # a unipotent member case: every step's compose solves for psi^-1(u)
+    calls = []
+    inverse = Automorphism.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Automorphism, "inverse", counting)
+    F = parse_poly("x1^[4] + x2^[4]", 2, QQ)
+    f = parse_poly("x1^[4] + x2^[4] + x1^[2]*x2", 2, QQ)
+    trace = reduce_toward(f, F)
+    assert len(trace) >= 1 and trace.final == F
+    assert calls == []
