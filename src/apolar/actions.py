@@ -14,32 +14,27 @@ How the costly maps are computed:
   <phi(sigma), f>: the coefficient of x^[b] in phi_dual(f) is
   <phi(a)^b, f>, one pairing per monomial b with |b| <= deg f, read off a
   power table of the images' products truncated at deg f.
-* ``compose`` needs psi^{-1}(u) only, the unique x with psi(x) = u, and
-  solves for it one degree at a time (``Automorphism._preimage``): the
-  residual u - psi(x_{<r}) has order >= r, x_r is L^{-1} applied to its
-  degree-r part, and round r substitutes only the new piece x_r into psi.
-  L, the linear part of psi, is the identity for every unipotent
-  reduction step, and then L^{-1} is skipped.  No inverse is built.
-* ``Automorphism.inverse`` serves only ``group_inverse`` and callers
-  outside the library.  It writes phi(a) = L a + N(a) with N of order >= 2
-  and solves psi = L^{-1} (a - N(psi)) one degree at a time: the degree-r
-  part of N(psi) only involves the parts of psi below degree r, so round
-  r = 2..trunc substitutes N into psi truncated at r and maps the
-  degree-r part back through L^{-1} as a linear combination.
-* Both read L^{-1} from ``Automorphism._linear_inverse``: an integer
+* ``Automorphism._preimage`` is the one solver for phi(x) = u.  It goes
+  one degree at a time: the residual u - phi(x_{<r}) has order >= r, x_r
+  is L^{-1} applied to its degree-r part, and round r substitutes only
+  the new piece x_r into phi.  L, the linear part of phi, is the identity
+  for every unipotent reduction step, and then L^{-1} is skipped.  L^{-1}
+  otherwise comes from ``Automorphism._linear_inverse``: an integer
   matrix over one denominator, read off one integer echelon form of
   [L | 1].
+* ``compose`` needs psi^{-1}(u) only, and takes it from
+  ``psi._preimage(u)``; no inverse is built.
+* ``Automorphism.inverse`` serves only ``group_inverse`` and callers
+  outside the library.  phi^{-1}(a_j) is the preimage of a_j.
 
 These maps and ``subst`` run on the stored integer form of ``dp``:
 numerators over one common denominator, (``_den``, ``_num``).  ``subst``
 keeps its power cache and each term's partial products as such pairs and
 sums the scaled terms over the lcm of their denominators; the dual action
 keeps its power table phi(a)^b as pairs and pairs each entry with f's
-numerators; the inverse writes L^-1 as an integer matrix over one
-denominator and adds each round's degree-r part as one pair.  Each result
-is reduced once, by ``_make``.  Images and units that are only
-re-truncated go through ``Operator._at``, which does not check their
-exponent keys again.
+numerators.  Each result is reduced once, by ``_make``.  Images and
+units that are only re-truncated go through ``Operator._at``, which
+does not check their exponent keys again.
 """
 
 from math import lcm
@@ -138,8 +133,8 @@ class Automorphism:
         return subst(op, self.images)
 
     def _linear_inverse(self):
-        """(delta, M, images): L^-1 = M / delta with integer M, and images[j]
-        = sum_i M[j][i] / delta a_i is the linear part of phi^-1(a_j)."""
+        """The linear parts of phi^-1(a_j): sum_i M[j][i] / delta a_i with
+        L^-1 = M / delta, M an integer matrix."""
         n, field = self.n, self.field
         # one integer echelon form of [lin | 1]; lin is invertible (checked at
         # construction), so row i has its pivot at column i and its right
@@ -150,31 +145,14 @@ class Automorphism:
         delta = lcm(*(red[i][i] for i in range(n)))
         M = [[red[i][n + j] * (delta // red[i][i]) for i in range(n)] for j in range(n)]
         zero = Operator.zero(n, field, self.trunc)
-        return delta, M, [zero._make(delta, dict(zip(monomials(n, 1), row))) for row in M]
+        return [zero._make(delta, dict(zip(monomials(n, 1), row))) for row in M]
 
     def inverse(self):
-        """psi with phi(psi(a_i)) = a_i, one degree per round.
-
-        With phi(a) = L a + N(a), ord N >= 2, psi = L^-1 (a - N(psi)); the
-        degree-r part of N(psi) needs psi only below degree r.
-        """
+        """psi with phi(psi(a_i)) = a_i: psi(a_i) is the preimage of a_i."""
         n, field, trunc = self.n, self.field, self.trunc
-        delta, M, psi = self._linear_inverse()
-        zero = Operator.zero(n, field, trunc)
-        nonlinear = [im.part_from(2) for im in self.images]
-        for r in range(2, trunc + 1):
-            # psi holds degrees below r only, so no truncation is needed
-            known = [ps._at(r) for ps in psi]
-            parts = [subst(nl._at(r), known).homogeneous_part(r) for nl in nonlinear]
-            L = lcm(*(part._den for part in parts))
-            for j in range(n):
-                out = {}
-                for c, part in zip(M[j], parts):
-                    s = c * (L // part._den)
-                    for e, v in part._num.items():
-                        out[e] = out.get(e, 0) - s * v
-                psi[j] = psi[j] + zero._make(delta * L, out)
-        return Automorphism(psi)
+        return Automorphism(
+            [self._preimage(Operator.variable(n, field, i + 1, trunc)) for i in range(n)]
+        )
 
     def _preimage(self, u):
         """The operator x with phi(x) = u, one degree per round.
@@ -184,7 +162,7 @@ class Automorphism:
         degree-r part of rest, and each round substitutes only the new piece
         x_r into phi.  For unipotent phi, L^-1 is the identity.
         """
-        linv = None if self.is_unipotent() else self._linear_inverse()[2]
+        linv = None if self.is_unipotent() else self._linear_inverse()
         x = Operator.zero(self.n, self.field, self.trunc)
         rest = u
         for r in range(self.trunc + 1):

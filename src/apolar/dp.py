@@ -48,7 +48,9 @@ from .fields import char_guard
 ZERO_DEG = -1  # degree of the zero polynomial: any value < 0 works
 
 
-@lru_cache(maxsize=1024)
+# a benchmark workload reaches at most 27 keys (n, d), counting the recursive
+# calls, and the whole test suite in one process 67; 128 evicts none of them
+@lru_cache(maxsize=128)
 def monomials(n, d):
     """Exponent tuples of total degree d (none if d < 0) in n variables,
     lex-descending, as one tuple per (n, d) shared by every caller."""
