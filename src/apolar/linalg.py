@@ -5,57 +5,65 @@ degrees -- together with the global graded-lex column order.  A
 :class:`Basis` is a subspace of a window, kept as its canonical integer
 reduced echelon form, so subspace equality is literal row equality.
 
-Everything works on integer rows.  Over Q each input row is scaled to a
-primitive integer row (plain ints, gcd 1; a row that is already all ints
-skips the denominators) and eliminated by cross-multiplication, the row gcd
-divided out after every step, which keeps intermediate entries small.  Over
-F_p the rows are residues.  The reduced echelon form ``_echelon`` computes
-is canonical: over Q each row is the reduced row scaled to a primitive row
-with a positive pivot, over F_p the reduced row itself (pivot 1).  That form
-is what a ``Basis`` stores and what its ``perp``, ``sum`` and ``==`` read.
-Fractions (over Q) appear only at the boundary, in ``rref``, ``nullspace``,
-``Basis.rows`` and ``Basis.vectors()``, which all divide each row by its
-pivot (``_decode``), and in ``solve``, which divides one entry per pivot row.
+Everything works on integer rows (``_integer_row``): over Q each input row
+is scaled to a primitive integer row (plain ints, gcd 1; a row that is
+already all ints skips the denominators), over F_p the rows are residues.
+There is one elimination, a forward sweep (``_store``): each row is reduced
+against the stored row at its leading column -- over Q by
+cross-multiplication with the row gcd divided out after every step, which
+keeps intermediate entries small -- until it vanishes or leads at a new
+column, where it is stored.
 
 An answer that needs only pivot columns or a rank -- membership here, the
 filtration profiles and annihilator generators in ``apolarity`` -- comes
-from ``_pivot_stream``, one forward elimination sweep over batches of rows
-with no back-substitution: a row belongs to a span iff adding it adds no
-pivot.  Canonical rows only ever come from ``_echelon``.
+from ``_pivot_stream``, the sweep alone over batches of rows: a row belongs
+to a span iff adding it adds no pivot.  Canonical rows come from
+``_echelon``, which runs the sweep and then back-substitutes
+(``_back_substitute``).  Its reduced echelon form is canonical: over Q each
+row is the reduced row scaled to a primitive row with a positive pivot, over
+F_p the reduced row itself (pivot 1).  That form is what a ``Basis`` stores
+and what its ``perp``, ``sum`` and ``==`` read.  Fractions (over Q) appear
+only at the boundary, in ``rref``, ``nullspace``, ``Basis.rows`` and
+``Basis.vectors()``, which all divide each row by its pivot (``_decode``),
+and in ``solve``, which divides one entry per pivot row.
 
-Before eliminating, ``_echelon`` splits the columns into blocks.  Each
+Before the sweep, ``_echelon`` splits the columns into blocks.  Each
 nonzero row covers the columns from its first to its last nonzero entry;
 rows whose intervals overlap share a block, and the blocks are disjoint.  So
 the row space is the direct sum of the blocks' row spaces, its reduced
-echelon form is the direct sum of theirs, and each block is eliminated on
-its own column slice.  A row filled from a homogeneous polynomial lives in
-one degree, so a graded space -- every space built from a form -- splits
-into one block per degree.  A kernel is read off the echelon form of the
-column-reversed rows (``_kernel``), where the kernel vectors come out
-already in canonical form (see there), so nothing is eliminated twice.
+echelon form is the direct sum of theirs, and each block is swept and
+back-substituted on its own column slice.  A row filled from a homogeneous
+polynomial lives in one degree, so a graded space -- every space built from
+a form -- splits into one block per degree.  A kernel is read off the
+echelon form of the column-reversed rows (``_kernel``), where the kernel
+vectors come out already in canonical form (see there), so nothing is
+eliminated twice.
 """
 
 from fractions import Fraction
-from itertools import compress, count, islice
+from itertools import chain, compress, count
 from math import comb, gcd, lcm
 from operator import itemgetter
 
 from .dp import DPPoly, Operator, monomials
-from .errors import AmbientMismatch, ArityMismatch, WindowTooLarge
+from .errors import AmbientMismatch, ArityMismatch, FieldMismatch, WindowTooLarge
 
 
 # ---------------------------------------------------------------------------
 # Row reduction
 
 
-def _to_primitive(row):
-    """Scale a row of ints and Fractions to a primitive integer row (gcd 1).
+def _integer_row(row, field):
+    """The integer row elimination works on: over Q a row of ints and
+    Fractions scaled to a primitive row (gcd 1), over F_p the residues.
 
-    An all-int row is taken as it is (no lcm, no ``denominator`` reads) and
-    may come back as the same list; the elimination never mutates it.
+    An all-int list over Q is taken as it is (no lcm, no ``denominator``
+    reads) and may come back as the same list; nothing mutates it.
     """
+    if field.p:
+        return [x % field.p for x in row]
     if set(map(type, row)) <= {int}:
-        ints = row
+        ints = row if type(row) is list else list(row)
     else:
         L = lcm(*(x.denominator for x in row))
         ints = [x.numerator * (L // x.denominator) for x in row]
@@ -65,111 +73,85 @@ def _to_primitive(row):
     return ints
 
 
-def _eliminate(work, field):
-    """Reduce the integer rows ``work`` (at least one) in place.
+def _store(stored, row, p):
+    """The forward sweep for one integer row: reduce it against the stored
+    row at its leading column until it vanishes or leads at a column with
+    no stored row, and store it there.  Returns that column, or None.
 
-    Afterwards work[r] for r < rank has its pivot at pivots[r] and zeros in
-    every other pivot column.  A pivot row is made positive (over Q) or
-    divided by its pivot (over F_p) when it is picked, and later steps scale
-    it only by positive pivots, so over Q the primitive rows keep a positive
-    pivot and over F_p every pivot is 1.  Returns the pivot columns.
+    ``stored`` maps a leading column to the row leading there, kept as its
+    entries from that column on: primitive over Q (p = 0), pivot 1 over F_p.
     """
-    q, p = field.is_rationals, field.p
-    pivots = []
-    rank = 0
-    for col in range(len(work[0])):
-        pivot_row = None
-        for r in range(rank, len(work)):
-            if work[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        prow = work[rank]
-        piv = prow[col]
-        # the pivot row is zero left of col: each earlier column is either
-        # an eliminated pivot column or was zero in every row not yet used
-        if q and piv < 0:
-            prow[col:] = [-a for a in prow[col:]]
-            piv = -piv
-        elif not q and piv != 1:
-            inv = pow(piv, -1, p)
-            prow[col:] = [a * inv % p for a in prow[col:]]
-        tail = prow[col:]
-        for r in range(len(work)):
-            row = work[r]
-            if r == rank or row[col] == 0:
-                continue
-            c = row[col]
-            if q:
-                row = [piv * a for a in row[:col]] + [
-                    piv * a - c * b for a, b in zip(row[col:], tail)
-                ]
-                g = gcd(*row)
-                work[r] = [x // g for x in row] if g > 1 else row
-            else:
-                row[col:] = [(a - c * b) % p for a, b in zip(row[col:], tail)]
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    return pivots
+    lead = next(compress(count(), row), None)
+    if lead is None:
+        return None
+    tail = row[lead:]
+    while (prow := stored.get(lead)) is not None:
+        c = tail[0]
+        if p:
+            tail = [(a - c * b) % p for a, b in zip(tail, prow)]
+        else:
+            piv = prow[0]
+            tail = [piv * a - c * b for a, b in zip(tail, prow)]
+        shift = next(compress(count(), tail), None)  # >= 1: the lead cancels
+        if shift is None:
+            return None
+        lead += shift
+        tail = tail[shift:]
+        if not p:
+            g = gcd(*tail)
+            if g > 1:
+                tail = [x // g for x in tail]
+    if p and tail[0] != 1:
+        inv = pow(tail[0], -1, p)
+        tail = [a * inv % p for a in tail]
+    stored[lead] = tail
+    return lead
 
 
 def _pivot_stream(batches, field):
     """Forward elimination of batches of rows, reading pivot columns only.
 
-    For each batch (rows of ints and Fractions over Q, of ints over F_p, all
-    as wide) yields the pivot columns it adds to the span of the rows
-    before it, in the order they are found.  The pivot columns of an
-    echelon form depend only on the row space, so after each batch the
-    yielded columns so far are, sorted, the pivots ``_echelon`` finds for
-    all the rows so far.
-
-    The stored rows are kept by leading column, each as its entries from
-    that column on: primitive over Q, pivot 1 over F_p.  An incoming row
-    (made primitive, or reduced to residues) is reduced against the stored
-    row at its leading column until it vanishes or leads at a column with
-    no stored row, where it is stored.  Over Q a step cross-multiplies and
-    divides out the row gcd; nothing is back-substituted.
+    For each batch (rows of field elements, all as wide) yields the pivot
+    columns it adds to the span of the rows before it, in the order
+    ``_store`` finds them.  The pivot columns of an echelon form depend only
+    on the row space, so after each batch the yielded columns so far are,
+    sorted, the pivots ``_echelon`` finds for all the rows so far.
     """
-    q, p = field.is_rationals, field.p
-    stored = {}
+    stored, p = {}, field.p
     for batch in batches:
-        found = []
-        for row in batch:
-            row = _to_primitive(row) if q else [x % p for x in row]
-            lead = next(compress(count(), row), None)
-            if lead is None:
-                continue
-            tail = row[lead:]
-            while lead in stored:
-                prow = stored[lead]
-                c = tail[0]
-                # the entries at lead cancel, so only the columns after it are formed
-                pairs = zip(islice(tail, 1, None), islice(prow, 1, None))
-                if q:
-                    piv = prow[0]
-                    tail = [piv * a - c * b for a, b in pairs]
-                else:
-                    tail = [(a - c * b) % p for a, b in pairs]
-                shift = next(compress(count(), tail), None)
-                if shift is None:
-                    break
-                lead += shift + 1
-                tail = tail[shift:]
-                if q:
-                    g = gcd(*tail)
-                    if g > 1:
-                        tail = [x // g for x in tail]
-            else:
-                if not q and tail[0] != 1:
-                    inv = pow(tail[0], -1, p)
-                    tail = [a * inv % p for a in tail]
-                stored[lead] = tail
-                found.append(lead)
-        yield found
+        found = [_store(stored, _integer_row(row, field), p) for row in batch]
+        yield [lead for lead in found if lead is not None]
+
+
+def _back_substitute(stored, p):
+    """Make a sweep's ``stored`` rows the reduced echelon form, in place;
+    returns their leads, sorted.
+
+    From the last pivot up, row k clears each later pivot column j with row
+    j, reduced already and so zero at the other pivots: in one pass it
+    becomes L row_k - sum_j (L c_j / piv_j) row_j, c_j its entry at j and L
+    the least multiplier that keeps this integral (1 over F_p, where every
+    pivot is 1).  Over Q it is then made primitive with a positive pivot.
+    """
+    leads = sorted(stored)
+    for i in range(len(leads) - 1, -1, -1):
+        k = leads[i]
+        row = stored[k]
+        later = [(j - k, stored[j]) for j in leads[i + 1 :] if row[j - k]]
+        if p:
+            for off, prow in later:
+                c = row[off]
+                row[off:] = [(a - c * b) % p for a, b in zip(row[off:], prow)]
+            continue
+        L = lcm(*(prow[0] // gcd(row[off], prow[0]) for off, prow in later))
+        if L > 1:
+            row = [L * x for x in row]
+        for off, prow in later:
+            m = row[off] // prow[0]
+            row[off:] = [a - m * b for a, b in zip(row[off:], prow)]
+        g = gcd(*row) if row[0] > 0 else -gcd(*row)
+        stored[k] = [x // g for x in row] if g != 1 else row
+    return leads
 
 
 def _echelon(rows, field):
@@ -181,21 +163,17 @@ def _echelon(rows, field):
     a positive pivot, over F_p its pivot is 1, so the form depends only on
     the row space.
 
-    Each nonzero input row becomes an integer row (primitive over Q,
-    residues over F_p) and is placed by its first and last nonzero column.
-    Rows whose [first, last] intervals overlap form a column block; the
-    blocks are disjoint, so the row space is their direct sum and so is its
-    reduced echelon form.  Each block is eliminated on its own column slice
-    and its rows padded back to full width, so the caller's lists are never
-    mutated or returned.
+    Each nonzero input row becomes an integer row (``_integer_row``) and is
+    placed by its first and last nonzero column.  Rows whose [first, last]
+    intervals overlap form a column block; the blocks are disjoint, so the
+    row space is their direct sum and so is its reduced echelon form.  Each
+    block is swept (``_store``) and back-substituted on its own column
+    slice and its rows padded back to full width, so the caller's lists
+    are never mutated or returned.
     """
-    if field.is_rationals:
-        work = [_to_primitive(row) for row in rows]
-    else:
-        p = field.p
-        work = [[x % p for x in row] for row in rows]
     spans = []
-    for row in work:
+    for row in rows:
+        row = _integer_row(row, field)
         first = next(compress(count(), row), None)
         if first is not None:
             last = len(row) - 1 - next(compress(count(), reversed(row)))
@@ -210,13 +188,19 @@ def _echelon(rows, field):
         else:
             blocks.append([first, last, [row]])
 
-    out, pivots = [], []
+    out, pivots, p = [], [], field.p
     for lo, hi, block in blocks:
         pad = [0] * (len(block[0]) - hi - 1)
-        block = [row[lo : hi + 1] for row in block]
-        piv = _eliminate(block, field)
-        out += [[0] * lo + row + pad for row in block[: len(piv)]]
-        pivots += [lo + c for c in piv]
+        if lo == hi:  # one column: the unit row, whatever the rows' entries
+            out.append([0] * lo + [1] + pad)
+            pivots.append(lo)
+            continue
+        stored = {}
+        for row in block:
+            _store(stored, row[lo : hi + 1], p)
+        leads = _back_substitute(stored, p)
+        out += [[0] * (lo + k) + stored[k] + pad for k in leads]
+        pivots += [lo + k for k in leads]
     return out, pivots
 
 
@@ -261,28 +245,36 @@ def _kernel(rows, field, ncols):
     return kernel
 
 
-def _check_width(rows, ncols):
+def _check_matrix(rows, field, ncols, rhs=()):
+    """AmbientMismatch unless every row has ``ncols`` entries; FieldMismatch
+    unless every entry of ``rows`` and ``rhs`` is a field element: ints over
+    F_p, ints and Fractions over Q (the rule of ``dp._Sparse``)."""
     for row in rows:
         if len(row) != ncols:
             raise AmbientMismatch("row of %d entries, expected %d" % (len(row), ncols))
+    bad = {*map(type, chain(*rows, rhs))} - ({int} if field.p else {int, Fraction})
+    if bad:
+        names = ", ".join(sorted(t.__name__ for t in bad))
+        raise FieldMismatch("entries of type %s are not elements of %r" % (names, field))
 
 
 def rref(rows, field, ncols):
     """Reduced row echelon form.  Returns (rows, pivot_columns).
 
-    Every row has ``ncols`` entries (else AmbientMismatch).  Rows come back
-    as lists of field elements with pivots equal to 1, sorted by pivot
-    column.
+    Every row has ``ncols`` field elements (else AmbientMismatch,
+    FieldMismatch).  Rows come back as lists of field elements with pivots
+    equal to 1, sorted by pivot column.
     """
-    _check_width(rows, ncols)
+    _check_matrix(rows, field, ncols)
     work, pivots = _echelon(rows, field)
     return _decode(work, field), pivots
 
 
 def nullspace(rows, field, ncols):
     """Basis (as RREF) of {x : M x = 0}, M given by ``rows`` of ``ncols``
-    entries each (else AmbientMismatch); see ``_kernel``."""
-    _check_width(rows, ncols)
+    field elements each (else AmbientMismatch, FieldMismatch); see
+    ``_kernel``."""
+    _check_matrix(rows, field, ncols)
     return _decode(_kernel(rows, field, ncols), field)
 
 
@@ -290,15 +282,16 @@ def solve(rows, rhs, field, ncols):
     """Particular solution of M x = rhs with free variables set to zero.
 
     M is given by ``rows`` of ``ncols`` entries each, and ``rhs`` has one
-    entry per row (else AmbientMismatch).  Returns a list of field elements
-    or None when inconsistent.  The solution is the reduced-echelon
-    particular solution, so it is deterministic: x[pc] is read off the
-    canonical integer row with pivot column pc as row[ncols] / row[pc] (over
-    F_p the pivot is 1), and only those entries are decoded.
+    entry per row (else AmbientMismatch); every entry is a field element
+    (else FieldMismatch).  Returns a list of field elements or None when
+    inconsistent.  The solution is the reduced-echelon particular solution,
+    so it is deterministic: x[pc] is read off the canonical integer row with
+    pivot column pc as row[ncols] / row[pc] (over F_p the pivot is 1), and
+    only those entries are decoded.
     """
-    _check_width(rows, ncols)
     if len(rhs) != len(rows):
         raise AmbientMismatch("%d right-hand sides for %d rows" % (len(rhs), len(rows)))
+    _check_matrix(rows, field, ncols, rhs)
     red, pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)], field)
     if ncols in pivots:
         return None
@@ -313,10 +306,10 @@ def solve(rows, rhs, field, ncols):
 
 
 # Column budget for one window (and for the filtration profiles' columns).
-# Elimination grows about cubically with the column count: a perp in two
-# variables up to degree 60 (1891 columns) takes seconds, up to degree 100
-# (5151 columns) more than a minute.  The largest window the test suite and
-# the benchmark build has 126 columns (P_{<=5} in 4 variables).
+# Elimination grows faster than the column count: perp_tangent(x1^[2]) in
+# two variables up to degree 60 (1891 columns) takes 0.1 s, up to degree 100
+# (5151 columns) about 1 s (Python 3.11, 2 vCPUs).  The largest window the
+# test suite and the benchmark build has 126 columns (P_{<=5} in 4 variables).
 MAX_WINDOW_COLUMNS = 2000
 
 

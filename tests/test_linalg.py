@@ -16,7 +16,7 @@ from apolar import (
     solve,
     span,
 )
-from apolar.errors import AmbientMismatch, ArityMismatch, WindowTooLarge
+from apolar.errors import AmbientMismatch, ArityMismatch, FieldMismatch, WindowTooLarge
 from apolar.linalg import (
     MAX_WINDOW_COLUMNS,
     _check_window_size,
@@ -199,7 +199,8 @@ def _random_entry(rng, kind):
 
 
 def _random_matrix(rng, kind):
-    """Rows of ``kind`` entries; some rows zero, some combinations of others."""
+    """Rows of ``kind`` entries; some rows zero, some combinations of others,
+    some led by a negative entry."""
     nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
     rows = []
     for _ in range(nrows):
@@ -211,7 +212,10 @@ def _random_matrix(rng, kind):
             k = rng.randint(-3, 3)
             rows.append([x + k * y for x, y in zip(a, b)])
         else:
-            rows.append([_random_entry(rng, kind) for _ in range(ncols)])
+            row = [_random_entry(rng, kind) for _ in range(ncols)]
+            if r < 0.55 and next(filter(None, row), 0) > 0:
+                row = [-x for x in row]  # first nonzero entry negative
+            rows.append(row)
     return rows, ncols
 
 
@@ -252,7 +256,7 @@ def _block_entry(rng, field):
 def _block_matrix(rng, field):
     intervals, col = [], rng.randint(0, 2)
     for _ in range(rng.randint(1, 4)):
-        width = rng.randint(1, 4)
+        width = rng.choice([1, 1, 2, 3, 4])  # single-column blocks often
         intervals.append((col, col + width))
         col += width + rng.randint(0, 2)
     ncols = col + rng.randint(0, 2)
@@ -335,6 +339,13 @@ def _kernel_cases(rng, field):
     for _ in range(30):  # duplicated rows and a zero row
         rows, ncols = _random_matrix(rng, rng.choice(kinds))
         yield rows + [list(r) for r in rows] + [[0] * ncols], ncols
+    for _ in range(30):  # tall and rank-deficient, rows repeated up to sign
+        base, ncols = _random_matrix(rng, rng.choice(kinds))
+        tall = [[sign * x for x in rng.choice(base)]
+                for sign in rng.choices([1, -1], k=4 * len(base))]
+        tall += [[0] * ncols for _ in range(rng.randint(0, 3))]
+        rng.shuffle(tall)
+        yield tall, ncols
     for n in range(1, 5):  # full rank: identity and a unit upper triangle
         yield [[int(i == j) for j in range(n)] for i in range(n)], n
         yield [[rng.randint(1, 9) if j > i else int(i == j) for j in range(n)]
@@ -413,14 +424,33 @@ def test_public_routines_reject_wrong_shapes():
     for call in bad:
         with pytest.raises(AmbientMismatch):
             call()
+    # entries are field elements: ints over F_p, ints and Fractions over Q
+    not_elements = [
+        lambda: rref([[1, Q(1, 2)]], GF(7), 2),
+        lambda: solve([[2, 0]], [Q(1, 3)], GF(7), 2),
+        lambda: solve([[2, Q(1, 3)]], [1], GF(7), 2),
+        lambda: nullspace([[1, Q(1, 2)]], GF(7), 2),
+        lambda: rref([[1, 0.5]], QQ, 2),
+        lambda: nullspace([[1.0, 2]], QQ, 2),
+        lambda: solve([[1, 2]], [0.5], QQ, 2),
+        lambda: solve([[1, 2.0]], [1], GF(7), 2),
+        lambda: rref([[True, 0]], QQ, 2),
+        lambda: rref([["1", 0]], GF(7), 2),
+    ]
+    for call in not_elements:
+        with pytest.raises(FieldMismatch):
+            call()
     assert solve([[1, 0], [0, 1]], [1, 2], QQ, 2) == [1, 2]
     assert rref([], QQ, 3) == ([], []) and nullspace([], QQ, 2) == [[1, 0], [0, 1]]
+    # rows may be tuples
+    assert rref([(1, 2), (2, 4)], QQ, 2) == ([[1, 2]], [0])
+    assert nullspace([(1, 2)], QQ, 2) == [[1, Q(-1, 2)]]
 
 
 # Differential oracle for the forward sweep: after each batch the pivots it
-# has yielded so far are, sorted, the pivots of ``_echelon`` of every row so
-# far.  The rows include zero rows, repeated rows, rows equal up to sign and
-# empty batches.
+# has yielded so far are, sorted, the pivots of the reference rref of every
+# row so far (not of ``_echelon``, which runs the same sweep).  The rows
+# include zero rows, repeated rows, rows equal up to sign and empty batches.
 
 
 def _stream_cases(rng, field):
@@ -452,7 +482,7 @@ def test_pivot_stream_matches_echelon_on_every_prefix(field, rng):
         for batch, new in zip(batches, yielded):
             found += new
             prefix += batch
-            assert sorted(found) == _echelon(prefix, field)[1], (batches, ncols)
+            assert sorted(found) == _reference_rref(prefix, field, ncols)[1], (batches, ncols)
         assert len(set(found)) == len(found)
 
 
