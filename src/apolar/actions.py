@@ -92,14 +92,15 @@ def subst(op, images):
 
 
 class Automorphism:
-    """phi: S -> S given by its images phi(a_i), truncated at ``trunc``."""
+    """phi: S -> S given by its images phi(a_i), truncated at the first
+    image's ``trunc``."""
 
-    def __init__(self, images, trunc=None):
+    def __init__(self, images):
         if not images:
             raise InvalidAutomorphism("no images")
         self.n = images[0].n
         self.field = images[0].field
-        self.trunc = images[0].trunc if trunc is None else trunc
+        self.trunc = images[0].trunc
         self.images = [im._at(self.trunc) for im in images]
         if len(self.images) != self.n:
             raise ArityMismatch("need %d images" % self.n)
@@ -304,10 +305,10 @@ def group_inverse(g):
     return GroupElement(phi_inv, unit)
 
 
-def apply_linear_map(M, f, trunc=None):
+def apply_linear_map(M, f):
     """Dual action of the linear substitution x_j -> sum_i M[j][i] x_i."""
     n, field = f.n, f.field
-    trunc = max(f.degree, 1) if trunc is None else trunc
+    trunc = max(f.degree, 1)
     red, _ = rref([list(row) for row in M], field, n)
     if len(red) != n:
         raise SingularMatrix("linear map is singular")

@@ -25,7 +25,7 @@ from operator import add
 
 from .dp import DPPoly, monomials, monomials_upto
 from .errors import DecompositionInvariantViolated, IndexOutOfRange, ZeroPolynomial
-from .linalg import Basis, Window, _check_window_size, _decode, _pivot_stream
+from .linalg import Basis, Window, _check_window_size, _pivot_stream
 
 
 class HilbertFunction:
@@ -336,7 +336,7 @@ def ann_generators(f, upto):
     chosen deterministically from the canonical basis of I_i.
     """
     gens, pieces = _generator_rows(f, upto)
-    return [pieces[i].window.decode(g) for i in gens for g in _decode(gens[i], f.field)], pieces
+    return [g for i in gens for g in pieces[i].window._elements(gens[i])], pieces
 
 
 def _square(n, gens, pieces, i):

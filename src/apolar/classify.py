@@ -19,6 +19,12 @@ with no ``contract`` and no DPPoly product.  If neither system is solvable
 the leading term is certifiably outside the tangent space and NotInTangent
 is raised.
 
+Every reduction returns a ``ReductionTrace`` built from its steps alone:
+``reduce_toward`` collects the (g, f') pairs of ``lower_degree_step``, and
+``golden_1222111`` its degree-4, diagonal, degree-3 and tail steps.  The
+trace derives its final polynomial and accumulated element from the steps
+and replays them on construction.
+
 The golden examples' expected facts live only in ``data/golden_*.json``;
 ``golden_13331``, ``golden_char2`` and ``golden_facts`` compare against them
 in one place and raise GoldenMismatch naming every key that differs.
@@ -26,6 +32,7 @@ in one place and raise GoldenMismatch naming every key that differs.
 
 import json
 import math
+from functools import reduce
 from importlib import resources
 
 from .actions import (
@@ -49,7 +56,7 @@ from .apolarity import (
     module_sf,
     symmetric_decomposition,
 )
-from .dp import DPPoly, Operator, contract, monomials, monomials_upto
+from .dp import ClassicalPoly, DPPoly, Operator, contract, monomials, monomials_upto, omega_inv
 from .errors import (
     GoldenMismatch,
     HypothesisFailed,
@@ -68,19 +75,28 @@ from .tangent import perp_tangent, tangent_space, unip_tangent_space
 
 
 class ReductionTrace:
-    """A successful reduction: steps, final polynomial, accumulated element.
+    """A successful reduction: the steps from ``start`` toward ``target``.
 
-    Replaying ``accumulated`` on ``start`` must reproduce ``final`` exactly,
-    and the degree of the difference to ``target`` strictly decreases along
-    the steps.
+    ``steps`` is a list of (GroupElement, resulting DPPoly), each element
+    applied to the result before it.  ``final`` is the last result (``start``
+    when there are no steps) and ``accumulated`` the composite of the steps'
+    elements, ``compose`` folded from the first (the identity when there
+    are none).  Replaying ``accumulated`` on ``start`` must reproduce
+    ``final`` exactly, and the degree of the difference to ``target``
+    strictly decreases along the steps.
     """
 
-    def __init__(self, start, target, steps, final, accumulated):
+    def __init__(self, start, target, steps):
         self.start = start
         self.target = target
-        self.steps = steps  # list of (GroupElement, resulting DPPoly)
-        self.final = final
-        self.accumulated = accumulated
+        self.steps = steps
+        if steps:
+            self.final = steps[-1][1]
+            self.accumulated = reduce(compose, [g for g, _ in steps])
+        else:
+            self.final = start
+            trunc = max(start.degree, target.degree, 1)
+            self.accumulated = identity_group_element(start.n, start.field, trunc)
         self.validate()
 
     def validate(self):
@@ -209,8 +225,6 @@ def reduce_toward(f, F, stop_degree=None):
     difference has degree below ``stop_degree`` if one is given."""
     if F.is_zero():
         raise ZeroPolynomial("reduction toward the zero polynomial")
-    d = max(f.degree, F.degree, 1)
-    acc = identity_group_element(f.n, f.field, d)
     steps = []
     current = f
     while True:
@@ -219,10 +233,9 @@ def reduce_toward(f, F, stop_degree=None):
             break
         if stop_degree is not None and diff.degree < stop_degree:
             break
-        g, current = lower_degree_step(current, F)
-        acc = compose(acc, g)
-        steps.append((g, current))
-    return ReductionTrace(f, F, steps, current, acc)
+        steps.append(lower_degree_step(current, F))
+        current = steps[-1][1]
+    return ReductionTrace(f, F, steps)
 
 
 class MembershipResult:
@@ -387,15 +400,7 @@ def stabilizer_matrix_13331(a, b):
         [a, field.zero(), b],
     ]
     # tails y^3, y^2 z, y z^2 in classical normalisation: x^a -> a! x^[a]
-    tails = []
-    for t in (_Y3, _Y2Z, _YZ2):
-        terms = {}
-        for e, c in t.items():
-            fac = 1
-            for k in e:
-                fac *= math.factorial(k)
-            terms[e] = c * fac
-        tails.append(_p(3, field, terms))
+    tails = [omega_inv(ClassicalPoly(3, field, t)) for t in (_Y3, _Y2Z, _YZ2)]
     tang3 = [
         v.homogeneous_part(3)
         for v in unip_tangent_space(F3).vectors()
@@ -482,20 +487,13 @@ def golden_1222111(f):
         raise HypothesisFailed("x*y^[3] term present: input not in standard form")
 
     d = 6
-    acc = identity_group_element(n, field, d)
-    steps = []
     start = f
-
-    def absorb(step_target):
-        nonlocal f, acc
-        g, f = lower_degree_step(f, step_target)
-        acc = compose(acc, g)
-        steps.append((g, f))
-
+    steps = []
     # degree-4 cleanup: x^[4], x^[3]y span the degree-4 unipotent tangent
     junk4 = DPPoly(n, field, {e: f.coeff(e) for e in [(4, 0), (3, 1)]})
     if not junk4.is_zero():
-        absorb(f - junk4)
+        steps.append(lower_degree_step(f, f - junk4))
+        f = steps[-1][1]
     c = f.coeff((2, 2))
     if field.is_zero(c):
         raise WrongHilbertFunction(
@@ -508,41 +506,37 @@ def golden_1222111(f):
         sn, sd = math.isqrt(abs(num)), math.isqrt(den)
         if num > 0 and sn * sn == num and sd * sd == den and c != field.one():
             s = field.from_fraction("%d/%d" % (sn, sd))  # sqrt(c)
-            M = [[field.one(), field.zero()], [field.zero(), field.inv(s)]]
-            f = apply_linear_map(M, f, trunc=d)
-            # rebuild the accumulated element with the diagonal map appended
-            diag = Automorphism([
-                Operator.variable(n, field, 1, d),
-                Operator.variable(n, field, 2, d).scale(field.inv(s)),
-            ])
-            acc = compose(acc, GroupElement(diag, Operator.one(n, field, d)))
-            steps.append((GroupElement(diag, Operator.one(n, field, d)), f))
+            diag = GroupElement(
+                Automorphism([
+                    Operator.variable(n, field, 1, d),
+                    Operator.variable(n, field, 2, d).scale(field.inv(s)),
+                ]),
+                Operator.one(n, field, d),
+            )
+            f = apply_group_element(diag, f)
+            # one step with the degree-4 one: neither alone lowers the
+            # degree of the difference to the normal form below 4
+            g = compose(steps.pop()[0], diag) if steps else diag
+            steps.append((g, f))
             c = f.coeff((2, 2))
             normalised = True
 
     # degree-3 cleanup: everything except y^[3] is reducible
     lam = f.coeff((0, 3))
-    junk3 = DPPoly(
-        n, field, {e: f.coeff(e) for e in [(3, 0), (2, 1), (1, 2)]}
-    )
-    while not junk3.is_zero():
-        absorb(f - junk3)
-        junk3 = DPPoly(
-            n, field, {e: f.coeff(e) for e in [(3, 0), (2, 1), (1, 2)]}
-        )
+    junk3 = DPPoly(n, field, {e: f.coeff(e) for e in [(3, 0), (2, 1), (1, 2)]})
+    if not junk3.is_zero():  # one step clears all of degree 3 but lambda
+        steps.append(lower_degree_step(f, f - junk3))
+        f = steps[-1][1]
     if f.coeff((0, 3)) != lam:
         raise ReductionFailed("lambda changed during degree-3 cleanup")
 
     # degree <= 2 tail: Delta-based removal with t = 1
     sd = symmetric_decomposition(start)
     if not f.part_upto(2).is_zero():
-        tail_trace = improved_normal_form(f, 1)
-        for g, result in tail_trace.steps:
-            acc = compose(acc, g)
-            steps.append((g, result))
-        f = tail_trace.final
+        steps += improved_normal_form(f, 1).steps
+        f = steps[-1][1]
 
-    trace = ReductionTrace(start, f, steps, f, acc)
+    trace = ReductionTrace(start, f, steps)
     return {
         "lambda": lam,
         "c": c,

@@ -23,9 +23,11 @@ to a span iff adding it adds no pivot.  Canonical rows come from
 row is the reduced row scaled to a primitive row with a positive pivot, over
 F_p the reduced row itself (pivot 1).  That form is what a ``Basis`` stores
 and what its ``perp``, ``sum`` and ``==`` read.  Fractions (over Q) appear
-only at the boundary, in ``rref``, ``nullspace``, ``Basis.rows`` and
-``Basis.vectors()``, which all divide each row by its pivot (``_decode``),
-and in ``solve``, which divides one entry per pivot row.
+only at the boundary, in ``rref``, ``nullspace`` and ``Basis.rows``, which
+all divide each row by its pivot (``_decode``), and in ``solve``, which
+divides one entry per pivot row.  ``Basis.vectors()`` hands each integer
+row with its pivot as denominator to the polynomials' own canonical form
+(``Window._elements``), so no Fraction is built there.
 
 Before the sweep, ``_echelon`` splits the columns into blocks.  Each
 nonzero row covers the columns from its first to its last nonzero entry;
@@ -410,13 +412,24 @@ class Window:
             return DPPoly(self.n, self.field, terms)
         return Operator(self.n, self.field, terms, max(self.degrees, default=0))
 
+    def _elements(self, rows):
+        """The elements of canonical integer rows (``_echelon``'s form), each
+        built by one ``_make``: the numerators over the pivot, the row's first
+        nonzero entry (1 over F_p)."""
+        zero, cols = self.decode([]), self.columns  # the window's zero element
+        return [
+            zero._make(next(filter(None, row)), {cols[j]: row[j] for j in compress(count(), row)})
+            for row in rows
+        ]
+
 
 class Basis:
     """Canonical basis of a subspace of a window.
 
     Kept as the canonical integer reduced echelon form of ``_echelon``
     (primitive rows with a positive pivot over Q, pivot 1 over F_p), which
-    every operation reads; ``rows`` and ``vectors()`` build field elements.
+    every operation reads; ``rows`` builds field-element rows and
+    ``vectors()`` polynomials (DPPoly or Operator).
     """
 
     def __init__(self, window, rows):
@@ -441,7 +454,7 @@ class Basis:
         return len(self._rows)
 
     def vectors(self):
-        return [self.window.decode(r) for r in self.rows]
+        return self.window._elements(self._rows)
 
     def __eq__(self, other):
         return isinstance(other, Basis) and (self.window, self._rows) == (other.window, other._rows)

@@ -13,6 +13,7 @@ from apolar import (
     GroupElement,
     Operator,
     Window,
+    compose,
     contract,
     exp_group_element,
     apply_group_element,
@@ -21,6 +22,7 @@ from apolar import (
     golden_char2,
     hilbert_function,
     ideal_square_graded,
+    identity_group_element,
     improved_normal_form,
     lower_degree_step,
     perp_tangent,
@@ -326,6 +328,39 @@ def test_golden_1222111_with_junk():
     assert rep["deltas"][2] == (0, 1, 1, 1, 0)
 
 
+@pytest.mark.parametrize("text, field, lam, normal_form, normalised", [
+    # c = 4 = 2^2: y -> y / 2 takes lambda to 5 / 8
+    pytest.param("x1^[6] + 4*x1^[2]*x2^[2] + 5*x2^[3]", QQ, Q(5, 8),
+                 "x1^[6] + x1^[2]*x2^[2] + 5/8*x2^[3]", True, id="square"),
+    # c = 9/4: y -> 2y / 3 takes lambda to -2 * 8 / 27
+    pytest.param("x1^[6] + 9/4*x1^[2]*x2^[2] - 2*x2^[3] + 2*x1^[4] + x1^[3]*x2 + x1*x2 + 1",
+                 QQ, Q(-16, 27), "x1^[6] + x1^[2]*x2^[2] - 16/27*x2^[3]", True,
+                 id="square-with-junk"),
+    # a degree-4 term besides: neither the degree-4 step nor y -> y / 2 alone
+    # lowers the degree of the difference to the normal form below 4, so the
+    # two are one step of the trace
+    pytest.param("x1^[6] + 4*x1^[2]*x2^[2] + 5*x2^[3] + x1^[4]", QQ, Q(5, 8),
+                 "x1^[6] + x1^[2]*x2^[2] + 5/8*x2^[3]", True, id="square-with-x1^[4]"),
+    pytest.param("x1^[6] + 4*x1^[2]*x2^[2] + 5*x2^[3] + x1^[3]*x2", QQ, Q(5, 8),
+                 "x1^[6] + x1^[2]*x2^[2] + 5/8*x2^[3]", True, id="square-with-x1^[3]*x2"),
+    # c = 2 is not a rational square
+    pytest.param("x1^[6] + 2*x1^[2]*x2^[2] + 5*x2^[3]", QQ, Q(5),
+                 "x1^[6] + 2*x1^[2]*x2^[2] + 5*x2^[3]", False, id="not-a-square"),
+    # over F_p nothing is normalised
+    pytest.param("x1^[6] + 4*x1^[2]*x2^[2] + 5*x2^[3]", GF(101), 5,
+                 "x1^[6] + 4*x1^[2]*x2^[2] + 5*x2^[3]", False, id="GF(101)"),
+])
+def test_golden_1222111_c_normalisation(text, field, lam, normal_form, normalised):
+    rep = golden_1222111(parse_poly(text, 2, field))
+    trace = rep["trace"]
+    assert rep["lambda"] == lam
+    assert rep["normal_form"] == parse_poly(normal_form, 2, field) == trace.final
+    assert rep["c_normalised"] is normalised
+    assert apply_group_element(trace.accumulated, trace.start) == trace.final
+    assert rep["deltas"][0] == (1, 1, 1, 1, 1, 1, 1)
+    assert rep["deltas"][2] == (0, 1, 1, 1, 0)
+
+
 def test_golden_1222111_distinct_lambdas_distinct_forms():
     f1 = parse_poly("x1^[6] + x1^[2]*x2^[2] + 5*x2^[3] + x1^[2]", 2, QQ)
     f2 = parse_poly("x1^[6] + x1^[2]*x2^[2] + 7*x2^[3] + x1^[2]", 2, QQ)
@@ -337,6 +372,22 @@ def test_golden_1222111_distinct_lambdas_distinct_forms():
 def test_golden_1222111_wrong_hilbert_function():
     with pytest.raises(WrongHilbertFunction):
         golden_1222111(parse_poly("x1^[6] + 5*x2^[3]", 2, QQ))
+
+
+def test_reduce_toward_composes_each_step_once(monkeypatch, rng):
+    import apolar.classify as classify
+
+    calls = []
+    for name in ("compose", "identity_group_element"):
+        orig = getattr(classify, name)
+        monkeypatch.setattr(
+            classify, name, lambda *args, _orig=orig, _name=name: calls.append(_name) or _orig(*args)
+        )
+    F = P(2, {(4, 0): 1, (0, 4): 1})
+    trace = reduce_toward(apply_group_element(random_unipotent(rng, 2, QQ, 4), F), F)
+    assert len(trace) >= 2
+    # the trace folds its steps' elements, seeded with the first one
+    assert calls == ["compose"] * (len(trace) - 1)
 
 
 def test_trace_dimension_invariant(rng):
@@ -439,6 +490,38 @@ def _parts(g):
     if g is None:
         return None
     return [im.terms for im in g.aut.images], g.unit.terms, g.trunc
+
+
+def _reference_accumulate(trace):
+    """The steps' group elements composed one at a time into the identity
+    element of truncation max(deg start, deg target, 1)."""
+    f, F = trace.start, trace.target
+    acc = identity_group_element(f.n, f.field, max(f.degree, F.degree, 1))
+    for g, _ in trace.steps:
+        acc = compose(acc, g)
+    return acc
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
+def test_trace_accumulates_like_the_fold_from_the_identity(field, rng):
+    F = P(2, {(4, 0): 1, (0, 4): 1}, field)
+    cubic = P(2, {(3, 0): 1, (2, 1): 2, (1, 2): -1, (0, 3): 1, (2, 0): 3, (1, 1): 1,
+                  (0, 2): -2, (1, 0): 4, (0, 1): 1, (0, 0): 2}, field)
+    quintic = P(2, {(5, 0): 1, (0, 5): 1, (3, 0): 1, (2, 1): 1, (1, 0): 2}, field)
+    golden = [
+        "x1^[6] + x1^[2]*x2^[2] + 5*x2^[3] + 2*x1^[4] + x1^[3]*x2 + x1^[3] "
+        "- x1^[2]*x2 + x1^[2] + 2*x1*x2 + x1 + 3*x2 + x2^[2] + 1",
+        "x1^[6] + 4*x1^[2]*x2^[2] + 5*x2^[3] + x1^[3]*x2 + x1^[2] + x2",
+    ]
+    traces = [
+        unip_orbit_membership(F, F).trace,
+        unip_orbit_membership(F, apply_group_element(random_unipotent(rng, 2, field, 4), F)).trace,
+        t_compressed_normal_form(cubic)[1],
+        square_ideal_reduce(quintic, 0),
+    ] + [golden_1222111(parse_poly(text, 2, field))["trace"] for text in golden]
+    for trace in traces:
+        assert _parts(trace.accumulated) == _parts(_reference_accumulate(trace))
+    assert len(traces[0]) == 0 and max(map(len, traces)) >= 3
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)

@@ -10,12 +10,14 @@ from apolar import (
     DPPoly,
     Operator,
     Window,
+    ann_generators,
     nullspace,
     perp_tangent,
     rref,
     solve,
     span,
 )
+from apolar.apolarity import _generator_rows
 from apolar.errors import AmbientMismatch, ArityMismatch, FieldMismatch, WindowTooLarge
 from apolar.linalg import (
     MAX_WINDOW_COLUMNS,
@@ -595,6 +597,19 @@ def test_bases_are_equal_exactly_when_each_contains_the_other(field, rng):
         for other in others:
             assert (basis == other) == (basis.contains(other) and other.contains(basis))
             assert (basis == other) == (basis.rows == other.rows)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_vectors_match_the_decoded_rows(field, rng):
+    for win, rows in _integer_form_cases(rng, field):
+        for w in (win, win.dual()):  # DPPoly and Operator elements
+            basis = Basis(w, rows)
+            assert basis.vectors() == [w.decode(r) for r in basis.rows], rows
+    for _ in range(10):
+        f = random_poly(rng, rng.randint(1, 3), field, rng.randint(1, 4))
+        gens, pieces = _generator_rows(f, f.degree + 1)
+        want = [pieces[i].window.decode(r) for i in gens for r in _decode(gens[i], field)]
+        assert ann_generators(f, f.degree + 1)[0] == want, f
 
 
 def test_contains_vector_rejects_rows_of_the_wrong_width():
