@@ -45,6 +45,7 @@ from .classify import (
     square_ideal_reduce,
     stabilizer_matrix_13331,
     t_compressed_normal_form,
+    tangent_residue,
     unip_orbit_membership,
 )
 from .dp import (
@@ -67,12 +68,10 @@ from .parsing import (
     poly_str,
 )
 from .tangent import (
-    TangentReport,
     cangrad_pair_filter,
     dense_orbit_test,
     orbit_dimension,
     perp_tangent,
-    tangent_report,
     tangent_space,
     unip_tangent_space,
 )

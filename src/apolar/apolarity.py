@@ -2,9 +2,9 @@
 
 All ideal-theoretic data is computed degree by degree with linear algebra:
 ``ann_graded`` is the kernel of the catalecticant map S_i -> P.  The degree-i
-generators are the rows of I_i = Ann(f)_i at pivot columns (columns outside the
-span of those before them) of the columns a_t sigma, sigma in I_{i-1}, then
-I_i's rows, read off one forward ``_pivot_stream`` sweep.  ``ideal_square_graded``
+generators are the rows of I_i = Ann(f)_i that add a leading column to one
+forward sweep (``linalg._store``) of the products a_t sigma, sigma in
+I_{i-1}, and the rows of I_i before them.  ``ideal_square_graded``
 spans (I^2)_i by the integer rows g tau, g a generator and tau in I, filled by
 index: a^u a^v = a^{u+v}.
 
@@ -25,7 +25,7 @@ from operator import add
 
 from .dp import DPPoly, monomials, monomials_upto
 from .errors import DecompositionInvariantViolated, IndexOutOfRange, ZeroPolynomial
-from .linalg import Basis, Window, _check_window_size, _pivot_stream
+from .linalg import Basis, Window, _check_window_size, _integer_row, _pivot_stream, _store
 
 
 class HilbertFunction:
@@ -319,13 +319,13 @@ def _generator_rows(f, upto):
     _check_window_size(f.n, range(upto + 1))  # the pieces fill S_{<= upto}
     pieces = {i: ann_graded(f, i) for i in range(upto + 1)}
     units = [[int(j == t) for j in range(f.n)] for t in range(f.n)]
-    gens = {}
+    field, gens = f.field, {}
     for i in range(1, upto + 1):
-        I = pieces[i]
-        cols = _products(f.n, pieces[i - 1]._rows, i - 1, units, 1, I.window)
-        # the stream yields pivots as it finds them; generators go by column
-        pivots = sorted(next(_pivot_stream([zip(*cols, *I._rows)], f.field)))
-        gens[i] = [I._rows[c - len(cols)] for c in pivots if c >= len(cols)]
+        I, stored = pieces[i], {}
+        for row in _products(f.n, pieces[i - 1]._rows, i - 1, units, 1, I.window):
+            _store(stored, _integer_row(row, field), field.p)
+        # a row of I_i outside the span of the products and the rows before it
+        gens[i] = [g for g in I._rows if _store(stored, g, field.p) is not None]
     return gens, pieces
 
 

@@ -19,11 +19,23 @@ with no ``contract`` and no DPPoly product.  If neither system is solvable
 the leading term is certifiably outside the tangent space and NotInTangent
 is raised.
 
+What G+ can clear in one degree is decided in one place,
+``tangent_residue(f, e)``: G+ changes f_e, keeping every degree above e,
+exactly modulo gr_e(T+_f cap P_{<=e}), the degree-e parts of unipotent
+tangent vectors with no terms above e.  Operators of positive order send
+f_{<=e} below degree e, so that space depends only on f_{>e}; it is read
+off one echelon form of the tangent space of f_{>e}, columns highest
+degree first (``_tangent_quotient``).  Reducing f_e against it
+leaves a canonical residue on the non-pivot monomials, and one
+``lower_degree_step`` clears the rest.  ``golden_1222111`` runs it in every
+degree below the leading form and reads c and lambda off the residues;
+``stabilizer_matrix_13331`` reduces its tail images against one quotient.
+
 Every reduction returns a ``ReductionTrace`` built from its steps alone:
 ``reduce_toward`` collects the (g, f') pairs of ``lower_degree_step``, and
-``golden_1222111`` its degree-4, diagonal, degree-3 and tail steps.  The
-trace derives its final polynomial and accumulated element from the steps
-and replays them on construction.
+``golden_1222111`` its residue steps and diagonal rescaling.  The trace
+derives its final polynomial and accumulated element from the steps and
+replays them on construction.
 
 The golden examples' expected facts live only in ``data/golden_*.json``;
 ``golden_13331``, ``golden_char2`` and ``golden_facts`` compare against them
@@ -69,7 +81,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .fields import QQ, GF, char_guard
-from .linalg import Basis, Window, solve
+from .linalg import Basis, Window, _echelon, solve
 from .parsing import parse_poly, poly_str
 from .tangent import perp_tangent, tangent_space, unip_tangent_space
 
@@ -238,6 +250,49 @@ def reduce_toward(f, F, stop_degree=None):
     return ReductionTrace(f, F, steps)
 
 
+def _tangent_quotient(f, e):
+    """gr_e(T+_f cap P_{<=e}) as (pivot monomial, element) pairs, each
+    element 1 at its pivot and 0 at the others.
+
+    Read off the tangent space of f_{>e}, echeloned on the columns of
+    degrees deg f .. e, highest first and grlex within a degree (the
+    ``_filtration_profiles`` order): its rows that pivot in degree e have
+    no terms above e, and their degree-e parts are reduced.
+    """
+    T = unip_tangent_space(f.part_from(e + 1))
+    order = [T.window.index[m] for i in range(f.degree, e - 1, -1) for m in monomials(f.n, i)]
+    rows, pivots = _echelon([[row[j] for j in order] for row in T._rows], f.field)
+    win = Window.P_graded(f.n, e, f.field)
+    lo = len(order) - win.dim  # the degree-e columns come last, so do their rows
+    k = sum(p < lo for p in pivots)
+    elements = win._elements([row[lo:] for row in rows[k:]])
+    return list(zip([win.columns[p - lo] for p in pivots[k:]], elements))
+
+
+def _residue(quotient, v):
+    """v minus its components along a ``_tangent_quotient``: the canonical
+    representative of v modulo that space, zero at every pivot monomial."""
+    for m, q in quotient:
+        v = v - q.scale(v.coeff(m))
+    return v
+
+
+def tangent_residue(f, e):
+    """(step, residue) for 0 <= e < deg f: the residue is what G+ cannot
+    clear from f_e while keeping every degree above e, the canonical
+    representative of f_e modulo ``_tangent_quotient(f, e)``; ``step`` is
+    the (g, f') of one ``lower_degree_step`` toward f - (f_e - residue), or
+    None when nothing is cleared.
+    """
+    if not 0 <= e < f.degree:
+        raise IndexOutOfRange("tangent residue degree %d outside [0, %d)" % (e, f.degree))
+    char_guard(f.field, f.degree)
+    f_e = f.homogeneous_part(e)
+    residue = _residue(_tangent_quotient(f, e), f_e)
+    cleared = f_e - residue
+    return (None if cleared.is_zero() else lower_degree_step(f, f - cleared)), residue
+
+
 class MembershipResult:
     """Outcome of a unipotent orbit membership test."""
 
@@ -385,9 +440,10 @@ def stabilizer_matrix_13331(a, b):
     t(z) = a x + b z -- on the cubic tails of the F_3 branch.
 
     The tails are taken in the classical normalisation (the images of
-    y^3, y^2 z, y z^3 under x^a -> a! x^[a]) and reduced modulo the
-    degree-3 part of the unipotent tangent space of F_3; columns hold the
-    coordinates of the images.  Symbolically the matrix is
+    y^3, y^2 z, y z^2 under x^a -> a! x^[a]).  Their images are reduced
+    against one degree-3 quotient of F_3 (``_tangent_quotient``), whose
+    non-pivot monomials are y^[3], y^[2]z, yz^[2]; columns hold the
+    coordinates of the residues in the tails.  Symbolically the matrix is
     [[b^6, 0, 0], [-6ab^5, b^5, 0], [(27/2)a^2 b^4, -(9/2)ab^4, b^4]].
     """
     field = QQ
@@ -400,22 +456,13 @@ def stabilizer_matrix_13331(a, b):
         [a, field.zero(), b],
     ]
     # tails y^3, y^2 z, y z^2 in classical normalisation: x^a -> a! x^[a]
+    monos = [m for t in (_Y3, _Y2Z, _YZ2) for m in t]
     tails = [omega_inv(ClassicalPoly(3, field, t)) for t in (_Y3, _Y2Z, _YZ2)]
-    tang3 = [
-        v.homogeneous_part(3)
-        for v in unip_tangent_space(F3).vectors()
-    ]
-    tang3 = [v for v in tang3 if not v.is_zero()]
-    win = Window.P_graded(3, 3, field)
-    cols = [win.encode(v) for v in tails] + [win.encode(v) for v in tang3]
-    rows = [[c[r] for c in cols] for r in range(win.dim)]
-    images = []
-    for v in tails:
-        sol = solve(rows, win.encode(apply_linear_map(M, v)), field, len(cols))
-        if sol is None:
-            raise ReductionFailed("stabilizer image escapes the quotient")
-        images.append(sol[:3])
-    return [[images[j][i] for j in range(3)] for i in range(3)]
+    quotient = _tangent_quotient(F3, 3)
+    residues = [_residue(quotient, apply_linear_map(M, v)) for v in tails]
+    if any(m not in monos for r in residues for m in r.terms):
+        raise ReductionFailed("stabilizer image escapes the quotient")
+    return [[field.div(r.coeff(m), t.coeff(m)) for r in residues] for m, t in zip(monos, tails)]
 
 
 def golden_13331():
@@ -452,19 +499,21 @@ def golden_13331():
 
 
 def golden_1222111(f):
-    """Classify f with Hilbert function (1,2,2,2,1,1,1), x^[6] branch.
+    """Classify f with Hilbert function (1,2,2,2,1,1,1) in the scope
+    "leading form x^[6], degree-4 residue on x^[2]y^[2] only".
 
-    Reduction chain: normalise the leading form to x^[6]; clear the
-    degree-4 tangent directions x^[4], x^[3]y; read off the x^[2]y^[2]
-    coefficient c (c = 0 is impossible for this Hilbert function); clear
-    the reducible degree-3 directions, leaving lambda * y^[3]; remove the
-    degree <= 2 tail.  Returns a report with lambda and the normal form
-    x^[6] + c x^[2]y^[2] + lambda y^[3] (c normalised to 1 when its square
-    root is rational).
+    After the leading form is normalised to x^[6], ``tangent_residue``
+    runs once per degree e = 5, 4, .., 0: each step clears what G+ can
+    clear in degree e, keeping the degrees above.  The degree-4 residue is
+    c x^[2]y^[2] (c = 0 is impossible for this Hilbert function), the
+    degree-3 residue lambda y^[3], and no other degree leaves one.  Returns
+    a report with lambda and the normal form x^[6] + c x^[2]y^[2] +
+    lambda y^[3] (c normalised to 1 when its square root is rational).
 
-    The input is assumed in standard form: no x^[1]y^[3] or y^[4] term in
-    degree 4 (a nonzero y^[4] coefficient belongs to the x^[6] + y^[4]
-    branch, handled by unip_orbit_membership against that target).
+    A y^[4] or x y^[3] term in the degree-4 residue is outside that scope
+    and raises HypothesisFailed (a nonzero y^[4] coefficient belongs to the
+    x^[6] + y^[4] branch, handled by unip_orbit_membership against that
+    target).
     """
     n, field = f.n, f.field
     if n != 2:
@@ -478,64 +527,44 @@ def golden_1222111(f):
     if field.is_zero(c6) or T != DPPoly.monomial(n, field, (6, 0), c6):
         raise HypothesisFailed("leading form is not a multiple of x^[6]")
     f = f.scale(field.inv(c6))
-    if not field.is_zero(f.coeff((0, 4))):
-        raise HypothesisFailed(
-            "y^[4] coefficient nonzero: x^[6] + y^[4] branch, "
-            "use unip_orbit_membership"
-        )
-    if not field.is_zero(f.coeff((1, 3))):
-        raise HypothesisFailed("x*y^[3] term present: input not in standard form")
 
-    d = 6
-    start = f
-    steps = []
-    # degree-4 cleanup: x^[4], x^[3]y span the degree-4 unipotent tangent
-    junk4 = DPPoly(n, field, {e: f.coeff(e) for e in [(4, 0), (3, 1)]})
-    if not junk4.is_zero():
-        steps.append(lower_degree_step(f, f - junk4))
-        f = steps[-1][1]
-    c = f.coeff((2, 2))
-    if field.is_zero(c):
-        raise WrongHilbertFunction(
-            "x^[2]y^[2] coefficient vanished: H would drop to (1,2,2,1,1,1,1)"
-        )
-    # normalise c to 1 when possible: x -> x, y -> y / sqrt(c)
-    normalised = False
-    if field.is_rationals:
-        num, den = c.numerator, c.denominator
-        sn, sd = math.isqrt(abs(num)), math.isqrt(den)
-        if num > 0 and sn * sn == num and sd * sd == den and c != field.one():
-            s = field.from_fraction("%d/%d" % (sn, sd))  # sqrt(c)
-            diag = GroupElement(
-                Automorphism([
-                    Operator.variable(n, field, 1, d),
-                    Operator.variable(n, field, 2, d).scale(field.inv(s)),
-                ]),
-                Operator.one(n, field, d),
-            )
-            f = apply_group_element(diag, f)
-            # one step with the degree-4 one: neither alone lowers the
-            # degree of the difference to the normal form below 4
-            g = compose(steps.pop()[0], diag) if steps else diag
-            steps.append((g, f))
-            c = f.coeff((2, 2))
-            normalised = True
+    d, start, steps, normalised = 6, f, [], False
+    for e in range(d - 1, -1, -1):
+        step, residue = tangent_residue(f, e)
+        if step is not None:
+            steps.append(step)
+            f = step[1]
+        if e == 4:
+            if not field.is_zero(residue.coeff((0, 4))):
+                raise HypothesisFailed("y^[4] coefficient nonzero: x^[6] + y^[4] branch, "
+                                       "use unip_orbit_membership")
+            if not field.is_zero(residue.coeff((1, 3))):
+                raise HypothesisFailed("x*y^[3] term present: input not in standard form")
+            c = residue.coeff((2, 2))
+            if field.is_zero(c):
+                raise WrongHilbertFunction("x^[2]y^[2] coefficient vanished: "
+                                           "H would drop to (1,2,2,1,1,1,1)")
+            # normalise c to 1 when possible: x -> x, y -> y / sqrt(c)
+            if field.is_rationals:
+                num, den = c.numerator, c.denominator
+                sn, sd = math.isqrt(abs(num)), math.isqrt(den)
+                if num > 0 and sn * sn == num and sd * sd == den and c != field.one():
+                    s = field.from_fraction("%d/%d" % (sn, sd))  # sqrt(c)
+                    y = Operator.variable(n, field, 2, d).scale(field.inv(s))
+                    diag = GroupElement(Automorphism([Operator.variable(n, field, 1, d), y]),
+                                        Operator.one(n, field, d))
+                    f = apply_group_element(diag, f)
+                    # one step with the step before: a degree-4 step alone
+                    # leaves the difference to the normal form in degree 4
+                    g = compose(steps.pop()[0], diag) if steps else diag
+                    steps.append((g, f))
+                    c, normalised = f.coeff((2, 2)), True
+        elif e == 3:
+            lam = residue.coeff((0, 3))
+        elif not residue.is_zero():
+            raise ReductionFailed("degree-%d residue %r left" % (e, residue))
 
-    # degree-3 cleanup: everything except y^[3] is reducible
-    lam = f.coeff((0, 3))
-    junk3 = DPPoly(n, field, {e: f.coeff(e) for e in [(3, 0), (2, 1), (1, 2)]})
-    if not junk3.is_zero():  # one step clears all of degree 3 but lambda
-        steps.append(lower_degree_step(f, f - junk3))
-        f = steps[-1][1]
-    if f.coeff((0, 3)) != lam:
-        raise ReductionFailed("lambda changed during degree-3 cleanup")
-
-    # degree <= 2 tail: Delta-based removal with t = 1
     sd = symmetric_decomposition(start)
-    if not f.part_upto(2).is_zero():
-        steps += improved_normal_form(f, 1).steps
-        f = steps[-1][1]
-
     trace = ReductionTrace(start, f, steps)
     return {
         "lambda": lam,

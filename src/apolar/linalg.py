@@ -15,9 +15,10 @@ keeps intermediate entries small -- until it vanishes or leads at a new
 column, where it is stored.
 
 An answer that needs only pivot columns or a rank -- membership here, the
-filtration profiles and annihilator generators in ``apolarity`` -- comes
-from ``_pivot_stream``, the sweep alone over batches of rows: a row belongs
-to a span iff adding it adds no pivot.  Canonical rows come from
+filtration profiles in ``apolarity`` -- comes from ``_pivot_stream``, the
+sweep alone over batches of rows: a row belongs to a span iff adding it adds
+no pivot.  The annihilator generators in ``apolarity`` are the rows whose
+own ``_store`` adds one.  Canonical rows come from
 ``_echelon``, which runs the sweep and then back-substitutes
 (``_back_substitute``).  Its reduced echelon form is canonical: over Q each
 row is the reduced row scaled to a primitive row with a positive pivot, over

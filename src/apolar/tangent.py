@@ -31,7 +31,6 @@ partial derivatives -- and the two results must agree.
 """
 
 import math
-from dataclasses import dataclass
 from operator import ge, sub
 
 from .apolarity import _contraction_rows, _shifted_rows, module_sf
@@ -141,19 +140,6 @@ def perp_tangent(f, unipotent=False, max_degree=None):
         raise IndexOutOfRange("perp degree bound must be >= 0, got %d" % max_degree)
     tang = unip_tangent_space(f) if unipotent else tangent_space(f)
     return _checked_perp(f, tang, unipotent, max_degree)
-
-
-@dataclass
-class TangentReport:
-    tangent: Basis
-    perp: Basis
-    orbit_dim: int
-
-
-def tangent_report(f, unipotent=False):
-    tang = unip_tangent_space(f) if unipotent else tangent_space(f)
-    perp = _checked_perp(f, tang, unipotent, max(f.degree, 0))
-    return TangentReport(tangent=tang, perp=perp, orbit_dim=tang.dim)
 
 
 def orbit_dimension(f):

@@ -21,10 +21,16 @@ from apolar import (
     symmetric_decomposition,
 )
 from apolar import apolarity, linalg
-from apolar.apolarity import _contraction_rows, _filtration_profiles, _generator_rows, _square
+from apolar.apolarity import (
+    _contraction_rows,
+    _filtration_profiles,
+    _generator_rows,
+    _products,
+    _square,
+)
 from apolar.dp import monomials, monomials_upto
 from apolar.errors import ZeroPolynomial
-from apolar.linalg import Basis, Window, _echelon
+from apolar.linalg import Basis, Window, _echelon, _pivot_stream
 from apolar.parsing import parse_poly
 
 from conftest import random_form, random_poly, with_fractions
@@ -434,3 +440,38 @@ def test_squares_from_one_generator_pass_match_each_degree(field, rng):
             for i in range(d + 2):
                 got, want = _square(n, gens, pieces, i), ideal_square_graded(f, i)
                 assert got == want and _typed_rows(got) == _typed_rows(want), (f, i)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle for the row-form generator selection: the same choice
+# made by column, one pivot stream over the transpose of the matrix whose
+# columns are the products a_t sigma, sigma in I_{i-1}, then the rows of I_i;
+# the generators are the rows of I_i at pivot columns.
+
+
+def _transposed_generator_rows(f, upto):
+    pieces = {i: ann_graded(f, i) for i in range(upto + 1)}
+    units = [[int(j == t) for j in range(f.n)] for t in range(f.n)]
+    gens = {}
+    for i in range(1, upto + 1):
+        I = pieces[i]
+        cols = _products(f.n, pieces[i - 1]._rows, i - 1, units, 1, I.window)
+        pivots = sorted(next(_pivot_stream([zip(*cols, *I._rows)], f.field)))
+        gens[i] = [I._rows[c - len(cols)] for c in pivots if c >= len(cols)]
+    return gens, pieces
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
+def test_generator_rows_match_the_transposed_selection(field, rng):
+    for n in (1, 2, 3):
+        for d in range(0, 6):
+            polys = [random_form(rng, n, field, d), random_poly(rng, n, field, d)]
+            if field.is_rationals:
+                polys += [with_fractions(rng, f) for f in polys]
+            for f in polys:
+                gens, pieces = _generator_rows(f, d + 1)
+                want_gens, want_pieces = _transposed_generator_rows(f, d + 1)
+                assert gens == want_gens and pieces == want_pieces, f
+                for i in range(d + 2):
+                    got = _square(n, gens, pieces, i)
+                    assert got == _square(n, want_gens, want_pieces, i), (f, i)

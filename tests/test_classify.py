@@ -30,10 +30,19 @@ from apolar import (
     square_ideal_reduce,
     stabilizer_matrix_13331,
     t_compressed_normal_form,
+    tangent_residue,
     unip_orbit_membership,
     unip_tangent_space,
 )
-from apolar.classify import _F1, _F2, _F3, _p, _solve_general_step, _solve_homogeneous_step
+from apolar.classify import (
+    _F1,
+    _F2,
+    _F3,
+    _NORMAL_FORMS_13331,
+    _p,
+    _solve_general_step,
+    _solve_homogeneous_step,
+)
 from apolar.cli import cli_dispatch
 from apolar.dp import monomials, monomials_upto
 from apolar.linalg import solve, span
@@ -372,6 +381,109 @@ def test_golden_1222111_distinct_lambdas_distinct_forms():
 def test_golden_1222111_wrong_hilbert_function():
     with pytest.raises(WrongHilbertFunction):
         golden_1222111(parse_poly("x1^[6] + 5*x2^[3]", 2, QQ))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_golden_1222111_clears_degree_5(field):
+    # x1^[5] is a tangent direction of x1^[6]; it must not survive into the
+    # normal form
+    rep = golden_1222111(parse_poly("x1^[6] + x1^[5] + x1^[2]*x2^[2] + 5*x2^[3]", 2, field))
+    assert rep["normal_form"] == parse_poly("x1^[6] + x1^[2]*x2^[2] + 5*x2^[3]", 2, field)
+    assert rep["lambda"] == field.from_int(5)
+
+
+@pytest.mark.parametrize("field, cs", [
+    (QQ, [1, 2, 3, -1, 5]),  # 1 or not a rational square: c is kept
+    (GF(7), [1, 2, 3, 5, 6]),
+    (GF(101), [1, 2, 3, 7, 50]),
+], ids=str)
+def test_golden_1222111_recovers_random_unipotent_images(field, cs, rng):
+    for _ in range(25):
+        lam = field.from_int(rng.randint(-3, 3))
+        nf = P(2, {(6, 0): 1, (2, 2): rng.choice(cs)}, field) + P(2, {(0, 3): lam}, field)
+        rep = golden_1222111(apply_group_element(random_unipotent(rng, 2, field, 6), nf))
+        trace = rep["trace"]
+        assert rep["normal_form"] == nf == trace.final
+        assert rep["lambda"] == lam
+        assert apply_group_element(trace.accumulated, trace.start) == trace.final
+
+
+def test_golden_1222111_y4_term_is_the_other_branch():
+    with pytest.raises(HypothesisFailed, match=r"x\^\[6\] \+ y\^\[4\] branch"):
+        golden_1222111(parse_poly("x1^[6] + x2^[4]", 2, QQ))
+    # read off the degree-4 residue, after the degree-5 step
+    with pytest.raises(HypothesisFailed, match=r"y\^\[4\] coefficient nonzero"):
+        golden_1222111(parse_poly("3*x1^[6] + x1^[5] + 3*x2^[4] + x1", 2, QQ))
+
+
+def test_golden_1222111_xy3_term_is_not_standard_form(monkeypatch):
+    import apolar.classify as classify
+    from apolar.apolarity import HilbertFunction
+
+    # an x y^[3] residue raises H(2) to 3, so the guard is reached only past
+    # a Hilbert function stubbed to the expected one
+    f = parse_poly("x1^[6] + x1^[2]*x2^[2] + x1*x2^[3]", 2, QQ)
+    with pytest.raises(WrongHilbertFunction):
+        golden_1222111(f)
+    expected = HilbertFunction((1, 2, 2, 2, 1, 1, 1))
+    monkeypatch.setattr(classify, "hilbert_function", lambda f: expected)
+    with pytest.raises(HypothesisFailed, match=r"x\*y\^\[3\] term present"):
+        golden_1222111(f)
+
+
+@pytest.mark.parametrize("text, merges", [
+    (json.loads(resources.files("apolar.data").joinpath("golden_1222111.json").read_text())["input"], 0),
+    # c = 4: y -> y / 2 merges with the degree-4 step before it
+    ("x1^[6] + 4*x1^[2]*x2^[2] + 5*x2^[3] + x1^[3]*x2 + x1^[2] + x2", 1),
+    ("x1^[6] + 4*x1^[2]*x2^[2] + 5*x2^[3] + x1^[2] + x2", 0),
+])
+def test_golden_1222111_composes_each_step_once(text, merges, monkeypatch):
+    import apolar.classify as classify
+
+    calls = []
+    orig = classify.compose
+    monkeypatch.setattr(classify, "compose", lambda *args: calls.append(args) or orig(*args))
+    trace = golden_1222111(parse_poly(text, 2, QQ))["trace"]
+    assert len(trace) >= 2
+    # one compose per merge, then the trace's own fold; no prefix trace is
+    # folded on the way
+    assert len(calls) == merges + len(trace) - 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
+def test_tangent_residue_is_zero_exactly_when_a_step_clears_the_degree(field, rng):
+    outcomes = set()
+    for n in (1, 2, 3):
+        for d in (3, 4, 5):
+            for f in [
+                random_poly(rng, n, field, d, density=0.4),
+                random_form(rng, n, field, d, density=0.15) + random_poly(rng, n, field, d - 1),
+            ]:
+                for e in range(f.degree):
+                    f_e = f.homogeneous_part(e)
+                    if f_e.is_zero():
+                        continue
+                    step, residue = tangent_residue(f, e)
+                    try:
+                        lower_degree_step(f, f - f_e)
+                        cleared = True
+                    except NotInTangent:
+                        cleared = False
+                    assert residue.is_zero() == cleared, (f, e, residue)
+                    outcomes.add(cleared)
+                    # the step keeps every degree above e and leaves the residue
+                    g = step[1] if step else f
+                    assert g.part_from(e) == f.part_from(e + 1) + residue, (f, e)
+    assert outcomes == {True, False}
+
+
+def test_tangent_residue_of_13331_normal_forms_is_their_tail():
+    for name, terms in _NORMAL_FORMS_13331:
+        f = _p(3, QQ, terms)
+        step, residue = tangent_residue(f, 3)
+        assert step is None and residue == f.homogeneous_part(3), name
+    with pytest.raises(IndexOutOfRange):
+        tangent_residue(_p(3, QQ, _F3), 4)
 
 
 def test_reduce_toward_composes_each_step_once(monkeypatch, rng):

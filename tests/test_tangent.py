@@ -14,7 +14,6 @@ from apolar import (
     orbit_dimension,
     perp_tangent,
     span,
-    tangent_report,
     tangent_space,
     unip_tangent_space,
 )
@@ -26,7 +25,7 @@ from apolar.errors import (
     ZeroPolynomial,
 )
 from apolar.linalg import Basis
-from apolar.tangent import TangentReport, _checked_perp
+from apolar.tangent import _checked_perp
 
 from conftest import random_form, random_poly, with_fractions
 
@@ -89,6 +88,11 @@ def test_perp_unip_13331_leading_forms():
     assert got3.contains(
         Operator(3, QQ, {(1, 2, 0): Q(1), (0, 1, 2): Q(-2)}, 3)
     )
+    # up to the socle degree the perp is the whole complement of the tangent
+    # space, full and unipotent
+    win_dim = Window.P_upto(3, 4, QQ).dim
+    for tang, unipotent in [(tangent_space(F2), False), (unip_tangent_space(F2), True)]:
+        assert tang.dim + perp_tangent(F2, unipotent=unipotent).dim == win_dim
 
 
 def test_perp_border_rank_two():
@@ -156,19 +160,6 @@ def test_dense_orbit_rejects_inhomogeneous():
         dense_orbit_test(P(2, {(3, 0): 1, (1, 0): 1}))
     with pytest.raises(ZeroPolynomial):
         dense_orbit_test(P(2, {}))
-
-
-def test_tangent_report_invariant():
-    rep = tangent_report(F2)
-    win_dim = Window.P_upto(3, 4, QQ).dim
-    assert rep.orbit_dim == rep.tangent.dim
-    assert rep.tangent.dim + rep.perp.dim == win_dim
-    # one tangent basis feeds both fields; the answers are the separate calls'
-    assert rep == TangentReport(tangent_space(F2), perp_tangent(F2), rep.tangent.dim)
-    urep = tangent_report(F2, unipotent=True)
-    assert urep == TangentReport(
-        unip_tangent_space(F2), perp_tangent(F2, unipotent=True), urep.tangent.dim
-    )
 
 
 # Differential oracle: the tangent spaces spanned by the generators of the
