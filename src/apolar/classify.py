@@ -83,7 +83,7 @@ from .errors import (
 from .fields import QQ, GF, char_guard
 from .linalg import Basis, Window, _echelon, solve
 from .parsing import parse_poly, poly_str
-from .tangent import perp_tangent, tangent_space, unip_tangent_space
+from .tangent import _tangent_rows, perp_tangent, tangent_space
 
 
 class ReductionTrace:
@@ -254,14 +254,15 @@ def _tangent_quotient(f, e):
     """gr_e(T+_f cap P_{<=e}) as (pivot monomial, element) pairs, each
     element 1 at its pivot and 0 at the others.
 
-    Read off the tangent space of f_{>e}, echeloned on the columns of
-    degrees deg f .. e, highest first and grlex within a degree (the
-    ``_filtration_profiles`` order): its rows that pivot in degree e have
+    Read off the tangent space of f_{>e}: its spanning rows
+    (``_tangent_rows``) are echeloned once, on the columns of degrees
+    deg f .. e, highest first and grlex within a degree (the
+    ``_filtration_profiles`` order).  The rows that pivot in degree e have
     no terms above e, and their degree-e parts are reduced.
     """
-    T = unip_tangent_space(f.part_from(e + 1))
-    order = [T.window.index[m] for i in range(f.degree, e - 1, -1) for m in monomials(f.n, i)]
-    rows, pivots = _echelon([[row[j] for j in order] for row in T._rows], f.field)
+    tangent_win, tangent_rows = _tangent_rows(f.part_from(e + 1), 2)
+    order = [tangent_win.index[m] for i in range(f.degree, e - 1, -1) for m in monomials(f.n, i)]
+    rows, pivots = _echelon([[row[j] for j in order] for row in tangent_rows], f.field)
     win = Window.P_graded(f.n, e, f.field)
     lo = len(order) - win.dim  # the degree-e columns come last, so do their rows
     k = sum(p < lo for p in pivots)

@@ -27,25 +27,36 @@ through ``contract`` or the DPPoly product.
 
 Perps are computed twice -- once as the orthogonal complement of the
 tangent basis, once from the direct degree conditions on sigma and its
-partial derivatives -- and the two results must agree.
+partial derivatives -- and the two results must agree.  The direct route
+hands its kernel only the equations that a forward sweep does not show to
+be implied: the condition rows of sigma^(i) are the shifts x_i of the rows
+of sigma, restricted to S_{<= max_degree}, and shifting commutes with that
+restriction, so a row of sigma that depends on earlier ones is dropped with
+its n shifts (``_perp_direct``).  Dropping equations can only make the
+kernel larger, so a wrong drop fails the cross-check instead of passing a
+wrong perp.
 """
 
 import math
-from operator import ge, sub
+from itertools import product
+from operator import sub
 
 from .apolarity import _contraction_rows, _shifted_rows, module_sf
 from .dp import monomials, monomials_upto
 from .errors import CrossCheckFailed, IndexOutOfRange, TdfMismatch, ZeroPolynomial
 from .fields import char_guard
-from .linalg import Basis, Window
+from .linalg import Basis, Window, _integer_row, _store
 
 
-def _pruned_tangent(f, k):
-    """Canonical basis of m^{k-1} f + sum_i x_i (m^k f) inside P_{<= deg f}.
+def _tangent_rows(f, k):
+    """(window, rows) spanning m^{k-1} f + sum_i x_i (m^k f) inside
+    P_{<= deg f}.
 
     The rows are integers: the contractions of D f by the degree-(k-1)
     monomials, the integer echelon rows of m^k f, and their shifts
-    x_i x^[u] = (u_i + 1) x^[u + e_i], placed by column index.
+    x_i x^[u] = (u_i + 1) x^[u + e_i], placed by column index.  They are
+    not echeloned, so a caller that wants another column order echelons
+    them once in that order.
     """
     if f.is_zero():
         raise ZeroPolynomial("tangent space of the zero polynomial")
@@ -57,17 +68,17 @@ def _pruned_tangent(f, k):
     for g, shifts in zip(gs, _shifted_rows(gs, f.n, range(d), win)):
         rows.append(g)
         rows += shifts
-    return Basis(win, rows)
+    return win, rows
 
 
 def tangent_space(f):
     """Canonical basis of S f + sum_i m (x_i f) inside P_{<= deg f}."""
-    return _pruned_tangent(f, 1)
+    return Basis(*_tangent_rows(f, 1))
 
 
 def unip_tangent_space(f):
     """Canonical basis of m f + sum_i m^2 (x_i f) inside P_{<= deg f}."""
-    return _pruned_tangent(f, 2)
+    return Basis(*_tangent_rows(f, 2))
 
 
 def _perp_direct(f, unipotent, max_degree):
@@ -80,38 +91,55 @@ def _perp_direct(f, unipotent, max_degree):
     terms t >= m of f, and in sigma^(i) -| f it is
     sum_t (t_i - m_i + 1) sigma_{t-m+e_i} f_t, so each equation row is
     filled from those terms alone, with f's stored numerators (the
-    coefficients of D f, D = f._den) and integer weights.
+    coefficients of D f, D = f._den) and integer weights.  The (t - m, f_t)
+    lists are built once, from the divisors m of each term t.
+
+    Read as elements of P, the base row of m is a^m -| f restricted to
+    degrees <= max_degree, and the row of sigma^(i) is its shift x_i (row),
+    x_i x^[u] = (u_i + 1) x^[u + e_i].  The shift is linear and commutes
+    with the restriction (the restriction of x_i g to degrees <= N is x_i
+    times that of g to degrees <= N - 1), so a base row that is a
+    combination of earlier base rows has shifts that are the same
+    combination of theirs.  Each base row with |m| above the least order
+    (0 full, 1 unipotent) is streamed through one forward sweep
+    (``_store``); one that adds no pivot is dropped together with its n
+    shifts.  The rows of the least order have no shifts and are all kept,
+    outside the sweep: a row that their rows imply would still need its
+    own shifts.  Dropping equations can only make the kernel larger, never
+    smaller, so a wrong drop would show as a mismatch in ``_checked_perp``,
+    never as a wrong perp that passes.
     """
     n, field = f.n, f.field
     win = Window.S_upto(n, max_degree, field)
     index = win.index
     d = max(f.degree, 0)
     min_m = 1 if unipotent else 0
-    eqs = []
+    below = {}
+    for t, c in f._num.items():
+        for m in product(*(range(ti + 1) for ti in t)):
+            below.setdefault(m, []).append((tuple(map(sub, t, m)), c))
+    eqs, stored = [], {}
     for m in monomials_upto(n, d):
-        if sum(m) < min_m:
-            continue
-        below = [
-            (tuple(map(sub, t, m)), c)
-            for t, c in f._num.items()
-            if all(map(ge, t, m))
-        ]
-        if not below:
+        if sum(m) < min_m or m not in below:
             continue
         row = [0] * win.dim
-        for e, c in below:
+        for e, c in below[m]:
             j = index.get(e)
             if j is not None:
                 row[j] = c
+        if sum(m) == min_m:
+            eqs.append(row)
+            continue
+        if _store(stored, _integer_row(row, field), field.p) is None:
+            continue
         eqs.append(row)
-        if sum(m) > min_m:
-            for i in range(n):
-                row = [0] * win.dim
-                for e, c in below:
-                    j = index.get(e[:i] + (e[i] + 1,) + e[i + 1:])
-                    if j is not None:
-                        row[j] = (e[i] + 1) * c
-                eqs.append(row)
+        for i in range(n):
+            row = [0] * win.dim
+            for e, c in below[m]:
+                j = index.get(e[:i] + (e[i] + 1,) + e[i + 1:])
+                if j is not None:
+                    row[j] = (e[i] + 1) * c
+            eqs.append(row)
     return Basis._of_kernel(win, eqs)
 
 

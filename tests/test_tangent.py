@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction as Q
+from operator import ge, sub
 
 import pytest
 
@@ -17,6 +19,7 @@ from apolar import (
     tangent_space,
     unip_tangent_space,
 )
+from apolar.apolarity import module_sf
 from apolar.dp import monomials_upto
 from apolar.errors import (
     CharacteristicTooSmall,
@@ -25,7 +28,7 @@ from apolar.errors import (
     ZeroPolynomial,
 )
 from apolar.linalg import Basis
-from apolar.tangent import _checked_perp
+from apolar.tangent import _checked_perp, _perp_direct
 
 from conftest import random_form, random_poly, with_fractions
 
@@ -224,6 +227,85 @@ def test_cross_check_rejects_a_wrong_tangent_basis(field, unipotent):
         for wrong in (rows[1:], perturbed):
             with pytest.raises(CrossCheckFailed):
                 _checked_perp(f, Basis(tang.window, wrong), unipotent, d)
+
+
+# Differential oracle for the direct perp: every equation row of the defining
+# conditions, with no implied row dropped and each m scanning all of f's terms.
+
+
+def _reference_perp_direct(f, unipotent, max_degree):
+    n, field = f.n, f.field
+    win = Window.S_upto(n, max_degree, field)
+    index = win.index
+    d = max(f.degree, 0)
+    min_m = 1 if unipotent else 0
+    eqs = []
+    for m in monomials_upto(n, d):
+        if sum(m) < min_m:
+            continue
+        below = [
+            (tuple(map(sub, t, m)), c)
+            for t, c in f._num.items()
+            if all(map(ge, t, m))
+        ]
+        if not below:
+            continue
+        row = [0] * win.dim
+        for e, c in below:
+            j = index.get(e)
+            if j is not None:
+                row[j] = c
+        eqs.append(row)
+        if sum(m) > min_m:
+            for i in range(n):
+                row = [0] * win.dim
+                for e, c in below:
+                    j = index.get(e[:i] + (e[i] + 1,) + e[i + 1:])
+                    if j is not None:
+                        row[j] = (e[i] + 1) * c
+                eqs.append(row)
+    return Basis._of_kernel(win, eqs)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)], ids=str)
+def test_perp_direct_matches_unpruned_oracle(field, rng):
+    for n in (1, 2, 3, 4):
+        for d in range(0, 5 if n == 4 else 6):
+            polys = [
+                random_form(rng, n, field, d),
+                random_poly(rng, n, field, d),
+                random_poly(rng, n, field, d, density=0.15),
+            ]
+            if field.is_rationals:
+                polys += [with_fractions(rng, f) for f in polys]
+            for f in polys:
+                for unipotent in (False, True):
+                    for max_degree in sorted({0, max(d - 1, 0), d, d + 1}):
+                        assert _perp_direct(f, unipotent, max_degree) == _reference_perp_direct(
+                            f, unipotent, max_degree
+                        )
+
+
+@pytest.mark.parametrize("n, d", [(3, 4), (4, 5)])
+@pytest.mark.parametrize("unipotent", [False, True])
+def test_perp_direct_drops_implied_equations(monkeypatch, rng, n, d, unipotent):
+    # Kept: the binom(n+k-2, k-1) rows of |m| = k - 1 and, for a basis of
+    # m^k f, its rows and their n shifts.  Without the pruning every m below
+    # a term of f brings n + 1 rows.
+    f = random_form(rng, n, QQ, d)
+    k = 2 if unipotent else 1
+    counts = []
+    of_kernel = Basis._of_kernel.__func__
+
+    def capture(cls, window, eqs):
+        counts.append(len(eqs))
+        return of_kernel(cls, window, eqs)
+
+    monkeypatch.setattr(Basis, "_of_kernel", classmethod(capture))
+    got = _perp_direct(f, unipotent, d)
+    monkeypatch.undo()
+    assert counts[0] <= math.comb(n + k - 2, k - 1) + (n + 1) * module_sf(f, k).dim
+    assert got == _reference_perp_direct(f, unipotent, d)
 
 
 def test_cangrad_filter_values():
