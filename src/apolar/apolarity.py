@@ -4,7 +4,11 @@ All ideal-theoretic data is computed degree by degree with linear algebra:
 ``ann_graded`` is the kernel of the catalecticant map S_i -> P.  The degree-i
 generators are the rows of I_i = Ann(f)_i that add a leading column to one
 forward sweep (``linalg._store``) of the products a_t sigma, sigma in
-I_{i-1}, and the rows of I_i before them.  ``ideal_square_graded``
+I_{i-1}, and the rows of I_i before them.  The products lie in I_i, so the
+sweep stops once it has dim I_i stored rows: then no later row adds a lead,
+and when the products alone span I_i -- in every degree i > deg f + 1, where
+I_{i-1} = S_{i-1}, and often below it -- no row of I_i is swept and degree i
+has no generators.  ``ideal_square_graded``
 spans (I^2)_i by the integer rows g tau, g a generator and tau in I, filled by
 index: a^u a^v = a^{u+v}.
 
@@ -311,7 +315,12 @@ def _products(n, left, a, right, b, win):
 
 def _generator_rows(f, upto):
     """(gens, pieces): pieces[i] = Ann(f)_i for 0 <= i <= upto, and gens[i] for
-    1 <= i <= upto the degree-i generators, as canonical integer rows of I_i."""
+    1 <= i <= upto the degree-i generators, as canonical integer rows of I_i.
+
+    Degree i sweeps the products S_1 I_{i-1} and then the rows of I_i, and
+    stops at its (dim I_i)-th stored row: every row swept lies in I_i, so
+    each later row lies in the span and is no generator.
+    """
     if upto < 0:
         raise IndexOutOfRange("annihilator degree bound must be >= 0, got %d" % upto)
     if f.is_zero():
@@ -324,8 +333,11 @@ def _generator_rows(f, upto):
         I, stored = pieces[i], {}
         for row in _products(f.n, pieces[i - 1]._rows, i - 1, units, 1, I.window):
             _store(stored, _integer_row(row, field), field.p)
+            if len(stored) == I.dim:  # the products span I_i
+                break
         # a row of I_i outside the span of the products and the rows before it
-        gens[i] = [g for g in I._rows if _store(stored, g, field.p) is not None]
+        gens[i] = [g for g in I._rows
+                   if len(stored) < I.dim and _store(stored, g, field.p) is not None]
     return gens, pieces
 
 

@@ -37,7 +37,11 @@ the row space is the direct sum of the blocks' row spaces, its reduced
 echelon form is the direct sum of theirs, and each block is swept and
 back-substituted on its own column slice.  A row filled from a homogeneous
 polynomial lives in one degree, so a graded space -- every space built from
-a form -- splits into one block per degree.  A kernel is read off the
+a form -- splits into one block per degree.  A block's sweep stops once its
+rank equals its width: no row space has rank above its width, so the rows
+not yet swept lie in the span, and the reduced echelon form of a full-rank
+block is the identity (canonical over Q and F_p alike), so it is emitted
+without back-substitution.  A kernel is read off the
 echelon form of the column-reversed rows (``_kernel``), where the kernel
 vectors come out already in canonical form (see there), so nothing is
 eliminated twice.
@@ -172,7 +176,10 @@ def _echelon(rows, field):
     row space is their direct sum and so is its reduced echelon form.  Each
     block is swept (``_store``) and back-substituted on its own column
     slice and its rows padded back to full width, so the caller's lists
-    are never mutated or returned.
+    are never mutated or returned.  A block of width w stops its sweep at
+    the w-th stored row: its rank cannot exceed w, so the later rows lie in
+    the span, and its reduced echelon form is the w unit rows (a one-column
+    block is not swept at all).
     """
     spans = []
     for row in rows:
@@ -193,15 +200,19 @@ def _echelon(rows, field):
 
     out, pivots, p = [], [], field.p
     for lo, hi, block in blocks:
-        pad = [0] * (len(block[0]) - hi - 1)
-        if lo == hi:  # one column: the unit row, whatever the rows' entries
-            out.append([0] * lo + [1] + pad)
-            pivots.append(lo)
+        ncols, width, stored = len(block[0]), hi + 1 - lo, {}
+        if width > 1:  # one column needs no sweep: its rank is 1
+            for row in block:
+                _store(stored, row[lo : hi + 1], p)
+                if len(stored) == width:
+                    break
+        if width == 1 or len(stored) == width:
+            # full rank: the rows not swept lie in the span, the form is the identity
+            out += [[0] * c + [1] + [0] * (ncols - c - 1) for c in range(lo, hi + 1)]
+            pivots += range(lo, hi + 1)
             continue
-        stored = {}
-        for row in block:
-            _store(stored, row[lo : hi + 1], p)
         leads = _back_substitute(stored, p)
+        pad = [0] * (ncols - hi - 1)
         out += [[0] * (lo + k) + stored[k] + pad for k in leads]
         pivots += [lo + k for k in leads]
     return out, pivots

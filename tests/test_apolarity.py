@@ -30,7 +30,7 @@ from apolar.apolarity import (
 )
 from apolar.dp import monomials, monomials_upto
 from apolar.errors import ZeroPolynomial
-from apolar.linalg import Basis, Window, _echelon, _pivot_stream
+from apolar.linalg import Basis, Window, _echelon, _pivot_stream, _store
 from apolar.parsing import parse_poly
 
 from conftest import random_form, random_poly, with_fractions
@@ -475,3 +475,23 @@ def test_generator_rows_match_the_transposed_selection(field, rng):
                 for i in range(d + 2):
                     got = _square(n, gens, pieces, i)
                     assert got == _square(n, want_gens, want_pieces, i), (f, i)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_generator_sweep_stops_once_the_products_span_the_piece(field, monkeypatch):
+    # I_{d+1} = S_{d+1} for deg f = d, and for x1^[d] + x2^[d] + x3^[d]
+    # (Ann generated by a_i a_j, a_1^d - a_j^d) it is S_1 I_d
+    swept = []
+
+    def recording(stored, row, p):
+        swept.append(row)
+        return _store(stored, row, p)
+
+    monkeypatch.setattr(apolarity, "_store", recording)
+    for d in (2, 3, 4):
+        f = parse_poly("x1^[%d] + x2^[%d] + x3^[%d]" % (d, d, d), 3, field)
+        swept.clear()
+        gens, pieces = _generator_rows(f, d + 1)
+        assert pieces[d + 1].dim == len(monomials(3, d + 1)) and gens[d + 1] == []
+        assert swept and not any(row is g for row in swept for g in pieces[d + 1]._rows), f
+        assert gens == _transposed_generator_rows(f, d + 1)[0], f

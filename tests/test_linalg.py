@@ -1,5 +1,7 @@
 from fractions import Fraction as Q
+from itertools import compress, count
 from math import comb, gcd
+from operator import itemgetter
 
 import pytest
 
@@ -17,15 +19,19 @@ from apolar import (
     solve,
     span,
 )
+from apolar import linalg
 from apolar.apolarity import _generator_rows
 from apolar.errors import AmbientMismatch, ArityMismatch, FieldMismatch, WindowTooLarge
 from apolar.linalg import (
     MAX_WINDOW_COLUMNS,
+    _back_substitute,
     _check_window_size,
     _decode,
     _echelon,
+    _integer_row,
     _kernel,
     _pivot_stream,
+    _store,
 )
 from conftest import random_poly, with_fractions
 
@@ -294,6 +300,155 @@ def test_block_split_matches_oracle(field, rng):
         echelon, pivots = _echelon(rows, field)
         assert pivots == got[1]
         assert all(len(row) == ncols for row in echelon)
+
+
+# Differential oracle for full column blocks: the echelon form that sweeps
+# every row of every block and always back-substitutes, against tall blocks
+# whose rank often equals their width.
+
+
+def _reference_echelon(rows, field):
+    spans = []
+    for row in rows:
+        row = _integer_row(row, field)
+        first = next(compress(count(), row), None)
+        if first is not None:
+            last = len(row) - 1 - next(compress(count(), reversed(row)))
+            spans.append((first, last, row))
+    spans.sort(key=itemgetter(0))
+    blocks = []
+    for first, last, row in spans:
+        if blocks and first <= blocks[-1][1]:
+            block = blocks[-1]
+            block[1] = max(block[1], last)
+            block[2].append(row)
+        else:
+            blocks.append([first, last, [row]])
+
+    out, pivots, p = [], [], field.p
+    for lo, hi, block in blocks:
+        pad = [0] * (len(block[0]) - hi - 1)
+        if lo == hi:  # one column: the unit row, whatever the rows' entries
+            out.append([0] * lo + [1] + pad)
+            pivots.append(lo)
+            continue
+        stored = {}
+        for row in block:
+            _store(stored, row[lo : hi + 1], p)
+        leads = _back_substitute(stored, p)
+        out += [[0] * (lo + k) + stored[k] + pad for k in leads]
+        pivots += [lo + k for k in leads]
+    return out, pivots
+
+
+def _tall_block_rows(rng, field, lo, width, ncols, big):
+    """width..3 width rows on columns lo..lo+width-1: independent rows first
+    (``width`` of them in most blocks, fewer in the others), then
+    combinations of them, zero rows and rows with ``big`` entries."""
+    p = field.p
+    rank = width if rng.random() < 0.7 else rng.randint(0, width)
+    cols = sorted(rng.sample(range(lo, lo + width), rank))
+    rows = []
+    for c in cols:  # distinct leading columns: independent
+        row = [0] * ncols
+        row[c] = rng.choice([1, -1, 2, -big])
+        if p and row[c] % p == 0:
+            row[c] = 1
+        for j in range(c + 1, lo + width):
+            row[j] = rng.randint(-big, big)
+        rows.append(row)
+    for k in range(len(rows)):  # a unitriangular change of basis keeps them independent
+        for j in range(k + 1, len(rows)):
+            m = rng.choice([0, 1, -3, big])
+            rows[k] = [a + m * b for a, b in zip(rows[k], rows[j])]
+    while len(rows) < width or (len(rows) < 3 * width and rng.random() < 0.8):
+        r = rng.random()
+        if r < 0.2 or not cols:
+            rows.append([0] * ncols)
+        elif r < 0.7:
+            a, b = rng.sample(rows, 2) if len(rows) > 1 else rows * 2
+            k, m = rng.randint(-5, 5), rng.choice([1, -1, big])
+            rows.append([k * x + m * y for x, y in zip(a, b)])
+        else:
+            row = [0] * ncols
+            for j in range(lo, lo + width):
+                row[j] = rng.randint(-big, big)
+            rows.append(row)
+    return rows
+
+
+def _tall_block_matrix(rng, field):
+    """Tall blocks 1-5 columns wide, each as ``_tall_block_rows``; the rows
+    shuffled or not, sometimes with a row straddling two blocks."""
+    big = 10**12 if rng.random() < 0.5 else 9
+    intervals, col = [], rng.randint(0, 2)
+    for _ in range(rng.randint(1, 3)):
+        width = rng.randint(1, 5)
+        intervals.append((col, width))
+        col += width + rng.randint(0, 2)
+    ncols = col + rng.randint(0, 2)
+    rows = []
+    for lo, width in intervals:
+        rows += _tall_block_rows(rng, field, lo, width, ncols, big)
+    if len(intervals) > 1 and rng.random() < 0.3:
+        i = rng.randrange(len(intervals) - 1)
+        row = [0] * ncols
+        row[intervals[i][0]] = rng.randint(1, 9)
+        row[intervals[i + 1][0] + intervals[i + 1][1] - 1] = rng.randint(-9, -1)
+        rows.insert(rng.randint(0, len(rows)), row)
+    if rng.random() < 0.5:
+        rng.shuffle(rows)
+    if field.is_rationals and rng.random() < 0.5:
+        rows = [[x * rng.choice([1, Q(1, 2), Q(-7, 3)]) for x in row] for row in rows]
+    return rows, ncols
+
+
+def _old_path(fn, *args):
+    """``fn(*args)`` with every elimination through ``_reference_echelon``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_echelon", _reference_echelon)
+        return fn(*args)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
+def test_full_blocks_match_the_sweep_of_every_row(field, rng):
+    for _ in range(300):
+        rows, ncols = _tall_block_matrix(rng, field)
+        want = _reference_echelon(rows, field)
+        assert _echelon(rows, field) == want, rows
+        got = rref(rows, field, ncols)
+        assert _typed(got) == _typed((_decode(want[0], field), want[1]))
+        assert _typed(got) == _typed(_reference_rref(rows, field, ncols)), rows
+        kernel = nullspace(rows, field, ncols)
+        assert _typed((kernel, None)) == _typed((_old_path(nullspace, rows, field, ncols), None))
+        assert _typed((kernel, None)) == _typed((_reference_nullspace(rows, field, ncols), None))
+        win = Window.P_graded(2, ncols - 1, field)  # ncols columns
+        perp = Basis(win, rows).perp()
+        old = _old_path(lambda: Basis(win, rows).perp())
+        assert perp == old and _typed((perp.rows, None)) == _typed((kernel, None)), rows
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_a_full_block_stops_its_sweep(field, rng, monkeypatch):
+    calls = {"_store": 0, "_back_substitute": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
+    for width in (2, 3, 5):
+        # independent rows led by column 0, so swept first, then 40 rows of the block
+        rows = [[int(j in (0, i)) for j in range(width)] for i in range(width)]
+        rows += [[rng.randint(-9, 9) for _ in range(width)] for _ in range(40)]
+        calls.update(_store=0, _back_substitute=0)
+        red, pivots = _echelon(rows, field)
+        assert calls == {"_store": width, "_back_substitute": 0}
+        assert (red, pivots) == ([[int(i == j) for j in range(width)] for i in range(width)],
+                                 list(range(width)))
 
 
 def test_window_budget_guard_fires_from_the_computed_size():
