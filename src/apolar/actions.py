@@ -48,7 +48,7 @@ from .errors import (
     SingularMatrix,
 )
 from .fields import char_guard
-from .linalg import _echelon, rref
+from .linalg import _echelon, _sparse, rref
 
 
 def subst(op, images):
@@ -141,7 +141,7 @@ class Automorphism:
         # construction), so row i has its pivot at column i and its right
         # half divided by that pivot is row i of lin^-1
         aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.linear_matrix())]
-        red, _ = _echelon(aug, field)
+        red, _ = _echelon(_sparse(aug), field, 2 * n)
         # L = lin transposed
         delta = lcm(*(red[i][i] for i in range(n)))
         M = [[red[i][n + j] * (delta // red[i][i]) for i in range(n)] for j in range(n)]

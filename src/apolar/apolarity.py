@@ -9,8 +9,8 @@ sweep stops once it has dim I_i stored rows: then no later row adds a lead,
 and when the products alone span I_i -- in every degree i > deg f + 1, where
 I_{i-1} = S_{i-1}, and often below it -- no row of I_i is swept and degree i
 has no generators.  ``ideal_square_graded``
-spans (I^2)_i by the integer rows g tau, g a generator and tau in I, filled by
-index: a^u a^v = a^{u+v}.
+spans (I^2)_i by the sparse integer rows g tau, g a generator and tau in I,
+filled by index: a^u a^v = a^{u+v}.
 
 The Hilbert function and the symmetric decomposition need only pivot counts
 of the modules m^k -| f, so ``_filtration_profiles`` reads all of them off
@@ -18,9 +18,13 @@ one ``_pivot_stream`` sweep, k from deg f down to 0, and builds no echelon
 form.
 
 The rows of the contractions x^e -| f (``module_sf``, the catalecticant,
-the filtration profiles) are integer rows filled by exponent lookup,
-row_e[c] = f._num[c + e], from f's stored numerators: they are D f for
-D = f._den (D = 1 over F_p).  Scaling every row by D changes no row space.
+the filtration profiles) are sparse integer rows, {column: int} dicts of
+their nonzero entries (the elimination's intake in ``linalg``), filled by
+exponent lookup, row_e[c] = f._num[c + e], from f's stored numerators:
+they are D f for D = f._den (D = 1 over F_p).  Scaling every row by D
+changes no row space.  Their shifts (``_shifted_rows``) and the products
+of ``ideal_square_graded`` are sparse rows too, so no builder allocates a
+row as wide as its window.
 """
 
 import math
@@ -29,7 +33,7 @@ from operator import add
 
 from .dp import DPPoly, monomials, monomials_upto
 from .errors import DecompositionInvariantViolated, IndexOutOfRange, ZeroPolynomial
-from .linalg import Basis, Window, _check_window_size, _integer_row, _pivot_stream, _store
+from .linalg import Basis, Window, _check_window_size, _dense, _pivot_stream, _store
 
 
 class HilbertFunction:
@@ -104,57 +108,55 @@ def ann_graded(f, i):
 
 
 def _contraction_rows(f, exps, degrees):
-    """The integer rows of x^e -| D f for e in ``exps``, D = f._den.
+    """The sparse integer rows of x^e -| D f for e in ``exps``, D = f._den.
 
     The columns are the monomials of each degree in ``degrees``, in that
     order (grlex within a degree), and row_e[c] = f._num[c + e]: numerators
     are looked up by exponent, with no contraction and no Fraction
-    arithmetic.  Only the degrees where x^e -| f has terms are looked up.
+    arithmetic.  Only the degrees where x^e -| f has terms are looked up,
+    and a row keeps only the columns where it is nonzero.
     """
     get = f._num.get
     f_degrees = {sum(t) for t in f._num}
-    cols = {i: list(monomials(f.n, i)) for i in degrees}
-    zeros = {i: [0] * len(cols[i]) for i in degrees}
-    rows = []
+    cols, start = [], 0
+    for i in degrees:
+        mons = monomials(f.n, i)
+        cols.append((i, range(start, start + len(mons)), mons))
+        start += len(mons)
+    rows, looked_up = [], {}  # |e| -> the columns looked up and their monomials
     for e in exps:
         s = sum(e)
-        row = []
-        for i in degrees:
-            if i + s in f_degrees:
-                row += [get(tuple(map(add, c, e)), 0) for c in cols[i]]
-            else:
-                row += zeros[i]
-        rows.append(row)
+        if s not in looked_up:
+            parts = [(js, mons) for i, js, mons in cols if i + s in f_degrees]
+            looked_up[s] = ([j for js, _ in parts for j in js],
+                            [c for _, mons in parts for c in mons])
+        rows.append({j: v for j, c in zip(*looked_up[s]) if (v := get(tuple(map(add, c, e))))})
     return rows
 
 
 def _shifted_rows(rows, n, degrees, window):
-    """The integer rows of x_1 g, ..., x_n g for each integer row g in ``rows``.
+    """The sparse integer rows of x_1 g, ..., x_n g for each sparse integer
+    row g in ``rows``.
 
     g is a row over the monomials of ``degrees`` (in order, grlex within a
-    degree, as ``_contraction_rows`` lays them out; entries past those
-    columns must be zero), and x_i x^[u] = (u_i + 1) x^[u + e_i] places
-    each shift in ``window``, which holds every x^[u + e_i].  The column
-    table (column, weight) is built once per call and each row's nonzero
-    entries are listed once.  Returns one list of n rows per g.
+    degree, as ``_contraction_rows`` lays them out), and its entries past
+    those columns are dropped: each shift is that of g restricted to
+    ``degrees``.  x_i x^[u] = (u_i + 1) x^[u + e_i] places each shift in
+    ``window``, which holds every x^[u + e_i]; over F_p a weight u_i + 1
+    may vanish, which the elimination's intake drops.  The column tables
+    (columns, weights) are built once per call.  Returns one list of n rows
+    per g.
     """
     index = window.index
     src = [u for i in degrees for u in monomials(n, i)]
     table = [
-        [(index[u[:i] + (u[i] + 1,) + u[i + 1:]], u[i] + 1) for u in src]
+        ([index[u[:i] + (u[i] + 1,) + u[i + 1:]] for u in src], [u[i] + 1 for u in src])
         for i in range(n)
     ]
-    out = []
+    width, out = len(src), []
     for g in rows:
-        nonzero = [(j, g[j]) for j in compress(count(), g)]
-        shifts = []
-        for shift in table:
-            row = [0] * window.dim
-            for j, c in nonzero:
-                col, w = shift[j]
-                row[col] = w * c
-            shifts.append(row)
-        out.append(shifts)
+        nonzero = [(j, c) for j, c in g.items() if j < width]
+        out.append([{cols[j]: ws[j] * c for j, c in nonzero} for cols, ws in table])
     return out
 
 
@@ -163,7 +165,7 @@ def module_sf(f, k):
     of the rows x^e -| D f with |e| >= k in P_{<= deg f}."""
     d = max(f.degree, 0)
     exps = [e for e in monomials_upto(f.n, d) if sum(e) >= k]
-    return Basis(Window.P_upto(f.n, d, f.field), _contraction_rows(f, exps, range(d + 1)))
+    return Basis._of_rows(Window.P_upto(f.n, d, f.field), _contraction_rows(f, exps, range(d + 1)))
 
 
 def dim_apolar(f):
@@ -187,11 +189,12 @@ def _filtration_profiles(f):
     degrees = range(d, -1, -1)
     col_degree = [i for i in degrees for _ in monomials(f.n, i)]
     exps = list(monomials_upto(f.n, d))
-    rows = _contraction_rows(f, exps, degrees)
-    batches = [[row for e, row in zip(exps, rows) if sum(e) == k] for k in degrees]
+    batches = {k: [] for k in degrees}
+    for e, row in zip(exps, _contraction_rows(f, exps, degrees)):
+        batches[sum(e)].append(row)
     prof = [0] * (d + 1)
     profiles = [prof]
-    for pivots in _pivot_stream(batches, f.field):
+    for pivots in _pivot_stream(batches.values(), f.field):
         prof = list(prof)
         for p in pivots:
             prof[col_degree[p]] += 1
@@ -298,18 +301,20 @@ def symmetric_decomposition(f):
 
 
 def _products(n, left, a, right, b, win):
-    """The integer rows of g h in ``win`` = S_{a+b} for g in ``left`` (integer
-    rows over S_a) and h in ``right`` (integer rows over S_b)."""
+    """The sparse integer rows of g h in ``win`` = S_{a+b} for g in ``left``
+    (integer rows over S_a) and h in ``right`` (integer rows over S_b)."""
     table = [[win.index[tuple(map(add, u, v))] for v in monomials(n, b)]
              for u in monomials(n, a)]
+    right = [[(k, h[k]) for k in compress(count(), h)] for h in right]
     out = []
     for g in left:
+        g = [(table[j], g[j]) for j in compress(count(), g)]
         for h in right:
-            row = [0] * win.dim
-            for j in compress(count(), g):
-                for k in compress(count(), h):
-                    row[table[j][k]] += g[j] * h[k]
-            out.append(row)
+            row = {}
+            for cols, x in g:
+                for k, y in h:
+                    row[cols[k]] = row.get(cols[k], 0) + x * y
+            out.append({c: x for c, x in row.items() if x})  # terms may cancel
     return out
 
 
@@ -328,16 +333,16 @@ def _generator_rows(f, upto):
     _check_window_size(f.n, range(upto + 1))  # the pieces fill S_{<= upto}
     pieces = {i: ann_graded(f, i) for i in range(upto + 1)}
     units = [[int(j == t) for j in range(f.n)] for t in range(f.n)]
-    field, gens = f.field, {}
+    p, gens = f.field.p, {}
     for i in range(1, upto + 1):
         I, stored = pieces[i], {}
         for row in _products(f.n, pieces[i - 1]._rows, i - 1, units, 1, I.window):
-            _store(stored, _integer_row(row, field), field.p)
+            _store(stored, _dense(row, 0, I.window.dim - 1, p), p)
             if len(stored) == I.dim:  # the products span I_i
                 break
         # a row of I_i outside the span of the products and the rows before it
         gens[i] = [g for g in I._rows
-                   if len(stored) < I.dim and _store(stored, g, field.p) is not None]
+                   if len(stored) < I.dim and _store(stored, g, p) is not None]
     return gens, pieces
 
 
@@ -357,7 +362,7 @@ def _square(n, gens, pieces, i):
     rows = []
     for e in range(1, i):
         rows += _products(n, gens[e], e, pieces[i - e]._rows, i - e, pieces[i].window)
-    return Basis(pieces[i].window, rows)
+    return Basis._of_rows(pieces[i].window, rows)
 
 
 def ideal_square_graded(f, i):

@@ -81,7 +81,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .fields import QQ, GF, char_guard
-from .linalg import Basis, Window, _echelon, solve
+from .linalg import Basis, Window, _echelon, _solve
 from .parsing import parse_poly, poly_str
 from .tangent import _tangent_rows, perp_tangent, tangent_space
 
@@ -132,13 +132,15 @@ def _solve_tangent_system(G, F, win, d_exps, tau_exps):
     """Solve G = sum_i x_i (D_i -| F) + tau -| F in the window ``win``, with
     each D_i spanned by the monomials ``d_exps`` and tau by ``tau_exps``.
 
-    The columns are integer rows: the x_i shifts (``_shifted_rows``) of the
-    contractions x^e -| D F one degree below the window, i-major, then the
-    contractions x^e -| D F for tau (``_contraction_rows``), filled from F's
-    stored numerators, so D = F._den (D = 1 over F_p).  So the right side
-    is D G: [D M | D G] has the same reduced echelon form as [M | G],
-    and ``solve`` sets the free columns to zero, so the solution depends on
-    the column order.  Returns (d_terms, tau_terms), the nonzero
+    The columns are sparse integer rows: the x_i shifts (``_shifted_rows``)
+    of the contractions x^e -| D F one degree below the window, i-major,
+    then the contractions x^e -| D F for tau (``_contraction_rows``), filled
+    from F's stored numerators, so D = F._den (D = 1 over F_p); they are
+    transposed into the sparse rows of the system.  So the right side is
+    D G, and with G = G._num / G._den the rows [G._den D M | D G._num] are
+    integers with the same reduced echelon form as [M | G], and ``solve``
+    sets the free columns to zero, so the solution depends on the column
+    order.  Returns (d_terms, tau_terms), the nonzero
     coefficients of D_1 .. D_n and tau, or None when inconsistent.
     """
     n, field = F.n, F.field
@@ -147,8 +149,14 @@ def _solve_tangent_system(G, F, win, d_exps, tau_exps):
     shifted = _shifted_rows(_contraction_rows(F, d_exps, inner), n, inner, win)
     cols = [shifts[i] for i in range(n) for shifts in shifted]
     cols += _contraction_rows(F, tau_exps, win.degrees)
-    rhs = [F._den * c for c in win.encode(G)]
-    sol = solve(list(zip(*cols)), rhs, field, len(cols))
+    # the rows of [M | G] scaled by D G._den: [G._den D M | D G._num]
+    rows = [{} for _ in range(win.dim)]
+    for k, col in enumerate(cols):
+        for r, x in col.items():
+            rows[r][k] = G._den * x
+    for e, c in G._num.items():
+        rows[win.index[e]][len(cols)] = F._den * c
+    sol = _solve(rows, field, len(cols))
     if sol is None:
         return None
     d_terms = [{} for _ in range(n)]
@@ -255,14 +263,17 @@ def _tangent_quotient(f, e):
     element 1 at its pivot and 0 at the others.
 
     Read off the tangent space of f_{>e}: its spanning rows
-    (``_tangent_rows``) are echeloned once, on the columns of degrees
-    deg f .. e, highest first and grlex within a degree (the
-    ``_filtration_profiles`` order).  The rows that pivot in degree e have
-    no terms above e, and their degree-e parts are reduced.
+    (``_tangent_rows``) are re-keyed to the columns of degrees deg f .. e,
+    highest first and grlex within a degree (the ``_filtration_profiles``
+    order), dropping the columns below e, and echeloned once.  The rows
+    that pivot in degree e have no terms above e, and their degree-e parts
+    are reduced.
     """
     tangent_win, tangent_rows = _tangent_rows(f.part_from(e + 1), 2)
     order = [tangent_win.index[m] for i in range(f.degree, e - 1, -1) for m in monomials(f.n, i)]
-    rows, pivots = _echelon([[row[j] for j in order] for row in tangent_rows], f.field)
+    col = {c: j for j, c in enumerate(order)}  # the columns below degree e are dropped
+    rows = [{col[c]: x for c, x in row.items() if c in col} for row in tangent_rows]
+    rows, pivots = _echelon(rows, f.field, len(order))
     win = Window.P_graded(f.n, e, f.field)
     lo = len(order) - win.dim  # the degree-e columns come last, so do their rows
     k = sum(p < lo for p in pivots)

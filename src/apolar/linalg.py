@@ -5,52 +5,58 @@ degrees -- together with the global graded-lex column order.  A
 :class:`Basis` is a subspace of a window, kept as its canonical integer
 reduced echelon form, so subspace equality is literal row equality.
 
-Everything works on integer rows (``_integer_row``): over Q each input row
-is scaled to a primitive integer row (plain ints, gcd 1; a row that is
-already all ints skips the denominators), over F_p the rows are residues.
-There is one elimination, a forward sweep (``_store``): each row is reduced
+Elimination reads sparse integer rows: dicts {column: int} of a row's
+nonzero entries.  The row builders in ``apolarity``, ``tangent`` and
+``classify`` fill them from a polynomial's terms, so a row holds only the
+few terms it touches; the public entry points (``rref``, ``nullspace``,
+``solve``, ``Basis(window, rows)``, ``span``, ``contains_vector``) convert
+rows of field elements once (``_sparse``; over Q a row with Fractions is
+scaled by the lcm of its denominators).  There is one elimination, a
+forward sweep (``_sweep``).  Its intake reduces the entries mod p over F_p
+and drops the ones that vanish (a shift weight u_i + 1 can equal p), and
+reads each row's smallest and largest column.  Rows whose [first, last]
+intervals overlap share a column block, and the blocks are disjoint.  A
+row's reduction never leaves its block, so each block is swept on its own
+column slice, its rows in their order.  Each is made a list (``_dense``:
+over Q divided by its gcd, over F_p of residues) of its entries on that
+slice only when the sweep reaches it, and then reduced (``_store``)
 against the stored row at its leading column -- over Q by
 cross-multiplication with the row gcd divided out after every step, which
 keeps intermediate entries small -- until it vanishes or leads at a new
-column, where it is stored.
+column, where it is stored.  A block's sweep stops once its rank equals its
+width: no row space has rank above its width, so the rows not yet swept lie
+in the span.  So the rows of a one-column block, and the rows left once a
+block fills, are never made lists.  A row filled from a homogeneous
+polynomial lives in one degree, so a graded space -- every space built from
+a form -- splits into one block per degree.
 
 An answer that needs only pivot columns or a rank -- membership here, the
-filtration profiles in ``apolarity`` -- comes from ``_pivot_stream``, the
-sweep alone over batches of rows: a row belongs to a span iff adding it adds
-no pivot.  The annihilator generators in ``apolarity`` are the rows whose
-own ``_store`` adds one.  Canonical rows come from
-``_echelon``, which runs the sweep and then back-substitutes
-(``_back_substitute``).  Its reduced echelon form is canonical: over Q each
-row is the reduced row scaled to a primitive row with a positive pivot, over
-F_p the reduced row itself (pivot 1).  That form is what a ``Basis`` stores
-and what its ``perp``, ``sum`` and ``==`` read.  Fractions (over Q) appear
-only at the boundary, in ``rref``, ``nullspace`` and ``Basis.rows``, which
-all divide each row by its pivot (``_decode``), and in ``solve``, which
-divides one entry per pivot row.  ``Basis.vectors()`` hands each integer
-row with its pivot as denominator to the polynomials' own canonical form
-(``Window._elements``), so no Fraction is built there.
-
-Before the sweep, ``_echelon`` splits the columns into blocks.  Each
-nonzero row covers the columns from its first to its last nonzero entry;
-rows whose intervals overlap share a block, and the blocks are disjoint.  So
-the row space is the direct sum of the blocks' row spaces, its reduced
-echelon form is the direct sum of theirs, and each block is swept and
-back-substituted on its own column slice.  A row filled from a homogeneous
-polynomial lives in one degree, so a graded space -- every space built from
-a form -- splits into one block per degree.  A block's sweep stops once its
-rank equals its width: no row space has rank above its width, so the rows
-not yet swept lie in the span, and the reduced echelon form of a full-rank
-block is the identity (canonical over Q and F_p alike), so it is emitted
-without back-substitution.  A kernel is read off the
-echelon form of the column-reversed rows (``_kernel``), where the kernel
-vectors come out already in canonical form (see there), so nothing is
-eliminated twice.
+filtration profiles in ``apolarity``, the equations the direct perp in
+``tangent`` keeps -- comes from ``_pivot_stream``, the sweep alone over
+batches of rows: a row belongs to the span of the rows before it iff it
+adds no pivot.  The annihilator generators in ``apolarity`` are the rows
+whose own ``_store`` adds one.  Canonical rows come from ``_echelon``,
+which runs the sweep and then back-substitutes each block
+(``_back_substitute``): the row space is the direct sum of the blocks' row
+spaces, so its reduced echelon form is the direct sum of theirs.  That form
+is canonical: over Q each row is the reduced row scaled to a primitive row
+with a positive pivot, over F_p the reduced row itself (pivot 1); a
+full-rank block's form is the identity (canonical over Q and F_p alike),
+emitted without back-substitution.  That form, as lists of ints, is what a
+``Basis`` stores and what its ``perp``, ``sum`` and ``==`` read.  Fractions
+(over Q) appear only at the boundary, in ``rref``, ``nullspace`` and
+``Basis.rows``, which all divide each row by its pivot (``_decode``), and
+in ``solve``, which divides one entry per pivot row.  ``Basis.vectors()``
+hands each integer row with its pivot as denominator to the polynomials'
+own canonical form (``Window._elements``), so no Fraction is built there.
+A kernel is read off the echelon form of the column-reversed rows
+(``_kernel``), where the kernel vectors come out already in canonical form
+(see there), so nothing is eliminated twice.
 """
 
 from fractions import Fraction
 from itertools import chain, compress, count
 from math import comb, gcd, lcm
-from operator import itemgetter
 
 from .dp import DPPoly, Operator, monomials
 from .errors import AmbientMismatch, ArityMismatch, FieldMismatch, WindowTooLarge
@@ -60,24 +66,36 @@ from .errors import AmbientMismatch, ArityMismatch, FieldMismatch, WindowTooLarg
 # Row reduction
 
 
-def _integer_row(row, field):
-    """The integer row elimination works on: over Q a row of ints and
-    Fractions scaled to a primitive row (gcd 1), over F_p the residues.
+def _sparse(rows):
+    """Sparse integer rows of rows of field elements (the public entry
+    points' intake, and the lists a ``Basis`` keeps): each row's nonzero
+    entries by column, a row with Fractions (over Q) scaled by the lcm of
+    their denominators, which keeps its span."""
+    out = []
+    for row in rows:
+        nonzero = {j: row[j] for j in compress(count(), row)}
+        if {*map(type, nonzero.values())} - {int}:
+            L = lcm(*(x.denominator for x in nonzero.values()))
+            nonzero = {j: x.numerator * (L // x.denominator) for j, x in nonzero.items()}
+        out.append(nonzero)
+    return out
 
-    An all-int list over Q is taken as it is (no lcm, no ``denominator``
-    reads) and may come back as the same list; nothing mutates it.
-    """
-    if field.p:
-        return [x % field.p for x in row]
-    if set(map(type, row)) <= {int}:
-        ints = row if type(row) is list else list(row)
-    else:
-        L = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (L // x.denominator) for x in row]
-    g = gcd(*ints)
+
+def _dense(row, lo, hi, p):
+    """Entries lo..hi of a sparse integer row, every column of the row among
+    them, as the list the sweep reduces: over Q divided by their gcd, over
+    F_p residues."""
+    dense = [0] * (hi + 1 - lo)
+    if p:
+        for j, x in row.items():
+            dense[j - lo] = x % p
+        return dense
+    g = gcd(*row.values())
     if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+        row = {j: x // g for j, x in row.items()}
+    for j, x in row.items():
+        dense[j - lo] = x
+    return dense
 
 
 def _store(stored, row, p):
@@ -115,19 +133,68 @@ def _store(stored, row, p):
     return lead
 
 
-def _pivot_stream(batches, field):
-    """Forward elimination of batches of rows, reading pivot columns only.
+def _sweep(rows, p):
+    """The forward sweep of sparse integer rows, run per column block.
 
-    For each batch (rows of field elements, all as wide) yields the pivot
-    columns it adds to the span of the rows before it, in the order
-    ``_store`` finds them.  The pivot columns of an echelon form depend only
-    on the row space, so after each batch the yielded columns so far are,
-    sorted, the pivots ``_echelon`` finds for all the rows so far.
+    The intake reduces each row mod p over F_p and drops the entries that
+    vanish (over Q a row holds no zero entry), and places each nonzero row
+    by its smallest and largest column.  Rows whose [first, last] intervals
+    overlap form a column block [lo, hi]; the blocks are disjoint, and a
+    row's reduction against stored rows stays inside its block, so each
+    block is swept on its own: its rows, in their order, go through
+    ``_store``, each made a list of its entries on the block's columns when
+    the sweep reaches it.  A block of width w whose sweep holds w rows
+    takes no more: its rank cannot exceed w, so the later rows lie in its
+    span.  A one-column block holds its first row unswept.
+
+    Returns (blocks, leads): the blocks as [lo, hi, stored], sorted by lo,
+    ``stored`` keyed by lead column minus lo; leads[i] is the column at
+    which rows[i] added a pivot, or None when it lies in the span of the
+    rows before it (the answer of one sweep over all rows, in order).
     """
-    stored, p = {}, field.p
+    if p:
+        rows = [{j: r for j, x in row.items() if (r := x % p)} for row in rows]
+    blocks, block_of = [], [None] * len(rows)  # the block of each nonzero row
+    for first, last, i in sorted([(min(row), max(row), i) for i, row in enumerate(rows) if row]):
+        if blocks and first <= blocks[-1][1]:
+            if last > blocks[-1][1]:
+                blocks[-1][1] = last
+        else:
+            blocks.append([first, last, {}])
+        block_of[i] = blocks[-1]
+    leads = []
+    for row, block in zip(rows, block_of):
+        if block is None:  # a zero row
+            leads.append(None)
+            continue
+        lo, hi, stored = block
+        if len(stored) == hi + 1 - lo:  # the block is full
+            leads.append(None)
+        elif lo == hi:
+            stored[0] = [1]
+            leads.append(lo)
+        else:
+            lead = _store(stored, _dense(row, lo, hi, p), p)
+            leads.append(None if lead is None else lo + lead)
+    return blocks, leads
+
+
+def _pivot_stream(batches, field):
+    """Forward elimination of batches of sparse integer rows, reading pivot
+    columns only.
+
+    For each batch yields the pivot columns it adds to the span of the
+    rows before it, in row order, read off one ``_sweep`` of all the rows.
+    The pivot columns of an echelon form depend only on the row space, so
+    after each batch the columns so far are, sorted, the pivots
+    ``_echelon`` finds for all the rows so far.
+    """
+    batches = [list(batch) for batch in batches]
+    _, leads = _sweep([row for batch in batches for row in batch], field.p)
+    k = 0
     for batch in batches:
-        found = [_store(stored, _integer_row(row, field), p) for row in batch]
-        yield [lead for lead in found if lead is not None]
+        yield [lead for lead in leads[k : k + len(batch)] if lead is not None]
+        k += len(batch)
 
 
 def _back_substitute(stored, p):
@@ -161,52 +228,27 @@ def _back_substitute(stored, p):
     return leads
 
 
-def _echelon(rows, field):
-    """Canonical integer reduced echelon form.
+def _echelon(rows, field, ncols):
+    """Canonical integer reduced echelon form of sparse integer rows over
+    ``ncols`` columns.
 
-    Returns (rows, pivots): rows[r] is the r-th reduced row, as wide as the
-    input rows, with its pivot at column pivots[r] and zeros at every other
-    pivot column.  Pivots are increasing.  Over Q each row is primitive with
-    a positive pivot, over F_p its pivot is 1, so the form depends only on
-    the row space.
+    Returns (rows, pivots): rows[r] is the r-th reduced row, a list of
+    ``ncols`` ints, with its pivot at column pivots[r] and zeros at every
+    other pivot column.  Pivots are increasing.  Over Q each row is
+    primitive with a positive pivot, over F_p its pivot is 1, so the form
+    depends only on the row space.
 
-    Each nonzero input row becomes an integer row (``_integer_row``) and is
-    placed by its first and last nonzero column.  Rows whose [first, last]
-    intervals overlap form a column block; the blocks are disjoint, so the
-    row space is their direct sum and so is its reduced echelon form.  Each
-    block is swept (``_store``) and back-substituted on its own column
-    slice and its rows padded back to full width, so the caller's lists
-    are never mutated or returned.  A block of width w stops its sweep at
-    the w-th stored row: its rank cannot exceed w, so the later rows lie in
-    the span, and its reduced echelon form is the w unit rows (a one-column
-    block is not swept at all).
+    The row space is the direct sum of the column blocks' row spaces, so
+    its reduced echelon form is the direct sum of theirs: each block swept
+    by ``_sweep`` is back-substituted on its own column slice, and its rows
+    padded back to full width.  A block whose rank equals its width w has
+    the w unit rows as its reduced echelon form, emitted without
+    back-substitution.
     """
-    spans = []
-    for row in rows:
-        row = _integer_row(row, field)
-        first = next(compress(count(), row), None)
-        if first is not None:
-            last = len(row) - 1 - next(compress(count(), reversed(row)))
-            spans.append((first, last, row))
-    spans.sort(key=itemgetter(0))
-    blocks = []
-    for first, last, row in spans:
-        if blocks and first <= blocks[-1][1]:
-            block = blocks[-1]
-            block[1] = max(block[1], last)
-            block[2].append(row)
-        else:
-            blocks.append([first, last, [row]])
-
-    out, pivots, p = [], [], field.p
-    for lo, hi, block in blocks:
-        ncols, width, stored = len(block[0]), hi + 1 - lo, {}
-        if width > 1:  # one column needs no sweep: its rank is 1
-            for row in block:
-                _store(stored, row[lo : hi + 1], p)
-                if len(stored) == width:
-                    break
-        if width == 1 or len(stored) == width:
+    p = field.p
+    out, pivots = [], []
+    for lo, hi, stored in _sweep(rows, p)[0]:
+        if len(stored) == hi + 1 - lo:
             # full rank: the rows not swept lie in the span, the form is the identity
             out += [[0] * c + [1] + [0] * (ncols - c - 1) for c in range(lo, hi + 1)]
             pivots += range(lo, hi + 1)
@@ -232,18 +274,20 @@ def _decode(rows, field):
 
 
 def _kernel(rows, field, ncols):
-    """Canonical integer rows of {x : M x = 0}, M given by ``rows``.
+    """Canonical integer rows of {x : M x = 0}, M given by the sparse
+    integer ``rows`` over ``ncols`` columns.
 
-    Read off one ``_echelon`` of the column-reversed rows.  In the original
-    order each of its rows ends at its pivot column pc and is 0 at the other
-    pivot columns, so the kernel vector of a free column c (1 at c, x_pc =
-    -row[c] / row[pc]) is 0 left of c and at every other free column: sorted
-    by c, the vectors are the kernel's reduced echelon form.  Each is scaled
-    by the lcm of its denominators, which leaves a primitive row with a
-    positive pivot (over F_p every row[pc] is 1, so nothing is scaled).
+    Read off one ``_echelon`` of the column-reversed rows (column j of a
+    row goes to last - j).  In the original order each of its rows ends at
+    its pivot column pc and is 0 at the other pivot columns, so the kernel
+    vector of a free column c (1 at c, x_pc = -row[c] / row[pc]) is 0 left
+    of c and at every other free column: sorted by c, the vectors are the
+    kernel's reduced echelon form.  Each is scaled by the lcm of its
+    denominators, which leaves a primitive row with a positive pivot (over
+    F_p every row[pc] is 1, so nothing is scaled).
     """
-    red, pivots = _echelon([row[::-1] for row in rows], field)
     last = ncols - 1  # column c of a reversed row sits at last - c
+    red, pivots = _echelon([{last - j: x for j, x in row.items()} for row in rows], field, ncols)
     pivot_set = {last - pc for pc in pivots}
     p, kernel = field.p, []
     for c in range(ncols):
@@ -280,7 +324,7 @@ def rref(rows, field, ncols):
     equal to 1, sorted by pivot column.
     """
     _check_matrix(rows, field, ncols)
-    work, pivots = _echelon(rows, field)
+    work, pivots = _echelon(_sparse(rows), field, ncols)
     return _decode(work, field), pivots
 
 
@@ -289,7 +333,7 @@ def nullspace(rows, field, ncols):
     field elements each (else AmbientMismatch, FieldMismatch); see
     ``_kernel``."""
     _check_matrix(rows, field, ncols)
-    return _decode(_kernel(rows, field, ncols), field)
+    return _decode(_kernel(_sparse(rows), field, ncols), field)
 
 
 def solve(rows, rhs, field, ncols):
@@ -306,7 +350,13 @@ def solve(rows, rhs, field, ncols):
     if len(rhs) != len(rows):
         raise AmbientMismatch("%d right-hand sides for %d rows" % (len(rhs), len(rows)))
     _check_matrix(rows, field, ncols, rhs)
-    red, pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)], field)
+    return _solve(_sparse([[*row, b] for row, b in zip(rows, rhs)]), field, ncols)
+
+
+def _solve(rows, field, ncols):
+    """``solve`` on the sparse integer rows of the augmented matrix [M | b],
+    b at column ``ncols``."""
+    red, pivots = _echelon(rows, field, ncols + 1)
     if ncols in pivots:
         return None
     x = [field.zero()] * ncols
@@ -446,12 +496,21 @@ class Basis:
 
     def __init__(self, window, rows):
         self.window = window
-        self._rows, _ = _echelon(rows, window.field)
+        self._rows, _ = _echelon(_sparse(rows), window.field, window.dim)
+
+    @classmethod
+    def _of_rows(cls, window, rows):
+        """The span of the sparse integer ``rows`` over the window's columns."""
+        basis = cls.__new__(cls)
+        basis.window = window
+        basis._rows, _ = _echelon(rows, window.field, window.dim)
+        return basis
 
     @classmethod
     def _of_kernel(cls, window, eqs):
-        """{x in window : E x = 0} for the equation rows ``eqs``: the rows of
-        ``_kernel`` are canonical already, so they are not eliminated again."""
+        """{x in window : E x = 0} for the sparse integer equation rows
+        ``eqs``: the rows of ``_kernel`` are canonical already, so they are
+        not eliminated again."""
         basis = cls.__new__(cls)
         basis.window, basis._rows = window, _kernel(eqs, window.field, window.dim)
         return basis
@@ -482,25 +541,25 @@ class Basis:
             raise AmbientMismatch("windows differ: %r vs %r" % (self.window, other.window))
 
     def _adds_no_pivot(self, rows):
-        """Whether ``rows`` lie in the span: streamed after the basis rows,
-        they add no pivot."""
-        return not list(_pivot_stream((self._rows, rows), self.window.field))[1]
+        """Whether the sparse integer ``rows`` lie in the span: streamed
+        after the basis rows, they add no pivot."""
+        return not list(_pivot_stream((_sparse(self._rows), rows), self.window.field))[1]
 
     def contains_vector(self, vec):
         row = self.window.encode(vec) if not isinstance(vec, list) else vec
         if len(row) != self.window.dim:
             raise AmbientMismatch("row of %d entries, window of %d" % (len(row), self.window.dim))
-        return self._adds_no_pivot([row])
+        return self._adds_no_pivot(_sparse([row]))
 
     def contains(self, other):
         if isinstance(other, Basis):
             self._require_same_window(other)
-            return self._adds_no_pivot(other._rows)
+            return self._adds_no_pivot(_sparse(other._rows))
         return self.contains_vector(other)
 
     def sum(self, other):
         self._require_same_window(other)
-        return Basis(self.window, self._rows + other._rows)
+        return Basis._of_rows(self.window, _sparse(self._rows + other._rows))
 
     def intersect(self, other):
         self._require_same_window(other)
@@ -513,8 +572,9 @@ class Basis:
         target = win.dual() if degrees is None else Window(
             "S" if win.space == "P" else "P", win.n, degrees, win.field
         )
-        cols = [win.index.get(e) for e in target.columns]
-        eqs = [[0 if i is None else r[i] for i in cols] for r in self._rows]
+        # the target column of each window column that has one
+        col = {win.index[e]: j for j, e in enumerate(target.columns) if e in win.index}
+        eqs = [{col[i]: r[i] for i in compress(count(), r) if i in col} for r in self._rows]
         return Basis._of_kernel(target, eqs)
 
 

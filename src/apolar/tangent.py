@@ -19,11 +19,14 @@ place of the n binom(n+d+1, n) + binom(n+d, n) contractions tau -| (x_i f)
 and sigma -| f of the defining formula.  Everything is truncated at
 N = deg f.
 
-All these rows are integer rows placed by column index.  The contractions
-are filled from D f, f's stored numerators (D = f._den), B is the integer
-echelon form of m^k f (the rows its ``Basis`` keeps), and
-x_i x^[u] = (u_i + 1) x^[u + e_i] shifts its rows.  None of this goes
-through ``contract`` or the DPPoly product.
+All these rows are sparse integer rows, {column: int} dicts of their
+nonzero entries, which the elimination in ``linalg`` reads as they are.
+The contractions are filled from D f, f's stored numerators
+(D = f._den, ``apolarity._contraction_rows``), B is the integer echelon
+form of m^k f (the nonzero entries of the rows its ``Basis`` keeps), and
+x_i x^[u] = (u_i + 1) x^[u + e_i] shifts its rows
+(``apolarity._shifted_rows``).  None of this goes through ``contract`` or
+the DPPoly product.
 
 Perps are computed twice -- once as the orthogonal complement of the
 tangent basis, once from the direct degree conditions on sigma and its
@@ -32,36 +35,35 @@ hands its kernel only the equations that a forward sweep does not show to
 be implied: the condition rows of sigma^(i) are the shifts x_i of the rows
 of sigma, restricted to S_{<= max_degree}, and shifting commutes with that
 restriction, so a row of sigma that depends on earlier ones is dropped with
-its n shifts (``_perp_direct``).  Dropping equations can only make the
-kernel larger, so a wrong drop fails the cross-check instead of passing a
-wrong perp.
+its n shifts (``_perp_direct``).  Those rows come from the same two
+builders, the contractions and their shifts.  Dropping equations can only
+make the kernel larger, so a wrong drop fails the cross-check instead of
+passing a wrong perp.
 """
 
 import math
-from itertools import product
-from operator import sub
 
 from .apolarity import _contraction_rows, _shifted_rows, module_sf
 from .dp import monomials, monomials_upto
 from .errors import CrossCheckFailed, IndexOutOfRange, TdfMismatch, ZeroPolynomial
 from .fields import char_guard
-from .linalg import Basis, Window, _integer_row, _store
+from .linalg import Basis, Window, _pivot_stream, _sparse
 
 
 def _tangent_rows(f, k):
     """(window, rows) spanning m^{k-1} f + sum_i x_i (m^k f) inside
     P_{<= deg f}.
 
-    The rows are integers: the contractions of D f by the degree-(k-1)
-    monomials, the integer echelon rows of m^k f, and their shifts
-    x_i x^[u] = (u_i + 1) x^[u + e_i], placed by column index.  They are
-    not echeloned, so a caller that wants another column order echelons
-    them once in that order.
+    The rows are sparse integer rows: the contractions of D f by the
+    degree-(k-1) monomials, the integer echelon rows of m^k f, and their
+    shifts x_i x^[u] = (u_i + 1) x^[u + e_i], keyed by column index.  They
+    are not echeloned, so a caller that wants another column order re-keys
+    and echelons them once in that order.
     """
     if f.is_zero():
         raise ZeroPolynomial("tangent space of the zero polynomial")
     mk = module_sf(f, k)
-    win, gs = mk.window, mk._rows
+    win, gs = mk.window, _sparse(mk._rows)
     d = max(f.degree, 0)
     rows = _contraction_rows(f, monomials(f.n, k - 1), range(d + 1))
     # m^k f lies in P_{<= d-1}, so its rows are shifted from degrees < d
@@ -73,12 +75,12 @@ def _tangent_rows(f, k):
 
 def tangent_space(f):
     """Canonical basis of S f + sum_i m (x_i f) inside P_{<= deg f}."""
-    return Basis(*_tangent_rows(f, 1))
+    return Basis._of_rows(*_tangent_rows(f, 1))
 
 
 def unip_tangent_space(f):
     """Canonical basis of m f + sum_i m^2 (x_i f) inside P_{<= deg f}."""
-    return Basis(*_tangent_rows(f, 2))
+    return Basis._of_rows(*_tangent_rows(f, 2))
 
 
 def _perp_direct(f, unipotent, max_degree):
@@ -89,57 +91,36 @@ def _perp_direct(f, unipotent, max_degree):
 
     The coefficient of x^[m] in sigma -| f is sum_t sigma_{t-m} f_t over the
     terms t >= m of f, and in sigma^(i) -| f it is
-    sum_t (t_i - m_i + 1) sigma_{t-m+e_i} f_t, so each equation row is
-    filled from those terms alone, with f's stored numerators (the
-    coefficients of D f, D = f._den) and integer weights.  The (t - m, f_t)
-    lists are built once, from the divisors m of each term t.
+    sum_t (t_i - m_i + 1) sigma_{t-m+e_i} f_t.  Read as elements of P, the
+    base row of m is a^m -| f restricted to degrees <= max_degree, the
+    contraction row of ``_contraction_rows`` (filled from f's stored
+    numerators, the coefficients of D f, D = f._den), and the row of
+    sigma^(i) is its shift x_i (row), x_i x^[u] = (u_i + 1) x^[u + e_i],
+    of its part in degrees < max_degree (``_shifted_rows``).
 
-    Read as elements of P, the base row of m is a^m -| f restricted to
-    degrees <= max_degree, and the row of sigma^(i) is its shift x_i (row),
-    x_i x^[u] = (u_i + 1) x^[u + e_i].  The shift is linear and commutes
-    with the restriction (the restriction of x_i g to degrees <= N is x_i
-    times that of g to degrees <= N - 1), so a base row that is a
-    combination of earlier base rows has shifts that are the same
-    combination of theirs.  Each base row with |m| above the least order
-    (0 full, 1 unipotent) is streamed through one forward sweep
-    (``_store``); one that adds no pivot is dropped together with its n
-    shifts.  The rows of the least order have no shifts and are all kept,
-    outside the sweep: a row that their rows imply would still need its
-    own shifts.  Dropping equations can only make the kernel larger, never
-    smaller, so a wrong drop would show as a mismatch in ``_checked_perp``,
-    never as a wrong perp that passes.
+    The shift is linear and commutes with the restriction (the restriction
+    of x_i g to degrees <= N is x_i times that of g to degrees <= N - 1), so
+    a base row that is a combination of earlier base rows has shifts that
+    are the same combination of theirs.  Each base row with |m| above the
+    least order (0 full, 1 unipotent) is streamed through one forward sweep
+    (``_pivot_stream``, one row per batch); one that adds no pivot is
+    dropped together with its n shifts.  The rows of the least order have no
+    shifts and are all kept, outside the sweep: a row that their rows imply
+    would still need its own shifts.  Dropping equations can only make the
+    kernel larger, never smaller, so a wrong drop would show as a mismatch
+    in ``_checked_perp``, never as a wrong perp that passes.
     """
     n, field = f.n, f.field
     win = Window.S_upto(n, max_degree, field)
-    index = win.index
-    d = max(f.degree, 0)
     min_m = 1 if unipotent else 0
-    below = {}
-    for t, c in f._num.items():
-        for m in product(*(range(ti + 1) for ti in t)):
-            below.setdefault(m, []).append((tuple(map(sub, t, m)), c))
-    eqs, stored = [], {}
-    for m in monomials_upto(n, d):
-        if sum(m) < min_m or m not in below:
-            continue
-        row = [0] * win.dim
-        for e, c in below[m]:
-            j = index.get(e)
-            if j is not None:
-                row[j] = c
-        if sum(m) == min_m:
-            eqs.append(row)
-            continue
-        if _store(stored, _integer_row(row, field), field.p) is None:
-            continue
+    exps = [m for m in monomials_upto(n, max(f.degree, 0)) if sum(m) >= min_m]
+    rows = _contraction_rows(f, exps, range(max_degree + 1))
+    eqs = [row for m, row in zip(exps, rows) if sum(m) == min_m]
+    base = [row for m, row in zip(exps, rows) if sum(m) > min_m]
+    kept = [row for row, new in zip(base, _pivot_stream([[row] for row in base], field)) if new]
+    for row, shifts in zip(kept, _shifted_rows(kept, n, range(max_degree), win)):
         eqs.append(row)
-        for i in range(n):
-            row = [0] * win.dim
-            for e, c in below[m]:
-                j = index.get(e[:i] + (e[i] + 1,) + e[i + 1:])
-                if j is not None:
-                    row[j] = (e[i] + 1) * c
-            eqs.append(row)
+        eqs += shifts
     return Basis._of_kernel(win, eqs)
 
 

@@ -1,4 +1,6 @@
 from fractions import Fraction as Q
+from itertools import compress, count
+from operator import add
 
 import pytest
 
@@ -26,15 +28,16 @@ from apolar.apolarity import (
     _filtration_profiles,
     _generator_rows,
     _products,
+    _shifted_rows,
     _square,
 )
 from apolar.dp import monomials, monomials_upto
 from apolar.errors import ZeroPolynomial
-from apolar.linalg import Basis, Window, _echelon, _pivot_stream, _store
+from apolar.linalg import Basis, Window, _echelon, _pivot_stream, _sparse, _store
 from apolar.parsing import parse_poly
 
 from conftest import random_form, random_poly, with_fractions
-from test_linalg import _reference_contains
+from test_linalg import _densified, _reference_contains
 
 
 def P(n, terms, field=QQ):
@@ -243,6 +246,106 @@ def test_profiles_match_intersection_oracle(field, rng):
 
 
 # ---------------------------------------------------------------------------
+# Differential oracle for the sparse row builders: the dense builders that
+# came before them, kept verbatim, against the sparse rows densified.
+
+
+def _reference_dense_contraction_rows(f, exps, degrees):
+    get = f._num.get
+    f_degrees = {sum(t) for t in f._num}
+    cols = {i: list(monomials(f.n, i)) for i in degrees}
+    zeros = {i: [0] * len(cols[i]) for i in degrees}
+    rows = []
+    for e in exps:
+        s = sum(e)
+        row = []
+        for i in degrees:
+            if i + s in f_degrees:
+                row += [get(tuple(map(add, c, e)), 0) for c in cols[i]]
+            else:
+                row += zeros[i]
+        rows.append(row)
+    return rows
+
+
+def _reference_dense_shifted_rows(rows, n, degrees, window):
+    index = window.index
+    src = [u for i in degrees for u in monomials(n, i)]
+    table = [
+        [(index[u[:i] + (u[i] + 1,) + u[i + 1:]], u[i] + 1) for u in src]
+        for i in range(n)
+    ]
+    out = []
+    for g in rows:
+        nonzero = [(j, g[j]) for j in compress(count(), g)]
+        shifts = []
+        for shift in table:
+            row = [0] * window.dim
+            for j, c in nonzero:
+                col, w = shift[j]
+                row[col] = w * c
+            shifts.append(row)
+        out.append(shifts)
+    return out
+
+
+def _reference_dense_products(n, left, a, right, b, win):
+    table = [[win.index[tuple(map(add, u, v))] for v in monomials(n, b)]
+             for u in monomials(n, a)]
+    out = []
+    for g in left:
+        for h in right:
+            row = [0] * win.dim
+            for j in compress(count(), g):
+                for k in compress(count(), h):
+                    row[table[j][k]] += g[j] * h[k]
+            out.append(row)
+    return out
+
+
+def _builder_polys(rng, n, field, d):
+    polys = [random_form(rng, n, field, d), random_poly(rng, n, field, d),
+             random_poly(rng, n, field, d, density=0.15)]
+    if field.is_rationals:
+        polys += [with_fractions(rng, f) for f in polys]
+    return polys
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
+def test_sparse_row_builders_match_the_dense_ones(field, rng):
+    # the exponents reach |e| = d + 1 and the columns degree d + 1, where
+    # x^e -| f has no terms
+    for n in (1, 2, 3, 4):
+        for d in range(0, 5 if n == 4 else 6):
+            exps = list(monomials_upto(n, d + 1))
+            for f in _builder_polys(rng, n, field, d):
+                for degrees in (range(d + 2), range(d + 1, -1, -1), (d,), (0, d + 1)):
+                    width = sum(len(monomials(n, i)) for i in degrees)
+                    sparse = _contraction_rows(f, exps, degrees)
+                    assert all(all(row.values()) for row in sparse), f  # nonzero entries only
+                    want = _reference_dense_contraction_rows(f, exps, degrees)
+                    assert _densified(sparse, width) == want, (f, degrees)
+                # the shifts of rows over degrees <= d, taken from degrees < d
+                win = Window.P_upto(n, d, field)
+                inner = len(win.columns) - len(monomials(n, d))
+                rows = _contraction_rows(f, exps, range(d + 1))
+                got = _shifted_rows(rows, n, range(d), win)
+                dense = [row[:inner] for row in _densified(rows, win.dim)]
+                want = _reference_dense_shifted_rows(dense, n, range(d), win)
+                assert [_densified(shifts, win.dim) for shifts in got] == want, f
+                # the products of the pieces of Ann(f) with S_1 and with each other
+                units = [[int(j == t) for j in range(n)] for t in range(n)]
+                for i in range(1, d + 2):
+                    I, J = ann_graded(f, i - 1), ann_graded(f, 1)
+                    win = Window.S_graded(n, i, field)
+                    for right, b in ((units, 1), (J._rows, 1)):
+                        got = _products(n, I._rows, i - 1, right, b, win)
+                        assert all(all(row.values()) for row in got), f
+                        want = _reference_dense_products(n, I._rows, i - 1, right, b, win)
+                        assert _densified(got, win.dim) == want, (f, i)
+
+
+# ---------------------------------------------------------------------------
 # Differential oracle: the filtration profiles from one ``_echelon`` per k
 # of the rows x^e -| D f with |e| >= k (nested row sets, each eliminated
 # from scratch), against the one forward sweep.
@@ -256,7 +359,7 @@ def _reference_profiles(f):
     rows = list(zip(map(sum, exps), _contraction_rows(f, exps, degrees)))
     profiles = []
     for k in range(d + 2):
-        _, pivots = _echelon([row for deg, row in rows if deg >= k], f.field)
+        _, pivots = _echelon([row for deg, row in rows if deg >= k], f.field, len(col_degree))
         prof = [0] * (d + 1)
         for p in pivots:
             prof[col_degree[p]] += 1
@@ -291,9 +394,9 @@ def test_hilbert_function_builds_no_echelon_form(monkeypatch):
     # the profiles come from one forward sweep: no reduced echelon form
     calls = []
 
-    def counting(rows, field):
+    def counting(rows, field, ncols):
         calls.append(len(rows))
-        return _echelon(rows, field)
+        return _echelon(rows, field, ncols)
 
     monkeypatch.setattr(linalg, "_echelon", counting)
     monkeypatch.setattr(apolarity, "_echelon", counting, raising=False)
@@ -456,7 +559,8 @@ def _transposed_generator_rows(f, upto):
     for i in range(1, upto + 1):
         I = pieces[i]
         cols = _products(f.n, pieces[i - 1]._rows, i - 1, units, 1, I.window)
-        pivots = sorted(next(_pivot_stream([zip(*cols, *I._rows)], f.field)))
+        cols = _densified(cols, I.window.dim)
+        pivots = sorted(next(_pivot_stream([_sparse(zip(*cols, *I._rows))], f.field)))
         gens[i] = [I._rows[c - len(cols)] for c in pivots if c >= len(cols)]
     return gens, pieces
 

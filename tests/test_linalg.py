@@ -1,6 +1,6 @@
 from fractions import Fraction as Q
 from itertools import compress, count
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import itemgetter
 
 import pytest
@@ -28,9 +28,9 @@ from apolar.linalg import (
     _check_window_size,
     _decode,
     _echelon,
-    _integer_row,
     _kernel,
     _pivot_stream,
+    _sparse,
     _store,
 )
 from conftest import random_poly, with_fractions
@@ -137,6 +137,17 @@ def test_prime_field_subspaces():
     b = span([f, g], win)
     assert b.dim == 2
     assert b.contains(f + g)
+
+
+def _densified(rows, ncols):
+    """The dense lists of sparse rows over ``ncols`` columns."""
+    out = []
+    for row in rows:
+        dense = [0] * ncols
+        for j, x in row.items():
+            dense[j] = x
+        out.append(dense)
+    return out
 
 
 # Differential oracle: rref with every Q entry re-wrapped in Fraction, the
@@ -297,7 +308,7 @@ def test_block_split_matches_oracle(field, rng):
         rows, ncols = _block_matrix(rng, field)
         got = rref(rows, field, ncols)
         assert _typed(got) == _typed(_reference_rref(rows, field, ncols)), rows
-        echelon, pivots = _echelon(rows, field)
+        echelon, pivots = _echelon(_sparse(rows), field, ncols)
         assert pivots == got[1]
         assert all(len(row) == ncols for row in echelon)
 
@@ -307,9 +318,9 @@ def test_block_split_matches_oracle(field, rng):
 # whose rank often equals their width.
 
 
-def _reference_echelon(rows, field):
+def _reference_echelon(rows, field, ncols):
     spans = []
-    for row in rows:
+    for row in _densified(rows, ncols):
         row = _integer_row(row, field)
         first = next(compress(count(), row), None)
         if first is not None:
@@ -414,8 +425,8 @@ def _old_path(fn, *args):
 def test_full_blocks_match_the_sweep_of_every_row(field, rng):
     for _ in range(300):
         rows, ncols = _tall_block_matrix(rng, field)
-        want = _reference_echelon(rows, field)
-        assert _echelon(rows, field) == want, rows
+        want = _reference_echelon(_sparse(rows), field, ncols)
+        assert _echelon(_sparse(rows), field, ncols) == want, rows
         got = rref(rows, field, ncols)
         assert _typed(got) == _typed((_decode(want[0], field), want[1]))
         assert _typed(got) == _typed(_reference_rref(rows, field, ncols)), rows
@@ -445,10 +456,155 @@ def test_a_full_block_stops_its_sweep(field, rng, monkeypatch):
         rows = [[int(j in (0, i)) for j in range(width)] for i in range(width)]
         rows += [[rng.randint(-9, 9) for _ in range(width)] for _ in range(40)]
         calls.update(_store=0, _back_substitute=0)
-        red, pivots = _echelon(rows, field)
+        red, pivots = _echelon(_sparse(rows), field, width)
         assert calls == {"_store": width, "_back_substitute": 0}
         assert (red, pivots) == ([[int(i == j) for j in range(width)] for i in range(width)],
                                  list(range(width)))
+
+
+# Differential oracle for the sparse intake: the dense elimination that
+# came before it, kept verbatim -- every row made a full-width integer row
+# (``_integer_row``) and placed by scanning it for its first and last nonzero
+# entry -- against ``_echelon``, ``_kernel`` and ``_pivot_stream`` on the same
+# rows as {column: int} dicts.
+
+
+def _integer_row(row, field):
+    """The integer row elimination works on: over Q a row of ints and
+    Fractions scaled to a primitive row (gcd 1), over F_p the residues.
+
+    An all-int list over Q is taken as it is (no lcm, no ``denominator``
+    reads) and may come back as the same list; nothing mutates it.
+    """
+    if field.p:
+        return [x % field.p for x in row]
+    if set(map(type, row)) <= {int}:
+        ints = row if type(row) is list else list(row)
+    else:
+        L = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (L // x.denominator) for x in row]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [x // g for x in ints]
+    return ints
+
+
+def _reference_dense_echelon(rows, field):
+    spans = []
+    for row in rows:
+        row = _integer_row(row, field)
+        first = next(compress(count(), row), None)
+        if first is not None:
+            last = len(row) - 1 - next(compress(count(), reversed(row)))
+            spans.append((first, last, row))
+    spans.sort(key=itemgetter(0))
+    blocks = []
+    for first, last, row in spans:
+        if blocks and first <= blocks[-1][1]:
+            block = blocks[-1]
+            block[1] = max(block[1], last)
+            block[2].append(row)
+        else:
+            blocks.append([first, last, [row]])
+
+    out, pivots, p = [], [], field.p
+    for lo, hi, block in blocks:
+        ncols, width, stored = len(block[0]), hi + 1 - lo, {}
+        if width > 1:  # one column needs no sweep: its rank is 1
+            for row in block:
+                _store(stored, row[lo : hi + 1], p)
+                if len(stored) == width:
+                    break
+        if width == 1 or len(stored) == width:
+            # full rank: the rows not swept lie in the span, the form is the identity
+            out += [[0] * c + [1] + [0] * (ncols - c - 1) for c in range(lo, hi + 1)]
+            pivots += range(lo, hi + 1)
+            continue
+        leads = _back_substitute(stored, p)
+        pad = [0] * (ncols - hi - 1)
+        out += [[0] * (lo + k) + stored[k] + pad for k in leads]
+        pivots += [lo + k for k in leads]
+    return out, pivots
+
+
+def _reference_dense_kernel(rows, field, ncols):
+    red, pivots = _reference_dense_echelon([row[::-1] for row in rows], field)
+    last = ncols - 1  # column c of a reversed row sits at last - c
+    pivot_set = {last - pc for pc in pivots}
+    p, kernel = field.p, []
+    for c in range(ncols):
+        if c in pivot_set:
+            continue
+        entries = [(last - pc, row[last - c], row[pc]) for row, pc in zip(red, pivots) if row[last - c]]
+        L = lcm(*(den // gcd(x, den) for _, x, den in entries))
+        vec = [0] * ncols
+        vec[c] = L
+        for j, x, den in entries:
+            vec[j] = p - x if p else -x * L // den
+        kernel.append(vec)
+    return kernel
+
+
+def _reference_dense_pivot_stream(batches, field):
+    stored, p = {}, field.p
+    for batch in batches:
+        found = [_store(stored, _integer_row(row, field), p) for row in batch]
+        yield [lead for lead in found if lead is not None]
+
+
+def _sparse_entry(rng, field):
+    """A nonzero int: small, 10^12-sized, or over F_p often a multiple of p."""
+    r = rng.random()
+    if field.p and r < 0.25:
+        return field.p * rng.choice([1, 2, -1, 10**12])
+    if r < 0.45:
+        return rng.choice([1, -1]) * rng.randint(10**12, 10**13)
+    return rng.choice([1, -1]) * rng.randint(1, 9)
+
+
+def _sparse_matrix(rng, field):
+    """Sparse rows over a few column intervals, shuffled: keys in random
+    order, empty rows, entries that vanish mod p, 10^12-sized entries,
+    combinations of other rows and rows that straddle two intervals."""
+    intervals, col = [], rng.randint(0, 3)
+    for _ in range(rng.randint(1, 4)):
+        width = rng.choice([1, 1, 2, 3, 5])
+        intervals.append((col, col + width))
+        col += width + rng.randint(0, 2)
+    ncols = col + rng.randint(0, 2)
+    rows = []
+    for lo, hi in intervals:
+        for _ in range(rng.randint(1, 2 * (hi - lo) + 1)):
+            cols = rng.sample(range(lo, hi), rng.randint(1, hi - lo))
+            rows.append({c: _sparse_entry(rng, field) for c in cols})
+    for _ in range(rng.randint(0, 3)):
+        a, b, k = rng.choice(rows), rng.choice(rows), rng.randint(-3, 3)
+        row = dict(a)
+        for j, x in b.items():
+            row[j] = row.get(j, 0) + k * x
+        rows.append({j: x for j, x in reversed(row.items()) if x})
+    rows += [{} for _ in range(rng.randint(0, 2))]
+    if len(intervals) > 1 and rng.random() < 0.5:
+        i = rng.randrange(len(intervals) - 1)
+        rows.append({rng.randrange(*intervals[i + 1]): rng.randint(-9, -1),
+                     rng.randrange(*intervals[i]): _sparse_entry(rng, field)})
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
+def test_sparse_intake_matches_the_dense_path(field, rng):
+    for _ in range(300):
+        rows, ncols = _sparse_matrix(rng, field)
+        before = [list(row.items()) for row in rows]
+        dense = _densified(rows, ncols)
+        assert _echelon(rows, field, ncols) == _reference_dense_echelon(dense, field), rows
+        assert _kernel(rows, field, ncols) == _reference_dense_kernel(dense, field, ncols), rows
+        batches = _cut(rng, rows)
+        got = list(_pivot_stream(batches, field))
+        want = list(_reference_dense_pivot_stream([_densified(b, ncols) for b in batches], field))
+        assert got == want, (batches, ncols)
+        assert [list(row.items()) for row in rows] == before  # the caller's rows are kept
 
 
 def test_window_budget_guard_fires_from_the_computed_size():
@@ -634,7 +790,7 @@ def test_pivot_stream_matches_echelon_on_every_prefix(field, rng):
     for rows, ncols in _stream_cases(rng, field):
         batches = _cut(rng, rows)
         found, prefix = [], []
-        yielded = list(_pivot_stream(batches, field))
+        yielded = list(_pivot_stream([_sparse(batch) for batch in batches], field))
         assert len(yielded) == len(batches)
         for batch, new in zip(batches, yielded):
             found += new
@@ -735,7 +891,7 @@ def test_basis_keeps_the_canonical_integer_form(field, rng):
         basis = Basis(win, rows)
         _assert_canonical_integer_rows(basis._rows, field)
         assert _typed((basis.rows, None)) == _typed((_reference_rref(rows, field, win.dim)[0], None))
-        kernel = _kernel(rows, field, win.dim)
+        kernel = _kernel(_sparse(rows), field, win.dim)
         _assert_canonical_integer_rows(kernel, field)
         want = _reference_nullspace(rows, field, win.dim)
         assert _typed((_decode(kernel, field), None)) == _typed((want, None)), rows

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as Q
+from itertools import product
 from operator import ge, sub
 
 import pytest
@@ -27,10 +28,11 @@ from apolar.errors import (
     TdfMismatch,
     ZeroPolynomial,
 )
-from apolar.linalg import Basis
+from apolar.linalg import Basis, _sparse, _store
 from apolar.tangent import _checked_perp, _perp_direct
 
 from conftest import random_form, random_poly, with_fractions
+from test_linalg import _densified, _integer_row
 
 
 def P(n, terms, field=QQ):
@@ -264,7 +266,7 @@ def _reference_perp_direct(f, unipotent, max_degree):
                     if j is not None:
                         row[j] = (e[i] + 1) * c
                 eqs.append(row)
-    return Basis._of_kernel(win, eqs)
+    return Basis._of_kernel(win, _sparse(eqs))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)], ids=str)
@@ -306,6 +308,75 @@ def test_perp_direct_drops_implied_equations(monkeypatch, rng, n, d, unipotent):
     monkeypatch.undo()
     assert counts[0] <= math.comb(n + k - 2, k - 1) + (n + 1) * module_sf(f, k).dim
     assert got == _reference_perp_direct(f, unipotent, d)
+
+
+# Differential oracle for the direct perp's equations: the dense loop that
+# came before the sparse rows, kept verbatim (its (t - m, f_t) lists built
+# from the divisors of f's terms), yields the same nonzero equation rows, in
+# the same order, as ``_perp_direct`` hands its kernel.
+
+
+def _reference_dense_perp_eqs(f, unipotent, max_degree):
+    n, field = f.n, f.field
+    win = Window.S_upto(n, max_degree, field)
+    index = win.index
+    d = max(f.degree, 0)
+    min_m = 1 if unipotent else 0
+    below = {}
+    for t, c in f._num.items():
+        for m in product(*(range(ti + 1) for ti in t)):
+            below.setdefault(m, []).append((tuple(map(sub, t, m)), c))
+    eqs, stored = [], {}
+    for m in monomials_upto(n, d):
+        if sum(m) < min_m or m not in below:
+            continue
+        row = [0] * win.dim
+        for e, c in below[m]:
+            j = index.get(e)
+            if j is not None:
+                row[j] = c
+        if sum(m) == min_m:
+            eqs.append(row)
+            continue
+        if _store(stored, _integer_row(row, field), field.p) is None:
+            continue
+        eqs.append(row)
+        for i in range(n):
+            row = [0] * win.dim
+            for e, c in below[m]:
+                j = index.get(e[:i] + (e[i] + 1,) + e[i + 1:])
+                if j is not None:
+                    row[j] = (e[i] + 1) * c
+            eqs.append(row)
+    return eqs
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
+def test_perp_direct_keeps_the_equations_of_the_dense_loop(field, rng, monkeypatch):
+    captured = []
+    of_kernel = Basis._of_kernel.__func__
+
+    def capture(cls, window, eqs):
+        captured.append((window.dim, eqs))
+        return of_kernel(cls, window, eqs)
+
+    monkeypatch.setattr(Basis, "_of_kernel", classmethod(capture))
+    for n in (1, 2, 3, 4):
+        for d in range(0, 5 if n == 4 else 6):
+            polys = [random_form(rng, n, field, d), random_poly(rng, n, field, d),
+                     random_poly(rng, n, field, d, density=0.15)]
+            if field.is_rationals:
+                polys += [with_fractions(rng, f) for f in polys]
+            for f in polys:
+                for unipotent in (False, True):
+                    for max_degree in sorted({0, max(d - 1, 0), d, d + 1}):
+                        captured.clear()
+                        _perp_direct(f, unipotent, max_degree)
+                        (dim, eqs), = captured
+                        got = [row for row in _densified(eqs, dim) if any(row)]
+                        want = [row for row in _reference_dense_perp_eqs(f, unipotent, max_degree)
+                                if any(row)]
+                        assert len(got) == len(want) and got == want, (f, unipotent, max_degree)
 
 
 def test_cangrad_filter_values():
