@@ -23,7 +23,9 @@ How the costly maps are computed:
   matrix over one denominator, read off one integer echelon form of
   [L | 1].
 * ``compose`` needs psi^{-1}(u) only, and takes it from
-  ``psi._preimage(u)``; no inverse is built.
+  ``psi._preimage(u)``; no inverse is built.  It substitutes all n images
+  of psi into phi through one power cache of phi's images
+  (``_substituted``, which ``subst`` goes through too).
 * ``Automorphism.inverse`` serves only ``group_inverse`` and callers
   outside the library.  phi^{-1}(a_j) is the preimage of a_j.
 
@@ -54,12 +56,19 @@ from .linalg import _echelon, _sparse, rref
 def subst(op, images):
     """Substitute a_i -> images[i] into the operator ``op``, truncated at the
     images' common truncation."""
-    n = op.n
-    if len(images) != n:
-        raise ArityMismatch("need %d images, got %d" % (n, len(images)))
+    return _substituted([op], images)[0]
+
+
+def _substituted(ops, images):
+    """[subst(op, images) for op in ops], every op read through one power
+    cache of the images."""
+    for op in ops:
+        if len(images) != op.n:
+            raise ArityMismatch("need %d images, got %d" % (op.n, len(images)))
     trunc = images[0].trunc
     for im in images:
-        _check_pair(op, im)
+        for op in ops:
+            _check_pair(op, im)
         if im.trunc != trunc:
             raise FieldMismatch("truncation %d vs %d" % (trunc, im.trunc))
     ints = [(im._den, im._num) for im in images]
@@ -71,24 +80,27 @@ def subst(op, images):
             cache[k] = _ints_mul(power(i, k - 1), ints[i], trunc)
         return cache[k]
 
-    scaled = []  # (denominator, numerator of op's coefficient, image of the monomial)
-    for e, c in op._num.items():
-        term = None
-        for i, a in enumerate(e):
-            if a:
-                term = power(i, a) if term is None else _ints_mul(term, power(i, a), trunc)
-                if not term[1]:
-                    break
-        den, prod = (1, {e: 1}) if term is None else term  # the monomial 1 maps to 1
-        scaled.append((den, c, prod))
-    L = lcm(*(t[0] for t in scaled))
-    out = {}
-    for den, c, prod in scaled:
-        s = c * (L // den)
-        for m, v in prod.items():
-            out[m] = out.get(m, 0) + s * v
-    # keys of the images' products, trunc as theirs
-    return images[0]._make(L * op._den, out)
+    out = []
+    for op in ops:
+        scaled = []  # (denominator, numerator of op's coefficient, image of the monomial)
+        for e, c in op._num.items():
+            term = None
+            for i, a in enumerate(e):
+                if a:
+                    term = power(i, a) if term is None else _ints_mul(term, power(i, a), trunc)
+                    if not term[1]:
+                        break
+            den, prod = (1, {e: 1}) if term is None else term  # the monomial 1 maps to 1
+            scaled.append((den, c, prod))
+        L = lcm(*(t[0] for t in scaled))
+        num = {}
+        for den, c, prod in scaled:
+            s = c * (L // den)
+            for m, v in prod.items():
+                num[m] = num.get(m, 0) + s * v
+        # keys of the images' products, trunc as theirs
+        out.append(images[0]._make(L * op._den, num))
+    return out
 
 
 class Automorphism:
@@ -293,7 +305,7 @@ def compose(g, h):
     """apply(compose(g, h), f) == apply(h, apply(g, f))."""
     if g.trunc != h.trunc:
         raise FieldMismatch("truncation %d vs %d" % (g.trunc, h.trunc))
-    chi = Automorphism([subst(im, g.aut.images) for im in h.aut.images])
+    chi = Automorphism(_substituted(h.aut.images, g.aut.images))
     unit = h.unit * h.aut._preimage(g.unit)
     return GroupElement(chi, unit)
 

@@ -1,12 +1,20 @@
 """Annihilators, Hilbert functions, compressedness, symmetric decomposition.
 
-All ideal-theoretic data is computed degree by degree with linear algebra:
-``ann_graded`` is the kernel of the catalecticant map S_i -> P.  The degree-i
-generators are the rows of I_i = Ann(f)_i that add a leading column to one
-forward sweep (``linalg._store``) of the products a_t sigma, sigma in
-I_{i-1}, and the rows of I_i before them.  The products lie in I_i, so the
-sweep stops once it has dim I_i stored rows: then no later row adds a lead,
-and when the products alone span I_i -- in every degree i > deg f + 1, where
+All ideal-theoretic data is computed degree by degree with linear algebra.
+``ann_graded`` is the kernel of the catalecticant map S_i -> P, read off
+one forward sweep (``linalg._store``) of the catalecticant rows into one
+block of width w = dim S_i, built one row at a time: at the w-th stored row
+Ann(f)_i = 0, and no further row is built and nothing is back-substituted.
+Only when the sweep ends short of w are its rows back-substituted and the
+kernel read off them (``linalg._reversed_kernel``, the read-off of
+``linalg._kernel``).  For i > deg f every catalecticant row vanishes and
+Ann(f)_i = S_i, emitted as the unit rows with no elimination.
+
+The degree-i generators are the rows of I_i = Ann(f)_i that add a leading
+column to one forward sweep of the products a_t sigma, sigma in I_{i-1},
+and the rows of I_i before them.  The products lie in I_i, so the sweep
+stops once it has dim I_i stored rows: then no later row adds a lead, and
+when the products alone span I_i -- in every degree i > deg f + 1, where
 I_{i-1} = S_{i-1}, and often below it -- no row of I_i is swept and degree i
 has no generators.  ``ideal_square_graded``
 spans (I^2)_i by the sparse integer rows g tau, g a generator and tau in I,
@@ -18,13 +26,14 @@ one ``_pivot_stream`` sweep, k from deg f down to 0, and builds no echelon
 form.
 
 The rows of the contractions x^e -| f (``module_sf``, the catalecticant,
-the filtration profiles) are sparse integer rows, {column: int} dicts of
-their nonzero entries (the elimination's intake in ``linalg``), filled by
-exponent lookup, row_e[c] = f._num[c + e], from f's stored numerators:
-they are D f for D = f._den (D = 1 over F_p).  Scaling every row by D
-changes no row space.  Their shifts (``_shifted_rows``) and the products
-of ``ideal_square_graded`` are sparse rows too, so no builder allocates a
-row as wide as its window.
+the filtration profiles) are filled by exponent lookup, row_e[c] =
+f._num[c + e], from f's stored numerators: they are D f for D = f._den
+(D = 1 over F_p).  Scaling every row by D changes no row space.  Outside
+``ann_graded`` they are sparse integer rows, {column: int} dicts of their
+nonzero entries (the elimination's intake in ``linalg``), as are their
+shifts (``_shifted_rows``) and the products of ``ideal_square_graded``.
+``ann_graded`` sweeps every row it builds on its whole degree-i window, so
+it builds each as that list directly.
 """
 
 import math
@@ -33,7 +42,17 @@ from operator import add
 
 from .dp import DPPoly, monomials, monomials_upto
 from .errors import DecompositionInvariantViolated, IndexOutOfRange, ZeroPolynomial
-from .linalg import Basis, Window, _check_window_size, _dense, _pivot_stream, _store
+from .linalg import (
+    Basis,
+    Window,
+    _back_substitute,
+    _check_window_size,
+    _dense,
+    _pivot_stream,
+    _reversed_kernel,
+    _store,
+    _unit_rows,
+)
 
 
 class HilbertFunction:
@@ -100,11 +119,50 @@ def ann_graded(f, i):
     """Ann(f)_i = {sigma in S_i : sigma -| f = 0} as a Basis in S_i.
 
     The kernel of the catalecticant rows x^t -| D f restricted to degree i,
-    for every monomial t of degree <= deg f - i (``_contraction_rows``).
+    |t| <= deg f - i (``_catalecticant_rows``), read off one forward sweep
+    (``_store``) of those rows into one block of width w = dim S_i.  The
+    rows are built one at a time, and at the w-th stored row Ann(f)_i = 0:
+    no further row is built and nothing is back-substituted.  Otherwise the
+    stored rows are back-substituted (``_back_substitute``) and the kernel
+    is read off them (``_reversed_kernel``).  For i > deg f there are no
+    rows and the piece is S_i, whose canonical rows are the unit rows.
     """
+    if i < 0:
+        raise IndexOutOfRange("annihilator degree must be >= 0, got %d" % i)
     win = Window.S_graded(f.n, i, f.field)
-    targets = monomials_upto(f.n, f.degree - i)
-    return Basis._of_kernel(win, _contraction_rows(f, targets, (i,)))
+    w = win.dim
+    if i > f.degree:
+        return Basis._of_canonical(win, _unit_rows(0, w - 1, w))
+    p, stored = f.field.p, {}
+    for row in _catalecticant_rows(f, i):
+        if _store(stored, row, p) is not None and len(stored) == w:
+            return Basis._of_canonical(win, [])
+    leads = _back_substitute(stored, p)
+    red = [[0] * k + stored[k] for k in leads]
+    return Basis._of_canonical(win, _reversed_kernel(red, leads, p, w))
+
+
+def _catalecticant_rows(f, i):
+    """The degree-i parts of the rows x^t -| D f, |t| <= deg f - i, D =
+    f._den, one at a time, as the lists ``_store`` reduces: over the
+    monomials of S_i column-reversed (column j of S_i at w - 1 - j), over Q
+    divided by their gcd, over F_p residues (f's numerators already are).
+
+    row_t[w - 1 - j] = f._num[c_j + t] for the j-th monomial c_j, looked up
+    by exponent as in ``_contraction_rows``; only the |t| where x^t -| f
+    has terms of degree i are built.
+    """
+    get, p = f._num.get, f.field.p
+    cols = monomials(f.n, i)[::-1]
+    f_degrees = {sum(t) for t in f._num}
+    for s in range(f.degree - i + 1):
+        if i + s not in f_degrees:
+            continue
+        for t in monomials(f.n, s):
+            row = [get(tuple(map(add, c, t)), 0) for c in cols]
+            if not p and (g := math.gcd(*row)) > 1:
+                row = [x // g for x in row]
+            yield row
 
 
 def _contraction_rows(f, exps, degrees):

@@ -50,8 +50,11 @@ in ``solve``, which divides one entry per pivot row.  ``Basis.vectors()``
 hands each integer row with its pivot as denominator to the polynomials'
 own canonical form (``Window._elements``), so no Fraction is built there.
 A kernel is read off the echelon form of the column-reversed rows
-(``_kernel``), where the kernel vectors come out already in canonical form
-(see there), so nothing is eliminated twice.
+(``_kernel``, through ``_reversed_kernel``), where the kernel vectors come
+out already in canonical form (see there), so nothing is eliminated twice.
+The annihilator pieces in ``apolarity`` run their own early-exit sweep of
+such rows through ``_store`` and ``_back_substitute`` and share that
+read-off.
 """
 
 from fractions import Fraction
@@ -228,6 +231,12 @@ def _back_substitute(stored, p):
     return leads
 
 
+def _unit_rows(lo, hi, ncols):
+    """The unit rows with their 1 at columns lo..hi, of ``ncols`` entries:
+    the canonical form of a full-rank block [lo, hi], over Q and F_p alike."""
+    return [[0] * c + [1] + [0] * (ncols - c - 1) for c in range(lo, hi + 1)]
+
+
 def _echelon(rows, field, ncols):
     """Canonical integer reduced echelon form of sparse integer rows over
     ``ncols`` columns.
@@ -250,7 +259,7 @@ def _echelon(rows, field, ncols):
     for lo, hi, stored in _sweep(rows, p)[0]:
         if len(stored) == hi + 1 - lo:
             # full rank: the rows not swept lie in the span, the form is the identity
-            out += [[0] * c + [1] + [0] * (ncols - c - 1) for c in range(lo, hi + 1)]
+            out += _unit_rows(lo, hi, ncols)
             pivots += range(lo, hi + 1)
             continue
         leads = _back_substitute(stored, p)
@@ -275,21 +284,30 @@ def _decode(rows, field):
 
 def _kernel(rows, field, ncols):
     """Canonical integer rows of {x : M x = 0}, M given by the sparse
-    integer ``rows`` over ``ncols`` columns.
+    integer ``rows`` over ``ncols`` columns: read off (``_reversed_kernel``)
+    one ``_echelon`` of the column-reversed rows (column j of a row goes to
+    last - j)."""
+    last = ncols - 1
+    red, pivots = _echelon([{last - j: x for j, x in row.items()} for row in rows], field, ncols)
+    return _reversed_kernel(red, pivots, field.p, ncols)
 
-    Read off one ``_echelon`` of the column-reversed rows (column j of a
-    row goes to last - j).  In the original order each of its rows ends at
-    its pivot column pc and is 0 at the other pivot columns, so the kernel
-    vector of a free column c (1 at c, x_pc = -row[c] / row[pc]) is 0 left
-    of c and at every other free column: sorted by c, the vectors are the
-    kernel's reduced echelon form.  Each is scaled by the lcm of its
-    denominators, which leaves a primitive row with a positive pivot (over
-    F_p every row[pc] is 1, so nothing is scaled).
+
+def _reversed_kernel(red, pivots, p, ncols):
+    """Canonical integer rows of the kernel of M, read off ``red``, the
+    canonical reduced echelon form (pivot columns ``pivots``) of M's
+    column-reversed rows, each a list of ``ncols`` ints.
+
+    In the original order each row of ``red`` ends at its pivot column pc
+    and is 0 at the other pivot columns, so the kernel vector of a free
+    column c (1 at c, x_pc = -row[c] / row[pc]) is 0 left of c and at every
+    other free column: sorted by c, the vectors are the kernel's reduced
+    echelon form.  Each is scaled by the lcm of its denominators, which
+    leaves a primitive row with a positive pivot (over F_p every row[pc] is
+    1, so nothing is scaled).
     """
     last = ncols - 1  # column c of a reversed row sits at last - c
-    red, pivots = _echelon([{last - j: x for j, x in row.items()} for row in rows], field, ncols)
     pivot_set = {last - pc for pc in pivots}
-    p, kernel = field.p, []
+    kernel = []
     for c in range(ncols):
         if c in pivot_set:
             continue
@@ -511,8 +529,14 @@ class Basis:
         """{x in window : E x = 0} for the sparse integer equation rows
         ``eqs``: the rows of ``_kernel`` are canonical already, so they are
         not eliminated again."""
+        return cls._of_canonical(window, _kernel(eqs, window.field, window.dim))
+
+    @classmethod
+    def _of_canonical(cls, window, rows):
+        """The subspace whose canonical integer rows (``_echelon``'s form)
+        are ``rows``, taken as they are."""
         basis = cls.__new__(cls)
-        basis.window, basis._rows = window, _kernel(eqs, window.field, window.dim)
+        basis.window, basis._rows = window, rows
         return basis
 
     @property

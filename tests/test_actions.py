@@ -22,7 +22,9 @@ from apolar import (
     reduce_toward,
     subst,
 )
+from apolar import actions
 from apolar.actions import (
+    _substituted,
     apply_derivation_dual,
     exp_automorphism,
     exp_group_element,
@@ -432,6 +434,27 @@ def test_compose_matches_reference_compose(rng, field):
                 assert got.aut.images == want.aut.images
                 assert got.unit == want.unit
                 assert (got.n, got.field, got.trunc) == (want.n, want.field, want.trunc)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_substitutions_share_one_power_cache(rng, field, monkeypatch):
+    # compose substitutes all n images of psi into phi at once: each power of
+    # phi's images is multiplied out once, not once per image of psi
+    products = []
+    ints_mul = actions._ints_mul
+    monkeypatch.setattr(actions, "_ints_mul", lambda *a: products.append(a) or ints_mul(*a))
+    for n in (2, 3):
+        phi = random_group_element(rng, n, field, 5).aut
+        ops = [random_operator(rng, n, field, 5, min_order=1) for _ in range(n)]
+        ops[0] = ops[1] + Operator.variable(n, field, 1, 5).power(4)
+        products.clear()
+        each = [subst(op, phi.images) for op in ops]
+        separate = len(products)
+        products.clear()
+        assert _substituted(ops, phi.images) == each
+        assert len(products) < separate
+    with pytest.raises(ArityMismatch):
+        _substituted([ops[0], V(2, 1, 5)], phi.images)
 
 
 def test_reduction_inverts_no_automorphism(monkeypatch):

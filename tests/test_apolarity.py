@@ -32,7 +32,7 @@ from apolar.apolarity import (
     _square,
 )
 from apolar.dp import monomials, monomials_upto
-from apolar.errors import ZeroPolynomial
+from apolar.errors import IndexOutOfRange, ZeroPolynomial
 from apolar.linalg import Basis, Window, _echelon, _pivot_stream, _sparse, _store
 from apolar.parsing import parse_poly
 
@@ -461,6 +461,83 @@ def test_ann_graded_is_the_catalecticant_kernel(field, rng):
                     ]
                     rank = span(image, Window.P_upto(n, d, field)).dim
                     assert ann.dim == len(image) - rank, (f, i)
+
+
+def test_ann_graded_rejects_a_negative_degree():
+    # it returned a Basis of dimension 0 over an empty degree -1 window
+    with pytest.raises(IndexOutOfRange, match="got -1"):
+        ann_graded(parse_poly("x1^[2]+x2", 2, QQ), -1)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle for the early-exit sweep of ``ann_graded``: the kernel
+# of every catalecticant row, built at once and eliminated by ``_kernel``.
+
+
+def _reference_ann_graded(f, i):
+    n, d = f.n, f.degree
+    win = Window.S_graded(n, i, f.field)
+    return Basis._of_kernel(win, _contraction_rows(f, list(monomials_upto(n, d - i)), (i,)))
+
+
+def _vanishing_poly(rng, n, field, d):
+    """A polynomial of degree d given with integer coefficients, some of
+    them multiples of the characteristic (over Q, of 7)."""
+    m = field.p or 7
+    terms = {e: rng.choice([m, 2 * m, rng.randint(1, 4), -rng.randint(1, 4)])
+             for e in monomials_upto(n, d) if rng.random() < 0.6}
+    terms[(d,) + (0,) * (n - 1)] = 1
+    return DPPoly(n, field, terms)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(101)], ids=str)
+def test_ann_graded_matches_the_full_catalecticant_kernel(field, rng):
+    for n in (1, 2, 3):
+        for d in range(0, 6):
+            polys = _builder_polys(rng, n, field, d) + [_vanishing_poly(rng, n, field, d)]
+            for f in polys:
+                for i in range(d + 3):
+                    got, want = ann_graded(f, i), _reference_ann_graded(f, i)
+                    assert got.window == want.window and got._rows == want._rows, (f, i)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_ann_graded_builds_no_row_past_an_injective_catalecticant(field, rng, monkeypatch):
+    # Ann(f)_i = 0: the sweep stops at its w-th stored row, w = dim S_i, and
+    # builds no further row and back-substitutes nothing
+    built, stored_after = [], []
+    rows = apolarity._catalecticant_rows
+
+    def counting(f, i):
+        for row in rows(f, i):
+            built.append(row)
+            yield row
+
+    def recording(stored, row, p):
+        lead = _store(stored, row, p)
+        stored_after.append(len(stored))
+        return lead
+
+    def no_back_substitution(stored, p):
+        raise AssertionError("back-substituted an injective catalecticant")
+
+    monkeypatch.setattr(apolarity, "_catalecticant_rows", counting)
+    monkeypatch.setattr(apolarity, "_store", recording)
+    monkeypatch.setattr(apolarity, "_back_substitute", no_back_substitution)
+    cases, skipped = 0, 0
+    for n, d, i in ((2, 6, 2), (2, 7, 3), (3, 4, 1), (3, 6, 2)):
+        w = len(monomials(n, i))
+        for f in (random_form(rng, n, field, d), random_poly(rng, n, field, d)):
+            if _reference_ann_graded(f, i).dim:
+                continue
+            cases += 1
+            built.clear()
+            stored_after.clear()
+            assert ann_graded(f, i).dim == 0
+            assert stored_after[-1] == w and w not in stored_after[:-1], (f, i)
+            assert len(built) == len(stored_after), (f, i)  # every row built was swept
+            skipped += len(list(rows(f, i))) - len(built)
+    assert cases >= 4 and skipped > 0
 
 
 # ---------------------------------------------------------------------------
