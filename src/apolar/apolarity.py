@@ -25,7 +25,7 @@ of the modules m^k -| f, so ``_filtration_profiles`` reads all of them off
 one ``_pivot_stream`` sweep, k from deg f down to 0, and builds no echelon
 form.
 
-The rows of the contractions x^e -| f (``module_sf``, the catalecticant,
+The rows of the contractions x^e -| f (``_module_rows``, the catalecticant,
 the filtration profiles) are filled by exponent lookup, row_e[c] =
 f._num[c + e], from f's stored numerators: they are D f for D = f._den
 (D = 1 over F_p).  Scaling every row by D changes no row space.  Outside
@@ -49,8 +49,10 @@ from .linalg import (
     _check_window_size,
     _dense,
     _pivot_stream,
+    _reduced_rows,
     _reversed_kernel,
     _store,
+    _sweep,
     _unit_rows,
 )
 
@@ -218,12 +220,34 @@ def _shifted_rows(rows, n, degrees, window):
     return out
 
 
+def _module_rows(f, k):
+    """(rows, leads, canonical) for m^k -| f, from one forward sweep.
+
+    ``rows`` are the sparse integer rows x^e -| D f, |e| >= k, over
+    P_{<= deg f} (``_contraction_rows``, e in ``monomials_upto`` order);
+    ``leads`` are the columns at which one ``_sweep`` of them adds a pivot,
+    None for a row in the span of the rows before it, so the rows with a
+    lead are a basis of m^k f; ``canonical`` are the rows of its canonical
+    integer reduced echelon form (``_reduced_rows`` of the same sweep), as
+    sparse {column: int} rows of their nonzero entries.
+    """
+    d, p = max(f.degree, 0), f.field.p
+    _check_window_size(f.n, range(d + 1))
+    exps = [e for e in monomials_upto(f.n, d) if sum(e) >= k]
+    rows = _contraction_rows(f, exps, range(d + 1))
+    blocks, leads = _sweep(rows, p)
+    canonical = [{lead + j: tail[j] for j in compress(count(), tail)}
+                 for lead, tail in _reduced_rows(blocks, p)]
+    return rows, leads, canonical
+
+
 def module_sf(f, k):
     """The subspace m^k -| f of P (k = 0 gives S f, including f): the span
-    of the rows x^e -| D f with |e| >= k in P_{<= deg f}."""
-    d = max(f.degree, 0)
-    exps = [e for e in monomials_upto(f.n, d) if sum(e) >= k]
-    return Basis._of_rows(Window.P_upto(f.n, d, f.field), _contraction_rows(f, exps, range(d + 1)))
+    of the rows x^e -| D f with |e| >= k in P_{<= deg f}, whose canonical
+    rows ``_module_rows`` reads off one sweep."""
+    win = Window.P_upto(f.n, max(f.degree, 0), f.field)
+    return Basis._of_canonical(win, [_dense(row, 0, win.dim - 1, f.field.p)
+                                     for row in _module_rows(f, k)[2]])
 
 
 def dim_apolar(f):

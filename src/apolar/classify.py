@@ -522,10 +522,10 @@ def golden_1222111(f):
     a report with lambda and the normal form x^[6] + c x^[2]y^[2] +
     lambda y^[3] (c normalised to 1 when its square root is rational).
 
-    A y^[4] or x y^[3] term in the degree-4 residue is outside that scope
-    and raises HypothesisFailed (a nonzero y^[4] coefficient belongs to the
-    x^[6] + y^[4] branch, handled by unip_orbit_membership against that
-    target).
+    A y^[4] term in the degree-4 residue is outside that scope and raises
+    HypothesisFailed: it belongs to the x^[6] + y^[4] branch, handled by
+    unip_orbit_membership against that target.  An x y^[3] term or c = 0
+    contradicts the Hilbert function, so either raises ReductionFailed.
     """
     n, field = f.n, f.field
     if n != 2:
@@ -550,12 +550,18 @@ def golden_1222111(f):
             if not field.is_zero(residue.coeff((0, 4))):
                 raise HypothesisFailed("y^[4] coefficient nonzero: x^[6] + y^[4] branch, "
                                        "use unip_orbit_membership")
+            # Neither check below fires on a correct reduction.  Every step is
+            # in G+, which keeps H, and H(i) counts the independent degree-i
+            # leading forms of S f.  Here f = x^[6] + c x^[2]y^[2] + b x y^[3]
+            # + (degree <= 3).  With b != 0, a2^2, a1 a2 and a1^4 -| f lead
+            # with c x^[2] + b x y, c x y + b y^[2] and x^[2], independent
+            # (determinant b^2), so H(2) = 3.  With c = b = 0 the only cubic
+            # leading form is x^[3], so H(3) = 1.
             if not field.is_zero(residue.coeff((1, 3))):
-                raise HypothesisFailed("x*y^[3] term present: input not in standard form")
+                raise ReductionFailed("x*y^[3] term left although H(2) = 2")
             c = residue.coeff((2, 2))
             if field.is_zero(c):
-                raise WrongHilbertFunction("x^[2]y^[2] coefficient vanished: "
-                                           "H would drop to (1,2,2,1,1,1,1)")
+                raise ReductionFailed("x^[2]y^[2] coefficient vanished although H(3) = 2")
             # normalise c to 1 when possible: x -> x, y -> y / sqrt(c)
             if field.is_rationals:
                 num, den = c.numerator, c.denominator

@@ -31,19 +31,22 @@ polynomial lives in one degree, so a graded space -- every space built from
 a form -- splits into one block per degree.
 
 An answer that needs only pivot columns or a rank -- membership here, the
-filtration profiles in ``apolarity``, the equations the direct perp in
-``tangent`` keeps -- comes from ``_pivot_stream``, the sweep alone over
-batches of rows: a row belongs to the span of the rows before it iff it
-adds no pivot.  The annihilator generators in ``apolarity`` are the rows
-whose own ``_store`` adds one.  Canonical rows come from ``_echelon``,
-which runs the sweep and then back-substitutes each block
+filtration profiles in ``apolarity``, the orbit dimension in ``tangent``,
+and the equations the direct perp in ``tangent`` keeps below the degree
+where it reuses the tangent's sweep -- comes from ``_pivot_stream``, the
+sweep alone over batches of rows: a row belongs to the span of the rows
+before it iff it adds no pivot.  The annihilator generators in
+``apolarity`` are the rows whose own ``_store`` adds one.  Canonical rows
+come from ``_reduced_rows``, which back-substitutes each block of a sweep
 (``_back_substitute``): the row space is the direct sum of the blocks' row
 spaces, so its reduced echelon form is the direct sum of theirs.  That form
 is canonical: over Q each row is the reduced row scaled to a primitive row
 with a positive pivot, over F_p the reduced row itself (pivot 1); a
 full-rank block's form is the identity (canonical over Q and F_p alike),
-emitted without back-substitution.  That form, as lists of ints, is what a
-``Basis`` stores and what its ``perp``, ``sum`` and ``==`` read.  Fractions
+emitted without back-substitution.  ``_echelon`` pads those rows to lists
+of ints, which is what a ``Basis`` stores and what its ``perp``, ``sum``
+and ``==`` read; ``apolarity._module_rows`` keeps them sparse and reads
+the leads of the same sweep.  Fractions
 (over Q) appear only at the boundary, in ``rref``, ``nullspace`` and
 ``Basis.rows``, which all divide each row by its pivot (``_decode``), and
 in ``solve``, which divides one entry per pivot row.  ``Basis.vectors()``
@@ -237,6 +240,30 @@ def _unit_rows(lo, hi, ncols):
     return [[0] * c + [1] + [0] * (ncols - c - 1) for c in range(lo, hi + 1)]
 
 
+def _reduced_rows(blocks, p):
+    """The canonical integer reduced echelon rows of a ``_sweep``'s blocks,
+    as (lead, tail) pairs in increasing lead order: ``tail`` is the row's
+    entries from column ``lead`` on, to the end of its block (the row is
+    zero elsewhere).
+
+    The row space is the direct sum of the blocks' row spaces, so its
+    reduced echelon form is the direct sum of theirs: each block is
+    back-substituted on its own column slice (``_back_substitute``).  A
+    block whose rank equals its width w has the w unit rows as its reduced
+    echelon form, yielded as (c, [1]) without back-substitution.  This is
+    the one block loop behind both emissions, ``_echelon``'s full-width
+    lists and the sparse rows of ``apolarity._module_rows``.
+    """
+    for lo, hi, stored in blocks:
+        if len(stored) == hi + 1 - lo:
+            # full rank: the rows not swept lie in the span, the form is the identity
+            for c in range(lo, hi + 1):
+                yield c, [1]
+            continue
+        for k in _back_substitute(stored, p):
+            yield lo + k, stored[k]
+
+
 def _echelon(rows, field, ncols):
     """Canonical integer reduced echelon form of sparse integer rows over
     ``ncols`` columns.
@@ -245,27 +272,14 @@ def _echelon(rows, field, ncols):
     ``ncols`` ints, with its pivot at column pivots[r] and zeros at every
     other pivot column.  Pivots are increasing.  Over Q each row is
     primitive with a positive pivot, over F_p its pivot is 1, so the form
-    depends only on the row space.
-
-    The row space is the direct sum of the column blocks' row spaces, so
-    its reduced echelon form is the direct sum of theirs: each block swept
-    by ``_sweep`` is back-substituted on its own column slice, and its rows
-    padded back to full width.  A block whose rank equals its width w has
-    the w unit rows as its reduced echelon form, emitted without
-    back-substitution.
+    depends only on the row space.  The rows are ``_reduced_rows`` of one
+    ``_sweep``, padded to full width.
     """
     p = field.p
     out, pivots = [], []
-    for lo, hi, stored in _sweep(rows, p)[0]:
-        if len(stored) == hi + 1 - lo:
-            # full rank: the rows not swept lie in the span, the form is the identity
-            out += _unit_rows(lo, hi, ncols)
-            pivots += range(lo, hi + 1)
-            continue
-        leads = _back_substitute(stored, p)
-        pad = [0] * (ncols - hi - 1)
-        out += [[0] * (lo + k) + stored[k] + pad for k in leads]
-        pivots += [lo + k for k in leads]
+    for lead, tail in _reduced_rows(_sweep(rows, p)[0], p):
+        out.append([0] * lead + tail + [0] * (ncols - lead - len(tail)))
+        pivots.append(lead)
     return out, pivots
 
 

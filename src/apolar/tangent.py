@@ -12,21 +12,21 @@ so with k = 1 (full) or k = 2 (unipotent) the space is
     m^{k-1} f + sum_i x_i (m^k f).
 
 Here m^{k-1} f is spanned by m^k f and the contractions of f by the
-degree-(k-1) monomials (f itself, or the a_j -| f).  One echelon form of m^k f
-gives a basis B, and the tangent space is spanned by those contractions, B
-and the n shifts x_i B: (n + 1) dim(m^k f) + binom(n+k-2, k-1) rows in
-place of the n binom(n+d+1, n) + binom(n+d, n) contractions tau -| (x_i f)
-and sigma -| f of the defining formula.  Everything is truncated at
-N = deg f.
+degree-(k-1) monomials (f itself, or the a_j -| f).  With B the canonical
+rows of m^k f, the tangent space is spanned by those contractions, B and
+the n shifts x_i B: (n + 1) dim(m^k f) + binom(n+k-2, k-1) rows in place of
+the n binom(n+d+1, n) + binom(n+d, n) contractions tau -| (x_i f) and
+sigma -| f of the defining formula.  Everything is truncated at N = deg f.
 
 All these rows are sparse integer rows, {column: int} dicts of their
 nonzero entries, which the elimination in ``linalg`` reads as they are.
 The contractions are filled from D f, f's stored numerators
-(D = f._den, ``apolarity._contraction_rows``), B is the integer echelon
-form of m^k f (the nonzero entries of the rows its ``Basis`` keeps), and
+(D = f._den, ``apolarity._contraction_rows``), B comes from one sweep of
+the rows x^e -| D f, |e| >= k (``apolarity._module_rows``), and
 x_i x^[u] = (u_i + 1) x^[u + e_i] shifts its rows
 (``apolarity._shifted_rows``).  None of this goes through ``contract`` or
-the DPPoly product.
+the DPPoly product.  ``orbit_dimension`` reads the rank of these rows off
+one forward sweep, with no canonical tangent rows.
 
 Perps are computed twice -- once as the orthogonal complement of the
 tangent basis, once from the direct degree conditions on sigma and its
@@ -35,36 +35,39 @@ hands its kernel only the equations that a forward sweep does not show to
 be implied: the condition rows of sigma^(i) are the shifts x_i of the rows
 of sigma, restricted to S_{<= max_degree}, and shifting commutes with that
 restriction, so a row of sigma that depends on earlier ones is dropped with
-its n shifts (``_perp_direct``).  Those rows come from the same two
-builders, the contractions and their shifts.  Dropping equations can only
-make the kernel larger, so a wrong drop fails the cross-check instead of
-passing a wrong perp.
+its n shifts (``_perp_direct``).  For max_degree >= deg f - k no column of
+the rows of sigma with |m| >= k is cut, so they are the rows of m^k f: the
+sweep that gives B decides the drops too, so ``perp_tangent`` builds and
+sweeps them once for both routes.  Dropping equations can only make the
+kernel larger, so a wrong drop fails the cross-check instead of passing a
+wrong perp.
 """
 
 import math
 
-from .apolarity import _contraction_rows, _shifted_rows, module_sf
+from .apolarity import _contraction_rows, _module_rows, _shifted_rows
 from .dp import monomials, monomials_upto
 from .errors import CrossCheckFailed, IndexOutOfRange, TdfMismatch, ZeroPolynomial
 from .fields import char_guard
-from .linalg import Basis, Window, _pivot_stream, _sparse
+from .linalg import Basis, Window, _pivot_stream
 
 
-def _tangent_rows(f, k):
+def _tangent_rows(f, k, module=None):
     """(window, rows) spanning m^{k-1} f + sum_i x_i (m^k f) inside
     P_{<= deg f}.
 
     The rows are sparse integer rows: the contractions of D f by the
-    degree-(k-1) monomials, the integer echelon rows of m^k f, and their
-    shifts x_i x^[u] = (u_i + 1) x^[u + e_i], keyed by column index.  They
-    are not echeloned, so a caller that wants another column order re-keys
-    and echelons them once in that order.
+    degree-(k-1) monomials, the canonical rows B of m^k f from
+    ``module`` (``apolarity._module_rows(f, k)``, built here when not
+    given), and their shifts x_i x^[u] = (u_i + 1) x^[u + e_i], keyed by
+    column index.  They are not echeloned, so a caller that wants another
+    column order re-keys and echelons them once in that order.
     """
     if f.is_zero():
         raise ZeroPolynomial("tangent space of the zero polynomial")
-    mk = module_sf(f, k)
-    win, gs = mk.window, _sparse(mk._rows)
     d = max(f.degree, 0)
+    win = Window.P_upto(f.n, d, f.field)
+    gs = (module or _module_rows(f, k))[2]
     rows = _contraction_rows(f, monomials(f.n, k - 1), range(d + 1))
     # m^k f lies in P_{<= d-1}, so its rows are shifted from degrees < d
     for g, shifts in zip(gs, _shifted_rows(gs, f.n, range(d), win)):
@@ -83,7 +86,7 @@ def unip_tangent_space(f):
     return Basis._of_rows(*_tangent_rows(f, 2))
 
 
-def _perp_direct(f, unipotent, max_degree):
+def _perp_direct(f, unipotent, max_degree, module=None):
     """Perp from the conditions on sigma -| f and its partial derivatives.
 
     Full:      sigma -| f = 0          and deg(sigma^(i) -| f) <= 0;
@@ -101,33 +104,44 @@ def _perp_direct(f, unipotent, max_degree):
     The shift is linear and commutes with the restriction (the restriction
     of x_i g to degrees <= N is x_i times that of g to degrees <= N - 1), so
     a base row that is a combination of earlier base rows has shifts that
-    are the same combination of theirs.  Each base row with |m| above the
-    least order (0 full, 1 unipotent) is streamed through one forward sweep
-    (``_pivot_stream``, one row per batch); one that adds no pivot is
-    dropped together with its n shifts.  The rows of the least order have no
-    shifts and are all kept, outside the sweep: a row that their rows imply
-    would still need its own shifts.  Dropping equations can only make the
-    kernel larger, never smaller, so a wrong drop would show as a mismatch
-    in ``_checked_perp``, never as a wrong perp that passes.
+    are the same combination of theirs.  The base rows with |m| >= k
+    (k = 1 full, 2 unipotent) go through one forward sweep, and one that
+    adds no pivot is dropped together with its n shifts.  The rows of
+    |m| = k - 1 have no shifts and are all kept, outside the sweep: a row
+    that their rows imply would still need its own shifts.  Dropping
+    equations can only make the kernel larger, never smaller, so a wrong
+    drop would show as a mismatch in ``_checked_perp``, never as a wrong
+    perp that passes.
+
+    The base rows with |m| >= k lie in degrees <= deg f - k, so for
+    max_degree >= deg f - k no column is cut: they are the rows of m^k f
+    that ``module`` (``apolarity._module_rows(f, k)``, built here when not
+    given) has swept already, and its leads decide the drops.  Below that
+    bound the restricted rows are built and swept here (``_pivot_stream``,
+    one row per batch): restriction can add dependencies, so their drops
+    differ.
     """
     n, field = f.n, f.field
+    d, k = max(f.degree, 0), 2 if unipotent else 1
     win = Window.S_upto(n, max_degree, field)
-    min_m = 1 if unipotent else 0
-    exps = [m for m in monomials_upto(n, max(f.degree, 0)) if sum(m) >= min_m]
-    rows = _contraction_rows(f, exps, range(max_degree + 1))
-    eqs = [row for m, row in zip(exps, rows) if sum(m) == min_m]
-    base = [row for m, row in zip(exps, rows) if sum(m) > min_m]
-    kept = [row for row, new in zip(base, _pivot_stream([[row] for row in base], field)) if new]
+    eqs = _contraction_rows(f, monomials(n, k - 1), range(max_degree + 1))
+    if max_degree >= d - k:
+        base, leads = (module or _module_rows(f, k))[:2]
+        kept = [row for row, lead in zip(base, leads) if lead is not None]
+    else:
+        exps = [m for m in monomials_upto(n, d) if sum(m) >= k]
+        base = _contraction_rows(f, exps, range(max_degree + 1))
+        kept = [row for row, new in zip(base, _pivot_stream([[row] for row in base], field)) if new]
     for row, shifts in zip(kept, _shifted_rows(kept, n, range(max_degree), win)):
         eqs.append(row)
         eqs += shifts
     return Basis._of_kernel(win, eqs)
 
 
-def _checked_perp(f, tang, unipotent, max_degree):
+def _checked_perp(f, tang, unipotent, max_degree, module=None):
     """Perp of ``tang`` in S_{<= max_degree}, cross-checked by _perp_direct."""
     via_perp = tang.perp(degrees=range(max_degree + 1))
-    direct = _perp_direct(f, unipotent, max_degree)
+    direct = _perp_direct(f, unipotent, max_degree, module)
     if via_perp != direct:
         raise CrossCheckFailed(
             "tangent-perp mismatch: %d vs %d dims" % (via_perp.dim, direct.dim)
@@ -139,7 +153,8 @@ def perp_tangent(f, unipotent=False, max_degree=None):
     """Perp of the (unipotent) tangent space inside S_{<= max_degree}.
 
     Computed both from the tangent basis and from the direct degree
-    conditions; raises CrossCheckFailed if the two disagree.
+    conditions; raises CrossCheckFailed if the two disagree.  One sweep of
+    the rows of m^k f (``apolarity._module_rows``) serves both routes.
     """
     if f.is_zero():
         raise ZeroPolynomial("perp of the zero polynomial's tangent space")
@@ -147,16 +162,23 @@ def perp_tangent(f, unipotent=False, max_degree=None):
         max_degree = max(f.degree, 0)
     if max_degree < 0:
         raise IndexOutOfRange("perp degree bound must be >= 0, got %d" % max_degree)
-    tang = unip_tangent_space(f) if unipotent else tangent_space(f)
-    return _checked_perp(f, tang, unipotent, max_degree)
+    k = 2 if unipotent else 1
+    module = _module_rows(f, k)
+    tang = Basis._of_rows(*_tangent_rows(f, k, module))
+    return _checked_perp(f, tang, unipotent, max_degree, module)
 
 
 def orbit_dimension(f):
-    """dim G f = dim tangent_space(f); valid in char 0 or > deg f."""
+    """dim G f = dim tangent_space(f); valid in char 0 or > deg f.
+
+    The rank of the tangent rows (``_tangent_rows``), read off one
+    ``_pivot_stream`` sweep: no canonical tangent rows are needed.
+    """
     if f.is_zero():
         raise ZeroPolynomial("orbit of the zero polynomial")
     char_guard(f.field, max(f.degree, 0))
-    return tangent_space(f).dim
+    (pivots,) = _pivot_stream([_tangent_rows(f, 1)[1]], f.field)
+    return len(pivots)
 
 
 def dense_orbit_test(F):

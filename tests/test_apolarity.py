@@ -33,7 +33,7 @@ from apolar.apolarity import (
 )
 from apolar.dp import monomials, monomials_upto
 from apolar.errors import IndexOutOfRange, ZeroPolynomial
-from apolar.linalg import Basis, Window, _echelon, _pivot_stream, _sparse, _store
+from apolar.linalg import Basis, Window, _echelon, _pivot_stream, _reduced_rows, _sparse, _store
 from apolar.parsing import parse_poly
 
 from conftest import random_form, random_poly, with_fractions
@@ -391,15 +391,17 @@ def test_profiles_match_nested_echelon_oracle(field, rng):
 
 
 def test_hilbert_function_builds_no_echelon_form(monkeypatch):
-    # the profiles come from one forward sweep: no reduced echelon form
+    # the profiles come from one forward sweep: no reduced echelon form, whose
+    # every emission (``_echelon`` and ``_module_rows``) goes through
+    # ``_reduced_rows``
     calls = []
 
-    def counting(rows, field, ncols):
-        calls.append(len(rows))
-        return _echelon(rows, field, ncols)
+    def counting(blocks, p):
+        calls.append(len(blocks))
+        return _reduced_rows(blocks, p)
 
-    monkeypatch.setattr(linalg, "_echelon", counting)
-    monkeypatch.setattr(apolarity, "_echelon", counting, raising=False)
+    monkeypatch.setattr(linalg, "_reduced_rows", counting)
+    monkeypatch.setattr(apolarity, "_reduced_rows", counting)
     f = parse_poly("x1^[4]*x2 + x2^[3]*x3 + x3^[2] + x1", 3, QQ)
     assert hilbert_function(f) == _reference_hilbert(f)
     assert calls  # the counter sees the reference's eliminations

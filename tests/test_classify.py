@@ -427,7 +427,22 @@ def test_golden_1222111_xy3_term_is_not_standard_form(monkeypatch):
         golden_1222111(f)
     expected = HilbertFunction((1, 2, 2, 2, 1, 1, 1))
     monkeypatch.setattr(classify, "hilbert_function", lambda f: expected)
-    with pytest.raises(HypothesisFailed, match=r"x\*y\^\[3\] term present"):
+    with pytest.raises(ReductionFailed, match=r"x\*y\^\[3\] term left"):
+        golden_1222111(f)
+
+
+def test_golden_1222111_vanished_c_is_a_reduction_failure(monkeypatch):
+    import apolar.classify as classify
+    from apolar.apolarity import HilbertFunction
+
+    # c = 0 drops H(3) to 1, so the guard is reached only past a Hilbert
+    # function stubbed to the expected one
+    f = parse_poly("x1^[6] + 5*x2^[3] + x1^[2]", 2, QQ)
+    with pytest.raises(WrongHilbertFunction):
+        golden_1222111(f)
+    expected = HilbertFunction((1, 2, 2, 2, 1, 1, 1))
+    monkeypatch.setattr(classify, "hilbert_function", lambda f: expected)
+    with pytest.raises(ReductionFailed, match=r"x\^\[2\]y\^\[2\] coefficient vanished"):
         golden_1222111(f)
 
 

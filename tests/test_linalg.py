@@ -623,6 +623,9 @@ def test_window_budget_guard_fires_from_the_computed_size():
         Window.P_upto(0, 2, QQ)
     with pytest.raises(WindowTooLarge):
         perp_tangent(DPPoly(2, QQ, {(2, 0): Q(1)}), max_degree=10**6)
+    # a polynomial whose own window is too large: refused before its rows are built
+    with pytest.raises(WindowTooLarge):
+        perp_tangent(DPPoly(2, QQ, {(10**6, 0): Q(1)}), max_degree=1)
 
 
 # Differential oracle for nullspace: one kernel vector per free column built

@@ -20,16 +20,17 @@ from apolar import (
     tangent_space,
     unip_tangent_space,
 )
-from apolar.apolarity import module_sf
-from apolar.dp import monomials_upto
+from apolar import apolarity, linalg, tangent
+from apolar.apolarity import _contraction_rows, _module_rows, _shifted_rows, module_sf
+from apolar.dp import monomials, monomials_upto
 from apolar.errors import (
     CharacteristicTooSmall,
     CrossCheckFailed,
     TdfMismatch,
     ZeroPolynomial,
 )
-from apolar.linalg import Basis, _sparse, _store
-from apolar.tangent import _checked_perp, _perp_direct
+from apolar.linalg import Basis, _pivot_stream, _sparse, _store
+from apolar.tangent import _checked_perp, _perp_direct, _tangent_rows
 
 from conftest import random_form, random_poly, with_fractions
 from test_linalg import _densified, _integer_row
@@ -377,6 +378,105 @@ def test_perp_direct_keeps_the_equations_of_the_dense_loop(field, rng, monkeypat
                         want = [row for row in _reference_dense_perp_eqs(f, unipotent, max_degree)
                                 if any(row)]
                         assert len(got) == len(want) and got == want, (f, unipotent, max_degree)
+
+
+# Differential oracles for the shared sweep of m^k f: the routes that came
+# before it, kept verbatim.  The tangent rows shifted the canonical rows of
+# the ``Basis`` of m^k f, echeloned on its own, and the direct perp swept its
+# own rows restricted to S_{<= max_degree} to decide its drops.
+
+
+def _reference_module_sf(f, k):
+    d = max(f.degree, 0)
+    exps = [e for e in monomials_upto(f.n, d) if sum(e) >= k]
+    return Basis._of_rows(Window.P_upto(f.n, d, f.field), _contraction_rows(f, exps, range(d + 1)))
+
+
+def _reference_tangent_rows(f, k):
+    if f.is_zero():
+        raise ZeroPolynomial("tangent space of the zero polynomial")
+    mk = _reference_module_sf(f, k)
+    win, gs = mk.window, _sparse(mk._rows)
+    d = max(f.degree, 0)
+    rows = _contraction_rows(f, monomials(f.n, k - 1), range(d + 1))
+    # m^k f lies in P_{<= d-1}, so its rows are shifted from degrees < d
+    for g, shifts in zip(gs, _shifted_rows(gs, f.n, range(d), win)):
+        rows.append(g)
+        rows += shifts
+    return win, rows
+
+
+def _reference_swept_perp_direct(f, unipotent, max_degree):
+    n, field = f.n, f.field
+    win = Window.S_upto(n, max_degree, field)
+    min_m = 1 if unipotent else 0
+    exps = [m for m in monomials_upto(n, max(f.degree, 0)) if sum(m) >= min_m]
+    rows = _contraction_rows(f, exps, range(max_degree + 1))
+    eqs = [row for m, row in zip(exps, rows) if sum(m) == min_m]
+    base = [row for m, row in zip(exps, rows) if sum(m) > min_m]
+    kept = [row for row, new in zip(base, _pivot_stream([[row] for row in base], field)) if new]
+    for row, shifts in zip(kept, _shifted_rows(kept, n, range(max_degree), win)):
+        eqs.append(row)
+        eqs += shifts
+    return Basis._of_kernel(win, eqs)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
+def test_one_sweep_of_the_module_matches_the_separate_routes(field, rng):
+    for n in (1, 2, 3, 4):
+        for d in range(0, 5 if n == 4 else 6):
+            polys = [random_form(rng, n, field, d), random_poly(rng, n, field, d),
+                     random_poly(rng, n, field, d, density=0.15)]
+            if field.is_rationals:
+                polys += [with_fractions(rng, f) for f in polys]
+            for f in polys:
+                if field.is_rationals or field.p > d:
+                    assert orbit_dimension(f) == tangent_space(f).dim, f
+                for k in (1, 2):
+                    module = _module_rows(f, k)
+                    mk = _reference_module_sf(f, k)
+                    assert _densified(module[2], mk.window.dim) == mk._rows == module_sf(f, k)._rows
+                    assert _tangent_rows(f, k) == _tangent_rows(f, k, module) == _reference_tangent_rows(f, k)
+                    for max_degree in sorted({0, d - k - 1, d - k, d, d + 1} - {-1, -2}):
+                        want = _reference_swept_perp_direct(f, k == 2, max_degree)
+                        assert _perp_direct(f, k == 2, max_degree) == want, (f, k, max_degree)
+                        assert _perp_direct(f, k == 2, max_degree, module) == want, (f, k, max_degree)
+
+
+@pytest.mark.parametrize("unipotent", [False, True])
+def test_perp_tangent_builds_and_sweeps_the_module_rows_once(monkeypatch, rng, unipotent):
+    # One perp_tangent call, max_degree >= deg f - k: the rows x^e -| D f,
+    # |e| >= k, are built by one _contraction_rows call and go through one
+    # _sweep, which serves the tangent basis and the direct perp's drops.
+    k = 2 if unipotent else 1
+    built, swept = [], []
+    contraction_rows, sweep = apolarity._contraction_rows, linalg._sweep
+
+    def counting_rows(f, exps, degrees):
+        exps = list(exps)
+        rows = contraction_rows(f, exps, degrees)
+        if any(sum(e) >= k for e in exps):
+            built.append(rows)
+        return rows
+
+    def counting_sweep(rows, p):
+        ids = {id(row) for batch in built for row in batch}
+        if any(id(row) in ids for row in rows):
+            swept.append(len(rows))
+        return sweep(rows, p)
+
+    for module in (apolarity, tangent):
+        monkeypatch.setattr(module, "_contraction_rows", counting_rows)
+    for module in (linalg, apolarity):
+        monkeypatch.setattr(module, "_sweep", counting_sweep, raising=False)
+    for f in (random_form(rng, 3, QQ, 5), random_poly(rng, 3, QQ, 5),
+              with_fractions(rng, random_poly(rng, 2, QQ, 6)), random_poly(rng, 4, GF(101), 4)):
+        d = f.degree
+        for max_degree in (d - k, d - 1, d, d + 1, None):
+            built.clear()
+            swept.clear()
+            perp_tangent(f, unipotent, max_degree)
+            assert (len(built), len(swept)) == (1, 1), (f, max_degree)
 
 
 def test_cangrad_filter_values():
