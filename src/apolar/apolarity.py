@@ -22,8 +22,12 @@ filled by index: a^u a^v = a^{u+v}.
 
 The Hilbert function and the symmetric decomposition need only pivot counts
 of the modules m^k -| f, so ``_filtration_profiles`` reads all of them off
-one ``_pivot_stream`` sweep, k from deg f down to 0, and builds no echelon
-form.
+one early-exit forward sweep (``_store``) of the rows x^e -| D f, batch
+|e| = k from deg f down to 0, and builds no echelon form.  With the columns
+highest degree first, batch k lies in P_{<=d-k}, a suffix of the columns;
+the sweep keeps a mark, the first column from which every column holds a
+stored pivot, builds each row only before the mark, sweeps no row that is
+zero there, and ends batch k once the mark reaches P_{<=d-k}'s first column.
 
 The rows of the contractions x^e -| f (``_module_rows``, the catalecticant,
 the filtration profiles) are filled by exponent lookup, row_e[c] =
@@ -31,13 +35,14 @@ f._num[c + e], from f's stored numerators: they are D f for D = f._den
 (D = 1 over F_p).  Scaling every row by D changes no row space.  Outside
 ``ann_graded`` they are sparse integer rows, {column: int} dicts of their
 nonzero entries (the elimination's intake in ``linalg``), as are their
-shifts (``_shifted_rows``) and the products of ``ideal_square_graded``.
-``ann_graded`` sweeps every row it builds on its whole degree-i window, so
-it builds each as that list directly.
+shifts (``_shifted_rows``) and the products of ``ideal_square_graded``;
+the filtration profiles make each one a list on the columns it is swept
+on.  ``ann_graded`` sweeps every row it builds on its whole degree-i
+window, so it builds each as that list directly.
 """
 
 import math
-from itertools import compress, count
+from itertools import compress, count, islice
 from operator import add
 
 from .dp import DPPoly, monomials, monomials_upto
@@ -48,7 +53,6 @@ from .linalg import (
     _back_substitute,
     _check_window_size,
     _dense,
-    _pivot_stream,
     _reduced_rows,
     _reversed_kernel,
     _store,
@@ -255,31 +259,72 @@ def dim_apolar(f):
     return module_sf(f, 0).dim
 
 
+def _profile_row(get, e, cols):
+    """The sparse integer row x^e -| D f on ``cols``, (column, monomial c)
+    pairs: entry get(c + e), ``get`` being f._num.get.  A row keeps only
+    its nonzero entries; over F_p f's numerators are nonzero residues, so
+    no entry vanishes mod p."""
+    return {j: v for j, c in cols if (v := get(tuple(map(add, c, e))))}
+
+
 def _filtration_profiles(f):
     """prof[k][i] = dim(M_k cap P_{<=i}) - dim(M_k cap P_{<=i-1}) for
     M_k = m^k -| f, k = 0 .. deg f + 1.
 
     The rows x^e -| D f, columns ordered highest degree first (grlex within
-    a degree), go through one ``_pivot_stream`` in batches by |e| = d, d-1,
-    .., 0.  The rows streamed up to the batch |e| = k span M_k, so the
-    pivots found so far are those of an echelon form of M_k, and prof[k][i]
-    counts the ones of degree i; prof[d+1] (M_{d+1} = 0) is all zeros.  One
-    forward sweep serves every k, with no back-substitution.
+    a degree), are built one at a time (``_profile_row``) and swept by
+    ``_store`` in batches by |e| = k = d, d-1, .., 0.  The rows swept up to
+    batch k span M_k, so the pivots stored so far are those of an echelon
+    form of M_k, and prof[k][i] counts the ones of degree i; prof[d+1]
+    (M_{d+1} = 0) is all zeros.  One forward sweep serves every k, with no
+    back-substitution.
+
+    Batch k lies in P_{<=d-k}, a suffix of the columns, so its rows are
+    lists on those columns only (``stored`` is keyed by column minus the
+    first column lo of P_{<=d-k}, and re-keyed as lo moves left).  The mark
+    is the first column from which every column holds a stored pivot: the
+    span then holds every unit vector from the mark on, and a pivot is
+    found as well on the rows cut at the mark.  So a row is looked up and
+    made a list only before the mark, a row with no entry there lies in
+    the span and is not swept, and batch k builds no further row once the
+    mark reaches lo: M_k then fills P_{<=d-k}.  A stored row is cut at the
+    mark of its time, and every later row, cut at a mark no further right,
+    reduces against its prefix.
     """
-    d = f.degree
-    _check_window_size(f.n, range(d + 1))
-    degrees = range(d, -1, -1)
-    col_degree = [i for i in degrees for _ in monomials(f.n, i)]
-    exps = list(monomials_upto(f.n, d))
-    batches = {k: [] for k in degrees}
-    for e, row in zip(exps, _contraction_rows(f, exps, degrees)):
-        batches[sum(e)].append(row)
+    d, n, p = f.degree, f.n, f.field.p
+    _check_window_size(n, range(d + 1))
+    get, f_degrees = f._num.get, {sum(t) for t in f._num}
+    col_degree = [i for i in range(d, -1, -1) for _ in monomials(n, i)]
+    stored, lo = {}, len(col_degree)
+    mark = lo
     prof = [0] * (d + 1)
     profiles = [prof]
-    for pivots in _pivot_stream(batches.values(), f.field):
-        prof = list(prof)
-        for p in pivots:
-            prof[col_degree[p]] += 1
+    for k in range(d, -1, -1):
+        start = lo - len(monomials(n, d - k))
+        stored = {j + lo - start: tail for j, tail in stored.items()}
+        lo, prof = start, list(prof)
+        cols, first = [], lo  # the (column, monomial) pairs looked up
+        for i in range(d - k, -1, -1):
+            if i + k in f_degrees:
+                cols += zip(count(first), monomials(n, i))
+            first += len(monomials(n, i))
+        cut = len(cols)
+        for e in monomials(n, k):
+            while cut and cols[cut - 1][0] >= mark:
+                cut -= 1
+            row = _profile_row(get, e, islice(cols, cut))
+            if not row:  # zero, or zero before the mark: in the span
+                continue
+            lead = _store(stored, _dense(row, lo, mark - 1, p), p)
+            if lead is None:
+                continue
+            prof[col_degree[lo + lead]] += 1
+            if lo + lead == mark - 1:
+                mark -= 1
+                while mark - lo - 1 in stored:
+                    mark -= 1
+                if mark == lo:  # M_k fills P_{<= d-k}
+                    break
         profiles.append(prof)
     return profiles[::-1]
 
@@ -295,7 +340,7 @@ def hilbert_function(f):
     With the columns of P ordered highest degree first, dim(M cap P_{<=i})
     is the number of pivots of degree <= i of an echelon form of M; at
     i = deg f that is dim M, the pivot total of ``_filtration_profiles``,
-    whose one forward sweep gives every m^k -| f at once.
+    whose one early-exit forward sweep gives every m^k -| f at once.
     """
     if f.is_zero():
         raise ZeroPolynomial("Hilbert function of the zero polynomial")
@@ -347,15 +392,14 @@ def symmetric_decomposition(f):
     columns of P ordered highest degree first, dim(M cap P_{<=i}) is the
     number of pivots of degree <= i of an echelon form of M, so dim C_a(i)
     is the pivot count ``prof[d-a-i][i]`` of ``_filtration_profiles`` (one
-    forward sweep for every k, shared with H).
+    early-exit forward sweep for every k, shared with H).  A nonzero
+    constant (d = 0) has H = (1) and the formula's Delta_0 = (1).
     The type invariants (sum = H, symmetry, non-negativity) are theorems; a
     violation raises DecompositionInvariantViolated.
     """
     if f.is_zero():
         raise ZeroPolynomial("decomposition of the zero polynomial")
     d = f.degree
-    if d < 1:
-        raise ZeroPolynomial("decomposition needs degree >= 1")
     prof = _filtration_profiles(f)
     H = _hilbert_from_profiles(prof)
 

@@ -31,12 +31,13 @@ polynomial lives in one degree, so a graded space -- every space built from
 a form -- splits into one block per degree.
 
 An answer that needs only pivot columns or a rank -- membership here, the
-filtration profiles in ``apolarity``, the orbit dimension in ``tangent``,
-and the equations the direct perp in ``tangent`` keeps below the degree
-where it reuses the tangent's sweep -- comes from ``_pivot_stream``, the
-sweep alone over batches of rows: a row belongs to the span of the rows
-before it iff it adds no pivot.  The annihilator generators in
-``apolarity`` are the rows whose own ``_store`` adds one.  Canonical rows
+orbit dimension in ``tangent``, and the equations the direct perp in
+``tangent`` keeps below the degree where it reuses the tangent's sweep --
+comes from ``_pivot_stream``, the sweep alone over batches of rows: a row
+belongs to the span of the rows before it iff it adds no pivot.  The
+annihilator generators in ``apolarity`` are the rows whose own ``_store``
+adds one, and the filtration profiles in ``apolarity`` count the pivots of
+their own early-exit ``_store`` sweep.  Canonical rows
 come from ``_reduced_rows``, which back-substitutes each block of a sweep
 (``_back_substitute``): the row space is the direct sum of the blocks' row
 spaces, so its reduced echelon form is the direct sum of theirs.  That form

@@ -33,7 +33,16 @@ from apolar.apolarity import (
 )
 from apolar.dp import monomials, monomials_upto
 from apolar.errors import IndexOutOfRange, ZeroPolynomial
-from apolar.linalg import Basis, Window, _echelon, _pivot_stream, _reduced_rows, _sparse, _store
+from apolar.linalg import (
+    Basis,
+    Window,
+    _check_window_size,
+    _echelon,
+    _pivot_stream,
+    _reduced_rows,
+    _sparse,
+    _store,
+)
 from apolar.parsing import parse_poly
 
 from conftest import random_form, random_poly, with_fractions
@@ -190,6 +199,16 @@ def test_symdec_degree_one():
     for n in (1, 2, 3):
         f = P(n, {(1,) + (0,) * (n - 1): 1})
         assert symmetric_decomposition(f) == [(1, 1)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_symdec_of_a_nonzero_constant(field):
+    # at d = 0 the formula gives Delta_0 = (1) = H; it raised ZeroPolynomial
+    for n in (1, 2, 3):
+        for c in (1, -2, 5):
+            f = P(n, {(0,) * n: c}, field)
+            assert hilbert_function(f) == (1,)
+            assert symmetric_decomposition(f) == [(1,)]
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +387,21 @@ def _reference_profiles(f):
 
 
 def _profile_polys(rng, n, field, d):
-    """A form, a polynomial, a constant, and x_1^[d] plus terms of degree
-    at most 1; over Q also each with Fraction coefficients."""
+    """A form, a polynomial, a constant, x_1^[d] plus terms of degree at
+    most 1, a sparse top form (x_1^[d] + x_n^[d]) plus dense terms of every
+    lower degree, whose batches fill late or never, and a polynomial with
+    coefficients that are multiples of the characteristic; over Q also each
+    with Fraction coefficients."""
     low = random_poly(rng, n, field, min(d, 1), force_top=False)
+    below = random_poly(rng, n, field, max(d - 1, 0), density=0.9, force_top=False)
+    top = DPPoly.monomial(n, field, (d,) + (0,) * (n - 1))
     polys = [
         random_form(rng, n, field, d),
         random_poly(rng, n, field, d),
         DPPoly(n, field, {(0,) * n: field.from_int(rng.choice([1, -1, 2]))}),
-        DPPoly.monomial(n, field, (d,) + (0,) * (n - 1)) + low,
+        top + low,
+        top + DPPoly.monomial(n, field, (0,) * (n - 1) + (d,)) + below,
+        _vanishing_poly(rng, n, field, d),
     ]
     if field.is_rationals:
         polys += [with_fractions(rng, f) for f in polys]
@@ -388,6 +414,80 @@ def test_profiles_match_nested_echelon_oracle(field, rng):
         for d in range(0, 5 if n == 4 else 7):
             for f in _profile_polys(rng, n, field, d):
                 assert _filtration_profiles(f) == _reference_profiles(f), (n, d, f)
+
+
+# The route the early-exit sweep replaced, kept verbatim as a second
+# oracle: every row x^e -| D f over all of P_{<=d}, through one
+# ``_pivot_stream`` in batches by |e|.
+
+
+def _pivot_stream_profiles(f):
+    d = f.degree
+    _check_window_size(f.n, range(d + 1))
+    degrees = range(d, -1, -1)
+    col_degree = [i for i in degrees for _ in monomials(f.n, i)]
+    exps = list(monomials_upto(f.n, d))
+    batches = {k: [] for k in degrees}
+    for e, row in zip(exps, _contraction_rows(f, exps, degrees)):
+        batches[sum(e)].append(row)
+    prof = [0] * (d + 1)
+    profiles = [prof]
+    for pivots in _pivot_stream(batches.values(), f.field):
+        prof = list(prof)
+        for p in pivots:
+            prof[col_degree[p]] += 1
+        profiles.append(prof)
+    return profiles[::-1]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)], ids=str)
+def test_profiles_match_the_pivot_stream_oracle(field, rng):
+    for n in (1, 2, 3, 4):
+        for d in range(0, 5 if n == 4 else 7):
+            for f in _profile_polys(rng, n, field, d):
+                assert _filtration_profiles(f) == _pivot_stream_profiles(f), (n, d, f)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_profile_sweep_builds_no_row_a_full_batch_or_the_mark_decides(field, rng, monkeypatch):
+    # batch k (rows x^e -| D f, |e| = k) lies in P_{<=d-k}, the last
+    # dim P_{<=d-k} columns; ``stored`` is keyed by column minus that
+    # batch's first column.  The mark is the first column from which every
+    # column holds a stored pivot: a swept row leads before it and is a
+    # list up to it, and once the mark reaches the batch's first column the
+    # batch builds no further row.
+    state = {"k": None, "full": set(), "built": 0, "width": 0, "d": 0}
+    build = apolarity._profile_row
+
+    def building(get, e, cols):
+        state["k"] = k = sum(e)
+        assert k not in state["full"], ("a row built after batch %d filled" % k)
+        state["built"] += 1
+        return build(get, e, cols)
+
+    def storing(stored, row, p):
+        d, n, k = state["d"], state["n"], state["k"]
+        cols = sum(len(monomials(n, i)) for i in range(d - k + 1))  # dim P_{<=d-k}
+        mark = cols
+        while mark - 1 in stored:
+            mark -= 1
+        lead = next(compress(count(), row))
+        assert lead < mark and len(row) == mark, (k, lead, mark, len(row))
+        out = _store(stored, row, p)
+        if all(j in stored for j in range(cols)):
+            state["full"].add(k)
+        return out
+
+    monkeypatch.setattr(apolarity, "_profile_row", building)
+    monkeypatch.setattr(apolarity, "_store", storing)
+    skipped = fills = 0
+    for n, d in ((2, 4), (2, 6), (3, 4), (3, 5)):
+        for f in (random_poly(rng, n, field, d), random_poly(rng, n, field, d, density=0.9)):
+            state.update(full=set(), built=0, d=d, n=n)
+            assert _filtration_profiles(f) == _reference_profiles(f), f
+            fills += len(state["full"])
+            skipped += len(list(monomials_upto(n, d))) - state["built"]
+    assert fills > 0 and skipped > 0
 
 
 def test_hilbert_function_builds_no_echelon_form(monkeypatch):

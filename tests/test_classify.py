@@ -192,6 +192,17 @@ def test_improved_normal_form_hypothesis_failed():
         improved_normal_form(P(2, {(4, 0): 1, (0, 2): 1}), 1)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_improved_normal_form_of_a_constant_fails_its_hypotheses(field):
+    # a constant has a symmetric decomposition, Delta_0 = (1); the reduction
+    # still refuses it: P_{<=1} is not inside m^{t+1} -| f, and H(1) = 0
+    f = P(2, {(0, 0): 5}, field)
+    with pytest.raises(HypothesisFailed, match="P_{<=1} not inside m"):
+        improved_normal_form(f, 0)
+    with pytest.raises(HypothesisFailed, match=r"H\(1\) is not maximal"):
+        improved_normal_form(f, 1)
+
+
 def test_square_ideal_reduce_rank_two():
     f = P(2, {(5, 0): 1, (0, 5): 1, (3, 0): 1, (2, 1): 1, (1, 0): 2})
     trace = square_ideal_reduce(f, 0)

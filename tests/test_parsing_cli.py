@@ -175,6 +175,15 @@ def test_cli_boundary_inputs_exit_cleanly(capsys, argv, code):
         assert json.loads(captured.out)["results"]["deltas"] == [[1, 1]]
 
 
+@pytest.mark.parametrize("field", ["q", "fp:7"])
+def test_cli_symdec_of_a_constant(capsys, field):
+    # it exited 2 ("decomposition needs degree >= 1") while hilbert printed [1]
+    assert cli_dispatch(["symdec", "--vars", "2", "--field", field, "--json", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["deltas"] == [[1]]
+    assert cli_dispatch(["hilbert", "--vars", "2", "--field", field, "--json", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["hilbert"] == [1]
+
+
 def test_every_error_has_one_exit_class():
     seen, todo = set(), [errors.ApolarError]
     while todo:
