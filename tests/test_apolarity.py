@@ -449,19 +449,19 @@ def test_profiles_match_the_pivot_stream_oracle(field, rng):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
-def test_profile_sweep_builds_no_row_a_full_batch_or_the_mark_decides(field, rng, monkeypatch):
+def test_profile_sweep_skips_full_batches_and_rows_past_the_mark(field, rng, monkeypatch):
     # batch k (rows x^e -| D f, |e| = k) lies in P_{<=d-k}, the last
     # dim P_{<=d-k} columns; ``stored`` is keyed by column minus that
     # batch's first column.  The mark is the first column from which every
     # column holds a stored pivot: a swept row leads before it and is a
     # list up to it, and once the mark reaches the batch's first column the
     # batch builds no further row.
-    state = {"k": None, "full": set(), "built": 0, "width": 0, "d": 0}
+    state = {"k": None, "full": set(), "built": 0, "d": 0, "n": 0}
     build = apolarity._profile_row
 
     def building(get, e, cols):
         state["k"] = k = sum(e)
-        assert k not in state["full"], ("a row built after batch %d filled" % k)
+        assert k not in state["full"], "a row built after batch %d filled" % k
         state["built"] += 1
         return build(get, e, cols)
 
