@@ -103,24 +103,32 @@ def _substituted(ops, images):
     return out
 
 
+def _check_images(images):
+    """(n, field, trunc) of the first of ``images``, the images of a_1..a_n
+    under an automorphism or a derivation.  InvalidAutomorphism when there
+    is no image or an image has a constant term, ArityMismatch unless there
+    is one image per variable, FieldMismatch unless every image has the
+    first one's arity and field."""
+    if not images:
+        raise InvalidAutomorphism("no images")
+    n, field = images[0].n, images[0].field
+    if len(images) != n:
+        raise ArityMismatch("need %d images, got %d" % (n, len(images)))
+    for im in images:
+        if im.n != n or im.field != field:
+            raise FieldMismatch("inconsistent images")
+        if im.order < 1:
+            raise InvalidAutomorphism("image has a constant term")
+    return n, field, images[0].trunc
+
+
 class Automorphism:
     """phi: S -> S given by its images phi(a_i), truncated at the first
     image's ``trunc``."""
 
     def __init__(self, images):
-        if not images:
-            raise InvalidAutomorphism("no images")
-        self.n = images[0].n
-        self.field = images[0].field
-        self.trunc = images[0].trunc
+        self.n, self.field, self.trunc = _check_images(images)
         self.images = [im._at(self.trunc) for im in images]
-        if len(self.images) != self.n:
-            raise ArityMismatch("need %d images" % self.n)
-        for im in self.images:
-            if im.n != self.n or im.field != self.field:
-                raise FieldMismatch("inconsistent images")
-            if im.order < 1:
-                raise InvalidAutomorphism("image has a constant term")
         lin = self.linear_matrix()
         red, _ = rref(lin, self.field, self.n)
         if len(red) != self.n:
@@ -153,10 +161,10 @@ class Automorphism:
         # construction), so row i has its pivot at column i and its right
         # half divided by that pivot is row i of lin^-1
         aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.linear_matrix())]
-        red, _ = _echelon(_sparse(aug), field, 2 * n)
+        red, _ = _echelon(_sparse(aug), field)
         # L = lin transposed
         delta = lcm(*(red[i][i] for i in range(n)))
-        M = [[red[i][n + j] * (delta // red[i][i]) for i in range(n)] for j in range(n)]
+        M = [[red[i].get(n + j, 0) * (delta // red[i][i]) for i in range(n)] for j in range(n)]
         zero = Operator.zero(n, field, self.trunc)
         return [zero._make(delta, dict(zip(monomials(n, 1), row))) for row in M]
 
@@ -201,13 +209,8 @@ class Derivation:
     """D: S -> S with D(a_i) = images[i]; extended by the Leibniz rule."""
 
     def __init__(self, images):
-        self.n = images[0].n
-        self.field = images[0].field
-        self.trunc = images[0].trunc
+        self.n, self.field, self.trunc = _check_images(images)
         self.images = list(images)
-        for im in self.images:
-            if im.order < 1:
-                raise InvalidAutomorphism("derivation must preserve m")
 
     def __call__(self, op):
         out = Operator.zero(self.n, self.field, self.trunc)

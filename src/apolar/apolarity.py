@@ -5,10 +5,11 @@ All ideal-theoretic data is computed degree by degree with linear algebra.
 one forward sweep (``linalg._store``) of the catalecticant rows into one
 block of width w = dim S_i, built one row at a time: at the w-th stored row
 Ann(f)_i = 0, and no further row is built and nothing is back-substituted.
-Only when the sweep ends short of w are its rows back-substituted and the
-kernel read off them (``linalg._reversed_kernel``, the read-off of
-``linalg._kernel``).  For i > deg f every catalecticant row vanishes and
-Ann(f)_i = S_i, emitted as the unit rows with no elimination.
+Only when the sweep ends short of w are its rows, as one block, reduced
+(``linalg._reduced_rows``) and the kernel read off them
+(``linalg._reversed_kernel``, the read-off of ``linalg._kernel``).  For
+i > deg f every catalecticant row vanishes and Ann(f)_i = S_i, emitted as
+the unit rows {c: 1} with no elimination.
 
 The degree-i generators are the rows of I_i = Ann(f)_i that add a leading
 column to one forward sweep of the products a_t sigma, sigma in I_{i-1},
@@ -34,15 +35,17 @@ the filtration profiles) are filled by exponent lookup, row_e[c] =
 f._num[c + e], from f's stored numerators: they are D f for D = f._den
 (D = 1 over F_p).  Scaling every row by D changes no row space.  Outside
 ``ann_graded`` they are sparse integer rows, {column: int} dicts of their
-nonzero entries (the elimination's intake in ``linalg``), as are their
-shifts (``_shifted_rows``) and the products of ``ideal_square_graded``;
-the filtration profiles make each one a list on the columns it is swept
-on.  ``ann_graded`` sweeps every row it builds on its whole degree-i
-window, so it builds each as that list directly.
+nonzero entries (the one integer row format of ``linalg``), as are their
+shifts (``_shifted_rows``), the canonical rows of every ``Basis`` and
+generator, and the products of ``ideal_square_graded``; the filtration
+profiles and the generator sweep make a row a list (``linalg._dense``) on
+the columns it is swept on, when they sweep it.  ``ann_graded`` sweeps
+every row it builds on its whole degree-i window, so it builds each as
+that list directly.
 """
 
 import math
-from itertools import compress, count, islice
+from itertools import count, islice
 from operator import add
 
 from .dp import DPPoly, monomials, monomials_upto
@@ -50,14 +53,12 @@ from .errors import DecompositionInvariantViolated, IndexOutOfRange, ZeroPolynom
 from .linalg import (
     Basis,
     Window,
-    _back_substitute,
     _check_window_size,
     _dense,
     _reduced_rows,
     _reversed_kernel,
     _store,
     _sweep,
-    _unit_rows,
 )
 
 
@@ -129,23 +130,22 @@ def ann_graded(f, i):
     (``_store``) of those rows into one block of width w = dim S_i.  The
     rows are built one at a time, and at the w-th stored row Ann(f)_i = 0:
     no further row is built and nothing is back-substituted.  Otherwise the
-    stored rows are back-substituted (``_back_substitute``) and the kernel
-    is read off them (``_reversed_kernel``).  For i > deg f there are no
-    rows and the piece is S_i, whose canonical rows are the unit rows.
+    stored rows, as the single block (0, w - 1, stored), are
+    back-substituted (``_reduced_rows``) and the kernel is read off them
+    (``_reversed_kernel``).  For i > deg f there are no rows and the piece
+    is S_i, whose canonical rows are the unit rows {c: 1}.
     """
     if i < 0:
         raise IndexOutOfRange("annihilator degree must be >= 0, got %d" % i)
     win = Window.S_graded(f.n, i, f.field)
     w = win.dim
     if i > f.degree:
-        return Basis._of_canonical(win, _unit_rows(0, w - 1, w))
+        return Basis._of_canonical(win, [{c: 1} for c in range(w)])
     p, stored = f.field.p, {}
     for row in _catalecticant_rows(f, i):
         if _store(stored, row, p) is not None and len(stored) == w:
             return Basis._of_canonical(win, [])
-    leads = _back_substitute(stored, p)
-    red = [[0] * k + stored[k] for k in leads]
-    return Basis._of_canonical(win, _reversed_kernel(red, leads, p, w))
+    return Basis._of_canonical(win, _reversed_kernel(_reduced_rows([(0, w - 1, stored)], p), p, w))
 
 
 def _catalecticant_rows(f, i):
@@ -232,17 +232,14 @@ def _module_rows(f, k):
     ``leads`` are the columns at which one ``_sweep`` of them adds a pivot,
     None for a row in the span of the rows before it, so the rows with a
     lead are a basis of m^k f; ``canonical`` are the rows of its canonical
-    integer reduced echelon form (``_reduced_rows`` of the same sweep), as
-    sparse {column: int} rows of their nonzero entries.
+    integer reduced echelon form (``_reduced_rows`` of the same sweep).
     """
     d, p = max(f.degree, 0), f.field.p
     _check_window_size(f.n, range(d + 1))
     exps = [e for e in monomials_upto(f.n, d) if sum(e) >= k]
     rows = _contraction_rows(f, exps, range(d + 1))
     blocks, leads = _sweep(rows, p)
-    canonical = [{lead + j: tail[j] for j in compress(count(), tail)}
-                 for lead, tail in _reduced_rows(blocks, p)]
-    return rows, leads, canonical
+    return rows, leads, [row for _, row in _reduced_rows(blocks, p)]
 
 
 def module_sf(f, k):
@@ -250,8 +247,7 @@ def module_sf(f, k):
     of the rows x^e -| D f with |e| >= k in P_{<= deg f}, whose canonical
     rows ``_module_rows`` reads off one sweep."""
     win = Window.P_upto(f.n, max(f.degree, 0), f.field)
-    return Basis._of_canonical(win, [_dense(row, 0, win.dim - 1, f.field.p)
-                                     for row in _module_rows(f, k)[2]])
+    return Basis._of_canonical(win, _module_rows(f, k)[2])
 
 
 def dim_apolar(f):
@@ -428,13 +424,14 @@ def symmetric_decomposition(f):
 
 def _products(n, left, a, right, b, win):
     """The sparse integer rows of g h in ``win`` = S_{a+b} for g in ``left``
-    (integer rows over S_a) and h in ``right`` (integer rows over S_b)."""
+    (sparse integer rows over S_a) and h in ``right`` (sparse integer rows
+    over S_b)."""
     table = [[win.index[tuple(map(add, u, v))] for v in monomials(n, b)]
              for u in monomials(n, a)]
-    right = [[(k, h[k]) for k in compress(count(), h)] for h in right]
+    right = [list(h.items()) for h in right]
     out = []
     for g in left:
-        g = [(table[j], g[j]) for j in compress(count(), g)]
+        g = [(table[j], x) for j, x in g.items()]
         for h in right:
             row = {}
             for cols, x in g:
@@ -458,17 +455,18 @@ def _generator_rows(f, upto):
         raise ZeroPolynomial("annihilator of the zero polynomial")
     _check_window_size(f.n, range(upto + 1))  # the pieces fill S_{<= upto}
     pieces = {i: ann_graded(f, i) for i in range(upto + 1)}
-    units = [[int(j == t) for j in range(f.n)] for t in range(f.n)]
+    units = [{t: 1} for t in range(f.n)]
     p, gens = f.field.p, {}
     for i in range(1, upto + 1):
         I, stored = pieces[i], {}
+        last = I.window.dim - 1
         for row in _products(f.n, pieces[i - 1]._rows, i - 1, units, 1, I.window):
-            _store(stored, _dense(row, 0, I.window.dim - 1, p), p)
+            _store(stored, _dense(row, 0, last, p), p)
             if len(stored) == I.dim:  # the products span I_i
                 break
         # a row of I_i outside the span of the products and the rows before it
         gens[i] = [g for g in I._rows
-                   if len(stored) < I.dim and _store(stored, g, p) is not None]
+                   if len(stored) < I.dim and _store(stored, _dense(g, 0, last, p), p) is not None]
     return gens, pieces
 
 

@@ -273,11 +273,11 @@ def _tangent_quotient(f, e):
     order = [tangent_win.index[m] for i in range(f.degree, e - 1, -1) for m in monomials(f.n, i)]
     col = {c: j for j, c in enumerate(order)}  # the columns below degree e are dropped
     rows = [{col[c]: x for c, x in row.items() if c in col} for row in tangent_rows]
-    rows, pivots = _echelon(rows, f.field, len(order))
+    rows, pivots = _echelon(rows, f.field)
     win = Window.P_graded(f.n, e, f.field)
     lo = len(order) - win.dim  # the degree-e columns come last, so do their rows
     k = sum(p < lo for p in pivots)
-    elements = win._elements([row[lo:] for row in rows[k:]])
+    elements = win._elements([{c - lo: x for c, x in row.items()} for row in rows[k:]])
     return list(zip([win.columns[p - lo] for p in pivots[k:]], elements))
 
 
@@ -402,7 +402,9 @@ def square_ideal_reduce(f, t):
         # rows restricted to the degree-i columns
         win_i = Window.S_graded(n, i, field)
         lo = perp.window.index[win_i.columns[0]]
-        perp_i = Basis(win_i, [row[lo : lo + win_i.dim] for row in perp._rows])
+        hi = lo + win_i.dim
+        perp_i = Basis._of_rows(win_i, [{c - lo: x for c, x in row.items() if lo <= c < hi}
+                                        for row in perp._rows])
         if perp_i != _square(n, gens, pieces, i):
             raise HypothesisFailed("perp differs from (Ann F)^2 in degree %d" % i, i)
     return reduce_toward(f, F, stop_degree=t)

@@ -5,22 +5,25 @@ degrees -- together with the global graded-lex column order.  A
 :class:`Basis` is a subspace of a window, kept as its canonical integer
 reduced echelon form, so subspace equality is literal row equality.
 
-Elimination reads sparse integer rows: dicts {column: int} of a row's
-nonzero entries.  The row builders in ``apolarity``, ``tangent`` and
-``classify`` fill them from a polynomial's terms, so a row holds only the
-few terms it touches; the public entry points (``rref``, ``nullspace``,
-``solve``, ``Basis(window, rows)``, ``span``, ``contains_vector``) convert
-rows of field elements once (``_sparse``; over Q a row with Fractions is
-scaled by the lcm of its denominators).  There is one elimination, a
-forward sweep (``_sweep``).  Its intake reduces the entries mod p over F_p
-and drops the ones that vanish (a shift weight u_i + 1 can equal p), and
-reads each row's smallest and largest column.  Rows whose [first, last]
-intervals overlap share a column block, and the blocks are disjoint.  A
-row's reduction never leaves its block, so each block is swept on its own
-column slice, its rows in their order.  Each is made a list (``_dense``:
-over Q divided by its gcd, over F_p of residues) of its entries on that
-slice only when the sweep reaches it, and then reduced (``_store``)
-against the stored row at its leading column -- over Q by
+Every integer row here is sparse: a dict {column: int} of the row's nonzero
+entries.  The row builders in ``apolarity``, ``tangent`` and ``classify``
+fill them from a polynomial's terms, so a row holds only the few terms it
+touches; the public entry points (``rref``, ``nullspace``, ``solve``,
+``Basis(window, rows)``, ``span``, ``contains_vector``) check their rows of
+field elements (``_check_matrix``: ``AmbientMismatch`` for a wrong width,
+``FieldMismatch`` for an entry that is no field element) and convert them
+once (``_sparse``; over Q a row with Fractions is scaled by the lcm of its
+denominators).
+
+There is one elimination, a forward sweep (``_sweep``).  Its intake reduces
+the entries mod p over F_p and drops the ones that vanish (a shift weight
+u_i + 1 can equal p), and reads each row's smallest and largest column.
+Rows whose [first, last] intervals overlap share a column block, and the
+blocks are disjoint.  A row's reduction never leaves its block, so each
+block is swept on its own column slice, its rows in their order.  A row is
+made a list (``_dense``: over Q divided by its gcd, over F_p of residues) of
+its entries on that slice only when the sweep reaches it, and then reduced
+(``_store``) against the stored row at its leading column -- over Q by
 cross-multiplication with the row gcd divided out after every step, which
 keeps intermediate entries small -- until it vanishes or leads at a new
 column, where it is stored.  A block's sweep stops once its rank equals its
@@ -30,35 +33,37 @@ block fills, are never made lists.  A row filled from a homogeneous
 polynomial lives in one degree, so a graded space -- every space built from
 a form -- splits into one block per degree.
 
-An answer that needs only pivot columns or a rank -- membership here, the
+The sweep also returns, for each row, the column at which it added a pivot
+(None when it lies in the span of the rows before it).  An answer that
+needs only pivot columns or a rank reads them there: membership here, the
 orbit dimension in ``tangent``, and the equations the direct perp in
-``tangent`` keeps below the degree where it reuses the tangent's sweep --
-comes from ``_pivot_stream``, the sweep alone over batches of rows: a row
-belongs to the span of the rows before it iff it adds no pivot.  The
-annihilator generators in ``apolarity`` are the rows whose own ``_store``
-adds one, and the filtration profiles in ``apolarity`` count the pivots of
-their own early-exit ``_store`` sweep.  Canonical rows
-come from ``_reduced_rows``, which back-substitutes each block of a sweep
-(``_back_substitute``): the row space is the direct sum of the blocks' row
-spaces, so its reduced echelon form is the direct sum of theirs.  That form
-is canonical: over Q each row is the reduced row scaled to a primitive row
+``tangent`` keeps.  The annihilator generators in ``apolarity`` are the
+rows whose own ``_store`` adds one, and the filtration profiles in
+``apolarity`` count the pivots of their own early-exit ``_store`` sweep.
+
+Canonical rows come from ``_reduced_rows``, which back-substitutes each
+block of a sweep (``_back_substitute``) and turns its lists back into
+sparse rows: the row space is the direct sum of the blocks' row spaces, so
+its reduced echelon form is the direct sum of theirs.  That form is
+canonical: over Q each row is the reduced row scaled to a primitive row
 with a positive pivot, over F_p the reduced row itself (pivot 1); a
-full-rank block's form is the identity (canonical over Q and F_p alike),
-emitted without back-substitution.  ``_echelon`` pads those rows to lists
-of ints, which is what a ``Basis`` stores and what its ``perp``, ``sum``
-and ``==`` read; ``apolarity._module_rows`` keeps them sparse and reads
-the leads of the same sweep.  Fractions
-(over Q) appear only at the boundary, in ``rref``, ``nullspace`` and
-``Basis.rows``, which all divide each row by its pivot (``_decode``), and
-in ``solve``, which divides one entry per pivot row.  ``Basis.vectors()``
-hands each integer row with its pivot as denominator to the polynomials'
-own canonical form (``Window._elements``), so no Fraction is built there.
-A kernel is read off the echelon form of the column-reversed rows
-(``_kernel``, through ``_reversed_kernel``), where the kernel vectors come
-out already in canonical form (see there), so nothing is eliminated twice.
-The annihilator pieces in ``apolarity`` run their own early-exit sweep of
-such rows through ``_store`` and ``_back_substitute`` and share that
-read-off.
+full-rank block's form is the unit rows {c: 1} (canonical over Q and F_p
+alike), emitted without back-substitution.  Its rows are what ``_echelon``
+returns, what a ``Basis`` stores and what its ``perp``, ``sum``,
+``contains`` and ``==`` read, each row's keys in increasing column order,
+so its first entry is its pivot.  A kernel is read off the echelon form of
+the column-reversed rows (``_kernel``, through ``_reversed_kernel``), where
+the kernel vectors come out already in canonical form (see there), so
+nothing is eliminated twice; ``apolarity.ann_graded`` hands that read-off
+the rows of its own early-exit sweep.
+
+So rows are lists in two places only: inside the sweep, on a block's
+columns, and at the public boundary, where ``_decode`` makes full-width
+rows of field elements for ``rref``, ``nullspace`` and ``Basis.rows``
+(over Q each row divided by its pivot, as Fractions).  ``solve`` divides
+one entry per pivot row, and ``Basis.vectors()`` hands each integer row
+with its pivot as denominator to the polynomials' own canonical form
+(``Window._elements``), so no Fraction is built there.
 """
 
 from fractions import Fraction
@@ -75,9 +80,9 @@ from .errors import AmbientMismatch, ArityMismatch, FieldMismatch, WindowTooLarg
 
 def _sparse(rows):
     """Sparse integer rows of rows of field elements (the public entry
-    points' intake, and the lists a ``Basis`` keeps): each row's nonzero
-    entries by column, a row with Fractions (over Q) scaled by the lcm of
-    their denominators, which keeps its span."""
+    points' intake): each row's nonzero entries by column, a row with
+    Fractions (over Q) scaled by the lcm of their denominators, which keeps
+    its span."""
     out = []
     for row in rows:
         nonzero = {j: row[j] for j in compress(count(), row)}
@@ -186,24 +191,6 @@ def _sweep(rows, p):
     return blocks, leads
 
 
-def _pivot_stream(batches, field):
-    """Forward elimination of batches of sparse integer rows, reading pivot
-    columns only.
-
-    For each batch yields the pivot columns it adds to the span of the
-    rows before it, in row order, read off one ``_sweep`` of all the rows.
-    The pivot columns of an echelon form depend only on the row space, so
-    after each batch the columns so far are, sorted, the pivots
-    ``_echelon`` finds for all the rows so far.
-    """
-    batches = [list(batch) for batch in batches]
-    _, leads = _sweep([row for batch in batches for row in batch], field.p)
-    k = 0
-    for batch in batches:
-        yield [lead for lead in leads[k : k + len(batch)] if lead is not None]
-        k += len(batch)
-
-
 def _back_substitute(stored, p):
     """Make a sweep's ``stored`` rows the reduced echelon form, in place;
     returns their leads, sorted.
@@ -235,66 +222,55 @@ def _back_substitute(stored, p):
     return leads
 
 
-def _unit_rows(lo, hi, ncols):
-    """The unit rows with their 1 at columns lo..hi, of ``ncols`` entries:
-    the canonical form of a full-rank block [lo, hi], over Q and F_p alike."""
-    return [[0] * c + [1] + [0] * (ncols - c - 1) for c in range(lo, hi + 1)]
-
-
 def _reduced_rows(blocks, p):
     """The canonical integer reduced echelon rows of a ``_sweep``'s blocks,
-    as (lead, tail) pairs in increasing lead order: ``tail`` is the row's
-    entries from column ``lead`` on, to the end of its block (the row is
-    zero elsewhere).
+    as (lead, row) pairs in increasing lead order, each row sparse with its
+    keys in increasing column order.
 
     The row space is the direct sum of the blocks' row spaces, so its
     reduced echelon form is the direct sum of theirs: each block is
     back-substituted on its own column slice (``_back_substitute``).  A
     block whose rank equals its width w has the w unit rows as its reduced
-    echelon form, yielded as (c, [1]) without back-substitution.  This is
-    the one block loop behind both emissions, ``_echelon``'s full-width
-    lists and the sparse rows of ``apolarity._module_rows``.
+    echelon form, yielded as (c, {c: 1}) without back-substitution.
     """
     for lo, hi, stored in blocks:
         if len(stored) == hi + 1 - lo:
             # full rank: the rows not swept lie in the span, the form is the identity
             for c in range(lo, hi + 1):
-                yield c, [1]
+                yield c, {c: 1}
             continue
         for k in _back_substitute(stored, p):
-            yield lo + k, stored[k]
+            tail, lead = stored[k], lo + k
+            yield lead, {lead + j: tail[j] for j in compress(count(), tail)}
 
 
-def _echelon(rows, field, ncols):
-    """Canonical integer reduced echelon form of sparse integer rows over
-    ``ncols`` columns.
+def _echelon(rows, field):
+    """Canonical integer reduced echelon form of sparse integer rows.
 
-    Returns (rows, pivots): rows[r] is the r-th reduced row, a list of
-    ``ncols`` ints, with its pivot at column pivots[r] and zeros at every
-    other pivot column.  Pivots are increasing.  Over Q each row is
-    primitive with a positive pivot, over F_p its pivot is 1, so the form
-    depends only on the row space.  The rows are ``_reduced_rows`` of one
-    ``_sweep``, padded to full width.
+    Returns (rows, pivots): rows[r] is the r-th reduced row, sparse, with
+    its pivot at column pivots[r] and no entry at any other pivot column.
+    Pivots are increasing.  Over Q each row is primitive with a positive
+    pivot, over F_p its pivot is 1, so the form depends only on the row
+    space.  The rows are ``_reduced_rows`` of one ``_sweep``.
     """
-    p = field.p
-    out, pivots = [], []
-    for lead, tail in _reduced_rows(_sweep(rows, p)[0], p):
-        out.append([0] * lead + tail + [0] * (ncols - lead - len(tail)))
-        pivots.append(lead)
-    return out, pivots
+    reduced = list(_reduced_rows(_sweep(rows, field.p)[0], field.p))
+    return [row for _, row in reduced], [lead for lead, _ in reduced]
 
 
-def _decode(rows, field):
-    """Field-element rows of canonical integer rows, pivots 1.
+def _decode(rows, field, ncols):
+    """Field-element rows of ``ncols`` entries, pivots 1, of canonical
+    sparse integer rows.
 
-    Over Q each row is divided by its pivot, its first nonzero entry, as
-    Fractions; over F_p the residues are copied.
+    Over Q each entry is divided by the row's pivot, its first entry, as a
+    Fraction; over F_p the residues are placed as they are.
     """
-    if field.p:
-        return [list(row) for row in rows]
-    zero = field.zero()
-    pivots = [next(filter(None, row)) for row in rows]
-    return [[Fraction(x, piv) if x else zero for x in row] for row, piv in zip(rows, pivots)]
+    zero, out = field.zero(), []
+    for row in rows:
+        dense, piv = [zero] * ncols, next(iter(row.values()))
+        for j, x in row.items():
+            dense[j] = x if field.p else Fraction(x, piv)
+        out.append(dense)
+    return out
 
 
 def _kernel(rows, field, ncols):
@@ -303,17 +279,18 @@ def _kernel(rows, field, ncols):
     one ``_echelon`` of the column-reversed rows (column j of a row goes to
     last - j)."""
     last = ncols - 1
-    red, pivots = _echelon([{last - j: x for j, x in row.items()} for row in rows], field, ncols)
-    return _reversed_kernel(red, pivots, field.p, ncols)
+    red, pivots = _echelon([{last - j: x for j, x in row.items()} for row in rows], field)
+    return _reversed_kernel(zip(pivots, red), field.p, ncols)
 
 
-def _reversed_kernel(red, pivots, p, ncols):
-    """Canonical integer rows of the kernel of M, read off ``red``, the
-    canonical reduced echelon form (pivot columns ``pivots``) of M's
-    column-reversed rows, each a list of ``ncols`` ints.
+def _reversed_kernel(reduced, p, ncols):
+    """Canonical sparse integer rows of the kernel of M, read off
+    ``reduced``, the (lead, row) pairs (``_reduced_rows``) of the canonical
+    reduced echelon form of M's column-reversed rows, over ``ncols``
+    columns.
 
-    In the original order each row of ``red`` ends at its pivot column pc
-    and is 0 at the other pivot columns, so the kernel vector of a free
+    In the original order each reduced row ends at its pivot column pc and
+    has no entry at the other pivot columns, so the kernel vector of a free
     column c (1 at c, x_pc = -row[c] / row[pc]) is 0 left of c and at every
     other free column: sorted by c, the vectors are the kernel's reduced
     echelon form.  Each is scaled by the lcm of its denominators, which
@@ -321,16 +298,18 @@ def _reversed_kernel(red, pivots, p, ncols):
     1, so nothing is scaled).
     """
     last = ncols - 1  # column c of a reversed row sits at last - c
-    pivot_set = {last - pc for pc in pivots}
+    free = {c: [] for c in range(ncols)}  # free column -> its (pc, entry, pivot)s
+    for lead, row in reduced:
+        del free[last - lead]
+        piv = row[lead]
+        for j, x in row.items():
+            if j != lead:  # a free column: the row has no entry at another pivot
+                free[last - j].append((last - lead, x, piv))
     kernel = []
-    for c in range(ncols):
-        if c in pivot_set:
-            continue
-        entries = [(last - pc, row[last - c], row[pc]) for row, pc in zip(red, pivots) if row[last - c]]
+    for c, entries in free.items():
         L = lcm(*(den // gcd(x, den) for _, x, den in entries))
-        vec = [0] * ncols
-        vec[c] = L
-        for j, x, den in entries:
+        vec = {c: L}
+        for j, x, den in reversed(entries):  # the rows came by decreasing pc
             vec[j] = p - x if p else -x * L // den
         kernel.append(vec)
     return kernel
@@ -357,8 +336,8 @@ def rref(rows, field, ncols):
     equal to 1, sorted by pivot column.
     """
     _check_matrix(rows, field, ncols)
-    work, pivots = _echelon(_sparse(rows), field, ncols)
-    return _decode(work, field), pivots
+    work, pivots = _echelon(_sparse(rows), field)
+    return _decode(work, field, ncols), pivots
 
 
 def nullspace(rows, field, ncols):
@@ -366,7 +345,7 @@ def nullspace(rows, field, ncols):
     field elements each (else AmbientMismatch, FieldMismatch); see
     ``_kernel``."""
     _check_matrix(rows, field, ncols)
-    return _decode(_kernel(_sparse(rows), field, ncols), field)
+    return _decode(_kernel(_sparse(rows), field, ncols), field, ncols)
 
 
 def solve(rows, rhs, field, ncols):
@@ -389,12 +368,13 @@ def solve(rows, rhs, field, ncols):
 def _solve(rows, field, ncols):
     """``solve`` on the sparse integer rows of the augmented matrix [M | b],
     b at column ``ncols``."""
-    red, pivots = _echelon(rows, field, ncols + 1)
+    red, pivots = _echelon(rows, field)
     if ncols in pivots:
         return None
     x = [field.zero()] * ncols
     for row, pc in zip(red, pivots):
-        x[pc] = Fraction(row[ncols], row[pc]) if field.is_rationals else row[ncols]
+        b = row.get(ncols, 0)
+        x[pc] = Fraction(b, row[pc]) if field.is_rationals else b
     return x
 
 
@@ -510,10 +490,10 @@ class Window:
     def _elements(self, rows):
         """The elements of canonical integer rows (``_echelon``'s form), each
         built by one ``_make``: the numerators over the pivot, the row's first
-        nonzero entry (1 over F_p)."""
+        entry (1 over F_p)."""
         zero, cols = self.decode([]), self.columns  # the window's zero element
         return [
-            zero._make(next(filter(None, row)), {cols[j]: row[j] for j in compress(count(), row)})
+            zero._make(next(iter(row.values())), {cols[j]: x for j, x in row.items()})
             for row in rows
         ]
 
@@ -522,22 +502,22 @@ class Basis:
     """Canonical basis of a subspace of a window.
 
     Kept as the canonical integer reduced echelon form of ``_echelon``
-    (primitive rows with a positive pivot over Q, pivot 1 over F_p), which
-    every operation reads; ``rows`` builds field-element rows and
-    ``vectors()`` polynomials (DPPoly or Operator).
+    (sparse rows, primitive with a positive pivot over Q, pivot 1 over
+    F_p), which every operation reads; ``rows`` builds field-element rows
+    and ``vectors()`` polynomials (DPPoly or Operator).  ``rows`` given to
+    the constructor are lists of field elements, one per window column
+    (else AmbientMismatch, FieldMismatch).
     """
 
     def __init__(self, window, rows):
+        _check_matrix(rows, window.field, window.dim)
         self.window = window
-        self._rows, _ = _echelon(_sparse(rows), window.field, window.dim)
+        self._rows, _ = _echelon(_sparse(rows), window.field)
 
     @classmethod
     def _of_rows(cls, window, rows):
         """The span of the sparse integer ``rows`` over the window's columns."""
-        basis = cls.__new__(cls)
-        basis.window = window
-        basis._rows, _ = _echelon(rows, window.field, window.dim)
-        return basis
+        return cls._of_canonical(window, _echelon(rows, window.field)[0])
 
     @classmethod
     def _of_kernel(cls, window, eqs):
@@ -557,7 +537,7 @@ class Basis:
     @property
     def rows(self):
         """The reduced row echelon rows, as field elements (pivots 1)."""
-        return _decode(self._rows, self.window.field)
+        return _decode(self._rows, self.window.field, self.window.dim)
 
     @property
     def dim(self):
@@ -570,7 +550,7 @@ class Basis:
         return isinstance(other, Basis) and (self.window, self._rows) == (other.window, other._rows)
 
     def __hash__(self):
-        return hash((self.window, tuple(map(tuple, self._rows))))
+        return hash((self.window, tuple(tuple(row.items()) for row in self._rows)))
 
     def __repr__(self):
         return "<Basis dim=%d of %r>" % (self.dim, self.window)
@@ -580,25 +560,28 @@ class Basis:
             raise AmbientMismatch("windows differ: %r vs %r" % (self.window, other.window))
 
     def _adds_no_pivot(self, rows):
-        """Whether the sparse integer ``rows`` lie in the span: streamed
-        after the basis rows, they add no pivot."""
-        return not list(_pivot_stream((_sparse(self._rows), rows), self.window.field))[1]
+        """Whether the sparse integer ``rows`` lie in the span: swept after
+        the basis rows, they add no pivot."""
+        leads = _sweep(self._rows + rows, self.window.field.p)[1]
+        return all(lead is None for lead in leads[len(self._rows):])
 
     def contains_vector(self, vec):
-        row = self.window.encode(vec) if not isinstance(vec, list) else vec
-        if len(row) != self.window.dim:
-            raise AmbientMismatch("row of %d entries, window of %d" % (len(row), self.window.dim))
+        """Membership of a DPPoly/Operator of the window, or of a row of
+        field elements, one per window column (else AmbientMismatch,
+        FieldMismatch)."""
+        row = vec if isinstance(vec, list) else self.window.encode(vec)
+        _check_matrix([row], self.window.field, self.window.dim)
         return self._adds_no_pivot(_sparse([row]))
 
     def contains(self, other):
         if isinstance(other, Basis):
             self._require_same_window(other)
-            return self._adds_no_pivot(_sparse(other._rows))
+            return self._adds_no_pivot(other._rows)
         return self.contains_vector(other)
 
     def sum(self, other):
         self._require_same_window(other)
-        return Basis._of_rows(self.window, _sparse(self._rows + other._rows))
+        return Basis._of_rows(self.window, self._rows + other._rows)
 
     def intersect(self, other):
         self._require_same_window(other)
@@ -613,7 +596,7 @@ class Basis:
         )
         # the target column of each window column that has one
         col = {win.index[e]: j for j, e in enumerate(target.columns) if e in win.index}
-        eqs = [{col[i]: r[i] for i in compress(count(), r) if i in col} for r in self._rows]
+        eqs = [{col[i]: x for i, x in r.items() if i in col} for r in self._rows]
         return Basis._of_kernel(target, eqs)
 
 

@@ -49,7 +49,7 @@ from .apolarity import _contraction_rows, _module_rows, _shifted_rows
 from .dp import monomials, monomials_upto
 from .errors import CrossCheckFailed, IndexOutOfRange, TdfMismatch, ZeroPolynomial
 from .fields import char_guard
-from .linalg import Basis, Window, _pivot_stream
+from .linalg import Basis, Window, _sweep
 
 
 def _tangent_rows(f, k, module=None):
@@ -117,9 +117,8 @@ def _perp_direct(f, unipotent, max_degree, module=None):
     max_degree >= deg f - k no column is cut: they are the rows of m^k f
     that ``module`` (``apolarity._module_rows(f, k)``, built here when not
     given) has swept already, and its leads decide the drops.  Below that
-    bound the restricted rows are built and swept here (``_pivot_stream``,
-    one row per batch): restriction can add dependencies, so their drops
-    differ.
+    bound the restricted rows are built and swept here (``_sweep``):
+    restriction can add dependencies, so their drops differ.
     """
     n, field = f.n, f.field
     d, k = max(f.degree, 0), 2 if unipotent else 1
@@ -127,11 +126,11 @@ def _perp_direct(f, unipotent, max_degree, module=None):
     eqs = _contraction_rows(f, monomials(n, k - 1), range(max_degree + 1))
     if max_degree >= d - k:
         base, leads = (module or _module_rows(f, k))[:2]
-        kept = [row for row, lead in zip(base, leads) if lead is not None]
     else:
         exps = [m for m in monomials_upto(n, d) if sum(m) >= k]
         base = _contraction_rows(f, exps, range(max_degree + 1))
-        kept = [row for row, new in zip(base, _pivot_stream([[row] for row in base], field)) if new]
+        leads = _sweep(base, field.p)[1]
+    kept = [row for row, lead in zip(base, leads) if lead is not None]
     for row, shifts in zip(kept, _shifted_rows(kept, n, range(max_degree), win)):
         eqs.append(row)
         eqs += shifts
@@ -171,14 +170,14 @@ def perp_tangent(f, unipotent=False, max_degree=None):
 def orbit_dimension(f):
     """dim G f = dim tangent_space(f); valid in char 0 or > deg f.
 
-    The rank of the tangent rows (``_tangent_rows``), read off one
-    ``_pivot_stream`` sweep: no canonical tangent rows are needed.
+    The rank of the tangent rows (``_tangent_rows``): the pivots one
+    ``_sweep`` of them adds.  No canonical tangent rows are needed.
     """
     if f.is_zero():
         raise ZeroPolynomial("orbit of the zero polynomial")
     char_guard(f.field, max(f.degree, 0))
-    (pivots,) = _pivot_stream([_tangent_rows(f, 1)[1]], f.field)
-    return len(pivots)
+    leads = _sweep(_tangent_rows(f, 1)[1], f.field.p)[1]
+    return len(leads) - leads.count(None)
 
 
 def dense_orbit_test(F):

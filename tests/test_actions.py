@@ -148,6 +148,26 @@ def test_apply_linear_map_preserves_degree(rng):
     assert out.tdf() == out and out.degree == 4
 
 
+def test_derivation_checks_its_images_as_automorphism_does():
+    # Derivation([]) raised IndexError, and a derivation with fewer images
+    # than variables was accepted and raised IndexError when applied
+    a1 = V(2, 1, 4)
+    cases = [
+        ([], InvalidAutomorphism),
+        ([a1 * a1], ArityMismatch),  # one image in two variables
+        ([a1 * a1, a1, a1], ArityMismatch),
+        ([a1 * a1, V(3, 1, 4)], FieldMismatch),  # mixed arity
+        ([a1 * a1, Operator.variable(2, GF(7), 2, 4)], FieldMismatch),  # mixed field
+        ([a1 * a1, Operator.one(2, QQ, 4)], InvalidAutomorphism),  # a constant term
+    ]
+    for images, error in cases:
+        for cls in (Automorphism, Derivation):
+            with pytest.raises(error):
+                cls(images)
+    D = Derivation([a1 * a1, Operator.zero(2, QQ, 4)])
+    assert D(V(2, 2, 4)).is_zero() and D(a1) == a1 * a1
+
+
 def test_derivation_leibniz():
     D = Derivation([V(2, 2, 4) * V(2, 2, 4), Operator.zero(2, QQ, 4)])
     s = V(2, 1, 4) * V(2, 1, 4)

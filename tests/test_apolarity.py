@@ -37,8 +37,8 @@ from apolar.linalg import (
     Basis,
     Window,
     _check_window_size,
+    _dense,
     _echelon,
-    _pivot_stream,
     _reduced_rows,
     _sparse,
     _store,
@@ -46,7 +46,7 @@ from apolar.linalg import (
 from apolar.parsing import parse_poly
 
 from conftest import random_form, random_poly, with_fractions
-from test_linalg import _densified, _reference_contains
+from test_linalg import _densified, _pivot_stream, _reference_contains
 
 
 def P(n, terms, field=QQ):
@@ -353,14 +353,16 @@ def test_sparse_row_builders_match_the_dense_ones(field, rng):
                 want = _reference_dense_shifted_rows(dense, n, range(d), win)
                 assert [_densified(shifts, win.dim) for shifts in got] == want, f
                 # the products of the pieces of Ann(f) with S_1 and with each other
-                units = [[int(j == t) for j in range(n)] for t in range(n)]
+                units = [{t: 1} for t in range(n)]
                 for i in range(1, d + 2):
                     I, J = ann_graded(f, i - 1), ann_graded(f, 1)
                     win = Window.S_graded(n, i, field)
-                    for right, b in ((units, 1), (J._rows, 1)):
+                    left = _densified(I._rows, I.window.dim)
+                    for right, b in ((units, 1), (J._rows, 1)):  # rows over S_1
                         got = _products(n, I._rows, i - 1, right, b, win)
                         assert all(all(row.values()) for row in got), f
-                        want = _reference_dense_products(n, I._rows, i - 1, right, b, win)
+                        right = _densified(right, n)
+                        want = _reference_dense_products(n, left, i - 1, right, b, win)
                         assert _densified(got, win.dim) == want, (f, i)
 
 
@@ -378,7 +380,7 @@ def _reference_profiles(f):
     rows = list(zip(map(sum, exps), _contraction_rows(f, exps, degrees)))
     profiles = []
     for k in range(d + 2):
-        _, pivots = _echelon([row for deg, row in rows if deg >= k], f.field, len(col_degree))
+        _, pivots = _echelon([row for deg, row in rows if deg >= k], f.field)
         prof = [0] * (d + 1)
         for p in pivots:
             prof[col_degree[p]] += 1
@@ -416,9 +418,9 @@ def test_profiles_match_nested_echelon_oracle(field, rng):
                 assert _filtration_profiles(f) == _reference_profiles(f), (n, d, f)
 
 
-# The route the early-exit sweep replaced, kept verbatim as a second
-# oracle: every row x^e -| D f over all of P_{<=d}, through one
-# ``_pivot_stream`` in batches by |e|.
+# The route the early-exit sweep replaced, kept as a second oracle: every
+# row x^e -| D f over all of P_{<=d}, through one ``_sweep`` whose leads are
+# read off in batches by |e| (``_pivot_stream``, a test-side helper).
 
 
 def _pivot_stream_profiles(f):
@@ -600,7 +602,7 @@ def test_ann_graded_matches_the_full_catalecticant_kernel(field, rng):
             for f in polys:
                 for i in range(d + 3):
                     got, want = ann_graded(f, i), _reference_ann_graded(f, i)
-                    assert got.window == want.window and got._rows == want._rows, (f, i)
+                    assert got == want, (f, i)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
@@ -625,7 +627,7 @@ def test_ann_graded_builds_no_row_past_an_injective_catalecticant(field, rng, mo
 
     monkeypatch.setattr(apolarity, "_catalecticant_rows", counting)
     monkeypatch.setattr(apolarity, "_store", recording)
-    monkeypatch.setattr(apolarity, "_back_substitute", no_back_substitution)
+    monkeypatch.setattr(linalg, "_back_substitute", no_back_substitution)
     cases, skipped = 0, 0
     for n, d, i in ((2, 6, 2), (2, 7, 3), (3, 4, 1), (3, 6, 2)):
         w = len(monomials(n, i))
@@ -733,14 +735,14 @@ def test_squares_from_one_generator_pass_match_each_degree(field, rng):
 
 def _transposed_generator_rows(f, upto):
     pieces = {i: ann_graded(f, i) for i in range(upto + 1)}
-    units = [[int(j == t) for j in range(f.n)] for t in range(f.n)]
+    units = [{t: 1} for t in range(f.n)]
     gens = {}
     for i in range(1, upto + 1):
         I = pieces[i]
-        cols = _products(f.n, pieces[i - 1]._rows, i - 1, units, 1, I.window)
-        cols = _densified(cols, I.window.dim)
-        pivots = sorted(next(_pivot_stream([_sparse(zip(*cols, *I._rows))], f.field)))
-        gens[i] = [I._rows[c - len(cols)] for c in pivots if c >= len(cols)]
+        products = _products(f.n, pieces[i - 1]._rows, i - 1, units, 1, I.window)
+        cols = _densified(products + I._rows, I.window.dim)
+        pivots = sorted(next(_pivot_stream([_sparse(zip(*cols))], f.field)))
+        gens[i] = [I._rows[c - len(products)] for c in pivots if c >= len(products)]
     return gens, pieces
 
 
@@ -764,13 +766,13 @@ def test_generator_rows_match_the_transposed_selection(field, rng):
 def test_generator_sweep_stops_once_the_products_span_the_piece(field, monkeypatch):
     # I_{d+1} = S_{d+1} for deg f = d, and for x1^[d] + x2^[d] + x3^[d]
     # (Ann generated by a_i a_j, a_1^d - a_j^d) it is S_1 I_d
-    swept = []
+    swept = []  # the sparse rows made lists for the sweep
 
-    def recording(stored, row, p):
+    def recording(row, lo, hi, p):
         swept.append(row)
-        return _store(stored, row, p)
+        return _dense(row, lo, hi, p)
 
-    monkeypatch.setattr(apolarity, "_store", recording)
+    monkeypatch.setattr(apolarity, "_dense", recording)
     for d in (2, 3, 4):
         f = parse_poly("x1^[%d] + x2^[%d] + x3^[%d]" % (d, d, d), 3, field)
         swept.clear()

@@ -1,5 +1,5 @@
 from fractions import Fraction as Q
-from itertools import compress, count
+from itertools import compress, count, islice
 from math import comb, gcd, lcm
 from operator import itemgetter
 
@@ -13,6 +13,8 @@ from apolar import (
     Operator,
     Window,
     ann_generators,
+    ann_graded,
+    module_sf,
     nullspace,
     perp_tangent,
     rref,
@@ -20,7 +22,8 @@ from apolar import (
     span,
 )
 from apolar import linalg
-from apolar.apolarity import _generator_rows
+from apolar.apolarity import _contraction_rows, _generator_rows
+from apolar.dp import monomials_upto
 from apolar.errors import AmbientMismatch, ArityMismatch, FieldMismatch, WindowTooLarge
 from apolar.linalg import (
     MAX_WINDOW_COLUMNS,
@@ -29,9 +32,9 @@ from apolar.linalg import (
     _decode,
     _echelon,
     _kernel,
-    _pivot_stream,
     _sparse,
     _store,
+    _sweep,
 )
 from conftest import random_poly, with_fractions
 
@@ -140,7 +143,9 @@ def test_prime_field_subspaces():
 
 
 def _densified(rows, ncols):
-    """The dense lists of sparse rows over ``ncols`` columns."""
+    """The dense lists of sparse rows over ``ncols`` columns: every test
+    compares the sparse rows of ``_echelon``, ``_kernel``, ``Basis._rows``
+    and the row builders to lists through this."""
     out = []
     for row in rows:
         dense = [0] * ncols
@@ -308,9 +313,9 @@ def test_block_split_matches_oracle(field, rng):
         rows, ncols = _block_matrix(rng, field)
         got = rref(rows, field, ncols)
         assert _typed(got) == _typed(_reference_rref(rows, field, ncols)), rows
-        echelon, pivots = _echelon(_sparse(rows), field, ncols)
-        assert pivots == got[1]
-        assert all(len(row) == ncols for row in echelon)
+        echelon, pivots = _echelon(_sparse(rows), field)
+        assert _typed((_decode(echelon, field, ncols), pivots)) == _typed(got)
+        assert _densified(echelon, ncols) == _reference_echelon(_sparse(rows), field, ncols)[0]
 
 
 # Differential oracle for full column blocks: the echelon form that sweeps
@@ -416,8 +421,14 @@ def _tall_block_matrix(rng, field):
 
 def _old_path(fn, *args):
     """``fn(*args)`` with every elimination through ``_reference_echelon``."""
+
+    def echelon(rows, field):
+        ncols = 1 + max(map(max, filter(None, rows)), default=-1)
+        red, pivots = _reference_echelon(rows, field, ncols)
+        return _sparse(red), pivots
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_echelon", _reference_echelon)
+        mp.setattr(linalg, "_echelon", echelon)
         return fn(*args)
 
 
@@ -426,9 +437,10 @@ def test_full_blocks_match_the_sweep_of_every_row(field, rng):
     for _ in range(300):
         rows, ncols = _tall_block_matrix(rng, field)
         want = _reference_echelon(_sparse(rows), field, ncols)
-        assert _echelon(_sparse(rows), field, ncols) == want, rows
+        red, pivots = _echelon(_sparse(rows), field)
+        assert (_densified(red, ncols), pivots) == want, rows
         got = rref(rows, field, ncols)
-        assert _typed(got) == _typed((_decode(want[0], field), want[1]))
+        assert _typed(got) == _typed((_decode(red, field, ncols), pivots))
         assert _typed(got) == _typed(_reference_rref(rows, field, ncols)), rows
         kernel = nullspace(rows, field, ncols)
         assert _typed((kernel, None)) == _typed((_old_path(nullspace, rows, field, ncols), None))
@@ -456,17 +468,17 @@ def test_a_full_block_stops_its_sweep(field, rng, monkeypatch):
         rows = [[int(j in (0, i)) for j in range(width)] for i in range(width)]
         rows += [[rng.randint(-9, 9) for _ in range(width)] for _ in range(40)]
         calls.update(_store=0, _back_substitute=0)
-        red, pivots = _echelon(_sparse(rows), field, width)
+        red, pivots = _echelon(_sparse(rows), field)
         assert calls == {"_store": width, "_back_substitute": 0}
-        assert (red, pivots) == ([[int(i == j) for j in range(width)] for i in range(width)],
-                                 list(range(width)))
+        assert (_densified(red, width), pivots) == (
+            [[int(i == j) for j in range(width)] for i in range(width)], list(range(width)))
 
 
 # Differential oracle for the sparse intake: the dense elimination that
 # came before it, kept verbatim -- every row made a full-width integer row
 # (``_integer_row``) and placed by scanning it for its first and last nonzero
-# entry -- against ``_echelon``, ``_kernel`` and ``_pivot_stream`` on the same
-# rows as {column: int} dicts.
+# entry -- against ``_echelon``, ``_kernel`` and the leads of ``_sweep`` (read
+# per batch by ``_pivot_stream``) on the same rows as {column: int} dicts.
 
 
 def _integer_row(row, field):
@@ -598,8 +610,10 @@ def test_sparse_intake_matches_the_dense_path(field, rng):
         rows, ncols = _sparse_matrix(rng, field)
         before = [list(row.items()) for row in rows]
         dense = _densified(rows, ncols)
-        assert _echelon(rows, field, ncols) == _reference_dense_echelon(dense, field), rows
-        assert _kernel(rows, field, ncols) == _reference_dense_kernel(dense, field, ncols), rows
+        red, pivots = _echelon(rows, field)
+        assert (_densified(red, ncols), pivots) == _reference_dense_echelon(dense, field), rows
+        kernel = _densified(_kernel(rows, field, ncols), ncols)
+        assert kernel == _reference_dense_kernel(dense, field, ncols), rows
         batches = _cut(rng, rows)
         got = list(_pivot_stream(batches, field))
         want = list(_reference_dense_pivot_stream([_densified(b, ncols) for b in batches], field))
@@ -736,6 +750,8 @@ def test_public_routines_reject_wrong_shapes():
         lambda: rref([[1, 2], [3]], QQ, 2),
         lambda: nullspace([[1, 2]], QQ, 3),
         lambda: nullspace([[1, 2], [1]], GF(7), 2),
+        lambda: Basis(Window.P_graded(2, 1, QQ), [[1, 0, 0]]),
+        lambda: Basis(Window.P_graded(2, 1, GF(7)), [[1, 0], [1]]),
     ]
     for call in bad:
         with pytest.raises(AmbientMismatch):
@@ -752,6 +768,14 @@ def test_public_routines_reject_wrong_shapes():
         lambda: solve([[1, 2.0]], [1], GF(7), 2),
         lambda: rref([[True, 0]], QQ, 2),
         lambda: rref([["1", 0]], GF(7), 2),
+        # Basis(window, rows) and a plain row given to contains_vector/contains
+        lambda: Basis(Window.P_graded(2, 1, GF(7)), [[1, 0]]).contains_vector([Q(1, 2), 0]),
+        lambda: Basis(Window.P_graded(2, 1, GF(7)), [[1, 0]]).contains([Q(1, 2), 0]),
+        lambda: Basis(Window.P_graded(2, 1, GF(7)), [[1, Q(1, 2)]]),
+        lambda: Basis(Window.P_graded(2, 1, QQ), [[1, 0.5]]),
+        lambda: Basis(Window.P_graded(2, 1, QQ), [["1", 0]]),
+        lambda: Basis(Window.P_graded(2, 1, QQ), [[1, 0]]).contains_vector([0.5, 0]),
+        lambda: Basis(Window.P_graded(2, 1, QQ), [[1, 0]]).contains_vector(["1", 0]),
     ]
     for call in not_elements:
         with pytest.raises(FieldMismatch):
@@ -767,6 +791,16 @@ def test_public_routines_reject_wrong_shapes():
 # has yielded so far are, sorted, the pivots of the reference rref of every
 # row so far (not of ``_echelon``, which runs the same sweep).  The rows
 # include zero rows, repeated rows, rows equal up to sign and empty batches.
+
+
+def _pivot_stream(batches, field):
+    """For each batch of sparse integer rows, the pivot columns it adds to
+    the span of the rows before it, in row order: the leads of one
+    ``_sweep`` of all the rows, read off batch by batch."""
+    batches = [list(batch) for batch in batches]
+    leads = iter(_sweep([row for batch in batches for row in batch], field.p)[1])
+    for batch in batches:
+        yield [lead for lead in islice(leads, len(batch)) if lead is not None]
 
 
 def _stream_cases(rng, field):
@@ -855,13 +889,26 @@ def test_contains_matches_reduction_oracle(field, rng):
 
 
 def _assert_canonical_integer_rows(rows, field):
+    """Sparse rows with their keys increasing and no zero entry, leads
+    strictly increasing; over Q primitive with a positive pivot, over F_p
+    pivot 1 and residues."""
+    leads = [min(row) for row in rows]
+    assert all(a < b for a, b in zip(leads, leads[1:])), leads
     for row in rows:
-        assert all(type(x) is int for x in row), row
-        pivot = next(x for x in row if x)
+        entries = list(row.values())
+        assert list(row) == sorted(row) and all(type(x) is int and x for x in entries), row
         if field.is_rationals:
-            assert pivot > 0 and gcd(*row) == 1, row
+            assert entries[0] > 0 and gcd(*entries) == 1, row
         else:
-            assert pivot == 1 and all(0 <= x < field.p for x in row), row
+            assert entries[0] == 1 and all(0 < x < field.p for x in entries), row
+
+
+def _assert_canonical_route(basis, rows):
+    """``basis`` keeps the canonical integer form, and ``Basis.rows`` is
+    the ``rref`` of ``rows``, field-element rows that span it."""
+    field, ncols = basis.window.field, basis.window.dim
+    _assert_canonical_integer_rows(basis._rows, field)
+    assert _typed((basis.rows, None)) == _typed((rref(rows, field, ncols)[0], None)), rows
 
 
 def _integer_form_cases(rng, field):
@@ -890,15 +937,37 @@ def _same_space_rows(rng, field, rows):
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
 def test_basis_keeps_the_canonical_integer_form(field, rng):
+    # every route that builds a Basis: the constructor, span, _of_rows, sum,
+    # perp and _of_kernel, module_sf and ann_graded
     for win, rows in _integer_form_cases(rng, field):
         basis = Basis(win, rows)
-        _assert_canonical_integer_rows(basis._rows, field)
+        _assert_canonical_route(basis, rows)
         assert _typed((basis.rows, None)) == _typed((_reference_rref(rows, field, win.dim)[0], None))
-        kernel = _kernel(_sparse(rows), field, win.dim)
-        _assert_canonical_integer_rows(kernel, field)
-        want = _reference_nullspace(rows, field, win.dim)
-        assert _typed((_decode(kernel, field), None)) == _typed((want, None)), rows
-        assert basis.perp().dim == win.dim - basis.dim
+        _assert_canonical_route(span([win.decode(r) for r in rows], win), rows)
+        _assert_canonical_route(Basis._of_rows(win, _sparse(rows)), rows)
+        half = len(rows) // 2
+        _assert_canonical_route(Basis(win, rows[:half]).sum(Basis(win, rows[half:])), rows)
+        kernel = _reference_nullspace(rows, field, win.dim)
+        perp = basis.perp()
+        _assert_canonical_route(perp, kernel)
+        _assert_canonical_route(Basis._of_kernel(win, _sparse(rows)), kernel)
+        assert perp.dim == win.dim - basis.dim
+        _assert_canonical_integer_rows(_kernel(_sparse(rows), field, win.dim), field)
+    for _ in range(12):
+        n, d = rng.randint(1, 3), rng.randint(0, 4)
+        f = random_poly(rng, n, field, d)
+        if field.is_rationals:
+            f = with_fractions(rng, f)
+        for k in range(d + 2):
+            mk = module_sf(f, k)
+            exps = [e for e in monomials_upto(n, d) if sum(e) >= k]
+            rows = _densified(_contraction_rows(f, exps, range(d + 1)), mk.window.dim)
+            _assert_canonical_route(mk, rows)
+        for i in range(d + 3):  # i > d: Ann(f)_i is S_i, the unit rows
+            ann = ann_graded(f, i)
+            w = ann.window.dim
+            eqs = _densified(_contraction_rows(f, list(monomials_upto(n, d)), (i,)), w)
+            _assert_canonical_route(ann, _reference_nullspace(eqs, field, w))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
@@ -922,7 +991,8 @@ def test_vectors_match_the_decoded_rows(field, rng):
     for _ in range(10):
         f = random_poly(rng, rng.randint(1, 3), field, rng.randint(1, 4))
         gens, pieces = _generator_rows(f, f.degree + 1)
-        want = [pieces[i].window.decode(r) for i in gens for r in _decode(gens[i], field)]
+        want = [pieces[i].window.decode(r) for i in gens
+                for r in _decode(gens[i], field, pieces[i].window.dim)]
         assert ann_generators(f, f.degree + 1)[0] == want, f
 
 

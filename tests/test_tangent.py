@@ -29,11 +29,11 @@ from apolar.errors import (
     TdfMismatch,
     ZeroPolynomial,
 )
-from apolar.linalg import Basis, _pivot_stream, _sparse, _store
+from apolar.linalg import Basis, _sparse, _store
 from apolar.tangent import _checked_perp, _perp_direct, _tangent_rows
 
 from conftest import random_form, random_poly, with_fractions
-from test_linalg import _densified, _integer_row
+from test_linalg import _densified, _integer_row, _pivot_stream
 
 
 def P(n, terms, field=QQ):
@@ -396,7 +396,7 @@ def _reference_tangent_rows(f, k):
     if f.is_zero():
         raise ZeroPolynomial("tangent space of the zero polynomial")
     mk = _reference_module_sf(f, k)
-    win, gs = mk.window, _sparse(mk._rows)
+    win, gs = mk.window, mk._rows
     d = max(f.degree, 0)
     rows = _contraction_rows(f, monomials(f.n, k - 1), range(d + 1))
     # m^k f lies in P_{<= d-1}, so its rows are shifted from degrees < d
@@ -435,7 +435,10 @@ def test_one_sweep_of_the_module_matches_the_separate_routes(field, rng):
                 for k in (1, 2):
                     module = _module_rows(f, k)
                     mk = _reference_module_sf(f, k)
-                    assert _densified(module[2], mk.window.dim) == mk._rows == module_sf(f, k)._rows
+                    dim = mk.window.dim
+                    want = _densified(mk._rows, dim)
+                    assert _densified(module[2], dim) == want
+                    assert _densified(module_sf(f, k)._rows, dim) == want
                     assert _tangent_rows(f, k) == _tangent_rows(f, k, module) == _reference_tangent_rows(f, k)
                     for max_degree in sorted({0, d - k - 1, d - k, d, d + 1} - {-1, -2}):
                         want = _reference_swept_perp_direct(f, k == 2, max_degree)
@@ -467,8 +470,8 @@ def test_perp_tangent_builds_and_sweeps_the_module_rows_once(monkeypatch, rng, u
 
     for module in (apolarity, tangent):
         monkeypatch.setattr(module, "_contraction_rows", counting_rows)
-    for module in (linalg, apolarity):
-        monkeypatch.setattr(module, "_sweep", counting_sweep, raising=False)
+    for module in (linalg, apolarity, tangent):
+        monkeypatch.setattr(module, "_sweep", counting_sweep)
     for f in (random_form(rng, 3, QQ, 5), random_poly(rng, 3, QQ, 5),
               with_fractions(rng, random_poly(rng, 2, QQ, 6)), random_poly(rng, 4, GF(101), 4)):
         d = f.degree
