@@ -12,8 +12,16 @@ How the costly maps are computed:
 
 * ``apply_automorphism_dual`` uses the adjunction <sigma, phi_dual f> =
   <phi(sigma), f>: the coefficient of x^[b] in phi_dual(f) is
-  <phi(a)^b, f>, one pairing per monomial b with |b| <= deg f, read off a
-  power table of the images' products truncated at deg f.
+  <phi(a)^b, f>, one pairing per monomial b with |b| <= d = deg f, read
+  off a power table of the images' products truncated at d.  Let s + 1
+  be the lowest degree of a term of any phi(a_i) - a_i (s = d if there is
+  none).  For |b| > d - s, phi(a)^b truncated at d is a^b, so the
+  coefficient of x^[b] is f's own; the table is built only for
+  |b| <= d - s.  A reduction step is the identity modulo m^{s+1} with
+  s >= 1, and a homogeneous step at degree e has s = d - e: it pays for
+  the degrees <= e it changes.
+* ``Automorphism`` checks that L is invertible with one integer sweep
+  (``linalg._sweep``) of the numerators of the images' linear parts.
 * ``Automorphism._preimage`` is the one solver for phi(x) = u.  It goes
   one degree at a time: the residual u - phi(x_{<r}) has order >= r, x_r
   is L^{-1} applied to its degree-r part, and round r substitutes only
@@ -50,7 +58,7 @@ from .errors import (
     SingularMatrix,
 )
 from .fields import char_guard
-from .linalg import _echelon, _sparse, rref
+from .linalg import _echelon, _sparse, _sweep, rref
 
 
 def subst(op, images):
@@ -106,11 +114,13 @@ def _substituted(ops, images):
 def _check_images(images):
     """(n, field, trunc) of the first of ``images``, the images of a_1..a_n
     under an automorphism or a derivation.  InvalidAutomorphism when there
-    is no image or an image has a constant term, ArityMismatch unless there
-    is one image per variable, FieldMismatch unless every image has the
-    first one's arity and field."""
+    is no image, or an image is not an Operator or has a constant term,
+    ArityMismatch unless there is one image per variable, FieldMismatch
+    unless every image has the first one's arity and field."""
     if not images:
         raise InvalidAutomorphism("no images")
+    if not all(isinstance(im, Operator) for im in images):
+        raise InvalidAutomorphism("image is not an Operator")
     n, field = images[0].n, images[0].field
     if len(images) != n:
         raise ArityMismatch("need %d images, got %d" % (n, len(images)))
@@ -129,9 +139,13 @@ class Automorphism:
     def __init__(self, images):
         self.n, self.field, self.trunc = _check_images(images)
         self.images = [im._at(self.trunc) for im in images]
-        lin = self.linear_matrix()
-        red, _ = rref(lin, self.field, self.n)
-        if len(red) != self.n:
+        # row i holds the numerators of the linear part of phi(a_i): the rows
+        # of linear_matrix's transpose, so a lead is None iff L is singular
+        rows = [
+            {j: v for j, a in enumerate(monomials(self.n, 1)) if (v := im._num.get(a))}
+            for im in self.images
+        ]
+        if None in _sweep(rows, self.field.p)[1]:
             raise InvalidAutomorphism("linear parts are dependent")
 
     def linear_matrix(self):
@@ -142,13 +156,19 @@ class Automorphism:
             for j in range(self.n)
         ]
 
-    def is_unipotent(self):
-        """Every phi(a_i) - a_i lies in m^2: the linear part is the identity."""
+    def _lowest_change(self):
+        """The lowest degree of a term of any phi(a_i) - a_i, trunc + 1 if
+        there is none: phi is the identity modulo m^that."""
         # in canonical form the coefficient 1 is the numerator _den
-        return all(
-            {e: v for e, v in im._num.items() if sum(e) == 1} == {a: im._den}
+        return min(
+            1 if im._num.get(a) != im._den
+            else min((sum(e) for e in im._num if e != a), default=self.trunc + 1)
             for a, im in zip(monomials(self.n, 1), self.images)
         )
+
+    def is_unipotent(self):
+        """Every phi(a_i) - a_i lies in m^2: the linear part is the identity."""
+        return self._lowest_change() > 1
 
     def __call__(self, op):
         return subst(op, self.images)
@@ -229,12 +249,18 @@ def apply_automorphism_dual(phi, f):
     get = f._num.get
     # the products stop at degree d, so the images need no truncation
     images = [(im._den, im._num) for im in phi.images]
+    k = phi._lowest_change()
     powers = {(0,) * n: (1, {(0,) * n: 1})}
     vals = {}
     for deg in range(d + 1):
         for b in monomials(n, deg):
+            if deg > d - k + 1:
+                # a term of phi(a)^b with a factor from some phi(a_i) - a_i
+                # has degree >= deg - 1 + k > d, so phi(a)^b is a^b here
+                vals[b] = 1, get(b, 0)
+                continue
             if b not in powers:
-                i = next(k for k, bk in enumerate(b) if bk)
+                i = next(j for j, bj in enumerate(b) if bj)
                 prev = b[:i] + (b[i] - 1,) + b[i + 1 :]
                 powers[b] = _ints_mul(powers[prev], images[i], d)
             den, prod = powers[b]

@@ -6,8 +6,12 @@ G = tdf(f - F) of degree e < deg F, it finds g in the unipotent group G+
 with deg(apply(g, f) - F) < e.  Two solvers are tried in order:
 
 * a homogeneous solve of G = sum_i x_i (D_i -| tdf F) + tau -| tdf F in P_e
-  with D_i, tau homogeneous of degrees d-e+1 and d-e, assembled naively as
-  (a_i -> a_i - D_i, 1 - tau) -- all corrections land strictly below e;
+  with D_i, tau homogeneous of degrees d-e+1 and d-e, assembled as
+  (a_i -> a_i - D_i, 1 - tau) -- all corrections land strictly below e.
+  Each image and the unit is one Operator built from one dict: D_i has
+  degree >= 2 and tau degree >= 1, so no key meets a_i or 1.  The
+  element is the identity modulo m^{d-e+1}, so its dual action multiplies
+  out only the degrees <= e;
 * an exact mixed-degree solve of the same equation against the full F in
   P_{<= d-1}, assembled as the exponential of the corresponding Lie algebra
   element, so the identity L F = G turns into apply(g, f) = f - G + (lower).
@@ -182,11 +186,13 @@ def _solve_homogeneous_step(G, F):
     if sol is None:
         return None
     d_terms, tau_terms = sol
+    one = field.one()
+    # D_i has degree d-e+1 >= 2 and tau degree d-e >= 1: no key meets a_i or 1
     images = [
-        Operator.variable(n, field, i + 1, d) - Operator(n, field, d_terms[i], d)
-        for i in range(n)
+        Operator(n, field, {a: one, **{e: field.neg(c) for e, c in d_terms[i].items()}}, d)
+        for i, a in enumerate(monomials(n, 1))
     ]
-    unit = Operator.one(n, field, d) - Operator(n, field, tau_terms, d)
+    unit = Operator(n, field, {(0,) * n: one, **{e: field.neg(c) for e, c in tau_terms.items()}}, d)
     return GroupElement(Automorphism(images), unit)
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 
@@ -33,7 +34,7 @@ from apolar.actions import (
     identity_automorphism,
     lie_apply,
 )
-from apolar.dp import monomials, monomials_upto
+from apolar.dp import _ints_mul, monomials, monomials_upto
 from apolar.errors import (
     ArityMismatch,
     FieldMismatch,
@@ -41,7 +42,7 @@ from apolar.errors import (
     NotAUnit,
     SingularMatrix,
 )
-from apolar.linalg import solve
+from apolar.linalg import rref, solve
 from apolar.parsing import parse_poly
 
 from conftest import (
@@ -85,6 +86,49 @@ def test_automorphism_requires_invertible_linear_part():
         Automorphism([V(2, 1, 3), V(2, 1, 3)])
     with pytest.raises(InvalidAutomorphism):
         Automorphism([V(2, 1, 3), Operator.one(2, QQ, 3)])
+    # a1 + a2 and 3 a1 + 10 a2: the determinant 7 vanishes mod 7 only
+    for field in (QQ, GF(7), GF(101)):
+        images = [Operator(2, field, {(1, 0): 1, (0, 1): 1}, 3),
+                  Operator(2, field, {(1, 0): 3, (0, 1): 10, (2, 0): 1}, 3)]
+        if field == GF(7):
+            with pytest.raises(InvalidAutomorphism, match="dependent"):
+                Automorphism(images)
+        else:
+            assert Automorphism(images).linear_matrix() == [[1, 3], [1, 10]]
+    # Fraction coefficients, not unipotent: det 1/2 * -3/4 - 2/3 * 5/3 != 0,
+    # and a1 / 2 + a2 / 3 against 3/2 a1 + a2 has det 0
+    phi = Automorphism([Operator(2, QQ, {(1, 0): Q(1, 2), (0, 1): Q(5, 3)}, 3),
+                        Operator(2, QQ, {(1, 0): Q(2, 3), (0, 1): Q(-3, 4), (1, 1): Q(7, 2)}, 3)])
+    assert not phi.is_unipotent()
+    with pytest.raises(InvalidAutomorphism, match="dependent"):
+        Automorphism([Operator(2, QQ, {(1, 0): Q(1, 2), (0, 1): Q(1, 3)}, 3),
+                      Operator(2, QQ, {(1, 0): Q(3, 2), (0, 1): Q(1), (0, 2): Q(1, 5)}, 3)])
+    for field in (QQ, GF(2), GF(7)):
+        for n in (1, 2, 3):
+            assert identity_automorphism(n, field, 3).is_unipotent()
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(7), QQ], ids=repr)
+def test_automorphism_rejects_exactly_the_singular_linear_parts(rng, field):
+    # random small linear parts, often singular over a small field: the
+    # check agrees with the rank of linear_matrix under rref
+    singular = 0
+    for n in (1, 2, 3):
+        for _ in range(40):
+            images = [
+                Operator(n, field, {**{e: field.from_int(rng.randint(-2, 2)) for e in monomials(n, 1)},
+                                    **_sparse_terms(rng, n, field, [2], 1)}, 2)
+                for _ in range(n)
+            ]
+            lin = [[im.coeff(e) for im in images] for e in monomials(n, 1)]
+            rank = len(rref(lin, field, n)[0])
+            if rank < n:
+                singular += 1
+                with pytest.raises(InvalidAutomorphism, match="dependent"):
+                    Automorphism(images)
+            else:
+                Automorphism(images)
+    assert singular > 10
 
 
 def test_automorphism_inverse(rng):
@@ -166,6 +210,15 @@ def test_derivation_checks_its_images_as_automorphism_does():
                 cls(images)
     D = Derivation([a1 * a1, Operator.zero(2, QQ, 4)])
     assert D(V(2, 2, 4)).is_zero() and D(a1) == a1 * a1
+
+
+def test_images_must_be_operators():
+    # a DPPoly image raised AttributeError from reading its order
+    f = DPPoly(2, QQ, {(1, 0): 1})
+    for images in ([f, f], [V(2, 1, 3), f], [V(2, 1, 3), None]):
+        for cls in (Automorphism, Derivation):
+            with pytest.raises(InvalidAutomorphism, match="not an Operator"):
+                cls(images)
 
 
 def test_derivation_leibniz():
@@ -320,6 +373,34 @@ def _reference_apply_dual(phi, f):
     return result
 
 
+def _reference_full_table_apply_dual(phi, f):
+    """phi_dual(f) read off the power table phi(a)^b of every |b| <= deg f,
+    the unchanged degrees included."""
+    d = max(f.degree, 0)
+    n = f.n
+    get = f._num.get
+    images = [(im._den, im._num) for im in phi.images]
+    powers = {(0,) * n: (1, {(0,) * n: 1})}
+    vals = {}
+    for deg in range(d + 1):
+        for b in monomials(n, deg):
+            if b not in powers:
+                i = next(k for k, bk in enumerate(b) if bk)
+                prev = b[:i] + (b[i] - 1,) + b[i + 1 :]
+                powers[b] = _ints_mul(powers[prev], images[i], d)
+            den, prod = powers[b]
+            vals[b] = den, sum(c * get(a, 0) for a, c in prod.items())
+    L = lcm(*(den for den, _ in vals.values()))
+    return f._make(L * f._den, {b: v * (L // den) for b, (den, v) in vals.items()})
+
+
+def _reference_lowest_change(phi):
+    """The lowest degree of a term of any phi(a_i) - a_i; trunc + 1 if none."""
+    n, field, trunc = phi.n, phi.field, phi.trunc
+    return min((im - Operator.variable(n, field, i + 1, trunc)).order
+               for i, im in enumerate(phi.images))
+
+
 def _scalar(rng, field, fractions=False):
     """A random integer in -3..3, divided by 1, 2, 3 or 4 if ``fractions``."""
     if fractions:
@@ -399,6 +480,28 @@ def test_group_layer_matches_reference_oracles(rng, field, shape):
             assert apply_automorphism_dual(psi, f) == _reference_apply_dual(psi, f)
 
 
+@pytest.mark.parametrize("shape", ["linear", "fractions", "step", "exp"])
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=repr)
+def test_dual_action_matches_the_full_power_table(rng, field, shape):
+    # f of every degree up to trunc, so trunc > deg f, and for "step" and
+    # "exp" also phi unchanged through degree deg f + 1 (d - s < 0 in the
+    # notation of the module docstring), where phi_dual(f) is f
+    untouched = 0
+    for n in (1, 2, 3):
+        for trunc in range(1, 7):
+            phi = _oracle_automorphism(rng, n, field, trunc, shape)
+            for deg in range(trunc + 1):
+                f = random_poly(rng, n, field, deg)
+                if shape == "fractions" and field.is_rationals:
+                    f = with_fractions(rng, f)
+                out = apply_automorphism_dual(phi, f)
+                assert out == _reference_full_table_apply_dual(phi, f), (n, trunc, deg)
+                if _reference_lowest_change(phi) > deg + 1:
+                    untouched += 1
+                    assert out == f
+    assert untouched > 20 or shape in ("linear", "fractions")
+
+
 # ---------------------------------------------------------------------------
 # compose solves phi(x) = u for x = phi^-1(u) instead of inverting phi: the
 # substitution into the reference inverse and the previous compose are its
@@ -475,6 +578,31 @@ def test_substitutions_share_one_power_cache(rng, field, monkeypatch):
         assert len(products) < separate
     with pytest.raises(ArityMismatch):
         _substituted([ops[0], V(2, 1, 5)], phi.images)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_a_step_multiplies_out_only_the_degrees_it_changes(rng, field, monkeypatch):
+    # a_i -> a_i - D_i with D_i homogeneous of degree k: phi(a)^b is a^b
+    # below degree d + 1 once |b| > d - k + 1, so no such power is built
+    products = []
+    ints_mul = actions._ints_mul
+    monkeypatch.setattr(actions, "_ints_mul", lambda *a: products.append(a) or ints_mul(*a))
+    for n in (1, 2, 3):
+        for d in range(1, 7):
+            for k in range(2, d + 3):
+                phi = Automorphism([
+                    Operator.variable(n, field, i + 1, d + 1)
+                    - Operator(n, field, _sparse_terms(rng, n, field, [k], 3), d + 1)
+                    for i in range(n)
+                ])
+                f = random_poly(rng, n, field, d)
+                products.clear()
+                assert apply_automorphism_dual(phi, f) == _reference_full_table_apply_dual(phi, f)
+                # the table entry a product builds has degree one above its
+                # left factor's, whose lowest term is a^prev
+                built = [min(map(sum, x[1])) + 1 for x, _, _ in products]
+                assert max(built, default=0) <= max(d - k + 1, 0), (n, d, k)
+                assert max(built, default=0) == max(d - _reference_lowest_change(phi) + 1, 0)
 
 
 def test_reduction_inverts_no_automorphism(monkeypatch):
