@@ -21,13 +21,11 @@ from .actions import (
     Derivation,
     GroupElement,
     apply_automorphism_dual,
-    apply_derivation_dual,
     apply_group_element,
     apply_linear_map,
     apply_unit,
     compose,
     exp_group_element,
-    group_inverse,
     identity_automorphism,
     identity_group_element,
     subst,

@@ -34,8 +34,8 @@ How the costly maps are computed:
   ``psi._preimage(u)``; no inverse is built.  It substitutes all n images
   of psi into phi through one power cache of phi's images
   (``_substituted``, which ``subst`` goes through too).
-* ``Automorphism.inverse`` serves only ``group_inverse`` and callers
-  outside the library.  phi^{-1}(a_j) is the preimage of a_j.
+* ``Automorphism.inverse`` has no caller inside the library; it serves
+  callers outside it.  phi^{-1}(a_j) is the preimage of a_j.
 
 These maps and ``subst`` run on the stored integer form of ``dp``:
 numerators over one common denominator, (``_den``, ``_num``).  ``subst``
@@ -49,7 +49,7 @@ does not check their exponent keys again.
 
 from math import lcm
 
-from .dp import DPPoly, Operator, _check_pair, _ints_mul, contract, monomials
+from .dp import Operator, _check_pair, _ints_mul, contract, monomials
 from .errors import (
     ArityMismatch,
     FieldMismatch,
@@ -271,17 +271,6 @@ def apply_automorphism_dual(phi, f):
     return f._make(L * f._den, {b: v * (L // den) for b, (den, v) in vals.items()})
 
 
-def apply_derivation_dual(D, f):
-    """D_dual(f) = sum_i x_i (D(a_i) -| f)."""
-    n, field = f.n, f.field
-    out = DPPoly.zero(n, field)
-    for i in range(n):
-        g = contract(D.images[i], f)
-        if not g.is_zero():
-            out = out + DPPoly.variable(n, field, i + 1) * g
-    return out
-
-
 def apply_unit(u, f):
     if not u.is_unit():
         raise NotAUnit("operator has zero constant term")
@@ -339,13 +328,6 @@ def compose(g, h):
     return GroupElement(chi, unit)
 
 
-def group_inverse(g):
-    """h with compose(g, h) acting as the identity."""
-    phi_inv = g.aut.inverse()
-    unit = subst(g.unit, g.aut.images).inverse()
-    return GroupElement(phi_inv, unit)
-
-
 def apply_linear_map(M, f):
     """Dual action of the linear substitution x_j -> sum_i M[j][i] x_i."""
     n, field = f.n, f.field
@@ -399,31 +381,12 @@ def exp_automorphism(D):
     return Automorphism(images)
 
 
-def lie_apply(D, tau, f):
-    """The Lie algebra action: D_dual(f) + tau -| f."""
-    return apply_derivation_dual(D, f) + contract(tau, f)
-
-
-def exp_lie_apply(D, tau, f):
-    """exp of the Lie algebra action, computed directly on P."""
-    char_guard(f.field, max(f.degree, 0))
-    result = f
-    term = f
-    k = 1
-    while True:
-        term = lie_apply(D, tau, term)
-        if term.is_zero():
-            break
-        result = result + term.scale(f.field.div(f.field.one(), f.field.factorial(k)))
-        k += 1
-    return result
-
-
 def exp_group_element(D, tau):
     """The group element whose dual action is exp(f |-> D_dual f + tau -| f).
 
     The unit part is exp(sum_k (-D)^k(tau) / (k+1)!), the automorphism part
-    exp(D); this matches exp_lie_apply exactly (tested).
+    exp(D); the tests check its action against the series of the Lie action
+    summed directly on P.
     """
     field = D.field
     char_guard(field, D.trunc)

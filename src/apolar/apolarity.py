@@ -82,7 +82,10 @@ class HilbertFunction:
     def __eq__(self, other):
         if isinstance(other, HilbertFunction):
             return self.values == other.values
-        return self.values == tuple(other)
+        try:
+            return self.values == tuple(other)
+        except TypeError:  # not iterable
+            return NotImplemented
 
     def __hash__(self):
         return hash(self.values)
@@ -116,7 +119,10 @@ class SymmetricDecomposition:
     def __eq__(self, other):
         if isinstance(other, SymmetricDecomposition):
             return self.deltas == other.deltas
-        return self.deltas == [tuple(v) for v in other]
+        try:
+            return self.deltas == [tuple(v) for v in other]
+        except TypeError:  # not iterable, or an entry is not
+            return NotImplemented
 
     def __repr__(self):
         return "SymmetricDecomposition(%s)" % (self.deltas,)

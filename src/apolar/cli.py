@@ -221,13 +221,12 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, poly=True):
+    def common(p):
         p.add_argument("--field", default="q", help="q or fp:<p>")
         p.add_argument("--vars", type=int, default=2, help="number of variables")
         p.add_argument("--mode", choices=["dp", "classical"], default="dp")
         p.add_argument("--json", action="store_true")
-        if poly:
-            p.add_argument("poly", help="polynomial, e.g. '3*x1^[2]*x2 + x3'")
+        p.add_argument("poly", help="polynomial, e.g. '3*x1^[2]*x2 + x3'")
 
     p = sub.add_parser("hilbert"); common(p); p.set_defaults(run=_cmd_hilbert)
     p = sub.add_parser("ann"); common(p)

@@ -81,9 +81,9 @@ class CrossCheckFailed(InternalError):
 class NotInTangent(GuardError):
     """The leading form is outside the unipotent tangent space of the target."""
 
-    def __init__(self, degree, message=None):
+    def __init__(self, degree):
         self.degree = degree
-        super().__init__(message or "leading form of degree %d not in tangent space" % degree)
+        super().__init__("leading form of degree %d not in tangent space" % degree)
 
 
 class ReductionFailed(InternalError):

@@ -13,16 +13,33 @@ from fractions import Fraction
 from .errors import CharacteristicTooSmall, DivisionByZero
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# for every p below the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017); larger moduli are rejected.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Whether 0 <= p < _PRIME_BOUND is prime (Miller-Rabin over _BASES)."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for q in _BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -30,6 +47,10 @@ class FieldSpec:
     """Either the rationals (p == 0) or the prime field F_p."""
 
     def __init__(self, p=0):
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ValueError("modulus %r is not an int" % (p,))
+        if p >= _PRIME_BOUND:
+            raise ValueError("modulus %d is too large to be checked prime" % p)
         if p != 0 and not _is_prime(p):
             raise ValueError("modulus %r is not prime" % (p,))
         self.p = p
@@ -114,7 +135,7 @@ QQ = FieldSpec(0)
 
 def GF(p):
     """The prime field F_p; p < 2 is rejected (FieldSpec(0) is Q)."""
-    if p < 2:
+    if isinstance(p, int) and p < 2:
         raise ValueError("a prime field needs p >= 2, got %r" % (p,))
     return FieldSpec(p)
 

@@ -481,17 +481,14 @@ class Window:
             row[i] = c
         return row
 
-    def decode(self, row):
-        terms = {e: c for e, c in zip(self.columns, row) if not self.field.is_zero(c)}
-        if self.space == "P":
-            return DPPoly(self.n, self.field, terms)
-        return Operator(self.n, self.field, terms, max(self.degrees, default=0))
-
     def _elements(self, rows):
         """The elements of canonical integer rows (``_echelon``'s form), each
         built by one ``_make``: the numerators over the pivot, the row's first
-        entry (1 over F_p)."""
-        zero, cols = self.decode([]), self.columns  # the window's zero element
+        entry (1 over F_p).  Operators are truncated at the window's top
+        degree."""
+        zero = (DPPoly.zero(self.n, self.field) if self.space == "P"
+                else Operator.zero(self.n, self.field, max(self.degrees, default=0)))
+        cols = self.columns
         return [
             zero._make(next(iter(row.values())), {cols[j]: x for j, x in row.items()})
             for row in rows

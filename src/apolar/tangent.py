@@ -86,7 +86,7 @@ def unip_tangent_space(f):
     return Basis._of_rows(*_tangent_rows(f, 2))
 
 
-def _perp_direct(f, unipotent, max_degree, module=None):
+def _perp_direct(f, unipotent, max_degree, module):
     """Perp from the conditions on sigma -| f and its partial derivatives.
 
     Full:      sigma -| f = 0          and deg(sigma^(i) -| f) <= 0;
@@ -115,17 +115,17 @@ def _perp_direct(f, unipotent, max_degree, module=None):
 
     The base rows with |m| >= k lie in degrees <= deg f - k, so for
     max_degree >= deg f - k no column is cut: they are the rows of m^k f
-    that ``module`` (``apolarity._module_rows(f, k)``, built here when not
-    given) has swept already, and its leads decide the drops.  Below that
-    bound the restricted rows are built and swept here (``_sweep``):
-    restriction can add dependencies, so their drops differ.
+    that ``module`` (``apolarity._module_rows(f, k)``) has swept already,
+    and its leads decide the drops.  Below that bound the restricted rows
+    are built and swept here (``_sweep``): restriction can add
+    dependencies, so their drops differ.
     """
     n, field = f.n, f.field
     d, k = max(f.degree, 0), 2 if unipotent else 1
     win = Window.S_upto(n, max_degree, field)
     eqs = _contraction_rows(f, monomials(n, k - 1), range(max_degree + 1))
     if max_degree >= d - k:
-        base, leads = (module or _module_rows(f, k))[:2]
+        base, leads = module[:2]
     else:
         exps = [m for m in monomials_upto(n, d) if sum(m) >= k]
         base = _contraction_rows(f, exps, range(max_degree + 1))
@@ -137,7 +137,7 @@ def _perp_direct(f, unipotent, max_degree, module=None):
     return Basis._of_kernel(win, eqs)
 
 
-def _checked_perp(f, tang, unipotent, max_degree, module=None):
+def _checked_perp(f, tang, unipotent, max_degree, module):
     """Perp of ``tang`` in S_{<= max_degree}, cross-checked by _perp_direct."""
     via_perp = tang.perp(degrees=range(max_degree + 1))
     direct = _perp_direct(f, unipotent, max_degree, module)

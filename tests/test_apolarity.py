@@ -201,6 +201,18 @@ def test_symdec_degree_one():
         assert symmetric_decomposition(f) == [(1, 1)]
 
 
+def test_invariants_compare_unequal_to_what_is_not_a_sequence():
+    # comparing with a non-iterable raised TypeError instead of giving False
+    f = P(2, {(3, 1): 1, (2, 0): 1})
+    H, sd = hilbert_function(f), symmetric_decomposition(f)
+    for other in (None, 5, 1.5, object(), [1, 2]):  # [1, 2] is iterable, its entries not
+        assert not H == other and H != other and not other == H
+        assert not sd == other and sd != other and not other == sd
+    assert H == (1, 2, 2, 2, 1) and H == list(H) and H != (1, 2)
+    assert sd == [tuple(v) for v in sd] and sd == list(map(list, sd))
+    assert H == hilbert_function(f) and sd == symmetric_decomposition(f)
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
 def test_symdec_of_a_nonzero_constant(field):
     # at d = 0 the formula gives Delta_0 = (1) = H; it raised ZeroPolynomial

@@ -221,7 +221,8 @@ def test_cross_check_rejects_a_wrong_tangent_basis(field, unipotent):
         f = P(3, {e: int(c) for e, c in F.terms.items()}, field)
         tang = unip_tangent_space(f) if unipotent else tangent_space(f)
         d = f.degree
-        _checked_perp(f, tang, unipotent, d)  # the true basis passes
+        module = _module_rows(f, 2 if unipotent else 1)
+        _checked_perp(f, tang, unipotent, d, module)  # the true basis passes
         rows = tang.rows
         pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
         free = next(c for c in range(pivots[0] + 1, tang.window.dim) if c not in pivots)
@@ -229,7 +230,7 @@ def test_cross_check_rejects_a_wrong_tangent_basis(field, unipotent):
         perturbed[0][free] = field.add(perturbed[0][free], field.one())
         for wrong in (rows[1:], perturbed):
             with pytest.raises(CrossCheckFailed):
-                _checked_perp(f, Basis(tang.window, wrong), unipotent, d)
+                _checked_perp(f, Basis(tang.window, wrong), unipotent, d, module)
 
 
 # Differential oracle for the direct perp: every equation row of the defining
@@ -283,9 +284,10 @@ def test_perp_direct_matches_unpruned_oracle(field, rng):
                 polys += [with_fractions(rng, f) for f in polys]
             for f in polys:
                 for unipotent in (False, True):
+                    module = _module_rows(f, 2 if unipotent else 1)
                     for max_degree in sorted({0, max(d - 1, 0), d, d + 1}):
-                        assert _perp_direct(f, unipotent, max_degree) == _reference_perp_direct(
-                            f, unipotent, max_degree
+                        assert _perp_direct(f, unipotent, max_degree, module) == (
+                            _reference_perp_direct(f, unipotent, max_degree)
                         )
 
 
@@ -297,6 +299,7 @@ def test_perp_direct_drops_implied_equations(monkeypatch, rng, n, d, unipotent):
     # a term of f brings n + 1 rows.
     f = random_form(rng, n, QQ, d)
     k = 2 if unipotent else 1
+    module = _module_rows(f, k)
     counts = []
     of_kernel = Basis._of_kernel.__func__
 
@@ -305,7 +308,7 @@ def test_perp_direct_drops_implied_equations(monkeypatch, rng, n, d, unipotent):
         return of_kernel(cls, window, eqs)
 
     monkeypatch.setattr(Basis, "_of_kernel", classmethod(capture))
-    got = _perp_direct(f, unipotent, d)
+    got = _perp_direct(f, unipotent, d, module)
     monkeypatch.undo()
     assert counts[0] <= math.comb(n + k - 2, k - 1) + (n + 1) * module_sf(f, k).dim
     assert got == _reference_perp_direct(f, unipotent, d)
@@ -370,9 +373,10 @@ def test_perp_direct_keeps_the_equations_of_the_dense_loop(field, rng, monkeypat
                 polys += [with_fractions(rng, f) for f in polys]
             for f in polys:
                 for unipotent in (False, True):
+                    module = _module_rows(f, 2 if unipotent else 1)
                     for max_degree in sorted({0, max(d - 1, 0), d, d + 1}):
                         captured.clear()
-                        _perp_direct(f, unipotent, max_degree)
+                        _perp_direct(f, unipotent, max_degree, module)
                         (dim, eqs), = captured
                         got = [row for row in _densified(eqs, dim) if any(row)]
                         want = [row for row in _reference_dense_perp_eqs(f, unipotent, max_degree)
@@ -442,7 +446,6 @@ def test_one_sweep_of_the_module_matches_the_separate_routes(field, rng):
                     assert _tangent_rows(f, k) == _tangent_rows(f, k, module) == _reference_tangent_rows(f, k)
                     for max_degree in sorted({0, d - k - 1, d - k, d, d + 1} - {-1, -2}):
                         want = _reference_swept_perp_direct(f, k == 2, max_degree)
-                        assert _perp_direct(f, k == 2, max_degree) == want, (f, k, max_degree)
                         assert _perp_direct(f, k == 2, max_degree, module) == want, (f, k, max_degree)
 
 
