@@ -1,11 +1,13 @@
 """Annihilators, Hilbert functions, compressedness, symmetric decomposition.
 
-All ideal-theoretic data is computed degree by degree with linear algebra.
+All ideal-theoretic data is computed degree by degree with linear algebra,
+and every elimination here but the filtration profiles' is the capped
+forward sweep ``linalg._fill``, which ``linalg._sweep`` runs per block.
 ``ann_graded`` is the kernel of the catalecticant map S_i -> P, read off
-one forward sweep (``linalg._store``) of the catalecticant rows into one
-block of width w = dim S_i, built one row at a time: at the w-th stored row
-Ann(f)_i = 0, and no further row is built and nothing is back-substituted.
-Only when the sweep ends short of w are its rows, as one block, reduced
+one ``_fill`` of the catalecticant rows, built one at a time, into one
+block of width w = dim S_i with cap w: at the w-th stored row Ann(f)_i = 0,
+and no further row is built and nothing is back-substituted.  Only when the
+sweep ends short of w are its rows, as one block, reduced
 (``linalg._reduced_rows``) and the kernel read off them
 (``linalg._reversed_kernel``, the read-off of ``linalg._kernel``).  For
 i > deg f every catalecticant row vanishes and Ann(f)_i = S_i, emitted as
@@ -13,35 +15,35 @@ the unit rows {c: 1} with no elimination.
 
 The degree-i generators are the rows of I_i = Ann(f)_i that add a leading
 column to one forward sweep of the products a_t sigma, sigma in I_{i-1},
-and the rows of I_i before them.  The products lie in I_i, so the sweep
-stops once it has dim I_i stored rows: then no later row adds a lead, and
-when the products alone span I_i -- in every degree i > deg f + 1, where
-I_{i-1} = S_{i-1}, and often below it -- no row of I_i is swept and degree i
-has no generators.  ``ideal_square_graded``
-spans (I^2)_i by the sparse integer rows g tau, g a generator and tau in I,
-filled by index: a^u a^v = a^{u+v}.
+and the rows of I_i before them: one ``_fill`` of the products, then one of
+the rows of I_i, both with cap dim I_i.  The products lie in I_i, so once
+``stored`` holds dim I_i rows no later row adds a lead, and when the
+products alone span I_i -- in every degree i > deg f + 1, where I_{i-1} =
+S_{i-1}, and often below it -- no row of I_i is swept and degree i has no
+generators.  ``ideal_square_graded`` spans (I^2)_i by the sparse integer
+rows g tau, g a generator and tau in I, filled by index: a^u a^v = a^{u+v}.
 
 The Hilbert function and the symmetric decomposition need only pivot counts
 of the modules m^k -| f, so ``_filtration_profiles`` reads all of them off
-one early-exit forward sweep (``_store``) of the rows x^e -| D f, batch
-|e| = k from deg f down to 0, and builds no echelon form.  With the columns
-highest degree first, batch k lies in P_{<=d-k}, a suffix of the columns;
-the sweep keeps a mark, the first column from which every column holds a
-stored pivot, builds each row only before the mark, sweeps no row that is
-zero there, and ends batch k once the mark reaches P_{<=d-k}'s first column.
+one early-exit forward sweep of the rows x^e -| D f, batch |e| = k from
+deg f down to 0, and builds no echelon form.  It is the one loop around
+``linalg._store`` besides ``_fill``: it cuts rows at a moving mark and
+re-keys its stored rows batch by batch.  With the columns highest degree
+first, batch k lies in P_{<=d-k}, a suffix of the columns; the sweep keeps
+a mark, the first column from which every column holds a stored pivot,
+builds each row only before the mark, sweeps no row that is zero there, and
+ends batch k once the mark reaches P_{<=d-k}'s first column.
 
 The rows of the contractions x^e -| f (``_module_rows``, the catalecticant,
 the filtration profiles) are filled by exponent lookup, row_e[c] =
 f._num[c + e], from f's stored numerators: they are D f for D = f._den
-(D = 1 over F_p).  Scaling every row by D changes no row space.  Outside
-``ann_graded`` they are sparse integer rows, {column: int} dicts of their
-nonzero entries (the one integer row format of ``linalg``), as are their
-shifts (``_shifted_rows``), the canonical rows of every ``Basis`` and
-generator, and the products of ``ideal_square_graded``; the filtration
-profiles and the generator sweep make a row a list (``linalg._dense``) on
-the columns it is swept on, when they sweep it.  ``ann_graded`` sweeps
-every row it builds on its whole degree-i window, so it builds each as
-that list directly.
+(D = 1 over F_p).  Scaling every row by D changes no row space.  They are
+sparse integer rows, {column: int} dicts of their nonzero entries (the one
+integer row format of ``linalg``), as are their shifts (``_shifted_rows``),
+the canonical rows of every ``Basis`` and generator, and the products of
+``ideal_square_graded``; a row is made a list (``linalg._dense``, over Q
+divided by its gcd, over F_p of residues) on the columns it is swept on
+only when a sweep takes it.
 """
 
 import math
@@ -55,6 +57,7 @@ from .linalg import (
     Window,
     _check_window_size,
     _dense,
+    _fill,
     _reduced_rows,
     _reversed_kernel,
     _store,
@@ -132,11 +135,11 @@ def ann_graded(f, i):
     """Ann(f)_i = {sigma in S_i : sigma -| f = 0} as a Basis in S_i.
 
     The kernel of the catalecticant rows x^t -| D f restricted to degree i,
-    |t| <= deg f - i (``_catalecticant_rows``), read off one forward sweep
-    (``_store``) of those rows into one block of width w = dim S_i.  The
-    rows are built one at a time, and at the w-th stored row Ann(f)_i = 0:
-    no further row is built and nothing is back-substituted.  Otherwise the
-    stored rows, as the single block (0, w - 1, stored), are
+    |t| <= deg f - i (``_catalecticant_rows``), read off one capped sweep
+    (``_fill``) of those rows into one block of width w = dim S_i, cap w.
+    The rows are built one at a time, and at the w-th stored row
+    Ann(f)_i = 0: no further row is built and nothing is back-substituted.
+    Otherwise the stored rows, as the single block (0, w - 1, stored), are
     back-substituted (``_reduced_rows``) and the kernel is read off them
     (``_reversed_kernel``).  For i > deg f there are no rows and the piece
     is S_i, whose canonical rows are the unit rows {c: 1}.
@@ -148,33 +151,25 @@ def ann_graded(f, i):
     if i > f.degree:
         return Basis._of_canonical(win, [{c: 1} for c in range(w)])
     p, stored = f.field.p, {}
-    for row in _catalecticant_rows(f, i):
-        if _store(stored, row, p) is not None and len(stored) == w:
-            return Basis._of_canonical(win, [])
+    _fill(stored, _catalecticant_rows(f, i), 0, w - 1, p, w)
+    if len(stored) == w:  # the catalecticant is injective
+        return Basis._of_canonical(win, [])
     return Basis._of_canonical(win, _reversed_kernel(_reduced_rows([(0, w - 1, stored)], p), p, w))
 
 
 def _catalecticant_rows(f, i):
     """The degree-i parts of the rows x^t -| D f, |t| <= deg f - i, D =
-    f._den, one at a time, as the lists ``_store`` reduces: over the
-    monomials of S_i column-reversed (column j of S_i at w - 1 - j), over Q
-    divided by their gcd, over F_p residues (f's numerators already are).
+    f._den, one at a time, as sparse integer rows (``_profile_row``) over
+    the monomials of S_i column-reversed (column j of S_i at w - 1 - j).
 
     row_t[w - 1 - j] = f._num[c_j + t] for the j-th monomial c_j, looked up
     by exponent as in ``_contraction_rows``; only the |t| where x^t -| f
-    has terms of degree i are built.
+    has terms of degree i are built, by increasing |t|.
     """
-    get, p = f._num.get, f.field.p
-    cols = monomials(f.n, i)[::-1]
-    f_degrees = {sum(t) for t in f._num}
-    for s in range(f.degree - i + 1):
-        if i + s not in f_degrees:
-            continue
-        for t in monomials(f.n, s):
-            row = [get(tuple(map(add, c, t)), 0) for c in cols]
-            if not p and (g := math.gcd(*row)) > 1:
-                row = [x // g for x in row]
-            yield row
+    get, cols = f._num.get, list(enumerate(monomials(f.n, i)[::-1]))
+    for s in sorted(set(map(sum, f._num))):  # i + |t| for each degree of f
+        for t in monomials(f.n, s - i):  # none for s < i
+            yield _profile_row(get, t, cols)
 
 
 def _contraction_rows(f, exps, degrees):
@@ -187,7 +182,7 @@ def _contraction_rows(f, exps, degrees):
     and a row keeps only the columns where it is nonzero.
     """
     get = f._num.get
-    f_degrees = {sum(t) for t in f._num}
+    f_degrees = set(map(sum, f._num))
     cols, start = [], 0
     for i in degrees:
         mons = monomials(f.n, i)
@@ -295,7 +290,7 @@ def _filtration_profiles(f):
     """
     d, n, p = f.degree, f.n, f.field.p
     _check_window_size(n, range(d + 1))
-    get, f_degrees = f._num.get, {sum(t) for t in f._num}
+    get, f_degrees = f._num.get, set(map(sum, f._num))
     col_degree = [i for i in range(d, -1, -1) for _ in monomials(n, i)]
     stored, lo = {}, len(col_degree)
     mark = lo
@@ -451,9 +446,10 @@ def _generator_rows(f, upto):
     """(gens, pieces): pieces[i] = Ann(f)_i for 0 <= i <= upto, and gens[i] for
     1 <= i <= upto the degree-i generators, as canonical integer rows of I_i.
 
-    Degree i sweeps the products S_1 I_{i-1} and then the rows of I_i, and
-    stops at its (dim I_i)-th stored row: every row swept lies in I_i, so
-    each later row lies in the span and is no generator.
+    Degree i sweeps (``_fill``) the products S_1 I_{i-1} and then the rows
+    of I_i into one ``stored``, with cap dim I_i: every row swept lies in
+    I_i, so each row past the cap lies in the span and is no generator.  The
+    generators are the rows of I_i that the second ``_fill`` gives a lead.
     """
     if upto < 0:
         raise IndexOutOfRange("annihilator degree bound must be >= 0, got %d" % upto)
@@ -466,13 +462,11 @@ def _generator_rows(f, upto):
     for i in range(1, upto + 1):
         I, stored = pieces[i], {}
         last = I.window.dim - 1
-        for row in _products(f.n, pieces[i - 1]._rows, i - 1, units, 1, I.window):
-            _store(stored, _dense(row, 0, last, p), p)
-            if len(stored) == I.dim:  # the products span I_i
-                break
+        products = _products(f.n, pieces[i - 1]._rows, i - 1, units, 1, I.window)
+        _fill(stored, products, 0, last, p, I.dim)
         # a row of I_i outside the span of the products and the rows before it
-        gens[i] = [g for g in I._rows
-                   if len(stored) < I.dim and _store(stored, _dense(g, 0, last, p), p) is not None]
+        leads = _fill(stored, I._rows, 0, last, p, I.dim)
+        gens[i] = [g for g, lead in zip(I._rows, leads) if lead is not None]
     return gens, pieces
 
 

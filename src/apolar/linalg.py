@@ -15,31 +15,39 @@ field elements (``_check_matrix``: ``AmbientMismatch`` for a wrong width,
 once (``_sparse``; over Q a row with Fractions is scaled by the lcm of its
 denominators).
 
-There is one elimination, a forward sweep (``_sweep``).  Its intake reduces
-the entries mod p over F_p and drops the ones that vanish (a shift weight
-u_i + 1 can equal p), and reads each row's smallest and largest column.
-Rows whose [first, last] intervals overlap share a column block, and the
-blocks are disjoint.  A row's reduction never leaves its block, so each
-block is swept on its own column slice, its rows in their order.  A row is
+There is one elimination, a forward sweep, and one capped loop of it
+(``_fill``): rows of one column block [lo, hi], in their order, are each
 made a list (``_dense``: over Q divided by its gcd, over F_p of residues) of
-its entries on that slice only when the sweep reaches it, and then reduced
-(``_store``) against the stored row at its leading column -- over Q by
-cross-multiplication with the row gcd divided out after every step, which
-keeps intermediate entries small -- until it vanishes or leads at a new
-column, where it is stored.  A block's sweep stops once its rank equals its
-width: no row space has rank above its width, so the rows not yet swept lie
-in the span.  So the rows of a one-column block, and the rows left once a
-block fills, are never made lists.  A row filled from a homogeneous
-polynomial lives in one degree, so a graded space -- every space built from
-a form -- splits into one block per degree.
+their entries on the block's columns only when the loop reaches them, and
+reduced (``_store``) against the stored row at its leading column -- over
+Q by cross-multiplication with the row gcd divided out after every step,
+which keeps intermediate entries small -- until they vanish or lead at a
+new column, where they are stored.  The loop stops once the stored rank
+reaches a cap and takes no row after that, so a row built lazily past the
+cap is never built.  ``_fill`` runs under ``_sweep``, ``apolarity``'s
+``ann_graded`` and its generator sweep; the filtration profiles in
+``apolarity``, which cut rows at a moving mark, keep the only other loop
+around ``_store``.
+
+``_sweep``'s intake reduces the entries mod p over F_p and drops the ones
+that vanish (a shift weight u_i + 1 can equal p), and reads each row's
+smallest and largest column.  Rows whose [first, last] intervals overlap
+share a column block, and the blocks are disjoint.  A row's reduction never
+leaves its block, so each block is swept on its own (one ``_fill``), with
+its width as the cap: no row space has rank above its width, so the rows
+left once a block fills lie in the span.  A one-column block holds its
+first row as the stored row [1].  So the rows of a one-column block, and
+the rows left once a block fills, are never made lists.  A row filled from
+a homogeneous polynomial lives in one degree, so a graded space -- every
+space built from a form -- splits into one block per degree.
 
 The sweep also returns, for each row, the column at which it added a pivot
 (None when it lies in the span of the rows before it).  An answer that
 needs only pivot columns or a rank reads them there: membership here, the
 orbit dimension in ``tangent``, and the equations the direct perp in
 ``tangent`` keeps.  The annihilator generators in ``apolarity`` are the
-rows whose own ``_store`` adds one, and the filtration profiles in
-``apolarity`` count the pivots of their own early-exit ``_store`` sweep.
+rows to which their ``_fill`` gives a lead, and the filtration profiles in
+``apolarity`` count the pivots of their own early-exit sweep.
 
 Canonical rows come from ``_reduced_rows``, which back-substitutes each
 block of a sweep (``_back_substitute``) and turns its lists back into
@@ -55,7 +63,7 @@ so its first entry is its pivot.  A kernel is read off the echelon form of
 the column-reversed rows (``_kernel``, through ``_reversed_kernel``), where
 the kernel vectors come out already in canonical form (see there), so
 nothing is eliminated twice; ``apolarity.ann_graded`` hands that read-off
-the rows of its own early-exit sweep.
+the rows of its capped ``_fill``.
 
 So rows are lists in two places only: inside the sweep, on a block's
 columns, and at the public boundary, where ``_decode`` makes full-width
@@ -101,12 +109,12 @@ def _dense(row, lo, hi, p):
     if p:
         for j, x in row.items():
             dense[j - lo] = x % p
-        return dense
-    g = gcd(*row.values())
-    if g > 1:
-        row = {j: x // g for j, x in row.items()}
-    for j, x in row.items():
-        dense[j - lo] = x
+    elif (g := gcd(*row.values())) > 1:
+        for j, x in row.items():
+            dense[j - lo] = x // g
+    else:
+        for j, x in row.items():
+            dense[j - lo] = x
     return dense
 
 
@@ -145,6 +153,23 @@ def _store(stored, row, p):
     return lead
 
 
+def _fill(stored, rows, lo, hi, p, cap):
+    """The capped forward sweep: each sparse integer row of ``rows``, made a
+    list on columns lo..hi (``_dense``), is reduced into ``stored``
+    (``_store``, keyed by lead column minus lo) until ``stored`` holds
+    ``cap`` rows.  No row is taken once it does, so a lazily built row past
+    the cap is never built.  Returns the lead of each row swept, in order:
+    its column, or None.
+    """
+    leads = []
+    for row in rows if len(stored) < cap else ():
+        lead = _store(stored, _dense(row, lo, hi, p), p)
+        leads.append(None if lead is None else lo + lead)
+        if len(stored) == cap:
+            break
+    return leads
+
+
 def _sweep(rows, p):
     """The forward sweep of sparse integer rows, run per column block.
 
@@ -153,11 +178,10 @@ def _sweep(rows, p):
     by its smallest and largest column.  Rows whose [first, last] intervals
     overlap form a column block [lo, hi]; the blocks are disjoint, and a
     row's reduction against stored rows stays inside its block, so each
-    block is swept on its own: its rows, in their order, go through
-    ``_store``, each made a list of its entries on the block's columns when
-    the sweep reaches it.  A block of width w whose sweep holds w rows
-    takes no more: its rank cannot exceed w, so the later rows lie in its
-    span.  A one-column block holds its first row unswept.
+    block is swept on its own: ``_fill`` takes its rows, in their order,
+    with the block's width w as the cap, since its rank cannot exceed w and
+    the later rows lie in its span.  A one-column block stores its first
+    row as [1], with no list made and no ``_store``.
 
     Returns (blocks, leads): the blocks as [lo, hi, stored], sorted by lo,
     ``stored`` keyed by lead column minus lo; leads[i] is the column at
@@ -166,28 +190,23 @@ def _sweep(rows, p):
     """
     if p:
         rows = [{j: r for j, x in row.items() if (r := x % p)} for row in rows]
-    blocks, block_of = [], [None] * len(rows)  # the block of each nonzero row
+    blocks, members = [], []  # members: each block's rows, by (first, last, index)
     for first, last, i in sorted([(min(row), max(row), i) for i, row in enumerate(rows) if row]):
         if blocks and first <= blocks[-1][1]:
             if last > blocks[-1][1]:
                 blocks[-1][1] = last
+            members[-1].append(i)
         else:
             blocks.append([first, last, {}])
-        block_of[i] = blocks[-1]
-    leads = []
-    for row, block in zip(rows, block_of):
-        if block is None:  # a zero row
-            leads.append(None)
+            members.append([i])
+    leads = [None] * len(rows)
+    for (lo, hi, stored), idx in zip(blocks, members):
+        if lo == hi:  # every row is (lo, lo, i): the first has the least index
+            stored[0], leads[idx[0]] = [1], lo
             continue
-        lo, hi, stored = block
-        if len(stored) == hi + 1 - lo:  # the block is full
-            leads.append(None)
-        elif lo == hi:
-            stored[0] = [1]
-            leads.append(lo)
-        else:
-            lead = _store(stored, _dense(row, lo, hi, p), p)
-            leads.append(None if lead is None else lo + lead)
+        idx.sort()
+        for i, lead in zip(idx, _fill(stored, map(rows.__getitem__, idx), lo, hi, p, hi + 1 - lo)):
+            leads[i] = lead
     return blocks, leads
 
 

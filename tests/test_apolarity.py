@@ -276,6 +276,29 @@ def test_profiles_match_intersection_oracle(field, rng):
                 assert symmetric_decomposition(f) == _reference_symdec(f), (n, d, f)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(7)], ids=str)
+def test_delta_0_is_the_hilbert_function_of_the_top_degree_form(field, rng):
+    # Q(0) is the apolar algebra of the top-degree form F (Iarrobino, Mem.
+    # AMS 514, 1994), so Delta_0 = H_F, here H_F(i) = dim S_i - dim Ann(F)_i:
+    # one catalecticant per degree, not the filtration profiles' sweep
+    same = cases = 0
+    for n in (1, 2, 3):
+        for d in range(7):
+            polys = [random_poly(rng, n, field, d, density=x) for x in (0.2, 0.5, 0.9)]
+            for _ in range(3):  # a top-degree form of one or two terms
+                tops = rng.sample(monomials(n, d), min(2, len(monomials(n, d))))
+                top = P(n, {e: rng.choice([1, -1, 2, 3]) for e in tops}, field)
+                polys.append(top + random_poly(rng, n, field, d - 1, force_top=False) if d else top)
+            if field.is_rationals:
+                polys += [with_fractions(rng, f) for f in polys[:2]]
+            for f in polys:
+                F = f.tdf()
+                want = tuple(len(monomials(n, i)) - ann_graded(F, i).dim for i in range(d + 1))
+                assert symmetric_decomposition(f)[0] == want, (n, d, f)
+                cases, same = cases + 1, same + (want == tuple(hilbert_function(f)))
+    assert 0 < same < cases  # Delta_0 = H on some inputs, not on all
+
+
 # ---------------------------------------------------------------------------
 # Differential oracle for the sparse row builders: the dense builders that
 # came before them, kept verbatim, against the sparse rows densified.
@@ -638,7 +661,7 @@ def test_ann_graded_builds_no_row_past_an_injective_catalecticant(field, rng, mo
         raise AssertionError("back-substituted an injective catalecticant")
 
     monkeypatch.setattr(apolarity, "_catalecticant_rows", counting)
-    monkeypatch.setattr(apolarity, "_store", recording)
+    monkeypatch.setattr(linalg, "_store", recording)
     monkeypatch.setattr(linalg, "_back_substitute", no_back_substitution)
     cases, skipped = 0, 0
     for n, d, i in ((2, 6, 2), (2, 7, 3), (3, 4, 1), (3, 6, 2)):
@@ -784,7 +807,7 @@ def test_generator_sweep_stops_once_the_products_span_the_piece(field, monkeypat
         swept.append(row)
         return _dense(row, lo, hi, p)
 
-    monkeypatch.setattr(apolarity, "_dense", recording)
+    monkeypatch.setattr(linalg, "_dense", recording)
     for d in (2, 3, 4):
         f = parse_poly("x1^[%d] + x2^[%d] + x3^[%d]" % (d, d, d), 3, field)
         swept.clear()

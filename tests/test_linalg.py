@@ -30,7 +30,9 @@ from apolar.linalg import (
     _back_substitute,
     _check_window_size,
     _decode,
+    _dense,
     _echelon,
+    _fill,
     _kernel,
     _sparse,
     _store,
@@ -482,6 +484,58 @@ def test_a_full_block_stops_its_sweep(field, rng, monkeypatch):
         assert calls == {"_store": width, "_back_substitute": 0}
         assert (_densified(red, width), pivots) == (
             [[int(i == j) for j in range(width)] for i in range(width)], list(range(width)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_fill_takes_no_row_past_its_cap_and_one_column_rows_are_not_swept(field, rng, monkeypatch):
+    p, taken = field.p, []
+
+    def taking(rows):
+        for row in rows:
+            taken.append(row)
+            yield row
+
+    # ``stored`` holds ``cap`` rows already: no row is taken
+    assert _fill({0: [1, 5], 1: [1]}, taking([{3: 1}]), 3, 4, p, 2) == [] and taken == []
+    # the cap-th store ends the sweep: the fourth row is not taken
+    rows = [{3: 1, 4: 1}, {3: 2, 4: 2}, {4: 1}, {3: 1}]
+    stored = {}
+    assert _fill(stored, taking(rows), 3, 4, p, 2) == [3, None, 4]
+    assert taken == rows[:3] and sorted(stored) == [0, 1]
+    # the rows of one-column blocks are neither made lists nor stored, and
+    # every lead is that of one uncapped sweep of all the rows, in order
+    listed, stores = [], []
+
+    def dense(row, lo, hi, p):
+        listed.append((lo, hi))
+        return _dense(row, lo, hi, p)
+
+    def store(stored, row, p):
+        stores.append(len(row))
+        return _store(stored, row, p)
+
+    cases = []
+    for _ in range(50):
+        ncols = rng.randint(2, 12)
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            first = rng.randrange(ncols)
+            last = first if rng.random() < 0.5 else rng.randint(first, min(ncols - 1, first + 2))
+            rows.append({j: rng.choice([1, -1, 2, field.p or 3]) for j in {first, last}})
+        stored = {}
+        want = [_store(stored, _integer_row(row, field), p) for row in _densified(rows, ncols)]
+        cases.append((rows, want))
+    monkeypatch.setattr(linalg, "_dense", dense)
+    monkeypatch.setattr(linalg, "_store", store)
+    one_column = 0
+    for rows, want in cases:
+        listed.clear()
+        stores.clear()
+        blocks, leads = _sweep(rows, p)
+        assert leads == want, rows
+        assert all(lo < hi for lo, hi in listed) and len(stores) == len(listed), rows
+        one_column += sum(lo == hi for lo, hi, _ in blocks)
+    assert one_column > 0
 
 
 # Differential oracle for the sparse intake: the dense elimination that
