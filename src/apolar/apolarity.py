@@ -17,11 +17,18 @@ The degree-i generators are the rows of I_i = Ann(f)_i that add a leading
 column to one forward sweep of the products a_t sigma, sigma in I_{i-1},
 and the rows of I_i before them: one ``_fill`` of the products, then one of
 the rows of I_i, both with cap dim I_i.  The products lie in I_i, so once
-``stored`` holds dim I_i rows no later row adds a lead, and when the
-products alone span I_i -- in every degree i > deg f + 1, where I_{i-1} =
-S_{i-1}, and often below it -- no row of I_i is swept and degree i has no
-generators.  ``ideal_square_graded`` spans (I^2)_i by the sparse integer
-rows g tau, g a generator and tau in I, filled by index: a^u a^v = a^{u+v}.
+``stored`` holds dim I_i rows no later row adds a lead.  The columns are
+the monomials lex-descending, a monomial order, so a_t sigma leads at
+a_t lead(sigma), read off sigma's pivot with no product built: the sweep
+takes one product per distinct lead first, each stored with no reduction
+step, then the others, each built only when taken, so none past the cap
+is built (F4's choice of one reducer per leading monomial).  When the
+distinct leads number dim I_i -- in every degree i > deg f + 1, where
+I_{i-1} = S_{i-1}, and often below it -- degree i has no generators and
+nothing is built or swept.  ``ideal_square_graded`` spans (I^2)_i by the
+sparse integer rows g tau, g a generator and tau in I, filled by index:
+a^u a^v = a^{u+v}; it reads the generators and pieces below degree i only,
+so its generator sweep stops at degree i - 1.
 
 The Hilbert function and the symmetric decomposition need only pivot counts
 of the modules m^k -| f, so ``_filtration_profiles`` reads all of them off
@@ -442,6 +449,37 @@ def _products(n, left, a, right, b, win):
     return out
 
 
+def _unit_products(n, rows, a, win):
+    """The products a_t sigma, t = 1 .. n, of the canonical integer rows
+    sigma over S_a, as (first, rest): lists of (cols, sigma) pairs, the
+    product being the sparse row {cols[j]: x for j, x in sigma}, in ``win``
+    = S_{a+1}.  No product is built here.
+
+    The columns are the monomials lex-descending, a monomial order, so
+    a_t sigma leads at a_t lead(sigma), the column cols[j] of sigma's first
+    key j, its pivot.  ``first`` holds one product per distinct lead, the
+    first in the order (sigma, t); ``rest`` the others, in that order.
+    """
+    shifts = [[win.index[u[:t] + (u[t] + 1,) + u[t + 1:]] for u in monomials(n, a)]
+              for t in range(n)]
+    first, rest, leads = [], [], set()
+    for sigma in rows:
+        j = next(iter(sigma))
+        for cols in shifts:
+            (rest if cols[j] in leads else first).append((cols, sigma))
+            leads.add(cols[j])
+    return first, rest
+
+
+def _check_generator_bound(f, upto):
+    """The input checks of the generator sweep up to degree ``upto``."""
+    if upto < 0:
+        raise IndexOutOfRange("annihilator degree bound must be >= 0, got %d" % upto)
+    if f.is_zero():
+        raise ZeroPolynomial("annihilator of the zero polynomial")
+    _check_window_size(f.n, range(upto + 1))  # the pieces fill S_{<= upto}
+
+
 def _generator_rows(f, upto):
     """(gens, pieces): pieces[i] = Ann(f)_i for 0 <= i <= upto, and gens[i] for
     1 <= i <= upto the degree-i generators, as canonical integer rows of I_i.
@@ -450,24 +488,40 @@ def _generator_rows(f, upto):
     of I_i into one ``stored``, with cap dim I_i: every row swept lies in
     I_i, so each row past the cap lies in the span and is no generator.  The
     generators are the rows of I_i that the second ``_fill`` gives a lead.
+    The span the products leave does not depend on their order, and a row of
+    I_i adds a lead exactly when it lies outside that span and the rows of
+    I_i before it, so the products go lead first (``_unit_products``): one
+    per distinct lead, stored with no reduction step since their leads
+    differ, then the others, each built only when ``_fill`` takes it, so
+    none past the cap is built.  When the distinct leads number dim I_i --
+    in every degree i > deg f + 1, where I_{i-1} = S_{i-1}, and often below
+    it -- degree i has no generators and no row is built or swept.
     """
-    if upto < 0:
-        raise IndexOutOfRange("annihilator degree bound must be >= 0, got %d" % upto)
-    if f.is_zero():
-        raise ZeroPolynomial("annihilator of the zero polynomial")
-    _check_window_size(f.n, range(upto + 1))  # the pieces fill S_{<= upto}
+    _check_generator_bound(f, upto)
     pieces = {i: ann_graded(f, i) for i in range(upto + 1)}
-    units = [{t: 1} for t in range(f.n)]
     p, gens = f.field.p, {}
     for i in range(1, upto + 1):
         I, stored = pieces[i], {}
+        first, rest = _unit_products(f.n, pieces[i - 1]._rows, i - 1, I.window)
+        if len(first) == I.dim:  # the products' leads fill I_i's
+            gens[i] = []
+            continue
         last = I.window.dim - 1
-        products = _products(f.n, pieces[i - 1]._rows, i - 1, units, 1, I.window)
+        products = ({cols[j]: x for j, x in sigma.items()} for cols, sigma in first + rest)
         _fill(stored, products, 0, last, p, I.dim)
         # a row of I_i outside the span of the products and the rows before it
         leads = _fill(stored, I._rows, 0, last, p, I.dim)
         gens[i] = [g for g, lead in zip(I._rows, leads) if lead is not None]
     return gens, pieces
+
+
+def _square_rows(f, i):
+    """The ``_generator_rows`` data that ``_square`` reads for every degree
+    <= i, with the checks of ``_generator_rows(f, i)``: (I^2)_j reads the
+    generators and pieces below degree j only, so the sweep stops at degree
+    i - 1 (nothing at i = 0)."""
+    _check_generator_bound(f, i)
+    return _generator_rows(f, i - 1) if i else ({}, {})
 
 
 def ann_generators(f, upto):
@@ -480,16 +534,19 @@ def ann_generators(f, upto):
     return [g for i in gens for g in pieces[i].window._elements(gens[i])], pieces
 
 
-def _square(n, gens, pieces, i):
-    """(I^2)_i from ``_generator_rows`` data reaching degree i: spanned by
-    g tau, g a degree-e generator and tau in I_{i-e}, 1 <= e < i."""
+def _square(gens, pieces, win):
+    """(I^2)_i in ``win`` = S_i from ``_generator_rows`` data reaching degree
+    i - 1 (``_square_rows``): spanned by g tau, g a degree-e generator and
+    tau in I_{i-e}, 1 <= e < i."""
+    n, i = win.n, win.degrees[0]
     rows = []
     for e in range(1, i):
-        rows += _products(n, gens[e], e, pieces[i - e]._rows, i - e, pieces[i].window)
-    return Basis._of_rows(pieces[i].window, rows)
+        rows += _products(n, gens[e], e, pieces[i - e]._rows, i - e, win)
+    return Basis._of_rows(win, rows)
 
 
 def ideal_square_graded(f, i):
-    """(I^2)_i for I = Ann(f), via a degreewise generating set."""
-    gens, pieces = _generator_rows(f, i)
-    return _square(f.n, gens, pieces, i)
+    """(I^2)_i for I = Ann(f), via a degreewise generating set: the
+    generator sweep runs up to degree i - 1 (``_square_rows``)."""
+    gens, pieces = _square_rows(f, i)
+    return _square(gens, pieces, Window.S_graded(f.n, i, f.field))

@@ -36,7 +36,8 @@ degree below the leading form and reads c and lambda off the residues;
 ``stabilizer_matrix_13331`` reduces its tail images against one quotient.
 
 Every reduction returns a ``ReductionTrace`` built from its steps alone:
-``reduce_toward`` collects the (g, f') pairs of ``lower_degree_step``, and
+``reduce_toward`` collects the (g, f') pairs of ``lower_degree_step``'s
+steps, each handing the next the difference f' - F it formed, and
 ``golden_1222111`` its residue steps and diagonal rescaling.  The trace
 derives its final polynomial and accumulated element from the steps and
 replays them on construction.
@@ -63,9 +64,9 @@ from .actions import (
 )
 from .apolarity import (
     _contraction_rows,
-    _generator_rows,
     _shifted_rows,
     _square,
+    _square_rows,
     dim_apolar,
     hilbert_function,
     max_t_compressed,
@@ -227,7 +228,12 @@ def lower_degree_step(f, F):
     """
     if F.is_zero():
         raise ZeroPolynomial("reduction toward the zero polynomial")
-    diff = f - F
+    return _lower_degree_step(f, F, f - F)[:2]
+
+
+def _lower_degree_step(f, F, diff):
+    """``lower_degree_step`` for a nonzero F, given diff = f - F: returns
+    (g, f', f' - F), so a run of steps forms one difference per step."""
     G = diff.tdf()
     if G.is_zero():
         raise ReductionFailed("f already equals the target")
@@ -241,9 +247,10 @@ def lower_degree_step(f, F):
     if g is None:
         raise NotInTangent(e)
     f_new = apply_group_element(g, f)
-    if (f_new - F).degree >= e:
+    diff = f_new - F
+    if diff.degree >= e:
         raise ReductionFailed("degree did not drop at %d" % e)
-    return g, f_new
+    return g, f_new, diff
 
 
 def reduce_toward(f, F, stop_degree=None):
@@ -251,16 +258,10 @@ def reduce_toward(f, F, stop_degree=None):
     difference has degree below ``stop_degree`` if one is given."""
     if F.is_zero():
         raise ZeroPolynomial("reduction toward the zero polynomial")
-    steps = []
-    current = f
-    while True:
-        diff = current - F
-        if diff.is_zero():
-            break
-        if stop_degree is not None and diff.degree < stop_degree:
-            break
-        steps.append(lower_degree_step(current, F))
-        current = steps[-1][1]
+    steps, current, diff = [], f, f - F
+    while not diff.is_zero() and (stop_degree is None or diff.degree >= stop_degree):
+        g, current, diff = _lower_degree_step(current, F, diff)
+        steps.append((g, current))
     return ReductionTrace(f, F, steps)
 
 
@@ -401,8 +402,8 @@ def square_ideal_reduce(f, t):
     if dim_apolar(f) != dim_apolar(F):
         raise HypothesisFailed("dim Apolar(f) differs from dim Apolar(tdf f)")
     perp = perp_tangent(F, unipotent=True, max_degree=d - 1)
-    # Ann(F) and its generators up to degree d - 1, built once for every square
-    gens, pieces = _generator_rows(F, d - 1) if t < d else ({}, {})
+    # Ann(F) and its generators up to degree d - 2, built once for every square
+    gens, pieces = _square_rows(F, d - 1) if t < d else ({}, {})
     for i in range(t, d):
         # F is homogeneous, so the perp is graded: its degree-i piece is its
         # rows restricted to the degree-i columns
@@ -411,7 +412,7 @@ def square_ideal_reduce(f, t):
         hi = lo + win_i.dim
         perp_i = Basis._of_rows(win_i, [{c - lo: x for c, x in row.items() if lo <= c < hi}
                                         for row in perp._rows])
-        if perp_i != _square(n, gens, pieces, i):
+        if perp_i != _square(gens, pieces, win_i):
             raise HypothesisFailed("perp differs from (Ann F)^2 in degree %d" % i, i)
     return reduce_toward(f, F, stop_degree=t)
 

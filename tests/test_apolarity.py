@@ -30,6 +30,8 @@ from apolar.apolarity import (
     _products,
     _shifted_rows,
     _square,
+    _square_rows,
+    _unit_products,
 )
 from apolar.dp import monomials, monomials_upto
 from apolar.errors import IndexOutOfRange, ZeroPolynomial
@@ -39,6 +41,7 @@ from apolar.linalg import (
     _check_window_size,
     _dense,
     _echelon,
+    _fill,
     _reduced_rows,
     _sparse,
     _store,
@@ -757,7 +760,8 @@ def test_squares_from_one_generator_pass_match_each_degree(field, rng):
             f = random_form(rng, n, field, d)
             gens, pieces = _generator_rows(f, d + 1)
             for i in range(d + 2):
-                got, want = _square(n, gens, pieces, i), ideal_square_graded(f, i)
+                got = _square(gens, pieces, Window.S_graded(n, i, field))
+                want = ideal_square_graded(f, i)
                 assert got == want and _typed_rows(got) == _typed_rows(want), (f, i)
 
 
@@ -793,8 +797,8 @@ def test_generator_rows_match_the_transposed_selection(field, rng):
                 want_gens, want_pieces = _transposed_generator_rows(f, d + 1)
                 assert gens == want_gens and pieces == want_pieces, f
                 for i in range(d + 2):
-                    got = _square(n, gens, pieces, i)
-                    assert got == _square(n, want_gens, want_pieces, i), (f, i)
+                    win = Window.S_graded(n, i, field)
+                    assert _square(gens, pieces, win) == _square(want_gens, want_pieces, win), (f, i)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
@@ -815,3 +819,170 @@ def test_generator_sweep_stops_once_the_products_span_the_piece(field, monkeypat
         assert pieces[d + 1].dim == len(monomials(3, d + 1)) and gens[d + 1] == []
         assert swept and not any(row is g for row in swept for g in pieces[d + 1]._rows), f
         assert gens == _transposed_generator_rows(f, d + 1)[0], f
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle for the lead-first generator sweep: the eager sweep of
+# every product S_1 I_{i-1}, built up front and taken in the order
+# (sigma, t), and (I^2)_i read off pieces reaching degree i.
+
+
+def _reference_generator_rows(f, upto):
+    pieces = {i: ann_graded(f, i) for i in range(upto + 1)}
+    units = [{t: 1} for t in range(f.n)]
+    p, gens = f.field.p, {}
+    for i in range(1, upto + 1):
+        I, stored = pieces[i], {}
+        last = I.window.dim - 1
+        products = _products(f.n, pieces[i - 1]._rows, i - 1, units, 1, I.window)
+        _fill(stored, products, 0, last, p, I.dim)
+        leads = _fill(stored, I._rows, 0, last, p, I.dim)
+        gens[i] = [g for g, lead in zip(I._rows, leads) if lead is not None]
+    return gens, pieces
+
+
+def _reference_square(n, gens, pieces, i):
+    win = pieces[i].window
+    rows = []
+    for e in range(1, i):
+        rows += _products(n, gens[e], e, pieces[i - e]._rows, i - e, win)
+    return Basis._of_rows(win, rows)
+
+
+_LEAD_FIELDS = [QQ, GF(2), GF(3), GF(7), GF(101)]
+
+
+def _lead_inputs(rng, n, field, d):
+    """Dense and sparse inputs of degree d, and x1^[d] + lower, whose
+    generator a_1^{d+1} no product reaches: I_d holds no element leading at
+    a_1^d, the one degree-d monomial that does not annihilate it."""
+    top = DPPoly.monomial(n, field, (d,) + (0,) * (n - 1))
+    polys = [random_form(rng, n, field, d), random_poly(rng, n, field, d),
+             random_poly(rng, n, field, d, density=0.15),
+             top + random_poly(rng, n, field, d - 1, force_top=False)]
+    if field.is_rationals:
+        polys += [with_fractions(rng, f) for f in polys]
+    return polys
+
+
+@pytest.mark.parametrize("field", _LEAD_FIELDS, ids=str)
+def test_lead_first_generator_sweep_matches_the_eager_one(field, rng):
+    for n in (1, 2, 3):
+        for d in range(0, 7):
+            for f in _lead_inputs(rng, n, field, d):
+                gens, pieces = _generator_rows(f, d + 1)
+                want_gens, want_pieces = _reference_generator_rows(f, d + 1)
+                assert gens == want_gens and pieces == want_pieces, f
+                if list(f.homogeneous_part(d).terms) == [(d,) + (0,) * (n - 1)]:
+                    assert gens[d + 1], f  # x1^[d] + lower: a generator in degree d + 1
+                for i in range(d + 2):
+                    want = _reference_square(n, want_gens, want_pieces, i)
+                    got = _square(gens, pieces, Window.S_graded(n, i, field))
+                    assert got == want and _typed_rows(got) == _typed_rows(want), (f, i)
+                    assert _typed_rows(ideal_square_graded(f, i)) == _typed_rows(want), (f, i)
+                    below = ({k: g for k, g in want_gens.items() if k < i},
+                             {k: b for k, b in want_pieces.items() if k < i})
+                    assert _square_rows(f, i) == below, (f, i)
+
+
+@pytest.mark.parametrize("field", _LEAD_FIELDS, ids=str)
+def test_unit_products_lead_at_the_shifted_pivot(field, rng):
+    units = [{t: 1} for t in range(3)]
+    for n in (1, 2, 3):
+        for d in range(0, 6):
+            for f in _lead_inputs(rng, n, field, d):
+                for a in range(d + 2):
+                    rows, mons = ann_graded(f, a)._rows, monomials(n, a)
+                    win = Window.S_graded(n, a + 1, field)
+                    eager = _products(n, rows, a, units[:n], 1, win)
+                    for k, sigma in enumerate(rows):
+                        u = mons[next(iter(sigma))]  # the pivot, sigma's first key
+                        assert next(iter(sigma)) == min(sigma), (f, a)
+                        for t in range(n):  # a_t sigma leads at a_t lead(sigma)
+                            lead = win.columns[min(eager[k * n + t])]
+                            assert lead == u[:t] + (u[t] + 1,) + u[t + 1:], (f, a)
+                    # one product per distinct lead, then the others, each in
+                    # the eager order
+                    seen, order = set(), ([], [])
+                    for k, row in enumerate(eager):
+                        order[min(row) in seen].append(k)
+                        seen.add(min(row))
+                    first, rest = _unit_products(n, rows, a, win)
+                    built = [{cols[j]: x for j, x in sigma.items()} for cols, sigma in first + rest]
+                    assert built == [eager[k] for k in order[0] + order[1]], (f, a)
+                    assert len(first) == len(order[0]), (f, a)
+
+
+class _Logged(dict):
+    """A canonical row that logs each product built from it (``items``)."""
+
+    def __init__(self, row, log):
+        super().__init__(row)
+        self.log = log
+
+    def items(self):
+        self.log.append("build")
+        return super().items()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_products_go_lead_first_and_none_is_built_past_the_cap(field, rng, monkeypatch):
+    log = []
+    unit_products = apolarity._unit_products
+
+    def logged_products(n, rows, a, win):
+        first, rest = unit_products(n, rows, a, win)
+        log.append(("degree", a + 1, len(first), len(rest)))
+        return ([(cols, _Logged(sigma, log)) for cols, sigma in first],
+                [(cols, _Logged(sigma, log)) for cols, sigma in rest])
+
+    def logged_store(stored, row, p):
+        reduced = next(compress(count(), row), None) in stored  # a reduction step
+        lead = _store(stored, row, p)
+        log.append(("store", reduced, len(stored)))
+        return lead
+
+    monkeypatch.setattr(apolarity, "_unit_products", logged_products)
+    monkeypatch.setattr(linalg, "_store", logged_store)
+    seen = set()  # which ways a degree was decided
+    polys = [parse_poly("x1^[4] + x2^[4] + x3^[4] + x1^[2]*x2*x3", 3, field)]
+    polys += [f for d in (3, 4, 5) for f in _lead_inputs(rng, 3, field, d)]
+    for f in polys:
+        log.clear()
+        gens, pieces = _generator_rows(f, f.degree + 2)
+        marks = [k for k, event in enumerate(log) if event[0] == "degree"]
+        for start, end in zip(marks, marks[1:] + [len(log)]):
+            _, i, n_first, n_rest = log[start]
+            events, cap = log[start + 1:end], pieces[i].dim
+            if n_first == cap:  # decided by the leads: nothing built or swept
+                assert events == [] and gens[i] == [], (f, i)
+                seen.add("leads")
+                continue
+            builds = [k for k, event in enumerate(events) if event == "build"]
+            assert builds == list(range(0, 2 * len(builds), 2)), (f, i)
+            stores = [events[k + 1] for k in builds]  # each product's own store
+            assert len(builds) >= n_first and not any(s[1] for s in stores[:n_first]), (f, i)
+            assert all(s[2] < cap for s in stores[:-1]), (f, i)  # none past the cap
+            if len(builds) < n_first + n_rest:
+                assert stores[-1][2] == cap, (f, i)
+                seen.add("cap")
+            if any(s[1] for s in stores):
+                seen.add("reduced")
+    assert seen == {"leads", "cap", "reduced"}
+
+
+def test_ideal_square_graded_at_the_ends():
+    for field in (QQ, GF(2), GF(101)):
+        for n in (1, 2, 3):
+            f = parse_poly(" + ".join("x%d^[3]" % (t + 1) for t in range(n)), n, field)
+            for i in (0, 1):
+                square = ideal_square_graded(f, i)
+                assert square.window == Window.S_graded(n, i, field) and square.dim == 0
+            with pytest.raises(IndexOutOfRange, match="got -1"):
+                ideal_square_graded(f, -1)
+            zero = DPPoly.zero(n, field)
+            for i in (0, 1, 3):
+                with pytest.raises(ZeroPolynomial):
+                    ideal_square_graded(zero, i)
+            with pytest.raises(IndexOutOfRange, match="got -2"):
+                ideal_square_graded(zero, -2)
