@@ -503,7 +503,7 @@ def _generator_rows(f, upto):
     for i in range(1, upto + 1):
         I, stored = pieces[i], {}
         first, rest = _unit_products(f.n, pieces[i - 1]._rows, i - 1, I.window)
-        if len(first) == I.dim:  # the products' leads fill I_i's
+        if len(first) == I.dim:  # the first products alone span I_i
             gens[i] = []
             continue
         last = I.window.dim - 1

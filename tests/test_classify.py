@@ -529,6 +529,29 @@ def test_reduce_toward_composes_each_step_once(monkeypatch, rng):
     assert calls == ["compose"] * (len(trace) - 1)
 
 
+def test_reduce_toward_forms_one_difference_per_step(monkeypatch, rng):
+    # each step hands the next the difference f' - F it formed, so the
+    # loop subtracts F once from f and once from each f'
+    import apolar.classify as classify
+
+    F = P(2, {(4, 0): 1, (0, 4): 1})
+    f = apply_group_element(random_unipotent(rng, 2, QQ, 4), F)
+    minuends, sub = [], DPPoly.__sub__
+
+    def counting(a, b):
+        if b is F:
+            minuends.append(a)
+        return sub(a, b)
+
+    monkeypatch.setattr(DPPoly, "__sub__", counting)
+    # the trace's replay subtracts F again; only the loop is counted
+    monkeypatch.setattr(classify, "ReductionTrace", lambda start, target, steps: steps)
+    for stop_degree in (None, 3):
+        minuends.clear()
+        steps = reduce_toward(f, F, stop_degree)
+        assert steps and [id(a) for a in minuends] == [id(a) for a in [f] + [g for _, g in steps]]
+
+
 def test_trace_dimension_invariant(rng):
     from apolar import dim_apolar
 
