@@ -29,11 +29,15 @@ How the costly maps are computed:
   for every unipotent reduction step, and then L^{-1} is skipped.  L^{-1}
   otherwise comes from ``Automorphism._linear_inverse``: an integer
   matrix over one denominator, read off one integer echelon form of
-  [L | 1].
+  [L | 1].  Every automorphism fixes constants, so a constant u, or zero,
+  is returned as it is, at phi's truncation, with no round run (after
+  the arity and field check).
 * ``compose`` needs psi^{-1}(u) only, and takes it from
   ``psi._preimage(u)``; no inverse is built.  It substitutes all n images
   of psi into phi through one power cache of phi's images
-  (``_substituted``, which ``subst`` goes through too).
+  (``_substituted``, which ``subst`` goes through too).  A reduction
+  trace folds its steps from the last, compose(g, accumulated), so phi is
+  a sparse step, and u is the step's unit, mostly the constant 1.
 * ``Automorphism.inverse`` has no caller inside the library; it serves
   callers outside it.  phi^{-1}(a_j) is the preimage of a_j.
 
@@ -42,14 +46,17 @@ numerators over one common denominator, (``_den``, ``_num``).  ``subst``
 keeps its power cache and each term's partial products as such pairs and
 sums the scaled terms over the lcm of their denominators; the dual action
 keeps its power table phi(a)^b as pairs and pairs each entry with f's
-numerators.  Each result is reduced once, by ``_make``.  Images and
-units that are only re-truncated go through ``Operator._at``, which
-does not check their exponent keys again.
+numerators.  ``dp._ints_mul`` takes its right factor sorted by degree
+(``dp._by_degree``): the dual action sorts each image once per call,
+``_substituted`` each image and each power it multiplies by.  Each result
+is reduced once, by ``_make``.  Images and units that are only
+re-truncated go through ``Operator._at``, which does not check their
+exponent keys again.
 """
 
 from math import lcm
 
-from .dp import Operator, _check_pair, _ints_mul, contract, monomials
+from .dp import Operator, _by_degree, _check_pair, _ints_mul, contract, monomials
 from .errors import (
     ArityMismatch,
     FieldMismatch,
@@ -79,13 +86,20 @@ def _substituted(ops, images):
             _check_pair(op, im)
         if im.trunc != trunc:
             raise FieldMismatch("truncation %d vs %d" % (trunc, im.trunc))
-    ints = [(im._den, im._num) for im in images]
-    pow_cache = [{1: x} for x in ints]
+    pow_cache = [{1: (im._den, im._num)} for im in images]
+    # the powers as right factors, each sorted once
+    right_cache = [{1: _by_degree(im._den, im._num)} for im in images]
 
     def power(i, k):
         cache = pow_cache[i]
         if k not in cache:
-            cache[k] = _ints_mul(power(i, k - 1), ints[i], trunc)
+            cache[k] = _ints_mul(power(i, k - 1), right_cache[i][1], trunc)
+        return cache[k]
+
+    def right(i, k):
+        cache = right_cache[i]
+        if k not in cache:
+            cache[k] = _by_degree(*power(i, k))
         return cache[k]
 
     out = []
@@ -95,7 +109,7 @@ def _substituted(ops, images):
             term = None
             for i, a in enumerate(e):
                 if a:
-                    term = power(i, a) if term is None else _ints_mul(term, power(i, a), trunc)
+                    term = power(i, a) if term is None else _ints_mul(term, right(i, a), trunc)
                     if not term[1]:
                         break
             den, prod = (1, {e: 1}) if term is None else term  # the monomial 1 maps to 1
@@ -201,8 +215,13 @@ class Automorphism:
         The degree-r part of phi(x) is L x_r plus terms from x below degree
         r.  So with rest = u - phi(x_{<r}) of order >= r, x_r is L^-1 of the
         degree-r part of rest, and each round substitutes only the new piece
-        x_r into phi.  For unipotent phi, L^-1 is the identity.
+        x_r into phi.  For unipotent phi, L^-1 is the identity.  phi fixes
+        constants, so a constant u, or zero, is its own preimage: it comes
+        back as it is, at phi's truncation, with no round run.
         """
+        _check_pair(self.images[0], u)
+        if u.degree <= 0:
+            return u._at(self.trunc)
         linv = None if self.is_unipotent() else self._linear_inverse()
         x = Operator.zero(self.n, self.field, self.trunc)
         rest = u
@@ -247,8 +266,9 @@ def apply_automorphism_dual(phi, f):
         raise ArityMismatch("truncation %d below deg f = %d" % (phi.trunc, f.degree))
     n = f.n
     get = f._num.get
-    # the products stop at degree d, so the images need no truncation
-    images = [(im._den, im._num) for im in phi.images]
+    # the right factors of the power table, each sorted once; the products
+    # stop at degree d, so the images need no truncation
+    images = [_by_degree(im._den, im._num) for im in phi.images]
     k = phi._lowest_change()
     powers = {(0,) * n: (1, {(0,) * n: 1})}
     vals = {}

@@ -49,7 +49,6 @@ in one place and raise GoldenMismatch naming every key that differs.
 
 import json
 import math
-from functools import reduce
 from importlib import resources
 
 from .actions import (
@@ -97,10 +96,11 @@ class ReductionTrace:
     ``steps`` is a list of (GroupElement, resulting DPPoly), each element
     applied to the result before it.  ``final`` is the last result (``start``
     when there are no steps) and ``accumulated`` the composite of the steps'
-    elements, ``compose`` folded from the first (the identity when there
-    are none).  Replaying ``accumulated`` on ``start`` must reproduce
-    ``final`` exactly, and the degree of the difference to ``target``
-    strictly decreases along the steps.
+    elements, ``compose`` folded from the last step (the identity when there
+    are none): ``compose`` is associative and exact, so this is the same
+    element as the fold from the first.  Replaying ``accumulated`` on
+    ``start`` must reproduce ``final`` exactly, and the degree of the
+    difference to ``target`` strictly decreases along the steps.
     """
 
     def __init__(self, start, target, steps):
@@ -109,7 +109,13 @@ class ReductionTrace:
         self.steps = steps
         if steps:
             self.final = steps[-1][1]
-            self.accumulated = reduce(compose, [g for g, _ in steps])
+            # compose(g_1, compose(g_2, ... g_k)): each fold substitutes the
+            # sparse images of a step g into the accumulated ones and takes
+            # the preimage of g's unit, mostly the constant 1, under them
+            acc = steps[-1][0]
+            for g, _ in reversed(steps[:-1]):
+                acc = compose(g, acc)
+            self.accumulated = acc
         else:
             self.final = start
             trunc = max(start.degree, target.degree, 1)

@@ -27,10 +27,12 @@ Key operations:
 * ``omega`` / ``omega_inv``: the characteristic-zero dictionary
   x^[a] <-> x^a / a!, guarded against small characteristic.
 
-``_ints_mul`` is the one operator product kernel: it multiplies two
-(den, num) pairs under a truncation without reducing mod p.
-``Operator.__mul__`` applies it to the stored pairs; ``actions.subst`` and
-``actions.apply_automorphism_dual`` chain it and reduce only their results.
+``_ints_mul`` is the one operator product kernel: it multiplies a
+(den, num) pair by a right factor sorted by degree (``_by_degree``) under a
+truncation, without reducing mod p.  ``Operator.__mul__`` applies it to the
+stored pairs; ``actions.subst`` and ``actions.apply_automorphism_dual``
+chain it, sort each factor they reuse once per call, and reduce only their
+results.
 
 deg(0) is the sentinel -1, so tests like ``deg(...) <= 0`` admit the zero
 polynomial.
@@ -77,15 +79,22 @@ def _check_pair(a, b):
         raise FieldMismatch("%r vs %r" % (a.field, b.field))
 
 
-def _ints_mul(x, y, trunc):
-    """The product of two (den, num) pairs, truncated at total degree trunc.
+def _by_degree(den, num):
+    """The (den, num) pair as ``_ints_mul``'s right factor: (den, its terms
+    as (degree, exponent, numerator) triples sorted by degree)."""
+    return den, sorted((sum(b), b, c) for b, c in num.items())
 
-    y's terms are sorted by degree once, so the inner loop stops at the
-    first term of degree above trunc - deg(a): no pair above the truncation
-    is visited.  The integers are not reduced mod p.
+
+def _ints_mul(x, y, trunc):
+    """The product of a (den, num) pair x and a pair y in the form of
+    ``_by_degree``, truncated at total degree trunc, as a (den, num) pair.
+
+    y comes sorted by degree, so a caller that multiplies by the same factor
+    many times sorts it once, and the inner loop stops at the first term of
+    degree above trunc - deg(a): no pair above the truncation is visited.
+    The integers are not reduced mod p.
     """
-    (dx, xs), (dy, ys) = x, y
-    right = sorted((sum(b), b, c) for b, c in ys.items())
+    (dx, xs), (dy, right) = x, y
     out = {}
     get = out.get
     for a, ca in xs.items():
@@ -321,7 +330,8 @@ class Operator(_Sparse):
         _check_pair(self, other)
         if self.trunc != other.trunc:
             raise FieldMismatch("truncation %d vs %d" % (self.trunc, other.trunc))
-        return self._make(*_ints_mul((self._den, self._num), (other._den, other._num), self.trunc))
+        right = _by_degree(other._den, other._num)
+        return self._make(*_ints_mul((self._den, self._num), right, self.trunc))
 
     def power(self, k):
         result = Operator.one(self.n, self.field, self.trunc)

@@ -65,13 +65,17 @@ the kernel vectors come out already in canonical form (see there), so
 nothing is eliminated twice; ``apolarity.ann_graded`` hands that read-off
 the rows of its capped ``_fill``.
 
+``solve`` forms no reduced row: after one forward sweep of [M | b] it
+back-substitutes the right side alone over the stored rows of the block
+that holds b's column (``_solve``); every other pivot variable is 0.
+
 So rows are lists in two places only: inside the sweep, on a block's
 columns, and at the public boundary, where ``_decode`` makes full-width
 rows of field elements for ``rref``, ``nullspace`` and ``Basis.rows``
-(over Q each row divided by its pivot, as Fractions).  ``solve`` divides
-one entry per pivot row, and ``Basis.vectors()`` hands each integer row
-with its pivot as denominator to the polynomials' own canonical form
-(``Window._elements``), so no Fraction is built there.
+(over Q each row divided by its pivot, as Fractions).  ``solve`` builds
+one Fraction per nonzero entry of its solution, and ``Basis.vectors()``
+hands each integer row with its pivot as denominator to the polynomials'
+own canonical form (``Window._elements``), so no Fraction is built there.
 """
 
 from fractions import Fraction
@@ -374,9 +378,8 @@ def solve(rows, rhs, field, ncols):
     entry per row (else AmbientMismatch); every entry is a field element
     (else FieldMismatch).  Returns a list of field elements or None when
     inconsistent.  The solution is the reduced-echelon particular solution,
-    so it is deterministic: x[pc] is read off the canonical integer row with
-    pivot column pc as row[ncols] / row[pc] (over F_p the pivot is 1), and
-    only those entries are decoded.
+    so it is deterministic; ``_solve`` finds it by one forward sweep and a
+    back-substitution of the right side alone.
     """
     if len(rhs) != len(rows):
         raise AmbientMismatch("%d right-hand sides for %d rows" % (len(rhs), len(rows)))
@@ -386,14 +389,46 @@ def solve(rows, rhs, field, ncols):
 
 def _solve(rows, field, ncols):
     """``solve`` on the sparse integer rows of the augmented matrix [M | b],
-    b at column ``ncols``."""
-    red, pivots = _echelon(rows, field)
-    if ncols in pivots:
-        return None
+    b at column ``ncols``.
+
+    One forward ``_sweep``, and no reduced row.  Column ``ncols`` is the
+    last, so only the last block can hold it; the rows of every other block
+    have no right side, so their pivot variables are 0.  A stored row
+    leading at ``ncols`` makes the system inconsistent.  Otherwise only the
+    right side is back-substituted over the stored rows U of that block,
+    from the last pivot up: x[pc] = (b_r - sum_j U_r[j] x_j) / U_r[pc] over
+    the later pivots j, the free variables being 0.  The values are kept as
+    integer numerators over one common denominator, which grows only by the
+    part of a pivot that does not divide its numerator, and become
+    Fractions (over Q) once, at the end.  The particular solution with the
+    free variables 0 is unique, so it is the one of the reduced echelon
+    form.
+    """
     x = [field.zero()] * ncols
-    for row, pc in zip(red, pivots):
-        b = row.get(ncols, 0)
-        x[pc] = Fraction(b, row[pc]) if field.is_rationals else b
+    blocks = _sweep(rows, field.p)[0]
+    if not blocks or blocks[-1][1] != ncols:
+        return x
+    lo, _, stored = blocks[-1]
+    rhs = ncols - lo  # the right side's offset in the block
+    if rhs in stored:
+        return None
+    p, den, known = field.p, 1, []  # known: (offset, numerator over den), nonzero
+    for k in sorted(stored, reverse=True):
+        row = stored[k]
+        num = row[rhs - k] * den - sum(c * v for j, v in known if (c := row[j - k]))
+        if p:
+            num %= p  # the pivot is 1, den stays 1
+        elif num:
+            piv = row[0]
+            g = gcd(num, piv) if piv > 0 else -gcd(num, piv)
+            num, m = num // g, piv // g  # x_k = num / (den m), m > 0
+            if m > 1:
+                den *= m
+                known = [(j, v * m) for j, v in known]
+        if num:
+            known.append((k, num))
+    for j, v in known:
+        x[lo + j] = v if p else Fraction(v, den)
     return x
 
 

@@ -30,7 +30,7 @@ from apolar.actions import (
     exp_operator,
     identity_automorphism,
 )
-from apolar.dp import _ints_mul, monomials, monomials_upto
+from apolar.dp import _by_degree, _ints_mul, monomials, monomials_upto
 from apolar.errors import (
     ArityMismatch,
     FieldMismatch,
@@ -414,7 +414,7 @@ def _reference_full_table_apply_dual(phi, f):
     d = max(f.degree, 0)
     n = f.n
     get = f._num.get
-    images = [(im._den, im._num) for im in phi.images]
+    images = [_by_degree(im._den, im._num) for im in phi.images]
     powers = {(0,) * n: (1, {(0,) * n: 1})}
     vals = {}
     for deg in range(d + 1):
@@ -550,10 +550,12 @@ def _reference_compose(g, h):
 
 
 def _preimage_operators(rng, n, field, trunc):
-    """A unit, a unit with a constant other than 1, a non-unit and zero."""
-    unit = random_operator(rng, n, field, trunc, min_order=1) + Operator.one(n, field, trunc)
+    """A unit, a unit with a constant other than 1, a non-unit, the
+    constants 1 and 3, and zero."""
+    one = Operator.one(n, field, trunc)
+    unit = random_operator(rng, n, field, trunc, min_order=1) + one
     return [unit, unit.scale(field.from_int(3)), random_operator(rng, n, field, trunc, min_order=1),
-            Operator.zero(n, field, trunc)]
+            one, one.scale(field.from_int(3)), Operator.zero(n, field, trunc)]
 
 
 @pytest.mark.parametrize("shape", ["linear", "fractions", "step", "exp"])
@@ -576,6 +578,46 @@ def test_preimage_matches_substitution_into_the_inverse(rng, field, shape):
                 assert x.trunc == trunc
                 assert subst(x, phi.images) == u
     assert all(identity) if shape in ("step", "exp") else identity.count(False) > 10
+
+
+@pytest.mark.parametrize("shape", ["linear", "step"])
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_preimage_of_a_constant_is_the_constant(rng, field, shape, monkeypatch):
+    # phi fixes constants: a constant u, or zero, comes back as it is, at
+    # phi's truncation, with no round run; a wrong field or arity still
+    # raises, for a constant, zero and any other u alike
+    rounds = []
+    monkeypatch.setattr(actions, "subst", lambda *a: rounds.append(a) or subst(*a))
+    unipotent = set()
+    for n in (1, 2, 3):
+        for trunc in range(1, 6):
+            phi = _oracle_automorphism(rng, n, field, trunc, shape)
+            unipotent.add(phi.is_unipotent())
+            for c in (1, 3, 0):
+                for t in (trunc, trunc + 2):
+                    u = Operator.one(n, field, t).scale(field.from_int(c))
+                    x = phi._preimage(u)
+                    assert x == u and x.trunc == trunc, (n, trunc, c, t)
+            for wrong in (Operator.one(n, GF(5), trunc), Operator.zero(n, GF(5), trunc),
+                          Operator.variable(n, GF(5), 1, trunc)):
+                with pytest.raises(FieldMismatch):
+                    phi._preimage(wrong)
+            for wrong in (Operator.one(n + 1, field, trunc), Operator.zero(n + 1, field, trunc)):
+                with pytest.raises(ArityMismatch):
+                    phi._preimage(wrong)
+    assert rounds == []
+    assert unipotent == {True} if shape == "step" else False in unipotent
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=repr)
+def test_compose_is_associative(rng, field):
+    # a trace folds its steps from the last, compose(g, compose(h, k)); the
+    # reference folds them from the first, compose(compose(g, h), k)
+    for n in (1, 2, 3):
+        for trunc in range(1, 6):
+            g, h, k = (random_group_element(rng, n, field, trunc) for _ in range(3))
+            right, left = compose(g, compose(h, k)), compose(compose(g, h), k)
+            assert right.aut.images == left.aut.images and right.unit == left.unit
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=repr)

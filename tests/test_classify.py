@@ -12,6 +12,7 @@ from apolar import (
     DPPoly,
     GroupElement,
     Operator,
+    ReductionTrace,
     Window,
     compose,
     contract,
@@ -525,7 +526,7 @@ def test_reduce_toward_composes_each_step_once(monkeypatch, rng):
     F = P(2, {(4, 0): 1, (0, 4): 1})
     trace = reduce_toward(apply_group_element(random_unipotent(rng, 2, QQ, 4), F), F)
     assert len(trace) >= 2
-    # the trace folds its steps' elements, seeded with the first one
+    # the trace folds its steps' elements, seeded with the last one
     assert calls == ["compose"] * (len(trace) - 1)
 
 
@@ -684,6 +685,48 @@ def test_trace_accumulates_like_the_fold_from_the_identity(field, rng):
     for trace in traces:
         assert _parts(trace.accumulated) == _parts(_reference_accumulate(trace))
     assert len(traces[0]) == 0 and max(map(len, traces)) >= 3
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
+def test_membership_traces_in_three_variables_accumulate_like_the_fold_from_the_identity(
+    field, rng
+):
+    # the fold from the last step seeds with the last element, whose unit
+    # clears the constant term and is not constant; the steps before it
+    # have the unit 1
+    F = parse_poly("x1^[4] + x2^[4] + x3^[4]", 3, field)
+    members = [parse_poly("x1^[4] + x2^[4] + x3^[4] + x1^[2]*x2 + x3 + 2", 3, field)]
+    members += [apply_group_element(random_unipotent(rng, 3, field, 4), F) for _ in range(3)]
+    units = []
+    for f in members:
+        trace = unip_orbit_membership(F, f).trace
+        assert _parts(trace.accumulated) == _parts(_reference_accumulate(trace))
+        units += [g.unit.degree for g, _ in trace.steps]
+    assert max(units) > 0 and min(units) == 0
+
+
+def test_validate_rejects_a_result_the_element_does_not_replay():
+    F = P(2, {(4, 0): 1, (0, 4): 1})
+    trace = reduce_toward(parse_poly("x1^[4] + x2^[4] + x1^[2]*x2 + x1 + 2", 2, QQ), F)
+    assert len(trace) >= 2
+    g, result = trace.steps[-1]
+    steps = trace.steps[:-1] + [(g, result + P(2, {(0, 0): 1}))]
+    with pytest.raises(ReductionFailed, match="accumulated element does not replay the trace"):
+        ReductionTrace(trace.start, F, steps)
+
+
+def test_validate_rejects_a_step_that_does_not_lower_the_difference():
+    # an identity step replays, so only the degree check catches it: after
+    # the last step, and between the first two
+    F = P(2, {(4, 0): 1, (0, 4): 1})
+    trace = reduce_toward(parse_poly("x1^[4] + x2^[4] + x1^[2]*x2 + x1 + 2", 2, QQ), F)
+    one = identity_group_element(2, QQ, 4)
+    for steps in (
+        trace.steps + [(one, trace.final)],
+        trace.steps[:1] + [(one, trace.steps[0][1])] + trace.steps[1:],
+    ):
+        with pytest.raises(ReductionFailed, match="difference degree did not decrease"):
+            ReductionTrace(trace.start, F, steps)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)

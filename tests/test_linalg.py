@@ -1,7 +1,7 @@
 from fractions import Fraction as Q
 from itertools import compress, count, islice
 from math import comb, gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import pytest
 
@@ -785,6 +785,41 @@ def _solve_cases(rng, field):
     yield from (([], [], 0), ([], [], 3), ([[]], [0], 0), ([[]], [5], 0), ([[0, 0]], [0], 2))
     yield [[1, 2], [2, 4]], [3, 6], 2  # rank-deficient, consistent
     yield [[1, 2], [2, 4]], [3, 7], 2  # rank-deficient, inconsistent
+    yield from _block_solve_cases(rng, field)
+
+
+def _block_solve_cases(rng, field):
+    """Systems whose [M | b] splits into several column blocks.
+
+    M is block-diagonal, each block's rows on its own columns, and the right
+    side is nonzero on the rows of one block only.  So the sweep joins that
+    block with every block after it, whose pivots come later and whose
+    variables are 0, and leaves the blocks before it apart.  Then fixed
+    shapes: a full block that holds the right side's column, and rows whose
+    only entry is the right side (all inconsistent over every field)."""
+    kinds = ["int", "frac"] if field.is_rationals else ["int"]
+    for _ in range(100):
+        kind = rng.choice(kinds)
+        widths = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        ncols, lo, rows, owners = sum(widths), 0, [], []
+        for k, w in enumerate(widths):
+            for _ in range(rng.randint(1, w + 1)):
+                row = [0] * ncols
+                row[lo : lo + w] = [_random_entry(rng, kind) for _ in range(w)]
+                rows.append(row)
+                owners.append(k)
+            lo += w
+        which = rng.randrange(len(widths))
+        x = [_random_entry(rng, kind) for _ in range(ncols)]
+        image = [sum(map(mul, row, x)) if k == which else 0 for row, k in zip(rows, owners)]
+        if not field.is_rationals:
+            image = [b % field.p for b in image]
+        yield rows, image, ncols
+        yield rows, [_random_entry(rng, kind) if k == which else 0 for k in owners], ncols
+    # x1 = 0 apart; x2 + x3 = 1, x2 = 1, x3 = 1: [M | b] has rank 3 on 3 columns
+    yield [[1, 0, 0], [0, 1, 1], [0, 1, 0], [0, 0, 1]], [0, 1, 1, 1], 3
+    yield [[1, 0], [0, 0]], [1, 5], 2  # 0 = 5
+    yield [[1, 0, 0], [0, 1, 1], [0, 0, 0]], [0, 1, 3], 3  # 0 = 3 after a consistent block
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
@@ -792,6 +827,21 @@ def test_solve_matches_decode_route(field, rng):
     outcomes = set()
     for rows, rhs, ncols in _solve_cases(rng, field):
         got, want = solve(rows, rhs, field, ncols), _reference_solve(rows, rhs, field, ncols)
+        # the shapes of the sweep of [M | b] met along the way
+        aug = _sparse([[*row, b] for row, b in zip(rows, rhs)])
+        blocks, leads = _sweep(aug, field.p)
+        if blocks and blocks[-1][1] == ncols:  # the last block holds b's column
+            lo, hi, stored = blocks[-1]
+            if len(stored) == hi + 1 - lo > 1:
+                outcomes.add("full block at b")
+            if any(row.keys() == {ncols} for row in aug):
+                outcomes.add("b only")
+            # a pivot of a row with no right side after the first column of
+            # a row with one, in a block that follows another
+            first_b = min(min(row) for row in aug if ncols in row)
+            later = [c for row, c in zip(aug, leads) if c is not None and ncols not in row]
+            if want is not None and len(blocks) > 1 and max(later, default=-1) > first_b:
+                outcomes.add("later pivots beside b")
         if want is None:
             assert got is None, (rows, rhs)
             outcomes.add("inconsistent")
@@ -801,7 +851,9 @@ def test_solve_matches_decode_route(field, rng):
             residual = sum(a * v for a, v in zip(row, got)) - b
             assert (residual % field.p if field.p else residual) == 0, (rows, rhs)
         outcomes.add("consistent")
-    assert outcomes == {"consistent", "inconsistent"}
+    assert outcomes == {
+        "consistent", "inconsistent", "full block at b", "b only", "later pivots beside b",
+    }
 
 
 def test_public_routines_reject_wrong_shapes():
