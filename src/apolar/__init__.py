@@ -57,7 +57,7 @@ from .dp import (
 )
 from .errors import *  # noqa: F401,F403 -- the exception hierarchy
 from .fields import GF, QQ, FieldSpec, char_guard
-from .linalg import Basis, Window, nullspace, rref, solve, span
+from .linalg import Basis, Window, rref, span
 from .parsing import (
     operator_str,
     parse_classical_poly,

@@ -8,10 +8,10 @@ with deg(apply(g, f) - F) < e.  Two solvers are tried in order:
 * a homogeneous solve of G = sum_i x_i (D_i -| tdf F) + tau -| tdf F in P_e
   with D_i, tau homogeneous of degrees d-e+1 and d-e, assembled as
   (a_i -> a_i - D_i, 1 - tau) -- all corrections land strictly below e.
-  Each image and the unit is one Operator built from one dict: D_i has
-  degree >= 2 and tau degree >= 1, so no key meets a_i or 1.  The
-  element is the identity modulo m^{d-e+1}, so its dual action multiplies
-  out only the degrees <= e;
+  Each image and the unit is one ``_make`` of the solver's numerators over
+  its denominator: D_i has degree >= 2 and tau degree >= 1, so no key
+  meets a_i or 1.  The element is the identity modulo m^{d-e+1}, so its
+  dual action multiplies out only the degrees <= e;
 * an exact mixed-degree solve of the same equation against the full F in
   P_{<= d-1}, assembled as the exponential of the corresponding Lie algebra
   element, so the identity L F = G turns into apply(g, f) = f - G + (lower).
@@ -19,9 +19,11 @@ with deg(apply(g, f) - F) < e.  Two solvers are tried in order:
 Both read one system (``_solve_tangent_system``) built from integer rows:
 the contraction rows x^e -| D F filled by exponent lookup from F's stored
 numerators (D = F._den) and their shifts x_i x^[u] = (u_i + 1) x^[u + e_i],
-with no ``contract`` and no DPPoly product.  If neither system is solvable
-the leading term is certifiably outside the tangent space and NotInTangent
-is raised.
+with no ``contract`` and no DPPoly product.  ``linalg._solve`` hands back
+its solution as integer numerators over one denominator, the stored form
+of an Operator, so no Fraction is built between the sweep and the step's
+element.  If neither system is solvable the leading term is certifiably
+outside the tangent space and NotInTangent is raised.
 
 What G+ can clear in one degree is decided in one place,
 ``tangent_residue(f, e)``: G+ changes f_e, keeping every degree above e,
@@ -149,13 +151,13 @@ def _solve_tangent_system(G, F, win, d_exps, tau_exps):
     from F's stored numerators, so D = F._den (D = 1 over F_p); they are
     transposed into the sparse rows of the system.  So the right side is
     D G, and with G = G._num / G._den the rows [G._den D M | D G._num] are
-    integers with the same reduced echelon form as [M | G], and ``solve``
-    sets the free columns to zero, so the solution depends on the column
-    order.  Returns (d_terms, tau_terms), the nonzero
-    coefficients of D_1 .. D_n and tau, or None when inconsistent.
+    integers with the same reduced echelon form as [M | G], and ``_solve``
+    sets the free variables to zero, so the solution depends on the column
+    order.  Returns (den, d_terms, tau_terms), the negated solution as
+    ``_make`` takes it: the numerators of -D_1 .. -D_n and -tau over den,
+    nonzero ones only, or None when the system is inconsistent.
     """
-    n, field = F.n, F.field
-    d_exps, tau_exps = list(d_exps), list(tau_exps)
+    n = F.n
     inner = [k - 1 for k in win.degrees if k >= 1]
     shifted = _shifted_rows(_contraction_rows(F, d_exps, inner), n, inner, win)
     cols = [shifts[i] for i in range(n) for shifts in shifted]
@@ -167,16 +169,16 @@ def _solve_tangent_system(G, F, win, d_exps, tau_exps):
             rows[r][k] = G._den * x
     for e, c in G._num.items():
         rows[win.index[e]][len(cols)] = F._den * c
-    sol = _solve(rows, field, len(cols))
+    sol = _solve(rows, F.field.p, len(cols))
     if sol is None:
         return None
-    d_terms = [{} for _ in range(n)]
-    tau_terms = {}
-    labels = [(i, e) for i in range(n) for e in d_exps] + [(-1, e) for e in tau_exps]
-    for (i, exps), c in zip(labels, sol):
-        if not field.is_zero(c):
-            (tau_terms if i < 0 else d_terms[i])[exps] = c
-    return d_terms, tau_terms
+    den, num = sol
+    d_terms, tau_terms = [{} for _ in range(n)], {}
+    labels = [(terms, e) for terms in d_terms for e in d_exps] + [(tau_terms, e) for e in tau_exps]
+    for k, v in num.items():
+        terms, e = labels[k]
+        terms[e] = -v
+    return den, d_terms, tau_terms
 
 
 def _solve_homogeneous_step(G, F):
@@ -192,14 +194,13 @@ def _solve_homogeneous_step(G, F):
     sol = _solve_tangent_system(G, T, win, monomials(n, d - e + 1), monomials(n, d - e))
     if sol is None:
         return None
-    d_terms, tau_terms = sol
-    one = field.one()
-    # D_i has degree d-e+1 >= 2 and tau degree d-e >= 1: no key meets a_i or 1
-    images = [
-        Operator(n, field, {a: one, **{e: field.neg(c) for e, c in d_terms[i].items()}}, d)
-        for i, a in enumerate(monomials(n, 1))
-    ]
-    unit = Operator(n, field, {(0,) * n: one, **{e: field.neg(c) for e, c in tau_terms.items()}}, d)
+    den, d_terms, tau_terms = sol
+    zero = Operator.zero(n, field, d)
+    # D_i has degree d-e+1 >= 2 and tau degree d-e >= 1: no key meets a_i or
+    # 1.  At e = 0 the D_i columns are zero (degree d+1 contracts T to 0), so
+    # every key has degree <= d, the truncation.
+    images = [zero._make(den, {a: den, **d_terms[i]}) for i, a in enumerate(monomials(n, 1))]
+    unit = zero._make(den, {(0,) * n: den, **tau_terms})
     return GroupElement(Automorphism(images), unit)
 
 
@@ -217,13 +218,10 @@ def _solve_general_step(G, F):
     )
     if sol is None:
         return None
-    d_terms, tau_terms = sol
-    D = Derivation([
-        Operator(n, field, {e: field.neg(c) for e, c in d_terms[i].items()}, d)
-        for i in range(n)
-    ])
-    tau = Operator(n, field, {e: field.neg(c) for e, c in tau_terms.items()}, d)
-    return exp_group_element(D, tau)
+    den, d_terms, tau_terms = sol
+    zero = Operator.zero(n, field, d)
+    D = Derivation([zero._make(den, terms) for terms in d_terms])
+    return exp_group_element(D, zero._make(den, tau_terms))
 
 
 def lower_degree_step(f, F):

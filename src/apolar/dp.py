@@ -40,7 +40,7 @@ polynomial.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, ge, sub
 
@@ -50,17 +50,24 @@ from .fields import char_guard
 ZERO_DEG = -1  # degree of the zero polynomial: any value < 0 works
 
 
-# a benchmark workload reaches at most 27 keys (n, d), counting the recursive
-# calls, and the whole test suite in one process 67; 128 evicts none of them
+# one set-up and pass of a benchmark workload reaches 27 keys (n, d) on
+# invariants, 20 on orbits and 15 on classify, and the whole test suite in one
+# process 93; 128 evicts none of them
 @lru_cache(maxsize=128)
 def monomials(n, d):
     """Exponent tuples of total degree d (none if d < 0) in n variables,
-    lex-descending, as one tuple per (n, d) shared by every caller."""
-    if n == 1:
-        return ((d,),) if d >= 0 else ()
-    return tuple(
-        (first,) + rest for first in range(d, -1, -1) for rest in monomials(n - 1, d - first)
-    )
+    lex-descending, as one tuple per (n, d) shared by every caller.
+
+    The multisets of d variable indices come in lexicographic order, the
+    first index most often first, so their exponent vectors come
+    lex-descending; no call recurses, whatever n."""
+    out = []
+    for idx in combinations_with_replacement(range(n), d) if d >= 0 else ():
+        e = [0] * n
+        for i in idx:
+            e[i] += 1
+        out.append(tuple(e))
+    return tuple(out)
 
 
 def monomials_upto(n, dmax):
@@ -174,9 +181,6 @@ class _Sparse:
 
     def homogeneous_part(self, d):
         return self._part(lambda k: k == d)
-
-    def part_upto(self, d):
-        return self._part(lambda k: k <= d)
 
     def part_from(self, d):
         return self._part(lambda k: k >= d)

@@ -8,9 +8,9 @@ reduced echelon form, so subspace equality is literal row equality.
 Every integer row here is sparse: a dict {column: int} of the row's nonzero
 entries.  The row builders in ``apolarity``, ``tangent`` and ``classify``
 fill them from a polynomial's terms, so a row holds only the few terms it
-touches; the public entry points (``rref``, ``nullspace``, ``solve``,
-``Basis(window, rows)``, ``span``, ``contains_vector``) check their rows of
-field elements (``_check_matrix``: ``AmbientMismatch`` for a wrong width,
+touches; the public entry points (``rref``, ``Basis(window, rows)``,
+``span``, ``contains_vector``) check their rows of field elements
+(``_check_matrix``: ``AmbientMismatch`` for a wrong width,
 ``FieldMismatch`` for an entry that is no field element) and convert them
 once (``_sparse``; over Q a row with Fractions is scaled by the lcm of its
 denominators).
@@ -65,17 +65,18 @@ the kernel vectors come out already in canonical form (see there), so
 nothing is eliminated twice; ``apolarity.ann_graded`` hands that read-off
 the rows of its capped ``_fill``.
 
-``solve`` forms no reduced row: after one forward sweep of [M | b] it
-back-substitutes the right side alone over the stored rows of the block
-that holds b's column (``_solve``); every other pivot variable is 0.
+``_solve``, the solver of the reduction steps in ``classify``, forms no
+reduced row: after one forward sweep of [M | b] it back-substitutes the
+right side alone over the stored rows of the block that holds b's column;
+every other pivot variable is 0.  Its solution is integer numerators over
+one denominator, the pair the polynomials' canonical form takes.
 
 So rows are lists in two places only: inside the sweep, on a block's
 columns, and at the public boundary, where ``_decode`` makes full-width
-rows of field elements for ``rref``, ``nullspace`` and ``Basis.rows``
-(over Q each row divided by its pivot, as Fractions).  ``solve`` builds
-one Fraction per nonzero entry of its solution, and ``Basis.vectors()``
-hands each integer row with its pivot as denominator to the polynomials'
-own canonical form (``Window._elements``), so no Fraction is built there.
+rows of field elements for ``rref`` and ``Basis.rows`` (over Q each row
+divided by its pivot, as Fractions).  ``Basis.vectors()`` hands each
+integer row with its pivot as denominator to the polynomials' own
+canonical form (``Window._elements``), so no Fraction is built there.
 """
 
 from fractions import Fraction
@@ -338,14 +339,14 @@ def _reversed_kernel(reduced, p, ncols):
     return kernel
 
 
-def _check_matrix(rows, field, ncols, rhs=()):
+def _check_matrix(rows, field, ncols):
     """AmbientMismatch unless every row has ``ncols`` entries; FieldMismatch
-    unless every entry of ``rows`` and ``rhs`` is a field element: ints over
-    F_p, ints and Fractions over Q (the rule of ``dp._Sparse``)."""
+    unless every entry is a field element: ints over F_p, ints and Fractions
+    over Q (the rule of ``dp._Sparse``)."""
     for row in rows:
         if len(row) != ncols:
             raise AmbientMismatch("row of %d entries, expected %d" % (len(row), ncols))
-    bad = {*map(type, chain(*rows, rhs))} - ({int} if field.p else {int, Fraction})
+    bad = {*map(type, chain(*rows))} - ({int} if field.p else {int, Fraction})
     if bad:
         names = ", ".join(sorted(t.__name__ for t in bad))
         raise FieldMismatch("entries of type %s are not elements of %r" % (names, field))
@@ -363,33 +364,13 @@ def rref(rows, field, ncols):
     return _decode(work, field, ncols), pivots
 
 
-def nullspace(rows, field, ncols):
-    """Basis (as RREF) of {x : M x = 0}, M given by ``rows`` of ``ncols``
-    field elements each (else AmbientMismatch, FieldMismatch); see
-    ``_kernel``."""
-    _check_matrix(rows, field, ncols)
-    return _decode(_kernel(_sparse(rows), field, ncols), field, ncols)
-
-
-def solve(rows, rhs, field, ncols):
-    """Particular solution of M x = rhs with free variables set to zero.
-
-    M is given by ``rows`` of ``ncols`` entries each, and ``rhs`` has one
-    entry per row (else AmbientMismatch); every entry is a field element
-    (else FieldMismatch).  Returns a list of field elements or None when
-    inconsistent.  The solution is the reduced-echelon particular solution,
-    so it is deterministic; ``_solve`` finds it by one forward sweep and a
-    back-substitution of the right side alone.
-    """
-    if len(rhs) != len(rows):
-        raise AmbientMismatch("%d right-hand sides for %d rows" % (len(rhs), len(rows)))
-    _check_matrix(rows, field, ncols, rhs)
-    return _solve(_sparse([[*row, b] for row, b in zip(rows, rhs)]), field, ncols)
-
-
-def _solve(rows, field, ncols):
-    """``solve`` on the sparse integer rows of the augmented matrix [M | b],
-    b at column ``ncols``.
+def _solve(rows, p, ncols):
+    """The particular solution of M x = b with the free variables 0, from
+    the sparse integer rows of the augmented matrix [M | b], b at column
+    ``ncols``, over Q (p = 0) or F_p.  Returns None when the system is
+    inconsistent, else (den, num): x[j] = num[j] / den, the nonzero entries
+    only, keyed in increasing column order -- the pair ``dp._make`` takes
+    (den = 1 over F_p, numerators residues in [1, p)).
 
     One forward ``_sweep``, and no reduced row.  Column ``ncols`` is the
     last, so only the last block can hold it; the rows of every other block
@@ -399,20 +380,18 @@ def _solve(rows, field, ncols):
     from the last pivot up: x[pc] = (b_r - sum_j U_r[j] x_j) / U_r[pc] over
     the later pivots j, the free variables being 0.  The values are kept as
     integer numerators over one common denominator, which grows only by the
-    part of a pivot that does not divide its numerator, and become
-    Fractions (over Q) once, at the end.  The particular solution with the
-    free variables 0 is unique, so it is the one of the reduced echelon
-    form.
+    part of a pivot that does not divide its numerator.  The particular
+    solution with the free variables 0 is unique, so it is the one of the
+    reduced echelon form.
     """
-    x = [field.zero()] * ncols
-    blocks = _sweep(rows, field.p)[0]
+    blocks = _sweep(rows, p)[0]
     if not blocks or blocks[-1][1] != ncols:
-        return x
+        return 1, {}
     lo, _, stored = blocks[-1]
     rhs = ncols - lo  # the right side's offset in the block
     if rhs in stored:
         return None
-    p, den, known = field.p, 1, []  # known: (offset, numerator over den), nonzero
+    den, known = 1, []  # known: (offset, numerator over den), nonzero, last pivot first
     for k in sorted(stored, reverse=True):
         row = stored[k]
         num = row[rhs - k] * den - sum(c * v for j, v in known if (c := row[j - k]))
@@ -427,9 +406,7 @@ def _solve(rows, field, ncols):
                 known = [(j, v * m) for j, v in known]
         if num:
             known.append((k, num))
-    for j, v in known:
-        x[lo + j] = v if p else Fraction(v, den)
-    return x
+    return den, {lo + j: v for j, v in reversed(known)}
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +422,13 @@ MAX_WINDOW_COLUMNS = 2000
 
 
 def _check_window_size(n, degrees):
-    """Raise WindowTooLarge if the monomials of ``degrees`` in n variables,
-    sum of binom(n-1+i, i), number more than MAX_WINDOW_COLUMNS.  Counted
-    from the degrees alone, before any monomial is enumerated."""
+    """Raise WindowTooLarge if the monomials of ``degrees`` (ascending and
+    distinct: a range or a sorted list) in n variables, sum of
+    binom(n-1+i, i), number more than MAX_WINDOW_COLUMNS.  Counted from the
+    degrees alone, before any monomial is enumerated, and only until the
+    count passes the budget: each degree i >= 0 adds at least one column, so
+    a range from 0 is read for at most MAX_WINDOW_COLUMNS + 1 degrees, and
+    the message names its last degree by index, whatever its bound."""
     if n < 1:
         raise ArityMismatch("need at least one variable, got %d" % n)
     size = 0
@@ -457,7 +438,7 @@ def _check_window_size(n, degrees):
             if size > MAX_WINDOW_COLUMNS:
                 raise WindowTooLarge(
                     "window in %d variables up to degree %d has more than %d columns"
-                    % (n, max(degrees), MAX_WINDOW_COLUMNS)
+                    % (n, degrees[-1], MAX_WINDOW_COLUMNS)
                 )
 
 
@@ -469,8 +450,10 @@ class Window:
             raise ValueError("space must be 'P' or 'S'")
         self.space = space
         self.n = n
-        self.degrees = tuple(sorted(set(degrees)))
-        _check_window_size(n, self.degrees)
+        # a range is counted as it is: its set would cost its whole length
+        degrees = degrees if isinstance(degrees, range) else sorted(set(degrees))
+        _check_window_size(n, degrees)
+        self.degrees = tuple(sorted(degrees))
         self.field = field
         self.columns = []
         for d in self.degrees:

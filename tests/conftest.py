@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from apolar import GF, QQ, DPPoly, Operator
+from apolar import GF, QQ, DPPoly, Operator, rref
 from apolar.dp import monomials_upto
 
 
@@ -33,6 +33,20 @@ def run_once():
             raise outcomes[suite]
 
     return run
+
+
+def reference_solve(rows, rhs, field, ncols):
+    """The particular solution of M x = rhs with the free variables 0, as
+    field elements, or None when inconsistent: read off the last column of
+    ``rref`` of the augmented matrix [M | rhs], the whole reduced matrix
+    decoded."""
+    red, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)], field, ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [field.zero()] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
 
 
 def random_poly(rng, n, field, dmax, density=0.5, force_top=True):

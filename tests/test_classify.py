@@ -46,7 +46,7 @@ from apolar.classify import (
 )
 from apolar.cli import cli_dispatch
 from apolar.dp import monomials, monomials_upto
-from apolar.linalg import solve, span
+from apolar.linalg import span
 from apolar.errors import (
     GoldenMismatch,
     HypothesisFailed,
@@ -60,7 +60,7 @@ from apolar.errors import (
 )
 from apolar.parsing import parse_poly
 
-from conftest import random_form, random_poly, random_unipotent, with_fractions
+from conftest import random_form, random_poly, random_unipotent, reference_solve, with_fractions
 
 
 def P(n, terms, field=QQ):
@@ -589,7 +589,7 @@ def _reference_homogeneous_step(G, F):
         cols.append(win.encode(v))
         labels.append((-1, exps))
     rows = [[c[r] for c in cols] for r in range(win.dim)]
-    sol = solve(rows, win.encode(G), field, len(cols))
+    sol = reference_solve(rows, win.encode(G), field, len(cols))
     if sol is None:
         return None
     d_terms = [{} for _ in range(n)]
@@ -632,7 +632,7 @@ def _reference_general_step(G, F):
         cols.append(win.encode(v))
         labels.append((-1, exps))
     rows = [[c[r] for c in cols] for r in range(win.dim)]
-    sol = solve(rows, win.encode(G), field, len(cols))
+    sol = reference_solve(rows, win.encode(G), field, len(cols))
     if sol is None:
         return None
     d_terms = [{} for _ in range(n)]

@@ -27,6 +27,28 @@ def test_monomial_order():
     assert keys == sorted(keys)
 
 
+def _recursive_monomials(n, d):
+    """The recursive definition: the first exponent from d down, then the
+    monomials of degree d - first in the remaining n - 1 variables."""
+    if n == 1:
+        return ((d,),) if d >= 0 else ()
+    return tuple(
+        (first,) + rest
+        for first in range(d, -1, -1)
+        for rest in _recursive_monomials(n - 1, d - first)
+    )
+
+
+def test_monomials_match_the_recursive_definition():
+    for n in range(1, 7):
+        for d in range(-1, 8):
+            got = monomials(n, d)
+            assert type(got) is tuple and got == _recursive_monomials(n, d), (n, d)
+            assert monomials(n, d) is got  # one cached tuple per (n, d)
+    # no recursion in n: a one-variable-per-frame definition stops near 1000
+    assert monomials(400, 1) == tuple(tuple(int(i == j) for j in range(400)) for i in range(400))
+
+
 def test_no_monomials_of_negative_degree():
     for n in (1, 2, 3):
         for d in (-1, -2):
@@ -160,7 +182,6 @@ def test_negative_or_non_int_exponents_are_rejected():
 def test_homogeneous_parts():
     f = P(2, {(3, 1): 1, (2, 0): 7, (1, 0): 2})
     assert f.homogeneous_part(2) == P(2, {(2, 0): 7})
-    assert f.part_upto(2) == P(2, {(2, 0): 7, (1, 0): 2})
     assert f.part_from(2) == P(2, {(3, 1): 1, (2, 0): 7})
 
 
@@ -327,7 +348,6 @@ def test_operator_product_matches_fraction_oracle(rng, field):
                 for k in range(-1, d + 2):
                     terms = x.terms.items()
                     _assert_matches(x.homogeneous_part(k), {e: c for e, c in terms if sum(e) == k})
-                    _assert_matches(x.part_upto(k), {e: c for e, c in terms if sum(e) <= k})
                     _assert_matches(x.part_from(k), {e: c for e, c in terms if sum(e) >= k})
             for x in ops:
                 for i in range(1, n + 1):
@@ -373,7 +393,7 @@ def test_fp_coefficients_are_reduced_on_construction():
 def test_fp_operator_coefficients_are_residues():
     # Operator(1, GF(7), {(0,): 8}, 2) used to keep 8, so it differed from 1
     u = Operator(1, GF(7), {(0,): 8, (1,): -1}, 2)
-    assert u.part_upto(0) == Operator.one(1, GF(7), 2)
+    assert u.homogeneous_part(0) == Operator.one(1, GF(7), 2)
     assert Operator(1, GF(7), {(0,): 8}, 2) == Operator.one(1, GF(7), 2)
     assert u.terms == {(0,): 1, (1,): 6}
 

@@ -14,11 +14,10 @@ from apolar import (
     Window,
     ann_generators,
     ann_graded,
+    hilbert_function,
     module_sf,
-    nullspace,
     perp_tangent,
     rref,
-    solve,
     span,
 )
 from apolar import linalg
@@ -34,11 +33,12 @@ from apolar.linalg import (
     _echelon,
     _fill,
     _kernel,
+    _solve,
     _sparse,
     _store,
     _sweep,
 )
-from conftest import random_poly, with_fractions
+from conftest import random_poly, reference_solve, with_fractions
 
 
 def test_rref_rationals():
@@ -55,19 +55,47 @@ def test_rref_prime_field():
     assert red == [[1, 3]]  # 2^-1 = 3 mod 5
 
 
+def _nullspace(rows, field, ncols):
+    """The kernel of M, rows of ``ncols`` field elements, as reduced rows of
+    field elements: ``_kernel`` of the integer rows, decoded."""
+    return _decode(_kernel(_sparse(rows), field, ncols), field, ncols)
+
+
+def _decoded_solve(rows, rhs, field, ncols):
+    """``_solve`` of [M | rhs], rows of field elements, its (den, num) pair
+    checked for the form ``dp._make`` takes and decoded to one field element
+    per column (Fractions over Q), or None."""
+    sol = _solve(_sparse([[*row, b] for row, b in zip(rows, rhs)]), field.p, ncols)
+    if sol is None:
+        return None
+    den, num = sol
+    assert list(num) == sorted(num) and all(0 <= j < ncols for j in num)
+    if field.p:
+        assert den == 1 and all(0 < v < field.p for v in num.values())
+    else:
+        assert type(den) is int and den > 0 and all(type(v) is int and v for v in num.values())
+    x = [field.zero()] * ncols
+    for j, v in num.items():
+        x[j] = v if field.p else Q(v, den)
+    return x
+
+
 def test_nullspace_and_solve():
     rows = [[Q(1), Q(2), Q(3)], [Q(0), Q(1), Q(1)]]
-    ns = nullspace(rows, QQ, 3)
+    ns = _nullspace(rows, QQ, 3)
     assert len(ns) == 1
     v = ns[0]
     for row in rows:
         assert sum(a * b for a, b in zip(row, v)) == 0
-    x = solve(rows, [Q(6), Q(2)], QQ, 3)
+    x = _decoded_solve(rows, [Q(6), Q(2)], QQ, 3)
     assert x is not None
     assert [sum(a * b for a, b in zip(row, x)) for row in rows] == [Q(6), Q(2)]
     # free variable is set to zero: deterministic particular solution
     assert x[2] == 0
-    assert solve([[Q(1)], [Q(1)]], [Q(1), Q(2)], QQ, 1) is None
+    assert _decoded_solve([[Q(1)], [Q(1)]], [Q(1), Q(2)], QQ, 1) is None
+    # the pair itself: x = (0, 4/3) over one denominator, the zero left out
+    assert _solve(_sparse([[3, 0, 0], [0, 3, 4]]), 0, 2) == (3, {1: 4})
+    assert _solve(_sparse([[3, 0, 0], [0, 3, 4]]), 7, 2) == (1, {1: 6})
 
 
 def test_window_columns_graded_lex():
@@ -454,8 +482,8 @@ def test_full_blocks_match_the_sweep_of_every_row(field, rng):
         got = rref(rows, field, ncols)
         assert _typed(got) == _typed((_decode(red, field, ncols), pivots))
         assert _typed(got) == _typed(_reference_rref(rows, field, ncols)), rows
-        kernel = nullspace(rows, field, ncols)
-        assert _typed((kernel, None)) == _typed((_old_path(nullspace, rows, field, ncols), None))
+        kernel = _nullspace(rows, field, ncols)
+        assert _typed((kernel, None)) == _typed((_old_path(_nullspace, rows, field, ncols), None))
         assert _typed((kernel, None)) == _typed((_reference_nullspace(rows, field, ncols), None))
         win = Window.P_graded(2, ncols - 1, field)  # ncols columns
         perp = Basis(win, rows).perp()
@@ -687,7 +715,8 @@ def test_sparse_intake_matches_the_dense_path(field, rng):
 
 def test_window_budget_guard_fires_from_the_computed_size():
     # sum_{i <= d} binom(n-1+i, i) = binom(n+d, d): find the last d inside
-    # the budget and check the guard on the counts alone, allocating nothing
+    # the budget and check the guard on the counts alone, allocating nothing:
+    # the count stops at the budget, so a bound of 10**20 costs what 62 does
     for n in (1, 2, 3, 5):
         d = 0
         while comb(n + d + 1, d + 1) <= MAX_WINDOW_COLUMNS:
@@ -704,6 +733,21 @@ def test_window_budget_guard_fires_from_the_computed_size():
     # a polynomial whose own window is too large: refused before its rows are built
     with pytest.raises(WindowTooLarge):
         perp_tangent(DPPoly(2, QQ, {(10**6, 0): Q(1)}), max_degree=1)
+    x1 = DPPoly(1, QQ, {(1,): Q(1)})
+    for bound in (10**18, 10**19, 10**20):
+        for n in (1, 2):
+            with pytest.raises(WindowTooLarge):
+                Window.S_upto(n, bound, QQ)
+            with pytest.raises(WindowTooLarge):
+                _check_window_size(n, range(bound + 1))
+        with pytest.raises(WindowTooLarge):
+            perp_tangent(DPPoly(2, QQ, {(2, 0): Q(1)}), max_degree=bound)
+        with pytest.raises(WindowTooLarge):
+            ann_generators(x1, bound)
+        with pytest.raises(WindowTooLarge):
+            hilbert_function(DPPoly(1, QQ, {(bound,): Q(1)}))
+    # a degree collection that is not a range is counted once per degree
+    assert Window("P", 1, [3, 3, 1, 3], QQ).degrees == (1, 3)
 
 
 # Differential oracle for nullspace: one kernel vector per free column built
@@ -750,24 +794,14 @@ def _kernel_cases(rng, field):
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
 def test_nullspace_matches_two_rref_oracle(field, rng):
     for rows, ncols in _kernel_cases(rng, field):
-        got = nullspace(rows, field, ncols)
+        got = _nullspace(rows, field, ncols)
         want = _reference_nullspace(rows, field, ncols)
         assert _typed((got, None)) == _typed((want, None)), (rows, ncols)
 
 
-# Differential oracle for solve: the decode route, which turns the whole
-# reduced augmented matrix into field elements and reads the last column.
-
-
-def _reference_solve(rows, rhs, field, ncols):
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug, field, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [field.zero()] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
+# Differential oracle for _solve: the decode route (``reference_solve``),
+# which turns the whole reduced augmented matrix into field elements and
+# reads the last column.
 
 
 def _solve_cases(rng, field):
@@ -826,7 +860,8 @@ def _block_solve_cases(rng, field):
 def test_solve_matches_decode_route(field, rng):
     outcomes = set()
     for rows, rhs, ncols in _solve_cases(rng, field):
-        got, want = solve(rows, rhs, field, ncols), _reference_solve(rows, rhs, field, ncols)
+        got = _decoded_solve(rows, rhs, field, ncols)
+        want = reference_solve(rows, rhs, field, ncols)
         # the shapes of the sweep of [M | b] met along the way
         aug = _sparse([[*row, b] for row, b in zip(rows, rhs)])
         blocks, leads = _sweep(aug, field.p)
@@ -857,15 +892,10 @@ def test_solve_matches_decode_route(field, rng):
 
 
 def test_public_routines_reject_wrong_shapes():
-    # every row has ncols entries and rhs one entry per row, or AmbientMismatch
+    # every row has ncols entries, or AmbientMismatch
     bad = [
-        lambda: solve([[1, 0], [0, 1]], [1], QQ, 2),
-        lambda: solve([[1]], [1, 2], QQ, 1),
-        lambda: solve([[1, 2]], [1], QQ, 3),
         lambda: rref([[1, 2], [3, 4]], QQ, 3),
         lambda: rref([[1, 2], [3]], QQ, 2),
-        lambda: nullspace([[1, 2]], QQ, 3),
-        lambda: nullspace([[1, 2], [1]], GF(7), 2),
         lambda: Basis(Window.P_graded(2, 1, QQ), [[1, 0, 0]]),
         lambda: Basis(Window.P_graded(2, 1, GF(7)), [[1, 0], [1]]),
     ]
@@ -875,13 +905,7 @@ def test_public_routines_reject_wrong_shapes():
     # entries are field elements: ints over F_p, ints and Fractions over Q
     not_elements = [
         lambda: rref([[1, Q(1, 2)]], GF(7), 2),
-        lambda: solve([[2, 0]], [Q(1, 3)], GF(7), 2),
-        lambda: solve([[2, Q(1, 3)]], [1], GF(7), 2),
-        lambda: nullspace([[1, Q(1, 2)]], GF(7), 2),
         lambda: rref([[1, 0.5]], QQ, 2),
-        lambda: nullspace([[1.0, 2]], QQ, 2),
-        lambda: solve([[1, 2]], [0.5], QQ, 2),
-        lambda: solve([[1, 2.0]], [1], GF(7), 2),
         lambda: rref([[True, 0]], QQ, 2),
         lambda: rref([["1", 0]], GF(7), 2),
         # Basis(window, rows) and a plain row given to contains_vector/contains
@@ -896,11 +920,10 @@ def test_public_routines_reject_wrong_shapes():
     for call in not_elements:
         with pytest.raises(FieldMismatch):
             call()
-    assert solve([[1, 0], [0, 1]], [1, 2], QQ, 2) == [1, 2]
-    assert rref([], QQ, 3) == ([], []) and nullspace([], QQ, 2) == [[1, 0], [0, 1]]
+    assert rref([], QQ, 3) == ([], [])
     # rows may be tuples
     assert rref([(1, 2), (2, 4)], QQ, 2) == ([[1, 2]], [0])
-    assert nullspace([(1, 2)], QQ, 2) == [[1, Q(-1, 2)]]
+    assert Basis(Window.P_graded(2, 1, QQ), [(1, 2)]).perp().rows == [[1, Q(-1, 2)]]
 
 
 # Differential oracle for the forward sweep: after each batch the pivots it

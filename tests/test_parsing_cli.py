@@ -175,6 +175,12 @@ def test_cli_boundary_inputs_exit_cleanly(capsys, argv, code):
         assert json.loads(captured.out)["results"]["deltas"] == [[1, 1]]
 
 
+def test_cli_answers_in_many_variables(capsys):
+    # 340 variables ended in a RecursionError traceback (exit 1)
+    assert cli_dispatch(["hilbert", "--vars", "1500", "x1"]) == 0
+    assert "[1, 1]" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("field", ["q", "fp:7"])
 def test_cli_symdec_of_a_constant(capsys, field):
     # it exited 2 ("decomposition needs degree >= 1") while hilbert printed [1]
