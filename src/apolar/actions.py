@@ -65,7 +65,7 @@ from .errors import (
     SingularMatrix,
 )
 from .fields import char_guard
-from .linalg import _echelon, _sparse, _sweep, rref
+from .linalg import _echelon, _rank, _row_batches, _sparse, rref
 
 
 def subst(op, images):
@@ -154,12 +154,12 @@ class Automorphism:
         self.n, self.field, self.trunc = _check_images(images)
         self.images = [im._at(self.trunc) for im in images]
         # row i holds the numerators of the linear part of phi(a_i): the rows
-        # of linear_matrix's transpose, so a lead is None iff L is singular
+        # of linear_matrix's transpose, so their rank is below n iff L is singular
         rows = [
             {j: v for j, a in enumerate(monomials(self.n, 1)) if (v := im._num.get(a))}
             for im in self.images
         ]
-        if None in _sweep(rows, self.field.p)[1]:
+        if _rank(_row_batches(rows), self.field.p) < self.n:
             raise InvalidAutomorphism("linear parts are dependent")
 
     def linear_matrix(self):

@@ -46,15 +46,22 @@ the filtration profiles) are filled by exponent lookup, row_e[c] =
 f._num[c + e], from f's stored numerators: they are D f for D = f._den
 (D = 1 over F_p).  Scaling every row by D changes no row space.  They are
 sparse integer rows, {column: int} dicts of their nonzero entries (the one
-integer row format of ``linalg``), as are their shifts (``_shifted_rows``),
-the canonical rows of every ``Basis`` and generator, and the products of
-``ideal_square_graded``; a row is made a list (``linalg._dense``, over Q
-divided by its gcd, over F_p of residues) on the columns it is swept on
-only when a sweep takes it.
+integer row format of ``linalg``), as are their shifts, the canonical rows
+of every ``Basis`` and generator, and the products of
+``ideal_square_graded``.  The sweeps of ``linalg._sweep`` take them in lazy
+batches: ``_contraction_batches`` gives one batch per |e|, whose range
+covers the degrees where x^e -| f can have terms, and ``_image_batches``
+each shift x_i g (``_shift_table``) its exact range, read off g's first
+and last column before the shift is built; ``_contraction_rows`` builds
+every row at once, for the systems of ``classify``.  So the rows x^e -| f
+of ``_module_rows`` and the shifts of the tangent and perp sweeps are built
+only while their block has room, and a row is made a list
+(``linalg._dense``, over Q divided by its gcd, over F_p of residues) on the
+columns it is swept on only when a sweep takes it.
 """
 
 import math
-from itertools import count, islice
+from itertools import accumulate, count, groupby, islice
 from operator import add
 
 from .dp import DPPoly, monomials, monomials_upto
@@ -161,7 +168,7 @@ def ann_graded(f, i):
     _fill(stored, _catalecticant_rows(f, i), 0, w - 1, p, w)
     if len(stored) == w:  # the catalecticant is injective
         return Basis._of_canonical(win, [])
-    return Basis._of_canonical(win, _reversed_kernel(_reduced_rows([(0, w - 1, stored)], p), p, w))
+    return Basis._of_canonical(win, _reversed_kernel([(0, w - 1, stored)], p, w))
 
 
 def _catalecticant_rows(f, i):
@@ -179,75 +186,115 @@ def _catalecticant_rows(f, i):
             yield _profile_row(get, t, cols)
 
 
-def _contraction_rows(f, exps, degrees):
-    """The sparse integer rows of x^e -| D f for e in ``exps``, D = f._den.
+def _contraction_batches(f, exps, degrees):
+    """The sparse integer rows x^e -| D f for e in ``exps``, D = f._den, as
+    lazy batches (lo, hi, rows) for ``linalg._sweep``.
 
     The columns are the monomials of each degree in ``degrees``, in that
     order (grlex within a degree), and row_e[c] = f._num[c + e]: numerators
-    are looked up by exponent, with no contraction and no Fraction
-    arithmetic.  Only the degrees where x^e -| f has terms are looked up,
-    and a row keeps only the columns where it is nonzero.
+    are looked up by exponent (``_lookups``), with no contraction and no
+    Fraction arithmetic, and a row keeps only the columns where it is
+    nonzero, in increasing order.  Each run of ``exps`` of equal |e| = s is
+    one batch, whose range covers the columns of the degrees i where x^e -| f
+    can have terms (i + s a degree of f): only those are looked up, and each
+    row is built only when the sweep takes it.  A run with no such degree is
+    the batch (0, -1, rows) of empty rows, which the sweep skips.
     """
-    get = f._num.get
-    f_degrees = set(map(sum, f._num))
-    cols, start = [], 0
-    for i in degrees:
-        mons = monomials(f.n, i)
-        cols.append((i, range(start, start + len(mons)), mons))
-        start += len(mons)
-    rows, looked_up = [], {}  # |e| -> the columns looked up and their monomials
+    get, f_degrees, batches = f._num.get, set(map(sum, f._num)), []
+    starts = accumulate([len(monomials(f.n, i)) for i in degrees], initial=0)
+    layout = [(i, j, monomials(f.n, i)) for i, j in zip(degrees, starts)]
+    for s, run in groupby(exps, sum):
+        cols = [pair for i, j, mons in layout if i + s in f_degrees for pair in zip(count(j), mons)]
+        lo, hi = (cols[0][0], cols[-1][0]) if cols else (0, -1)
+        batches.append((lo, hi, _lookups(get, list(run), cols)))
+    return batches
+
+
+def _lookups(get, exps, cols):
+    """The sparse integer rows x^e -| D f, e in ``exps``, on ``cols``, one
+    at a time: ``_profile_row``'s lookup."""
     for e in exps:
-        s = sum(e)
-        if s not in looked_up:
-            parts = [(js, mons) for i, js, mons in cols if i + s in f_degrees]
-            looked_up[s] = ([j for js, _ in parts for j in js],
-                            [c for _, mons in parts for c in mons])
-        rows.append({j: v for j, c in zip(*looked_up[s]) if (v := get(tuple(map(add, c, e))))})
-    return rows
+        yield {j: v for j, c in cols if (v := get(tuple(map(add, c, e))))}
 
 
-def _shifted_rows(rows, n, degrees, window):
-    """The sparse integer rows of x_1 g, ..., x_n g for each sparse integer
-    row g in ``rows``.
+def _contraction_rows(f, exps, degrees):
+    """The rows of ``_contraction_batches``, built in full: one per e in
+    ``exps``, in order (empty where x^e -| f has no term in ``degrees``)."""
+    return [row for _, _, rows in _contraction_batches(f, exps, degrees) for row in rows]
 
-    g is a row over the monomials of ``degrees`` (in order, grlex within a
-    degree, as ``_contraction_rows`` lays them out), and its entries past
-    those columns are dropped: each shift is that of g restricted to
-    ``degrees``.  x_i x^[u] = (u_i + 1) x^[u + e_i] places each shift in
-    ``window``, which holds every x^[u + e_i]; over F_p a weight u_i + 1
-    may vanish, which the elimination's intake drops.  The column tables
-    (columns, weights) are built once per call.  Returns one list of n rows
-    per g.
-    """
+
+def _shift_table(n, degrees, window):
+    """The maps of the shifts x_i g, i = 1 .. n, of rows g over the
+    monomials u of ``degrees`` (in order, grlex within a degree, as
+    ``_contraction_batches`` lays them out): x_i x^[u] = (u_i + 1)
+    x^[u + e_i], so column j of g goes to the ``window`` column of u_j + e_i
+    with weight u_i + 1 (``_image``).  Over F_p a weight may vanish."""
     index = window.index
     src = [u for i in degrees for u in monomials(n, i)]
-    table = [
-        ([index[u[:i] + (u[i] + 1,) + u[i + 1:]] for u in src], [u[i] + 1 for u in src])
-        for i in range(n)
-    ]
-    width, out = len(src), []
-    for g in rows:
-        nonzero = [(j, c) for j, c in g.items() if j < width]
-        out.append([{cols[j]: ws[j] * c for j, c in nonzero} for cols, ws in table])
-    return out
+    return [([index[u[:i] + (u[i] + 1,) + u[i + 1:]] for u in src], [u[i] + 1 for u in src])
+            for i in range(n)]
 
 
-def _module_rows(f, k):
-    """(rows, leads, canonical) for m^k -| f, from one forward sweep.
+def _image(item):
+    """The sparse integer row of g under a map (keys, weights), item being
+    (g, keys, weights): column j of g, for j < len(keys), goes to keys[j]
+    with its entry times weights[j]; its entries past the map are dropped."""
+    g, keys, weights = item
+    width = len(keys)
+    return {keys[j]: weights[j] * c for j, c in g.items() if j < width}
 
-    ``rows`` are the sparse integer rows x^e -| D f, |e| >= k, over
-    P_{<= deg f} (``_contraction_rows``, e in ``monomials_upto`` order);
-    ``leads`` are the columns at which one ``_sweep`` of them adds a pivot,
-    None for a row in the span of the rows before it, so the rows with a
-    lead are a basis of m^k f; ``canonical`` are the rows of its canonical
-    integer reduced echelon form (``_reduced_rows`` of the same sweep).
+
+def _image_batches(rows, table):
+    """The images of each nonempty sparse integer row g of ``rows`` under
+    each map (keys, weights) of ``table`` (``_image``), g-major, as lazy
+    batches for ``linalg._sweep``, consecutive overlapping ranges merged
+    into one batch.
+
+    g's keys are in increasing column order, and every map is monotone (a
+    shift keeps grlex order within a degree and raises the degree by one;
+    the column reversal reverses it), so the exact range of an image is
+    known before it is built: the keys of g's first column and of its last
+    column inside the map.  An image with no column inside its map is left
+    out.
     """
+    batches, lo, hi, items = [], 0, -1, None
+    for g in rows:
+        first, end = next(iter(g)), next(reversed(g))
+        for keys, weights in table:
+            width = len(keys)
+            if first >= width:
+                continue
+            a = keys[first]
+            b = keys[end if end < width else next(j for j in reversed(g) if j < width)]
+            if a > b:
+                a, b = b, a
+            if a <= hi and b >= lo:
+                lo, hi = min(a, lo), max(b, hi)
+                items.append((g, keys, weights))
+            else:
+                if items:
+                    batches.append((lo, hi, map(_image, items)))
+                lo, hi, items = a, b, [(g, keys, weights)]
+    if items:
+        batches.append((lo, hi, map(_image, items)))
+    return batches
+
+
+def _module_rows(f, k, degrees=None):
+    """(kept, canonical) for m^k -| f, from one forward sweep of the batches
+    of the rows x^e -| D f, |e| >= k, e in ``monomials_upto`` order
+    (``_contraction_batches``), over ``degrees`` (P_{<= deg f} when not
+    given): ``kept`` are the rows at which it adds a pivot, in order, a
+    basis of their span, and ``canonical`` the rows of its canonical integer
+    reduced echelon form (``_reduced_rows`` of the same sweep)."""
     d, p = max(f.degree, 0), f.field.p
-    _check_window_size(f.n, range(d + 1))
+    if degrees is None:
+        degrees = range(d + 1)
+        _check_window_size(f.n, degrees)
     exps = [e for e in monomials_upto(f.n, d) if sum(e) >= k]
-    rows = _contraction_rows(f, exps, range(d + 1))
-    blocks, leads = _sweep(rows, p)
-    return rows, leads, [row for _, row in _reduced_rows(blocks, p)]
+    blocks, taken = _sweep(_contraction_batches(f, exps, degrees), p)
+    return ([row for pairs in taken for row, lead in pairs if lead is not None],
+            [row for _, row in _reduced_rows(blocks, p)])
 
 
 def module_sf(f, k):
@@ -255,7 +302,7 @@ def module_sf(f, k):
     of the rows x^e -| D f with |e| >= k in P_{<= deg f}, whose canonical
     rows ``_module_rows`` reads off one sweep."""
     win = Window.P_upto(f.n, max(f.degree, 0), f.field)
-    return Basis._of_canonical(win, _module_rows(f, k)[2])
+    return Basis._of_canonical(win, _module_rows(f, k)[1])
 
 
 def dim_apolar(f):
@@ -510,8 +557,8 @@ def _generator_rows(f, upto):
         products = ({cols[j]: x for j, x in sigma.items()} for cols, sigma in first + rest)
         _fill(stored, products, 0, last, p, I.dim)
         # a row of I_i outside the span of the products and the rows before it
-        leads = _fill(stored, I._rows, 0, last, p, I.dim)
-        gens[i] = [g for g, lead in zip(I._rows, leads) if lead is not None]
+        taken = _fill(stored, I._rows, 0, last, p, I.dim)
+        gens[i] = [g for g, lead in taken if lead is not None]
     return gens, pieces
 
 

@@ -65,7 +65,8 @@ from .actions import (
 )
 from .apolarity import (
     _contraction_rows,
-    _shifted_rows,
+    _image,
+    _shift_table,
     _square,
     _square_rows,
     dim_apolar,
@@ -89,7 +90,7 @@ from .errors import (
 from .fields import QQ, GF, char_guard
 from .linalg import Basis, Window, _echelon, _solve
 from .parsing import parse_poly, poly_str
-from .tangent import _tangent_rows, perp_tangent, tangent_space
+from .tangent import _tangent_batches, perp_tangent, tangent_space
 
 
 class ReductionTrace:
@@ -145,8 +146,9 @@ def _solve_tangent_system(G, F, win, d_exps, tau_exps):
     """Solve G = sum_i x_i (D_i -| F) + tau -| F in the window ``win``, with
     each D_i spanned by the monomials ``d_exps`` and tau by ``tau_exps``.
 
-    The columns are sparse integer rows: the x_i shifts (``_shifted_rows``)
-    of the contractions x^e -| D F one degree below the window, i-major,
+    The columns are sparse integer rows: the x_i shifts (``_shift_table``,
+    ``_image``) of the contractions x^e -| D F one degree below the window,
+    i-major,
     then the contractions x^e -| D F for tau (``_contraction_rows``), filled
     from F's stored numerators, so D = F._den (D = 1 over F_p); they are
     transposed into the sparse rows of the system.  So the right side is
@@ -159,8 +161,8 @@ def _solve_tangent_system(G, F, win, d_exps, tau_exps):
     """
     n = F.n
     inner = [k - 1 for k in win.degrees if k >= 1]
-    shifted = _shifted_rows(_contraction_rows(F, d_exps, inner), n, inner, win)
-    cols = [shifts[i] for i in range(n) for shifts in shifted]
+    inner_rows = _contraction_rows(F, d_exps, inner)
+    cols = [_image((g, *shift)) for shift in _shift_table(n, inner, win) for g in inner_rows]
     cols += _contraction_rows(F, tau_exps, win.degrees)
     # the rows of [M | G] scaled by D G._den: [G._den D M | D G._num]
     rows = [{} for _ in range(win.dim)]
@@ -274,16 +276,16 @@ def _tangent_quotient(f, e):
     element 1 at its pivot and 0 at the others.
 
     Read off the tangent space of f_{>e}: its spanning rows
-    (``_tangent_rows``) are re-keyed to the columns of degrees deg f .. e,
+    (``_tangent_batches``, built in full) are re-keyed to the columns of degrees deg f .. e,
     highest first and grlex within a degree (the ``_filtration_profiles``
     order), dropping the columns below e, and echeloned once.  The rows
     that pivot in degree e have no terms above e, and their degree-e parts
     are reduced.
     """
-    tangent_win, tangent_rows = _tangent_rows(f.part_from(e + 1), 2)
+    tangent_win, batches = _tangent_batches(f.part_from(e + 1), 2)
     order = [tangent_win.index[m] for i in range(f.degree, e - 1, -1) for m in monomials(f.n, i)]
     col = {c: j for j, c in enumerate(order)}  # the columns below degree e are dropped
-    rows = [{col[c]: x for c, x in row.items() if c in col} for row in tangent_rows]
+    rows = [{col[c]: x for c, x in row.items() if c in col} for _, _, rows in batches for row in rows]
     rows, pivots = _echelon(rows, f.field)
     win = Window.P_graded(f.n, e, f.field)
     lo = len(order) - win.dim  # the degree-e columns come last, so do their rows

@@ -236,6 +236,8 @@ class _Sparse:
                 parts.append(str(c))
             elif c == self.field.one():
                 parts.append("*".join(factors))
+            elif c == -1:  # over Q only: an F_p residue is never -1
+                parts.append("-" + "*".join(factors))
             else:
                 parts.append(str(c) + "*" + "*".join(factors))
         return " + ".join(parts).replace("+ -", "- ")

@@ -24,30 +24,43 @@ Q by cross-multiplication with the row gcd divided out after every step,
 which keeps intermediate entries small -- until they vanish or lead at a
 new column, where they are stored.  The loop stops once the stored rank
 reaches a cap and takes no row after that, so a row built lazily past the
-cap is never built.  ``_fill`` runs under ``_sweep``, ``apolarity``'s
-``ann_graded`` and its generator sweep; the filtration profiles in
-``apolarity``, which cut rows at a moving mark, keep the only other loop
-around ``_store``.
+cap is never built; it skips empty rows.  ``_fill`` runs under ``_sweep``,
+``apolarity``'s ``ann_graded`` and its generator sweep; the filtration
+profiles in ``apolarity``, which cut rows at a moving mark, keep the only
+other loop around ``_store``.
 
-``_sweep``'s intake reduces the entries mod p over F_p and drops the ones
-that vanish (a shift weight u_i + 1 can equal p), and reads each row's
-smallest and largest column.  Rows whose [first, last] intervals overlap
-share a column block, and the blocks are disjoint.  A row's reduction never
-leaves its block, so each block is swept on its own (one ``_fill``), with
-its width as the cap: no row space has rank above its width, so the rows
-left once a block fills lie in the span.  A one-column block holds its
-first row as the stored row [1].  So the rows of a one-column block, and
-the rows left once a block fills, are never made lists.  A row filled from
-a homogeneous polynomial lives in one degree, so a graded space -- every
-space built from a form -- splits into one block per degree.
+``_sweep`` takes its rows in batches (lo, hi, rows): a column range, fixed
+before any row is built, and an iterable that builds the rows on demand
+(F4's choice of building only the reducers a step needs; Faugere, J. Pure
+Appl. Algebra 139, 1999).  Batches whose ranges overlap share a column
+block, and the blocks are disjoint.  A row's reduction never leaves its
+block, so each block takes its batches in their order through ``_fill``
+with its width as the cap: no row space has rank above its width, so the
+rows left once a block fills lie in the span, and they are never built,
+made lists or scanned.  A one-column block stores its first row with a
+nonzero entry there as [1], with no list made.  A range may be wider than
+its rows' support: rows in one block interact only through the stored rows
+at their leads, so sub-blocks merged by a wide range never touch each
+other's columns, and every lead and every canonical row stays the same --
+only the early exit and the one-column shortcut are lost.  So the builders
+in ``apolarity`` and ``tangent`` give each batch of contractions the range
+of the degrees it can reach, and rows that exist already, and the shifts
+of such rows, their exact ranges (``_row_batches``, ``_image_batches``).
+Over F_p nothing is reduced before the sweep: ``_dense`` reduces the
+entries, and an entry that vanishes mod p (a shift weight u_i + 1 can be
+p) only widens a range.  A row filled from a homogeneous polynomial lives
+in one degree, so a graded space -- every space built from a form -- splits
+into one block per degree.
 
-The sweep also returns, for each row, the column at which it added a pivot
-(None when it lies in the span of the rows before it).  An answer that
-needs only pivot columns or a rank reads them there: membership here, the
-orbit dimension in ``tangent``, and the equations the direct perp in
-``tangent`` keeps.  The annihilator generators in ``apolarity`` are the
-rows to which their ``_fill`` gives a lead, and the filtration profiles in
-``apolarity`` count the pivots of their own early-exit sweep.
+The sweep also returns, for each batch, the rows it took and the column at
+which each added a pivot (None when it lies in the span of the rows before
+it).  An answer that needs only a rank or the rows that add a pivot reads
+them there: membership here (``_rank``), the orbit dimension in
+``tangent``, and the rows of m^k f that the direct perp in ``tangent``
+keeps (``apolarity._module_rows``).  The annihilator generators in
+``apolarity`` are the rows to which their ``_fill`` gives a lead, and the
+filtration profiles in ``apolarity`` count the pivots of their own
+early-exit sweep.
 
 Canonical rows come from ``_reduced_rows``, which back-substitutes each
 block of a sweep (``_back_substitute``) and turns its lists back into
@@ -63,7 +76,8 @@ so its first entry is its pivot.  A kernel is read off the echelon form of
 the column-reversed rows (``_kernel``, through ``_reversed_kernel``), where
 the kernel vectors come out already in canonical form (see there), so
 nothing is eliminated twice; ``apolarity.ann_graded`` hands that read-off
-the rows of its capped ``_fill``.
+the block of its capped ``_fill``, and the direct perp in ``tangent`` the
+sweep of equations it builds column-reversed.
 
 ``_solve``, the solver of the reduction steps in ``classify``, forms no
 reduced row: after one forward sweep of [M | b] it back-substitutes the
@@ -159,60 +173,84 @@ def _store(stored, row, p):
 
 
 def _fill(stored, rows, lo, hi, p, cap):
-    """The capped forward sweep: each sparse integer row of ``rows``, made a
-    list on columns lo..hi (``_dense``), is reduced into ``stored``
-    (``_store``, keyed by lead column minus lo) until ``stored`` holds
-    ``cap`` rows.  No row is taken once it does, so a lazily built row past
-    the cap is never built.  Returns the lead of each row swept, in order:
-    its column, or None.
+    """The capped forward sweep: each nonempty sparse integer row of
+    ``rows``, made a list on columns lo..hi (``_dense``), is reduced into
+    ``stored`` (``_store``, keyed by lead column minus lo) until ``stored``
+    holds ``cap`` rows.  No row is taken once it does, so a lazily built row
+    past the cap is never built; an empty row is skipped.  Returns
+    (row, lead) for each row swept, in order: lead its column, or None.
     """
-    leads = []
+    taken = []
     for row in rows if len(stored) < cap else ():
-        lead = _store(stored, _dense(row, lo, hi, p), p)
-        leads.append(None if lead is None else lo + lead)
-        if len(stored) == cap:
-            break
-    return leads
+        if row:
+            lead = _store(stored, _dense(row, lo, hi, p), p)
+            taken.append((row, None if lead is None else lo + lead))
+            if len(stored) == cap:
+                break
+    return taken
 
 
-def _sweep(rows, p):
-    """The forward sweep of sparse integer rows, run per column block.
+def _row_batches(rows):
+    """The batches of sparse integer rows that exist already: one per
+    nonempty row, with its exact range [smallest, largest column]."""
+    return [(min(row), max(row), (row,)) for row in rows if row]
 
-    The intake reduces each row mod p over F_p and drops the entries that
-    vanish (over Q a row holds no zero entry), and places each nonzero row
-    by its smallest and largest column.  Rows whose [first, last] intervals
-    overlap form a column block [lo, hi]; the blocks are disjoint, and a
-    row's reduction against stored rows stays inside its block, so each
-    block is swept on its own: ``_fill`` takes its rows, in their order,
-    with the block's width w as the cap, since its rank cannot exceed w and
-    the later rows lie in its span.  A one-column block stores its first
-    row as [1], with no list made and no ``_store``.
 
-    Returns (blocks, leads): the blocks as [lo, hi, stored], sorted by lo,
-    ``stored`` keyed by lead column minus lo; leads[i] is the column at
-    which rows[i] added a pivot, or None when it lies in the span of the
-    rows before it (the answer of one sweep over all rows, in order).
+def _sweep(batches, p):
+    """The forward sweep of batches of sparse integer rows, run per column
+    block.
+
+    A batch is (lo, hi, rows): a column range, fixed before any row is
+    built, that holds every column of its rows, and an iterable that builds
+    them on demand (lo > hi for a batch of empty rows, which is not swept).
+    Batches whose ranges overlap form a column block [lo, hi]; the blocks
+    are disjoint, and a row's reduction against stored rows stays inside its
+    block, so each block is swept on its own: it takes its batches in their
+    order through ``_fill`` with the block's width w as the cap, since its
+    rank cannot exceed w and the later rows lie in its span, so a row after
+    its block is full is never built.  A range wider than its rows' support
+    changes no lead: rows in one block interact only through stored rows at
+    their leads.  A one-column block stores [1] for its first row with a
+    nonzero entry there (mod p), with no list made and no ``_store``.
+
+    Returns (blocks, taken): the blocks as [lo, hi, stored], sorted by lo,
+    ``stored`` keyed by lead column minus lo; taken[b] lists (row, lead) for
+    each row the sweep took from batch b, in order, lead the column at which
+    it added a pivot or None when it lies in the span of the rows before it
+    (the answer of one sweep over all rows, in order).  Every row not taken
+    is empty or lies in the span of the rows before it.
     """
-    if p:
-        rows = [{j: r for j, x in row.items() if (r := x % p)} for row in rows]
-    blocks, members = [], []  # members: each block's rows, by (first, last, index)
-    for first, last, i in sorted([(min(row), max(row), i) for i, row in enumerate(rows) if row]):
-        if blocks and first <= blocks[-1][1]:
-            if last > blocks[-1][1]:
-                blocks[-1][1] = last
-            members[-1].append(i)
+    batches = list(batches)
+    blocks, members, taken = [], [], [()] * len(batches)
+    for lo, hi, b in sorted([(lo, hi, b) for b, (lo, hi, _) in enumerate(batches) if lo <= hi]):
+        if blocks and lo <= blocks[-1][1]:
+            blocks[-1][1] = max(hi, blocks[-1][1])
+            members[-1].append(b)
         else:
-            blocks.append([first, last, {}])
-            members.append([i])
-    leads = [None] * len(rows)
+            blocks.append([lo, hi, {}])
+            members.append([b])
     for (lo, hi, stored), idx in zip(blocks, members):
-        if lo == hi:  # every row is (lo, lo, i): the first has the least index
-            stored[0], leads[idx[0]] = [1], lo
-            continue
+        cap = hi + 1 - lo
         idx.sort()
-        for i, lead in zip(idx, _fill(stored, map(rows.__getitem__, idx), lo, hi, p, hi + 1 - lo)):
-            leads[i] = lead
-    return blocks, leads
+        for b in idx:
+            if lo < hi:
+                taken[b] = _fill(stored, batches[b][2], lo, hi, p, cap)
+            else:  # one column: the first row nonzero there (mod p) is stored as [1]
+                taken[b] = pairs = []
+                for row in filter(None, batches[b][2]):
+                    pairs.append((row, lo if not p or row[lo] % p else None))
+                    if pairs[-1][1] is not None:
+                        stored[0] = [1]
+                        break
+            if len(stored) == cap:
+                break
+    return blocks, taken
+
+
+def _rank(batches, p):
+    """The rank of the rows of ``batches``: the rows stored by one
+    ``_sweep``."""
+    return sum(len(stored) for _, _, stored in _sweep(batches, p)[0])
 
 
 def _back_substitute(stored, p):
@@ -275,9 +313,10 @@ def _echelon(rows, field):
     its pivot at column pivots[r] and no entry at any other pivot column.
     Pivots are increasing.  Over Q each row is primitive with a positive
     pivot, over F_p its pivot is 1, so the form depends only on the row
-    space.  The rows are ``_reduced_rows`` of one ``_sweep``.
+    space.  The rows are ``_reduced_rows`` of one ``_sweep`` of their
+    ``_row_batches``.
     """
-    reduced = list(_reduced_rows(_sweep(rows, field.p)[0], field.p))
+    reduced = list(_reduced_rows(_sweep(_row_batches(rows), field.p)[0], field.p))
     return [row for _, row in reduced], [lead for lead, _ in reduced]
 
 
@@ -300,18 +339,17 @@ def _decode(rows, field, ncols):
 def _kernel(rows, field, ncols):
     """Canonical integer rows of {x : M x = 0}, M given by the sparse
     integer ``rows`` over ``ncols`` columns: read off (``_reversed_kernel``)
-    one ``_echelon`` of the column-reversed rows (column j of a row goes to
+    one ``_sweep`` of the column-reversed rows (column j of a row goes to
     last - j)."""
-    last = ncols - 1
-    red, pivots = _echelon([{last - j: x for j, x in row.items()} for row in rows], field)
-    return _reversed_kernel(zip(pivots, red), field.p, ncols)
+    reversed_rows = ({ncols - 1 - j: x for j, x in row.items()} for row in rows)
+    return _reversed_kernel(_sweep(_row_batches(reversed_rows), field.p)[0], field.p, ncols)
 
 
-def _reversed_kernel(reduced, p, ncols):
-    """Canonical sparse integer rows of the kernel of M, read off
-    ``reduced``, the (lead, row) pairs (``_reduced_rows``) of the canonical
-    reduced echelon form of M's column-reversed rows, over ``ncols``
-    columns.
+def _reversed_kernel(blocks, p, ncols):
+    """Canonical sparse integer rows of the kernel of M, read off the
+    ``blocks`` of one ``_sweep`` of M's column-reversed rows, over ``ncols``
+    columns, through their canonical reduced echelon rows
+    (``_reduced_rows``).
 
     In the original order each reduced row ends at its pivot column pc and
     has no entry at the other pivot columns, so the kernel vector of a free
@@ -323,7 +361,7 @@ def _reversed_kernel(reduced, p, ncols):
     """
     last = ncols - 1  # column c of a reversed row sits at last - c
     free = {c: [] for c in range(ncols)}  # free column -> its (pc, entry, pivot)s
-    for lead, row in reduced:
+    for lead, row in _reduced_rows(blocks, p):
         del free[last - lead]
         piv = row[lead]
         for j, x in row.items():
@@ -384,7 +422,7 @@ def _solve(rows, p, ncols):
     solution with the free variables 0 is unique, so it is the one of the
     reduced echelon form.
     """
-    blocks = _sweep(rows, p)[0]
+    blocks = _sweep(_row_batches(rows), p)[0]
     if not blocks or blocks[-1][1] != ncols:
         return 1, {}
     lo, _, stored = blocks[-1]
@@ -551,7 +589,14 @@ class Basis:
     @classmethod
     def _of_rows(cls, window, rows):
         """The span of the sparse integer ``rows`` over the window's columns."""
-        return cls._of_canonical(window, _echelon(rows, window.field)[0])
+        return cls._of_batches(window, _row_batches(rows))
+
+    @classmethod
+    def _of_batches(cls, window, batches):
+        """The span of the rows of ``batches`` (``_sweep``'s batches) over
+        the window's columns."""
+        blocks = _sweep(batches, window.field.p)[0]
+        return cls._of_canonical(window, [row for _, row in _reduced_rows(blocks, window.field.p)])
 
     @classmethod
     def _of_kernel(cls, window, eqs):
@@ -596,8 +641,7 @@ class Basis:
     def _adds_no_pivot(self, rows):
         """Whether the sparse integer ``rows`` lie in the span: swept after
         the basis rows, they add no pivot."""
-        leads = _sweep(self._rows + rows, self.window.field.p)[1]
-        return all(lead is None for lead in leads[len(self._rows):])
+        return _rank(_row_batches(self._rows + rows), self.window.field.p) == len(self._rows)
 
     def contains_vector(self, vec):
         """Membership of a DPPoly/Operator of the window, or of a row of

@@ -19,14 +19,19 @@ the n binom(n+d+1, n) + binom(n+d, n) contractions tau -| (x_i f) and
 sigma -| f of the defining formula.  Everything is truncated at N = deg f.
 
 All these rows are sparse integer rows, {column: int} dicts of their
-nonzero entries, which the elimination in ``linalg`` reads as they are.
-The contractions are filled from D f, f's stored numerators
-(D = f._den, ``apolarity._contraction_rows``), B comes from one sweep of
-the rows x^e -| D f, |e| >= k (``apolarity._module_rows``), and
-x_i x^[u] = (u_i + 1) x^[u + e_i] shifts its rows
-(``apolarity._shifted_rows``).  None of this goes through ``contract`` or
-the DPPoly product.  ``orbit_dimension`` reads the rank of these rows off
-one forward sweep, with no canonical tangent rows.
+nonzero entries, handed to the elimination in ``linalg`` as lazy batches
+(``linalg._sweep``): each batch has a column range fixed before any of its
+rows is built, and a row after its block is full is never built.  The
+contractions are filled from D f, f's stored numerators (D = f._den,
+``apolarity._contraction_batches``), B comes from one sweep of the rows
+x^e -| D f, |e| >= k (``apolarity._module_rows``), and x_i x^[u] =
+(u_i + 1) x^[u + e_i] shifts its rows (``apolarity._shift_table``), each
+shift with its exact range (``apolarity._image_batches``).  The unit rows
+of B -- a degree that m^k f fills holds only unit rows -- are swept first,
+so no shift into such a degree is built; the other rows of B come after the
+shifts.  None of this goes through ``contract`` or the DPPoly product.
+``orbit_dimension`` reads the rank of these rows off one forward sweep,
+with no canonical tangent rows.
 
 Perps are computed twice -- once as the orthogonal complement of the
 tangent basis, once from the direct degree conditions on sigma and its
@@ -38,52 +43,62 @@ restriction, so a row of sigma that depends on earlier ones is dropped with
 its n shifts (``_perp_direct``).  For max_degree >= deg f - k no column of
 the rows of sigma with |m| >= k is cut, so they are the rows of m^k f: the
 sweep that gives B decides the drops too, so ``perp_tangent`` builds and
-sweeps them once for both routes.  Dropping equations can only make the
-kernel larger, so a wrong drop fails the cross-check instead of passing a
-wrong perp.
+sweeps them once for both routes.  The equations are built column-reversed,
+the order their kernel is read in, and an equation after its block is full
+is never built.  Dropping equations can only make the kernel larger, so a
+wrong drop fails the cross-check instead of passing a wrong perp.
 """
 
 import math
 
-from .apolarity import _contraction_rows, _module_rows, _shifted_rows
-from .dp import monomials, monomials_upto
+from .apolarity import (
+    _contraction_batches,
+    _contraction_rows,
+    _image_batches,
+    _module_rows,
+    _shift_table,
+)
+from .dp import monomials
 from .errors import CrossCheckFailed, IndexOutOfRange, TdfMismatch, ZeroPolynomial
 from .fields import char_guard
-from .linalg import Basis, Window, _sweep
+from .linalg import Basis, Window, _rank, _reversed_kernel, _row_batches, _sweep
 
 
-def _tangent_rows(f, k, module=None):
-    """(window, rows) spanning m^{k-1} f + sum_i x_i (m^k f) inside
-    P_{<= deg f}.
+def _tangent_batches(f, k, module=None):
+    """(window, batches) spanning m^{k-1} f + sum_i x_i (m^k f) inside
+    P_{<= deg f}, as lazy batches for ``linalg._sweep``.
 
-    The rows are sparse integer rows: the contractions of D f by the
-    degree-(k-1) monomials, the canonical rows B of m^k f from
-    ``module`` (``apolarity._module_rows(f, k)``, built here when not
-    given), and their shifts x_i x^[u] = (u_i + 1) x^[u + e_i], keyed by
-    column index.  They are not echeloned, so a caller that wants another
-    column order re-keys and echelons them once in that order.
+    The rows are sparse integer rows, in this order: the contractions of
+    D f by the degree-(k-1) monomials (``_contraction_batches``), the rows
+    of B with one entry, the shifts x_i x^[u] = (u_i + 1) x^[u + e_i] of
+    every row of B (``_image_batches``), each built only when the sweep
+    takes it, and the other rows of B.  B are the canonical rows of m^k f
+    from ``module`` (``apolarity._module_rows(f, k)``, built here when not
+    given), each with its exact range.  A block that m^k f fills holds unit
+    rows only, so it is full before any shift into it is built; in the
+    other blocks the shifts are stored before the longer rows of B, which
+    takes fewer reduction steps than the other way round.
     """
     if f.is_zero():
         raise ZeroPolynomial("tangent space of the zero polynomial")
     d = max(f.degree, 0)
     win = Window.P_upto(f.n, d, f.field)
-    gs = (module or _module_rows(f, k))[2]
-    rows = _contraction_rows(f, monomials(f.n, k - 1), range(d + 1))
+    gs = (module or _module_rows(f, k))[1]
+    batches = _contraction_batches(f, monomials(f.n, k - 1), range(d + 1))
     # m^k f lies in P_{<= d-1}, so its rows are shifted from degrees < d
-    for g, shifts in zip(gs, _shifted_rows(gs, f.n, range(d), win)):
-        rows.append(g)
-        rows += shifts
-    return win, rows
+    shifts = _image_batches(gs, _shift_table(f.n, range(d), win))
+    return win, batches + _row_batches(g for g in gs if len(g) == 1) + shifts + _row_batches(
+        g for g in gs if len(g) > 1)
 
 
 def tangent_space(f):
     """Canonical basis of S f + sum_i m (x_i f) inside P_{<= deg f}."""
-    return Basis._of_rows(*_tangent_rows(f, 1))
+    return Basis._of_batches(*_tangent_batches(f, 1))
 
 
 def unip_tangent_space(f):
     """Canonical basis of m f + sum_i m^2 (x_i f) inside P_{<= deg f}."""
-    return Basis._of_rows(*_tangent_rows(f, 2))
+    return Basis._of_batches(*_tangent_batches(f, 2))
 
 
 def _perp_direct(f, unipotent, max_degree, module):
@@ -96,10 +111,10 @@ def _perp_direct(f, unipotent, max_degree, module):
     terms t >= m of f, and in sigma^(i) -| f it is
     sum_t (t_i - m_i + 1) sigma_{t-m+e_i} f_t.  Read as elements of P, the
     base row of m is a^m -| f restricted to degrees <= max_degree, the
-    contraction row of ``_contraction_rows`` (filled from f's stored
+    contraction row of ``_contraction_batches`` (filled from f's stored
     numerators, the coefficients of D f, D = f._den), and the row of
     sigma^(i) is its shift x_i (row), x_i x^[u] = (u_i + 1) x^[u + e_i],
-    of its part in degrees < max_degree (``_shifted_rows``).
+    of its part in degrees < max_degree (``_shift_table``).
 
     The shift is linear and commutes with the restriction (the restriction
     of x_i g to degrees <= N is x_i times that of g to degrees <= N - 1), so
@@ -116,25 +131,29 @@ def _perp_direct(f, unipotent, max_degree, module):
     The base rows with |m| >= k lie in degrees <= deg f - k, so for
     max_degree >= deg f - k no column is cut: they are the rows of m^k f
     that ``module`` (``apolarity._module_rows(f, k)``) has swept already,
-    and its leads decide the drops.  Below that bound the restricted rows
-    are built and swept here (``_sweep``): restriction can add
-    dependencies, so their drops differ.
+    and its kept rows are the ones that stay.  Below that bound the
+    restricted rows are swept here (``_module_rows`` over the degrees
+    <= max_degree): restriction can add dependencies, so their drops
+    differ.
+
+    The equations are built column-reversed (column j of S_{<= max_degree}
+    keyed last - j), as lazy batches (``_image_batches``, each equation with
+    its exact range): the rows of |m| = k - 1, then each kept row followed
+    by its n shifts.  So the kernel is read off one sweep of them
+    (``linalg._reversed_kernel``) with no reversal pass, and an equation
+    after its block is full is never built.
     """
-    n, field = f.n, f.field
+    n, p = f.n, f.field.p
     d, k = max(f.degree, 0), 2 if unipotent else 1
-    win = Window.S_upto(n, max_degree, field)
-    eqs = _contraction_rows(f, monomials(n, k - 1), range(max_degree + 1))
-    if max_degree >= d - k:
-        base, leads = module[:2]
-    else:
-        exps = [m for m in monomials_upto(n, d) if sum(m) >= k]
-        base = _contraction_rows(f, exps, range(max_degree + 1))
-        leads = _sweep(base, field.p)[1]
-    kept = [row for row, lead in zip(base, leads) if lead is not None]
-    for row, shifts in zip(kept, _shifted_rows(kept, n, range(max_degree), win)):
-        eqs.append(row)
-        eqs += shifts
-    return Basis._of_kernel(win, eqs)
+    win = Window.S_upto(n, max_degree, f.field)
+    last = win.dim - 1
+    kept = module[0] if max_degree >= d - k else _module_rows(f, k, range(max_degree + 1))[0]
+    base = [row for row in _contraction_rows(f, monomials(n, k - 1), range(max_degree + 1)) if row]
+    # each row itself, column-reversed, then its shifts, column-reversed
+    table = [(range(last, -1, -1), [1] * win.dim)] + [
+        ([last - c for c in keys], weights) for keys, weights in _shift_table(n, range(max_degree), win)]
+    eqs = _image_batches(base, table[:1]) + _image_batches(kept, table)
+    return Basis._of_canonical(win, _reversed_kernel(_sweep(eqs, p)[0], p, win.dim))
 
 
 def _checked_perp(f, tang, unipotent, max_degree, module):
@@ -163,21 +182,20 @@ def perp_tangent(f, unipotent=False, max_degree=None):
         raise IndexOutOfRange("perp degree bound must be >= 0, got %d" % max_degree)
     k = 2 if unipotent else 1
     module = _module_rows(f, k)
-    tang = Basis._of_rows(*_tangent_rows(f, k, module))
+    tang = Basis._of_batches(*_tangent_batches(f, k, module))
     return _checked_perp(f, tang, unipotent, max_degree, module)
 
 
 def orbit_dimension(f):
     """dim G f = dim tangent_space(f); valid in char 0 or > deg f.
 
-    The rank of the tangent rows (``_tangent_rows``): the pivots one
-    ``_sweep`` of them adds.  No canonical tangent rows are needed.
+    The rank of the tangent rows (``_tangent_batches``): the rows one
+    ``_sweep`` of them stores.  No canonical tangent rows are needed.
     """
     if f.is_zero():
         raise ZeroPolynomial("orbit of the zero polynomial")
     char_guard(f.field, max(f.degree, 0))
-    leads = _sweep(_tangent_rows(f, 1)[1], f.field.p)[1]
-    return len(leads) - leads.count(None)
+    return _rank(_tangent_batches(f, 1)[1], f.field.p)
 
 
 def dense_orbit_test(F):

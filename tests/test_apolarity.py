@@ -24,11 +24,14 @@ from apolar import (
 )
 from apolar import apolarity, linalg
 from apolar.apolarity import (
+    _contraction_batches,
     _contraction_rows,
     _filtration_profiles,
     _generator_rows,
+    _image,
+    _image_batches,
     _products,
-    _shifted_rows,
+    _shift_table,
     _square,
     _square_rows,
     _unit_products,
@@ -382,14 +385,27 @@ def test_sparse_row_builders_match_the_dense_ones(field, rng):
                     assert all(all(row.values()) for row in sparse), f  # nonzero entries only
                     want = _reference_dense_contraction_rows(f, exps, degrees)
                     assert _densified(sparse, width) == want, (f, degrees)
+                    # each lazy batch's range holds its rows' columns
+                    for lo, hi, rows in _contraction_batches(f, exps, degrees):
+                        assert all(lo <= j <= hi for row in rows for j in row), (f, degrees)
                 # the shifts of rows over degrees <= d, taken from degrees < d
                 win = Window.P_upto(n, d, field)
                 inner = len(win.columns) - len(monomials(n, d))
                 rows = _contraction_rows(f, exps, range(d + 1))
-                got = _shifted_rows(rows, n, range(d), win)
+                table = _shift_table(n, range(d), win)
+                got = [[_image((g, *shift)) for shift in table] for g in rows]
                 dense = [row[:inner] for row in _densified(rows, win.dim)]
                 want = _reference_dense_shifted_rows(dense, n, range(d), win)
                 assert [_densified(shifts, win.dim) for shifts in got] == want, f
+                # the lazy batches hold the nonempty shifts, g-major, each
+                # batch's range exactly the span of its rows' columns
+                batches = [(lo, hi, list(part)) for lo, hi, part in
+                           _image_batches([g for g in rows if g], table)]
+                assert [row for _, _, part in batches for row in part] == (
+                    [shift for shifts in got for shift in shifts if shift]), f
+                for lo, hi, part in batches:
+                    keys = [j for row in part for j in row]
+                    assert (lo, hi) == (min(keys), max(keys)), f
                 # the products of the pieces of Ann(f) with S_1 and with each other
                 units = [{t: 1} for t in range(n)]
                 for i in range(1, d + 2):
@@ -677,7 +693,9 @@ def test_ann_graded_builds_no_row_past_an_injective_catalecticant(field, rng, mo
             stored_after.clear()
             assert ann_graded(f, i).dim == 0
             assert stored_after[-1] == w and w not in stored_after[:-1], (f, i)
-            assert len(built) == len(stored_after), (f, i)  # every row built was swept
+            # every nonempty row built was swept (``_fill`` skips an empty
+            # one), and the last row built made the w-th store
+            assert len([row for row in built if row]) == len(stored_after) and built[-1], (f, i)
             skipped += len(list(rows(f, i))) - len(built)
     assert cases >= 4 and skipped > 0
 
@@ -836,8 +854,7 @@ def _reference_generator_rows(f, upto):
         last = I.window.dim - 1
         products = _products(f.n, pieces[i - 1]._rows, i - 1, units, 1, I.window)
         _fill(stored, products, 0, last, p, I.dim)
-        leads = _fill(stored, I._rows, 0, last, p, I.dim)
-        gens[i] = [g for g, lead in zip(I._rows, leads) if lead is not None]
+        gens[i] = [g for g, lead in _fill(stored, I._rows, 0, last, p, I.dim) if lead is not None]
     return gens, pieces
 
 

@@ -1,5 +1,5 @@
 from fractions import Fraction as Q
-from itertools import compress, count, islice
+from itertools import compress, count
 from math import comb, gcd, lcm
 from operator import itemgetter, mul
 
@@ -33,6 +33,8 @@ from apolar.linalg import (
     _echelon,
     _fill,
     _kernel,
+    _reduced_rows,
+    _row_batches,
     _solve,
     _sparse,
     _store,
@@ -514,6 +516,121 @@ def test_a_full_block_stops_its_sweep(field, rng, monkeypatch):
             [[int(i == j) for j in range(width)] for i in range(width)], list(range(width)))
 
 
+# Differential oracle for the batch sweep: the sweep that took finished
+# rows, kept verbatim with its capped loop -- an intake that reduces every
+# row mod p, places it by its exact [first, last] interval and sweeps each
+# block's rows in their order -- against ``_sweep`` of the same rows in
+# batches, whose ranges may be merged or wider than the rows.
+
+
+def _reference_fill(stored, rows, lo, hi, p, cap):
+    leads = []
+    for row in rows if len(stored) < cap else ():
+        lead = _store(stored, _dense(row, lo, hi, p), p)
+        leads.append(None if lead is None else lo + lead)
+        if len(stored) == cap:
+            break
+    return leads
+
+
+def _reference_sweep(rows, p):
+    if p:
+        rows = [{j: r for j, x in row.items() if (r := x % p)} for row in rows]
+    blocks, members = [], []  # members: each block's rows, by (first, last, index)
+    for first, last, i in sorted([(min(row), max(row), i) for i, row in enumerate(rows) if row]):
+        if blocks and first <= blocks[-1][1]:
+            if last > blocks[-1][1]:
+                blocks[-1][1] = last
+            members[-1].append(i)
+        else:
+            blocks.append([first, last, {}])
+            members.append([i])
+    leads = [None] * len(rows)
+    for (lo, hi, stored), idx in zip(blocks, members):
+        if lo == hi:  # every row is (lo, lo, i): the first has the least index
+            stored[0], leads[idx[0]] = [1], lo
+            continue
+        idx.sort()
+        for i, lead in zip(idx, _reference_fill(stored, map(rows.__getitem__, idx), lo, hi, p,
+                                                hi + 1 - lo)):
+            leads[i] = lead
+    return blocks, leads
+
+
+def _batch_leads(batches, p):
+    """``_sweep`` of ``batches``, each given as (lo, hi, list of rows): its
+    blocks and the lead of every row, in order, None for a row the sweep did
+    not take.  The rows a batch gives up are a subsequence of it, in order."""
+    blocks, taken = _sweep([(lo, hi, iter(rows)) for lo, hi, rows in batches], p)
+    leads = []
+    for (_, _, rows), pairs in zip(batches, taken):
+        pairs = iter(pairs)
+        pending = next(pairs, None)
+        for row in rows:
+            if pending is not None and pending[0] is row:
+                leads.append(pending[1])
+                pending = next(pairs, None)
+            else:
+                leads.append(None)
+        assert pending is None
+    return blocks, leads
+
+
+def _row_leads(rows, p):
+    """``_sweep`` of the ``_row_batches`` of ``rows``: its blocks and the
+    lead of each row, None for one the sweep did not take."""
+    blocks, leads = _batch_leads([(lo, hi, list(part)) for lo, hi, part in _row_batches(rows)], p)
+    leads = iter(leads)
+    return blocks, [next(leads) if row else None for row in rows]
+
+
+def _oracle_batches(rng, rows, ncols):
+    """``rows`` cut into consecutive batches (lo, hi, list of rows): a row
+    alone or a run of rows, with their exact range or one widened by up to
+    two columns on each side (inside 0 .. ncols - 1); a batch of empty rows
+    takes the empty range (0, -1) or every column."""
+    batches, i = [], 0
+    while i < len(rows):
+        k = rng.choice([1, 1, 2, 3])
+        part = rows[i : i + k]
+        i += k
+        keys = [j for row in part for j in row]
+        if not keys:
+            lo, hi = (0, -1) if rng.random() < 0.5 else (0, ncols - 1)
+        else:
+            lo, hi = min(keys), max(keys)
+            if rng.random() < 0.3:
+                lo, hi = max(0, lo - rng.randint(0, 2)), min(ncols - 1, hi + rng.randint(0, 2))
+        batches.append((lo, hi, part))
+    return batches
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
+def test_batch_sweep_matches_the_reference_sweep(field, rng):
+    p, kinds = field.p, set()
+    for _ in range(300):
+        rows, ncols = _sparse_matrix(rng, field)
+        if p:  # an entry = 0 mod p just past a row's last column
+            for row in rng.sample(rows, min(2, len(rows))):
+                if row and max(row) + 1 < ncols:
+                    row[max(row) + 1] = p * rng.choice([1, -3])
+        ref_blocks, want = _reference_sweep(rows, p)
+        reduced = list(_reduced_rows(ref_blocks, p))
+        batches = _oracle_batches(rng, rows, ncols)
+        for blocks, got in (_row_leads(rows, p), _batch_leads(batches, p)):
+            # the same lead for every row taken, None for the rest
+            assert got == want, (rows, batches)
+            assert list(_reduced_rows(blocks, p)) == reduced, (rows, batches)
+            kinds.update("one column" for lo, hi, stored in blocks if lo == hi and stored)
+            kinds.update("not taken" for row, lead in zip(rows, got) if row and lead is None)
+        for lo, hi, part in batches:
+            keys = [j for row in part for j in row]
+            if keys and (lo, hi) != (min(keys), max(keys)):
+                kinds.add("widened")
+        kinds.update("empty row" for row in rows if not row)
+    assert kinds == {"one column", "widened", "not taken", "empty row"}
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
 def test_fill_takes_no_row_past_its_cap_and_one_column_rows_are_not_swept(field, rng, monkeypatch):
     p, taken = field.p, []
@@ -528,7 +645,7 @@ def test_fill_takes_no_row_past_its_cap_and_one_column_rows_are_not_swept(field,
     # the cap-th store ends the sweep: the fourth row is not taken
     rows = [{3: 1, 4: 1}, {3: 2, 4: 2}, {4: 1}, {3: 1}]
     stored = {}
-    assert _fill(stored, taking(rows), 3, 4, p, 2) == [3, None, 4]
+    assert _fill(stored, taking(rows), 3, 4, p, 2) == list(zip(rows, [3, None, 4]))
     assert taken == rows[:3] and sorted(stored) == [0, 1]
     # the rows of one-column blocks are neither made lists nor stored, and
     # every lead is that of one uncapped sweep of all the rows, in order
@@ -559,7 +676,7 @@ def test_fill_takes_no_row_past_its_cap_and_one_column_rows_are_not_swept(field,
     for rows, want in cases:
         listed.clear()
         stores.clear()
-        blocks, leads = _sweep(rows, p)
+        blocks, leads = _row_leads(rows, p)
         assert leads == want, rows
         assert all(lo < hi for lo, hi in listed) and len(stores) == len(listed), rows
         one_column += sum(lo == hi for lo, hi, _ in blocks)
@@ -864,7 +981,7 @@ def test_solve_matches_decode_route(field, rng):
         want = reference_solve(rows, rhs, field, ncols)
         # the shapes of the sweep of [M | b] met along the way
         aug = _sparse([[*row, b] for row, b in zip(rows, rhs)])
-        blocks, leads = _sweep(aug, field.p)
+        blocks, leads = _row_leads(aug, field.p)
         if blocks and blocks[-1][1] == ncols:  # the last block holds b's column
             lo, hi, stored = blocks[-1]
             if len(stored) == hi + 1 - lo > 1:
@@ -935,11 +1052,12 @@ def test_public_routines_reject_wrong_shapes():
 def _pivot_stream(batches, field):
     """For each batch of sparse integer rows, the pivot columns it adds to
     the span of the rows before it, in row order: the leads of one
-    ``_sweep`` of all the rows, read off batch by batch."""
-    batches = [list(batch) for batch in batches]
-    leads = iter(_sweep([row for batch in batches for row in batch], field.p)[1])
-    for batch in batches:
-        yield [lead for lead in islice(leads, len(batch)) if lead is not None]
+    ``_sweep`` of all the rows (each batch's ``_row_batches``), read off
+    batch by batch."""
+    groups = [_row_batches(list(batch)) for batch in batches]
+    taken = iter(_sweep([b for group in groups for b in group], field.p)[1])
+    for group in groups:
+        yield [lead for _ in group for _, lead in next(taken) if lead is not None]
 
 
 def _stream_cases(rng, field):

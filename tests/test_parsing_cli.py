@@ -58,6 +58,25 @@ def test_round_trip_printing(rng):
             assert parse_poly(poly_str(f), 3, field) == f
 
 
+def test_a_minus_one_coefficient_prints_as_a_sign():
+    # a coefficient -1 prints as a bare sign, leading or inner, and parses back
+    cases = [
+        ("x2 + x1^[2] - x1*x2^[2]", QQ, "x2 + x1^[2] - x1*x2^[2]"),
+        ("-x1 + 3*x2", QQ, "-x1 + 3*x2"),
+        ("-1*x1*x2 - x2^[2] + x1^[3]", QQ, "-x1*x2 - x2^[2] + x1^[3]"),
+        ("-1 - x1", QQ, "-1 - x1"),
+        ("1/2*x1 - 1/2*x2", QQ, "1/2*x1 - 1/2*x2"),
+        ("-x1 + x2", GF(7), "6*x1 + x2"),  # residues print as they are
+    ]
+    for text, field, want in cases:
+        f = parse_poly(text, 2, field)
+        assert poly_str(f) == want and "-1*" not in poly_str(f), text
+        assert parse_poly(poly_str(f), 2, field) == f, text
+    sigma = parse_operator("a1 - a1*a2^[2]", 2, QQ, 3)
+    assert operator_str(sigma) == "a1 - a1*a2^[2]"
+    assert parse_operator(operator_str(sigma), 2, QQ, 3) == sigma
+
+
 def test_parse_classical():
     g = parse_classical_poly("x1^4", 1, QQ)
     assert g.terms == {(4,): QQ.from_int(1)}

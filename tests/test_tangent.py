@@ -21,7 +21,7 @@ from apolar import (
     unip_tangent_space,
 )
 from apolar import apolarity, linalg, tangent
-from apolar.apolarity import _contraction_rows, _module_rows, _shifted_rows, module_sf
+from apolar.apolarity import _contraction_rows, _module_rows, module_sf
 from apolar.dp import monomials, monomials_upto
 from apolar.errors import (
     CharacteristicTooSmall,
@@ -29,8 +29,9 @@ from apolar.errors import (
     TdfMismatch,
     ZeroPolynomial,
 )
-from apolar.linalg import Basis, _sparse, _store
-from apolar.tangent import _checked_perp, _perp_direct, _tangent_rows
+from apolar.linalg import Basis, _sparse, _store, _sweep
+from apolar.parsing import parse_poly
+from apolar.tangent import _checked_perp, _perp_direct, _tangent_batches
 
 from conftest import random_form, random_poly, with_fractions
 from test_linalg import _densified, _integer_row, _pivot_stream
@@ -291,6 +292,27 @@ def test_perp_direct_matches_unpruned_oracle(field, rng):
                         )
 
 
+def _capture_equations(monkeypatch):
+    """Record the equations ``_perp_direct`` hands its kernel: the batches
+    of its one ``_sweep`` in ``tangent``, each built in full (and then swept
+    as built), as rows in the original column order of S_{<= max_degree}.
+    Returns the list each call appends its rows to."""
+    captured = []
+
+    def capture(batches, p):
+        batches = [(lo, hi, list(rows)) for lo, hi, rows in batches]
+        captured.append([row for _, _, part in batches for row in part])
+        return _sweep(batches, p)
+
+    monkeypatch.setattr(tangent, "_sweep", capture)
+    return captured
+
+
+def _unreversed(rows, ncols):
+    """Column-reversed rows over ``ncols`` columns, in the original order."""
+    return [{ncols - 1 - j: x for j, x in row.items()} for row in rows]
+
+
 @pytest.mark.parametrize("n, d", [(3, 4), (4, 5)])
 @pytest.mark.parametrize("unipotent", [False, True])
 def test_perp_direct_drops_implied_equations(monkeypatch, rng, n, d, unipotent):
@@ -300,17 +322,10 @@ def test_perp_direct_drops_implied_equations(monkeypatch, rng, n, d, unipotent):
     f = random_form(rng, n, QQ, d)
     k = 2 if unipotent else 1
     module = _module_rows(f, k)
-    counts = []
-    of_kernel = Basis._of_kernel.__func__
-
-    def capture(cls, window, eqs):
-        counts.append(len(eqs))
-        return of_kernel(cls, window, eqs)
-
-    monkeypatch.setattr(Basis, "_of_kernel", classmethod(capture))
+    captured = _capture_equations(monkeypatch)
     got = _perp_direct(f, unipotent, d, module)
     monkeypatch.undo()
-    assert counts[0] <= math.comb(n + k - 2, k - 1) + (n + 1) * module_sf(f, k).dim
+    assert len(captured[0]) <= math.comb(n + k - 2, k - 1) + (n + 1) * module_sf(f, k).dim
     assert got == _reference_perp_direct(f, unipotent, d)
 
 
@@ -357,14 +372,7 @@ def _reference_dense_perp_eqs(f, unipotent, max_degree):
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
 def test_perp_direct_keeps_the_equations_of_the_dense_loop(field, rng, monkeypatch):
-    captured = []
-    of_kernel = Basis._of_kernel.__func__
-
-    def capture(cls, window, eqs):
-        captured.append((window.dim, eqs))
-        return of_kernel(cls, window, eqs)
-
-    monkeypatch.setattr(Basis, "_of_kernel", classmethod(capture))
+    captured = _capture_equations(monkeypatch)
     for n in (1, 2, 3, 4):
         for d in range(0, 5 if n == 4 else 6):
             polys = [random_form(rng, n, field, d), random_poly(rng, n, field, d),
@@ -377,8 +385,9 @@ def test_perp_direct_keeps_the_equations_of_the_dense_loop(field, rng, monkeypat
                     for max_degree in sorted({0, max(d - 1, 0), d, d + 1}):
                         captured.clear()
                         _perp_direct(f, unipotent, max_degree, module)
-                        (dim, eqs), = captured
-                        got = [row for row in _densified(eqs, dim) if any(row)]
+                        (eqs,) = captured
+                        dim = Window.S_upto(n, max_degree, field).dim
+                        got = [row for row in _densified(_unreversed(eqs, dim), dim) if any(row)]
                         want = [row for row in _reference_dense_perp_eqs(f, unipotent, max_degree)
                                 if any(row)]
                         assert len(got) == len(want) and got == want, (f, unipotent, max_degree)
@@ -388,6 +397,77 @@ def test_perp_direct_keeps_the_equations_of_the_dense_loop(field, rng, monkeypat
 # before it, kept verbatim.  The tangent rows shifted the canonical rows of
 # the ``Basis`` of m^k f, echeloned on its own, and the direct perp swept its
 # own rows restricted to S_{<= max_degree} to decide its drops.
+
+
+def _shifted_rows(rows, n, degrees, window):
+    """The sparse integer rows of x_1 g, ..., x_n g for each sparse integer
+    row g in ``rows``.
+
+    g is a row over the monomials of ``degrees`` (in order, grlex within a
+    degree, as ``_contraction_rows`` lays them out), and its entries past
+    those columns are dropped: each shift is that of g restricted to
+    ``degrees``.  x_i x^[u] = (u_i + 1) x^[u + e_i] places each shift in
+    ``window``, which holds every x^[u + e_i]; over F_p a weight u_i + 1
+    may vanish.  The column tables (columns, weights) are built once per
+    call.  Returns one list of n rows per g.
+    """
+    index = window.index
+    src = [u for i in degrees for u in monomials(n, i)]
+    table = [
+        ([index[u[:i] + (u[i] + 1,) + u[i + 1:]] for u in src], [u[i] + 1 for u in src])
+        for i in range(n)
+    ]
+    width, out = len(src), []
+    for g in rows:
+        nonzero = [(j, c) for j, c in g.items() if j < width]
+        out.append([{cols[j]: ws[j] * c for j, c in nonzero} for cols, ws in table])
+    return out
+
+
+def _eager_tangent_rows(f, k, module=None):
+    """(window, rows) spanning m^{k-1} f + sum_i x_i (m^k f) inside
+    P_{<= deg f}: the eager list that came before the lazy batches.
+
+    The rows are sparse integer rows: the contractions of D f by the
+    degree-(k-1) monomials, the canonical rows B of m^k f from
+    ``module`` (``apolarity._module_rows(f, k)``, built here when not
+    given), and their shifts x_i x^[u] = (u_i + 1) x^[u + e_i], keyed by
+    column index.
+    """
+    if f.is_zero():
+        raise ZeroPolynomial("tangent space of the zero polynomial")
+    d = max(f.degree, 0)
+    win = Window.P_upto(f.n, d, f.field)
+    gs = (module or _module_rows(f, k))[1]
+    rows = _contraction_rows(f, monomials(f.n, k - 1), range(d + 1))
+    # m^k f lies in P_{<= d-1}, so its rows are shifted from degrees < d
+    for g, shifts in zip(gs, _shifted_rows(gs, f.n, range(d), win)):
+        rows.append(g)
+        rows += shifts
+    return win, rows
+
+
+def _lazy_order(win, rows, f, k):
+    """An eager (window, rows) pair (contractions, then each g of B with its
+    n shifts) in the order of ``_tangent_batches``: the contractions, the
+    rows of B with one entry, the shifts, g-major, and the other rows of
+    B."""
+    c, step = len(monomials(f.n, k - 1)), f.n + 1
+    groups = [rows[i : i + step] for i in range(c, len(rows), step)]
+    gs = [group[0] for group in groups]
+    shifts = [s for group in groups for s in group[1:]]
+    return win, rows[:c] + [g for g in gs if len(g) == 1] + shifts + [g for g in gs if len(g) > 1]
+
+
+def _built(win, batches):
+    """(window, every row of ``batches`` built in full), after checking
+    that each batch's range holds its rows' columns."""
+    rows = []
+    for lo, hi, part in batches:
+        part = list(part)
+        assert all(lo <= j <= hi for row in part for j in row)
+        rows += part
+    return win, rows
 
 
 def _reference_module_sf(f, k):
@@ -441,38 +521,131 @@ def test_one_sweep_of_the_module_matches_the_separate_routes(field, rng):
                     mk = _reference_module_sf(f, k)
                     dim = mk.window.dim
                     want = _densified(mk._rows, dim)
-                    assert _densified(module[2], dim) == want
+                    assert _densified(module[1], dim) == want
                     assert _densified(module_sf(f, k)._rows, dim) == want
-                    assert _tangent_rows(f, k) == _tangent_rows(f, k, module) == _reference_tangent_rows(f, k)
+                    # the rows that add a pivot are a basis of m^k f
+                    assert Basis._of_rows(mk.window, module[0]) == mk and len(module[0]) == mk.dim
+                    built = _built(*_tangent_batches(f, k))
+                    assert built == _built(*_tangent_batches(f, k, module))
+                    assert built == _lazy_order(*_eager_tangent_rows(f, k), f, k)
+                    assert built == _lazy_order(*_reference_tangent_rows(f, k), f, k)
                     for max_degree in sorted({0, d - k - 1, d - k, d, d + 1} - {-1, -2}):
                         want = _reference_swept_perp_direct(f, k == 2, max_degree)
                         assert _perp_direct(f, k == 2, max_degree, module) == want, (f, k, max_degree)
 
 
+# The laziness of the row builders, on a dense ternary quartic (the one the
+# CI hash-seed step runs) and on the sparse x1^[5] + x2^[5].
+
+Q4 = ("x1^[4] + 2*x1^[3]*x2 - x1^[3]*x3 + 3*x1^[2]*x2^[2] + x1^[2]*x2*x3 - 2*x1^[2]*x3^[2]"
+      " + x1*x2^[3] + x1*x2^[2]*x3 + 2*x1*x2*x3^[2] - x1*x3^[3] + x2^[4] + 3*x2^[3]*x3"
+      " - x2^[2]*x3^[2] + 2*x2*x3^[3] + x3^[4]")
+
+
+def _pulling(rows, pulled):
+    """``rows``, each appended to ``pulled`` once it is built."""
+    for row in rows:
+        pulled.append(row)
+        yield row
+
+
+def test_no_row_is_built_after_its_block_is_full(monkeypatch):
+    # Every row a sweep pulls from a batch is swept (empty rows aside): a
+    # sweep stops pulling once the block is full, so no row is built after
+    # that.  And the tangent rows built number fewer than the eager
+    # builders' (the oracles below) make.
+    f = parse_poly(Q4, 3, QQ)
+    built = {"contraction": 0, "shift": 0}
+    lookups, image, sweep = apolarity._lookups, apolarity._image, linalg._sweep
+
+    def counting_lookups(get, exps, cols):
+        for row in lookups(get, exps, cols):
+            built["contraction"] += 1
+            yield row
+
+    def counting_image(item):
+        built["shift"] += 1
+        return image(item)
+
+    def checking_sweep(batches, p):
+        pulled, wrapped = [], []
+        for lo, hi, rows in batches:
+            pulled.append([])
+            wrapped.append((lo, hi, _pulling(rows, pulled[-1])))
+        blocks, taken = sweep(wrapped, p)
+        for rows, pairs in zip(pulled, taken):
+            assert [row for row in rows if row] == [row for row, _ in pairs]
+        return blocks, taken
+
+    monkeypatch.setattr(apolarity, "_lookups", counting_lookups)
+    monkeypatch.setattr(apolarity, "_image", counting_image)
+    for module in (linalg, apolarity, tangent):
+        monkeypatch.setattr(module, "_sweep", checking_sweep)
+    for k, space in ((1, tangent_space), (2, unip_tangent_space)):
+        built.update(contraction=0, shift=0)
+        basis = space(f)
+        lazy = dict(built)
+        assert basis == _reference_tangent(f, k == 2)
+        # the eager builders: every row x^e -| D f, |e| >= k - 1, and n
+        # shifts of each canonical row of m^k f
+        exps = [e for e in monomials_upto(3, 4) if sum(e) >= k - 1]
+        gs = _module_rows(f, k)[1]
+        eager = {"contraction": len(_contraction_rows(f, exps, range(5))),
+                 "shift": sum(map(len, _shifted_rows(gs, 3, range(4), Window.P_upto(3, 4, QQ))))}
+        assert lazy["contraction"] < eager["contraction"] and lazy["shift"] < eager["shift"], (
+            k, lazy, eager)
+    for unipotent in (False, True):
+        assert perp_tangent(f, unipotent).dim == Window.P_upto(3, 4, QQ).dim - (
+            unip_tangent_space(f) if unipotent else tangent_space(f)).dim
+    assert orbit_dimension(f) == tangent_space(f).dim
+
+
+def test_sparse_forms_keep_their_one_column_blocks(monkeypatch):
+    # x1^[5] + x2^[5]: the canonical rows of m f are unit rows and their
+    # shifts single terms, each with its exact range, so the tangent sweep
+    # has one-column blocks, taken with no list made and no _store call.
+    f = parse_poly("x1^[5] + x2^[5]", 2, QQ)
+    widths = []
+    dense = linalg._dense
+
+    def recording(row, lo, hi, p):
+        widths.append(hi + 1 - lo)
+        return dense(row, lo, hi, p)
+
+    win, batches = _tangent_batches(f, 1)
+    monkeypatch.setattr(linalg, "_dense", recording)
+    monkeypatch.setattr(linalg, "_store", lambda *args: pytest.fail("a one-column row was stored"))
+    blocks, taken = _sweep([b for b in batches if b[0] == b[1]], 0)
+    assert sum(1 for lo, hi, stored in blocks if stored) >= 6 and widths == []
+    monkeypatch.undo()
+    assert Basis._of_batches(*_tangent_batches(f, 1)) == _reference_tangent(f, False)
+
+
 @pytest.mark.parametrize("unipotent", [False, True])
 def test_perp_tangent_builds_and_sweeps_the_module_rows_once(monkeypatch, rng, unipotent):
     # One perp_tangent call, max_degree >= deg f - k: the rows x^e -| D f,
-    # |e| >= k, are built by one _contraction_rows call and go through one
-    # _sweep, which serves the tangent basis and the direct perp's drops.
+    # |e| >= k, are built by one _contraction_batches call and go through
+    # one _sweep, which serves the tangent basis and the direct perp's drops.
     k = 2 if unipotent else 1
     built, swept = [], []
-    contraction_rows, sweep = apolarity._contraction_rows, linalg._sweep
+    contraction_batches, sweep = apolarity._contraction_batches, linalg._sweep
 
-    def counting_rows(f, exps, degrees):
+    def counting_batches(f, exps, degrees):
         exps = list(exps)
-        rows = contraction_rows(f, exps, degrees)
+        batches = contraction_batches(f, exps, degrees)
         if any(sum(e) >= k for e in exps):
-            built.append(rows)
-        return rows
+            built.append(batches)
+        return batches
 
-    def counting_sweep(rows, p):
-        ids = {id(row) for batch in built for row in batch}
-        if any(id(row) in ids for row in rows):
-            swept.append(len(rows))
-        return sweep(rows, p)
+    def counting_sweep(batches, p):
+        batches = list(batches)
+        ids = {id(rows) for made in built for _, _, rows in made}
+        if any(id(rows) in ids for _, _, rows in batches):
+            swept.append(len(batches))
+        return sweep(batches, p)
 
     for module in (apolarity, tangent):
-        monkeypatch.setattr(module, "_contraction_rows", counting_rows)
+        monkeypatch.setattr(module, "_contraction_batches", counting_batches)
     for module in (linalg, apolarity, tangent):
         monkeypatch.setattr(module, "_sweep", counting_sweep)
     for f in (random_form(rng, 3, QQ, 5), random_poly(rng, 3, QQ, 5),
