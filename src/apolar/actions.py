@@ -8,56 +8,71 @@ Conventions fixed here (and tested):
 * ``exp_group_element(D, tau)`` realises the exponential of the Lie algebra
   element f |-> D_dual(f) + tau -| f as an honest group element.
 
-How the costly maps are computed:
+How the costly maps are computed -- each job one way:
 
+* One power table, ``_power_table(images, trunc)``, holds phi(a)^b for
+  phi(a_i) = images[i], truncated at trunc, and builds an entry when it
+  is first read: the entry of b is the entry of b - e_i times phi(a_i),
+  i the last index with b_i > 0.  ``subst`` and ``_substituted`` (so
+  ``compose``) read one table per call, for every term of every operator
+  they substitute into; ``Automorphism._preimage`` reads one table of
+  phi's images (and one of L^{-1}'s) for all its rounds;
+  ``apply_automorphism_dual`` reads one table truncated at deg f.
 * ``apply_automorphism_dual`` uses the adjunction <sigma, phi_dual f> =
   <phi(sigma), f>: the coefficient of x^[b] in phi_dual(f) is
-  <phi(a)^b, f>, one pairing per monomial b with |b| <= d = deg f, read
-  off a power table of the images' products truncated at d.  Let s + 1
-  be the lowest degree of a term of any phi(a_i) - a_i (s = d if there is
-  none).  For |b| > d - s, phi(a)^b truncated at d is a^b, so the
-  coefficient of x^[b] is f's own; the table is built only for
+  <phi(a)^b, f>, one pairing per monomial b with |b| <= d = deg f.  Let
+  s + 1 be the lowest degree of a term of any phi(a_i) - a_i (s = d if
+  there is none).  For |b| > d - s, phi(a)^b truncated at d is a^b, so
+  the coefficient of x^[b] is f's own; the table is read only for
   |b| <= d - s.  A reduction step is the identity modulo m^{s+1} with
   s >= 1, and a homogeneous step at degree e has s = d - e: it pays for
   the degrees <= e it changes.
-* ``Automorphism`` checks that L is invertible with one integer sweep
-  (``linalg._sweep``) of the numerators of the images' linear parts.
+* The ``Automorphism`` constructor is the one invertibility check: one
+  capped forward sweep (``linalg._fill``) of the numerators of the
+  images' linear parts, n rows over n columns.  ``apply_linear_map``
+  turns its failure into ``SingularMatrix``.
 * ``Automorphism._preimage`` is the one solver for phi(x) = u.  It goes
   one degree at a time: the residual u - phi(x_{<r}) has order >= r, x_r
   is L^{-1} applied to its degree-r part, and round r substitutes only
   the new piece x_r into phi.  L, the linear part of phi, is the identity
   for every unipotent reduction step, and then L^{-1} is skipped.  L^{-1}
-  otherwise comes from ``Automorphism._linear_inverse``: an integer
-  matrix over one denominator, read off one integer echelon form of
-  [L | 1].  Every automorphism fixes constants, so a constant u, or zero,
-  is returned as it is, at phi's truncation, with no round run (after
-  the arity and field check).
+  otherwise comes from ``Automorphism._linear_inverse``, read off
+  rref([L | 1]) = [1 | L^{-1}].  Every automorphism fixes constants, so a
+  constant u, or zero, is returned as it is, at phi's truncation, with no
+  table built and no round run (after the arity and field check).
 * ``compose`` needs psi^{-1}(u) only, and takes it from
   ``psi._preimage(u)``; no inverse is built.  It substitutes all n images
-  of psi into phi through one power cache of phi's images
-  (``_substituted``, which ``subst`` goes through too).  A reduction
-  trace folds its steps from the last, compose(g, accumulated), so phi is
-  a sparse step, and u is the step's unit, mostly the constant 1.
+  of psi into phi through one table of phi's images.  A reduction trace
+  folds its steps from the last, compose(g, accumulated), so phi is a
+  sparse step, and u is the step's unit, mostly the constant 1.
 * ``Automorphism.inverse`` has no caller inside the library; it serves
   callers outside it.  phi^{-1}(a_j) is the preimage of a_j.
+* One series loop, ``_series``, sums the three exponentials: exp(w) for w
+  in m, the images exp(D)(a_i) for a derivation D with every D(a_i) in
+  m^2, and the unit part of ``exp_group_element``.  Under these
+  hypotheses each step raises the order of the term, so the terms vanish
+  past the truncation and the loop ends.  Outside them the loop need not
+  end, so no loop starts: ``exp_automorphism`` (and ``exp_group_element``
+  first of all) raises InvalidAutomorphism for such a D, and
+  ``exp_operator`` NotAUnit for w outside m (so ``exp_group_element``
+  for tau outside m).
 
-These maps and ``subst`` run on the stored integer form of ``dp``:
-numerators over one common denominator, (``_den``, ``_num``).  ``subst``
-keeps its power cache and each term's partial products as such pairs and
-sums the scaled terms over the lcm of their denominators; the dual action
-keeps its power table phi(a)^b as pairs and pairs each entry with f's
+These maps run on the stored integer form of ``dp``: numerators over one
+common denominator, (``_den``, ``_num``).  The table keeps its entries as
+such pairs; a substitution sums its terms' entries, scaled, over the lcm
+of their denominators, and the dual action pairs each entry with f's
 numerators.  ``dp._ints_mul`` takes its right factor sorted by degree
-(``dp._by_degree``): the dual action sorts each image once per call,
-``_substituted`` each image and each power it multiplies by.  Each result
-is reduced once, by ``_make``.  Images and units that are only
-re-truncated go through ``Operator._at``, which does not check their
-exponent keys again.
+(``dp._by_degree``): a table sorts each image once, and each entry is one
+product of an earlier entry and one image.  Each result is reduced once,
+by ``_make``.  Images and units that are only re-truncated go through
+``Operator._at``, which does not check their exponent keys again.
 """
 
 from math import lcm
 
 from .dp import Operator, _by_degree, _check_pair, _ints_mul, contract, monomials
 from .errors import (
+    AmbientMismatch,
     ArityMismatch,
     FieldMismatch,
     InvalidAutomorphism,
@@ -65,7 +80,42 @@ from .errors import (
     SingularMatrix,
 )
 from .fields import char_guard
-from .linalg import _echelon, _rank, _row_batches, _sparse, rref
+from .linalg import _check_matrix, _fill, rref
+
+
+def _power_table(images, trunc):
+    """The function b -> phi(a)^b for phi(a_i) = images[i], a (den, num)
+    pair truncated at ``trunc``.  An entry is built when it is first read:
+    the entry of b - e_i times images[i], i the last index with b_i > 0."""
+    n = len(images)
+    right = [_by_degree(im._den, im._num) for im in images]  # each sorted once
+    table = {(0,) * n: (1, {(0,) * n: 1})}  # the monomial 1 maps to 1
+
+    def power(b):
+        entry = table.get(b)
+        if entry is None:
+            i = n - 1
+            while not b[i]:
+                i -= 1
+            prev = power(b[:i] + (b[i] - 1,) + b[i + 1 :])
+            entry = table[b] = _ints_mul(prev, right[i], trunc)
+        return entry
+
+    return power
+
+
+def _read_off(op, power, like):
+    """``op`` with each monomial a^e replaced by power(e), a table of
+    ``_power_table``: an operator like ``like`` (its truncation the
+    table's)."""
+    scaled = [(power(e), c) for e, c in op._num.items()]
+    L = lcm(*(den for (den, _), _ in scaled))
+    num = {}
+    for (den, prod), c in scaled:
+        s = c * (L // den)
+        for m, v in prod.items():
+            num[m] = num.get(m, 0) + s * v
+    return like._make(L * op._den, num)
 
 
 def subst(op, images):
@@ -76,7 +126,7 @@ def subst(op, images):
 
 def _substituted(ops, images):
     """[subst(op, images) for op in ops], every op read through one power
-    cache of the images."""
+    table of the images."""
     for op in ops:
         if len(images) != op.n:
             raise ArityMismatch("need %d images, got %d" % (op.n, len(images)))
@@ -86,43 +136,8 @@ def _substituted(ops, images):
             _check_pair(op, im)
         if im.trunc != trunc:
             raise FieldMismatch("truncation %d vs %d" % (trunc, im.trunc))
-    pow_cache = [{1: (im._den, im._num)} for im in images]
-    # the powers as right factors, each sorted once
-    right_cache = [{1: _by_degree(im._den, im._num)} for im in images]
-
-    def power(i, k):
-        cache = pow_cache[i]
-        if k not in cache:
-            cache[k] = _ints_mul(power(i, k - 1), right_cache[i][1], trunc)
-        return cache[k]
-
-    def right(i, k):
-        cache = right_cache[i]
-        if k not in cache:
-            cache[k] = _by_degree(*power(i, k))
-        return cache[k]
-
-    out = []
-    for op in ops:
-        scaled = []  # (denominator, numerator of op's coefficient, image of the monomial)
-        for e, c in op._num.items():
-            term = None
-            for i, a in enumerate(e):
-                if a:
-                    term = power(i, a) if term is None else _ints_mul(term, right(i, a), trunc)
-                    if not term[1]:
-                        break
-            den, prod = (1, {e: 1}) if term is None else term  # the monomial 1 maps to 1
-            scaled.append((den, c, prod))
-        L = lcm(*(t[0] for t in scaled))
-        num = {}
-        for den, c, prod in scaled:
-            s = c * (L // den)
-            for m, v in prod.items():
-                num[m] = num.get(m, 0) + s * v
-        # keys of the images' products, trunc as theirs
-        out.append(images[0]._make(L * op._den, num))
-    return out
+    power = _power_table(images, trunc)
+    return [_read_off(op, power, images[0]) for op in ops]
 
 
 def _check_images(images):
@@ -159,7 +174,9 @@ class Automorphism:
             {j: v for j, a in enumerate(monomials(self.n, 1)) if (v := im._num.get(a))}
             for im in self.images
         ]
-        if _rank(_row_batches(rows), self.field.p) < self.n:
+        stored = {}
+        _fill(stored, rows, 0, self.n - 1, self.field.p, self.n)
+        if len(stored) < self.n:
             raise InvalidAutomorphism("linear parts are dependent")
 
     def linear_matrix(self):
@@ -188,19 +205,14 @@ class Automorphism:
         return subst(op, self.images)
 
     def _linear_inverse(self):
-        """The linear parts of phi^-1(a_j): sum_i M[j][i] / delta a_i with
-        L^-1 = M / delta, M an integer matrix."""
+        """The linear parts of phi^-1(a_j), read off rref([lin | 1]) =
+        [1 | lin^-1], lin = ``linear_matrix()``, invertible (checked at
+        construction): phi^-1(a_j) = sum_i lin^-1[i][j] a_i."""
         n, field = self.n, self.field
-        # one integer echelon form of [lin | 1]; lin is invertible (checked at
-        # construction), so row i has its pivot at column i and its right
-        # half divided by that pivot is row i of lin^-1
         aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.linear_matrix())]
-        red, _ = _echelon(_sparse(aug), field)
-        # L = lin transposed
-        delta = lcm(*(red[i][i] for i in range(n)))
-        M = [[red[i].get(n + j, 0) * (delta // red[i][i]) for i in range(n)] for j in range(n)]
-        zero = Operator.zero(n, field, self.trunc)
-        return [zero._make(delta, dict(zip(monomials(n, 1), row))) for row in M]
+        red, _ = rref(aug, field, 2 * n)
+        return [Operator(n, field, dict(zip(monomials(n, 1), (row[n + j] for row in red))), self.trunc)
+                for j in range(n)]
 
     def inverse(self):
         """psi with phi(psi(a_i)) = a_i: psi(a_i) is the preimage of a_i."""
@@ -215,14 +227,19 @@ class Automorphism:
         The degree-r part of phi(x) is L x_r plus terms from x below degree
         r.  So with rest = u - phi(x_{<r}) of order >= r, x_r is L^-1 of the
         degree-r part of rest, and each round substitutes only the new piece
-        x_r into phi.  For unipotent phi, L^-1 is the identity.  phi fixes
+        x_r into phi.  For unipotent phi, L^-1 is the identity.  Every round
+        reads one power table of phi's images, and one of L^-1's unless phi
+        is unipotent.  phi fixes
         constants, so a constant u, or zero, is its own preimage: it comes
-        back as it is, at phi's truncation, with no round run.
+        back as it is, at phi's truncation, with no table built and no
+        round run.
         """
         _check_pair(self.images[0], u)
         if u.degree <= 0:
             return u._at(self.trunc)
-        linv = None if self.is_unipotent() else self._linear_inverse()
+        like = self.images[0]
+        power = _power_table(self.images, self.trunc)
+        linv = None if self.is_unipotent() else _power_table(self._linear_inverse(), self.trunc)
         x = Operator.zero(self.n, self.field, self.trunc)
         rest = u
         for r in range(self.trunc + 1):
@@ -230,10 +247,10 @@ class Automorphism:
                 continue
             part = rest.homogeneous_part(r)
             if linv is not None:
-                part = subst(part, linv)
+                part = _read_off(part, linv, like)
             x = x + part
             if r < self.trunc:
-                rest = rest - subst(part, self.images)  # its degree-r part cancels
+                rest = rest - _read_off(part, power, like)  # its degree-r part cancels
         return x
 
     def __repr__(self):
@@ -264,26 +281,19 @@ def apply_automorphism_dual(phi, f):
     d = max(f.degree, 0)
     if phi.trunc < d:
         raise ArityMismatch("truncation %d below deg f = %d" % (phi.trunc, f.degree))
-    n = f.n
     get = f._num.get
-    # the right factors of the power table, each sorted once; the products
-    # stop at degree d, so the images need no truncation
-    images = [_by_degree(im._den, im._num) for im in phi.images]
+    # the products stop at degree d, so the images need no truncation
+    power = _power_table(phi.images, d)
     k = phi._lowest_change()
-    powers = {(0,) * n: (1, {(0,) * n: 1})}
     vals = {}
     for deg in range(d + 1):
-        for b in monomials(n, deg):
+        for b in monomials(f.n, deg):
             if deg > d - k + 1:
                 # a term of phi(a)^b with a factor from some phi(a_i) - a_i
                 # has degree >= deg - 1 + k > d, so phi(a)^b is a^b here
                 vals[b] = 1, get(b, 0)
                 continue
-            if b not in powers:
-                i = next(j for j, bj in enumerate(b) if bj)
-                prev = b[:i] + (b[i] - 1,) + b[i + 1 :]
-                powers[b] = _ints_mul(powers[prev], images[i], d)
-            den, prod = powers[b]
+            den, prod = power(b)
             # den * f._den * <phi(a)^b, f>
             vals[b] = den, sum(c * get(a, 0) for a, c in prod.items())
     L = lcm(*(den for den, _ in vals.values()))
@@ -349,72 +359,67 @@ def compose(g, h):
 
 
 def apply_linear_map(M, f):
-    """Dual action of the linear substitution x_j -> sum_i M[j][i] x_i."""
+    """Dual action of the linear substitution x_j -> sum_i M[j][i] x_i.
+
+    M is n rows of n field elements (else AmbientMismatch, FieldMismatch),
+    and SingularMatrix when it is singular."""
     n, field = f.n, f.field
+    if len(M) != n:
+        raise AmbientMismatch("matrix of %d rows, expected %d" % (len(M), n))
+    _check_matrix(M, field, n)
     trunc = max(f.degree, 1)
-    red, _ = rref([list(row) for row in M], field, n)
-    if len(red) != n:
-        raise SingularMatrix("linear map is singular")
-    images = []
-    for i in range(n):
-        terms = {}
-        for j, e in enumerate(monomials(n, 1)):
-            c = M[j][i]
-            if not field.is_zero(c):
-                terms[e] = c
-        images.append(Operator(n, field, terms, trunc))
-    return apply_automorphism_dual(Automorphism(images), f)
+    images = [Operator(n, field, {e: M[j][i] for j, e in enumerate(monomials(n, 1))}, trunc)
+              for i in range(n)]
+    try:
+        phi = Automorphism(images)
+    except InvalidAutomorphism:  # its one failure here: the linear parts are dependent
+        raise SingularMatrix("linear map is singular") from None
+    return apply_automorphism_dual(phi, f)
 
 
 # ---------------------------------------------------------------------------
 # Exponentials (characteristic 0 or > trunc)
 
 
+def _series(term, step, k):
+    """sum_{j >= 0} step^j(term) / (k + j)!, summed until a term vanishes:
+    each caller's step raises the order of every term, so this ends."""
+    field = term.field
+    acc = Operator.zero(term.n, field, term.trunc)
+    while not term.is_zero():
+        acc = acc + term.scale(field.div(field.one(), field.factorial(k)))
+        term = step(term)
+        k += 1
+    return acc
+
+
 def exp_operator(w):
-    """exp(w) = sum w^k / k! for w in m."""
-    n, field = w.n, w.field
-    char_guard(field, w.trunc)
-    result = Operator.one(n, field, w.trunc)
-    term = Operator.one(n, field, w.trunc)
-    for k in range(1, w.trunc + 1):
-        term = term * w
-        if term.is_zero():
-            break
-        result = result + term.scale(field.div(field.one(), field.factorial(k)))
-    return result
+    """exp(w) = sum w^k / k! for w in m (else NotAUnit)."""
+    char_guard(w.field, w.trunc)
+    if w.order < 1:
+        raise NotAUnit("exp(w) needs w in m: w has a constant term")
+    return _series(Operator.one(w.n, w.field, w.trunc), w.__mul__, 0)
 
 
 def exp_automorphism(D):
-    """exp(D) as an automorphism, for D with every D(a_i) in m^2."""
+    """exp(D) as an automorphism, for D with every D(a_i) in m^2 (else
+    InvalidAutomorphism): exp(D)(a_i) = sum D^k(a_i) / k!."""
     n, field, trunc = D.n, D.field, D.trunc
     char_guard(field, trunc)
-    images = []
-    for i in range(n):
-        acc = Operator.variable(n, field, i + 1, trunc)
-        term = D.images[i]
-        k = 1
-        while not term.is_zero():
-            acc = acc + term.scale(field.div(field.one(), field.factorial(k)))
-            term = D(term)
-            k += 1
-        images.append(acc)
-    return Automorphism(images)
+    if any(im.order < 2 for im in D.images):
+        raise InvalidAutomorphism("exp(D) needs every D(a_i) in m^2")
+    return Automorphism([_series(Operator.variable(n, field, i + 1, trunc), D, 0) for i in range(n)])
 
 
 def exp_group_element(D, tau):
-    """The group element whose dual action is exp(f |-> D_dual f + tau -| f).
+    """The group element whose dual action is exp(f |-> D_dual f + tau -| f),
+    for D with every D(a_i) in m^2 (else InvalidAutomorphism) and tau in m
+    (else NotAUnit).
 
     The unit part is exp(sum_k (-D)^k(tau) / (k+1)!), the automorphism part
     exp(D); the tests check its action against the series of the Lie action
     summed directly on P.
     """
-    field = D.field
-    char_guard(field, D.trunc)
-    acc = Operator.zero(D.n, field, D.trunc)
-    term = tau
-    k = 0
-    while not term.is_zero():
-        acc = acc + term.scale(field.div(field.one(), field.factorial(k + 1)))
-        term = D(term).scale(field.from_int(-1))
-        k += 1
-    return GroupElement(exp_automorphism(D), exp_operator(acc))
+    aut = exp_automorphism(D)  # checks D before the series of -D runs
+    minus_one = D.field.from_int(-1)
+    return GroupElement(aut, exp_operator(_series(tau, lambda t: D(t).scale(minus_one), 1)))

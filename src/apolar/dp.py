@@ -30,9 +30,10 @@ Key operations:
 ``_ints_mul`` is the one operator product kernel: it multiplies a
 (den, num) pair by a right factor sorted by degree (``_by_degree``) under a
 truncation, without reducing mod p.  ``Operator.__mul__`` applies it to the
-stored pairs; ``actions.subst`` and ``actions.apply_automorphism_dual``
-chain it, sort each factor they reuse once per call, and reduce only their
-results.
+stored pairs.  The one power table of ``actions`` (``_power_table``, which
+``subst``, ``compose``, the preimage solver and the dual action read)
+builds each entry as one product of an earlier entry and one image, sorts
+each image once per table, and leaves the reduction to the maps' results.
 
 deg(0) is the sentinel -1, so tests like ``deg(...) <= 0`` admit the zero
 polynomial.

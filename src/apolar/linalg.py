@@ -11,8 +11,9 @@ fill them from a polynomial's terms, so a row holds only the few terms it
 touches; the public entry points (``rref``, ``Basis(window, rows)``,
 ``span``, ``contains_vector``) check their rows of field elements
 (``_check_matrix``: ``AmbientMismatch`` for a wrong width,
-``FieldMismatch`` for an entry that is no field element) and convert them
-once (``_sparse``; over Q a row with Fractions is scaled by the lcm of its
+``FieldMismatch`` for an entry that is no field element; it checks the
+matrix of ``actions.apply_linear_map`` too) and convert them once
+(``_sparse``; over Q a row with Fractions is scaled by the lcm of its
 denominators).
 
 There is one elimination, a forward sweep, and one capped loop of it
@@ -25,9 +26,11 @@ which keeps intermediate entries small -- until they vanish or lead at a
 new column, where they are stored.  The loop stops once the stored rank
 reaches a cap and takes no row after that, so a row built lazily past the
 cap is never built; it skips empty rows.  ``_fill`` runs under ``_sweep``,
-``apolarity``'s ``ann_graded`` and its generator sweep; the filtration
-profiles in ``apolarity``, which cut rows at a moving mark, keep the only
-other loop around ``_store``.
+``apolarity``'s ``ann_graded`` and its generator sweep, and straight under
+the invertibility check of ``actions.Automorphism`` (the n linear parts as
+n rows of one block of n columns, cap n); the filtration profiles in
+``apolarity``, which cut rows at a moving mark, keep the only other loop
+around ``_store``.
 
 ``_sweep`` takes its rows in batches (lo, hi, rows): a column range, fixed
 before any row is built, and an iterable that builds the rows on demand
@@ -88,7 +91,9 @@ one denominator, the pair the polynomials' canonical form takes.
 So rows are lists in two places only: inside the sweep, on a block's
 columns, and at the public boundary, where ``_decode`` makes full-width
 rows of field elements for ``rref`` and ``Basis.rows`` (over Q each row
-divided by its pivot, as Fractions).  ``Basis.vectors()`` hands each
+divided by its pivot, as Fractions).  Inside the library ``rref`` runs in
+one place, ``actions.Automorphism._linear_inverse``, which reads L^-1 off
+rref([L | 1]) = [1 | L^-1].  ``Basis.vectors()`` hands each
 integer row with its pivot as denominator to the polynomials' own
 canonical form (``Window._elements``), so no Fraction is built there.
 """

@@ -32,6 +32,7 @@ from apolar.actions import (
 )
 from apolar.dp import _by_degree, _ints_mul, monomials, monomials_upto
 from apolar.errors import (
+    AmbientMismatch,
     ArityMismatch,
     FieldMismatch,
     InvalidAutomorphism,
@@ -190,6 +191,25 @@ def test_apply_linear_map_preserves_degree(rng):
     assert out.tdf() == out and out.degree == 4
 
 
+def test_apply_linear_map_requires_n_rows_of_n_field_elements():
+    # a third row was ignored, so the map was applied as the identity; a
+    # 3 x 2 matrix with dependent first rows raised InvalidAutomorphism and
+    # a 1 x 2 one SingularMatrix
+    f = DPPoly(2, QQ, {(3, 1): Q(5), (0, 2): Q(1)})
+    for M in ([[1, 0], [0, 1], [5, 7]], [[1, 0], [1, 0], [0, 1]], [[1, 0]], [[1, 0], [0]], []):
+        with pytest.raises(AmbientMismatch):
+            apply_linear_map(M, f)
+    with pytest.raises(FieldMismatch):
+        apply_linear_map([[1, 0], [0, 1.0]], f)
+    with pytest.raises(FieldMismatch):
+        apply_linear_map([[Q(1, 2), 0], [0, 1]], DPPoly(2, GF(7), {(1, 1): 1}))
+    # the determinant 7 vanishes mod 7 only
+    M = [[1, 3], [1, 10]]
+    with pytest.raises(SingularMatrix):
+        apply_linear_map(M, DPPoly(2, GF(7), {(1, 1): 1}))
+    assert apply_linear_map(M, DPPoly(2, GF(101), {(1, 0): 1})) == DPPoly(2, GF(101), {(1, 0): 1, (0, 1): 3})
+
+
 def test_derivation_checks_its_images_as_automorphism_does():
     # Derivation([]) raised IndexError, and a derivation with fewer images
     # than variables was accepted and raised IndexError when applied
@@ -259,6 +279,24 @@ def test_exp_group_element_matches_lie_exponential(rng):
             g = exp_group_element(D, tau)
             assert apply_group_element(g, f) == _reference_exp_lie_apply(D, tau, f)
             assert g.is_unipotent()
+
+
+def test_exponentials_check_their_hypotheses():
+    # D(a_1) = a_2 is not in m^2 and exp(D) was returned all the same; for
+    # w = 1 + a1 exp_operator returned a partial sum of exp(1) exp(a1)
+    n, trunc = 2, 4
+    a1, a2 = V(n, 1, trunc), V(n, 2, trunc)
+    zero = Operator.zero(n, QQ, trunc)
+    D = Derivation([a2, zero])
+    with pytest.raises(InvalidAutomorphism, match="m\\^2"):
+        exp_automorphism(D)
+    with pytest.raises(InvalidAutomorphism, match="m\\^2"):
+        exp_group_element(D, a1)
+    one = Operator.one(n, QQ, trunc)
+    with pytest.raises(NotAUnit, match="in m"):
+        exp_operator(one + a1)
+    with pytest.raises(NotAUnit, match="in m"):
+        exp_group_element(Derivation([a2 * a2, zero]), one + a1)
 
 
 def test_lie_apply_lowers_degree_for_unipotent_data():
@@ -585,10 +623,11 @@ def test_preimage_matches_substitution_into_the_inverse(rng, field, shape):
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
 def test_preimage_of_a_constant_is_the_constant(rng, field, shape, monkeypatch):
     # phi fixes constants: a constant u, or zero, comes back as it is, at
-    # phi's truncation, with no round run; a wrong field or arity still
-    # raises, for a constant, zero and any other u alike
-    rounds = []
-    monkeypatch.setattr(actions, "subst", lambda *a: rounds.append(a) or subst(*a))
+    # phi's truncation, with no table built and no round run; a wrong field
+    # or arity still raises, for a constant, zero and any other u alike
+    tables = []
+    power_table = actions._power_table
+    monkeypatch.setattr(actions, "_power_table", lambda *a: tables.append(a) or power_table(*a))
     unipotent = set()
     for n in (1, 2, 3):
         for trunc in range(1, 6):
@@ -606,7 +645,7 @@ def test_preimage_of_a_constant_is_the_constant(rng, field, shape, monkeypatch):
             for wrong in (Operator.one(n + 1, field, trunc), Operator.zero(n + 1, field, trunc)):
                 with pytest.raises(ArityMismatch):
                     phi._preimage(wrong)
-    assert rounds == []
+    assert tables == []
     assert unipotent == {True} if shape == "step" else False in unipotent
 
 
@@ -656,6 +695,27 @@ def test_substitutions_share_one_power_cache(rng, field, monkeypatch):
         assert len(products) < separate
     with pytest.raises(ArityMismatch):
         _substituted([ops[0], V(2, 1, 5)], phi.images)
+
+
+@pytest.mark.parametrize("shape", ["linear", "step"])
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_preimage_multiplies_no_pair_of_factors_twice(rng, field, shape, monkeypatch):
+    # every round of _preimage reads one power table of phi's images (and
+    # one of L^-1's), so a power one round built is not built again
+    products = []
+    ints_mul = actions._ints_mul
+    monkeypatch.setattr(actions, "_ints_mul", lambda *a: products.append(a) or ints_mul(*a))
+    for n in (2, 3):
+        for trunc in (4, 5):
+            phi = _oracle_automorphism(rng, n, field, trunc, shape)
+            # parts in every degree 0..trunc, dense in degrees 2 and 3
+            u = random_operator(rng, n, field, trunc) + Operator(
+                n, field, {e: field.from_int(rng.randint(1, 3)) for d in (2, 3) for e in monomials(n, d)}, trunc)
+            products.clear()
+            x = phi._preimage(u)
+            pairs = [(xd, tuple(sorted(xs.items())), yd, tuple(ys)) for (xd, xs), (yd, ys), _ in products]
+            assert len(set(pairs)) == len(pairs) > 0, (n, trunc)
+            assert x == subst(u, _reference_inverse(phi).images)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
