@@ -64,8 +64,12 @@ of their denominators, and the dual action pairs each entry with f's
 numerators.  ``dp._ints_mul`` takes its right factor sorted by degree
 (``dp._by_degree``): a table sorts each image once, and each entry is one
 product of an earlier entry and one image.  Each result is reduced once,
-by ``_make``.  Images and units that are only re-truncated go through
-``Operator._at``, which does not check their exponent keys again.
+by ``_make``.  Units that are only re-truncated go through
+``Operator._at``, which does not check their exponent keys again.  The
+images of an automorphism or a derivation share one truncation, and a
+unit is truncated at least at its automorphism's: a lower truncation
+leaves terms up to that degree unknown, so it raises FieldMismatch, as
+``subst`` does.
 """
 
 from math import lcm
@@ -145,29 +149,31 @@ def _check_images(images):
     under an automorphism or a derivation.  InvalidAutomorphism when there
     is no image, or an image is not an Operator or has a constant term,
     ArityMismatch unless there is one image per variable, FieldMismatch
-    unless every image has the first one's arity and field."""
+    unless every image has the first one's arity, field and truncation."""
     if not images:
         raise InvalidAutomorphism("no images")
     if not all(isinstance(im, Operator) for im in images):
         raise InvalidAutomorphism("image is not an Operator")
-    n, field = images[0].n, images[0].field
+    n, field, trunc = images[0].n, images[0].field, images[0].trunc
     if len(images) != n:
         raise ArityMismatch("need %d images, got %d" % (n, len(images)))
     for im in images:
         if im.n != n or im.field != field:
             raise FieldMismatch("inconsistent images")
+        if im.trunc != trunc:
+            raise FieldMismatch("truncation %d vs %d" % (trunc, im.trunc))
         if im.order < 1:
             raise InvalidAutomorphism("image has a constant term")
-    return n, field, images[0].trunc
+    return n, field, trunc
 
 
 class Automorphism:
-    """phi: S -> S given by its images phi(a_i), truncated at the first
-    image's ``trunc``."""
+    """phi: S -> S given by its images phi(a_i), all truncated at one
+    ``trunc``."""
 
     def __init__(self, images):
         self.n, self.field, self.trunc = _check_images(images)
-        self.images = [im._at(self.trunc) for im in images]
+        self.images = list(images)
         # row i holds the numerators of the linear part of phi(a_i): the rows
         # of linear_matrix's transpose, so their rank is below n iff L is singular
         rows = [
@@ -308,11 +314,15 @@ def apply_unit(u, f):
 
 
 class GroupElement:
-    """(phi, u) in Aut(S) x| S^*, acting by f |-> u -| phi_dual(f)."""
+    """(phi, u) in Aut(S) x| S^*, acting by f |-> u -| phi_dual(f).  The
+    unit is cut to phi's truncation; FieldMismatch if it is truncated below
+    it, since its terms up to that degree are then unknown."""
 
     def __init__(self, aut, unit):
         if not unit.is_unit():
             raise NotAUnit("unit part has zero constant term")
+        if unit.trunc < aut.trunc:
+            raise FieldMismatch("truncation %d vs %d" % (aut.trunc, unit.trunc))
         self.aut = aut
         self.unit = unit._at(aut.trunc)
 

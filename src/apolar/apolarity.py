@@ -61,7 +61,7 @@ columns it is swept on only when a sweep takes it.
 """
 
 import math
-from itertools import accumulate, count, groupby, islice
+from itertools import accumulate, count, groupby, islice, repeat
 from operator import add
 
 from .dp import DPPoly, monomials, monomials_upto
@@ -192,7 +192,7 @@ def _contraction_batches(f, exps, degrees):
 
     The columns are the monomials of each degree in ``degrees``, in that
     order (grlex within a degree), and row_e[c] = f._num[c + e]: numerators
-    are looked up by exponent (``_lookups``), with no contraction and no
+    are looked up by exponent (``_profile_row``), with no contraction and no
     Fraction arithmetic, and a row keeps only the columns where it is
     nonzero, in increasing order.  Each run of ``exps`` of equal |e| = s is
     one batch, whose range covers the columns of the degrees i where x^e -| f
@@ -206,15 +206,8 @@ def _contraction_batches(f, exps, degrees):
     for s, run in groupby(exps, sum):
         cols = [pair for i, j, mons in layout if i + s in f_degrees for pair in zip(count(j), mons)]
         lo, hi = (cols[0][0], cols[-1][0]) if cols else (0, -1)
-        batches.append((lo, hi, _lookups(get, list(run), cols)))
+        batches.append((lo, hi, map(_profile_row, repeat(get), list(run), repeat(cols))))
     return batches
-
-
-def _lookups(get, exps, cols):
-    """The sparse integer rows x^e -| D f, e in ``exps``, on ``cols``, one
-    at a time: ``_profile_row``'s lookup."""
-    for e in exps:
-        yield {j: v for j, c in cols if (v := get(tuple(map(add, c, e))))}
 
 
 def _contraction_rows(f, exps, degrees):

@@ -1,5 +1,22 @@
 """Command-line front end.
 
+One dispatcher, ``_run``, serves every command.  It parses the input
+polynomial once (``--field``, ``--vars``, ``--mode``; ``golden`` and
+``cangrad-filter`` have none), runs the command and builds the report
+once: ``command`` (the subcommand, ``golden <which>`` for golden),
+``field``, ``vars``, ``inputs`` (the input texts: the polynomial, then a
+membership target; ``"n d"`` for cangrad-filter), ``results`` and
+``warnings``.  ``_emit`` prints it, as JSON with ``--json``, else one
+``key: value`` line per result, in insertion order, and one ``warning:``
+line per warning.
+
+A command is ``_cmd_<name>(args, f, warnings)``: it gets the parsed
+polynomial (None without one), appends its warnings, if any, and returns
+its results dict.  Adding a command takes that function and one line
+``command(name, _cmd_<name>)`` in ``_build_parser``, plus its own
+options.  ``command`` builds every subparser, so an option of every
+report (``--json`` today) is added there once.
+
 Exit codes: 0 success, 1 syntax/usage error, 2 precondition or guard
 failure, 3 internal cross-check failure.
 """
@@ -59,7 +76,7 @@ def _input_poly(args, text):
 
 
 def _emit(args, report):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(report, indent=2, default=str))
     else:
         for key, value in report["results"].items():
@@ -68,7 +85,19 @@ def _emit(args, report):
             print("warning: %s" % w)
 
 
-def _report(args, command, inputs, results, warnings=None):
+def _run(args):
+    """Parse the input polynomial, run the command on it and build its report."""
+    f = _input_poly(args, args.poly) if "poly" in args else None
+    warnings = []
+    results = args.run(args, f, warnings)
+    if "which" in args:
+        command, inputs = "%s %s" % (args.command, args.which), []
+    elif "poly" in args:
+        command, inputs = args.command, [args.poly]
+    else:
+        command, inputs = args.command, ["%d %d" % (args.n, args.d)]
+    if getattr(args, "method", None) == "membership":
+        inputs.append(args.target)
     return {
         "command": command,
         # golden and cangrad-filter take no --field; their reports keep "q"
@@ -76,79 +105,57 @@ def _report(args, command, inputs, results, warnings=None):
         "vars": getattr(args, "vars", None),
         "inputs": inputs,
         "results": results,
-        "warnings": warnings or [],
+        "warnings": warnings,
     }
 
 
-def _cmd_hilbert(args):
-    f = _input_poly(args, args.poly)
-    H = hilbert_function(f)
-    return _report(args, "hilbert", [args.poly], {"hilbert": list(H)})
+def _cmd_hilbert(args, f, warnings):
+    return {"hilbert": list(hilbert_function(f))}
 
 
-def _cmd_ann(args):
-    f = _input_poly(args, args.poly)
+def _cmd_ann(args, f, warnings):
     upto = args.max_deg if args.max_deg is not None else f.degree + 1
     gens, pieces = ann_generators(f, upto)
-    results = {
+    return {
         "generators": [operator_str(g) for g in gens],
         "graded_dims": {i: pieces[i].dim for i in sorted(pieces)},
         "dim_apolar": dim_apolar(f),
     }
-    return _report(args, "ann", [args.poly], results)
 
 
-def _cmd_tangent(args):
-    f = _input_poly(args, args.poly)
+def _cmd_tangent(args, f, warnings):
     basis = unip_tangent_space(f) if args.unip else tangent_space(f)
-    results = {
+    return {
         "dim": basis.dim,
         "basis": [poly_str(v) for v in basis.vectors()],
     }
-    return _report(args, "tangent", [args.poly], results)
 
 
-def _cmd_perp(args):
-    f = _input_poly(args, args.poly)
+def _cmd_perp(args, f, warnings):
     basis = perp_tangent(f, unipotent=args.unip, max_degree=args.max_deg)
-    results = {
+    return {
         "dim": basis.dim,
         "basis": [operator_str(v) for v in basis.vectors()],
     }
-    return _report(args, "perp", [args.poly], results)
 
 
-def _cmd_orbit_dim(args):
-    f = _input_poly(args, args.poly)
-    warnings = []
+def _cmd_orbit_dim(args, f, warnings):
     try:
-        dim = orbit_dimension(f)
-        results = {"orbit_dim": dim}
+        return {"orbit_dim": orbit_dimension(f)}
     except CharacteristicTooSmall:
-        results = {"tangent_dim": tangent_space(f).dim}
         warnings.append(
             "characteristic <= degree: reporting a tangent-space dimension, "
             "not an orbit dimension"
         )
-    return _report(args, "orbit-dim", [args.poly], results, warnings)
+        return {"tangent_dim": tangent_space(f).dim}
 
 
-def _cmd_symdec(args):
-    f = _input_poly(args, args.poly)
-    sd = symmetric_decomposition(f)
-    return _report(
-        args, "symdec", [args.poly], {"deltas": [list(v) for v in sd]}
-    )
+def _cmd_symdec(args, f, warnings):
+    return {"deltas": [list(v) for v in symmetric_decomposition(f)]}
 
 
-def _cmd_compressed(args):
-    f = _input_poly(args, args.poly)
-    return _report(
-        args,
-        "compressed",
-        [args.poly],
-        {"compressed": is_compressed(f), "max_t": max_t_compressed(f)},
-    )
+def _cmd_compressed(args, f, warnings):
+    return {"compressed": is_compressed(f), "max_t": max_t_compressed(f)}
 
 
 def _trace_json(trace):
@@ -159,57 +166,46 @@ def _trace_json(trace):
     }
 
 
-def _cmd_reduce(args):
-    f = _input_poly(args, args.poly)
-    warnings = []
+def _cmd_reduce(args, f, warnings):
     if args.method == "tcompressed":
         t, trace = t_compressed_normal_form(f)
-        results = {"t": t, "normal_form": poly_str(trace.final),
-                   "trace": _trace_json(trace)}
-    elif args.method == "square":
+        return {"t": t, "normal_form": poly_str(trace.final),
+                "trace": _trace_json(trace)}
+    if args.method == "square":
         trace = square_ideal_reduce(f, args.t)
-        results = {"normal_form": poly_str(trace.final),
-                   "trace": _trace_json(trace)}
-    else:  # membership
-        target = _input_poly(args, args.target)
-        inhomogeneous = target.tdf() != target
-        if inhomogeneous:
-            warnings.append(
-                "non-homogeneous target: only 'yes' answers are conclusive"
-            )
-        res = unip_orbit_membership(
-            target, f, allow_inhomogeneous_target=inhomogeneous
+        return {"normal_form": poly_str(trace.final),
+                "trace": _trace_json(trace)}
+    # membership: the target is parsed after f
+    target = _input_poly(args, args.target)
+    inhomogeneous = target.tdf() != target
+    if inhomogeneous:
+        warnings.append(
+            "non-homogeneous target: only 'yes' answers are conclusive"
         )
-        results = {"member": res.is_member}
-        if res.is_member:
-            results["trace"] = _trace_json(res.trace)
-        else:
-            results["witness_degree"] = res.witness_degree
-    return _report(args, "reduce", [args.poly], results, warnings)
+    res = unip_orbit_membership(
+        target, f, allow_inhomogeneous_target=inhomogeneous
+    )
+    if res.is_member:
+        return {"member": True, "trace": _trace_json(res.trace)}
+    return {"member": False, "witness_degree": res.witness_degree}
 
 
-def _cmd_dense_test(args):
-    f = _input_poly(args, args.poly)
+def _cmd_dense_test(args, f, warnings):
     dense = dense_orbit_test(f)
-    warnings = [
+    warnings.append(
         "a true result is a linear-algebra inclusion P_{<=d-1} within the "
         "tangent space; geometric density of the orbit additionally assumes "
         "an algebraically closed field of characteristic zero"
-    ]
-    return _report(args, "dense-test", [args.poly], {"dense": dense}, warnings)
-
-
-def _cmd_cangrad_filter(args):
-    return _report(
-        args,
-        "cangrad-filter",
-        ["%d %d" % (args.n, args.d)],
-        {"in_list": cangrad_pair_filter(args.n, args.d)},
     )
+    return {"dense": dense}
 
 
-def _cmd_golden(args):
-    return _report(args, "golden %s" % args.which, [], golden_facts(args.which))
+def _cmd_cangrad_filter(args, f, warnings):
+    return {"in_list": cangrad_pair_filter(args.n, args.d)}
+
+
+def _cmd_golden(args, f, warnings):
+    return golden_facts(args.which)
 
 
 def _build_parser():
@@ -221,43 +217,39 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--field", default="q", help="q or fp:<p>")
-        p.add_argument("--vars", type=int, default=2, help="number of variables")
-        p.add_argument("--mode", choices=["dp", "classical"], default="dp")
+    def command(name, run, poly=True):
+        """The subparser of one command: ``--json``, and for a polynomial
+        command ``--field``, ``--vars``, ``--mode`` and the polynomial."""
+        p = sub.add_parser(name)
+        p.set_defaults(run=run)
+        if poly:
+            p.add_argument("--field", default="q", help="q or fp:<p>")
+            p.add_argument("--vars", type=int, default=2, help="number of variables")
+            p.add_argument("--mode", choices=["dp", "classical"], default="dp")
+            p.add_argument("poly", help="polynomial, e.g. '3*x1^[2]*x2 + x3'")
         p.add_argument("--json", action="store_true")
-        p.add_argument("poly", help="polynomial, e.g. '3*x1^[2]*x2 + x3'")
+        return p
 
-    p = sub.add_parser("hilbert"); common(p); p.set_defaults(run=_cmd_hilbert)
-    p = sub.add_parser("ann"); common(p)
-    p.add_argument("--max-deg", type=int, default=None)
-    p.set_defaults(run=_cmd_ann)
-    p = sub.add_parser("tangent"); common(p)
-    p.add_argument("--unip", action="store_true")
-    p.set_defaults(run=_cmd_tangent)
-    p = sub.add_parser("perp"); common(p)
+    command("hilbert", _cmd_hilbert)
+    command("ann", _cmd_ann).add_argument("--max-deg", type=int, default=None)
+    command("tangent", _cmd_tangent).add_argument("--unip", action="store_true")
+    p = command("perp", _cmd_perp)
     p.add_argument("--unip", action="store_true")
     p.add_argument("--max-deg", type=int, default=None)
-    p.set_defaults(run=_cmd_perp)
-    p = sub.add_parser("orbit-dim"); common(p); p.set_defaults(run=_cmd_orbit_dim)
-    p = sub.add_parser("symdec"); common(p); p.set_defaults(run=_cmd_symdec)
-    p = sub.add_parser("compressed"); common(p); p.set_defaults(run=_cmd_compressed)
-    p = sub.add_parser("reduce"); common(p)
+    command("orbit-dim", _cmd_orbit_dim)
+    command("symdec", _cmd_symdec)
+    command("compressed", _cmd_compressed)
+    p = command("reduce", _cmd_reduce)
     p.add_argument("--method", choices=["tcompressed", "square", "membership"],
                    default="tcompressed")
     p.add_argument("--t", type=int, default=0, help="degree bound for --method square")
     p.add_argument("--target", default=None, help="target for --method membership")
-    p.set_defaults(run=_cmd_reduce)
-    p = sub.add_parser("dense-test"); common(p); p.set_defaults(run=_cmd_dense_test)
-    p = sub.add_parser("cangrad-filter")
+    command("dense-test", _cmd_dense_test)
+    p = command("cangrad-filter", _cmd_cangrad_filter, poly=False)
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=_cmd_cangrad_filter)
-    p = sub.add_parser("golden")
-    p.add_argument("which", choices=["13331", "1222111", "char2"])
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=_cmd_golden)
+    command("golden", _cmd_golden, poly=False).add_argument(
+        "which", choices=["13331", "1222111", "char2"])
     return parser
 
 
@@ -270,7 +262,7 @@ def cli_dispatch(argv):
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        report = args.run(args)
+        report = _run(args)
     except PolySyntaxError as exc:
         print("syntax error: %s" % exc, file=sys.stderr)
         return 1

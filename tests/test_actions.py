@@ -326,6 +326,25 @@ def test_compose_rejects_mixed_truncations():
         compose(g, h)
 
 
+def test_images_and_units_share_their_automorphism_truncation():
+    # an image or unit truncated below the automorphism's truncation was
+    # raised to it, its unknown terms of degree 2..4 reading as zero, and a
+    # derivation raised only when applied
+    a1, a2 = V(2, 1, 4), V(2, 2, 4)
+    with pytest.raises(FieldMismatch, match="truncation 4 vs 1"):
+        Automorphism([a1, V(2, 2, 1)])
+    with pytest.raises(FieldMismatch, match="truncation 4 vs 2"):
+        Derivation([a1 * a1, Operator.zero(2, QQ, 2)])
+    with pytest.raises(FieldMismatch, match="truncation 1 vs 4"):
+        Automorphism([V(2, 1, 1), a2])
+    phi = identity_automorphism(2, QQ, 4)
+    with pytest.raises(FieldMismatch, match="truncation 4 vs 1"):
+        GroupElement(phi, Operator.one(2, QQ, 1) + V(2, 1, 1))
+    # a unit truncated above phi's is cut to phi's truncation, as before
+    g = GroupElement(phi, Operator.one(2, QQ, 6) + V(2, 1, 6).power(5) + V(2, 2, 6))
+    assert g.unit == Operator.one(2, QQ, 4) + a2 and g.unit.trunc == 4
+
+
 def test_subst_checks_its_images():
     op = V(2, 1, 3) * V(2, 2, 3)
     with pytest.raises(ArityMismatch):

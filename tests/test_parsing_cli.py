@@ -147,6 +147,47 @@ def test_cli_reduce_membership(capsys):
     assert "witness_degree: 3" in out
 
 
+F2 = "x1^[4] + x2^[4] + x1^[2]*x2"
+T2 = "x1^[4] + x2^[4]"
+F3 = "x1^[4] + x2^[4] + x3^[4] + x1^[2]*x2*x3"
+
+# every subcommand, each reduce method and each golden example, with the
+# command, inputs, field and vars its --json report must name
+REPORTS = [
+    (["hilbert", "--vars", "2", F2], "hilbert", [F2], "q", 2),
+    (["ann", "--vars", "3", "--field", "fp:101", F3], "ann", [F3], "fp:101", 3),
+    (["tangent", "--unip", "--vars", "2", F2], "tangent", [F2], "q", 2),
+    (["perp", "--vars", "3", F3], "perp", [F3], "q", 3),
+    (["orbit-dim", "--vars", "2", "--field", "fp:2", "x1*x2^[2] + x2^[3]"],
+     "orbit-dim", ["x1*x2^[2] + x2^[3]"], "fp:2", 2),
+    (["symdec", "--vars", "1", "--mode", "classical", "x1^4"], "symdec", ["x1^4"], "q", 1),
+    (["compressed", "--vars", "2", F2], "compressed", [F2], "q", 2),
+    (["reduce", "--vars", "2", "x1^[3] + x2^[3] + x1^[2] + x1"],
+     "reduce", ["x1^[3] + x2^[3] + x1^[2] + x1"], "q", 2),
+    (["reduce", "--method", "square", "--t", "0", "--vars", "2", "x1^[5] + x2^[5] + x1^[3]"],
+     "reduce", ["x1^[5] + x2^[5] + x1^[3]"], "q", 2),
+    # a membership report names its target after f, member or not
+    (["reduce", "--method", "membership", "--target", T2, "--vars", "2", "--field", "fp:7", F2],
+     "reduce", [F2, T2], "fp:7", 2),
+    (["reduce", "--method", "membership", "--target", "x1^[3]*x2", "--vars", "2", "x1^[3]*x2 + x2^[3]"],
+     "reduce", ["x1^[3]*x2 + x2^[3]", "x1^[3]*x2"], "q", 2),
+    (["dense-test", "--vars", "3", F3], "dense-test", [F3], "q", 3),
+    (["cangrad-filter", "4", "5"], "cangrad-filter", ["4 5"], "q", None),
+    (["golden", "13331"], "golden 13331", [], "q", None),
+    (["golden", "1222111"], "golden 1222111", [], "q", None),
+    (["golden", "char2"], "golden char2", [], "q", None),
+]
+
+
+@pytest.mark.parametrize("argv, command, inputs, field, n", REPORTS, ids=[r[1] for r in REPORTS])
+def test_cli_reports_have_one_shape(capsys, argv, command, inputs, field, n):
+    assert cli_dispatch(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["command", "field", "vars", "inputs", "results", "warnings"]
+    assert (doc["command"], doc["inputs"], doc["field"], doc["vars"]) == (command, inputs, field, n)
+    assert doc["results"] and isinstance(doc["warnings"], list)
+
+
 def test_cli_deterministic_reports(capsys):
     args = ["perp", "--unip", "--max-deg", "3", "--vars", "3", "--json",
             "x1^[3]*x2 + x1^[2]*x3^[2]"]

@@ -556,12 +556,11 @@ def test_no_row_is_built_after_its_block_is_full(monkeypatch):
     # builders' (the oracles below) make.
     f = parse_poly(Q4, 3, QQ)
     built = {"contraction": 0, "shift": 0}
-    lookups, image, sweep = apolarity._lookups, apolarity._image, linalg._sweep
+    profile_row, image, sweep = apolarity._profile_row, apolarity._image, linalg._sweep
 
-    def counting_lookups(get, exps, cols):
-        for row in lookups(get, exps, cols):
-            built["contraction"] += 1
-            yield row
+    def counting_profile_row(get, e, cols):
+        built["contraction"] += 1
+        return profile_row(get, e, cols)
 
     def counting_image(item):
         built["shift"] += 1
@@ -577,7 +576,7 @@ def test_no_row_is_built_after_its_block_is_full(monkeypatch):
             assert [row for row in rows if row] == [row for row, _ in pairs]
         return blocks, taken
 
-    monkeypatch.setattr(apolarity, "_lookups", counting_lookups)
+    monkeypatch.setattr(apolarity, "_profile_row", counting_profile_row)
     monkeypatch.setattr(apolarity, "_image", counting_image)
     for module in (linalg, apolarity, tangent):
         monkeypatch.setattr(module, "_sweep", checking_sweep)
