@@ -58,10 +58,21 @@ of ``_module_rows`` and the shifts of the tangent and perp sweeps are built
 only while their block has room, and a row is made a list
 (``linalg._dense``, over Q divided by its gcd, over F_p of residues) on the
 columns it is swept on only when a sweep takes it.
+
+The column layouts these builders read depend on the shape alone (the
+arity and the degrees) and are built once per process, as shared tuples
+in bounded ``functools.lru_cache`` helpers (the comment above
+``dp.monomials`` lists them): the column runs of ``_contraction_batches``
+(``_column_runs``), the shift maps (``_shift_table``, whose keys are also
+the maps of the generator sweep's products a_t sigma, ``_unit_products``)
+and the column-reversed columns of the catalecticant
+(``_reversed_columns``).  ``ann_graded``'s window, with its size check,
+comes from the shared table of ``linalg._window_table``.
 """
 
 import math
-from itertools import accumulate, count, groupby, islice, repeat
+from functools import lru_cache
+from itertools import count, groupby, islice, repeat
 from operator import add
 
 from .dp import DPPoly, monomials, monomials_upto
@@ -180,10 +191,30 @@ def _catalecticant_rows(f, i):
     by exponent as in ``_contraction_rows``; only the |t| where x^t -| f
     has terms of degree i are built, by increasing |t|.
     """
-    get, cols = f._num.get, list(enumerate(monomials(f.n, i)[::-1]))
+    get, cols = f._num.get, _reversed_columns(f.n, i)
     for s in sorted(set(map(sum, f._num))):  # i + |t| for each degree of f
         for t in monomials(f.n, s - i):  # none for s < i
             yield _profile_row(get, t, cols)
+
+
+@lru_cache(maxsize=32)
+def _reversed_columns(n, i):
+    """The (column, monomial) pairs of S_i in n variables column-reversed
+    (column j of S_i at w - 1 - j), as one tuple per (n, i)."""
+    return tuple(enumerate(monomials(n, i)[::-1]))
+
+
+@lru_cache(maxsize=32)
+def _column_runs(n, degrees):
+    """(i, run) for each degree i of ``degrees`` (a range or a tuple), in
+    order: run the (column, monomial) pairs of degree i, the columns
+    numbered across the degrees in order, grlex within a degree."""
+    runs, start = [], 0
+    for i in degrees:
+        mons = monomials(n, i)
+        runs.append((i, tuple(zip(count(start), mons))))
+        start += len(mons)
+    return tuple(runs)
 
 
 def _contraction_batches(f, exps, degrees):
@@ -201,10 +232,9 @@ def _contraction_batches(f, exps, degrees):
     the batch (0, -1, rows) of empty rows, which the sweep skips.
     """
     get, f_degrees, batches = f._num.get, set(map(sum, f._num)), []
-    starts = accumulate([len(monomials(f.n, i)) for i in degrees], initial=0)
-    layout = [(i, j, monomials(f.n, i)) for i, j in zip(degrees, starts)]
+    layout = _column_runs(f.n, degrees)
     for s, run in groupby(exps, sum):
-        cols = [pair for i, j, mons in layout if i + s in f_degrees for pair in zip(count(j), mons)]
+        cols = [pair for i, pairs in layout if i + s in f_degrees for pair in pairs]
         lo, hi = (cols[0][0], cols[-1][0]) if cols else (0, -1)
         batches.append((lo, hi, map(_profile_row, repeat(get), list(run), repeat(cols))))
     return batches
@@ -216,16 +246,19 @@ def _contraction_rows(f, exps, degrees):
     return [row for _, _, rows in _contraction_batches(f, exps, degrees) for row in rows]
 
 
-def _shift_table(n, degrees, window):
+@lru_cache(maxsize=32)
+def _shift_table(n, degrees, window_degrees):
     """The maps of the shifts x_i g, i = 1 .. n, of rows g over the
     monomials u of ``degrees`` (in order, grlex within a degree, as
     ``_contraction_batches`` lays them out): x_i x^[u] = (u_i + 1)
-    x^[u + e_i], so column j of g goes to the ``window`` column of u_j + e_i
-    with weight u_i + 1 (``_image``).  Over F_p a weight may vanish."""
-    index = window.index
+    x^[u + e_i], so column j of g goes to the column of u_j + e_i in the
+    window of ``window_degrees`` with weight u_i + 1 (``_image``).  Over F_p
+    a weight may vanish.  One tuple of (keys, weights) tuples per shape,
+    both degree sets a range or a tuple."""
+    index = {e: j for j, e in enumerate(u for i in window_degrees for u in monomials(n, i))}
     src = [u for i in degrees for u in monomials(n, i)]
-    return [([index[u[:i] + (u[i] + 1,) + u[i + 1:]] for u in src], [u[i] + 1 for u in src])
-            for i in range(n)]
+    return tuple((tuple(index[u[:i] + (u[i] + 1,) + u[i + 1:]] for u in src),
+                  tuple(u[i] + 1 for u in src)) for i in range(n))
 
 
 def _image(item):
@@ -493,15 +526,15 @@ def _unit_products(n, rows, a, win):
     """The products a_t sigma, t = 1 .. n, of the canonical integer rows
     sigma over S_a, as (first, rest): lists of (cols, sigma) pairs, the
     product being the sparse row {cols[j]: x for j, x in sigma}, in ``win``
-    = S_{a+1}.  No product is built here.
+    = S_{a+1}, cols the keys of the shift maps of S_a into it
+    (``_shift_table``: a_t a^u = a^{u + e_t}).  No product is built here.
 
     The columns are the monomials lex-descending, a monomial order, so
     a_t sigma leads at a_t lead(sigma), the column cols[j] of sigma's first
     key j, its pivot.  ``first`` holds one product per distinct lead, the
     first in the order (sigma, t); ``rest`` the others, in that order.
     """
-    shifts = [[win.index[u[:t] + (u[t] + 1,) + u[t + 1:]] for u in monomials(n, a)]
-              for t in range(n)]
+    shifts = [keys for keys, _ in _shift_table(n, (a,), win.degrees)]
     first, rest, leads = [], [], set()
     for sigma in rows:
         j = next(iter(sigma))

@@ -160,9 +160,9 @@ def _solve_tangent_system(G, F, win, d_exps, tau_exps):
     nonzero ones only, or None when the system is inconsistent.
     """
     n = F.n
-    inner = [k - 1 for k in win.degrees if k >= 1]
+    inner = tuple(k - 1 for k in win.degrees if k >= 1)
     inner_rows = _contraction_rows(F, d_exps, inner)
-    cols = [_image((g, *shift)) for shift in _shift_table(n, inner, win) for g in inner_rows]
+    cols = [_image((g, *shift)) for shift in _shift_table(n, inner, win.degrees) for g in inner_rows]
     cols += _contraction_rows(F, tau_exps, win.degrees)
     # the rows of [M | G] scaled by D G._den: [G._den D M | D G._num]
     rows = [{} for _ in range(win.dim)]

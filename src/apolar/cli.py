@@ -257,8 +257,11 @@ def cli_dispatch(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "method", None) == "membership" and args.target is None:
+        method = getattr(args, "method", None)
+        if method == "membership" and args.target is None:
             parser.error("reduce --method membership needs --target")
+        if method in ("tcompressed", "square") and args.target is not None:
+            parser.error("reduce --target needs --method membership, not %s" % method)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:

@@ -5,6 +5,14 @@ degrees -- together with the global graded-lex column order.  A
 :class:`Basis` is a subspace of a window, kept as its canonical integer
 reduced echelon form, so subspace equality is literal row equality.
 
+What depends only on a shape -- the arity and the degrees, never a
+polynomial, coefficient or field -- is built once per process and shared,
+in a bounded ``functools.lru_cache`` as ``dp.monomials`` is (the comment
+there lists every shape cache): a window's columns (one tuple), its index
+and its size check (``_window_table``), and the column map of
+``Basis.perp`` (``_column_map``).  A shape over the column budget raises
+on every call and is never cached.
+
 Every integer row here is sparse: a dict {column: int} of the row's nonzero
 entries.  The row builders in ``apolarity``, ``tangent`` and ``classify``
 fill them from a polynomial's terms, so a row holds only the few terms it
@@ -99,6 +107,7 @@ canonical form (``Window._elements``), so no Fraction is built there.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, compress, count
 from math import comb, gcd, lcm
 
@@ -466,7 +475,7 @@ MAX_WINDOW_COLUMNS = 2000
 
 def _check_window_size(n, degrees):
     """Raise WindowTooLarge if the monomials of ``degrees`` (ascending and
-    distinct: a range or a sorted list) in n variables, sum of
+    distinct: a range or a sorted tuple) in n variables, sum of
     binom(n-1+i, i), number more than MAX_WINDOW_COLUMNS.  Counted from the
     degrees alone, before any monomial is enumerated, and only until the
     count passes the budget: each degree i >= 0 adds at least one column, so
@@ -485,8 +494,36 @@ def _check_window_size(n, degrees):
                 )
 
 
+@lru_cache(maxsize=32)
+def _window_table(n, degrees):
+    """(degrees, columns, index) of the window of the monomials of
+    ``degrees`` in n variables, ``degrees`` a range or a sorted tuple of
+    distinct degrees: the degrees as a sorted tuple, the monomials in
+    graded-lex order as one tuple and {monomial: column}, one table per
+    shape shared by every window of it.  The size check
+    (``_check_window_size``) runs first, so a shape that fails it raises
+    on every call and is never cached."""
+    _check_window_size(n, degrees)
+    degrees = tuple(sorted(degrees))
+    columns = tuple(chain.from_iterable(monomials(n, d) for d in degrees))
+    return degrees, columns, {e: i for i, e in enumerate(columns)}
+
+
+@lru_cache(maxsize=32)
+def _column_map(n, source, target):
+    """{column: column} from the window of the degrees ``source`` to that of
+    ``target`` in n variables (both sorted tuples), for every monomial that
+    both hold."""
+    index = {e: i for i, e in enumerate(chain.from_iterable(monomials(n, d) for d in source))}
+    targets = chain.from_iterable(monomials(n, d) for d in target)
+    return {index[e]: j for j, e in enumerate(targets) if e in index}
+
+
 class Window:
-    """Ambient graded window: space 'P' or 'S', arity n, tuple of degrees."""
+    """Ambient graded window: space 'P' or 'S', arity n, tuple of degrees.
+
+    ``columns`` and ``index`` are the shape's shared table
+    (``_window_table``): never mutate them."""
 
     def __init__(self, space, n, degrees, field):
         if space not in ("P", "S"):
@@ -494,14 +531,9 @@ class Window:
         self.space = space
         self.n = n
         # a range is counted as it is: its set would cost its whole length
-        degrees = degrees if isinstance(degrees, range) else sorted(set(degrees))
-        _check_window_size(n, degrees)
-        self.degrees = tuple(sorted(degrees))
+        degrees = degrees if isinstance(degrees, range) else tuple(sorted(set(degrees)))
+        self.degrees, self.columns, self.index = _window_table(n, degrees)
         self.field = field
-        self.columns = []
-        for d in self.degrees:
-            self.columns.extend(monomials(n, d))
-        self.index = {e: i for i, e in enumerate(self.columns)}
 
     @classmethod
     def P_upto(cls, n, dmax, field):
@@ -677,8 +709,7 @@ class Basis:
         target = win.dual() if degrees is None else Window(
             "S" if win.space == "P" else "P", win.n, degrees, win.field
         )
-        # the target column of each window column that has one
-        col = {win.index[e]: j for j, e in enumerate(target.columns) if e in win.index}
+        col = _column_map(win.n, win.degrees, target.degrees)
         eqs = [{col[i]: x for i, x in r.items() if i in col} for r in self._rows]
         return Basis._of_kernel(target, eqs)
 

@@ -46,10 +46,23 @@ sweep that gives B decides the drops too, so ``perp_tangent`` builds and
 sweeps them once for both routes.  The equations are built column-reversed,
 the order their kernel is read in, and an equation after its block is full
 is never built.  Dropping equations can only make the kernel larger, so a
-wrong drop fails the cross-check instead of passing a wrong perp.
+wrong drop fails the cross-check instead of passing a wrong perp.  Their
+column-reversed maps depend on n and max_degree alone and are built once
+per process (``_reversed_maps``, a bounded ``functools.lru_cache`` like
+the shape tables of ``linalg`` and ``apolarity``).
+
+A perp inside S_{<= max_degree} with max_degree < deg f pairs only with
+the tangent space's part in P_{<= max_degree}, and restriction is linear:
+it maps the span of the tangent rows onto the span of the restricted rows.
+So ``perp_tangent`` builds ``_tangent_batches`` on P_{<= max_degree}: the
+contractions on those degrees, the rows of B cut there, and the shifts
+from the degrees below it (the shift of a row cut at degree N - 1 is the
+shift of the row cut at N).  No tangent block above the bound is built,
+swept or back-substituted.
 """
 
 import math
+from functools import lru_cache
 
 from .apolarity import (
     _contraction_batches,
@@ -61,12 +74,13 @@ from .apolarity import (
 from .dp import monomials
 from .errors import CrossCheckFailed, IndexOutOfRange, TdfMismatch, ZeroPolynomial
 from .fields import char_guard
-from .linalg import Basis, Window, _rank, _reversed_kernel, _row_batches, _sweep
+from .linalg import Basis, Window, _rank, _reversed_kernel, _row_batches, _sweep, _window_table
 
 
-def _tangent_batches(f, k, module=None):
-    """(window, batches) spanning m^{k-1} f + sum_i x_i (m^k f) inside
-    P_{<= deg f}, as lazy batches for ``linalg._sweep``.
+def _tangent_batches(f, k, module=None, top=None):
+    """(window, batches) spanning m^{k-1} f + sum_i x_i (m^k f) restricted
+    to P_{<= top} (P_{<= deg f} when top is not given or not below deg f),
+    as lazy batches for ``linalg._sweep``.
 
     The rows are sparse integer rows, in this order: the contractions of
     D f by the degree-(k-1) monomials (``_contraction_batches``), the rows
@@ -78,15 +92,23 @@ def _tangent_batches(f, k, module=None):
     rows only, so it is full before any shift into it is built; in the
     other blocks the shifts are stored before the longer rows of B, which
     takes fewer reduction steps than the other way round.
+
+    Below deg f every row is cut to P_{<= top}: restriction is linear, so
+    it maps the span of the rows onto the span of the cut rows.  The
+    contractions are built on degrees <= top, the rows of B cut there, and
+    the shifts taken from degrees < top, so no row above top is built.
     """
     if f.is_zero():
         raise ZeroPolynomial("tangent space of the zero polynomial")
     d = max(f.degree, 0)
-    win = Window.P_upto(f.n, d, f.field)
+    top = d if top is None else min(top, d)
+    win = Window.P_upto(f.n, top, f.field)
     gs = (module or _module_rows(f, k))[1]
-    batches = _contraction_batches(f, monomials(f.n, k - 1), range(d + 1))
-    # m^k f lies in P_{<= d-1}, so its rows are shifted from degrees < d
-    shifts = _image_batches(gs, _shift_table(f.n, range(d), win))
+    if top < d:
+        gs = [cut for g in gs if (cut := {j: x for j, x in g.items() if j < win.dim})]
+    batches = _contraction_batches(f, monomials(f.n, k - 1), range(top + 1))
+    # m^k f lies in P_{<= d-1} and top <= d, so its rows are shifted from degrees < top
+    shifts = _image_batches(gs, _shift_table(f.n, range(top), range(top + 1)))
     return win, batches + _row_batches(g for g in gs if len(g) == 1) + shifts + _row_batches(
         g for g in gs if len(g) > 1)
 
@@ -146,14 +168,22 @@ def _perp_direct(f, unipotent, max_degree, module):
     n, p = f.n, f.field.p
     d, k = max(f.degree, 0), 2 if unipotent else 1
     win = Window.S_upto(n, max_degree, f.field)
-    last = win.dim - 1
     kept = module[0] if max_degree >= d - k else _module_rows(f, k, range(max_degree + 1))[0]
     base = [row for row in _contraction_rows(f, monomials(n, k - 1), range(max_degree + 1)) if row]
-    # each row itself, column-reversed, then its shifts, column-reversed
-    table = [(range(last, -1, -1), [1] * win.dim)] + [
-        ([last - c for c in keys], weights) for keys, weights in _shift_table(n, range(max_degree), win)]
+    table = _reversed_maps(n, max_degree)
     eqs = _image_batches(base, table[:1]) + _image_batches(kept, table)
     return Basis._of_canonical(win, _reversed_kernel(_sweep(eqs, p)[0], p, win.dim))
+
+
+@lru_cache(maxsize=32)
+def _reversed_maps(n, max_degree):
+    """The maps (keys, weights) of ``_perp_direct``'s equations over
+    S_{<= max_degree} in n variables, column-reversed (column j at
+    last - j): each row itself, then its n shifts (``_shift_table``)."""
+    last = len(_window_table(n, range(max_degree + 1))[1]) - 1
+    return ((range(last, -1, -1), (1,) * (last + 1)),) + tuple(
+        (tuple(last - c for c in keys), weights)
+        for keys, weights in _shift_table(n, range(max_degree), range(max_degree + 1)))
 
 
 def _checked_perp(f, tang, unipotent, max_degree, module):
@@ -172,7 +202,9 @@ def perp_tangent(f, unipotent=False, max_degree=None):
 
     Computed both from the tangent basis and from the direct degree
     conditions; raises CrossCheckFailed if the two disagree.  One sweep of
-    the rows of m^k f (``apolarity._module_rows``) serves both routes.
+    the rows of m^k f (``apolarity._module_rows``) serves both routes, and
+    the tangent basis is built on P_{<= max_degree} when that is below
+    P_{<= deg f} (``_tangent_batches``).
     """
     if f.is_zero():
         raise ZeroPolynomial("perp of the zero polynomial's tangent space")
@@ -182,7 +214,7 @@ def perp_tangent(f, unipotent=False, max_degree=None):
         raise IndexOutOfRange("perp degree bound must be >= 0, got %d" % max_degree)
     k = 2 if unipotent else 1
     module = _module_rows(f, k)
-    tang = Basis._of_batches(*_tangent_batches(f, k, module))
+    tang = Basis._of_batches(*_tangent_batches(f, k, module, max_degree))
     return _checked_perp(f, tang, unipotent, max_degree, module)
 
 

@@ -392,7 +392,7 @@ def test_sparse_row_builders_match_the_dense_ones(field, rng):
                 win = Window.P_upto(n, d, field)
                 inner = len(win.columns) - len(monomials(n, d))
                 rows = _contraction_rows(f, exps, range(d + 1))
-                table = _shift_table(n, range(d), win)
+                table = _shift_table(n, range(d), win.degrees)
                 got = [[_image((g, *shift)) for shift in table] for g in rows]
                 dense = [row[:inner] for row in _densified(rows, win.dim)]
                 want = _reference_dense_shifted_rows(dense, n, range(d), win)

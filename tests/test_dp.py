@@ -53,7 +53,7 @@ def test_no_monomials_of_negative_degree():
     for n in (1, 2, 3):
         for d in (-1, -2):
             assert list(monomials(n, d)) == []
-            assert Window("P", n, (d,), QQ).columns == []
+            assert Window("P", n, (d,), QQ).columns == ()
         f = P(n, {(2,) + (0,) * (n - 1): 1})
         with pytest.raises(IndexOutOfRange, match="got -1"):
             ann_graded(f, -1)

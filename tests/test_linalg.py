@@ -102,7 +102,7 @@ def test_nullspace_and_solve():
 
 def test_window_columns_graded_lex():
     win = Window.P_upto(2, 2, QQ)
-    assert win.columns == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    assert win.columns == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
     assert win.dim == 6
     assert win.dual().space == "S"
 

@@ -147,6 +147,18 @@ def test_cli_reduce_membership(capsys):
     assert "witness_degree: 3" in out
 
 
+@pytest.mark.parametrize("method", [[], ["--method", "tcompressed"], ["--method", "square"]],
+                         ids=["default", "tcompressed", "square"])
+def test_cli_reduce_refuses_a_target_without_membership(capsys, method):
+    # a target is read by --method membership only: with any other method it
+    # is a usage error, not a normal form that ignores it
+    argv = ["reduce", *method, "--target", "x1^[4]", "--vars", "2", "x1^[4] + x2^[4]"]
+    assert cli_dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--target needs --method membership" in captured.err
+    assert cli_dispatch(argv[:len(method) + 1] + argv[len(method) + 3:]) == 0
+
+
 F2 = "x1^[4] + x2^[4] + x1^[2]*x2"
 T2 = "x1^[4] + x2^[4]"
 F3 = "x1^[4] + x2^[4] + x3^[4] + x1^[2]*x2*x3"

@@ -657,6 +657,68 @@ def test_perp_tangent_builds_and_sweeps_the_module_rows_once(monkeypatch, rng, u
             assert (len(built), len(swept)) == (1, 1), (f, max_degree)
 
 
+# Differential oracle for the restricted perp: the full-tangent route, which
+# swept every tangent block of P_{<= deg f} before the perp cut it to
+# S_{<= max_degree}.
+
+
+def _full_tangent_perp(f, unipotent, max_degree):
+    k = 2 if unipotent else 1
+    module = _module_rows(f, k)
+    tang = Basis._of_batches(*_tangent_batches(f, k, module))
+    assert tang.window == Window.P_upto(f.n, max(f.degree, 0), f.field)
+    return tang, _checked_perp(f, tang, unipotent, max_degree, module)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)], ids=str)
+def test_restricted_perp_matches_the_full_tangent_route(field, rng):
+    # over F_2, F_3 and F_7 some shift weights u_i + 1 vanish
+    for n in (1, 2, 3, 4):
+        for d in range(1, (7, 7, 6, 5)[n - 1]):
+            polys = [random_form(rng, n, field, d), random_poly(rng, n, field, d)]
+            if field.is_rationals:
+                polys.append(with_fractions(rng, polys[1]))
+            for f in polys:
+                for unipotent in (False, True):
+                    k = 2 if unipotent else 1
+                    for m in range(d):
+                        tang, want = _full_tangent_perp(f, unipotent, m)
+                        assert perp_tangent(f, unipotent, m) == want, (f, unipotent, m)
+                        # the restricted tangent rows span the restriction of the full span
+                        win = Window.P_upto(n, m, field)
+                        cut = Basis._of_rows(win, [{j: x for j, x in row.items() if j < win.dim}
+                                                   for row in tang._rows])
+                        assert Basis._of_batches(*_tangent_batches(f, k, None, m)) == cut
+
+
+def test_restricted_perp_builds_no_row_above_its_bound(monkeypatch, rng):
+    # The tangent contractions are filled on degrees <= max_degree only, and
+    # every shift built, of the tangent or of the direct perp, lies in the
+    # window of degrees <= max_degree.
+    reached = {}
+    contraction_batches, image = apolarity._contraction_batches, apolarity._image
+
+    def recording_batches(f, exps, degrees):
+        reached["contractions"] = max(reached.get("contractions", -1), max(degrees))
+        return contraction_batches(f, exps, degrees)
+
+    def recording_image(item):
+        row = image(item)
+        reached["shifts"] = max(reached.get("shifts", -1), max(row, default=-1))
+        return row
+
+    monkeypatch.setattr(tangent, "_contraction_batches", recording_batches)
+    monkeypatch.setattr(apolarity, "_image", recording_image)
+    for f in (random_form(rng, 3, QQ, 5), random_poly(rng, 3, GF(3), 5), parse_poly(Q4, 3, QQ)):
+        d = f.degree
+        for unipotent in (False, True):
+            for m in range(1, d):
+                reached.clear()
+                perp_tangent(f, unipotent, m)
+                width = Window.P_upto(3, m, QQ).dim
+                assert reached["contractions"] == m and reached["shifts"] < width, (f, m)
+
+
 def test_cangrad_filter_values():
     assert cangrad_pair_filter(6, 5)      # 126 vs 126: not strictly less
     assert not cangrad_pair_filter(7, 5)  # 196 < 210
