@@ -312,11 +312,13 @@ def _module_rows(f, k, degrees=None):
     (``_contraction_batches``), over ``degrees`` (P_{<= deg f} when not
     given): ``kept`` are the rows at which it adds a pivot, in order, a
     basis of their span, and ``canonical`` the rows of its canonical integer
-    reduced echelon form (``_reduced_rows`` of the same sweep)."""
+    reduced echelon form (``_reduced_rows`` of the same sweep).  f's own
+    window P_{<= deg f} is checked (``_check_window_size``) before any
+    exponent is listed, whatever ``degrees``."""
     d, p = max(f.degree, 0), f.field.p
+    _check_window_size(f.n, range(d + 1))
     if degrees is None:
         degrees = range(d + 1)
-        _check_window_size(f.n, degrees)
     exps = [e for e in monomials_upto(f.n, d) if sum(e) >= k]
     blocks, taken = _sweep(_contraction_batches(f, exps, degrees), p)
     return ([row for pairs in taken for row, lead in pairs if lead is not None],

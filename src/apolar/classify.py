@@ -282,7 +282,7 @@ def _tangent_quotient(f, e):
     that pivot in degree e have no terms above e, and their degree-e parts
     are reduced.
     """
-    tangent_win, batches = _tangent_batches(f.part_from(e + 1), 2)
+    tangent_win, batches, _ = _tangent_batches(f.part_from(e + 1), 2)
     order = [tangent_win.index[m] for i in range(f.degree, e - 1, -1) for m in monomials(f.n, i)]
     col = {c: j for j, c in enumerate(order)}  # the columns below degree e are dropped
     rows = [{col[c]: x for c, x in row.items() if c in col} for _, _, rows in batches for row in rows]
@@ -407,20 +407,27 @@ def square_ideal_reduce(f, t):
     char_guard(field, d)
     if dim_apolar(f) != dim_apolar(F):
         raise HypothesisFailed("dim Apolar(f) differs from dim Apolar(tdf f)")
-    perp = perp_tangent(F, unipotent=True, max_degree=d - 1)
-    # Ann(F) and its generators up to degree d - 2, built once for every square
-    gens, pieces = _square_rows(F, d - 1) if t < d else ({}, {})
-    for i in range(t, d):
-        # F is homogeneous, so the perp is graded: its degree-i piece is its
-        # rows restricted to the degree-i columns
-        win_i = Window.S_graded(n, i, field)
-        lo = perp.window.index[win_i.columns[0]]
-        hi = lo + win_i.dim
-        perp_i = Basis._of_rows(win_i, [{c - lo: x for c, x in row.items() if lo <= c < hi}
-                                        for row in perp._rows])
-        if perp_i != _square(gens, pieces, win_i):
-            raise HypothesisFailed("perp differs from (Ann F)^2 in degree %d" % i, i)
+    if t < d:  # some degree is checked
+        perp = perp_tangent(F, unipotent=True, max_degree=d - 1)
+        # Ann(F) and its generators up to degree d - 2, built once for every square
+        gens, pieces = _square_rows(F, d - 1)
+        for i in range(t, d):
+            win_i = Window.S_graded(n, i, field)
+            if _graded_piece(perp, win_i) != _square(gens, pieces, win_i):
+                raise HypothesisFailed("perp differs from (Ann F)^2 in degree %d" % i, i)
     return reduce_toward(f, F, stop_degree=t)
+
+
+def _graded_piece(basis, win_i):
+    """The degree-i piece, in ``win_i``, of a graded subspace ``basis`` of a
+    window holding degree i.  The canonical form of a graded space is the
+    union of its pieces' canonical forms, so each canonical row lies in one
+    degree: the piece's rows are those with their pivot, their first key,
+    in degree i, shifted to ``win_i``'s columns."""
+    lo = basis.window.index[win_i.columns[0]]
+    hi = lo + win_i.dim
+    return Basis._of_canonical(win_i, [{c - lo: x for c, x in row.items()}
+                                       for row in basis._rows if lo <= next(iter(row)) < hi])
 
 
 # ---------------------------------------------------------------------------

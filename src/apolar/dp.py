@@ -55,24 +55,24 @@ ZERO_DEG = -1  # degree of the zero polynomial: any value < 0 works
 # of degrees only (never a polynomial, coefficient or field), built once per
 # process and shared, never mutated.  Keys reached by one set-up and pass of
 # each benchmark workload (invariants / orbits / classify, seed 1001), and
-# by the whole test suite in one process:
+# by the whole test suite in one process (distinct keys):
 #   monomials(n, d)                        27 / 20 / 15, suite 94; maxsize 128
-#   linalg._window_table(n, degrees)       16 / 11 / 17, suite 148
-#   linalg._column_map(n, source, target)   0 / 11 /  3, suite 137
-#   apolarity._shift_table                 14 / 11 / 18, suite 105
+#   linalg._window_table(n, degrees)       16 / 11 / 17, suite 158
+#   apolarity._shift_table                 14 / 11 / 18, suite 106
 #   apolarity._column_runs(n, degrees)      0 / 11 / 23, suite 145
 #   apolarity._reversed_columns(n, i)      14 /  0 /  4, suite 32
-#   tangent._reversed_maps(n, max_degree)   0 / 11 /  3, suite 37
-# A range and the equal tuple of degrees are two keys, so the column map and
-# the shift maps index their windows from monomials, not through
-# _window_table, whose keys stay the windows' own: one per shape in a pass.
-# 128 keeps every monomials key.  The six others keep 32 entries each, so no
-# pass evicts a table; the suite evicts some, which only rebuilds them.  The
-# tables of a benchmark shape (at most 126 columns) take a few KB.  At
+#   tangent._reversed_maps(n, max_degree)   0 / 11 /  3, suite 38
+# A range and the equal tuple of degrees are two keys, so the shift maps
+# index their windows from monomials, not through _window_table, and a
+# window's dual shares its table (``Window.dual``): _window_table's keys
+# stay the windows' own, one per shape in a pass.  128 keeps every
+# monomials key.  The five others keep 32 entries each, so no pass evicts
+# a table; the suite evicts some, which only rebuilds them.  The tables of
+# a benchmark shape (at most 126 columns) take a few KB.  At
 # MAX_WINDOW_COLUMNS (2000 columns) one shape's tables take at most 0.34,
-# 0.17, 0.13, 0.56 (n = 1, one run per degree), 0.18 and 0.14 MB in the
-# order above (CPython 3.11, 64-bit, the shared monomial tuples not
-# counted), so the six caches hold at most about 49 MB.
+# 0.13, 0.56 (n = 1, one run per degree), 0.18 and 0.14 MB in the order
+# above (CPython 3.11, 64-bit, the shared monomial tuples not counted), so
+# the five caches hold at most about 43 MB.
 @lru_cache(maxsize=128)
 def monomials(n, d):
     """Exponent tuples of total degree d (none if d < 0) in n variables,

@@ -9,9 +9,10 @@ What depends only on a shape -- the arity and the degrees, never a
 polynomial, coefficient or field -- is built once per process and shared,
 in a bounded ``functools.lru_cache`` as ``dp.monomials`` is (the comment
 there lists every shape cache): a window's columns (one tuple), its index
-and its size check (``_window_table``), and the column map of
-``Basis.perp`` (``_column_map``).  A shape over the column budget raises
-on every call and is never cached.
+and its size check (``_window_table``), which the window's dual shares.  A
+shape over the column budget raises on every call and is never cached.
+``Basis.perp`` pairs a basis with the dual window, whose columns match
+the window's one by one, so it reads the canonical rows as they are.
 
 Every integer row here is sparse: a dict {column: int} of the row's nonzero
 entries.  The row builders in ``apolarity``, ``tangent`` and ``classify``
@@ -106,6 +107,7 @@ integer row with its pivot as denominator to the polynomials' own
 canonical form (``Window._elements``), so no Fraction is built there.
 """
 
+from copy import copy
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, count
@@ -509,16 +511,6 @@ def _window_table(n, degrees):
     return degrees, columns, {e: i for i, e in enumerate(columns)}
 
 
-@lru_cache(maxsize=32)
-def _column_map(n, source, target):
-    """{column: column} from the window of the degrees ``source`` to that of
-    ``target`` in n variables (both sorted tuples), for every monomial that
-    both hold."""
-    index = {e: i for i, e in enumerate(chain.from_iterable(monomials(n, d) for d in source))}
-    targets = chain.from_iterable(monomials(n, d) for d in target)
-    return {index[e]: j for j, e in enumerate(targets) if e in index}
-
-
 class Window:
     """Ambient graded window: space 'P' or 'S', arity n, tuple of degrees.
 
@@ -556,7 +548,12 @@ class Window:
         return len(self.columns)
 
     def dual(self):
-        return Window("S" if self.space == "P" else "P", self.n, self.degrees, self.field)
+        """The window of the other space on the same degrees, sharing this
+        window's table: its degrees, a tuple, would be a second key of a
+        window given by a range."""
+        win = copy(self)
+        win.space = "S" if self.space == "P" else "P"
+        return win
 
     def __eq__(self, other):
         return (
@@ -703,15 +700,12 @@ class Basis:
         # A cap B = (A^perp + B^perp)^perp within matching dual windows.
         return self.perp().sum(other.perp()).perp()
 
-    def perp(self, degrees=None):
-        """Orthogonal complement under <a^e, x^e> = 1 (diagonal pairing)."""
-        win = self.window
-        target = win.dual() if degrees is None else Window(
-            "S" if win.space == "P" else "P", win.n, degrees, win.field
-        )
-        col = _column_map(win.n, win.degrees, target.degrees)
-        eqs = [{col[i]: x for i, x in r.items() if i in col} for r in self._rows]
-        return Basis._of_kernel(target, eqs)
+    def perp(self):
+        """Orthogonal complement in the dual window under <a^e, x^e> = 1
+        (diagonal pairing): the window's columns pair with the dual's one
+        by one, so the canonical rows are the kernel's equations as they
+        are."""
+        return Basis._of_kernel(self.window.dual(), self._rows)
 
 
 def span(vectors, window):

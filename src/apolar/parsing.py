@@ -12,7 +12,7 @@ Divided-power variables are ``x1..xn`` with exponents written ``^[k]`` (or
 from fractions import Fraction
 
 from .dp import ClassicalPoly, DPPoly, Operator
-from .errors import PolySyntaxError
+from .errors import ArityMismatch, PolySyntaxError
 
 
 class _Scanner:
@@ -48,7 +48,11 @@ class _Scanner:
 
 
 def _parse_terms(text, n, field, letter):
-    """Parse into an exponent-dict; shared by all element kinds."""
+    """Parse into an exponent-dict; shared by all element kinds.  An arity
+    n < 1 is refused (ArityMismatch, as the element constructors do)
+    before the text is scanned, so the error does not depend on it."""
+    if n < 1:
+        raise ArityMismatch("need at least one variable, got %d" % n)
     sc = _Scanner(text)
     terms = {}
     sign = 1

@@ -40,10 +40,7 @@ hands its kernel only the equations that a forward sweep does not show to
 be implied: the condition rows of sigma^(i) are the shifts x_i of the rows
 of sigma, restricted to S_{<= max_degree}, and shifting commutes with that
 restriction, so a row of sigma that depends on earlier ones is dropped with
-its n shifts (``_perp_direct``).  For max_degree >= deg f - k no column of
-the rows of sigma with |m| >= k is cut, so they are the rows of m^k f: the
-sweep that gives B decides the drops too, so ``perp_tangent`` builds and
-sweeps them once for both routes.  The equations are built column-reversed,
+its n shifts (``_perp_direct``).  The equations are built column-reversed,
 the order their kernel is read in, and an equation after its block is full
 is never built.  Dropping equations can only make the kernel larger, so a
 wrong drop fails the cross-check instead of passing a wrong perp.  Their
@@ -51,14 +48,19 @@ column-reversed maps depend on n and max_degree alone and are built once
 per process (``_reversed_maps``, a bounded ``functools.lru_cache`` like
 the shape tables of ``linalg`` and ``apolarity``).
 
-A perp inside S_{<= max_degree} with max_degree < deg f pairs only with
-the tangent space's part in P_{<= max_degree}, and restriction is linear:
-it maps the span of the tangent rows onto the span of the restricted rows.
-So ``perp_tangent`` builds ``_tangent_batches`` on P_{<= max_degree}: the
-contractions on those degrees, the rows of B cut there, and the shifts
-from the degrees below it (the shift of a row cut at degree N - 1 is the
-shift of the row cut at N).  No tangent block above the bound is built,
-swept or back-substituted.
+A perp, the tangent rows and m^k f share one bound, max_degree.  A perp
+inside S_{<= max_degree} pairs only with the tangent space's part in
+P_{<= max_degree}, and restriction is linear: it maps the span of the
+tangent rows onto the span of the restricted rows.  So ``perp_tangent``
+builds ``_tangent_batches`` on P_{<= max_degree}, for every max_degree:
+the contractions on those degrees, B read off one sweep of the rows of
+m^k f restricted there, and the shifts from the degrees below it (the
+shift of a row cut at degree N - 1 is the shift of the row cut at N).
+The rows of sigma with |m| >= k are those same restricted rows, so that
+sweep decides the direct route's drops too.  Below deg f no tangent block
+above the bound is built, swept or back-substituted; above it the extra
+columns stay empty.  The tangent basis then lives in the window dual to
+the perp's, and ``Basis.perp`` pairs them column for column.
 """
 
 import math
@@ -77,53 +79,53 @@ from .fields import char_guard
 from .linalg import Basis, Window, _rank, _reversed_kernel, _row_batches, _sweep, _window_table
 
 
-def _tangent_batches(f, k, module=None, top=None):
-    """(window, batches) spanning m^{k-1} f + sum_i x_i (m^k f) restricted
-    to P_{<= top} (P_{<= deg f} when top is not given or not below deg f),
-    as lazy batches for ``linalg._sweep``.
+def _tangent_batches(f, k, top=None):
+    """(window, batches, kept) for m^{k-1} f + sum_i x_i (m^k f) restricted
+    to P_{<= top} (top = deg f when not given): the window, the tangent rows
+    as lazy batches for ``linalg._sweep``, and the rows of m^k f that the
+    direct perp keeps.
+
+    The window and its size check come first, before any layout or row.
+    One sweep of the rows x^e -| D f, |e| >= k, over the window's degrees
+    (``apolarity._module_rows(f, k, range(top + 1))``) gives B, the
+    canonical rows of the restriction of m^k f, and ``kept``, the rows at
+    which it adds a pivot.  Restriction is linear and commutes with the
+    shifts (the shift of a row cut at degree top - 1 is the shift of the
+    row cut at top), so these rows span the restriction of the tangent
+    space.  Above deg f the extra columns stay empty.
 
     The rows are sparse integer rows, in this order: the contractions of
     D f by the degree-(k-1) monomials (``_contraction_batches``), the rows
     of B with one entry, the shifts x_i x^[u] = (u_i + 1) x^[u + e_i] of
-    every row of B (``_image_batches``), each built only when the sweep
-    takes it, and the other rows of B.  B are the canonical rows of m^k f
-    from ``module`` (``apolarity._module_rows(f, k)``, built here when not
-    given), each with its exact range.  A block that m^k f fills holds unit
-    rows only, so it is full before any shift into it is built; in the
-    other blocks the shifts are stored before the longer rows of B, which
-    takes fewer reduction steps than the other way round.
-
-    Below deg f every row is cut to P_{<= top}: restriction is linear, so
-    it maps the span of the rows onto the span of the cut rows.  The
-    contractions are built on degrees <= top, the rows of B cut there, and
-    the shifts taken from degrees < top, so no row above top is built.
+    every row of B from the degrees below top (``_image_batches``), each
+    built only when the sweep takes it, and the other rows of B.  A block
+    that m^k f fills holds unit rows only, so it is full before any shift
+    into it is built; in the other blocks the shifts are stored before the
+    longer rows of B, which takes fewer reduction steps than the other way
+    round.
     """
     if f.is_zero():
         raise ZeroPolynomial("tangent space of the zero polynomial")
-    d = max(f.degree, 0)
-    top = d if top is None else min(top, d)
-    win = Window.P_upto(f.n, top, f.field)
-    gs = (module or _module_rows(f, k))[1]
-    if top < d:
-        gs = [cut for g in gs if (cut := {j: x for j, x in g.items() if j < win.dim})]
-    batches = _contraction_batches(f, monomials(f.n, k - 1), range(top + 1))
-    # m^k f lies in P_{<= d-1} and top <= d, so its rows are shifted from degrees < top
-    shifts = _image_batches(gs, _shift_table(f.n, range(top), range(top + 1)))
+    top = max(f.degree, 0) if top is None else top
+    win, degrees = Window.P_upto(f.n, top, f.field), range(top + 1)
+    kept, gs = _module_rows(f, k, degrees)
+    batches = _contraction_batches(f, monomials(f.n, k - 1), degrees)
+    shifts = _image_batches(gs, _shift_table(f.n, range(top), degrees))
     return win, batches + _row_batches(g for g in gs if len(g) == 1) + shifts + _row_batches(
-        g for g in gs if len(g) > 1)
+        g for g in gs if len(g) > 1), kept
 
 
 def tangent_space(f):
     """Canonical basis of S f + sum_i m (x_i f) inside P_{<= deg f}."""
-    return Basis._of_batches(*_tangent_batches(f, 1))
+    return Basis._of_batches(*_tangent_batches(f, 1)[:2])
 
 
 def unip_tangent_space(f):
     """Canonical basis of m f + sum_i m^2 (x_i f) inside P_{<= deg f}."""
-    return Basis._of_batches(*_tangent_batches(f, 2))
+    return Basis._of_batches(*_tangent_batches(f, 2)[:2])
 
 
-def _perp_direct(f, unipotent, max_degree, module):
+def _perp_direct(f, unipotent, max_degree, kept):
     """Perp from the conditions on sigma -| f and its partial derivatives.
 
     Full:      sigma -| f = 0          and deg(sigma^(i) -| f) <= 0;
@@ -150,13 +152,11 @@ def _perp_direct(f, unipotent, max_degree, module):
     drop would show as a mismatch in ``_checked_perp``, never as a wrong
     perp that passes.
 
-    The base rows with |m| >= k lie in degrees <= deg f - k, so for
-    max_degree >= deg f - k no column is cut: they are the rows of m^k f
-    that ``module`` (``apolarity._module_rows(f, k)``) has swept already,
-    and its kept rows are the ones that stay.  Below that bound the
-    restricted rows are swept here (``_module_rows`` over the degrees
-    <= max_degree): restriction can add dependencies, so their drops
-    differ.
+    The base rows with |m| >= k, restricted to degrees <= max_degree, are
+    the rows that the tangent's sweep of m^k f takes
+    (``apolarity._module_rows(f, k, range(max_degree + 1))``), so ``kept``,
+    the rows at which that sweep adds a pivot, are the ones that stay.
+    Restriction can add dependencies, so the drops depend on max_degree.
 
     The equations are built column-reversed (column j of S_{<= max_degree}
     keyed last - j), as lazy batches (``_image_batches``, each equation with
@@ -165,10 +165,8 @@ def _perp_direct(f, unipotent, max_degree, module):
     (``linalg._reversed_kernel``) with no reversal pass, and an equation
     after its block is full is never built.
     """
-    n, p = f.n, f.field.p
-    d, k = max(f.degree, 0), 2 if unipotent else 1
+    n, p, k = f.n, f.field.p, 2 if unipotent else 1
     win = Window.S_upto(n, max_degree, f.field)
-    kept = module[0] if max_degree >= d - k else _module_rows(f, k, range(max_degree + 1))[0]
     base = [row for row in _contraction_rows(f, monomials(n, k - 1), range(max_degree + 1)) if row]
     table = _reversed_maps(n, max_degree)
     eqs = _image_batches(base, table[:1]) + _image_batches(kept, table)
@@ -186,10 +184,11 @@ def _reversed_maps(n, max_degree):
         for keys, weights in _shift_table(n, range(max_degree), range(max_degree + 1)))
 
 
-def _checked_perp(f, tang, unipotent, max_degree, module):
-    """Perp of ``tang`` in S_{<= max_degree}, cross-checked by _perp_direct."""
-    via_perp = tang.perp(degrees=range(max_degree + 1))
-    direct = _perp_direct(f, unipotent, max_degree, module)
+def _checked_perp(f, tang, unipotent, max_degree, kept):
+    """Perp of ``tang``, a basis in P_{<= max_degree}, in S_{<= max_degree},
+    cross-checked by _perp_direct."""
+    via_perp = tang.perp()
+    direct = _perp_direct(f, unipotent, max_degree, kept)
     if via_perp != direct:
         raise CrossCheckFailed(
             "tangent-perp mismatch: %d vs %d dims" % (via_perp.dim, direct.dim)
@@ -201,10 +200,9 @@ def perp_tangent(f, unipotent=False, max_degree=None):
     """Perp of the (unipotent) tangent space inside S_{<= max_degree}.
 
     Computed both from the tangent basis and from the direct degree
-    conditions; raises CrossCheckFailed if the two disagree.  One sweep of
-    the rows of m^k f (``apolarity._module_rows``) serves both routes, and
-    the tangent basis is built on P_{<= max_degree} when that is below
-    P_{<= deg f} (``_tangent_batches``).
+    conditions; raises CrossCheckFailed if the two disagree.  The tangent
+    basis is built on P_{<= max_degree} (``_tangent_batches``), whose one
+    sweep of the rows of m^k f serves both routes.
     """
     if f.is_zero():
         raise ZeroPolynomial("perp of the zero polynomial's tangent space")
@@ -212,10 +210,8 @@ def perp_tangent(f, unipotent=False, max_degree=None):
         max_degree = max(f.degree, 0)
     if max_degree < 0:
         raise IndexOutOfRange("perp degree bound must be >= 0, got %d" % max_degree)
-    k = 2 if unipotent else 1
-    module = _module_rows(f, k)
-    tang = Basis._of_batches(*_tangent_batches(f, k, module, max_degree))
-    return _checked_perp(f, tang, unipotent, max_degree, module)
+    win, batches, kept = _tangent_batches(f, 2 if unipotent else 1, max_degree)
+    return _checked_perp(f, Basis._of_batches(win, batches), unipotent, max_degree, kept)
 
 
 def orbit_dimension(f):

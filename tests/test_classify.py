@@ -40,13 +40,14 @@ from apolar.classify import (
     _F2,
     _F3,
     _NORMAL_FORMS_13331,
+    _graded_piece,
     _p,
     _solve_general_step,
     _solve_homogeneous_step,
 )
 from apolar.cli import cli_dispatch
 from apolar.dp import monomials, monomials_upto
-from apolar.linalg import span
+from apolar.linalg import Basis, span
 from apolar.errors import (
     GoldenMismatch,
     HypothesisFailed,
@@ -243,6 +244,55 @@ def test_square_ideal_reduce_names_a_negative_t():
 def test_square_ideal_reduce_border_rank_two_fails():
     with pytest.raises(HypothesisFailed):
         square_ideal_reduce(P(2, {(4, 1): 1, (2, 0): 1}), 0)
+
+
+def test_square_ideal_reduce_builds_only_what_a_checked_degree_needs(monkeypatch, capsys):
+    # for t >= deg f no degree is checked: no perp and no square data are
+    # built, and a constant gets its zero-step trace (the perp's degree
+    # bound d - 1 = -1 was refused with IndexOutOfRange)
+    import apolar.classify as classify
+
+    quintic = P(2, {(5, 0): 1, (0, 5): 1, (3, 0): 1, (2, 1): 1, (1, 0): 2})
+    built = []
+    perp, square_rows = classify.perp_tangent, classify._square_rows
+    monkeypatch.setattr(classify, "perp_tangent", lambda *args, **kw: built.append("perp") or
+                        perp(*args, **kw))
+    monkeypatch.setattr(classify, "_square_rows", lambda *args: built.append("squares") or
+                        square_rows(*args))
+    for t in (5, 6, 10):
+        trace, want = square_ideal_reduce(quintic, t), reduce_toward(quintic, quintic.tdf(), t)
+        assert [f for _, f in trace.steps] == [f for _, f in want.steps] and trace.final == quintic
+    for field in (QQ, GF(7)):
+        trace = square_ideal_reduce(P(2, {(0, 0): 3}, field), 0)
+        assert trace.steps == [] and trace.final == P(2, {(0, 0): 3}, field)
+    assert built == []
+    assert cli_dispatch(["reduce", "--method", "square", "--t", "10", "--vars", "2",
+                         "x1^[5] + x2^[5] + x1^[3] + x1^[2]*x2 + 2*x1"]) == 0
+    assert built == []
+    capsys.readouterr()
+    assert cli_dispatch(["reduce", "--json", "--method", "square", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)["results"]
+    assert out == {"normal_form": "3", "trace": {"steps": 0, "intermediate": [], "final": "3"}}
+    assert built == []
+    # a checked degree builds both, once
+    square_ideal_reduce(quintic, 4)
+    assert built == ["perp", "squares"]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=repr)
+def test_graded_pieces_are_the_canonical_rows_of_their_degree(field, rng):
+    # oracle: each degree's piece as the span of every perp row restricted
+    # to that degree's columns, echeloned again
+    for n, d in ((1, 4), (2, 3), (2, 5), (3, 4), (4, 3)):
+        for F in (random_form(rng, n, field, d), random_form(rng, n, field, d, density=0.3)):
+            perp = perp_tangent(F, unipotent=True, max_degree=d - 1)
+            for i in range(d):
+                win_i = Window.S_graded(n, i, field)
+                lo = perp.window.index[win_i.columns[0]]
+                hi = lo + win_i.dim
+                want = Basis._of_rows(win_i, [{c - lo: x for c, x in row.items() if lo <= c < hi}
+                                              for row in perp._rows])
+                assert _graded_piece(perp, win_i) == want, (F, i)
 
 
 def _reference_square_failure(F, t):

@@ -165,15 +165,6 @@ def test_sum_intersect_perp():
     assert A.perp().dim == win.dim - A.dim
 
 
-def test_perp_with_degree_restriction():
-    win = Window.P_upto(2, 2, QQ)
-    f = DPPoly(2, QQ, {(2, 0): Q(1), (0, 0): Q(1)})
-    b = span([f], win)
-    p1 = b.perp(degrees=(1,))
-    # degree-1 S-monomials are unconstrained by f's pairing
-    assert p1.dim == 2
-
-
 def test_prime_field_subspaces():
     F = GF(2)
     win = Window.P_upto(2, 2, F)

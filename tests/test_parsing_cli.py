@@ -218,6 +218,9 @@ BOUNDARY_STDERR = {
     ("reduce", "--method", "square", "--t", "0", "--vars", "1", "0"):
         "ZeroPolynomial: square-ideal reduction of the zero polynomial",
     ("ann", "--vars", "2", "0"): "ZeroPolynomial: annihilator of the zero polynomial",
+    # the arity is refused before the text is scanned, whatever the text
+    ("hilbert", "--vars", "0", "1"): "ArityMismatch: need at least one variable, got 0",
+    ("hilbert", "--vars", "0", "x1"): "ArityMismatch: need at least one variable, got 0",
 }
 
 
@@ -236,6 +239,7 @@ BOUNDARY_STDERR = {
     (["reduce", "--method", "square", "--t", "-1", "x1^[3]+x1"], 2),
     (["reduce", "--method", "square", "--t", "0", "--vars", "1", "0"], 2),
     (["ann", "--vars", "2", "0"], 2),
+    (["hilbert", "--vars", "0", "x1"], 2),
 ])
 def test_cli_boundary_inputs_exit_cleanly(capsys, argv, code):
     assert cli_dispatch(argv) == code

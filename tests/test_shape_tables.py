@@ -20,14 +20,13 @@ from apolar.apolarity import (
 )
 from apolar.dp import monomials
 from apolar.errors import WindowTooLarge
-from apolar.linalg import _column_map, _window_table
+from apolar.linalg import _window_table
 from apolar.parsing import parse_poly
 from apolar.tangent import _reversed_maps
 
 from conftest import random_form, random_poly
 
-CACHES = (_window_table, _column_map, _shift_table, _column_runs, _reversed_columns,
-          _reversed_maps)
+CACHES = (_window_table, _shift_table, _column_runs, _reversed_columns, _reversed_maps)
 
 SHAPES = [(n, d) for n in (1, 2, 3, 4) for d in range(8)]
 
@@ -65,7 +64,7 @@ def test_shape_tables_match_the_inline_builders(n, d):
         assert (list(win.columns), win.index, win.degrees) == (columns, index, tuple(key))
         runs = [(i, list(pairs)) for i, pairs in _column_runs(n, key)]
         assert runs == [(i, list(zip(count(j), mons))) for i, j, mons in _reference_layout(n, key)]
-    up, below = _reference_window(n, range(d + 1)), _reference_window(n, range(d))
+    up = _reference_window(n, range(d + 1))
     # the shifts of the tangent and perp sweeps, from degrees < d into P_{<= d}
     want = _reference_shift_table(n, range(d), up[1])
     assert [(list(k), list(w)) for k, w in _shift_table(n, range(d), range(d + 1))] == want
@@ -75,10 +74,6 @@ def test_shape_tables_match_the_inline_builders(n, d):
     assert [(list(k), list(w)) for k, w in _reversed_maps(n, d)] == reversed_want
     # the catalecticant's column-reversed columns of S_d
     assert list(_reversed_columns(n, d)) == list(enumerate(monomials(n, d)[::-1]))
-    # Basis.perp's map between windows of different degrees
-    target = Window("S", n, range(d), QQ)
-    col = {up[1][e]: j for j, e in enumerate(below[0]) if e in up[1]}
-    assert _column_map(n, Window("P", n, range(d + 1), QQ).degrees, target.degrees) == col
     # the unit products' maps from S_d into S_{d+1}
     graded = _reference_window(n, (d + 1,))[1]
     rows = [{j: 1} for j in range(len(monomials(n, d)))]
@@ -121,9 +116,10 @@ def test_a_shape_over_the_budget_raises_on_every_call():
             Window.P_upto(3, 40, QQ)
         with pytest.raises(WindowTooLarge):
             perp_tangent(f, max_degree=10**12)
-        # the perp's tangent window P_{<= 3} is cached; the large ones never
+        # the perp's tangent window P_{<= 10**12} is checked before any
+        # other window or row, and neither large window is ever cached
         info = _window_table.cache_info()
-        assert (info.currsize, info.misses) == (1, 1 + 2 * calls)
+        assert (info.currsize, info.misses) == (0, 2 * calls)
 
 
 def _frozen(x):
@@ -134,6 +130,10 @@ def _frozen(x):
 def test_shared_tables_are_immutable():
     a, b = Window.P_upto(3, 4, QQ), Window.S_upto(3, 4, GF(7))
     assert a.columns is b.columns and _frozen(a.columns)
+    # a dual window shares the table, under no second key for its degrees
+    misses = _window_table.cache_info().misses
+    assert a.dual().columns is a.columns and a.dual() == Window.S_upto(3, 4, QQ)
+    assert a.dual().dual() == a and _window_table.cache_info().misses == misses
     with pytest.raises(TypeError):
         a.columns[0] = (9, 9, 9)
     for table in (_shift_table(3, range(4), range(5)), _reversed_maps(3, 4),

@@ -222,8 +222,8 @@ def test_cross_check_rejects_a_wrong_tangent_basis(field, unipotent):
         f = P(3, {e: int(c) for e, c in F.terms.items()}, field)
         tang = unip_tangent_space(f) if unipotent else tangent_space(f)
         d = f.degree
-        module = _module_rows(f, 2 if unipotent else 1)
-        _checked_perp(f, tang, unipotent, d, module)  # the true basis passes
+        kept = _module_rows(f, 2 if unipotent else 1)[0]
+        _checked_perp(f, tang, unipotent, d, kept)  # the true basis passes
         rows = tang.rows
         pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
         free = next(c for c in range(pivots[0] + 1, tang.window.dim) if c not in pivots)
@@ -231,7 +231,7 @@ def test_cross_check_rejects_a_wrong_tangent_basis(field, unipotent):
         perturbed[0][free] = field.add(perturbed[0][free], field.one())
         for wrong in (rows[1:], perturbed):
             with pytest.raises(CrossCheckFailed):
-                _checked_perp(f, Basis(tang.window, wrong), unipotent, d, module)
+                _checked_perp(f, Basis(tang.window, wrong), unipotent, d, kept)
 
 
 # Differential oracle for the direct perp: every equation row of the defining
@@ -272,6 +272,12 @@ def _reference_perp_direct(f, unipotent, max_degree):
     return Basis._of_kernel(win, _sparse(eqs))
 
 
+def _kept(f, unipotent, max_degree):
+    """The rows of m^k f that ``_perp_direct`` keeps for ``max_degree``: the
+    pivot rows of the tangent's sweep of them over P_{<= max_degree}."""
+    return _module_rows(f, 2 if unipotent else 1, range(max_degree + 1))[0]
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)], ids=str)
 def test_perp_direct_matches_unpruned_oracle(field, rng):
     for n in (1, 2, 3, 4):
@@ -285,9 +291,9 @@ def test_perp_direct_matches_unpruned_oracle(field, rng):
                 polys += [with_fractions(rng, f) for f in polys]
             for f in polys:
                 for unipotent in (False, True):
-                    module = _module_rows(f, 2 if unipotent else 1)
                     for max_degree in sorted({0, max(d - 1, 0), d, d + 1}):
-                        assert _perp_direct(f, unipotent, max_degree, module) == (
+                        kept = _kept(f, unipotent, max_degree)
+                        assert _perp_direct(f, unipotent, max_degree, kept) == (
                             _reference_perp_direct(f, unipotent, max_degree)
                         )
 
@@ -323,7 +329,7 @@ def test_perp_direct_drops_implied_equations(monkeypatch, rng, n, d, unipotent):
     k = 2 if unipotent else 1
     module = _module_rows(f, k)
     captured = _capture_equations(monkeypatch)
-    got = _perp_direct(f, unipotent, d, module)
+    got = _perp_direct(f, unipotent, d, module[0])
     monkeypatch.undo()
     assert len(captured[0]) <= math.comb(n + k - 2, k - 1) + (n + 1) * module_sf(f, k).dim
     assert got == _reference_perp_direct(f, unipotent, d)
@@ -381,10 +387,10 @@ def test_perp_direct_keeps_the_equations_of_the_dense_loop(field, rng, monkeypat
                 polys += [with_fractions(rng, f) for f in polys]
             for f in polys:
                 for unipotent in (False, True):
-                    module = _module_rows(f, 2 if unipotent else 1)
                     for max_degree in sorted({0, max(d - 1, 0), d, d + 1}):
+                        kept = _kept(f, unipotent, max_degree)
                         captured.clear()
-                        _perp_direct(f, unipotent, max_degree, module)
+                        _perp_direct(f, unipotent, max_degree, kept)
                         (eqs,) = captured
                         dim = Window.S_upto(n, max_degree, field).dim
                         got = [row for row in _densified(_unreversed(eqs, dim), dim) if any(row)]
@@ -525,13 +531,15 @@ def test_one_sweep_of_the_module_matches_the_separate_routes(field, rng):
                     assert _densified(module_sf(f, k)._rows, dim) == want
                     # the rows that add a pivot are a basis of m^k f
                     assert Basis._of_rows(mk.window, module[0]) == mk and len(module[0]) == mk.dim
-                    built = _built(*_tangent_batches(f, k))
-                    assert built == _built(*_tangent_batches(f, k, module))
+                    win, batches, kept = _tangent_batches(f, k)
+                    assert kept == module[0]
+                    built = _built(win, batches)
                     assert built == _lazy_order(*_eager_tangent_rows(f, k), f, k)
                     assert built == _lazy_order(*_reference_tangent_rows(f, k), f, k)
                     for max_degree in sorted({0, d - k - 1, d - k, d, d + 1} - {-1, -2}):
                         want = _reference_swept_perp_direct(f, k == 2, max_degree)
-                        assert _perp_direct(f, k == 2, max_degree, module) == want, (f, k, max_degree)
+                        kept = _tangent_batches(f, k, max_degree)[2]
+                        assert _perp_direct(f, k == 2, max_degree, kept) == want, (f, k, max_degree)
 
 
 # The laziness of the row builders, on a dense ternary quartic (the one the
@@ -611,23 +619,61 @@ def test_sparse_forms_keep_their_one_column_blocks(monkeypatch):
         widths.append(hi + 1 - lo)
         return dense(row, lo, hi, p)
 
-    win, batches = _tangent_batches(f, 1)
+    win, batches, _ = _tangent_batches(f, 1)
     monkeypatch.setattr(linalg, "_dense", recording)
     monkeypatch.setattr(linalg, "_store", lambda *args: pytest.fail("a one-column row was stored"))
     blocks, taken = _sweep([b for b in batches if b[0] == b[1]], 0)
     assert sum(1 for lo, hi, stored in blocks if stored) >= 6 and widths == []
     monkeypatch.undo()
-    assert Basis._of_batches(*_tangent_batches(f, 1)) == _reference_tangent(f, False)
+    assert Basis._of_batches(win, _tangent_batches(f, 1)[1]) == _reference_tangent(f, False)
+
+
+# Differential oracles for the perp on the tangent's own window: the routes
+# that came before it.  ``Basis.perp(degrees=...)`` paired a basis with an S
+# window of other degrees through a column map, and ``perp_tangent`` swept
+# the rows of m^k f over P_{<= deg f} for the tangent rows, cut them to
+# P_{<= max_degree}, and swept them again, cut, for the direct perp's drops
+# when max_degree < deg f - k.
+
+
+def _reference_perp_on(tang, degrees):
+    """The perp of ``tang`` in the S window of ``degrees``: each canonical
+    row re-keyed to that window's columns, the columns it lacks dropped."""
+    win = tang.window
+    target = Window("S", win.n, degrees, win.field)
+    col = {win.index[e]: j for j, e in enumerate(target.columns) if e in win.index}
+    return Basis._of_kernel(target, [{col[i]: x for i, x in row.items() if i in col}
+                                     for row in tang._rows])
+
+
+def _two_sweep_perp(f, unipotent, max_degree):
+    """``perp_tangent(f, unipotent, max_degree)`` by the two-sweep route, its
+    two results cross-checked."""
+    n, k, d = f.n, 2 if unipotent else 1, max(f.degree, 0)
+    top = min(max_degree, d)
+    win = Window.P_upto(n, top, f.field)
+    module = _module_rows(f, k)
+    gs = [cut for g in module[1] if (cut := {j: x for j, x in g.items() if j < win.dim})]
+    rows = _contraction_rows(f, monomials(n, k - 1), range(top + 1))
+    for g, shifts in zip(gs, _shifted_rows(gs, n, range(top), win)):
+        rows += [g] + shifts
+    via_perp = _reference_perp_on(Basis._of_rows(win, rows), range(max_degree + 1))
+    kept = module[0] if max_degree >= d - k else _kept(f, unipotent, max_degree)
+    assert via_perp == _perp_direct(f, unipotent, max_degree, kept)
+    return via_perp
 
 
 @pytest.mark.parametrize("unipotent", [False, True])
 def test_perp_tangent_builds_and_sweeps_the_module_rows_once(monkeypatch, rng, unipotent):
-    # One perp_tangent call, max_degree >= deg f - k: the rows x^e -| D f,
-    # |e| >= k, are built by one _contraction_batches call and go through
-    # one _sweep, which serves the tangent basis and the direct perp's drops.
+    # One perp_tangent call, whatever max_degree: one _module_rows call over
+    # P_{<= max_degree}, whose rows x^e -| D f, |e| >= k, are built by one
+    # _contraction_batches call and go through one _sweep, which serves the
+    # tangent basis and the direct perp's drops.  Below deg f - k the
+    # two-sweep route called _module_rows twice.
     k = 2 if unipotent else 1
-    built, swept = [], []
-    contraction_batches, sweep = apolarity._contraction_batches, linalg._sweep
+    built, swept, calls = [], [], []
+    contraction_batches, sweep, module_rows = (apolarity._contraction_batches, linalg._sweep,
+                                               tangent._module_rows)
 
     def counting_batches(f, exps, degrees):
         exps = list(exps)
@@ -647,32 +693,36 @@ def test_perp_tangent_builds_and_sweeps_the_module_rows_once(monkeypatch, rng, u
         monkeypatch.setattr(module, "_contraction_batches", counting_batches)
     for module in (linalg, apolarity, tangent):
         monkeypatch.setattr(module, "_sweep", counting_sweep)
+    monkeypatch.setattr(tangent, "_module_rows", lambda *args: calls.append(args) or
+                        module_rows(*args))
     for f in (random_form(rng, 3, QQ, 5), random_poly(rng, 3, QQ, 5),
-              with_fractions(rng, random_poly(rng, 2, QQ, 6)), random_poly(rng, 4, GF(101), 4)):
+              with_fractions(rng, random_poly(rng, 2, QQ, 6)), random_poly(rng, 4, GF(101), 4),
+              random_poly(rng, 3, GF(7), 5)):
         d = f.degree
-        for max_degree in (d - k, d - 1, d, d + 1, None):
+        for max_degree in (*range(d + 3), None):
             built.clear()
             swept.clear()
-            perp_tangent(f, unipotent, max_degree)
-            assert (len(built), len(swept)) == (1, 1), (f, max_degree)
-
-
-# Differential oracle for the restricted perp: the full-tangent route, which
-# swept every tangent block of P_{<= deg f} before the perp cut it to
-# S_{<= max_degree}.
+            calls.clear()
+            got = perp_tangent(f, unipotent, max_degree)
+            assert (len(built), len(swept), len(calls)) == (1, 1, 1), (f, max_degree)
+            m = d if max_degree is None else max_degree
+            assert calls[0][2:] == (range(m + 1),) and got == _two_sweep_perp(f, unipotent, m)
 
 
 def _full_tangent_perp(f, unipotent, max_degree):
-    k = 2 if unipotent else 1
-    module = _module_rows(f, k)
-    tang = Basis._of_batches(*_tangent_batches(f, k, module))
+    """(tangent basis on P_{<= deg f}, its perp in S_{<= max_degree}), the
+    perp through the column map, cross-checked by the direct route."""
+    tang = Basis._of_batches(*_tangent_batches(f, 2 if unipotent else 1)[:2])
     assert tang.window == Window.P_upto(f.n, max(f.degree, 0), f.field)
-    return tang, _checked_perp(f, tang, unipotent, max_degree, module)
+    perp = _reference_perp_on(tang, range(max_degree + 1))
+    assert perp == _perp_direct(f, unipotent, max_degree, _kept(f, unipotent, max_degree))
+    return tang, perp
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)], ids=str)
 def test_restricted_perp_matches_the_full_tangent_route(field, rng):
-    # over F_2, F_3 and F_7 some shift weights u_i + 1 vanish
+    # over F_2, F_3 and F_7 some shift weights u_i + 1 vanish; above deg f
+    # the tangent's window holds columns no row reaches
     for n in (1, 2, 3, 4):
         for d in range(1, (7, 7, 6, 5)[n - 1]):
             polys = [random_form(rng, n, field, d), random_poly(rng, n, field, d)]
@@ -681,14 +731,14 @@ def test_restricted_perp_matches_the_full_tangent_route(field, rng):
             for f in polys:
                 for unipotent in (False, True):
                     k = 2 if unipotent else 1
-                    for m in range(d):
+                    for m in range(d + 3):
                         tang, want = _full_tangent_perp(f, unipotent, m)
                         assert perp_tangent(f, unipotent, m) == want, (f, unipotent, m)
                         # the restricted tangent rows span the restriction of the full span
                         win = Window.P_upto(n, m, field)
                         cut = Basis._of_rows(win, [{j: x for j, x in row.items() if j < win.dim}
                                                    for row in tang._rows])
-                        assert Basis._of_batches(*_tangent_batches(f, k, None, m)) == cut
+                        assert Basis._of_batches(*_tangent_batches(f, k, m)[:2]) == cut
 
 
 def test_restricted_perp_builds_no_row_above_its_bound(monkeypatch, rng):
