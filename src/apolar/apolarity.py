@@ -152,6 +152,9 @@ class SymmetricDecomposition:
         except TypeError:  # not iterable, or an entry is not
             return NotImplemented
 
+    def __hash__(self):
+        return hash(tuple(self.deltas))
+
     def __repr__(self):
         return "SymmetricDecomposition(%s)" % (self.deltas,)
 

@@ -282,7 +282,7 @@ def _tangent_quotient(f, e):
     that pivot in degree e have no terms above e, and their degree-e parts
     are reduced.
     """
-    tangent_win, batches, _ = _tangent_batches(f.part_from(e + 1), 2)
+    tangent_win, batches = _tangent_batches(f.part_from(e + 1), 2)
     order = [tangent_win.index[m] for i in range(f.degree, e - 1, -1) for m in monomials(f.n, i)]
     col = {c: j for j, c in enumerate(order)}  # the columns below degree e are dropped
     rows = [{col[c]: x for c, x in row.items() if c in col} for _, _, rows in batches for row in rows]

@@ -88,8 +88,8 @@ so its first entry is its pivot.  A kernel is read off the echelon form of
 the column-reversed rows (``_kernel``, through ``_reversed_kernel``), where
 the kernel vectors come out already in canonical form (see there), so
 nothing is eliminated twice; ``apolarity.ann_graded`` hands that read-off
-the block of its capped ``_fill``, and the direct perp in ``tangent`` the
-sweep of equations it builds column-reversed.
+the block of its capped ``_fill``, and each route of the perp in
+``tangent`` the sweep of equations it builds column-reversed.
 
 ``_solve``, the solver of the reduction steps in ``classify``, forms no
 reduced row: after one forward sweep of [M | b] it back-substitutes the

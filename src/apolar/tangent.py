@@ -33,34 +33,23 @@ shifts.  None of this goes through ``contract`` or the DPPoly product.
 ``orbit_dimension`` reads the rank of these rows off one forward sweep,
 with no canonical tangent rows.
 
-Perps are computed twice -- once as the orthogonal complement of the
-tangent basis, once from the direct degree conditions on sigma and its
-partial derivatives -- and the two results must agree.  The direct route
-hands its kernel only the equations that a forward sweep does not show to
-be implied: the condition rows of sigma^(i) are the shifts x_i of the rows
-of sigma, restricted to S_{<= max_degree}, and shifting commutes with that
-restriction, so a row of sigma that depends on earlier ones is dropped with
-its n shifts (``_perp_direct``).  The equations are built column-reversed,
-the order their kernel is read in, and an equation after its block is full
-is never built.  Dropping equations can only make the kernel larger, so a
-wrong drop fails the cross-check instead of passing a wrong perp.  Their
+Perps are read twice off one sweep of m^k f, and the two must agree.  A
+perp inside S_{<= max_degree} pairs only with the tangent space's part in
+P_{<= max_degree}; restriction is linear and commutes with the shifts (the
+shift of a row cut at degree N - 1 is the shift of the row cut at N), so
+``perp_tangent`` sweeps the rows of m^k f restricted there once
+(``apolarity._module_rows``) and hands one equation builder (``_perp_of``)
+two sets of them: B, which makes its equations the restricted tangent rows,
+and the rows at which the sweep adds a pivot, which makes them the direct
+degree conditions on sigma and its partial derivatives, each implied
+condition dropped with its n shifts.  Dropping equations can only make the
+kernel larger, so a wrong drop fails the cross-check instead of passing a
+wrong perp.  The equations are built column-reversed, the order their
+kernel is read in (``linalg._reversed_kernel``), so each route is one
+sweep and no tangent basis is formed: three sweeps in all.  Their
 column-reversed maps depend on n and max_degree alone and are built once
-per process (``_reversed_maps``, a bounded ``functools.lru_cache`` like
-the shape tables of ``linalg`` and ``apolarity``).
-
-A perp, the tangent rows and m^k f share one bound, max_degree.  A perp
-inside S_{<= max_degree} pairs only with the tangent space's part in
-P_{<= max_degree}, and restriction is linear: it maps the span of the
-tangent rows onto the span of the restricted rows.  So ``perp_tangent``
-builds ``_tangent_batches`` on P_{<= max_degree}, for every max_degree:
-the contractions on those degrees, B read off one sweep of the rows of
-m^k f restricted there, and the shifts from the degrees below it (the
-shift of a row cut at degree N - 1 is the shift of the row cut at N).
-The rows of sigma with |m| >= k are those same restricted rows, so that
-sweep decides the direct route's drops too.  Below deg f no tangent block
-above the bound is built, swept or back-substituted; above it the extra
-columns stay empty.  The tangent basis then lives in the window dual to
-the perp's, and ``Basis.perp`` pairs them column for column.
+per process (``_reversed_maps``, a bounded ``functools.lru_cache`` like the
+shape tables of ``linalg`` and ``apolarity``).
 """
 
 import math
@@ -79,25 +68,18 @@ from .fields import char_guard
 from .linalg import Basis, Window, _rank, _reversed_kernel, _row_batches, _sweep, _window_table
 
 
-def _tangent_batches(f, k, top=None):
-    """(window, batches, kept) for m^{k-1} f + sum_i x_i (m^k f) restricted
-    to P_{<= top} (top = deg f when not given): the window, the tangent rows
-    as lazy batches for ``linalg._sweep``, and the rows of m^k f that the
-    direct perp keeps.
+def _tangent_batches(f, k):
+    """(window, batches) for m^{k-1} f + sum_i x_i (m^k f) in P_{<= deg f}:
+    the window and the tangent rows as lazy batches for ``linalg._sweep``.
 
     The window and its size check come first, before any layout or row.
-    One sweep of the rows x^e -| D f, |e| >= k, over the window's degrees
-    (``apolarity._module_rows(f, k, range(top + 1))``) gives B, the
-    canonical rows of the restriction of m^k f, and ``kept``, the rows at
-    which it adds a pivot.  Restriction is linear and commutes with the
-    shifts (the shift of a row cut at degree top - 1 is the shift of the
-    row cut at top), so these rows span the restriction of the tangent
-    space.  Above deg f the extra columns stay empty.
+    One sweep of the rows x^e -| D f, |e| >= k (``apolarity._module_rows``)
+    gives B, the canonical rows of m^k f.
 
     The rows are sparse integer rows, in this order: the contractions of
     D f by the degree-(k-1) monomials (``_contraction_batches``), the rows
     of B with one entry, the shifts x_i x^[u] = (u_i + 1) x^[u + e_i] of
-    every row of B from the degrees below top (``_image_batches``), each
+    every row of B from the degrees below deg f (``_image_batches``), each
     built only when the sweep takes it, and the other rows of B.  A block
     that m^k f fills holds unit rows only, so it is full before any shift
     into it is built; in the other blocks the shifts are stored before the
@@ -106,27 +88,39 @@ def _tangent_batches(f, k, top=None):
     """
     if f.is_zero():
         raise ZeroPolynomial("tangent space of the zero polynomial")
-    top = max(f.degree, 0) if top is None else top
+    top = max(f.degree, 0)
     win, degrees = Window.P_upto(f.n, top, f.field), range(top + 1)
-    kept, gs = _module_rows(f, k, degrees)
+    gs = _module_rows(f, k, degrees)[1]
     batches = _contraction_batches(f, monomials(f.n, k - 1), degrees)
     shifts = _image_batches(gs, _shift_table(f.n, range(top), degrees))
     return win, batches + _row_batches(g for g in gs if len(g) == 1) + shifts + _row_batches(
-        g for g in gs if len(g) > 1), kept
+        g for g in gs if len(g) > 1)
 
 
 def tangent_space(f):
     """Canonical basis of S f + sum_i m (x_i f) inside P_{<= deg f}."""
-    return Basis._of_batches(*_tangent_batches(f, 1)[:2])
+    return Basis._of_batches(*_tangent_batches(f, 1))
 
 
 def unip_tangent_space(f):
     """Canonical basis of m f + sum_i m^2 (x_i f) inside P_{<= deg f}."""
-    return Basis._of_batches(*_tangent_batches(f, 2)[:2])
+    return Basis._of_batches(*_tangent_batches(f, 2))
 
 
-def _perp_direct(f, unipotent, max_degree, kept):
-    """Perp from the conditions on sigma -| f and its partial derivatives.
+def _perp_of(f, k, win, rows):
+    """The perp in ``win`` = S_{<= top} of the span of the contractions of
+    f by the degree-(k-1) monomials (``_contraction_rows``, filled from D f,
+    D = f._den) and of each row g of ``rows``, rows of m^k f restricted to
+    P_{<= top}, with its n shifts x_i g, x_i x^[u] = (u_i + 1) x^[u + e_i],
+    of g's part in degrees < top (``_shift_table``).
+
+    Given B, the canonical rows of m^k f, these are the tangent rows of
+    ``_tangent_batches`` restricted to P_{<= top}, in another order:
+    restriction is linear and commutes with the shifts (the restriction of
+    x_i g to degrees <= top is x_i times that of g to degrees <= top - 1).
+
+    Given the rows of m^k f at which a sweep adds a pivot, they are the
+    direct conditions on sigma -| f and its partial derivatives:
 
     Full:      sigma -| f = 0          and deg(sigma^(i) -| f) <= 0;
     unipotent: deg(sigma -| f) <= 0    and deg(sigma^(i) -| f) <= 1.
@@ -134,48 +128,32 @@ def _perp_direct(f, unipotent, max_degree, kept):
     The coefficient of x^[m] in sigma -| f is sum_t sigma_{t-m} f_t over the
     terms t >= m of f, and in sigma^(i) -| f it is
     sum_t (t_i - m_i + 1) sigma_{t-m+e_i} f_t.  Read as elements of P, the
-    base row of m is a^m -| f restricted to degrees <= max_degree, the
-    contraction row of ``_contraction_batches`` (filled from f's stored
-    numerators, the coefficients of D f, D = f._den), and the row of
-    sigma^(i) is its shift x_i (row), x_i x^[u] = (u_i + 1) x^[u + e_i],
-    of its part in degrees < max_degree (``_shift_table``).
+    base row of m is a^m -| f restricted to degrees <= top, and the row of
+    sigma^(i) is its shift x_i (row).  A base row with |m| >= k that is a
+    combination of earlier ones has shifts that are the same combination of
+    theirs, so it is dropped together with its n shifts.  The rows of
+    |m| = k - 1 have no shifts and are all kept: a row that their rows imply
+    would still need its own shifts.  Dropping equations can only make the
+    kernel larger, never smaller, so a wrong drop shows as a mismatch with
+    the tangent route in ``perp_tangent``, never as a wrong perp that passes.
 
-    The shift is linear and commutes with the restriction (the restriction
-    of x_i g to degrees <= N is x_i times that of g to degrees <= N - 1), so
-    a base row that is a combination of earlier base rows has shifts that
-    are the same combination of theirs.  The base rows with |m| >= k
-    (k = 1 full, 2 unipotent) go through one forward sweep, and one that
-    adds no pivot is dropped together with its n shifts.  The rows of
-    |m| = k - 1 have no shifts and are all kept, outside the sweep: a row
-    that their rows imply would still need its own shifts.  Dropping
-    equations can only make the kernel larger, never smaller, so a wrong
-    drop would show as a mismatch in ``_checked_perp``, never as a wrong
-    perp that passes.
-
-    The base rows with |m| >= k, restricted to degrees <= max_degree, are
-    the rows that the tangent's sweep of m^k f takes
-    (``apolarity._module_rows(f, k, range(max_degree + 1))``), so ``kept``,
-    the rows at which that sweep adds a pivot, are the ones that stay.
-    Restriction can add dependencies, so the drops depend on max_degree.
-
-    The equations are built column-reversed (column j of S_{<= max_degree}
-    keyed last - j), as lazy batches (``_image_batches``, each equation with
-    its exact range): the rows of |m| = k - 1, then each kept row followed
+    The equations are built column-reversed (column j of S_{<= top} keyed
+    last - j), as lazy batches (``_image_batches``, each equation with its
+    exact range): the contraction rows, then each row of ``rows`` followed
     by its n shifts.  So the kernel is read off one sweep of them
     (``linalg._reversed_kernel``) with no reversal pass, and an equation
     after its block is full is never built.
     """
-    n, p, k = f.n, f.field.p, 2 if unipotent else 1
-    win = Window.S_upto(n, max_degree, f.field)
-    base = [row for row in _contraction_rows(f, monomials(n, k - 1), range(max_degree + 1)) if row]
-    table = _reversed_maps(n, max_degree)
-    eqs = _image_batches(base, table[:1]) + _image_batches(kept, table)
+    n, p, top = f.n, f.field.p, max(win.degrees, default=-1)
+    base = [row for row in _contraction_rows(f, monomials(n, k - 1), range(top + 1)) if row]
+    table = _reversed_maps(n, top)
+    eqs = _image_batches(base, table[:1]) + _image_batches(rows, table)
     return Basis._of_canonical(win, _reversed_kernel(_sweep(eqs, p)[0], p, win.dim))
 
 
 @lru_cache(maxsize=32)
 def _reversed_maps(n, max_degree):
-    """The maps (keys, weights) of ``_perp_direct``'s equations over
+    """The maps (keys, weights) of ``_perp_of``'s equations over
     S_{<= max_degree} in n variables, column-reversed (column j at
     last - j): each row itself, then its n shifts (``_shift_table``)."""
     last = len(_window_table(n, range(max_degree + 1))[1]) - 1
@@ -184,25 +162,15 @@ def _reversed_maps(n, max_degree):
         for keys, weights in _shift_table(n, range(max_degree), range(max_degree + 1)))
 
 
-def _checked_perp(f, tang, unipotent, max_degree, kept):
-    """Perp of ``tang``, a basis in P_{<= max_degree}, in S_{<= max_degree},
-    cross-checked by _perp_direct."""
-    via_perp = tang.perp()
-    direct = _perp_direct(f, unipotent, max_degree, kept)
-    if via_perp != direct:
-        raise CrossCheckFailed(
-            "tangent-perp mismatch: %d vs %d dims" % (via_perp.dim, direct.dim)
-        )
-    return direct
-
-
 def perp_tangent(f, unipotent=False, max_degree=None):
     """Perp of the (unipotent) tangent space inside S_{<= max_degree}.
 
-    Computed both from the tangent basis and from the direct degree
-    conditions; raises CrossCheckFailed if the two disagree.  The tangent
-    basis is built on P_{<= max_degree} (``_tangent_batches``), whose one
-    sweep of the rows of m^k f serves both routes.
+    The window's size check comes first.  One sweep of the rows of m^k f
+    over P_{<= max_degree} (``apolarity._module_rows``) gives its canonical
+    rows B and the rows at which it adds a pivot.  The perp is read off
+    each (``_perp_of``): B with its shifts is the tangent route, the pivot
+    rows with theirs the direct route.  Raises CrossCheckFailed if the two
+    disagree; the direct perp is returned.
     """
     if f.is_zero():
         raise ZeroPolynomial("perp of the zero polynomial's tangent space")
@@ -210,8 +178,14 @@ def perp_tangent(f, unipotent=False, max_degree=None):
         max_degree = max(f.degree, 0)
     if max_degree < 0:
         raise IndexOutOfRange("perp degree bound must be >= 0, got %d" % max_degree)
-    win, batches, kept = _tangent_batches(f, 2 if unipotent else 1, max_degree)
-    return _checked_perp(f, Basis._of_batches(win, batches), unipotent, max_degree, kept)
+    win, k = Window.S_upto(f.n, max_degree, f.field), 2 if unipotent else 1
+    kept, canonical = _module_rows(f, k, range(max_degree + 1))
+    via_tangent, direct = _perp_of(f, k, win, canonical), _perp_of(f, k, win, kept)
+    if via_tangent != direct:
+        raise CrossCheckFailed(
+            "tangent-perp mismatch: %d vs %d dims" % (via_tangent.dim, direct.dim)
+        )
+    return direct
 
 
 def orbit_dimension(f):

@@ -219,6 +219,19 @@ def test_invariants_compare_unequal_to_what_is_not_a_sequence():
     assert H == hilbert_function(f) and sd == symmetric_decomposition(f)
 
 
+def test_equal_invariants_hash_equal():
+    # SymmetricDecomposition defined __eq__ without __hash__, so hash() raised
+    # TypeError while HilbertFunction hashed
+    f, g = P(2, {(3, 1): 1, (2, 0): 1}), P(2, {(3, 1): 2, (2, 0): 2})
+    other = P(2, {(4, 0): 1, (0, 2): 1})
+    for invariant in (hilbert_function, symmetric_decomposition):
+        a, b, c = invariant(f), invariant(g), invariant(other)
+        assert a == b and a is not b and hash(a) == hash(b) and a != c
+        assert a == tuple(a) and hash(a) == hash(tuple(a))  # equal to the tuple of its entries
+        table = {a: "f", c: "other"}
+        assert table[b] == "f" and table[invariant(other)] == "other" and len({a, b, c}) == 2
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
 def test_symdec_of_a_nonzero_constant(field):
     # at d = 0 the formula gives Delta_0 = (1) = H; it raised ZeroPolynomial

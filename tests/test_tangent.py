@@ -31,7 +31,7 @@ from apolar.errors import (
 )
 from apolar.linalg import Basis, _sparse, _store, _sweep
 from apolar.parsing import parse_poly
-from apolar.tangent import _checked_perp, _perp_direct, _tangent_batches
+from apolar.tangent import _perp_of, _tangent_batches
 
 from conftest import random_form, random_poly, with_fractions
 from test_linalg import _densified, _integer_row, _pivot_stream
@@ -214,24 +214,25 @@ def test_pruned_tangent_matches_generator_oracle(field, rng):
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
 @pytest.mark.parametrize("unipotent", [False, True])
-def test_cross_check_rejects_a_wrong_tangent_basis(field, unipotent):
-    # A tangent basis with one row dropped, or with one row changed at a
-    # non-pivot column right of its pivot (still RREF, so a different space
-    # of the same dimension), has a different perp than _perp_direct's.
+def test_cross_check_rejects_a_wrong_tangent_basis(monkeypatch, field, unipotent):
+    # The tangent route's rows B of m^k f with one row dropped, or with one
+    # row changed at a column that is no pivot of the tangent space (so no
+    # pivot of B), span another tangent space: the changed row lies outside
+    # the true one.  Its perp differs from the direct route's.
+    module_rows = tangent._module_rows
     for F in (F2, F3):
         f = P(3, {e: int(c) for e, c in F.terms.items()}, field)
+        kept, B = module_rows(f, 2 if unipotent else 1)
         tang = unip_tangent_space(f) if unipotent else tangent_space(f)
-        d = f.degree
-        kept = _module_rows(f, 2 if unipotent else 1)[0]
-        _checked_perp(f, tang, unipotent, d, kept)  # the true basis passes
-        rows = tang.rows
-        pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
-        free = next(c for c in range(pivots[0] + 1, tang.window.dim) if c not in pivots)
-        perturbed = [list(r) for r in rows]
-        perturbed[0][free] = field.add(perturbed[0][free], field.one())
-        for wrong in (rows[1:], perturbed):
+        assert perp_tangent(f, unipotent) == tang.perp()  # the true B passes
+        pivots = {next(iter(row)) for row in tang._rows}
+        free = next(c for c in range(next(iter(B[0])) + 1, tang.window.dim) if c not in pivots)
+        changed = dict(sorted({**B[0], free: B[0].get(free, 0) + 1}.items()))
+        for wrong in (B[1:], [changed] + B[1:]):
+            monkeypatch.setattr(tangent, "_module_rows", lambda *args: (kept, wrong))
             with pytest.raises(CrossCheckFailed):
-                _checked_perp(f, Basis(tang.window, wrong), unipotent, d, kept)
+                perp_tangent(f, unipotent)
+            monkeypatch.undo()
 
 
 # Differential oracle for the direct perp: every equation row of the defining
@@ -273,9 +274,15 @@ def _reference_perp_direct(f, unipotent, max_degree):
 
 
 def _kept(f, unipotent, max_degree):
-    """The rows of m^k f that ``_perp_direct`` keeps for ``max_degree``: the
-    pivot rows of the tangent's sweep of them over P_{<= max_degree}."""
+    """The rows of m^k f that the direct perp keeps for ``max_degree``: the
+    pivot rows of the sweep of them over P_{<= max_degree}."""
     return _module_rows(f, 2 if unipotent else 1, range(max_degree + 1))[0]
+
+
+def _direct(f, unipotent, max_degree):
+    """The direct route's perp: ``_perp_of`` the rows that ``_kept`` gives."""
+    win = Window.S_upto(f.n, max_degree, f.field)
+    return _perp_of(f, 2 if unipotent else 1, win, _kept(f, unipotent, max_degree))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)], ids=str)
@@ -292,14 +299,13 @@ def test_perp_direct_matches_unpruned_oracle(field, rng):
             for f in polys:
                 for unipotent in (False, True):
                     for max_degree in sorted({0, max(d - 1, 0), d, d + 1}):
-                        kept = _kept(f, unipotent, max_degree)
-                        assert _perp_direct(f, unipotent, max_degree, kept) == (
+                        assert _direct(f, unipotent, max_degree) == (
                             _reference_perp_direct(f, unipotent, max_degree)
                         )
 
 
 def _capture_equations(monkeypatch):
-    """Record the equations ``_perp_direct`` hands its kernel: the batches
+    """Record the equations ``_perp_of`` hands its kernel: the batches
     of its one ``_sweep`` in ``tangent``, each built in full (and then swept
     as built), as rows in the original column order of S_{<= max_degree}.
     Returns the list each call appends its rows to."""
@@ -329,7 +335,7 @@ def test_perp_direct_drops_implied_equations(monkeypatch, rng, n, d, unipotent):
     k = 2 if unipotent else 1
     module = _module_rows(f, k)
     captured = _capture_equations(monkeypatch)
-    got = _perp_direct(f, unipotent, d, module[0])
+    got = _perp_of(f, k, Window.S_upto(n, d, QQ), module[0])
     monkeypatch.undo()
     assert len(captured[0]) <= math.comb(n + k - 2, k - 1) + (n + 1) * module_sf(f, k).dim
     assert got == _reference_perp_direct(f, unipotent, d)
@@ -338,7 +344,7 @@ def test_perp_direct_drops_implied_equations(monkeypatch, rng, n, d, unipotent):
 # Differential oracle for the direct perp's equations: the dense loop that
 # came before the sparse rows, kept verbatim (its (t - m, f_t) lists built
 # from the divisors of f's terms), yields the same nonzero equation rows, in
-# the same order, as ``_perp_direct`` hands its kernel.
+# the same order, as the direct route hands its kernel.
 
 
 def _reference_dense_perp_eqs(f, unipotent, max_degree):
@@ -388,9 +394,8 @@ def test_perp_direct_keeps_the_equations_of_the_dense_loop(field, rng, monkeypat
             for f in polys:
                 for unipotent in (False, True):
                     for max_degree in sorted({0, max(d - 1, 0), d, d + 1}):
-                        kept = _kept(f, unipotent, max_degree)
                         captured.clear()
-                        _perp_direct(f, unipotent, max_degree, kept)
+                        _direct(f, unipotent, max_degree)
                         (eqs,) = captured
                         dim = Window.S_upto(n, max_degree, field).dim
                         got = [row for row in _densified(_unreversed(eqs, dim), dim) if any(row)]
@@ -531,15 +536,12 @@ def test_one_sweep_of_the_module_matches_the_separate_routes(field, rng):
                     assert _densified(module_sf(f, k)._rows, dim) == want
                     # the rows that add a pivot are a basis of m^k f
                     assert Basis._of_rows(mk.window, module[0]) == mk and len(module[0]) == mk.dim
-                    win, batches, kept = _tangent_batches(f, k)
-                    assert kept == module[0]
-                    built = _built(win, batches)
+                    built = _built(*_tangent_batches(f, k))
                     assert built == _lazy_order(*_eager_tangent_rows(f, k), f, k)
                     assert built == _lazy_order(*_reference_tangent_rows(f, k), f, k)
                     for max_degree in sorted({0, d - k - 1, d - k, d, d + 1} - {-1, -2}):
                         want = _reference_swept_perp_direct(f, k == 2, max_degree)
-                        kept = _tangent_batches(f, k, max_degree)[2]
-                        assert _perp_direct(f, k == 2, max_degree, kept) == want, (f, k, max_degree)
+                        assert _direct(f, k == 2, max_degree) == want, (f, k, max_degree)
 
 
 # The laziness of the row builders, on a dense ternary quartic (the one the
@@ -619,7 +621,7 @@ def test_sparse_forms_keep_their_one_column_blocks(monkeypatch):
         widths.append(hi + 1 - lo)
         return dense(row, lo, hi, p)
 
-    win, batches, _ = _tangent_batches(f, 1)
+    win, batches = _tangent_batches(f, 1)
     monkeypatch.setattr(linalg, "_dense", recording)
     monkeypatch.setattr(linalg, "_store", lambda *args: pytest.fail("a one-column row was stored"))
     blocks, taken = _sweep([b for b in batches if b[0] == b[1]], 0)
@@ -628,12 +630,10 @@ def test_sparse_forms_keep_their_one_column_blocks(monkeypatch):
     assert Basis._of_batches(win, _tangent_batches(f, 1)[1]) == _reference_tangent(f, False)
 
 
-# Differential oracles for the perp on the tangent's own window: the routes
-# that came before it.  ``Basis.perp(degrees=...)`` paired a basis with an S
-# window of other degrees through a column map, and ``perp_tangent`` swept
-# the rows of m^k f over P_{<= deg f} for the tangent rows, cut them to
-# P_{<= max_degree}, and swept them again, cut, for the direct perp's drops
-# when max_degree < deg f - k.
+# Differential oracles for the perp: the routes that came before it.
+# ``Basis.perp(degrees=...)`` paired the tangent basis on P_{<= deg f} with an
+# S window of other degrees through a column map; then ``perp_tangent``
+# formed the tangent basis on P_{<= max_degree} and took its ``Basis.perp()``.
 
 
 def _reference_perp_on(tang, degrees):
@@ -646,32 +646,50 @@ def _reference_perp_on(tang, degrees):
                                      for row in tang._rows])
 
 
-def _two_sweep_perp(f, unipotent, max_degree):
-    """``perp_tangent(f, unipotent, max_degree)`` by the two-sweep route, its
-    two results cross-checked."""
-    n, k, d = f.n, 2 if unipotent else 1, max(f.degree, 0)
-    top = min(max_degree, d)
-    win = Window.P_upto(n, top, f.field)
-    module = _module_rows(f, k)
-    gs = [cut for g in module[1] if (cut := {j: x for j, x in g.items() if j < win.dim})]
-    rows = _contraction_rows(f, monomials(n, k - 1), range(top + 1))
-    for g, shifts in zip(gs, _shifted_rows(gs, n, range(top), win)):
-        rows += [g] + shifts
-    via_perp = _reference_perp_on(Basis._of_rows(win, rows), range(max_degree + 1))
-    kept = module[0] if max_degree >= d - k else _kept(f, unipotent, max_degree)
-    assert via_perp == _perp_direct(f, unipotent, max_degree, kept)
-    return via_perp
+def _full_tangent_perp(f, unipotent, max_degree):
+    """(tangent basis on P_{<= deg f}, its perp in S_{<= max_degree}), the
+    perp through the column map, cross-checked by the direct route."""
+    tang = Basis._of_batches(*_tangent_batches(f, 2 if unipotent else 1))
+    assert tang.window == Window.P_upto(f.n, max(f.degree, 0), f.field)
+    perp = _reference_perp_on(tang, range(max_degree + 1))
+    assert perp == _direct(f, unipotent, max_degree)
+    return tang, perp
+
+
+def _tangent_basis_perp(f, unipotent, max_degree, tang=None):
+    """``perp_tangent(f, unipotent, max_degree)`` by the tangent basis on
+    P_{<= max_degree} and its ``Basis.perp()``.
+
+    The basis is the span of the contractions by the degree-(k-1)
+    monomials, the canonical rows B of m^k f and their shifts, all on
+    P_{<= max_degree}, B from the sweep of m^k f there.  It is checked to be
+    the restriction of ``tang``, the tangent basis on P_{<= deg f} (built
+    when not given): the restricted rows span the restriction of the full
+    span.
+    """
+    n, k = f.n, 2 if unipotent else 1
+    win = Window.P_upto(n, max_degree, f.field)
+    gs = _module_rows(f, k, range(max_degree + 1))[1]
+    rows = _contraction_rows(f, monomials(n, k - 1), range(max_degree + 1)) + gs
+    for shifts in _shifted_rows(gs, n, range(max_degree), win):
+        rows += shifts
+    basis = Basis._of_rows(win, rows)
+    tang = tang or Basis._of_batches(*_tangent_batches(f, k))
+    assert basis == Basis._of_rows(win, [{j: x for j, x in row.items() if j < win.dim}
+                                         for row in tang._rows]), (f, unipotent, max_degree)
+    return basis.perp()
 
 
 @pytest.mark.parametrize("unipotent", [False, True])
 def test_perp_tangent_builds_and_sweeps_the_module_rows_once(monkeypatch, rng, unipotent):
     # One perp_tangent call, whatever max_degree: one _module_rows call over
     # P_{<= max_degree}, whose rows x^e -| D f, |e| >= k, are built by one
-    # _contraction_batches call and go through one _sweep, which serves the
-    # tangent basis and the direct perp's drops.  Below deg f - k the
-    # two-sweep route called _module_rows twice.
+    # _contraction_batches call and go through one _sweep, and three sweeps
+    # in all: that one and one per route.  The route through the tangent
+    # basis swept four times: m^k f, the tangent rows, the basis
+    # column-reversed for its perp, and the direct route's equations.
     k = 2 if unipotent else 1
-    built, swept, calls = [], [], []
+    built, swept, calls, sweeps = [], [], [], []
     contraction_batches, sweep, module_rows = (apolarity._contraction_batches, linalg._sweep,
                                                tangent._module_rows)
 
@@ -684,6 +702,7 @@ def test_perp_tangent_builds_and_sweeps_the_module_rows_once(monkeypatch, rng, u
 
     def counting_sweep(batches, p):
         batches = list(batches)
+        sweeps.append(len(batches))
         ids = {id(rows) for made in built for _, _, rows in made}
         if any(id(rows) in ids for _, _, rows in batches):
             swept.append(len(batches))
@@ -696,27 +715,19 @@ def test_perp_tangent_builds_and_sweeps_the_module_rows_once(monkeypatch, rng, u
     monkeypatch.setattr(tangent, "_module_rows", lambda *args: calls.append(args) or
                         module_rows(*args))
     for f in (random_form(rng, 3, QQ, 5), random_poly(rng, 3, QQ, 5),
-              with_fractions(rng, random_poly(rng, 2, QQ, 6)), random_poly(rng, 4, GF(101), 4),
-              random_poly(rng, 3, GF(7), 5)):
+              with_fractions(rng, random_poly(rng, 2, QQ, 6)), random_poly(rng, 3, GF(2), 4),
+              random_poly(rng, 3, GF(3), 5), random_poly(rng, 3, GF(7), 5),
+              random_poly(rng, 4, GF(101), 4)):
         d = f.degree
         for max_degree in (*range(d + 3), None):
-            built.clear()
-            swept.clear()
-            calls.clear()
+            for made in (built, swept, calls, sweeps):
+                made.clear()
             got = perp_tangent(f, unipotent, max_degree)
-            assert (len(built), len(swept), len(calls)) == (1, 1, 1), (f, max_degree)
+            assert (len(built), len(swept), len(calls), len(sweeps)) == (1, 1, 1, 3), (
+                f, max_degree)
             m = d if max_degree is None else max_degree
-            assert calls[0][2:] == (range(m + 1),) and got == _two_sweep_perp(f, unipotent, m)
-
-
-def _full_tangent_perp(f, unipotent, max_degree):
-    """(tangent basis on P_{<= deg f}, its perp in S_{<= max_degree}), the
-    perp through the column map, cross-checked by the direct route."""
-    tang = Basis._of_batches(*_tangent_batches(f, 2 if unipotent else 1)[:2])
-    assert tang.window == Window.P_upto(f.n, max(f.degree, 0), f.field)
-    perp = _reference_perp_on(tang, range(max_degree + 1))
-    assert perp == _perp_direct(f, unipotent, max_degree, _kept(f, unipotent, max_degree))
-    return tang, perp
+            assert calls[0][2:] == (range(m + 1),)
+            assert got == _tangent_basis_perp(f, unipotent, m), (f, max_degree)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)], ids=str)
@@ -730,21 +741,16 @@ def test_restricted_perp_matches_the_full_tangent_route(field, rng):
                 polys.append(with_fractions(rng, polys[1]))
             for f in polys:
                 for unipotent in (False, True):
-                    k = 2 if unipotent else 1
                     for m in range(d + 3):
                         tang, want = _full_tangent_perp(f, unipotent, m)
                         assert perp_tangent(f, unipotent, m) == want, (f, unipotent, m)
-                        # the restricted tangent rows span the restriction of the full span
-                        win = Window.P_upto(n, m, field)
-                        cut = Basis._of_rows(win, [{j: x for j, x in row.items() if j < win.dim}
-                                                   for row in tang._rows])
-                        assert Basis._of_batches(*_tangent_batches(f, k, m)[:2]) == cut
+                        assert _tangent_basis_perp(f, unipotent, m, tang) == want, (f, unipotent, m)
 
 
 def test_restricted_perp_builds_no_row_above_its_bound(monkeypatch, rng):
-    # The tangent contractions are filled on degrees <= max_degree only, and
-    # every shift built, of the tangent or of the direct perp, lies in the
-    # window of degrees <= max_degree.
+    # Every contraction, of m^k f and by the degree-(k-1) monomials, is
+    # filled on degrees <= max_degree only, and every shift built, of either
+    # route, lies in the window of degrees <= max_degree.
     reached = {}
     contraction_batches, image = apolarity._contraction_batches, apolarity._image
 
@@ -757,7 +763,7 @@ def test_restricted_perp_builds_no_row_above_its_bound(monkeypatch, rng):
         reached["shifts"] = max(reached.get("shifts", -1), max(row, default=-1))
         return row
 
-    monkeypatch.setattr(tangent, "_contraction_batches", recording_batches)
+    monkeypatch.setattr(apolarity, "_contraction_batches", recording_batches)
     monkeypatch.setattr(apolarity, "_image", recording_image)
     for f in (random_form(rng, 3, QQ, 5), random_poly(rng, 3, GF(3), 5), parse_poly(Q4, 3, QQ)):
         d = f.degree
