@@ -9,7 +9,7 @@ block of width w = dim S_i with cap w: at the w-th stored row Ann(f)_i = 0,
 and no further row is built and nothing is back-substituted.  Only when the
 sweep ends short of w are its rows, as one block, reduced
 (``linalg._reduced_rows``) and the kernel read off them
-(``linalg._reversed_kernel``, the read-off of ``linalg._kernel``).  For
+(``linalg._reversed_kernel``, the read-off ``Basis.perp`` also uses).  For
 i > deg f every catalecticant row vanishes and Ann(f)_i = S_i, emitted as
 the unit rows {c: 1} with no elimination.
 
@@ -85,6 +85,7 @@ from .linalg import (
     _fill,
     _reduced_rows,
     _reversed_kernel,
+    _row_batches,
     _store,
     _sweep,
 )
@@ -620,7 +621,7 @@ def _square(gens, pieces, win):
     rows = []
     for e in range(1, i):
         rows += _products(n, gens[e], e, pieces[i - e]._rows, i - e, win)
-    return Basis._of_rows(win, rows)
+    return Basis._of_batches(win, _row_batches(rows))
 
 
 def ideal_square_graded(f, i):

@@ -44,9 +44,13 @@ steps, each handing the next the difference f' - F it formed, and
 derives its final polynomial and accumulated element from the steps and
 replays them on construction.
 
-The golden examples' expected facts live only in ``data/golden_*.json``;
-``golden_13331``, ``golden_char2`` and ``golden_facts`` compare against them
-in one place and raise GoldenMismatch naming every key that differs.
+The golden examples' expected facts live only in ``data/golden_*.json``,
+and each polynomial of the (1,3,3,3,1) classification is written once, as
+it prints, and parsed.  One table, ``_GOLDEN``, maps each golden name to the
+function that builds its facts; ``golden_facts`` and the CLI's ``golden``
+choices read it.  The facts are compared with the data file in one place
+(``_check_golden``), which raises GoldenMismatch naming every key that
+differs.
 """
 
 import json
@@ -75,9 +79,10 @@ from .apolarity import (
     module_sf,
     symmetric_decomposition,
 )
-from .dp import ClassicalPoly, DPPoly, Operator, contract, monomials, monomials_upto, omega_inv
+from .dp import DPPoly, Operator, contract, monomials, monomials_upto, omega_inv
 from .errors import (
     GoldenMismatch,
+    GuardError,
     HypothesisFailed,
     IndexOutOfRange,
     NotInTangent,
@@ -89,7 +94,7 @@ from .errors import (
 )
 from .fields import QQ, GF, char_guard
 from .linalg import Basis, Window, _echelon, _solve
-from .parsing import parse_poly, poly_str
+from .parsing import operator_str, parse_classical_poly, parse_poly, poly_str
 from .tangent import _tangent_batches, perp_tangent, tangent_space
 
 
@@ -360,6 +365,8 @@ def unip_orbit_membership(F, f, allow_inhomogeneous_target=False):
 def t_compressed_normal_form(f):
     """For t-compressed f (maximal t >= 1), remove all terms of degree
     <= t+1; returns (t, trace to f_{>= t+2})."""
+    if f.is_zero():
+        raise ZeroPolynomial("t-compressed normal form of the zero polynomial")
     d = f.degree
     if d < 3:
         raise NotTCompressed("degree %d < 3" % d)
@@ -434,39 +441,29 @@ def _graded_piece(basis, win_i):
 # Golden examples
 
 
-def _p(n, field, terms):
-    return DPPoly(n, field, {e: field.from_int(c) for e, c in terms.items()})
-
-
-def _merge(*dicts):
-    out = {}
-    for d in dicts:
-        for e, c in d.items():
-            out[e] = out.get(e, 0) + c
-    return out
-
-
-_F1 = {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}
-_F2 = {(3, 1, 0): 1, (0, 0, 4): 1}
-_F3 = {(3, 1, 0): 1, (2, 0, 2): 1}
-_XYZ = {(1, 1, 1): 1}
-_Y3 = {(0, 3, 0): 1}
-_Y2Z = {(0, 2, 1): 1}
-_YZ2 = {(0, 1, 2): 1}
-
-_NORMAL_FORMS_13331 = [
-    ("f_{1,1}", _merge(_F1, _XYZ)),
-    ("f_{1,0}", _F1),
-    ("f_{2,11}", _merge(_F2, _Y3, _Y2Z)),
-    ("f_{2,10}", _merge(_F2, _Y3)),
-    ("f_{2,01}", _merge(_F2, _Y2Z)),
-    ("f_{2,00}", _F2),
-    ("f_{3,101}", _merge(_F3, _Y3, _YZ2)),
-    ("f_{3,100}", _merge(_F3, _Y3)),
-    ("f_{3,010}", _merge(_F3, _Y2Z)),
-    ("f_{3,001}", _merge(_F3, _YZ2)),
-    ("f_{3,000}", _F3),
-]
+# The (1,3,3,3,1) classification, each polynomial written once as it
+# prints: the leading forms, the eleven normal forms (a leading form plus a
+# cubic tail) and the classical cubic tails y^3, y^2 z, y z^2 of the F_3
+# branch.
+_LEADING_FORMS_13331 = {
+    "F1": "x1^[4] + x2^[4] + x3^[4]",
+    "F2": "x1^[3]*x2 + x3^[4]",
+    "F3": "x1^[3]*x2 + x1^[2]*x3^[2]",
+}
+_NORMAL_FORMS_13331 = {
+    "f_{1,1}": "x1*x2*x3 + x1^[4] + x2^[4] + x3^[4]",
+    "f_{1,0}": "x1^[4] + x2^[4] + x3^[4]",
+    "f_{2,11}": "x2^[3] + x2^[2]*x3 + x1^[3]*x2 + x3^[4]",
+    "f_{2,10}": "x2^[3] + x1^[3]*x2 + x3^[4]",
+    "f_{2,01}": "x2^[2]*x3 + x1^[3]*x2 + x3^[4]",
+    "f_{2,00}": "x1^[3]*x2 + x3^[4]",
+    "f_{3,101}": "x2^[3] + x2*x3^[2] + x1^[3]*x2 + x1^[2]*x3^[2]",
+    "f_{3,100}": "x2^[3] + x1^[3]*x2 + x1^[2]*x3^[2]",
+    "f_{3,010}": "x2^[2]*x3 + x1^[3]*x2 + x1^[2]*x3^[2]",
+    "f_{3,001}": "x2*x3^[2] + x1^[3]*x2 + x1^[2]*x3^[2]",
+    "f_{3,000}": "x1^[3]*x2 + x1^[2]*x3^[2]",
+}
+_CLASSICAL_TAILS_13331 = ("x2^3", "x2^2*x3", "x2*x3^2")
 
 
 def stabilizer_matrix_13331(a, b):
@@ -482,7 +479,7 @@ def stabilizer_matrix_13331(a, b):
     """
     field = QQ
     a, b = field.from_fraction(a), field.from_fraction(b)
-    F3 = _p(3, field, _F3)
+    F3 = parse_poly(_LEADING_FORMS_13331["F3"], 3, field)
     M = [
         [field.one(), field.zero(), field.zero()],
         [field.neg(field.mul(a, a)), field.mul(b, b),
@@ -490,8 +487,8 @@ def stabilizer_matrix_13331(a, b):
         [a, field.zero(), b],
     ]
     # tails y^3, y^2 z, y z^2 in classical normalisation: x^a -> a! x^[a]
-    monos = [m for t in (_Y3, _Y2Z, _YZ2) for m in t]
-    tails = [omega_inv(ClassicalPoly(3, field, t)) for t in (_Y3, _Y2Z, _YZ2)]
+    tails = [omega_inv(parse_classical_poly(t, 3, field)) for t in _CLASSICAL_TAILS_13331]
+    monos = [m for t in tails for m in t.terms]
     quotient = _tangent_quotient(F3, 3)
     residues = [_residue(quotient, apply_linear_map(M, v)) for v in tails]
     if any(m not in monos for r in residues for m in r.terms):
@@ -509,27 +506,24 @@ def golden_13331():
     data/golden_13331.json.  Raises GoldenMismatch when they differ.
     """
     field = QQ
-    report = {"leading_forms": {}, "perp_unip": {}, "normal_forms": [],
-              "stabilizer_matrix_12": None}
-    for name, terms in [("F1", _F1), ("F2", _F2), ("F3", _F3)]:
-        F = _p(3, field, terms)
-        report["leading_forms"][name] = repr(F)
+    leading, perps = {}, {}
+    for name, text in _LEADING_FORMS_13331.items():
+        F = parse_poly(text, 3, field)
+        leading[name] = repr(F)
         basis = perp_tangent(F, unipotent=True, max_degree=3)
-        report["perp_unip"][name] = [v._term_str("a") for v in basis.vectors()]
-    for name, terms in _NORMAL_FORMS_13331:
-        f = _p(3, field, terms)
-        report["normal_forms"].append(
-            {"name": name, "poly": f._term_str("x"), "dim": tangent_space(f).dim}
-        )
-    mat = stabilizer_matrix_13331(1, 2)
-    report["stabilizer_matrix_12"] = [[str(c) for c in row] for row in mat]
-
-    report["facts"] = _check_golden("13331", {
-        "dims": [nf["dim"] for nf in report["normal_forms"]],
-        "perp_unip": report["perp_unip"],
-        "stabilizer_matrix_12": report["stabilizer_matrix_12"],
+        perps[name] = [operator_str(v) for v in basis.vectors()]
+    normal_forms = []
+    for name, text in _NORMAL_FORMS_13331.items():
+        f = parse_poly(text, 3, field)
+        normal_forms.append({"name": name, "poly": poly_str(f), "dim": tangent_space(f).dim})
+    matrix = [[str(c) for c in row] for row in stabilizer_matrix_13331(1, 2)]
+    facts = _check_golden("13331", {
+        "dims": [nf["dim"] for nf in normal_forms],
+        "perp_unip": perps,
+        "stabilizer_matrix_12": matrix,
     })
-    return report
+    return {"leading_forms": leading, "perp_unip": perps, "normal_forms": normal_forms,
+            "stabilizer_matrix_12": matrix, "facts": facts}
 
 
 def golden_1222111(f):
@@ -626,27 +620,18 @@ def golden_char2():
     checked against data/golden_char2.json (GoldenMismatch when they differ).
     """
     field = GF(2)
-    f = _p(2, field, {(1, 2): 1, (0, 3): 1})
+    f = parse_poly("x1*x2^[2] + x2^[3]", 2, field)
     H = hilbert_function(f)
     sigma = Operator(2, field, {(2, 0): 1}, 3)
-    report = {
-        "field": "GF(2)",
-        "f": f._term_str("x"),
-        "hilbert": H,
+    facts = _check_golden("char2", {
+        "f": poly_str(f),
+        "hilbert": list(H),
         "sigma_kills_f": contract(sigma, f).is_zero(),
         "sigma_in_perp": perp_tangent(f, unipotent=False, max_degree=3).contains(sigma),
         "tangent_dim": tangent_space(f).dim,
         "ambient_dim": Window.P_upto(2, 3, field).dim,
-    }
-    report["facts"] = _check_golden("char2", {
-        "f": report["f"],
-        "hilbert": list(H),
-        "sigma_kills_f": report["sigma_kills_f"],
-        "sigma_in_perp": report["sigma_in_perp"],
-        "tangent_dim": report["tangent_dim"],
-        "ambient_dim": report["ambient_dim"],
     })
-    return report
+    return {"field": "GF(2)", **facts, "hilbert": H, "facts": facts}
 
 
 def _load_golden(which):
@@ -670,17 +655,9 @@ def _check_golden(which, facts):
     return facts
 
 
-def golden_facts(which):
-    """The facts of golden example ``which`` ("13331", "1222111" or "char2")
-    in the layout of its data file, checked against that file.
-
-    The (1,2,2,2,1,1,1) example runs ``golden_1222111`` on the file's input.
-    Raises GoldenMismatch naming every key that differs.
-    """
-    if which == "13331":
-        return golden_13331()["facts"]
-    if which == "char2":
-        return golden_char2()["facts"]
+def _facts_1222111():
+    """The (1,2,2,2,1,1,1) facts: ``golden_1222111`` run on the data file's
+    input, checked against that file."""
     text = _load_golden("1222111")["input"]
     report = golden_1222111(parse_poly(text, 2, QQ))
     return _check_golden("1222111", {
@@ -689,3 +666,26 @@ def golden_facts(which):
         "normal_form": poly_str(report["normal_form"]),
         "deltas": [list(v) for v in report["deltas"]],
     })
+
+
+# The golden examples: each name, in the order the CLI lists them, and the
+# function that builds its facts in the layout of data/golden_<name>.json,
+# checked against that file.
+_GOLDEN = {
+    "13331": lambda: golden_13331()["facts"],
+    "1222111": _facts_1222111,
+    "char2": lambda: golden_char2()["facts"],
+}
+
+
+def golden_facts(which):
+    """The facts of golden example ``which``, a name of ``_GOLDEN``
+    ("13331", "1222111" or "char2"), in the layout of its data file.
+
+    Raises GuardError for an unknown name, GoldenMismatch naming every key
+    that differs from the data file.
+    """
+    if which not in _GOLDEN:
+        raise GuardError("unknown golden example %r, expected one of %s"
+                         % (which, ", ".join(_GOLDEN)))
+    return _GOLDEN[which]()

@@ -34,6 +34,7 @@ from .apolarity import (
     symmetric_decomposition,
 )
 from .classify import (
+    _GOLDEN,
     golden_facts,
     square_ideal_reduce,
     t_compressed_normal_form,
@@ -248,8 +249,7 @@ def _build_parser():
     p = command("cangrad-filter", _cmd_cangrad_filter, poly=False)
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)
-    command("golden", _cmd_golden, poly=False).add_argument(
-        "which", choices=["13331", "1222111", "char2"])
+    command("golden", _cmd_golden, poly=False).add_argument("which", choices=list(_GOLDEN))
     return parser
 
 

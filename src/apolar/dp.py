@@ -423,15 +423,6 @@ def pair(tau, f):
 class ClassicalPoly(_Sparse):
     """A polynomial with classical coefficients (monomial basis x^a)."""
 
-    def __mul__(self, other):
-        _check_pair(self, other)
-        out = {}
-        for a, ca in self._num.items():
-            for b, cb in other._num.items():
-                e = tuple(map(add, a, b))
-                out[e] = out.get(e, 0) + ca * cb
-        return self._make(self._den * other._den, out)
-
     def __repr__(self):
         return "<ClassicalPoly %s>" % self._term_str("x")
 

@@ -17,11 +17,15 @@ the window's one by one, so it reads the canonical rows as they are.
 Every integer row here is sparse: a dict {column: int} of the row's nonzero
 entries.  The row builders in ``apolarity``, ``tangent`` and ``classify``
 fill them from a polynomial's terms, so a row holds only the few terms it
-touches; the public entry points (``rref``, ``Basis(window, rows)``,
-``span``, ``contains_vector``) check their rows of field elements
-(``_check_matrix``: ``AmbientMismatch`` for a wrong width,
-``FieldMismatch`` for an entry that is no field element; it checks the
-matrix of ``actions.apply_linear_map`` too) and convert them once
+touches, and so do ``span`` and ``contains``/``contains_vector`` given a
+polynomial: they read its stored numerators by column
+(``Window._numerator_rows``, the mirror of ``Window._elements``;
+``AmbientMismatch`` for an element of another space, arity or field, or
+with a term outside the window).  Rows of field elements come in through
+``rref``, ``Basis(window, rows)`` and ``contains_vector`` given a list
+only; they are checked (``_check_matrix``: ``AmbientMismatch`` for a wrong
+width, ``FieldMismatch`` for an entry that is no field element; it checks
+the matrix of ``actions.apply_linear_map`` too) and converted once
 (``_sparse``; over Q a row with Fractions is scaled by the lcm of its
 denominators).
 
@@ -85,11 +89,12 @@ alike), emitted without back-substitution.  Its rows are what ``_echelon``
 returns, what a ``Basis`` stores and what its ``perp``, ``sum``,
 ``contains`` and ``==`` read, each row's keys in increasing column order,
 so its first entry is its pivot.  A kernel is read off the echelon form of
-the column-reversed rows (``_kernel``, through ``_reversed_kernel``), where
-the kernel vectors come out already in canonical form (see there), so
-nothing is eliminated twice; ``apolarity.ann_graded`` hands that read-off
-the block of its capped ``_fill``, and each route of the perp in
-``tangent`` the sweep of equations it builds column-reversed.
+the column-reversed rows (``_reversed_kernel``), where the kernel vectors
+come out already in canonical form (see there), so nothing is eliminated
+twice.  Each of its three callers sweeps its own column-reversed rows:
+``Basis.perp`` its canonical rows, ``apolarity.ann_graded`` the
+catalecticant rows of its capped ``_fill``, and each route of the perp in
+``tangent`` the equations it builds.
 
 ``_solve``, the solver of the reduction steps in ``classify``, forms no
 reduced row: after one forward sweep of [M | b] it back-substitutes the
@@ -352,15 +357,6 @@ def _decode(rows, field, ncols):
     return out
 
 
-def _kernel(rows, field, ncols):
-    """Canonical integer rows of {x : M x = 0}, M given by the sparse
-    integer ``rows`` over ``ncols`` columns: read off (``_reversed_kernel``)
-    one ``_sweep`` of the column-reversed rows (column j of a row goes to
-    last - j)."""
-    reversed_rows = ({ncols - 1 - j: x for j, x in row.items()} for row in rows)
-    return _reversed_kernel(_sweep(_row_batches(reversed_rows), field.p)[0], field.p, ncols)
-
-
 def _reversed_kernel(blocks, p, ncols):
     """Canonical sparse integer rows of the kernel of M, read off the
     ``blocks`` of one ``_sweep`` of M's column-reversed rows, over ``ncols``
@@ -575,20 +571,23 @@ class Window:
             self.field,
         )
 
-    def encode(self, vec):
-        """Coefficient row of a DPPoly/Operator living in this window."""
+    def _numerator_rows(self, vectors):
+        """The sparse integer rows of DPPolys/Operators of this window: each
+        element's stored numerators by column (the mirror of ``_elements``;
+        over Q a row is the element times its denominator, which keeps its
+        span).  AmbientMismatch for an element of the other space, arity or
+        field, or with a term outside the window."""
         expected = DPPoly if self.space == "P" else Operator
-        if not isinstance(vec, expected):
-            raise AmbientMismatch("expected %s element" % self.space)
-        if vec.n != self.n or vec.field != self.field:
-            raise AmbientMismatch("arity/field does not match window")
-        row = [self.field.zero()] * self.dim
-        for e, c in vec.terms.items():
-            i = self.index.get(e)
-            if i is None:
-                raise AmbientMismatch("term of degree %d outside window" % sum(e))
-            row[i] = c
-        return row
+        rows = []
+        for vec in vectors:
+            if not isinstance(vec, expected):
+                raise AmbientMismatch("expected %s element" % self.space)
+            if vec.n != self.n or vec.field != self.field:
+                raise AmbientMismatch("arity/field does not match window")
+            if outside := [e for e in vec._num if e not in self.index]:
+                raise AmbientMismatch("term of degree %d outside window" % sum(outside[0]))
+            rows.append({self.index[e]: x for e, x in vec._num.items()})
+        return rows
 
     def _elements(self, rows):
         """The elements of canonical integer rows (``_echelon``'s form), each
@@ -621,23 +620,11 @@ class Basis:
         self._rows, _ = _echelon(_sparse(rows), window.field)
 
     @classmethod
-    def _of_rows(cls, window, rows):
-        """The span of the sparse integer ``rows`` over the window's columns."""
-        return cls._of_batches(window, _row_batches(rows))
-
-    @classmethod
     def _of_batches(cls, window, batches):
         """The span of the rows of ``batches`` (``_sweep``'s batches) over
         the window's columns."""
         blocks = _sweep(batches, window.field.p)[0]
         return cls._of_canonical(window, [row for _, row in _reduced_rows(blocks, window.field.p)])
-
-    @classmethod
-    def _of_kernel(cls, window, eqs):
-        """{x in window : E x = 0} for the sparse integer equation rows
-        ``eqs``: the rows of ``_kernel`` are canonical already, so they are
-        not eliminated again."""
-        return cls._of_canonical(window, _kernel(eqs, window.field, window.dim))
 
     @classmethod
     def _of_canonical(cls, window, rows):
@@ -678,12 +665,13 @@ class Basis:
         return _rank(_row_batches(self._rows + rows), self.window.field.p) == len(self._rows)
 
     def contains_vector(self, vec):
-        """Membership of a DPPoly/Operator of the window, or of a row of
-        field elements, one per window column (else AmbientMismatch,
-        FieldMismatch)."""
-        row = vec if isinstance(vec, list) else self.window.encode(vec)
-        _check_matrix([row], self.window.field, self.window.dim)
-        return self._adds_no_pivot(_sparse([row]))
+        """Membership of a DPPoly/Operator of the window, read by its stored
+        numerators, or of a row of field elements, one per window column
+        (else AmbientMismatch, FieldMismatch)."""
+        if not isinstance(vec, list):
+            return self._adds_no_pivot(self.window._numerator_rows([vec]))
+        _check_matrix([vec], self.window.field, self.window.dim)
+        return self._adds_no_pivot(_sparse([vec]))
 
     def contains(self, other):
         if isinstance(other, Basis):
@@ -693,7 +681,7 @@ class Basis:
 
     def sum(self, other):
         self._require_same_window(other)
-        return Basis._of_rows(self.window, self._rows + other._rows)
+        return Basis._of_batches(self.window, _row_batches(self._rows + other._rows))
 
     def intersect(self, other):
         self._require_same_window(other)
@@ -704,9 +692,14 @@ class Basis:
         """Orthogonal complement in the dual window under <a^e, x^e> = 1
         (diagonal pairing): the window's columns pair with the dual's one
         by one, so the canonical rows are the kernel's equations as they
-        are."""
-        return Basis._of_kernel(self.window.dual(), self._rows)
+        are, read off (``_reversed_kernel``) one ``_sweep`` of those rows
+        column-reversed (column j at last - j)."""
+        p, last = self.window.field.p, self.window.dim - 1
+        eqs = _row_batches({last - j: x for j, x in row.items()} for row in self._rows)
+        return Basis._of_canonical(self.window.dual(), _reversed_kernel(_sweep(eqs, p)[0], p, last + 1))
 
 
 def span(vectors, window):
-    return Basis(window, [window.encode(v) for v in vectors])
+    """The span of DPPolys/Operators of ``window``, read by their stored
+    numerators (``Window._numerator_rows``)."""
+    return Basis._of_batches(window, _row_batches(window._numerator_rows(vectors)))

@@ -7,6 +7,13 @@ Divided-power variables are ``x1..xn`` with exponents written ``^[k]`` (or
 
     3*x1^[2]*x2 + x3
     a1^2*a2 - 1/2*a3
+
+A term's value is the product it denotes.  In divided-power input a
+variable that repeats multiplies as divided powers do, x^[a] * x^[b] =
+binom(a+b, a) x^[a+b] with the binomial taken over Z and then reduced into
+the field (``FieldSpec.binom``), as ``DPPoly.__mul__`` does: ``x1*x1`` is
+``2*x1^[2]``, which is 0 over F_2.  Classical polynomials and operators
+keep the classical product x^a * x^b = x^(a+b).
 """
 
 from fractions import Fraction
@@ -47,9 +54,10 @@ class _Scanner:
         return int(self.text[start:self.pos])
 
 
-def _parse_terms(text, n, field, letter):
-    """Parse into an exponent-dict; shared by all element kinds.  An arity
-    n < 1 is refused (ArityMismatch, as the element constructors do)
+def _parse_terms(text, n, field, letter, divided=False):
+    """Parse into an exponent-dict; shared by all element kinds, with the
+    divided-power product of a repeated variable when ``divided``.  An
+    arity n < 1 is refused (ArityMismatch, as the element constructors do)
     before the text is scanned, so the error does not depend on it."""
     if n < 1:
         raise ArityMismatch("need at least one variable, got %d" % n)
@@ -105,6 +113,8 @@ def _parse_terms(text, n, field, letter):
                             sc.error("expected ']'")
                     else:
                         exp = sc.integer()
+                if divided and exps[idx - 1]:
+                    coeff = field.mul(coeff, field.binom(exps[idx - 1] + exp, exp))
                 exps[idx - 1] += exp
                 saw_factor = True
             else:
@@ -120,7 +130,7 @@ def _parse_terms(text, n, field, letter):
 
 def parse_poly(text, n, field):
     """Parse a divided power polynomial in variables x1..xn."""
-    return DPPoly(n, field, _parse_terms(text, n, field, "x"))
+    return DPPoly(n, field, _parse_terms(text, n, field, "x", divided=True))
 
 
 def parse_classical_poly(text, n, field):

@@ -144,7 +144,7 @@ def _perp_of(f, k, win, rows):
     (``linalg._reversed_kernel``) with no reversal pass, and an equation
     after its block is full is never built.
     """
-    n, p, top = f.n, f.field.p, max(win.degrees, default=-1)
+    n, p, top = f.n, f.field.p, win.degrees[-1]
     base = [row for row in _contraction_rows(f, monomials(n, k - 1), range(top + 1)) if row]
     table = _reversed_maps(n, top)
     eqs = _image_batches(base, table[:1]) + _image_batches(rows, table)

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from apolar import GF, QQ, DPPoly, Operator, rref
+from apolar import GF, QQ, Basis, DPPoly, Operator, rref
 from apolar.dp import monomials_upto
+from apolar.errors import AmbientMismatch
+from apolar.linalg import _reversed_kernel, _row_batches, _sweep
 
 
 @pytest.fixture
@@ -47,6 +49,47 @@ def reference_solve(rows, rhs, field, ncols):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return x
+
+
+def reference_kernel(rows, field, ncols):
+    """Canonical integer rows of {x : M x = 0}, M given by the sparse integer
+    ``rows`` over ``ncols`` columns, read off (``_reversed_kernel``) one
+    ``_sweep`` of the column-reversed rows (column j of a row goes to
+    last - j): a kernel entry of its own, which ``Basis.perp`` inlines for
+    its canonical rows."""
+    reversed_rows = ({ncols - 1 - j: x for j, x in row.items()} for row in rows)
+    return _reversed_kernel(_sweep(_row_batches(reversed_rows), field.p)[0], field.p, ncols)
+
+
+def basis_of_kernel(win, eqs):
+    """{x in win : E x = 0} for the sparse integer equation rows ``eqs``: the
+    rows of ``reference_kernel`` are canonical already, taken as they are."""
+    return Basis._of_canonical(win, reference_kernel(eqs, win.field, win.dim))
+
+
+def basis_of_rows(win, rows):
+    """The span of the sparse integer ``rows`` over the columns of ``win``."""
+    return Basis._of_batches(win, _row_batches(rows))
+
+
+def reference_encode(win, vec):
+    """The dense coefficient row of a DPPoly/Operator of ``win``, one field
+    element per window column (AmbientMismatch for an element of another
+    space, arity or field, or with a term outside the window): the dense
+    route from a polynomial to a row, which ``_sparse`` then scales back to
+    the integers the polynomial stores."""
+    expected = DPPoly if win.space == "P" else Operator
+    if not isinstance(vec, expected):
+        raise AmbientMismatch("expected %s element" % win.space)
+    if vec.n != win.n or vec.field != win.field:
+        raise AmbientMismatch("arity/field does not match window")
+    row = [win.field.zero()] * win.dim
+    for e, c in vec.terms.items():
+        i = win.index.get(e)
+        if i is None:
+            raise AmbientMismatch("term of degree %d outside window" % sum(e))
+        row[i] = c
+    return row
 
 
 def random_poly(rng, n, field, dmax, density=0.5, force_top=True):

@@ -51,7 +51,14 @@ from apolar.linalg import (
 )
 from apolar.parsing import parse_poly
 
-from conftest import random_form, random_poly, with_fractions
+from conftest import (
+    basis_of_kernel,
+    basis_of_rows,
+    random_form,
+    random_poly,
+    reference_encode,
+    with_fractions,
+)
 from test_linalg import _densified, _pivot_stream, _reference_contains
 
 
@@ -586,7 +593,7 @@ def test_hilbert_function_builds_no_echelon_form(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Differential oracle: m^k -| f spanned by explicit contractions sigma -| f
-# (Fraction arithmetic through ``contract`` and ``Window.encode``).
+# (Fraction arithmetic through ``contract``, spanned by ``span``).
 
 
 def _reference_module_sf(f, k):
@@ -646,13 +653,14 @@ def test_ann_graded_rejects_a_negative_degree():
 
 # ---------------------------------------------------------------------------
 # Differential oracle for the early-exit sweep of ``ann_graded``: the kernel
-# of every catalecticant row, built at once and eliminated by ``_kernel``.
+# of every catalecticant row, built at once and eliminated by
+# ``reference_kernel`` (through ``basis_of_kernel``).
 
 
 def _reference_ann_graded(f, i):
     n, d = f.n, f.degree
     win = Window.S_graded(n, i, f.field)
-    return Basis._of_kernel(win, _contraction_rows(f, list(monomials_upto(n, d - i)), (i,)))
+    return basis_of_kernel(win, _contraction_rows(f, list(monomials_upto(n, d - i)), (i,)))
 
 
 def _vanishing_poly(rng, n, field, d):
@@ -736,7 +744,7 @@ def _reference_ann_generators(f, upto):
                 prods.append(Operator.variable(n, field, t, i) * sigma)
         current = span([p for p in prods if not p.is_zero()], win)
         for v in pieces[i].vectors():
-            if not _reference_contains(current, win.encode(v)):
+            if not _reference_contains(current, reference_encode(win, v)):
                 gens.append(v)
                 current = current.sum(span([v], win))
     return gens, pieces
@@ -880,7 +888,7 @@ def _reference_square(n, gens, pieces, i):
     rows = []
     for e in range(1, i):
         rows += _products(n, gens[e], e, pieces[i - e]._rows, i - e, win)
-    return Basis._of_rows(win, rows)
+    return basis_of_rows(win, rows)
 
 
 _LEAD_FIELDS = [QQ, GF(2), GF(3), GF(7), GF(101)]

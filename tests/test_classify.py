@@ -36,20 +36,21 @@ from apolar import (
     unip_tangent_space,
 )
 from apolar.classify import (
-    _F1,
-    _F2,
-    _F3,
+    _CLASSICAL_TAILS_13331,
+    _GOLDEN,
+    _LEADING_FORMS_13331,
     _NORMAL_FORMS_13331,
     _graded_piece,
-    _p,
     _solve_general_step,
     _solve_homogeneous_step,
+    golden_facts,
 )
-from apolar.cli import cli_dispatch
-from apolar.dp import monomials, monomials_upto
-from apolar.linalg import Basis, span
+from apolar.cli import _build_parser, cli_dispatch
+from apolar.dp import ClassicalPoly, monomials, monomials_upto, omega_inv
+from apolar.linalg import span
 from apolar.errors import (
     GoldenMismatch,
+    GuardError,
     HypothesisFailed,
     IndexOutOfRange,
     NotInTangent,
@@ -59,9 +60,17 @@ from apolar.errors import (
     WrongHilbertFunction,
     ZeroPolynomial,
 )
-from apolar.parsing import parse_poly
+from apolar.parsing import parse_classical_poly, parse_poly, poly_str
 
-from conftest import random_form, random_poly, random_unipotent, reference_solve, with_fractions
+from conftest import (
+    basis_of_rows,
+    random_form,
+    random_poly,
+    random_unipotent,
+    reference_encode,
+    reference_solve,
+    with_fractions,
+)
 
 
 def P(n, terms, field=QQ):
@@ -151,6 +160,14 @@ def test_t_compressed_normal_form_cubic():
     assert t == 1
     assert trace.final == f.tdf()
     assert apply_group_element(trace.accumulated, f) == trace.final
+
+
+def test_t_compressed_normal_form_of_zero_is_a_zero_polynomial_guard():
+    # it raised NotTCompressed("degree -1 < 3"), the zero polynomial's degree
+    for field in (QQ, GF(7)):
+        with pytest.raises(ZeroPolynomial):
+            t_compressed_normal_form(DPPoly.zero(2, field))
+    assert cli_dispatch(["reduce", "--method", "tcompressed", "0"]) == 2
 
 
 def test_t_compressed_rejects_low_degree_and_non_compressed():
@@ -290,15 +307,15 @@ def test_graded_pieces_are_the_canonical_rows_of_their_degree(field, rng):
                 win_i = Window.S_graded(n, i, field)
                 lo = perp.window.index[win_i.columns[0]]
                 hi = lo + win_i.dim
-                want = Basis._of_rows(win_i, [{c - lo: x for c, x in row.items() if lo <= c < hi}
-                                              for row in perp._rows])
+                want = basis_of_rows(win_i, [{c - lo: x for c, x in row.items() if lo <= c < hi}
+                                             for row in perp._rows])
                 assert _graded_piece(perp, win_i) == want, (F, i)
 
 
 def _reference_square_failure(F, t):
     """The first degree i in t..d-1 where the unipotent tangent perp of the
     form F differs from (Ann F)^2, or None.  The perp's homogeneous vectors
-    of each degree are decoded and re-spanned through ``Window.encode``."""
+    of each degree are decoded and re-spanned by ``span``."""
     d = F.degree
     perp = perp_tangent(F, unipotent=True, max_degree=d - 1).vectors()
     for i in range(t, d):
@@ -312,7 +329,7 @@ def _reference_square_failure(F, t):
 def test_square_ideal_reduce_matches_the_homogeneous_vector_route(field):
     # the leading forms of the golden examples (13331's F1, F2, F3 and
     # 1222111's x^[6]) and two binary forms, one of border rank two
-    forms = [_p(3, field, terms) for terms in (_F1, _F2, _F3)] + [
+    forms = [parse_poly(text, 3, field) for text in _LEADING_FORMS_13331.values()] + [
         P(2, terms, field) for terms in ({(6, 0): 1}, {(4, 1): 1}, {(5, 0): 1, (0, 5): 1})
     ]
     outcomes = set()
@@ -358,6 +375,66 @@ def test_golden_expectations_live_only_in_the_data_files(tmp_path, monkeypatch, 
     # the untouched examples still pass against their copies
     assert cli_dispatch(["golden", "char2"]) == 0
     assert golden_char2()["facts"]["tangent_dim"] == 7
+
+
+# The (1,3,3,3,1) forms as the fragment dicts they were merged from before
+# they were written as printed polynomials: an oracle for the parsed ones.
+_F1 = {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}
+_F2 = {(3, 1, 0): 1, (0, 0, 4): 1}
+_F3 = {(3, 1, 0): 1, (2, 0, 2): 1}
+_XYZ = {(1, 1, 1): 1}
+_Y3 = {(0, 3, 0): 1}
+_Y2Z = {(0, 2, 1): 1}
+_YZ2 = {(0, 1, 2): 1}
+
+
+def _merge(*dicts):
+    out = {}
+    for d in dicts:
+        for e, c in d.items():
+            out[e] = out.get(e, 0) + c
+    return out
+
+
+_DICT_NORMAL_FORMS_13331 = [
+    ("f_{1,1}", _merge(_F1, _XYZ)),
+    ("f_{1,0}", _F1),
+    ("f_{2,11}", _merge(_F2, _Y3, _Y2Z)),
+    ("f_{2,10}", _merge(_F2, _Y3)),
+    ("f_{2,01}", _merge(_F2, _Y2Z)),
+    ("f_{2,00}", _F2),
+    ("f_{3,101}", _merge(_F3, _Y3, _YZ2)),
+    ("f_{3,100}", _merge(_F3, _Y3)),
+    ("f_{3,010}", _merge(_F3, _Y2Z)),
+    ("f_{3,001}", _merge(_F3, _YZ2)),
+    ("f_{3,000}", _F3),
+]
+
+
+def test_printed_13331_forms_are_the_dict_built_ones():
+    def parsed(table):
+        return [(name, parse_poly(text, 3, QQ)) for name, text in table.items()]
+
+    leading = [("F1", P(3, _F1)), ("F2", P(3, _F2)), ("F3", P(3, _F3))]
+    assert parsed(_LEADING_FORMS_13331) == leading
+    assert parsed(_NORMAL_FORMS_13331) == [(name, P(3, t)) for name, t in _DICT_NORMAL_FORMS_13331]
+    # each is written as it prints
+    for name, f in parsed(_LEADING_FORMS_13331) + parsed(_NORMAL_FORMS_13331):
+        assert poly_str(f) == {**_LEADING_FORMS_13331, **_NORMAL_FORMS_13331}[name]
+    tails = [omega_inv(parse_classical_poly(t, 3, QQ)) for t in _CLASSICAL_TAILS_13331]
+    assert tails == [omega_inv(ClassicalPoly(3, QQ, {e: Q(c) for e, c in t.items()}))
+                     for t in (_Y3, _Y2Z, _YZ2)]
+
+
+def test_golden_facts_reads_one_table():
+    # an unknown name returned the (1,2,2,2,1,1,1) facts
+    for which in ("bogus", "", "13331 "):
+        with pytest.raises(GuardError, match="unknown golden example"):
+            golden_facts(which)
+    choices = next(a for a in _build_parser()._subparsers._group_actions[0].choices["golden"]
+                   ._actions if a.dest == "which").choices
+    assert list(choices) == list(_GOLDEN) == ["13331", "1222111", "char2"]
+    assert golden_facts("char2") == golden_char2()["facts"]
 
 
 def test_stabilizer_matrix_symbolic_form():
@@ -556,12 +633,12 @@ def test_tangent_residue_is_zero_exactly_when_a_step_clears_the_degree(field, rn
 
 
 def test_tangent_residue_of_13331_normal_forms_is_their_tail():
-    for name, terms in _NORMAL_FORMS_13331:
-        f = _p(3, QQ, terms)
+    for name, text in _NORMAL_FORMS_13331.items():
+        f = parse_poly(text, 3, QQ)
         step, residue = tangent_residue(f, 3)
         assert step is None and residue == f.homogeneous_part(3), name
     with pytest.raises(IndexOutOfRange):
-        tangent_residue(_p(3, QQ, _F3), 4)
+        tangent_residue(parse_poly(_LEADING_FORMS_13331["F3"], 3, QQ), 4)
 
 
 def test_reduce_toward_composes_each_step_once(monkeypatch, rng):
@@ -632,14 +709,14 @@ def _reference_homogeneous_step(G, F):
         xi = DPPoly.variable(n, field, i + 1)
         for exps in monomials(n, d - e + 1):
             v = xi * contract(Operator.monomial(n, field, exps, trunc), T)
-            cols.append(win.encode(v))
+            cols.append(reference_encode(win, v))
             labels.append((i, exps))
     for exps in monomials(n, d - e):
         v = contract(Operator.monomial(n, field, exps, trunc), T)
-        cols.append(win.encode(v))
+        cols.append(reference_encode(win, v))
         labels.append((-1, exps))
     rows = [[c[r] for c in cols] for r in range(win.dim)]
-    sol = reference_solve(rows, win.encode(G), field, len(cols))
+    sol = reference_solve(rows, reference_encode(win, G), field, len(cols))
     if sol is None:
         return None
     d_terms = [{} for _ in range(n)]
@@ -673,16 +750,16 @@ def _reference_general_step(G, F):
             if sum(exps) < 2:
                 continue
             v = xi * contract(Operator.monomial(n, field, exps, trunc), F)
-            cols.append(win.encode(v))
+            cols.append(reference_encode(win, v))
             labels.append((i, exps))
     for exps in monomials_upto(n, d):
         if sum(exps) < 1:
             continue
         v = contract(Operator.monomial(n, field, exps, trunc), F)
-        cols.append(win.encode(v))
+        cols.append(reference_encode(win, v))
         labels.append((-1, exps))
     rows = [[c[r] for c in cols] for r in range(win.dim)]
-    sol = reference_solve(rows, win.encode(G), field, len(cols))
+    sol = reference_solve(rows, reference_encode(win, G), field, len(cols))
     if sol is None:
         return None
     d_terms = [{} for _ in range(n)]

@@ -32,7 +32,6 @@ from apolar.linalg import (
     _dense,
     _echelon,
     _fill,
-    _kernel,
     _reduced_rows,
     _row_batches,
     _solve,
@@ -40,7 +39,16 @@ from apolar.linalg import (
     _store,
     _sweep,
 )
-from conftest import random_poly, reference_solve, with_fractions
+from conftest import (
+    basis_of_kernel,
+    basis_of_rows,
+    random_operator,
+    random_poly,
+    reference_encode,
+    reference_kernel,
+    reference_solve,
+    with_fractions,
+)
 
 
 def test_rref_rationals():
@@ -59,8 +67,8 @@ def test_rref_prime_field():
 
 def _nullspace(rows, field, ncols):
     """The kernel of M, rows of ``ncols`` field elements, as reduced rows of
-    field elements: ``_kernel`` of the integer rows, decoded."""
-    return _decode(_kernel(_sparse(rows), field, ncols), field, ncols)
+    field elements: ``reference_kernel`` of the integer rows, decoded."""
+    return _decode(reference_kernel(_sparse(rows), field, ncols), field, ncols)
 
 
 def _decoded_solve(rows, rhs, field, ncols):
@@ -109,8 +117,8 @@ def test_window_columns_graded_lex():
 
 def _decode_row(win, row):
     """The element of ``win`` with coefficient row ``row`` (one field element
-    per window column): the inverse of ``Window.encode``, operators truncated
-    at the window's top degree."""
+    per window column): the inverse of ``reference_encode``, operators
+    truncated at the window's top degree."""
     terms = {e: c for e, c in zip(win.columns, row) if not win.field.is_zero(c)}
     if win.space == "P":
         return DPPoly(win.n, win.field, terms)
@@ -118,22 +126,57 @@ def _decode_row(win, row):
 
 
 def test_encode_decode_round_trip():
+    # the dense row of an element decodes back to it, and ``_sparse`` scales
+    # it back to the numerators the element stores, the rows span reads
     win = Window.P_upto(2, 3, QQ)
-    f = DPPoly(2, QQ, {(2, 1): Q(3), (1, 0): Q(-1)})
-    assert _decode_row(win, win.encode(f)) == f
+    f = DPPoly(2, QQ, {(2, 1): Q(3, 4), (1, 0): Q(-1, 6)})
+    assert _decode_row(win, reference_encode(win, f)) == f
+    assert _sparse([reference_encode(win, f)]) == win._numerator_rows([f]) == [{1: -2, 7: 9}]
     swin = Window.S_upto(2, 3, QQ)
     s = Operator(2, QQ, {(2, 1): Q(3)}, 3)
-    assert _decode_row(swin, swin.encode(s)) == s
+    assert _decode_row(swin, reference_encode(swin, s)) == s
+    assert _sparse([reference_encode(swin, s)]) == swin._numerator_rows([s]) == [{7: 3}]
 
 
 def test_encode_rejects_wrong_ambient():
+    # the dense route and every entry that reads an element's numerators
     win = Window.P_graded(2, 2, QQ)
-    with pytest.raises(AmbientMismatch):
-        win.encode(DPPoly(2, QQ, {(1, 0): Q(1)}))  # degree 1 not in window
-    with pytest.raises(AmbientMismatch):
-        win.encode(Operator(2, QQ, {(2, 0): Q(1)}, 2))  # S element in P window
-    with pytest.raises(AmbientMismatch):
-        win.encode(DPPoly(3, QQ, {(2, 0, 0): Q(1)}))
+    basis = Basis(win, [])
+    for vec in (
+        DPPoly(2, QQ, {(1, 0): Q(1)}),  # degree 1 not in window
+        Operator(2, QQ, {(2, 0): Q(1)}, 2),  # S element in P window
+        DPPoly(3, QQ, {(2, 0, 0): Q(1)}),  # arity
+        DPPoly(2, GF(5), {(2, 0): 1}),  # field
+    ):
+        for route in (lambda v: reference_encode(win, v), lambda v: win._numerator_rows([v]),
+                      lambda v: span([v], win), basis.contains, basis.contains_vector):
+            with pytest.raises(AmbientMismatch):
+                route(vec)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_span_and_contains_read_the_rows_of_the_dense_route(field, rng):
+    # oracle: each element made a dense row of field elements
+    # (``reference_encode``) and scaled back to integers by ``_sparse``
+    for _ in range(30):
+        n, d = rng.randint(1, 3), rng.randint(0, 3)
+        for win in (Window.P_upto(n, d, field), Window.S_upto(n, d, field)):
+            if win.space == "P":
+                vecs = [random_poly(rng, n, field, d) for _ in range(rng.randint(1, 4))]
+            else:
+                vecs = [random_operator(rng, n, field, d) for _ in range(rng.randint(1, 4))]
+            if field.is_rationals:
+                vecs = [with_fractions(rng, v) for v in vecs]
+            dense = [reference_encode(win, v) for v in vecs]
+            assert win._numerator_rows(vecs) == _sparse(dense)
+            basis = span(vecs, win)
+            assert basis == Basis(win, dense) and basis._rows == _echelon(_sparse(dense), field)[0]
+            probes = vecs + [vecs[0] + vecs[-1], vecs[0].scale(field.from_int(3))]
+            probes.append(random_poly(rng, n, field, d) if win.space == "P"
+                          else random_operator(rng, n, field, d))
+            for v in probes:
+                want = Basis(win, dense).contains_vector(reference_encode(win, v))
+                assert basis.contains(v) == basis.contains_vector(v) == want, (vecs, v)
 
 
 def test_basis_canonical_equality():
@@ -177,7 +220,7 @@ def test_prime_field_subspaces():
 
 def _densified(rows, ncols):
     """The dense lists of sparse rows over ``ncols`` columns: every test
-    compares the sparse rows of ``_echelon``, ``_kernel``, ``Basis._rows``
+    compares the sparse rows of ``_echelon``, ``reference_kernel``, ``Basis._rows``
     and the row builders to lists through this."""
     out = []
     for row in rows:
@@ -677,7 +720,8 @@ def test_fill_takes_no_row_past_its_cap_and_one_column_rows_are_not_swept(field,
 # Differential oracle for the sparse intake: the dense elimination that
 # came before it, kept verbatim -- every row made a full-width integer row
 # (``_integer_row``) and placed by scanning it for its first and last nonzero
-# entry -- against ``_echelon``, ``_kernel`` and the leads of ``_sweep`` (read
+# entry -- against ``_echelon``, ``Basis.perp``, ``reference_kernel`` and the
+# leads of ``_sweep`` (read
 # per batch by ``_pivot_stream``) on the same rows as {column: int} dicts.
 
 
@@ -812,8 +856,10 @@ def test_sparse_intake_matches_the_dense_path(field, rng):
         dense = _densified(rows, ncols)
         red, pivots = _echelon(rows, field)
         assert (_densified(red, ncols), pivots) == _reference_dense_echelon(dense, field), rows
-        kernel = _densified(_kernel(rows, field, ncols), ncols)
+        kernel = _densified(reference_kernel(rows, field, ncols), ncols)
         assert kernel == _reference_dense_kernel(dense, field, ncols), rows
+        perp = Basis._of_canonical(Window.P_upto(1, ncols - 1, field), red).perp()
+        assert _densified(perp._rows, ncols) == kernel, rows
         batches = _cut(rng, rows)
         got = list(_pivot_stream(batches, field))
         want = list(_reference_dense_pivot_stream([_densified(b, ncols) for b in batches], field))
@@ -1168,7 +1214,7 @@ def _integer_form_cases(rng, field):
             degree = max(win.degrees)
             polys = [random_poly(rng, 2, field, degree) for _ in range(rng.randint(1, 4))]
             polys += [with_fractions(rng, f) for f in polys]
-            yield win, [win.encode(f) for f in polys]
+            yield win, [reference_encode(win, f) for f in polys]
 
 
 def _same_space_rows(rng, field, rows):
@@ -1185,22 +1231,23 @@ def _same_space_rows(rng, field, rows):
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
 def test_basis_keeps_the_canonical_integer_form(field, rng):
-    # every route that builds a Basis: the constructor, span, _of_rows, sum,
-    # perp and _of_kernel, module_sf and ann_graded
+    # every route that builds a Basis: the constructor, span, _of_batches
+    # (through basis_of_rows), sum, perp and _of_canonical of the canonical
+    # kernel rows (through basis_of_kernel), module_sf and ann_graded
     for win, rows in _integer_form_cases(rng, field):
         basis = Basis(win, rows)
         _assert_canonical_route(basis, rows)
         assert _typed((basis.rows, None)) == _typed((_reference_rref(rows, field, win.dim)[0], None))
         _assert_canonical_route(span([_decode_row(win, r) for r in rows], win), rows)
-        _assert_canonical_route(Basis._of_rows(win, _sparse(rows)), rows)
+        _assert_canonical_route(basis_of_rows(win, _sparse(rows)), rows)
         half = len(rows) // 2
         _assert_canonical_route(Basis(win, rows[:half]).sum(Basis(win, rows[half:])), rows)
         kernel = _reference_nullspace(rows, field, win.dim)
         perp = basis.perp()
         _assert_canonical_route(perp, kernel)
-        _assert_canonical_route(Basis._of_kernel(win, _sparse(rows)), kernel)
+        _assert_canonical_route(basis_of_kernel(win, _sparse(rows)), kernel)
         assert perp.dim == win.dim - basis.dim
-        _assert_canonical_integer_rows(_kernel(_sparse(rows), field, win.dim), field)
+        _assert_canonical_integer_rows(reference_kernel(_sparse(rows), field, win.dim), field)
     for _ in range(12):
         n, d = rng.randint(1, 3), rng.randint(0, 4)
         f = random_poly(rng, n, field, d)

@@ -82,6 +82,40 @@ def test_parse_classical():
     assert g.terms == {(4,): QQ.from_int(1)}
 
 
+def _product_of_factors(term, n, field):
+    """The product, by ``DPPoly.__mul__``, of the parsed factors of the
+    one-term text ``term``."""
+    out = DPPoly.monomial(n, field, (0,) * n)
+    for factor in term.split("*"):
+        out = out * parse_poly(factor, n, field)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=repr)
+def test_a_repeated_variable_multiplies_as_divided_powers(field, rng):
+    # the parser added exponents: x1*x1 gave x1^[2], not 2*x1^[2], and
+    # x1^[2]*x1^[3] gave x1^[5], not 10*x1^[5] (0 over F_2 and F_5)
+    terms = ["x1*x1", "x1^[2]*x1^[3]", "x1^[4]*x1", "-3*x1*x2*x1^[2]*x2^[4]",
+             "x2^2*x1*x2^[0]*x2", "1/3*x1^[3]*x2*x1^[2]*x1"]
+    for _ in range(30):
+        factors = ["x%d^[%d]" % (rng.randint(1, 2), rng.randint(0, 4)) for _ in range(rng.randint(2, 4))]
+        terms.append("*".join([str(rng.randint(-4, 4))] + factors))
+    for term in terms:
+        assert parse_poly(term, 2, field) == _product_of_factors(term, 2, field), term
+    assert parse_poly("x1*x1", 2, QQ) == parse_poly("2*x1^[2]", 2, QQ)
+    assert parse_poly("x1^[2]*x1^[3]", 1, QQ) == parse_poly("10*x1^[5]", 1, QQ)
+    assert parse_poly("x1*x1", 2, GF(2)).is_zero() and parse_poly("x1^[4]*x1", 1, GF(5)).is_zero()
+    # terms add after each is multiplied out
+    whole = parse_poly(" + ".join(terms[:4] + ["x1^[2]"]).replace("+ -", "- "), 2, field)
+    want = parse_poly("x1^[2]", 2, field)
+    for term in terms[:4]:
+        want = want + _product_of_factors(term, 2, field)
+    assert whole == want
+    # classical polynomials and operators keep the classical product
+    assert parse_classical_poly("x1*x1^[2]*x2", 2, field) == parse_classical_poly("x1^3*x2", 2, field)
+    assert parse_operator("a1*a1^[2]", 2, field, 4) == parse_operator("a1^3", 2, field, 4)
+
+
 def test_cli_hilbert(capsys):
     assert cli_dispatch(["hilbert", "--vars", "2", "x1^[3]*x2"]) == 0
     assert "[1, 2, 2, 2, 1]" in capsys.readouterr().out
@@ -218,6 +252,8 @@ BOUNDARY_STDERR = {
     ("reduce", "--method", "square", "--t", "0", "--vars", "1", "0"):
         "ZeroPolynomial: square-ideal reduction of the zero polynomial",
     ("ann", "--vars", "2", "0"): "ZeroPolynomial: annihilator of the zero polynomial",
+    ("reduce", "--method", "tcompressed", "0"):
+        "ZeroPolynomial: t-compressed normal form of the zero polynomial",
     # the arity is refused before the text is scanned, whatever the text
     ("hilbert", "--vars", "0", "1"): "ArityMismatch: need at least one variable, got 0",
     ("hilbert", "--vars", "0", "x1"): "ArityMismatch: need at least one variable, got 0",
@@ -239,6 +275,7 @@ BOUNDARY_STDERR = {
     (["reduce", "--method", "square", "--t", "-1", "x1^[3]+x1"], 2),
     (["reduce", "--method", "square", "--t", "0", "--vars", "1", "0"], 2),
     (["ann", "--vars", "2", "0"], 2),
+    (["reduce", "--method", "tcompressed", "0"], 2),
     (["hilbert", "--vars", "0", "x1"], 2),
 ])
 def test_cli_boundary_inputs_exit_cleanly(capsys, argv, code):

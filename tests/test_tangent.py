@@ -33,7 +33,13 @@ from apolar.linalg import Basis, _sparse, _store, _sweep
 from apolar.parsing import parse_poly
 from apolar.tangent import _perp_of, _tangent_batches
 
-from conftest import random_form, random_poly, with_fractions
+from conftest import (
+    basis_of_kernel,
+    basis_of_rows,
+    random_form,
+    random_poly,
+    with_fractions,
+)
 from test_linalg import _densified, _integer_row, _pivot_stream
 
 
@@ -270,7 +276,7 @@ def _reference_perp_direct(f, unipotent, max_degree):
                     if j is not None:
                         row[j] = (e[i] + 1) * c
                 eqs.append(row)
-    return Basis._of_kernel(win, _sparse(eqs))
+    return basis_of_kernel(win, _sparse(eqs))
 
 
 def _kept(f, unipotent, max_degree):
@@ -484,7 +490,7 @@ def _built(win, batches):
 def _reference_module_sf(f, k):
     d = max(f.degree, 0)
     exps = [e for e in monomials_upto(f.n, d) if sum(e) >= k]
-    return Basis._of_rows(Window.P_upto(f.n, d, f.field), _contraction_rows(f, exps, range(d + 1)))
+    return basis_of_rows(Window.P_upto(f.n, d, f.field), _contraction_rows(f, exps, range(d + 1)))
 
 
 def _reference_tangent_rows(f, k):
@@ -513,7 +519,7 @@ def _reference_swept_perp_direct(f, unipotent, max_degree):
     for row, shifts in zip(kept, _shifted_rows(kept, n, range(max_degree), win)):
         eqs.append(row)
         eqs += shifts
-    return Basis._of_kernel(win, eqs)
+    return basis_of_kernel(win, eqs)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
@@ -535,11 +541,11 @@ def test_one_sweep_of_the_module_matches_the_separate_routes(field, rng):
                     assert _densified(module[1], dim) == want
                     assert _densified(module_sf(f, k)._rows, dim) == want
                     # the rows that add a pivot are a basis of m^k f
-                    assert Basis._of_rows(mk.window, module[0]) == mk and len(module[0]) == mk.dim
+                    assert basis_of_rows(mk.window, module[0]) == mk and len(module[0]) == mk.dim
                     built = _built(*_tangent_batches(f, k))
                     assert built == _lazy_order(*_eager_tangent_rows(f, k), f, k)
                     assert built == _lazy_order(*_reference_tangent_rows(f, k), f, k)
-                    for max_degree in sorted({0, d - k - 1, d - k, d, d + 1} - {-1, -2}):
+                    for max_degree in sorted(b for b in {0, d - k - 1, d - k, d, d + 1} if b >= 0):
                         want = _reference_swept_perp_direct(f, k == 2, max_degree)
                         assert _direct(f, k == 2, max_degree) == want, (f, k, max_degree)
 
@@ -642,8 +648,8 @@ def _reference_perp_on(tang, degrees):
     win = tang.window
     target = Window("S", win.n, degrees, win.field)
     col = {win.index[e]: j for j, e in enumerate(target.columns) if e in win.index}
-    return Basis._of_kernel(target, [{col[i]: x for i, x in row.items() if i in col}
-                                     for row in tang._rows])
+    return basis_of_kernel(target, [{col[i]: x for i, x in row.items() if i in col}
+                                    for row in tang._rows])
 
 
 def _full_tangent_perp(f, unipotent, max_degree):
@@ -673,10 +679,10 @@ def _tangent_basis_perp(f, unipotent, max_degree, tang=None):
     rows = _contraction_rows(f, monomials(n, k - 1), range(max_degree + 1)) + gs
     for shifts in _shifted_rows(gs, n, range(max_degree), win):
         rows += shifts
-    basis = Basis._of_rows(win, rows)
+    basis = basis_of_rows(win, rows)
     tang = tang or Basis._of_batches(*_tangent_batches(f, k))
-    assert basis == Basis._of_rows(win, [{j: x for j, x in row.items() if j < win.dim}
-                                         for row in tang._rows]), (f, unipotent, max_degree)
+    assert basis == basis_of_rows(win, [{j: x for j, x in row.items() if j < win.dim}
+                                        for row in tang._rows]), (f, unipotent, max_degree)
     return basis.perp()
 
 
