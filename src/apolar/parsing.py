@@ -12,14 +12,17 @@ A term's value is the product it denotes.  In divided-power input a
 variable that repeats multiplies as divided powers do, x^[a] * x^[b] =
 binom(a+b, a) x^[a+b] with the binomial taken over Z and then reduced into
 the field (``FieldSpec.binom``), as ``DPPoly.__mul__`` does: ``x1*x1`` is
-``2*x1^[2]``, which is 0 over F_2.  Classical polynomials and operators
-keep the classical product x^a * x^b = x^(a+b).
+``2*x1^[2]``, which is 0 over F_2.  A repeated variable whose term would
+pass every window's column budget raises WindowTooLarge before the binomial
+is computed.  Classical polynomials and operators keep the classical product
+x^a * x^b = x^(a+b).
 """
 
 from fractions import Fraction
 
 from .dp import ClassicalPoly, DPPoly, Operator
 from .errors import ArityMismatch, PolySyntaxError
+from .linalg import _check_window_size
 
 
 class _Scanner:
@@ -114,6 +117,9 @@ def _parse_terms(text, n, field, letter, divided=False):
                     else:
                         exp = sc.integer()
                 if divided and exps[idx - 1]:
+                    # binom(a+b, a) has about a+b bits: a term of a degree
+                    # no window holds is refused before it is computed
+                    _check_window_size(n, range(sum(exps) + exp + 1))
                     coeff = field.mul(coeff, field.binom(exps[idx - 1] + exp, exp))
                 exps[idx - 1] += exp
                 saw_factor = True

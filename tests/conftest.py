@@ -67,11 +67,6 @@ def basis_of_kernel(win, eqs):
     return Basis._of_canonical(win, reference_kernel(eqs, win.field, win.dim))
 
 
-def basis_of_rows(win, rows):
-    """The span of the sparse integer ``rows`` over the columns of ``win``."""
-    return Basis._of_batches(win, _row_batches(rows))
-
-
 def reference_encode(win, vec):
     """The dense coefficient row of a DPPoly/Operator of ``win``, one field
     element per window column (AmbientMismatch for an element of another

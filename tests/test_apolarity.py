@@ -46,6 +46,7 @@ from apolar.linalg import (
     _echelon,
     _fill,
     _reduced_rows,
+    _row_batches,
     _sparse,
     _store,
 )
@@ -53,7 +54,6 @@ from apolar.parsing import parse_poly
 
 from conftest import (
     basis_of_kernel,
-    basis_of_rows,
     random_form,
     random_poly,
     reference_encode,
@@ -888,7 +888,7 @@ def _reference_square(n, gens, pieces, i):
     rows = []
     for e in range(1, i):
         rows += _products(n, gens[e], e, pieces[i - e]._rows, i - e, win)
-    return basis_of_rows(win, rows)
+    return Basis._of_batches(win, _row_batches(rows))
 
 
 _LEAD_FIELDS = [QQ, GF(2), GF(3), GF(7), GF(101)]

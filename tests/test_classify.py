@@ -47,7 +47,7 @@ from apolar.classify import (
 )
 from apolar.cli import _build_parser, cli_dispatch
 from apolar.dp import ClassicalPoly, monomials, monomials_upto, omega_inv
-from apolar.linalg import span
+from apolar.linalg import Basis, _row_batches, span
 from apolar.errors import (
     GoldenMismatch,
     GuardError,
@@ -63,7 +63,6 @@ from apolar.errors import (
 from apolar.parsing import parse_classical_poly, parse_poly, poly_str
 
 from conftest import (
-    basis_of_rows,
     random_form,
     random_poly,
     random_unipotent,
@@ -307,8 +306,8 @@ def test_graded_pieces_are_the_canonical_rows_of_their_degree(field, rng):
                 win_i = Window.S_graded(n, i, field)
                 lo = perp.window.index[win_i.columns[0]]
                 hi = lo + win_i.dim
-                want = basis_of_rows(win_i, [{c - lo: x for c, x in row.items() if lo <= c < hi}
-                                             for row in perp._rows])
+                want = Basis._of_batches(win_i, _row_batches(
+                    [{c - lo: x for c, x in row.items() if lo <= c < hi} for row in perp._rows]))
                 assert _graded_piece(perp, win_i) == want, (F, i)
 
 

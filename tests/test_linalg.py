@@ -41,7 +41,6 @@ from apolar.linalg import (
 )
 from conftest import (
     basis_of_kernel,
-    basis_of_rows,
     random_operator,
     random_poly,
     reference_encode,
@@ -1232,14 +1231,14 @@ def _same_space_rows(rng, field, rows):
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
 def test_basis_keeps_the_canonical_integer_form(field, rng):
     # every route that builds a Basis: the constructor, span, _of_batches
-    # (through basis_of_rows), sum, perp and _of_canonical of the canonical
+    # (of _row_batches), sum, perp and _of_canonical of the canonical
     # kernel rows (through basis_of_kernel), module_sf and ann_graded
     for win, rows in _integer_form_cases(rng, field):
         basis = Basis(win, rows)
         _assert_canonical_route(basis, rows)
         assert _typed((basis.rows, None)) == _typed((_reference_rref(rows, field, win.dim)[0], None))
         _assert_canonical_route(span([_decode_row(win, r) for r in rows], win), rows)
-        _assert_canonical_route(basis_of_rows(win, _sparse(rows)), rows)
+        _assert_canonical_route(Basis._of_batches(win, _row_batches(_sparse(rows))), rows)
         half = len(rows) // 2
         _assert_canonical_route(Basis(win, rows[:half]).sum(Basis(win, rows[half:])), rows)
         kernel = _reference_nullspace(rows, field, win.dim)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from apolar import GF, QQ, DPPoly, errors
 from apolar.cli import cli_dispatch
-from apolar.errors import GuardError, InternalError, PolySyntaxError
+from apolar.errors import GuardError, InternalError, PolySyntaxError, WindowTooLarge
 from apolar.parsing import (
     operator_str,
     parse_classical_poly,
@@ -114,6 +114,22 @@ def test_a_repeated_variable_multiplies_as_divided_powers(field, rng):
     # classical polynomials and operators keep the classical product
     assert parse_classical_poly("x1*x1^[2]*x2", 2, field) == parse_classical_poly("x1^3*x2", 2, field)
     assert parse_operator("a1*a1^[2]", 2, field, 4) == parse_operator("a1^3", 2, field, 4)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_a_repeated_variable_past_the_column_budget_is_refused_before_its_binomial(field):
+    # binom(2e20, 1e20) was computed over Z before any window check ran,
+    # so the parse never returned
+    huge = "x1^[99999999999999999999]"
+    with pytest.raises(WindowTooLarge):
+        parse_poly(huge + "*" + huge, 1, field)
+    with pytest.raises(WindowTooLarge):
+        parse_poly("x2*x1^[1000]*x1^[1000]", 2, field)
+    # a term of a degree some window holds multiplies out; one that repeats
+    # no variable is read as before, and refused later by its window
+    assert parse_poly("x1^[1000]*x1^[999]", 1, field) == DPPoly(
+        1, field, {(1999,): field.binom(1999, 999)})
+    assert parse_poly(huge, 1, field).degree == 99999999999999999999
 
 
 def test_cli_hilbert(capsys):
@@ -257,6 +273,9 @@ BOUNDARY_STDERR = {
     # the arity is refused before the text is scanned, whatever the text
     ("hilbert", "--vars", "0", "1"): "ArityMismatch: need at least one variable, got 0",
     ("hilbert", "--vars", "0", "x1"): "ArityMismatch: need at least one variable, got 0",
+    # a repeated variable's binomial is refused before it is computed
+    ("hilbert", "x1^[99999999999999999999]*x1^[99999999999999999999]"):
+        "WindowTooLarge: window in 2 variables up to degree 199999999999999999998",
 }
 
 
@@ -277,6 +296,8 @@ BOUNDARY_STDERR = {
     (["ann", "--vars", "2", "0"], 2),
     (["reduce", "--method", "tcompressed", "0"], 2),
     (["hilbert", "--vars", "0", "x1"], 2),
+    (["hilbert", "x1^[99999999999999999999]*x1^[99999999999999999999]"], 2),
+    (["hilbert", "--field", "fp:5", "x1^[99999999999999999999]*x1^[99999999999999999999]"], 2),
 ])
 def test_cli_boundary_inputs_exit_cleanly(capsys, argv, code):
     assert cli_dispatch(argv) == code

@@ -29,13 +29,12 @@ from apolar.errors import (
     TdfMismatch,
     ZeroPolynomial,
 )
-from apolar.linalg import Basis, _sparse, _store, _sweep
+from apolar.linalg import Basis, _row_batches, _sparse, _store, _sweep
 from apolar.parsing import parse_poly
 from apolar.tangent import _perp_of, _tangent_batches
 
 from conftest import (
     basis_of_kernel,
-    basis_of_rows,
     random_form,
     random_poly,
     with_fractions,
@@ -490,7 +489,8 @@ def _built(win, batches):
 def _reference_module_sf(f, k):
     d = max(f.degree, 0)
     exps = [e for e in monomials_upto(f.n, d) if sum(e) >= k]
-    return basis_of_rows(Window.P_upto(f.n, d, f.field), _contraction_rows(f, exps, range(d + 1)))
+    rows = _contraction_rows(f, exps, range(d + 1))
+    return Basis._of_batches(Window.P_upto(f.n, d, f.field), _row_batches(rows))
 
 
 def _reference_tangent_rows(f, k):
@@ -541,7 +541,7 @@ def test_one_sweep_of_the_module_matches_the_separate_routes(field, rng):
                     assert _densified(module[1], dim) == want
                     assert _densified(module_sf(f, k)._rows, dim) == want
                     # the rows that add a pivot are a basis of m^k f
-                    assert basis_of_rows(mk.window, module[0]) == mk and len(module[0]) == mk.dim
+                    assert Basis._of_batches(mk.window, _row_batches(module[0])) == mk and len(module[0]) == mk.dim
                     built = _built(*_tangent_batches(f, k))
                     assert built == _lazy_order(*_eager_tangent_rows(f, k), f, k)
                     assert built == _lazy_order(*_reference_tangent_rows(f, k), f, k)
@@ -679,10 +679,10 @@ def _tangent_basis_perp(f, unipotent, max_degree, tang=None):
     rows = _contraction_rows(f, monomials(n, k - 1), range(max_degree + 1)) + gs
     for shifts in _shifted_rows(gs, n, range(max_degree), win):
         rows += shifts
-    basis = basis_of_rows(win, rows)
+    basis = Basis._of_batches(win, _row_batches(rows))
     tang = tang or Basis._of_batches(*_tangent_batches(f, k))
-    assert basis == basis_of_rows(win, [{j: x for j, x in row.items() if j < win.dim}
-                                        for row in tang._rows]), (f, unipotent, max_degree)
+    assert basis == Basis._of_batches(win, _row_batches(
+        [{j: x for j, x in row.items() if j < win.dim} for row in tang._rows])), (f, unipotent, max_degree)
     return basis.perp()
 
 
