@@ -3,8 +3,6 @@ Gorenstein algebras: divided power polynomials, contraction, dual group
 actions, orbit tangent spaces, and normal-form reductions."""
 
 from .apolarity import (
-    HilbertFunction,
-    SymmetricDecomposition,
     ann_generators,
     ann_graded,
     dim_apolar,

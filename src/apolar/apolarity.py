@@ -91,75 +91,6 @@ from .linalg import (
 )
 
 
-class HilbertFunction:
-    """H(0..d) for an apolar algebra; socle degree d = deg f."""
-
-    def __init__(self, values):
-        self.values = tuple(values)
-
-    def __getitem__(self, i):
-        if 0 <= i < len(self.values):
-            return self.values[i]
-        return 0
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other):
-        if isinstance(other, HilbertFunction):
-            return self.values == other.values
-        try:
-            return self.values == tuple(other)
-        except TypeError:  # not iterable
-            return NotImplemented
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        return "HilbertFunction(%s)" % (self.values,)
-
-    @property
-    def socle_degree(self):
-        return len(self.values) - 1
-
-    def total(self):
-        return sum(self.values)
-
-
-class SymmetricDecomposition:
-    """Vectors Delta_0 .. Delta_{max(d-2, 0)}; Delta_a has entries 0..d-a."""
-
-    def __init__(self, deltas):
-        self.deltas = [tuple(v) for v in deltas]
-
-    def __getitem__(self, a):
-        return self.deltas[a]
-
-    def __len__(self):
-        return len(self.deltas)
-
-    def __iter__(self):
-        return iter(self.deltas)
-
-    def __eq__(self, other):
-        if isinstance(other, SymmetricDecomposition):
-            return self.deltas == other.deltas
-        try:
-            return self.deltas == [tuple(v) for v in other]
-        except TypeError:  # not iterable, or an entry is not
-            return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self.deltas))
-
-    def __repr__(self):
-        return "SymmetricDecomposition(%s)" % (self.deltas,)
-
-
 def ann_graded(f, i):
     """Ann(f)_i = {sigma in S_i : sigma -| f = 0} as a Basis in S_i.
 
@@ -414,11 +345,12 @@ def _filtration_profiles(f):
 
 def _hilbert_from_profiles(profiles):
     dims = [sum(prof) for prof in profiles]
-    return HilbertFunction(dims[i] - dims[i + 1] for i in range(len(dims) - 1))
+    return tuple(dims[i] - dims[i + 1] for i in range(len(dims) - 1))
 
 
 def hilbert_function(f):
-    """H(i) = dim(m^i -| f) - dim(m^{i+1} -| f) for i = 0 .. deg f.
+    """H(i) = dim(m^i -| f) - dim(m^{i+1} -| f) for i = 0 .. deg f, as the
+    tuple (H(0), ..., H(deg f)); the socle degree is len(H) - 1.
 
     With the columns of P ordered highest degree first, dim(M cap P_{<=i})
     is the number of pivots of degree <= i of an echelon form of M; at
@@ -435,27 +367,32 @@ def _hs(n, i):
 
 
 def _t_compressed(H, n, t):
-    d = H.socle_degree
-    if t < 1 or d < 1:
-        return False
-    if H[d - 1] != n:
+    d = len(H) - 1
+    if not 1 <= t <= d or H[d - 1] != n:
         return False
     return all(H[i] == _hs(n, i) for i in range(t + 1))
 
 
 def is_t_compressed(f, t):
-    """H(i) maximal for i <= t and H(d-1) = n."""
+    """H(i) maximal for i <= t and H(d-1) = n, for 1 <= t <= d.
+
+    ``f`` is a DPPoly, whose n is its number of variables f.n, or a
+    Hilbert function H(0..d) as a sequence, whose n is H(1) (0 when d = 0).
+    The two differ when f does not involve every variable: x1^[3] in two
+    variables has H = (1, 1, 1, 1), 1-compressed in one variable but not
+    in two.
+    """
     if isinstance(f, DPPoly):
         return _t_compressed(hilbert_function(f), f.n, t)
-    H = f if isinstance(f, HilbertFunction) else HilbertFunction(f)
-    return _t_compressed(H, H[1], t)
+    H = tuple(f)
+    return _t_compressed(H, H[1] if len(H) > 1 else 0, t)
 
 
 def max_t_compressed(f):
     """Largest t >= 1 with is_t_compressed(f, t), or 0 if none."""
     H = hilbert_function(f)
     best = 0
-    for t in range(1, H.socle_degree // 2 + 1):
+    for t in range(1, (len(H) - 1) // 2 + 1):
         if _t_compressed(H, f.n, t):
             best = t
     return best
@@ -463,12 +400,13 @@ def max_t_compressed(f):
 
 def is_compressed(f):
     H = hilbert_function(f)
-    d = H.socle_degree
+    d = len(H) - 1
     return all(H[i] == min(_hs(f.n, i), _hs(f.n, d - i)) for i in range(d + 1))
 
 
 def symmetric_decomposition(f):
-    """The canonical decomposition H = sum_a Delta_a, a = 0 .. max(d-2, 0).
+    """The canonical decomposition H = sum_a Delta_a, a = 0 .. max(d-2, 0),
+    as the tuple (Delta_0, Delta_1, ...) of tuples Delta_a(0..d-a).
 
     Delta_a(i) = dim C_a(i) - dim C_{a-1}(i) where C_a(i) is the image in
     P_i of (m^{d-a-i} -| f) cap P_{<=i}, taken modulo P_{<=i-1}.  With the
@@ -486,10 +424,10 @@ def symmetric_decomposition(f):
     prof = _filtration_profiles(f)
     H = _hilbert_from_profiles(prof)
 
-    deltas = [
+    deltas = tuple(
         tuple(prof[d - a - i][i] - prof[d - a + 1 - i][i] for i in range(d - a + 1))
         for a in range(max(d - 1, 1))
-    ]
+    )
 
     # invariant validation -- these are theorems about the construction
     for i in range(d + 1):
@@ -506,7 +444,7 @@ def symmetric_decomposition(f):
                 raise DecompositionInvariantViolated(
                     "Delta_%d not symmetric at %d" % (a, i)
                 )
-    return SymmetricDecomposition(deltas)
+    return deltas
 
 
 def _products(n, left, a, right, b, win):

@@ -384,8 +384,8 @@ def improved_normal_form(f, t):
     n, field = f.n, f.field
     d = f.degree
     H = hilbert_function(f)
-    for r in range(t + 1):
-        if H[r] != math.comb(r + n - 1, r):
+    for r in range(t + 1):  # H(r) = 0 for r > deg f = len(H) - 1: not maximal
+        if r >= len(H) or H[r] != math.comb(r + n - 1, r):
             raise HypothesisFailed("H(%d) is not maximal" % r, r)
     sd = symmetric_decomposition(f)
     for r, delta in enumerate(sd):
@@ -548,7 +548,7 @@ def golden_1222111(f):
         raise HypothesisFailed("expected a binary polynomial")
     H = hilbert_function(f)
     if H != (1, 2, 2, 2, 1, 1, 1):
-        raise WrongHilbertFunction("H = %s" % (H.values,))
+        raise WrongHilbertFunction("H = %s" % (H,))
     char_guard(field, 6)
     T = f.tdf()
     c6 = T.coeff((6, 0))

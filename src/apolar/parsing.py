@@ -2,8 +2,10 @@
 
 Syntax: terms joined by ``+``/``-``, each term a ``*``-separated product of
 an optional coefficient (integer or fraction ``p/q``) and variable powers.
-Divided-power variables are ``x1..xn`` with exponents written ``^[k]`` (or
-``^k`` as a synonym); operators use ``a1..an``.  Examples::
+Divided-power variables are ``x1..xn`` with exponents written ``^[k]``;
+there ``^k`` is refused (PolySyntaxError): ``x1^2`` looks like the ordinary
+power x1*x1 = 2*x1^[2], which x1^[2] is not.  Classical polynomials
+and operators (``a1..an``) take ``^k`` and ``^[k]`` alike.  Examples::
 
     3*x1^[2]*x2 + x3
     a1^2*a2 - 1/2*a3
@@ -114,6 +116,9 @@ def _parse_terms(text, n, field, letter, divided=False):
                         exp = sc.integer()
                         if not sc.take("]"):
                             sc.error("expected ']'")
+                    elif divided:
+                        sc.error("expected '[': write ^[k] for a divided power; "
+                                 "^k is a classical power (--mode classical)")
                     else:
                         exp = sc.integer()
                 if divided and exps[idx - 1]:

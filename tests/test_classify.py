@@ -210,6 +210,12 @@ def test_improved_normal_form_hypothesis_failed():
         improved_normal_form(P(2, {(4, 0): 1, (0, 2): 1}), 1)
 
 
+def test_improved_normal_form_past_the_socle_degree_fails_its_hypotheses():
+    # H(r) = 0 for r > deg f, never maximal: t = 5 > deg x1^[3] asks for H(4)
+    with pytest.raises(HypothesisFailed, match=r"H\(4\) is not maximal"):
+        improved_normal_form(P(1, {(3,): 1}), 5)
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
 def test_improved_normal_form_of_a_constant_fails_its_hypotheses(field):
     # a constant has a symmetric decomposition, Delta_0 = (1); the reduction
@@ -557,14 +563,13 @@ def test_golden_1222111_y4_term_is_the_other_branch():
 
 def test_golden_1222111_xy3_term_is_not_standard_form(monkeypatch):
     import apolar.classify as classify
-    from apolar.apolarity import HilbertFunction
 
     # an x y^[3] residue raises H(2) to 3, so the guard is reached only past
     # a Hilbert function stubbed to the expected one
     f = parse_poly("x1^[6] + x1^[2]*x2^[2] + x1*x2^[3]", 2, QQ)
     with pytest.raises(WrongHilbertFunction):
         golden_1222111(f)
-    expected = HilbertFunction((1, 2, 2, 2, 1, 1, 1))
+    expected = (1, 2, 2, 2, 1, 1, 1)
     monkeypatch.setattr(classify, "hilbert_function", lambda f: expected)
     with pytest.raises(ReductionFailed, match=r"x\*y\^\[3\] term left"):
         golden_1222111(f)
@@ -572,14 +577,13 @@ def test_golden_1222111_xy3_term_is_not_standard_form(monkeypatch):
 
 def test_golden_1222111_vanished_c_is_a_reduction_failure(monkeypatch):
     import apolar.classify as classify
-    from apolar.apolarity import HilbertFunction
 
     # c = 0 drops H(3) to 1, so the guard is reached only past a Hilbert
     # function stubbed to the expected one
     f = parse_poly("x1^[6] + 5*x2^[3] + x1^[2]", 2, QQ)
     with pytest.raises(WrongHilbertFunction):
         golden_1222111(f)
-    expected = HilbertFunction((1, 2, 2, 2, 1, 1, 1))
+    expected = (1, 2, 2, 2, 1, 1, 1)
     monkeypatch.setattr(classify, "hilbert_function", lambda f: expected)
     with pytest.raises(ReductionFailed, match=r"x\^\[2\]y\^\[2\] coefficient vanished"):
         golden_1222111(f)

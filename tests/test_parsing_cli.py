@@ -26,7 +26,14 @@ def test_parse_basic():
 
 
 def test_parse_caret_synonym_and_fractions():
-    f = parse_poly("x1^2*x2 - 1/2*x2^[3]", 2, QQ)
+    # ^k was read as ^[k] in divided-power input, so x1^2 was x1^[2] while
+    # x1*x1 is 2*x1^[2]; it is refused there, with a pointer to ^[k] and
+    # classical input, which keeps it
+    for text in ("x1^2*x2 - 1/2*x2^[3]", "x1^[2]*x2 - 1/2*x2^3"):
+        with pytest.raises(PolySyntaxError, match=r"\^\[k\].*--mode classical"):
+            parse_poly(text, 2, QQ)
+    assert parse_classical_poly("x1^2", 1, QQ) == parse_classical_poly("x1^[2]", 1, QQ)
+    f = parse_poly("x1^[2]*x2 - 1/2*x2^[3]", 2, QQ)
     assert f.coeff((2, 1)) == QQ.from_fraction("1")
     assert f.coeff((0, 3)) == QQ.from_fraction("-1/2")
 
@@ -96,7 +103,7 @@ def test_a_repeated_variable_multiplies_as_divided_powers(field, rng):
     # the parser added exponents: x1*x1 gave x1^[2], not 2*x1^[2], and
     # x1^[2]*x1^[3] gave x1^[5], not 10*x1^[5] (0 over F_2 and F_5)
     terms = ["x1*x1", "x1^[2]*x1^[3]", "x1^[4]*x1", "-3*x1*x2*x1^[2]*x2^[4]",
-             "x2^2*x1*x2^[0]*x2", "1/3*x1^[3]*x2*x1^[2]*x1"]
+             "x2^[2]*x1*x2^[0]*x2", "1/3*x1^[3]*x2*x1^[2]*x1"]
     for _ in range(30):
         factors = ["x%d^[%d]" % (rng.randint(1, 2), rng.randint(0, 4)) for _ in range(rng.randint(2, 4))]
         terms.append("*".join([str(rng.randint(-4, 4))] + factors))
@@ -105,6 +112,8 @@ def test_a_repeated_variable_multiplies_as_divided_powers(field, rng):
     assert parse_poly("x1*x1", 2, QQ) == parse_poly("2*x1^[2]", 2, QQ)
     assert parse_poly("x1^[2]*x1^[3]", 1, QQ) == parse_poly("10*x1^[5]", 1, QQ)
     assert parse_poly("x1*x1", 2, GF(2)).is_zero() and parse_poly("x1^[4]*x1", 1, GF(5)).is_zero()
+    with pytest.raises(PolySyntaxError):  # ^k is classical syntax only
+        parse_poly("x2^2*x1*x2^[0]*x2", 2, field)
     # terms add after each is multiplied out
     whole = parse_poly(" + ".join(terms[:4] + ["x1^[2]"]).replace("+ -", "- "), 2, field)
     want = parse_poly("x1^[2]", 2, field)
@@ -276,6 +285,8 @@ BOUNDARY_STDERR = {
     # a repeated variable's binomial is refused before it is computed
     ("hilbert", "x1^[99999999999999999999]*x1^[99999999999999999999]"):
         "WindowTooLarge: window in 2 variables up to degree 199999999999999999998",
+    # ^k is classical syntax: divided-power input refuses it
+    ("hilbert", "x1^2"): "write ^[k] for a divided power; ^k is a classical power (--mode classical)",
 }
 
 
@@ -298,6 +309,7 @@ BOUNDARY_STDERR = {
     (["hilbert", "--vars", "0", "x1"], 2),
     (["hilbert", "x1^[99999999999999999999]*x1^[99999999999999999999]"], 2),
     (["hilbert", "--field", "fp:5", "x1^[99999999999999999999]*x1^[99999999999999999999]"], 2),
+    (["hilbert", "x1^2"], 1),
 ])
 def test_cli_boundary_inputs_exit_cleanly(capsys, argv, code):
     assert cli_dispatch(argv) == code
