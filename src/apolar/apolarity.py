@@ -1,17 +1,14 @@
 """Annihilators, Hilbert functions, compressedness, symmetric decomposition.
 
-All ideal-theoretic data is computed degree by degree with linear algebra,
-and every elimination here but the filtration profiles' is the capped
-forward sweep ``linalg._fill``, which ``linalg._sweep`` runs per block.
+All ideal-theoretic data is computed degree by degree with linear algebra.
 ``ann_graded`` is the kernel of the catalecticant map S_i -> P, read off
-one ``_fill`` of the catalecticant rows, built one at a time, into one
-block of width w = dim S_i with cap w: at the w-th stored row Ann(f)_i = 0,
-and no further row is built and nothing is back-substituted.  Only when the
-sweep ends short of w are its rows, as one block, reduced
-(``linalg._reduced_rows``) and the kernel read off them
-(``linalg._reversed_kernel``, the read-off ``Basis.perp`` also uses).  For
-i > deg f every catalecticant row vanishes and Ann(f)_i = S_i, emitted as
-the unit rows {c: 1} with no elimination.
+one ``linalg._sweep`` of the catalecticant rows, built one at a time and
+column-reversed, as one block of width w = dim S_i
+(``linalg._reversed_kernel``, the read-off ``Basis.perp`` also uses).  At
+the w-th stored row Ann(f)_i = 0: no further row is built, and the full
+block's reduced form is the identity, which leaves no free column and is
+not back-substituted.  For i > deg f there is no catalecticant row, every
+column is free, and Ann(f)_i = S_i comes out as the unit rows {c: 1}.
 
 The degree-i generators are the rows of I_i = Ann(f)_i that add a leading
 column to one forward sweep of the products a_t sigma, sigma in I_{i-1},
@@ -25,10 +22,13 @@ step, then the others, each built only when taken, so none past the cap
 is built (F4's choice of one reducer per leading monomial).  When the
 distinct leads number dim I_i -- in every degree i > deg f + 1, where
 I_{i-1} = S_{i-1}, and often below it -- degree i has no generators and
-nothing is built or swept.  ``ideal_square_graded`` spans (I^2)_i by the
-sparse integer rows g tau, g a generator and tau in I, filled by index:
-a^u a^v = a^{u+v}; it reads the generators and pieces below degree i only,
-so its generator sweep stops at degree i - 1.
+nothing is built or swept.
+
+(I^2)_i is by definition the sum of I_e I_{i-e}, 1 <= e <= i/2 (products
+commute, and I_0 = 0 for f != 0), so ``ideal_square_graded`` spans it by
+the sparse integer rows sigma tau, sigma in I_e and tau in I_{i-e}, filled
+by index: a^u a^v = a^{u+v}.  It reads the pieces of degree 1 .. i - 1 and
+no generator.
 
 The Hilbert function and the symmetric decomposition need only pivot counts
 of the modules m^k -| f, so ``_filtration_profiles`` reads all of them off
@@ -63,11 +63,11 @@ The column layouts these builders read depend on the shape alone (the
 arity and the degrees) and are built once per process, as shared tuples
 in bounded ``functools.lru_cache`` helpers (the comment above
 ``dp.monomials`` lists them): the column runs of ``_contraction_batches``
-(``_column_runs``), the shift maps (``_shift_table``, whose keys are also
-the maps of the generator sweep's products a_t sigma, ``_unit_products``)
-and the column-reversed columns of the catalecticant
-(``_reversed_columns``).  ``ann_graded``'s window, with its size check,
-comes from the shared table of ``linalg._window_table``.
+and of the filtration profiles (``_column_runs``), the shift maps
+(``_shift_table``, whose keys are also the maps of the generator sweep's
+products a_t sigma, ``_unit_products``) and the column-reversed columns of
+the catalecticant (``_reversed_columns``).  ``ann_graded``'s window, with
+its size check, comes from the shared table of ``linalg._window_table``.
 """
 
 import math
@@ -76,7 +76,12 @@ from itertools import count, groupby, islice, repeat
 from operator import add
 
 from .dp import DPPoly, monomials, monomials_upto
-from .errors import DecompositionInvariantViolated, IndexOutOfRange, ZeroPolynomial
+from .errors import (
+    DecompositionInvariantViolated,
+    IndexOutOfRange,
+    WrongHilbertFunction,
+    ZeroPolynomial,
+)
 from .linalg import (
     Basis,
     Window,
@@ -95,26 +100,20 @@ def ann_graded(f, i):
     """Ann(f)_i = {sigma in S_i : sigma -| f = 0} as a Basis in S_i.
 
     The kernel of the catalecticant rows x^t -| D f restricted to degree i,
-    |t| <= deg f - i (``_catalecticant_rows``), read off one capped sweep
-    (``_fill``) of those rows into one block of width w = dim S_i, cap w.
-    The rows are built one at a time, and at the w-th stored row
-    Ann(f)_i = 0: no further row is built and nothing is back-substituted.
-    Otherwise the stored rows, as the single block (0, w - 1, stored), are
-    back-substituted (``_reduced_rows``) and the kernel is read off them
-    (``_reversed_kernel``).  For i > deg f there are no rows and the piece
-    is S_i, whose canonical rows are the unit rows {c: 1}.
+    |t| <= deg f - i (``_catalecticant_rows``), read off one sweep of those
+    rows, column-reversed, as one block of width w = dim S_i
+    (``_reversed_kernel``).  The rows are built one at a time, and at the
+    w-th stored row Ann(f)_i = 0: no further row is built, and the full
+    block's reduced form is the identity, which leaves no free column.  For
+    i > deg f there are no rows and every column is free: the piece is S_i,
+    whose canonical rows are the unit rows {c: 1}.
     """
     if i < 0:
         raise IndexOutOfRange("annihilator degree must be >= 0, got %d" % i)
     win = Window.S_graded(f.n, i, f.field)
-    w = win.dim
-    if i > f.degree:
-        return Basis._of_canonical(win, [{c: 1} for c in range(w)])
-    p, stored = f.field.p, {}
-    _fill(stored, _catalecticant_rows(f, i), 0, w - 1, p, w)
-    if len(stored) == w:  # the catalecticant is injective
-        return Basis._of_canonical(win, [])
-    return Basis._of_canonical(win, _reversed_kernel([(0, w - 1, stored)], p, w))
+    w, p = win.dim, f.field.p
+    blocks, _ = _sweep([(0, w - 1, _catalecticant_rows(f, i))], p)
+    return Basis._of_canonical(win, _reversed_kernel(blocks, p, w))
 
 
 def _catalecticant_rows(f, i):
@@ -286,12 +285,13 @@ def _filtration_profiles(f):
     M_k = m^k -| f, k = 0 .. deg f + 1.
 
     The rows x^e -| D f, columns ordered highest degree first (grlex within
-    a degree), are built one at a time (``_profile_row``) and swept by
-    ``_store`` in batches by |e| = k = d, d-1, .., 0.  The rows swept up to
-    batch k span M_k, so the pivots stored so far are those of an echelon
-    form of M_k, and prof[k][i] counts the ones of degree i; prof[d+1]
-    (M_{d+1} = 0) is all zeros.  One forward sweep serves every k, with no
-    back-substitution.
+    a degree: the runs of ``_column_runs`` over the degrees d .. 0, the
+    layout ``_contraction_batches`` reads), are built one at a time
+    (``_profile_row``) and swept by ``_store`` in batches by |e| = k = d,
+    d-1, .., 0.  The rows swept up to batch k span M_k, so the pivots
+    stored so far are those of an echelon form of M_k, and prof[k][i]
+    counts the ones of degree i; prof[d+1] (M_{d+1} = 0) is all zeros.  One
+    forward sweep serves every k, with no back-substitution.
 
     Batch k lies in P_{<=d-k}, a suffix of the columns, so its rows are
     lists on those columns only (``stored`` is keyed by column minus the
@@ -308,20 +308,18 @@ def _filtration_profiles(f):
     d, n, p = f.degree, f.n, f.field.p
     _check_window_size(n, range(d + 1))
     get, f_degrees = f._num.get, set(map(sum, f._num))
-    col_degree = [i for i in range(d, -1, -1) for _ in monomials(n, i)]
+    layout = _column_runs(n, range(d, -1, -1))  # layout[k]: the run of degree d - k
+    col_degree = [i for i, run in layout for _ in run]
     stored, lo = {}, len(col_degree)
     mark = lo
     prof = [0] * (d + 1)
     profiles = [prof]
     for k in range(d, -1, -1):
-        start = lo - len(monomials(n, d - k))
+        start = layout[k][1][0][0]  # the first column of P_{<= d-k}
         stored = {j + lo - start: tail for j, tail in stored.items()}
         lo, prof = start, list(prof)
-        cols, first = [], lo  # the (column, monomial) pairs looked up
-        for i in range(d - k, -1, -1):
-            if i + k in f_degrees:
-                cols += zip(count(first), monomials(n, i))
-            first += len(monomials(n, i))
+        # the (column, monomial) pairs looked up: degrees i <= d - k only
+        cols = [pair for i, run in layout if i + k in f_degrees for pair in run]
         cut = len(cols)
         for e in monomials(n, k):
             while cut and cols[cut - 1][0] >= mark:
@@ -368,9 +366,7 @@ def _hs(n, i):
 
 def _t_compressed(H, n, t):
     d = len(H) - 1
-    if not 1 <= t <= d or H[d - 1] != n:
-        return False
-    return all(H[i] == _hs(n, i) for i in range(t + 1))
+    return 1 <= t <= d and H[d - 1] == n and all(H[i] == _hs(n, i) for i in range(t + 1))
 
 
 def is_t_compressed(f, t):
@@ -380,22 +376,23 @@ def is_t_compressed(f, t):
     Hilbert function H(0..d) as a sequence, whose n is H(1) (0 when d = 0).
     The two differ when f does not involve every variable: x1^[3] in two
     variables has H = (1, 1, 1, 1), 1-compressed in one variable but not
-    in two.
+    in two.  A sequence that is the Hilbert function of no nonzero
+    polynomial -- empty, H(0) != 1, H(d) != 1, or H(1) = 0 with d >= 1 --
+    raises WrongHilbertFunction.
     """
     if isinstance(f, DPPoly):
         return _t_compressed(hilbert_function(f), f.n, t)
     H = tuple(f)
+    if not H or H[0] != 1 or H[-1] != 1 or (len(H) > 1 and H[1] == 0):
+        raise WrongHilbertFunction("%s is the Hilbert function of no nonzero polynomial" % (H,))
     return _t_compressed(H, H[1] if len(H) > 1 else 0, t)
 
 
 def max_t_compressed(f):
     """Largest t >= 1 with is_t_compressed(f, t), or 0 if none."""
     H = hilbert_function(f)
-    best = 0
-    for t in range(1, (len(H) - 1) // 2 + 1):
-        if _t_compressed(H, f.n, t):
-            best = t
-    return best
+    ts = range(1, (len(H) - 1) // 2 + 1)
+    return max((t for t in ts if _t_compressed(H, f.n, t)), default=0)
 
 
 def is_compressed(f):
@@ -441,9 +438,7 @@ def symmetric_decomposition(f):
             if delta[i] < 0:
                 raise DecompositionInvariantViolated("Delta_%d(%d) < 0" % (a, i))
             if delta[i] != delta[d - a - i]:
-                raise DecompositionInvariantViolated(
-                    "Delta_%d not symmetric at %d" % (a, i)
-                )
+                raise DecompositionInvariantViolated("Delta_%d not symmetric at %d" % (a, i))
     return deltas
 
 
@@ -532,15 +527,6 @@ def _generator_rows(f, upto):
     return gens, pieces
 
 
-def _square_rows(f, i):
-    """The ``_generator_rows`` data that ``_square`` reads for every degree
-    <= i, with the checks of ``_generator_rows(f, i)``: (I^2)_j reads the
-    generators and pieces below degree j only, so the sweep stops at degree
-    i - 1 (nothing at i = 0)."""
-    _check_generator_bound(f, i)
-    return _generator_rows(f, i - 1) if i else ({}, {})
-
-
 def ann_generators(f, upto):
     """Degreewise minimal generators of Ann(f) up to degree ``upto``.
 
@@ -551,19 +537,25 @@ def ann_generators(f, upto):
     return [g for i in gens for g in pieces[i].window._elements(gens[i])], pieces
 
 
-def _square(gens, pieces, win):
-    """(I^2)_i in ``win`` = S_i from ``_generator_rows`` data reaching degree
-    i - 1 (``_square_rows``): spanned by g tau, g a degree-e generator and
-    tau in I_{i-e}, 1 <= e < i."""
+def _square_pieces(f, i):
+    """The pieces Ann(f)_e, 1 <= e < i, that ``_square`` reads for every
+    degree <= i, after the input checks of the generator sweep up to
+    degree i (``_check_generator_bound``)."""
+    _check_generator_bound(f, i)
+    return {e: ann_graded(f, e) for e in range(1, i)}
+
+
+def _square(pieces, win):
+    """(I^2)_i in ``win`` = S_i from pieces reaching degree i - 1
+    (``_square_pieces``): spanned by sigma tau for sigma in I_e and tau in
+    I_{i-e}, 1 <= e <= i/2, since products commute (I_0 = 0 for f != 0)."""
     n, i = win.n, win.degrees[0]
-    rows = []
-    for e in range(1, i):
-        rows += _products(n, gens[e], e, pieces[i - e]._rows, i - e, win)
+    rows = [row for e in range(1, i // 2 + 1)
+            for row in _products(n, pieces[e]._rows, e, pieces[i - e]._rows, i - e, win)]
     return Basis._of_batches(win, _row_batches(rows))
 
 
 def ideal_square_graded(f, i):
-    """(I^2)_i for I = Ann(f), via a degreewise generating set: the
-    generator sweep runs up to degree i - 1 (``_square_rows``)."""
-    gens, pieces = _square_rows(f, i)
-    return _square(gens, pieces, Window.S_graded(f.n, i, f.field))
+    """(I^2)_i for I = Ann(f), by definition sum_e I_e I_{i-e}: the products
+    of the pieces below degree i (``_square_pieces``)."""
+    return _square(_square_pieces(f, i), Window.S_graded(f.n, i, f.field))

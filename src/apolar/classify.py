@@ -72,7 +72,7 @@ from .apolarity import (
     _image,
     _shift_table,
     _square,
-    _square_rows,
+    _square_pieces,
     dim_apolar,
     hilbert_function,
     max_t_compressed,
@@ -416,11 +416,11 @@ def square_ideal_reduce(f, t):
         raise HypothesisFailed("dim Apolar(f) differs from dim Apolar(tdf f)")
     if t < d:  # some degree is checked
         perp = perp_tangent(F, unipotent=True, max_degree=d - 1)
-        # Ann(F) and its generators up to degree d - 2, built once for every square
-        gens, pieces = _square_rows(F, d - 1)
+        # Ann(F) up to degree d - 2, built once for every square
+        pieces = _square_pieces(F, d - 1)
         for i in range(t, d):
             win_i = Window.S_graded(n, i, field)
-            if _graded_piece(perp, win_i) != _square(gens, pieces, win_i):
+            if _graded_piece(perp, win_i) != _square(pieces, win_i):
                 raise HypothesisFailed("perp differs from (Ann F)^2 in degree %d" % i, i)
     return reduce_toward(f, F, stop_degree=t)
 

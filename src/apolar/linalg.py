@@ -38,12 +38,7 @@ Q by cross-multiplication with the row gcd divided out after every step,
 which keeps intermediate entries small -- until they vanish or lead at a
 new column, where they are stored.  The loop stops once the stored rank
 reaches a cap and takes no row after that, so a row built lazily past the
-cap is never built; it skips empty rows.  ``_fill`` runs under ``_sweep``,
-``apolarity``'s ``ann_graded`` and its generator sweep, and straight under
-the invertibility check of ``actions.Automorphism`` (the n linear parts as
-n rows of one block of n columns, cap n); the filtration profiles in
-``apolarity``, which cut rows at a moving mark, keep the only other loop
-around ``_store``.
+cap is never built; it skips empty rows.
 
 ``_sweep`` takes its rows in batches (lo, hi, rows): a column range, fixed
 before any row is built, and an iterable that builds the rows on demand
@@ -93,7 +88,7 @@ the column-reversed rows (``_reversed_kernel``), where the kernel vectors
 come out already in canonical form (see there), so nothing is eliminated
 twice.  Each of its three callers sweeps its own column-reversed rows:
 ``Basis.perp`` its canonical rows, ``apolarity.ann_graded`` the
-catalecticant rows of its capped ``_fill``, and each route of the perp in
+catalecticant rows, as one block, and each route of the perp in
 ``tangent`` the equations it builds.
 
 ``_solve``, the solver of the reduction steps in ``classify``, forms no

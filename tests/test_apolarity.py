@@ -33,11 +33,11 @@ from apolar.apolarity import (
     _products,
     _shift_table,
     _square,
-    _square_rows,
+    _square_pieces,
     _unit_products,
 )
 from apolar.dp import monomials, monomials_upto
-from apolar.errors import IndexOutOfRange, ZeroPolynomial
+from apolar.errors import IndexOutOfRange, WrongHilbertFunction, ZeroPolynomial
 from apolar.linalg import (
     Basis,
     Window,
@@ -186,6 +186,18 @@ def test_t_compressed_reads_n_off_the_polynomial_or_off_H1():
     f = P(2, {(3, 0): 1})
     assert not is_t_compressed(f, 1) and max_t_compressed(f) == 0
     assert is_t_compressed(hilbert_function(f), 1)
+
+
+def test_t_compressed_refuses_a_sequence_that_is_no_hilbert_function():
+    # (1, 0, 0) and (1, 0, 1) raised ValueError from math.comb; a nonzero
+    # polynomial has H(0) = H(d) = 1 and H(1) > 0 once d >= 1
+    for H in ((1, 0, 0), (1, 0, 1), (), (0,), (2, 3, 1)):
+        for t in (0, 1, 2):
+            with pytest.raises(WrongHilbertFunction, match="no nonzero polynomial"):
+                is_t_compressed(H, t)
+            with pytest.raises(WrongHilbertFunction):
+                is_t_compressed(list(H), t)
+    assert is_t_compressed((1,), 1) is False and is_t_compressed((1, 2, 1), 1) is True
 
 
 def test_symdec_homogeneous_concentrated():
@@ -695,13 +707,20 @@ def _vanishing_poly(rng, n, field, d):
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(101)], ids=str)
 def test_ann_graded_matches_the_full_catalecticant_kernel(field, rng):
+    # i = 0, injective degrees (Ann(f)_i = 0 with i <= deg f) and
+    # i = deg f + 1 .. deg f + 3 (no catalecticant row: Ann(f)_i = S_i)
+    injective = 0
     for n in (1, 2, 3):
         for d in range(0, 6):
             polys = _builder_polys(rng, n, field, d) + [_vanishing_poly(rng, n, field, d)]
             for f in polys:
-                for i in range(d + 3):
+                for i in range(d + 4):
                     got, want = ann_graded(f, i), _reference_ann_graded(f, i)
                     assert got == want, (f, i)
+                    injective += 0 < i <= d and want.dim == 0
+                    if i > d:
+                        assert got.dim == len(monomials(n, i)), (f, i)
+    assert injective
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
@@ -817,15 +836,18 @@ def test_ann_generators_and_square_match_product_oracle(field, rng):
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
 def test_squares_from_one_generator_pass_match_each_degree(field, rng):
-    # square_ideal_reduce builds Ann(F) once and reads every degree's square off it
+    # square_ideal_reduce builds Ann(F) once and reads every degree's square
+    # off it; the oracle spans g tau, g a generator
     for n in (1, 2, 3):
         for d in range(1, 6):
             f = random_form(rng, n, field, d)
-            gens, pieces = _generator_rows(f, d + 1)
+            pieces = _square_pieces(f, d + 1)
+            want_gens, want_pieces = _reference_generator_rows(f, d + 1)
             for i in range(d + 2):
-                got = _square(gens, pieces, Window.S_graded(n, i, field))
-                want = ideal_square_graded(f, i)
+                got = _square(pieces, Window.S_graded(n, i, field))
+                want = _reference_square(n, want_gens, want_pieces, i)
                 assert got == want and _typed_rows(got) == _typed_rows(want), (f, i)
+                assert ideal_square_graded(f, i) == got, (f, i)
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +883,8 @@ def test_generator_rows_match_the_transposed_selection(field, rng):
                 assert gens == want_gens and pieces == want_pieces, f
                 for i in range(d + 2):
                     win = Window.S_graded(n, i, field)
-                    assert _square(gens, pieces, win) == _square(want_gens, want_pieces, win), (f, i)
+                    want = _reference_square(n, want_gens, want_pieces, i)
+                    assert _square(pieces, win) == want, (f, i)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
@@ -939,12 +962,11 @@ def test_lead_first_generator_sweep_matches_the_eager_one(field, rng):
                     assert gens[d + 1], f  # x1^[d] + lower: a generator in degree d + 1
                 for i in range(d + 2):
                     want = _reference_square(n, want_gens, want_pieces, i)
-                    got = _square(gens, pieces, Window.S_graded(n, i, field))
+                    got = _square(pieces, Window.S_graded(n, i, field))
                     assert got == want and _typed_rows(got) == _typed_rows(want), (f, i)
                     assert _typed_rows(ideal_square_graded(f, i)) == _typed_rows(want), (f, i)
-                    below = ({k: g for k, g in want_gens.items() if k < i},
-                             {k: b for k, b in want_pieces.items() if k < i})
-                    assert _square_rows(f, i) == below, (f, i)
+                    below = {k: b for k, b in want_pieces.items() if 1 <= k < i}
+                    assert _square_pieces(f, i) == below, (f, i)
 
 
 @pytest.mark.parametrize("field", _LEAD_FIELDS, ids=str)
@@ -1048,3 +1070,11 @@ def test_ideal_square_graded_at_the_ends():
                     ideal_square_graded(zero, i)
             with pytest.raises(IndexOutOfRange, match="got -2"):
                 ideal_square_graded(zero, -2)
+    # (I^2)_4 = I_2 I_2 for I = Ann(x1^[5] + x2^[5]) = (a1 a2, a1^5 - a2^5):
+    # the lone product with e = i - e
+    for field in (QQ, GF(7), GF(101)):
+        f = parse_poly("x1^[5] + x2^[5]", 2, field)
+        win = Window.S_graded(2, 4, field)
+        square = ideal_square_graded(f, 4)
+        assert square == span([Operator.monomial(2, field, (2, 2), 4)], win)
+        assert square == _reference_ideal_square(f, 4)

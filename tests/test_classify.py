@@ -244,15 +244,19 @@ def test_square_ideal_reduce_rank_n():
 
 def test_square_ideal_reduce_builds_the_annihilator_once(monkeypatch):
     # each degree i = t..d-1 rebuilt Ann(F)_0..i: 28 pieces here; the
-    # squares up to degree d - 1 = 6 read the pieces below 6 only
+    # squares up to degree d - 1 = 6 read the pieces of degree 1..5 only
+    # (Ann(F)_0 = 0 enters no square)
     import apolar.apolarity as apolarity
 
     calls = []
     ann_graded = apolarity.ann_graded
     monkeypatch.setattr(apolarity, "ann_graded", lambda f, i: calls.append(i) or ann_graded(f, i))
+    # the squares are products of the pieces: no generator sweep runs
+    monkeypatch.setattr(apolarity, "_generator_rows", lambda *args: pytest.fail("generator sweep"))
     f = P(2, {(7, 0): 1, (0, 7): 1, (3, 0): 1, (2, 1): 1, (1, 0): 2})
     assert square_ideal_reduce(f, 0).final == f.tdf()
-    assert sorted(calls) == list(range(6))
+    assert sorted(calls) == list(range(1, 6))
+    assert ideal_square_graded(f.tdf(), 6).dim > 0
 
 
 def test_square_ideal_reduce_names_a_negative_t():
@@ -276,11 +280,11 @@ def test_square_ideal_reduce_builds_only_what_a_checked_degree_needs(monkeypatch
 
     quintic = P(2, {(5, 0): 1, (0, 5): 1, (3, 0): 1, (2, 1): 1, (1, 0): 2})
     built = []
-    perp, square_rows = classify.perp_tangent, classify._square_rows
+    perp, square_pieces = classify.perp_tangent, classify._square_pieces
     monkeypatch.setattr(classify, "perp_tangent", lambda *args, **kw: built.append("perp") or
                         perp(*args, **kw))
-    monkeypatch.setattr(classify, "_square_rows", lambda *args: built.append("squares") or
-                        square_rows(*args))
+    monkeypatch.setattr(classify, "_square_pieces", lambda *args: built.append("squares") or
+                        square_pieces(*args))
     for t in (5, 6, 10):
         trace, want = square_ideal_reduce(quintic, t), reduce_toward(quintic, quintic.tdf(), t)
         assert [f for _, f in trace.steps] == [f for _, f in want.steps] and trace.final == quintic
