@@ -27,8 +27,12 @@ nothing is built or swept.
 (I^2)_i is by definition the sum of I_e I_{i-e}, 1 <= e <= i/2 (products
 commute, and I_0 = 0 for f != 0), so ``ideal_square_graded`` spans it by
 the sparse integer rows sigma tau, sigma in I_e and tau in I_{i-e}, filled
-by index: a^u a^v = a^{u+v}.  It reads the pieces of degree 1 .. i - 1 and
-no generator.
+by index: a^u a^v = a^{u+v}.  I_e != 0 gives I_{e+1} != 0, so with e0 the
+initial degree of I (the least e with I_e != 0) a product is nonzero only
+for e0 <= e <= i - e0.  ``_square_pieces`` builds I_{floor(i/2)} first:
+when it is 0 every square of degree <= i is 0 and no other piece is built;
+else it walks down to e0 and builds the pieces of degree e0 .. i - e0 only.
+It reads no generator.
 
 The Hilbert function and the symmetric decomposition need only pivot counts
 of the modules m^k -| f, so ``_filtration_profiles`` reads all of them off
@@ -389,7 +393,9 @@ def is_t_compressed(f, t):
 
 
 def max_t_compressed(f):
-    """Largest t >= 1 with is_t_compressed(f, t), or 0 if none."""
+    """Largest t with 1 <= t <= deg f // 2 and is_t_compressed(f, t), or 0
+    if none.  Only that range is tried: x1^[4] in one variable gives 2,
+    though is_t_compressed(f, t) holds for t = 1 .. 4."""
     H = hilbert_function(f)
     ts = range(1, (len(H) - 1) // 2 + 1)
     return max((t for t in ts if _t_compressed(H, f.n, t)), default=0)
@@ -534,28 +540,47 @@ def ann_generators(f, upto):
     chosen deterministically from the canonical basis of I_i.
     """
     gens, pieces = _generator_rows(f, upto)
-    return [g for i in gens for g in pieces[i].window._elements(gens[i])], pieces
+    return [g for i in gens if gens[i] for g in pieces[i].window._elements(gens[i])], pieces
 
 
 def _square_pieces(f, i):
-    """The pieces Ann(f)_e, 1 <= e < i, that ``_square`` reads for every
-    degree <= i, after the input checks of the generator sweep up to
-    degree i (``_check_generator_bound``)."""
+    """The pieces Ann(f)_e that ``_square`` reads for every degree <= i,
+    after the input checks of the generator sweep up to degree i
+    (``_check_generator_bound``): none when I_{floor(i/2)} = 0, else I_e
+    for e0 <= e <= i - e0, e0 the initial degree of I = Ann(f).
+
+    I_e != 0 gives I_{e+1} != 0 (S_1 I_e lies in I_{e+1}), so the nonzero
+    pieces are those of degree >= e0, and a product I_e I_{j-e}, e <= j/2,
+    j <= i, is nonzero only when e0 <= e <= j - e0 <= i - e0.  When
+    I_{floor(i/2)} = 0 every such e is below e0: every square of degree
+    <= i is 0.  Else e0 is found walking down from floor(i/2), and the one
+    zero piece the walk builds, I_{e0-1}, is dropped (none is built for
+    e0 = 1: I_0 = 0 for f != 0)."""
     _check_generator_bound(f, i)
-    return {e: ann_graded(f, e) for e in range(1, i)}
+    e0 = i // 2
+    if not e0 or not (piece := ann_graded(f, e0)).dim:
+        return {}
+    pieces = {e0: piece}
+    while e0 > 1 and (piece := ann_graded(f, e0 - 1)).dim:
+        e0 -= 1
+        pieces[e0] = piece
+    pieces.update((e, ann_graded(f, e)) for e in range(i // 2 + 1, i - e0 + 1))
+    return pieces
 
 
 def _square(pieces, win):
-    """(I^2)_i in ``win`` = S_i from pieces reaching degree i - 1
-    (``_square_pieces``): spanned by sigma tau for sigma in I_e and tau in
-    I_{i-e}, 1 <= e <= i/2, since products commute (I_0 = 0 for f != 0)."""
+    """(I^2)_i in ``win`` = S_i from the pieces of ``_square_pieces`` up to
+    some degree >= i: spanned by sigma tau for sigma in I_e and tau in
+    I_{i-e}, 1 <= e <= i/2, since products commute (I_0 = 0 for f != 0).
+    An e whose I_e or I_{i-e} has no piece is skipped: that piece is 0."""
     n, i = win.n, win.degrees[0]
-    rows = [row for e in range(1, i // 2 + 1)
+    rows = [row for e in range(1, i // 2 + 1) if e in pieces and i - e in pieces
             for row in _products(n, pieces[e]._rows, e, pieces[i - e]._rows, i - e, win)]
     return Basis._of_batches(win, _row_batches(rows))
 
 
 def ideal_square_graded(f, i):
     """(I^2)_i for I = Ann(f), by definition sum_e I_e I_{i-e}: the products
-    of the pieces below degree i (``_square_pieces``)."""
+    of the pieces of degree e0 .. i - e0, e0 the initial degree of I, and 0
+    with no product when I_{floor(i/2)} = 0 (``_square_pieces``)."""
     return _square(_square_pieces(f, i), Window.S_graded(f.n, i, f.field))

@@ -416,7 +416,7 @@ def square_ideal_reduce(f, t):
         raise HypothesisFailed("dim Apolar(f) differs from dim Apolar(tdf f)")
     if t < d:  # some degree is checked
         perp = perp_tangent(F, unipotent=True, max_degree=d - 1)
-        # Ann(F) up to degree d - 2, built once for every square
+        # the pieces of Ann(F) the squares up to degree d - 1 read, built once
         pieces = _square_pieces(F, d - 1)
         for i in range(t, d):
             win_i = Window.S_graded(n, i, field)

@@ -60,7 +60,7 @@ ZERO_DEG = -1  # degree of the zero polynomial: any value < 0 works
 #   linalg._window_table(n, degrees)       16 / 11 / 17, suite 173
 #   apolarity._shift_table                 14 / 11 / 18, suite 102
 #   apolarity._column_runs(n, degrees)      6 / 11 / 30, suite 146
-#   apolarity._reversed_columns(n, i)      16 /  0 /  3, suite 35
+#   apolarity._reversed_columns(n, i)      16 /  0 /  2, suite 35
 #   tangent._reversed_maps(n, max_degree)   0 / 11 /  3, suite 34
 # The filtration profiles add the _column_runs keys (n, range(d, -1, -1)).
 # A range and the equal tuple of degrees are two keys, so the shift maps

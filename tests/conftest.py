@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from apolar import GF, QQ, Basis, DPPoly, Operator, rref
+from apolar import GF, QQ, Basis, DPPoly, Operator, Window, ann_graded, rref
+from apolar.apolarity import _products
 from apolar.dp import monomials_upto
 from apolar.errors import AmbientMismatch
 from apolar.linalg import _reversed_kernel, _row_batches, _sweep
+from apolar.parsing import parse_poly
 
 
 @pytest.fixture
@@ -85,6 +87,35 @@ def reference_encode(win, vec):
             raise AmbientMismatch("term of degree %d outside window" % sum(e))
         row[i] = c
     return row
+
+
+def all_pieces_square(f, i):
+    """(I^2)_i for I = Ann(f) by the all-pieces route: every piece Ann(f)_e,
+    1 <= e < i, built, and the products of I_e and I_{i-e} spanned for
+    every 1 <= e <= i/2, with no zero piece skipped."""
+    pieces = {e: ann_graded(f, e) for e in range(1, i)}
+    win = Window.S_graded(f.n, i, f.field)
+    rows = [row for e in range(1, i // 2 + 1)
+            for row in _products(f.n, pieces[e]._rows, e, pieces[i - e]._rows, i - e, win)]
+    return Basis._of_batches(win, _row_batches(rows))
+
+
+def square_inputs(rng, n, field):
+    """Dense, sparse and fixed inputs in n variables for the square oracle:
+    x1^[4] + x2^[4] in three variables (I_1 = span{a3}, so the squares of
+    degree 2 and 3 read the piece of degree 1), x1^[5] + x2^[5] in two
+    ((I^2)_4 = I_2 I_2, nonzero below deg f), and x1^[d]; the fixed ones
+    also with a random tail below their degree."""
+    polys = [parse_poly("x1^[%d]" % d, n, field) for d in (1, 3, 4)]
+    polys += [parse_poly("x1^[4] + x2^[4]", 3, field)] if n == 3 else []
+    polys += [parse_poly("x1^[5] + x2^[5]", 2, field)] if n == 2 else []
+    polys += [f + random_poly(rng, n, field, f.degree - 1, force_top=False) for f in polys]
+    for d in range(1, 7 if n < 3 else 6):
+        polys += [random_form(rng, n, field, d), random_poly(rng, n, field, d),
+                  random_poly(rng, n, field, d, density=0.2)]
+    if field.is_rationals:
+        polys += [with_fractions(rng, f) for f in polys[-3:]]
+    return polys
 
 
 def random_poly(rng, n, field, dmax, density=0.5, force_top=True):

@@ -53,10 +53,12 @@ from apolar.linalg import (
 from apolar.parsing import parse_poly
 
 from conftest import (
+    all_pieces_square,
     basis_of_kernel,
     random_form,
     random_poly,
     reference_encode,
+    square_inputs,
     with_fractions,
 )
 from test_linalg import _densified, _pivot_stream, _reference_contains
@@ -178,6 +180,14 @@ def test_t_compressed_needs_t_within_the_socle_degree():
     assert not is_t_compressed(f, 4) and not is_t_compressed(H, 4)
     assert not is_t_compressed(f, 0) and not is_t_compressed(H, 0)
     assert not is_t_compressed((1,), 1) and not is_t_compressed((1,), 0)
+
+
+def test_max_t_compressed_tries_t_up_to_half_the_socle_degree():
+    # x1^[4] is t-compressed for t = 1 .. 4, but only t <= deg f // 2 is tried
+    f = P(1, {(4,): 1})
+    assert all(is_t_compressed(f, t) for t in range(1, 5)) and max_t_compressed(f) == 2
+    g = P(2, {(3, 0): 1, (0, 3): 1})
+    assert is_t_compressed(g, 1) and max_t_compressed(g) == 1
 
 
 def test_t_compressed_reads_n_off_the_polynomial_or_off_H1():
@@ -965,8 +975,11 @@ def test_lead_first_generator_sweep_matches_the_eager_one(field, rng):
                     got = _square(pieces, Window.S_graded(n, i, field))
                     assert got == want and _typed_rows(got) == _typed_rows(want), (f, i)
                     assert _typed_rows(ideal_square_graded(f, i)) == _typed_rows(want), (f, i)
-                    below = {k: b for k, b in want_pieces.items() if 1 <= k < i}
-                    assert _square_pieces(f, i) == below, (f, i)
+                    # the eager pieces of degree e0 .. i - e0, e0 the initial
+                    # degree of Ann(f), or none when I_{floor(i/2)} = 0
+                    e0 = min((k for k in range(1, i + 1) if want_pieces[k].dim), default=i)
+                    below = {k: want_pieces[k] for k in range(e0, i - e0 + 1)}
+                    assert _square_pieces(f, i) == (below if want_pieces[i // 2].dim else {}), (f, i)
 
 
 @pytest.mark.parametrize("field", _LEAD_FIELDS, ids=str)
@@ -1078,3 +1091,59 @@ def test_ideal_square_graded_at_the_ends():
         square = ideal_square_graded(f, 4)
         assert square == span([Operator.monomial(2, field, (2, 2), 4)], win)
         assert square == _reference_ideal_square(f, 4)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle for the pieces a square reads: every piece of degree
+# 1 .. i - 1 built and every product I_e I_{i-e} spanned
+# (``all_pieces_square``), on ``square_inputs``.
+
+
+@pytest.mark.parametrize("field", _LEAD_FIELDS, ids=str)
+def test_ideal_square_graded_matches_the_all_pieces_route(field, rng):
+    nonzero = set()  # the fixed inputs' nonzero squares (I^2)_i below deg f
+    for n in (1, 2, 3):
+        for f in square_inputs(rng, n, field):
+            for i in range(f.degree + 3):
+                got, want = ideal_square_graded(f, i), all_pieces_square(f, i)
+                assert got.window == want.window, (f, i)
+                assert _typed_rows(got) == _typed_rows(want), (f, i)
+                if got.dim and i < f.degree and f.terms.keys() <= {(4, 0, 0), (0, 4, 0), (5, 0), (0, 5)}:
+                    nonzero.add((f.n, f.degree, i))
+    assert nonzero == {(3, 4, 2), (3, 4, 3), (2, 5, 4)}
+
+
+def test_squares_build_only_the_pieces_a_product_reads(rng, monkeypatch):
+    calls = []
+    monkeypatch.setattr(apolarity, "ann_graded", lambda f, i: calls.append(i) or ann_graded(f, i))
+    # I = Ann(x1^[4] + x2^[4]) in three variables has I_1 = span{a3}: I_2
+    # first, the walk down to e0 = 1 (I_0 = 0 is not built), then I_3
+    f = parse_poly("x1^[4] + x2^[4]", 3, QQ)
+    assert ideal_square_graded(f, 4).dim > 0 and calls == [2, 1, 3]
+    calls.clear()
+    assert ideal_square_graded(f, 1).dim == 0 and calls == []
+    # a compressed f has H(floor(d/2)) = dim S_{floor(d/2)}, so
+    # Ann(f)_{floor(d/2)} = 0 and (I^2)_d = 0 with no other piece built
+    for field in (QQ, GF(101)):
+        for n, d in ((2, 4), (2, 5), (3, 4), (3, 5), (4, 4)):
+            # a dense random form is compressed but for a few draws
+            f = next(g for g in iter(lambda: random_form(rng, n, field, d, density=1), None)
+                     if is_compressed(g))
+            calls.clear()
+            assert ideal_square_graded(f, d).dim == 0
+            assert calls == [d // 2], f
+
+
+def test_ann_generators_decodes_only_degrees_with_generators(rng, monkeypatch):
+    decoded = []
+    elements = Window._elements
+    monkeypatch.setattr(Window, "_elements", lambda win, rows: decoded.append(len(rows)) or
+                        elements(win, rows))
+    for field in (QQ, GF(7)):
+        for f in [parse_poly("x1^[4] + x2^[4] + x3^[4]", 3, field), random_form(rng, 3, field, 4),
+                  random_poly(rng, 2, field, 5)]:
+            want, _ = _generator_rows(f, f.degree + 2)
+            decoded.clear()
+            gens, _ = ann_generators(f, f.degree + 2)
+            assert decoded == [len(rows) for rows in want.values() if rows], f
+            assert len(gens) == sum(decoded) and len(decoded) < len(want), f

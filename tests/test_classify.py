@@ -16,6 +16,7 @@ from apolar import (
     Window,
     compose,
     contract,
+    dim_apolar,
     exp_group_element,
     apply_group_element,
     golden_13331,
@@ -47,6 +48,7 @@ from apolar.classify import (
 )
 from apolar.cli import _build_parser, cli_dispatch
 from apolar.dp import ClassicalPoly, monomials, monomials_upto, omega_inv
+from apolar.fields import char_guard
 from apolar.linalg import Basis, _row_batches, span
 from apolar.errors import (
     GoldenMismatch,
@@ -63,11 +65,13 @@ from apolar.errors import (
 from apolar.parsing import parse_classical_poly, parse_poly, poly_str
 
 from conftest import (
+    all_pieces_square,
     random_form,
     random_poly,
     random_unipotent,
     reference_encode,
     reference_solve,
+    square_inputs,
     with_fractions,
 )
 
@@ -244,8 +248,10 @@ def test_square_ideal_reduce_rank_n():
 
 def test_square_ideal_reduce_builds_the_annihilator_once(monkeypatch):
     # each degree i = t..d-1 rebuilt Ann(F)_0..i: 28 pieces here; the
-    # squares up to degree d - 1 = 6 read the pieces of degree 1..5 only
-    # (Ann(F)_0 = 0 enters no square)
+    # squares up to degree d - 1 = 6 read Ann(F)_e for e0 <= e <= 6 - e0
+    # only, e0 = 2 the initial degree of Ann(x1^[7] + x2^[7]) = (a1 a2,
+    # a1^7 - a2^7): Ann(F)_3 first, the walk down to the zero Ann(F)_1,
+    # then Ann(F)_4
     import apolar.apolarity as apolarity
 
     calls = []
@@ -255,7 +261,7 @@ def test_square_ideal_reduce_builds_the_annihilator_once(monkeypatch):
     monkeypatch.setattr(apolarity, "_generator_rows", lambda *args: pytest.fail("generator sweep"))
     f = P(2, {(7, 0): 1, (0, 7): 1, (3, 0): 1, (2, 1): 1, (1, 0): 2})
     assert square_ideal_reduce(f, 0).final == f.tdf()
-    assert sorted(calls) == list(range(1, 6))
+    assert calls == [3, 2, 1, 4]
     assert ideal_square_graded(f.tdf(), 6).dim > 0
 
 
@@ -355,6 +361,44 @@ def test_square_ideal_reduce_matches_the_homogeneous_vector_route(field):
                     square_ideal_reduce(F, t)
                 assert exc.value.degree == want, (F, t)
     assert None in outcomes and len(outcomes) > 2  # both answers, several degrees
+
+
+def _all_pieces_square_reduce(f, t):
+    """``square_ideal_reduce`` with each degree's square from the
+    all-pieces route (``all_pieces_square``)."""
+    F, d = f.tdf(), f.degree
+    char_guard(f.field, d)
+    if dim_apolar(f) != dim_apolar(F):
+        raise HypothesisFailed("dim Apolar(f) differs from dim Apolar(tdf f)")
+    if t < d:
+        perp = perp_tangent(F, unipotent=True, max_degree=d - 1)
+        for i in range(t, d):
+            if _graded_piece(perp, Window.S_graded(f.n, i, f.field)) != all_pieces_square(F, i):
+                raise HypothesisFailed("perp differs from (Ann F)^2 in degree %d" % i, i)
+    return reduce_toward(f, F, stop_degree=t)
+
+
+def _reduce_outcome(reduce, f, t):
+    """("trace", the steps' polynomials, the final polynomial), or the guard
+    error's class name and degree."""
+    try:
+        trace = reduce(f, t)
+    except GuardError as exc:
+        return type(exc).__name__, getattr(exc, "degree", None)
+    return "trace", [g for _, g in trace.steps], trace.final
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)], ids=repr)
+def test_square_ideal_reduce_matches_the_all_pieces_route(field, rng):
+    outcomes = set()
+    for n in (1, 2, 3):
+        for f in square_inputs(rng, n, field):
+            for t in range(f.degree + 1):
+                got = _reduce_outcome(square_ideal_reduce, f, t)
+                assert got == _reduce_outcome(_all_pieces_square_reduce, f, t), (f, t)
+                outcomes.add(got[0] if got[0] != "trace" else ("trace", len(got[1]) > 0))
+    if not field.p or field.p > 5:
+        assert {("trace", True), ("trace", False), "HypothesisFailed"} <= outcomes
 
 
 def test_golden_13331():
